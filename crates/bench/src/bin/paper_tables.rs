@@ -6,11 +6,10 @@
 //! ```
 
 use slipstream_bench::{
-    evaluate_suite, fault_campaign, fig6_json, fig7_json, fig8_json, paper_tables_json,
-    print_campaign, print_fig6, print_fig7, print_fig8, print_table1, print_table3,
-    write_figure_doc,
+    available_workers, evaluate_suite, fig6_json, fig7_json, fig8_json, paper_tables_json,
+    print_campaign_table, print_fig6, print_fig7, print_fig8, print_table1, print_table3,
+    run_campaign, write_figure_doc, CampaignConfig, MAX_CYCLES, TARGETS,
 };
-use slipstream_core::FaultTarget;
 
 fn main() {
     let scale = scale_arg();
@@ -33,22 +32,14 @@ fn main() {
     eprintln!("running fault-injection campaigns ...");
     println!("Section 3 / Figure 5: transient-fault scenarios (m88ksim analogue).");
     println!("(rates over activated faults; full sweep: the `fault_campaign` binary)");
-    let a = fault_campaign(
-        "m88ksim",
-        (scale * 0.25).max(0.02),
-        FaultTarget::AStream,
-        24,
-        7,
-    );
-    print_campaign("faults in A-stream", &a);
-    let r = fault_campaign(
-        "m88ksim",
-        (scale * 0.25).max(0.02),
-        FaultTarget::RStream,
-        24,
-        8,
-    );
-    print_campaign("faults in R-stream", &r);
+    let cfg = CampaignConfig {
+        scale: (scale * 0.25).max(0.02),
+        sites_per_target: 24,
+        workers: available_workers(),
+        seed: 7,
+        max_cycles: MAX_CYCLES,
+    };
+    print_campaign_table(&run_campaign(&cfg, &["m88ksim"], &TARGETS));
 }
 
 fn scale_arg() -> f64 {

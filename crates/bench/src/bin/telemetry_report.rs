@@ -18,7 +18,8 @@
 //!   byte-identical, every line is valid JSON, the Prometheus exposition
 //!   validates, and the scheduler span structure attributes the run total
 //!   (named exclusive spans present, their sum bounded by `run_total`).
-//!   Artifacts land in `telemetry_smoke/`.
+//!   It fails without the calibration row of the committed
+//!   `BENCH_throughput.json`. Artifacts land in `telemetry_smoke/`.
 //! - `--gate-summary FILE` prints the per-gate wall-time table from the
 //!   JSONL span log `scripts/check.sh` appends while running its gates.
 
@@ -176,7 +177,7 @@ fn exclusive_set(scheduler: &str) -> &'static [&'static str] {
 
 /// One telemetry-enabled smoke run under `mode`, returning its validated
 /// snapshot.
-fn smoke_run(mode: ExecMode, scheduler: &str, calibration: Option<f64>) -> Snapshot {
+fn smoke_run(mode: ExecMode, scheduler: &str, calibration: f64) -> Snapshot {
     let w = benchmark("gcc", 0.2).expect("gcc workload exists");
     let cfg = SlipstreamConfig::cmp_2x64x4();
     let mut proc = SlipstreamProcessor::new(cfg.clone(), &w.program);
@@ -189,7 +190,7 @@ fn smoke_run(mode: ExecMode, scheduler: &str, calibration: Option<f64>) -> Snaps
     let manifest = RunManifest::new("telemetry_report", scheduler, &format!("{cfg:?}"))
         .label("bench", "gcc")
         .label("scale", "0.2")
-        .calibration(calibration);
+        .calibration(Some(calibration));
     let snap = tel.snapshot(&manifest);
 
     // Format gates: every JSONL line is valid JSON, the parse inverts the
@@ -241,9 +242,9 @@ fn smoke_run(mode: ExecMode, scheduler: &str, calibration: Option<f64>) -> Snaps
 /// The `--smoke` gate body.
 fn run_smoke(cpi: Option<&str>) {
     let calibration = std::fs::read_to_string("BENCH_throughput.json")
-        .ok()
-        .as_deref()
-        .and_then(committed_calibration);
+        .map_err(|e| e.to_string())
+        .and_then(|doc| committed_calibration(&doc))
+        .unwrap_or_else(|e| panic!("--smoke needs the committed BENCH_throughput.json: {e}"));
     let snaps = vec![
         smoke_run(ExecMode::Windowed, "windowed", calibration),
         smoke_run(ExecMode::Threaded, "threaded", calibration),

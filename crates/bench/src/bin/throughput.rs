@@ -38,61 +38,8 @@
 //!   simulation speed against the committed file, after normalizing by
 //!   the calibration row's host-speed ratio, and fails loudly if any
 //!   shared model has slowed beyond the tolerance.
-//!
-//! The binary also runs an *allocation gate*: the whole process runs
-//! under a counting global allocator, and a pair of fixed-size
-//! slack-window runs measures the marginal heap allocations per 10k
-//! retired instructions in steady state (the two-point measurement
-//! cancels one-time construction cost). The number is written to
-//! `BENCH_throughput.json`, and `--smoke` fails if it rises past the
-//! committed ceiling — allocation counts are deterministic, so this gate
-//! needs no host-speed normalization.
 
 use std::time::Instant;
-
-/// Counting wrapper over the system allocator: every allocation path
-/// (fresh, zeroed, and growth via realloc) bumps one relaxed counter.
-/// Deallocation is free-of-charge — the gate cares about allocator
-/// pressure on the hot path, which frees alone do not create.
-mod alloc_counter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static CALLS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct CountingAlloc;
-
-    // SAFETY: defers every allocation to `System`, which upholds the
-    // GlobalAlloc contract; the counter increment has no other effect.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-    }
-
-    /// Total allocation calls since process start.
-    pub fn calls() -> u64 {
-        CALLS.load(Ordering::Relaxed)
-    }
-}
-
-#[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
 use slipstream_bench::{json, to_jsonl, MAX_CYCLES};
 use slipstream_core::telemetry::{validate_exposition, RunManifest, Telemetry};
@@ -111,17 +58,6 @@ const SMOKE_TOLERANCE: f64 = 1.5;
 /// broken calibration row, not a slower machine) and clamped so they
 /// cannot mask a real regression entirely.
 const HOST_RATIO_BAND: (f64, f64) = (0.25, 4.0);
-
-/// The allocation gate's two fixed workload sizes. Both run regardless of
-/// the harness `scale` argument, so the committed ceiling and the smoke
-/// measurement always describe identical simulations.
-const ALLOC_GATE_SCALES: (f64, f64) = (0.05, 0.25);
-
-/// Absolute slack (allocs per 10k retired) added on top of the committed
-/// ceiling before `--smoke` fails. The steady-state rate is close to zero
-/// by design, so a pure multiplicative tolerance would make the gate
-/// hair-trigger on standard-library noise.
-const ALLOC_GATE_SLACK: f64 = 5.0;
 
 /// One timed simulation: what ran, how much it simulated, how long it took.
 struct Measurement {
@@ -210,52 +146,6 @@ fn calibration(reps: u32) -> Measurement {
         l2_misses: 0,
         port_stall_cycles: 0,
     }
-}
-
-/// One allocation-gate probe: runs the slack-window model on the gate
-/// workload at `scale` and returns (allocation calls, retired
-/// instructions on both cores).
-fn alloc_gate_run(scale: f64) -> (u64, u64) {
-    let workloads = suite(scale);
-    let w = workloads
-        .iter()
-        .find(|w| w.name == "m88ksim")
-        .unwrap_or(&workloads[0]);
-    let cfg = SlipstreamConfig::cmp_2x64x4();
-    let before = alloc_counter::calls();
-    let mut proc = SlipstreamProcessor::new(cfg, &w.program);
-    // The committed ceiling describes the telemetry-OFF path; the
-    // instrumentation's zero-cost-when-off claim is gated exactly here.
-    assert!(
-        !proc.telemetry_enabled(),
-        "allocation gate must measure the telemetry-off path"
-    );
-    assert!(
-        proc.run_mode(ExecMode::Windowed, MAX_CYCLES),
-        "{}: allocation-gate run did not complete",
-        w.name
-    );
-    let stats = proc.stats();
-    (
-        alloc_counter::calls() - before,
-        stats.a_retired + stats.r_retired,
-    )
-}
-
-/// Marginal heap allocations per 10k retired instructions: the slope
-/// between a short and a longer run of the same workload. One-time costs
-/// (processor construction, container growth to steady-state capacity)
-/// appear in both runs and cancel, leaving the per-instruction rate the
-/// zero-copy retire path is supposed to hold near zero.
-fn alloc_gate_per_10k() -> f64 {
-    let (short_allocs, short_instrs) = alloc_gate_run(ALLOC_GATE_SCALES.0);
-    let (long_allocs, long_instrs) = alloc_gate_run(ALLOC_GATE_SCALES.1);
-    assert!(
-        long_instrs > short_instrs,
-        "allocation gate needs the longer run to retire more instructions"
-    );
-    let marginal = long_allocs.saturating_sub(short_allocs);
-    marginal as f64 * 10_000.0 / (long_instrs - short_instrs) as f64
 }
 
 fn measure(
@@ -385,52 +275,30 @@ fn model_totals<'a>(rows: impl Iterator<Item = &'a Measurement>) -> Vec<(&'stati
     totals
 }
 
-/// Extracts per-model (instructions, seconds) totals from a committed
-/// `BENCH_throughput.json` by string scanning — the workspace deliberately
-/// has no serde. Relies on the one-row-per-line layout this harness writes.
-fn committed_model_totals(doc: &str) -> Vec<(String, u64, f64)> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-    let mut totals: Vec<(String, u64, f64)> = Vec::new();
-    for line in doc.lines() {
-        let (Some(model), Some(instrs), Some(secs)) = (
-            field(line, "model"),
-            field(line, "instructions"),
-            field(line, "seconds"),
-        ) else {
-            continue;
-        };
-        let instrs: u64 = instrs.parse().unwrap_or(0);
-        let secs: f64 = secs.parse().unwrap_or(0.0);
-        match totals.iter_mut().find(|(m, _, _)| m == model) {
-            Some(t) => {
-                t.1 += instrs;
-                t.2 += secs;
-            }
-            None => totals.push((model.to_string(), instrs, secs)),
-        }
-    }
+/// Per-model (instructions, seconds) totals from the `model_totals` of a
+/// committed `BENCH_throughput.json`. Any missing or non-numeric field is
+/// an error: the smoke gate must not compare against a guess.
+fn committed_model_totals(doc: &str) -> Result<Vec<(String, u64, f64)>, String> {
+    let doc = json::parse(doc)?;
+    let totals = doc
+        .get("model_totals")
+        .and_then(json::Value::as_arr)
+        .ok_or("no model_totals array")?;
     totals
-}
-
-/// Extracts the committed allocation-gate ceiling from a
-/// `BENCH_throughput.json` document, if it has one.
-fn committed_alloc_ceiling(doc: &str) -> Option<f64> {
-    for line in doc.lines() {
-        if let Some(rest) = line
-            .trim_start()
-            .strip_prefix("\"alloc_per_10k_retired\": ")
-        {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            return rest[..end].trim().parse().ok();
-        }
-    }
-    None
+        .iter()
+        .map(|t| {
+            let field = |key: &str| t.get(key).ok_or(format!("model_totals row without {key}"));
+            let model = field("model")?.as_str().ok_or("model is not a string")?;
+            let instrs = field("instructions")?
+                .as_u64()
+                .ok_or(format!("{model}: instructions is not an integer"))?;
+            let secs = field("seconds")?
+                .as_f64()
+                .filter(|s| *s > 0.0)
+                .ok_or(format!("{model}: seconds is not a positive number"))?;
+            Ok((model.to_string(), instrs, secs))
+        })
+        .collect()
 }
 
 fn main() {
@@ -536,16 +404,6 @@ fn main() {
         }
     }
 
-    // The allocation gate runs after the timed rows so its extra runs
-    // cannot perturb the timing measurements, and at fixed workload sizes
-    // so its value is comparable across scales (and hosts: allocation
-    // counts are deterministic).
-    let alloc_per_10k = alloc_gate_per_10k();
-    println!(
-        "alloc-gate  {:<20} {alloc_per_10k:>12.2} marginal heap allocs / 10k retired",
-        "slipstream-window"
-    );
-
     if let Some(dir) = &tel_dir {
         let anchor = totals
             .iter()
@@ -559,11 +417,8 @@ fn main() {
         // committed baseline file instead of overwriting it.
         let doc = std::fs::read_to_string("BENCH_throughput.json")
             .expect("--smoke needs the committed BENCH_throughput.json in the working directory");
-        let committed = committed_model_totals(&doc);
-        assert!(
-            !committed.is_empty(),
-            "committed BENCH_throughput.json has no parsable model rows"
-        );
+        let committed = committed_model_totals(&doc)
+            .unwrap_or_else(|e| panic!("committed BENCH_throughput.json: {e}"));
         // The calibration rows (committed vs measured) cancel host speed
         // out of the comparison: a runner half as fast as the one that
         // wrote the committed file halves every model's floor too.
@@ -571,25 +426,17 @@ fn main() {
             let measured = totals
                 .iter()
                 .find(|(m, _, _)| *m == "calibration")
-                .map(|&(_, i, s)| i as f64 / s);
+                .map(|&(_, i, s)| i as f64 / s)
+                .expect("every run measures the calibration row");
             let committed_cal = committed
                 .iter()
                 .find(|(m, _, _)| m == "calibration")
-                .map(|&(_, i, s)| i as f64 / s);
-            match (measured, committed_cal) {
-                (Some(m), Some(c)) if c > 0.0 => {
-                    let raw = m / c;
-                    let clamped = raw.clamp(HOST_RATIO_BAND.0, HOST_RATIO_BAND.1);
-                    println!("smoke       host ratio {raw:.3} (clamped {clamped:.3})");
-                    clamped
-                }
-                // Committed file predates the calibration row: fall back
-                // to the un-normalized comparison.
-                _ => {
-                    println!("smoke       no committed calibration row; host ratio 1.0");
-                    1.0
-                }
-            }
+                .map(|&(_, i, s)| i as f64 / s)
+                .expect("committed BENCH_throughput.json has no calibration model total");
+            let raw = measured / committed_cal;
+            let clamped = raw.clamp(HOST_RATIO_BAND.0, HOST_RATIO_BAND.1);
+            println!("smoke       host ratio {raw:.3} (clamped {clamped:.3})");
+            clamped
         };
         let mut checked = 0;
         let mut failures = Vec::new();
@@ -617,27 +464,6 @@ fn main() {
             }
         }
         assert!(checked > 0, "no committed model matched a measured model");
-        // Allocation gate: unlike the speed floors this needs no host
-        // normalization — the simulation (and hence its allocation trace)
-        // is deterministic, so the ceiling transfers across machines.
-        match committed_alloc_ceiling(&doc) {
-            Some(ceiling) => {
-                let limit = ceiling * SMOKE_TOLERANCE + ALLOC_GATE_SLACK;
-                println!(
-                    "smoke       alloc-gate           measured {alloc_per_10k:>12.2} \
-                     allocs/10k, committed {ceiling:>12.2} (limit {limit:.2})"
-                );
-                if alloc_per_10k > limit {
-                    failures.push(format!(
-                        "alloc-gate: {alloc_per_10k:.2} heap allocs per 10k retired \
-                         instrs exceeds {limit:.2} (committed {ceiling:.2} x tolerance \
-                         {SMOKE_TOLERANCE} + slack {ALLOC_GATE_SLACK})"
-                    ));
-                }
-            }
-            // Committed file predates the gate: nothing to compare yet.
-            None => println!("smoke       no committed alloc_per_10k_retired; gate skipped"),
-        }
         assert!(
             failures.is_empty(),
             "simulator throughput regression:\n  {}",
@@ -677,10 +503,8 @@ fn main() {
         }),
         2,
     );
-    let alloc_json = json::f64_fixed(alloc_per_10k, 2);
     let doc = format!(
-        "{{\n  \"scale\": {scale},\n  \"reps\": {reps},\n  \
-         \"alloc_per_10k_retired\": {alloc_json},\n  \"rows\": {rows_json},\n  \
+        "{{\n  \"scale\": {scale},\n  \"reps\": {reps},\n  \"rows\": {rows_json},\n  \
          \"model_totals\": {totals_json}\n}}\n"
     );
     std::fs::write("BENCH_throughput.json", doc).expect("write BENCH_throughput.json");

@@ -1,11 +1,10 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§5) plus the §3 fault-tolerance scenarios.
 //!
-//! The binaries (`paper_tables`, `table1`, `table3`, `fig6`, `fig7`,
-//! `fig8`, `fault_tolerance`, `fault_campaign`) print the same
-//! rows/series the paper reports; the Criterion benches in `benches/`
-//! time the simulators themselves and re-run reduced-scale versions of
-//! each experiment so `cargo bench` regenerates everything.
+//! `paper_tables` prints every table and figure the paper reports and
+//! re-anchors the committed figure documents; `fault_campaign` runs the
+//! full §3 sweep. The simulator's own speed is measured by the
+//! `perfbench` package in `examples/perfbench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,11 +23,11 @@ pub mod telemetry_export;
 pub mod trace_export;
 
 use slipstream_core::{
-    run_superscalar, BaselineStats, CpiCat, FaultTarget, RemovalPolicy, SlipstreamConfig,
-    SlipstreamProcessor, SlipstreamStats,
+    run_superscalar, BaselineStats, CpiCat, RemovalPolicy, SlipstreamConfig, SlipstreamProcessor,
+    SlipstreamStats,
 };
 use slipstream_cpu::CoreConfig;
-use slipstream_workloads::{benchmark, suite, Workload};
+use slipstream_workloads::{suite, Workload};
 
 pub use campaign::{
     available_workers, enumerate_sites, print_campaign_table, run_campaign, run_campaign_telemetry,
@@ -80,12 +79,6 @@ impl BenchRow {
     pub fn fig7_improvement(&self) -> f64 {
         100.0 * (self.ss128.ipc() / self.ss64.ipc() - 1.0)
     }
-}
-
-/// Runs one benchmark through all processor models.
-pub fn evaluate(name: &str, scale: f64) -> BenchRow {
-    let w: Workload = benchmark(name, scale).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    evaluate_workload(&w)
 }
 
 /// Runs an arbitrary workload through all processor models.
@@ -545,82 +538,4 @@ pub fn print_table3(rows: &[BenchRow]) {
         );
     }
     println!();
-}
-
-// ---- fault-tolerance campaign (paper §3 / Figure 5) -----------------------
-
-/// Aggregate result of a fault-injection campaign.
-#[derive(Debug, Clone, Default)]
-pub struct FaultCampaign {
-    /// Faults that fired and were detected, with correct final output.
-    pub detected_recovered: u64,
-    /// Faults that fired with correct final output and no fault-attributed
-    /// detection (architecturally masked).
-    pub masked: u64,
-    /// Faults that corrupted the final output.
-    pub silent: u64,
-    /// Runs that failed to complete.
-    pub hangs: u64,
-    /// Armed faults that never fired — dead injection sites, excluded from
-    /// the rate denominator (the paper counts activated faults only).
-    pub not_activated: u64,
-    /// Injections whose fault actually fired (tracked even for hangs).
-    pub fired: u64,
-}
-
-impl FaultCampaign {
-    /// Total injections (activated or not).
-    pub fn total(&self) -> u64 {
-        self.detected_recovered + self.masked + self.silent + self.hangs + self.not_activated
-    }
-
-    /// Injections whose fault actually fired — the rate denominator.
-    pub fn activated(&self) -> u64 {
-        self.fired
-    }
-}
-
-/// Injects `n` deterministic single-bit faults into `target` while running
-/// `bench_name` at `scale`, classifying each run. A thin single-bench
-/// wrapper over [`campaign::run_campaign`]; seeds/sites are identical to a
-/// full campaign with the same `seed`.
-pub fn fault_campaign(
-    bench_name: &str,
-    scale: f64,
-    target: FaultTarget,
-    n: u64,
-    seed: u64,
-) -> FaultCampaign {
-    let cfg = CampaignConfig {
-        scale,
-        sites_per_target: n as usize,
-        workers: available_workers(),
-        seed,
-        max_cycles: MAX_CYCLES,
-    };
-    let result = run_campaign(&cfg, &[bench_name], &[target]);
-    let s = result.totals();
-    FaultCampaign {
-        detected_recovered: s.detected_recovered,
-        masked: s.masked,
-        silent: s.silent,
-        hangs: s.hangs,
-        not_activated: s.not_activated,
-        fired: s.fired,
-    }
-}
-
-/// Pretty-prints a campaign (rates over activated injections).
-pub fn print_campaign(label: &str, c: &FaultCampaign) {
-    let pct = |n: u64| 100.0 * n as f64 / c.activated().max(1) as f64;
-    println!(
-        "{label}: {} injections ({} activated) — detected+recovered {:.0}%, masked {:.0}%, \
-         silent {:.0}%, hangs {}",
-        c.total(),
-        c.activated(),
-        pct(c.detected_recovered),
-        pct(c.masked),
-        pct(c.silent),
-        c.hangs
-    );
 }

@@ -1,9 +1,11 @@
-//! Telemetry must be zero-cost when off: with no registry enabled, the
-//! instrumented schedulers must hold the same near-zero marginal
-//! allocation rate the zero-copy retire path had before instrumentation.
-//! This is the same two-point marginal measurement `throughput --smoke`
-//! gates against the committed ceiling, run here against an absolute
-//! bound so `cargo test` catches a regression without the bench artifact.
+//! The heap-allocation gate. Telemetry must be zero-cost when off: with
+//! no registry enabled, the instrumented schedulers must hold the
+//! steady-state marginal allocation rate below a fixed ceiling; with a
+//! registry enabled they may allocate nothing extra per instruction.
+//!
+//! The counter below is process-wide, so this file holds exactly one
+//! `#[test]`: a second test running on another harness thread would add
+//! its allocations to the measured windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,24 +44,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Matches `throughput`'s ALLOC_GATE_SLACK: the absolute allocs-per-10k
-/// noise allowance on top of the committed ceiling.
-const SLACK_PER_10K: f64 = 5.0;
+/// Marginal heap allocations per 10k retired instructions of the
+/// telemetry-off windowed m88ksim run, as measured at 37.527 in debug and
+/// release builds alike (the simulation is deterministic, so the count is
+/// too). A change that moves it must re-measure and update it here.
+const CEILING_PER_10K: f64 = 37.53;
 
-/// The committed `alloc_per_10k_retired` ceiling from
-/// `BENCH_throughput.json` — the same number `throughput --smoke` gates
-/// against, so this test and the bench gate measure one contract.
-fn committed_ceiling() -> f64 {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    let doc = std::fs::read_to_string(path).expect("committed throughput artifact exists");
-    let key = "\"alloc_per_10k_retired\": ";
-    let at = doc.find(key).expect("doc commits an allocation ceiling") + key.len();
-    doc[at..]
-        .split(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .next()
-        .and_then(|n| n.parse().ok())
-        .expect("ceiling is a number")
-}
+/// Absolute allowance (allocs per 10k retired) on top of the ceiling. The
+/// rate is small by design, so a multiplicative tolerance would make the
+/// gate trip on standard-library noise.
+const SLACK_PER_10K: f64 = 5.0;
 
 /// One gate probe: the slack-window scheduler on m88ksim at `scale`, with
 /// telemetry in the given state, returning (alloc calls, instrs retired).
@@ -93,28 +87,23 @@ fn marginal_per_10k(telemetry: bool) -> f64 {
 }
 
 #[test]
-fn telemetry_off_holds_the_committed_allocation_ceiling() {
-    let rate = marginal_per_10k(false);
-    let limit = committed_ceiling() + SLACK_PER_10K;
+fn telemetry_off_holds_the_ceiling_and_telemetry_on_adds_nothing_per_instruction() {
+    let off = marginal_per_10k(false);
+    let limit = CEILING_PER_10K + SLACK_PER_10K;
     assert!(
-        rate <= limit,
-        "telemetry-off marginal allocation rate {rate:.2}/10k exceeds the \
-         committed ceiling + slack ({limit:.2}) — instrumentation leaked \
-         onto the off path"
+        off <= limit,
+        "telemetry-off marginal allocation rate {off:.3}/10k exceeds the \
+         ceiling + slack ({limit:.2}) — instrumentation leaked onto the off path"
     );
-}
 
-#[test]
-fn telemetry_on_allocates_nothing_extra_per_instruction() {
     // The on path is allowed its fixed-size registry but nothing
     // per-instruction: spans are recorded per *window*, into fixed
     // arrays, so the marginal slope must match the off path within the
     // same noise slack.
-    let off = marginal_per_10k(false);
     let on = marginal_per_10k(true);
     assert!(
         on <= off + SLACK_PER_10K,
-        "telemetry-on marginal rate {on:.2}/10k vs off {off:.2}/10k — the \
+        "telemetry-on marginal rate {on:.3}/10k vs off {off:.3}/10k — the \
          registry must be fixed-size, not per-instruction"
     );
 

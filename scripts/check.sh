@@ -35,6 +35,9 @@ run_gate "cargo build --release" cargo build --release
 
 run_gate "cargo test (workspace)" cargo test --workspace -q
 
+run_gate "perfbench self-test" \
+    cargo test --release -q --offline --manifest-path crates/bench/examples/perfbench/Cargo.toml
+
 run_gate "fault-campaign smoke (reduced-scale §3 sweep)" \
     cargo run --release -q -p slipstream-bench --bin fault_campaign -- --smoke
 
