@@ -19,7 +19,7 @@
 //!   the committed file. Cycle accounting is deterministic, so any
 //!   difference is real timing or attribution drift, never noise.
 //! - `--telemetry PATH` writes host-telemetry JSONL (one `bench_eval`
-//!   span per suite evaluation) to `PATH` for `telemetry_report`.
+//!   span per suite evaluation) to `PATH` for `report`.
 
 use slipstream_bench::{
     cpi_stack_json, evaluate_shared_l2_suite, evaluate_workload, to_jsonl, top_sinks,
@@ -146,7 +146,7 @@ fn main() {
             &format!("{:?}", SlipstreamConfig::cmp_shared_l2()),
         )
         .label("scale", scale);
-        let jsonl = to_jsonl(&tel.snapshot(&manifest));
+        let jsonl = to_jsonl(&tel.snapshot(&manifest).into());
         std::fs::write(&path, jsonl).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }

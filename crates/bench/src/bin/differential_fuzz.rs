@@ -25,7 +25,7 @@
 //! functional oracle (implies writing the reproducers too). `--telemetry
 //! PATH` collects host telemetry (per-seed and shrink-pass spans, fuzz
 //! counters, worker gauge) during the sweep and writes it to `PATH` as
-//! JSONL for `telemetry_report`.
+//! JSONL for `report`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -141,7 +141,7 @@ fn main() -> ExitCode {
             .label("workers", cfg.workers)
             .label("seeds", cfg.seeds)
             .label("seed", format!("{:#x}", cfg.seed));
-        std::fs::write(path, to_jsonl(&tel.snapshot(&manifest)))
+        std::fs::write(path, to_jsonl(&tel.snapshot(&manifest).into()))
             .unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }

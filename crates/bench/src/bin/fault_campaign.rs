@@ -22,21 +22,21 @@
 //! and reports the wall-clock speedup. `--trace DIR` re-runs the first
 //! detected+recovered site of `--trace-bench` (default: the first
 //! benchmark) for each target with the flight recorder frozen just after
-//! the detection, and dumps the Chrome trace + pipeview (+ metrics when
-//! `--metrics-interval` is nonzero) into `DIR`. `--telemetry PATH`
+//! the detection, and writes its run file `DIR/fault_<bench>_<A|R>.jsonl`
+//! (event rows, plus sample rows when `--metrics-interval` is nonzero)
+//! and the Perfetto rendering `.chrome.json` next to it. `--telemetry PATH`
 //! collects host telemetry (per-site spans, campaign counters, worker
 //! gauge) during the sweep and writes it to `PATH` as JSONL for
-//! `telemetry_report`.
+//! `report`.
 
 use std::path::PathBuf;
 
 use slipstream_bench::{
-    chrome_trace_json, json, metrics_json, pipeview_text, print_campaign_table, run_campaign,
-    run_campaign_telemetry, target_label, to_jsonl, trace_first_detection, CampaignConfig,
-    CampaignResult, TARGETS,
+    json, print_campaign_table, run_campaign, run_campaign_telemetry, target_label, to_jsonl,
+    trace_first_detection, write_run, CampaignConfig, CampaignResult, RunFile, TARGETS,
 };
 use slipstream_core::telemetry::{RunManifest, Telemetry};
-use slipstream_core::{FaultTarget, TraceConfig};
+use slipstream_core::{ExecMode, FaultTarget, TraceConfig};
 use slipstream_workloads::BENCHMARK_NAMES;
 
 fn main() {
@@ -147,7 +147,7 @@ fn main() {
             .label("sites_per_target", cfg.sites_per_target)
             .label("scale", cfg.scale)
             .label("seed", format!("{:#x}", cfg.seed));
-        std::fs::write(path, to_jsonl(&tel.snapshot(&manifest)))
+        std::fs::write(path, to_jsonl(&tel.snapshot(&manifest).into()))
             .unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }
@@ -172,8 +172,8 @@ fn main() {
 }
 
 /// For each target, replays `bench`'s first detected+recovered site with
-/// the flight recorder frozen just after the detection and writes the
-/// exporter artifacts into `dir`.
+/// the flight recorder frozen just after the detection and writes its run
+/// file (plus the Perfetto rendering) into `dir`.
 fn dump_detection_traces(
     cfg: &CampaignConfig,
     bench: &'static str,
@@ -181,7 +181,6 @@ fn dump_detection_traces(
     ring: usize,
     metrics_interval: u64,
 ) {
-    std::fs::create_dir_all(dir).expect("create trace directory");
     let trace = TraceConfig::flight(ring).with_metrics(metrics_interval);
     for target in TARGETS {
         let label = if target == FaultTarget::AStream {
@@ -203,19 +202,21 @@ fn dump_detection_traces(
             rec.events.len(),
             rec.dropped,
         );
-        let stem = format!("fault_{bench}_{label}");
-        let mut artifacts = vec![
-            (format!("{stem}.chrome.json"), chrome_trace_json(&rec)),
-            (format!("{stem}.pipeview.txt"), pipeview_text(&rec)),
-        ];
-        if metrics_interval != 0 {
-            artifacts.push((format!("{stem}.metrics.json"), metrics_json(&rec.samples)));
-        }
-        for (name, text) in artifacts {
-            let path = dir.join(name);
-            std::fs::write(&path, text).expect("write trace artifact");
-            eprintln!("wrote {}", path.display());
-        }
+        let manifest = RunManifest::new(
+            "fault_campaign",
+            ExecMode::Windowed.label(),
+            &format!("{cfg:?}"),
+        )
+        .label("bench", bench)
+        .label("target", label)
+        .label("seq", site.seq)
+        .label("bit", site.bit);
+        let run = RunFile {
+            snapshot: Telemetry::new().snapshot(&manifest),
+            recording: rec,
+        };
+        write_run(dir, &format!("fault_{bench}_{label}"), &run)
+            .unwrap_or_else(|e| panic!("trace: {e}"));
     }
 }
 

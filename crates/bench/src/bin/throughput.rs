@@ -29,9 +29,9 @@
 //! - `--telemetry DIR` runs one extra telemetry-enabled suite pass per
 //!   slipstream model *after* the timed rows (so instrumentation cannot
 //!   perturb the measurements) and writes
-//!   `DIR/throughput_<model>.telemetry.jsonl` plus Prometheus text
-//!   exposition `.prom` per model, anchored to this run's calibration
-//!   row. `BENCH_throughput.json` is unaffected.
+//!   the run file `DIR/throughput_<model>.telemetry.jsonl` per model,
+//!   anchored to this run's calibration row. `BENCH_throughput.json` is
+//!   unaffected.
 //! - `--smoke` is the CI regression gate: a quick reduced-scale pass
 //!   (scale 0.2, reps 1, all models) that does NOT overwrite
 //!   `BENCH_throughput.json`; instead it compares the measured per-model
@@ -42,7 +42,7 @@
 use std::time::Instant;
 
 use slipstream_bench::{json, to_jsonl, MAX_CYCLES};
-use slipstream_core::telemetry::{validate_exposition, RunManifest, Telemetry};
+use slipstream_core::telemetry::{RunManifest, Telemetry};
 use slipstream_core::{run_superscalar, ExecMode, SlipstreamConfig, SlipstreamProcessor};
 use slipstream_cpu::CoreConfig;
 use slipstream_isa::assemble;
@@ -208,7 +208,7 @@ fn measure(
 /// The `--telemetry DIR` pass: one telemetry-enabled suite run per
 /// slipstream model (the SS(64x4) baseline has no scheduler to profile),
 /// merged across workloads into a single registry per model and written
-/// as JSONL + Prometheus exposition. Runs after every timed measurement.
+/// as one run file per model. Runs after every timed measurement.
 fn telemetry_pass(
     dir: &str,
     workloads: &[Workload],
@@ -238,25 +238,14 @@ fn telemetry_pass(
             );
             merged.merge(&proc.take_telemetry().expect("telemetry was enabled"));
         }
-        let scheduler = match mode {
-            ExecMode::Serial => "serial",
-            ExecMode::Windowed => "windowed",
-            ExecMode::Threaded => "threaded",
-        };
-        let manifest = RunManifest::new("throughput", scheduler, &format!("{run_cfg:?}"))
+        let manifest = RunManifest::new("throughput", mode.label(), &format!("{run_cfg:?}"))
             .label("model", model)
             .label("scale", scale)
             .calibration(calibration_anchor);
-        let snap = merged.snapshot(&manifest);
-        let base = format!("{dir}/throughput_{model}.telemetry");
-        std::fs::write(format!("{base}.jsonl"), to_jsonl(&snap))
-            .unwrap_or_else(|e| panic!("write {base}.jsonl: {e}"));
-        let prom = snap.prometheus_text();
-        validate_exposition(&prom)
-            .unwrap_or_else(|e| panic!("{model}: emitted exposition is invalid: {e}"));
-        std::fs::write(format!("{base}.prom"), prom)
-            .unwrap_or_else(|e| panic!("write {base}.prom: {e}"));
-        eprintln!("wrote {base}.jsonl and {base}.prom");
+        let path = format!("{dir}/throughput_{model}.telemetry.jsonl");
+        std::fs::write(&path, to_jsonl(&merged.snapshot(&manifest).into()))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        eprintln!("wrote {path}");
     }
 }
 

@@ -210,7 +210,7 @@ pub fn parse(s: &str) -> Result<Value, String> {
 }
 
 /// Checks that `s` is one complete JSON value: the self-check behind
-/// `trace_dump --smoke` and the exporter round-trip tests, since
+/// `report --smoke` and the exporter round-trip tests, since
 /// everything the bench crate writes must parse.
 pub fn validate(s: &str) -> Result<(), String> {
     parse(s).map(drop)

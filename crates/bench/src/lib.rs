@@ -17,9 +17,11 @@ pub mod fuzz;
 pub mod json;
 /// Delta-debugging shrinker for failing fuzz cases.
 pub mod shrink;
-/// Host-telemetry JSONL export/parse/merge and the unified run report.
+/// The run file (one JSONL stream of host and simulated rows), its one
+/// reader, and the run report.
 pub mod telemetry_export;
-/// Flight-recording exporters (Chrome trace, pipeview, metrics).
+/// Flight-recording renderings (Chrome trace, pipeview) and divergence
+/// naming.
 pub mod trace_export;
 
 use slipstream_core::{
@@ -41,10 +43,11 @@ pub use fuzz::{
 };
 pub use shrink::{live_count, shrink, ShrinkOutcome};
 pub use telemetry_export::{
-    committed_calibration, deterministic_jsonl, parse_jsonl, report_text, to_jsonl,
+    committed_calibration, committed_cpi_section, deterministic_jsonl, exclusive_spans,
+    parse_jsonl, report_text, to_jsonl, write_run, RunFile,
 };
 pub use trace_export::{
-    chrome_trace_json, cpi_stack_obj, first_divergence, lifecycles, metrics_json, pipeview_text,
+    chrome_trace_json, cpi_stack_obj, first_divergence, lifecycles, pipeview_text,
     trace_slipstream_run, violation_trace_text, Divergence, Lifecycle,
 };
 

@@ -1,18 +1,69 @@
-//! Host-telemetry exporters: the JSONL stream (through [`json`]), its
-//! parser/merger, the deterministic-subset export, and the unified run
-//! report that juxtaposes host wall-clock attribution against the
-//! simulated CPI stacks.
+//! The run file: one JSONL stream per run, its one reader, and the report
+//! rendered from it.
 //!
-//! A telemetry file is JSON Lines: one `{"type": "manifest", ...}` line
-//! carrying the run's identity, then one line per non-empty metric row
-//! (`span`, `counter`, `gauge`, `hist`). Lines are self-describing, so
-//! external producers can append rows the Rust enums don't know — the
-//! `run_gate` wrapper in `scripts/check.sh` appends `gate:*` span lines
-//! with nothing but a shell and `date +%s%N` — and everything still
-//! parses, merges, and reports.
+//! A run file is JSON Lines. A `{"type": "manifest", ...}` line carries the
+//! run's identity and the flight recorder's `dropped` count; every other
+//! line is one row, and the row type fixes its clock:
+//!
+//! - host rows, in wall-clock nanoseconds: `span`, `counter`, `gauge`,
+//!   `hist` (the [`Snapshot`]);
+//! - simulated rows, in simulated cycles: `event` (one flight-recorder
+//!   event) and `sample` (one interval sample, integer counters only —
+//!   ratios are computed when rendered) (the [`FlightRecording`]).
+//!
+//! [`to_jsonl`] writes a [`RunFile`] and [`parse_jsonl`], the only reader,
+//! inverts it byte for byte. Lines are self-describing, so external
+//! producers can append rows — the `run_gate` wrapper in
+//! `scripts/check.sh` appends `gate:*` span lines with nothing but a shell
+//! and `date +%s%N` — and everything still parses and reports.
+
+use std::path::Path;
 
 use crate::json::{self, Value};
-use slipstream_telemetry::{HistRow, Snapshot, SpanRow};
+use crate::trace_export::{chrome_trace_json, cpi_stack_obj, pipeview_text, EVENT_KINDS, STREAMS};
+use slipstream_core::{FlightRecording, FrontEndStats, IntervalSample, TraceEvent};
+use slipstream_cpu::{CoreStats, CpiCat};
+use slipstream_telemetry::{HistRow, Snapshot, SpanRow, LOG2_BUCKETS};
+
+/// Everything one run leaves for later reading: host telemetry plus the
+/// simulated flight recording (empty when the run was not traced).
+#[derive(Debug, Clone)]
+pub struct RunFile {
+    /// Manifest identity and host rows.
+    pub snapshot: Snapshot,
+    /// Event and sample rows, and the ring's drop count.
+    pub recording: FlightRecording,
+}
+
+impl From<Snapshot> for RunFile {
+    fn from(snapshot: Snapshot) -> RunFile {
+        RunFile {
+            snapshot,
+            recording: FlightRecording::default(),
+        }
+    }
+}
+
+/// `(key, &mut field)` pairs of a stats struct, in row order.
+macro_rules! fields {
+    ($s:expr; $($f:ident),+) => {
+        [$((stringify!($f), &mut $s.$f)),+]
+    };
+}
+
+/// Every integer counter of a [`CoreStats`] except the CPI stack.
+fn core_counters(c: &mut CoreStats) -> [(&'static str, &mut u64); 20] {
+    fields! {c; cycles, dispatched, retired, fetched, cond_branches, branch_mispredicts,
+    jump_mispredicts, icache_misses, dcache_misses, l2_hits, l2_misses, port_stall_cycles,
+    rob_full_cycles, iq_full_cycles, fetch_fill_stall_cycles, fetch_redirect_stall_cycles,
+    fetch_external_stall_cycles, fetch_active_cycles, flushes, faults_injected}
+}
+
+/// Every counter of a [`FrontEndStats`].
+fn front_end_counters(f: &mut FrontEndStats) -> [(&'static str, &mut u64); 5] {
+    fields! {f; traces_predicted, traces_fallback, traces_correct, traces_committed,
+    traces_reduced}
+}
 
 // ---- JSONL emission -------------------------------------------------------
 
@@ -21,8 +72,8 @@ fn buckets_json(buckets: &[(u32, u64)]) -> String {
     json::inline_array(buckets.iter().map(|&(b, c)| format!("[{b}, {c}]")))
 }
 
-/// One span row as a JSONL line (no trailing newline). Empty histograms
-/// omit the `buckets` key — the exact shape shell producers emit.
+/// One span row. Empty histograms omit the `buckets` key — the exact
+/// shape shell producers emit.
 fn span_line(s: &SpanRow) -> String {
     let mut o = json::Obj::new()
         .str("type", "span")
@@ -35,7 +86,16 @@ fn span_line(s: &SpanRow) -> String {
     o.finish()
 }
 
-/// One value-histogram row as a JSONL line.
+/// One counter or gauge row.
+fn value_line(ty: &str, name: &str, value: u64) -> String {
+    json::Obj::new()
+        .str("type", ty)
+        .str("name", name)
+        .raw("value", value)
+        .finish()
+}
+
+/// One value-histogram row.
 fn hist_line(h: &HistRow) -> String {
     let mut o = json::Obj::new()
         .str("type", "hist")
@@ -49,11 +109,61 @@ fn hist_line(h: &HistRow) -> String {
     o.finish()
 }
 
-/// The full snapshot as JSONL: manifest first, then spans, counters,
-/// gauges, and histograms in export order. `parse_jsonl` inverts this
-/// byte-identically (`to_jsonl(&parse_jsonl(&to_jsonl(s))?) == to_jsonl(s)`).
-pub fn to_jsonl(snap: &Snapshot) -> String {
-    let mut out = String::new();
+/// One flight-recorder event row.
+fn event_line(e: &TraceEvent) -> String {
+    json::Obj::new()
+        .str("type", "event")
+        .raw("cycle", e.cycle)
+        .str("stream", e.stream.label())
+        .str("kind", e.kind.label())
+        .raw("seq", e.seq)
+        .raw("pc", e.pc)
+        .raw("arg", e.arg)
+        .finish()
+}
+
+/// One core's interval counters as an inline object, CPI stack last. The
+/// fault-fire markers appear only when the fault fired in the interval.
+fn core_obj(c: &CoreStats) -> String {
+    let mut c = *c;
+    let mut o = json::Obj::new();
+    for (key, v) in core_counters(&mut c) {
+        o = o.raw(key, v);
+    }
+    if let Some(cycle) = c.fault_fired_cycle {
+        o = o.raw("fault_fired_cycle", cycle);
+    }
+    if let Some(seq) = c.fault_fired_seq {
+        o = o.raw("fault_fired_seq", seq);
+    }
+    o.raw("cpi", cpi_stack_obj(&c.cpi)).finish()
+}
+
+/// One interval-sample row.
+fn sample_line(s: &IntervalSample) -> String {
+    let mut fe = s.front_end;
+    let mut front_end = json::Obj::new();
+    for (key, v) in front_end_counters(&mut fe) {
+        front_end = front_end.raw(key, v);
+    }
+    json::Obj::new()
+        .str("type", "sample")
+        .raw("cycle", s.cycle)
+        .raw("skipped", s.skipped)
+        .raw("ir_misps", s.ir_misps)
+        .raw("value_hints", s.value_hints)
+        .raw("delay_occupancy", s.delay_occupancy)
+        .raw("front_end", front_end.finish())
+        .raw("a", core_obj(&s.a))
+        .raw("r", core_obj(&s.r))
+        .finish()
+}
+
+/// The run as JSONL: manifest first, then spans, counters, gauges,
+/// histograms, events, and samples. `parse_jsonl` inverts this
+/// byte-identically (`to_jsonl(&parse_jsonl(&to_jsonl(r))?) == to_jsonl(r)`).
+pub fn to_jsonl(run: &RunFile) -> String {
+    let (snap, rec) = (&run.snapshot, &run.recording);
     let mut labels = json::Obj::new();
     for (k, v) in &snap.labels {
         labels = labels.str(k, v);
@@ -66,37 +176,23 @@ pub fn to_jsonl(snap: &Snapshot) -> String {
     if let Some(c) = snap.calibration_instrs_per_sec {
         manifest = manifest.f64("calibration_instrs_per_sec", c, 2);
     }
-    out.push_str(&manifest.raw("labels", labels.finish()).finish());
-    out.push('\n');
-    for s in &snap.spans {
-        out.push_str(&span_line(s));
-        out.push('\n');
-    }
-    for (name, v) in &snap.counters {
-        out.push_str(
-            &json::Obj::new()
-                .str("type", "counter")
-                .str("name", name)
-                .raw("value", v)
-                .finish(),
-        );
-        out.push('\n');
-    }
-    for (name, v) in &snap.gauges {
-        out.push_str(
-            &json::Obj::new()
-                .str("type", "gauge")
-                .str("name", name)
-                .raw("value", v)
-                .finish(),
-        );
-        out.push('\n');
-    }
-    for h in &snap.hists {
-        out.push_str(&hist_line(h));
-        out.push('\n');
-    }
-    out
+    let manifest = manifest
+        .raw("dropped", rec.dropped)
+        .raw("labels", labels.finish())
+        .finish();
+    std::iter::once(manifest)
+        .chain(snap.spans.iter().map(span_line))
+        .chain(
+            snap.counters
+                .iter()
+                .map(|(n, v)| value_line("counter", n, *v)),
+        )
+        .chain(snap.gauges.iter().map(|(n, v)| value_line("gauge", n, *v)))
+        .chain(snap.hists.iter().map(hist_line))
+        .chain(rec.events.iter().map(event_line))
+        .chain(rec.samples.iter().map(sample_line))
+        .map(|line| line + "\n")
+        .collect()
 }
 
 /// The snapshot's *deterministic* subset as JSONL: counters and value
@@ -106,47 +202,62 @@ pub fn to_jsonl(snap: &Snapshot) -> String {
 /// two runs of the same work produce byte-identical output regardless of
 /// worker count. The determinism tests diff exactly this.
 pub fn deterministic_jsonl(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    for (name, v) in &snap.counters {
-        out.push_str(
-            &json::Obj::new()
-                .str("type", "counter")
-                .str("name", name)
-                .raw("value", v)
-                .finish(),
-        );
-        out.push('\n');
+    let counters = snap
+        .counters
+        .iter()
+        .map(|(n, v)| value_line("counter", n, *v));
+    let hists = snap.hists.iter().filter(|h| h.name != "ring_occupancy");
+    counters
+        .chain(hists.map(hist_line))
+        .map(|line| line + "\n")
+        .collect()
+}
+
+/// Writes `<dir>/<stem>.jsonl` and, for a traced run, its Perfetto
+/// rendering `<dir>/<stem>.chrome.json` (written for viewing, never read
+/// back). Returns the JSONL text.
+pub fn write_run(dir: &Path, stem: &str, run: &RunFile) -> Result<String, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let jsonl = to_jsonl(run);
+    let rec = &run.recording;
+    let chrome =
+        (!rec.events.is_empty() || !rec.samples.is_empty()).then(|| chrome_trace_json(rec));
+    for (suffix, text) in [("jsonl", Some(&jsonl)), ("chrome.json", chrome.as_ref())] {
+        let Some(text) = text else { continue };
+        let path = dir.join(format!("{stem}.{suffix}"));
+        std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
     }
-    for h in &snap.hists {
-        if h.name == "ring_occupancy" {
-            continue;
-        }
-        out.push_str(&hist_line(h));
-        out.push('\n');
-    }
-    out
+    Ok(jsonl)
 }
 
 // ---- JSONL parsing --------------------------------------------------------
 
-/// Extracts `(bucket, count)` pairs from an optional `buckets` field.
+/// Extracts `(bucket, count)` pairs from an optional `buckets` field. The
+/// indices must be valid log2 buckets in strictly ascending order — the
+/// shape `LogHist::sparse` writes.
 fn read_buckets(obj: &Value) -> Result<Vec<(u32, u64)>, String> {
     let Some(arr) = obj.get("buckets") else {
         return Ok(Vec::new());
     };
     let arr = arr.as_arr().ok_or("buckets is not an array")?;
-    arr.iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("bucket pair")?;
-            let b = pair[0].as_u64().ok_or("bucket index")?;
-            let c = pair[1].as_u64().ok_or("bucket count")?;
-            Ok((b as u32, c))
-        })
-        .collect::<Result<_, &str>>()
-        .map_err(|e| format!("bad {e} in buckets"))
+    let mut out: Vec<(u32, u64)> = Vec::with_capacity(arr.len());
+    for pair in arr {
+        let pair = pair
+            .as_arr()
+            .filter(|p| p.len() == 2)
+            .ok_or("bad bucket pair in buckets")?;
+        let b = pair[0]
+            .as_u64()
+            .filter(|&b| b < LOG2_BUCKETS as u64)
+            .ok_or_else(|| format!("bucket index outside 0..{LOG2_BUCKETS}"))?;
+        let c = pair[1].as_u64().ok_or("bad bucket count in buckets")?;
+        if out.last().is_some_and(|&(prev, _)| u64::from(prev) >= b) {
+            return Err("bucket indices are not strictly ascending".to_string());
+        }
+        out.push((b as u32, c));
+    }
+    Ok(out)
 }
 
 /// A required string field.
@@ -164,13 +275,94 @@ fn need_u64(obj: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing integer field {key:?}"))
 }
 
-/// Parses a telemetry JSONL document back into a [`Snapshot`]. A
-/// `manifest` line is optional (shell-produced gate files have none; the
-/// identity then stays at its `-` placeholders) but at most one is
-/// allowed — merging across *runs* happens at the [`Snapshot`] level, one
-/// file per run. Rows append in file order, so `to_jsonl` of the result
-/// reproduces the input byte-for-byte.
-pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
+/// An optional integer field (absent is `None`, present but not an
+/// integer is an error).
+fn opt_u64(obj: &Value, key: &str) -> Result<Option<u64>, String> {
+    obj.get(key)
+        .map(|v| v.as_u64().ok_or(format!("non-integer field {key:?}")))
+        .transpose()
+}
+
+/// A required object field.
+fn need_obj<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, String> {
+    obj.get(key)
+        .filter(|v| v.as_obj().is_some())
+        .ok_or_else(|| format!("missing object field {key:?}"))
+}
+
+/// An `event` row.
+fn read_event(val: &Value) -> Result<TraceEvent, String> {
+    let stream = need_str(val, "stream")?;
+    let kind = need_str(val, "kind")?;
+    Ok(TraceEvent {
+        cycle: need_u64(val, "cycle")?,
+        seq: need_u64(val, "seq")?,
+        pc: need_u64(val, "pc")?,
+        arg: need_u64(val, "arg")?,
+        stream: STREAMS
+            .into_iter()
+            .find(|s| s.label() == stream)
+            .ok_or_else(|| format!("unknown stream {stream:?}"))?,
+        kind: EVENT_KINDS
+            .into_iter()
+            .find(|k| k.label() == kind)
+            .ok_or_else(|| format!("unknown event kind {kind:?}"))?,
+    })
+}
+
+/// One core's counters from a `sample` row; its CPI stack must sum to its
+/// interval cycles.
+fn read_core(sample: &Value, core: &str) -> Result<CoreStats, String> {
+    let obj = need_obj(sample, core)?;
+    let mut c = CoreStats {
+        fault_fired_cycle: opt_u64(obj, "fault_fired_cycle")?,
+        fault_fired_seq: opt_u64(obj, "fault_fired_seq")?,
+        ..CoreStats::default()
+    };
+    for (key, v) in core_counters(&mut c) {
+        *v = need_u64(obj, key).map_err(|e| format!("{core}: {e}"))?;
+    }
+    let cpi = need_obj(obj, "cpi").map_err(|e| format!("{core}: {e}"))?;
+    for cat in CpiCat::ALL {
+        let cycles = need_u64(cpi, cat.label()).map_err(|e| format!("{core}.cpi: {e}"))?;
+        c.cpi.set(cat, cycles);
+    }
+    if c.cpi.total() != c.cycles {
+        return Err(format!(
+            "{core}: CPI stack sums to {} but cycles is {}",
+            c.cpi.total(),
+            c.cycles
+        ));
+    }
+    Ok(c)
+}
+
+/// A `sample` row.
+fn read_sample(val: &Value) -> Result<IntervalSample, String> {
+    let mut front_end = FrontEndStats::default();
+    let fe = need_obj(val, "front_end")?;
+    for (key, v) in front_end_counters(&mut front_end) {
+        *v = need_u64(fe, key).map_err(|e| format!("front_end: {e}"))?;
+    }
+    Ok(IntervalSample {
+        cycle: need_u64(val, "cycle")?,
+        a: read_core(val, "a")?,
+        r: read_core(val, "r")?,
+        front_end,
+        skipped: need_u64(val, "skipped")?,
+        ir_misps: need_u64(val, "ir_misps")?,
+        value_hints: need_u64(val, "value_hints")?,
+        delay_occupancy: need_u64(val, "delay_occupancy")?,
+    })
+}
+
+/// Parses a run file back into a [`RunFile`] — the only reader of run
+/// files. A `manifest` line is optional (shell-produced gate files have
+/// none; the identity then stays at its `-` placeholders) but at most one
+/// is allowed: one file per run. Rows append in file order, so `to_jsonl`
+/// of the result reproduces any file it wrote byte-for-byte. Malformed
+/// rows are an `Err` naming the line.
+pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
     let mut snap = Snapshot {
         binary: "-".to_string(),
         scheduler: "-".to_string(),
@@ -182,6 +374,7 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
         gauges: Vec::new(),
         hists: Vec::new(),
     };
+    let mut rec = FlightRecording::default();
     let mut saw_manifest = false;
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -203,6 +396,7 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
                 snap.calibration_instrs_per_sec = val
                     .get("calibration_instrs_per_sec")
                     .and_then(Value::as_f64);
+                rec.dropped = need_u64(&val, "dropped").map_err(&fail)?;
                 if let Some(labels) = val.get("labels").and_then(Value::as_obj) {
                     for (k, v) in labels {
                         let v = v.as_str().ok_or_else(|| fail("non-string label".into()))?;
@@ -231,10 +425,15 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
                 max: need_u64(&val, "max").map_err(&fail)?,
                 buckets: read_buckets(&val).map_err(&fail)?,
             }),
+            "event" => rec.events.push(read_event(&val).map_err(&fail)?),
+            "sample" => rec.samples.push(read_sample(&val).map_err(&fail)?),
             other => return Err(fail(format!("unknown line type {other:?}"))),
         }
     }
-    Ok(snap)
+    Ok(RunFile {
+        snapshot: snap,
+        recording: rec,
+    })
 }
 
 // ---- committed-calibration lookup -----------------------------------------
@@ -256,7 +455,7 @@ pub fn committed_calibration(doc: &str) -> Result<f64, String> {
         .ok_or_else(|| "calibration row has no numeric instrs_per_sec".to_string())
 }
 
-// ---- the unified run report -----------------------------------------------
+// ---- the run report ------------------------------------------------------
 //
 // Each scheduler has one set of *exclusive top-level* spans: spans that
 // tile the measuring thread's run_total without overlapping (nested spans
@@ -301,6 +500,17 @@ const THREADED_A_SET: &[&str] = &[
     "a_recover_apply",
 ];
 
+/// The exclusive top-level span set of `scheduler`'s measuring thread;
+/// `None` for harness-level snapshots with no scheduler span structure.
+pub fn exclusive_spans(scheduler: &str) -> Option<&'static [&'static str]> {
+    match scheduler {
+        "serial" => Some(SERIAL_SET),
+        "windowed" => Some(WINDOWED_SET),
+        "threaded" => Some(THREADED_SET),
+        _ => None,
+    }
+}
+
 /// Sums a span's `(count, total_nanos)` across same-named rows (files
 /// from external producers may repeat a name).
 fn span_sum(snap: &Snapshot, name: &str) -> (u64, u64) {
@@ -332,13 +542,7 @@ fn push_row(out: &mut String, name: &str, count: u64, nanos: u64, total: u64) {
 /// The host wall-clock attribution section for one snapshot.
 fn attribution_section(out: &mut String, snap: &Snapshot) {
     let (_, run_total) = span_sum(snap, "run_total");
-    let set: Option<&[&str]> = match snap.scheduler.as_str() {
-        "serial" => Some(SERIAL_SET),
-        "windowed" => Some(WINDOWED_SET),
-        "threaded" => Some(THREADED_SET),
-        _ => None,
-    };
-    match (set, run_total) {
+    match (exclusive_spans(&snap.scheduler), run_total) {
         (Some(set), total) if total > 0 => {
             out.push_str(&format!(
                 "  host wall-clock attribution (run_total = {} ms):\n",
@@ -397,18 +601,29 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
     }
 }
 
-/// The simulated-cycle attribution section from a committed
-/// `BENCH_cpi_stack.json` document: suite-total A-stream cycles per CPI
-/// category. `None` when the document doesn't parse.
-fn simulated_section(cpi_doc: &str) -> Option<String> {
-    let val = json::parse(cpi_doc).ok()?;
-    let rows = val.get("rows")?.as_arr()?;
+/// The simulated CPI stack from a committed `BENCH_cpi_stack.json`
+/// document (suite-total A-stream cycles per category): what the report
+/// shows for a run file without `sample` rows. An error when the document
+/// does not have that shape.
+pub fn committed_cpi_section(doc: &str) -> Result<String, String> {
+    let val = json::parse(doc)?;
+    let rows = val
+        .get("rows")
+        .and_then(Value::as_arr)
+        .ok_or("no rows array")?;
     let mut cats: Vec<(String, u64)> = Vec::new();
     let mut total = 0u64;
     for row in rows {
-        total += row.get("a_cycles").and_then(Value::as_u64)?;
-        for (cat, cycles) in row.get("a")?.as_obj()? {
-            let cycles = cycles.as_u64()?;
+        total += row
+            .get("a_cycles")
+            .and_then(Value::as_u64)
+            .ok_or("a row has no integer a_cycles")?;
+        for (cat, cycles) in row
+            .get("a")
+            .and_then(Value::as_obj)
+            .ok_or("a row has no a stack")?
+        {
+            let cycles = cycles.as_u64().ok_or("non-integer CPI cycles")?;
             match cats.iter_mut().find(|(c, _)| c == cat) {
                 Some(e) => e.1 += cycles,
                 None => cats.push((cat.clone(), cycles)),
@@ -416,32 +631,78 @@ fn simulated_section(cpi_doc: &str) -> Option<String> {
         }
     }
     cats.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-    let mut out = String::new();
-    out.push_str("-- simulated attribution (BENCH_cpi_stack.json, A-stream suite totals) --\n");
+    let mut out =
+        String::from("  simulated CPI stack (BENCH_cpi_stack.json, A-stream suite totals):\n");
     for (cat, cycles) in cats.iter().filter(|&&(_, c)| c > 0) {
         out.push_str(&format!(
             "    {cat:<22} {cycles:>12} cycles {:>6}%\n",
             pct(*cycles, total)
         ));
     }
-    out.push_str(
-        "  (host spans measure where the simulator's wall-clock goes; the CPI stack\n   \
-         measures where the simulated machine's cycles go — different questions,\n   \
-         and the two attributions need not match.)\n",
-    );
-    Some(out)
+    Ok(out)
 }
 
-/// The unified human-readable run report: per-snapshot manifest header,
-/// exclusive host wall-clock attribution (plus A-thread utilization for
-/// the threaded scheduler), counters/gauges/histograms, and — when a
-/// committed `BENCH_cpi_stack.json` is supplied — the simulated CPI-stack
-/// attribution alongside for contrast.
-pub fn report_text(snaps: &[Snapshot], cpi_doc: Option<&str>) -> String {
+/// The simulated CPI stack summed from a recording's `sample` rows, plus
+/// the ratios over the span they cover.
+fn sampled_cpi_section(out: &mut String, samples: &[IntervalSample]) {
+    let Some(last) = samples.last() else {
+        return;
+    };
+    let mut sum = IntervalSample {
+        cycle: last.cycle,
+        a: CoreStats::default(),
+        r: CoreStats::default(),
+        front_end: FrontEndStats::default(),
+        skipped: 0,
+        ir_misps: 0,
+        value_hints: 0,
+        delay_occupancy: 0,
+    };
+    for s in samples {
+        sum.a = sum.a.merge(&s.a);
+        sum.r = sum.r.merge(&s.r);
+        sum.skipped += s.skipped;
+        sum.ir_misps += s.ir_misps;
+    }
+    out.push_str(&format!(
+        "  simulated CPI stack ({} sample rows covering cycles 0..{}):\n",
+        samples.len(),
+        last.cycle
+    ));
+    out.push_str(&format!(
+        "    {:<22} {:>12} {:>7} {:>12} {:>7}\n",
+        "category", "A cycles", "%", "R cycles", "%"
+    ));
+    for cat in CpiCat::ALL {
+        let (a, r) = (sum.a.cpi.get(cat), sum.r.cpi.get(cat));
+        if a + r > 0 {
+            out.push_str(&format!(
+                "    {:<22} {a:>12} {:>6}% {r:>12} {:>6}%\n",
+                cat.label(),
+                pct(a, sum.a.cycles),
+                pct(r, sum.r.cycles)
+            ));
+        }
+    }
+    out.push_str(&format!(
+        "    ipc {}, removal rate {}, IR-mispredictions per 1k {}\n",
+        json::f64_fixed(sum.ipc(), 3),
+        json::f64_fixed(sum.removal_rate(), 3),
+        json::f64_fixed(sum.ir_misp_per_kilo(), 3)
+    ));
+}
+
+/// The human-readable run report, three sections per run file: host
+/// wall-clock attribution (plus counters, gauges, and histograms); the
+/// simulated CPI stack, from the file's `sample` rows or else from
+/// `committed_cpi` (a rendered [`committed_cpi_section`]); and the
+/// pipeview of the flight-recorder window when the file has `event` rows.
+pub fn report_text(files: &[RunFile], committed_cpi: Option<&str>) -> String {
     let mut out = String::new();
-    out.push_str("slipstream host-telemetry report\n");
-    out.push_str("================================\n\n");
-    for snap in snaps {
+    out.push_str("slipstream run report\n");
+    out.push_str("=====================\n\n");
+    for file in files {
+        let (snap, rec) = (&file.snapshot, &file.recording);
         out.push_str(&format!(
             "== {} / {} ==  config {}\n",
             snap.binary, snap.scheduler, snap.config_digest
@@ -458,21 +719,11 @@ pub fn report_text(snaps: &[Snapshot], cpi_doc: Option<&str>) -> String {
             out.push_str(&format!("  labels: {}\n", labels.join(", ")));
         }
         attribution_section(&mut out, snap);
-        if !snap.counters.is_empty() {
-            let rows: Vec<String> = snap
-                .counters
-                .iter()
-                .map(|(n, v)| format!("{n}={v}"))
-                .collect();
-            out.push_str(&format!("  counters: {}\n", rows.join(", ")));
-        }
-        if !snap.gauges.is_empty() {
-            let rows: Vec<String> = snap
-                .gauges
-                .iter()
-                .map(|(n, v)| format!("{n}={v}"))
-                .collect();
-            out.push_str(&format!("  gauges: {}\n", rows.join(", ")));
+        for (what, rows) in [("counters", &snap.counters), ("gauges", &snap.gauges)] {
+            if !rows.is_empty() {
+                let rows: Vec<String> = rows.iter().map(|(n, v)| format!("{n}={v}")).collect();
+                out.push_str(&format!("  {what}: {}\n", rows.join(", ")));
+            }
         }
         for h in &snap.hists {
             let mean = h.sum as f64 / h.count.max(1) as f64;
@@ -484,17 +735,33 @@ pub fn report_text(snaps: &[Snapshot], cpi_doc: Option<&str>) -> String {
                 h.max
             ));
         }
+        if !rec.samples.is_empty() {
+            sampled_cpi_section(&mut out, &rec.samples);
+        } else if let Some(section) = committed_cpi {
+            out.push_str(section);
+        }
+        if !rec.events.is_empty() {
+            out.push_str(&format!(
+                "  flight-recorder window ({} events held, {} dropped):\n",
+                rec.events.len(),
+                rec.dropped
+            ));
+            out.push_str(&pipeview_text(rec));
+        }
         out.push('\n');
     }
-    if let Some(section) = cpi_doc.and_then(simulated_section) {
-        out.push_str(&section);
-    }
+    out.push_str(
+        "(host spans measure where the simulator's wall-clock goes; the CPI stack\n \
+         measures where the simulated machine's cycles go — different questions,\n \
+         and the two attributions need not match.)\n",
+    );
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slipstream_core::{EventKind, StreamId, NO_SEQ};
     use slipstream_telemetry::{
         CounterKind, GaugeKind, HistKind, RunManifest, SpanKind, Telemetry,
     };
@@ -515,15 +782,66 @@ mod tests {
         tel.snapshot(&m)
     }
 
+    /// A traced run: host rows, two events, and one interval sample whose
+    /// stacks sum to 10 cycles per core.
+    fn sample_run() -> RunFile {
+        let core = |retired, fired: Option<u64>| {
+            let mut c = CoreStats {
+                cycles: 10,
+                retired,
+                fault_fired_cycle: fired,
+                fault_fired_seq: fired.map(|c| c + 1),
+                ..CoreStats::default()
+            };
+            c.cpi.set(CpiCat::Base, 7);
+            c.cpi.set(CpiCat::DelayEmpty, 3);
+            c
+        };
+        let event = |cycle, stream, kind, seq| TraceEvent {
+            cycle,
+            seq,
+            pc: 0x1000,
+            arg: 2,
+            stream,
+            kind,
+        };
+        RunFile {
+            snapshot: sample_snapshot(),
+            recording: FlightRecording {
+                events: vec![
+                    event(3, StreamId::AStream, EventKind::Dispatch, 0),
+                    event(9, StreamId::Machine, EventKind::FaultDetected, NO_SEQ),
+                ],
+                samples: vec![IntervalSample {
+                    cycle: 10,
+                    a: core(6, Some(4)),
+                    r: core(8, None),
+                    front_end: FrontEndStats {
+                        traces_committed: 2,
+                        ..FrontEndStats::default()
+                    },
+                    skipped: 2,
+                    ir_misps: 1,
+                    value_hints: 3,
+                    delay_occupancy: 5,
+                }],
+                dropped: 17,
+            },
+        }
+    }
+
     #[test]
     fn jsonl_round_trips_byte_identically_and_every_line_validates() {
-        let snap = sample_snapshot();
-        let text = to_jsonl(&snap);
+        let run = sample_run();
+        let text = to_jsonl(&run);
         for line in text.lines() {
             json::validate(line).unwrap_or_else(|e| panic!("invalid line {line:?}: {e}"));
         }
         let parsed = parse_jsonl(&text).unwrap();
-        assert_eq!(parsed, snap);
+        assert_eq!(parsed.snapshot, run.snapshot);
+        assert_eq!(parsed.recording.events, run.recording.events);
+        assert_eq!(parsed.recording.samples, run.recording.samples);
+        assert_eq!(parsed.recording.dropped, 17);
         assert_eq!(to_jsonl(&parsed), text);
     }
 
@@ -531,18 +849,64 @@ mod tests {
     fn parses_shell_produced_gate_lines_without_manifest_or_buckets() {
         let text = "{\"type\": \"span\", \"name\": \"gate:fmt\", \"count\": 1, \
                     \"total_nanos\": 123456789}\n";
-        let snap = parse_jsonl(text).unwrap();
+        let run = parse_jsonl(text).unwrap();
+        let snap = &run.snapshot;
         assert_eq!(snap.binary, "-");
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].name, "gate:fmt");
         assert!(snap.spans[0].buckets.is_empty());
         // And it re-renders in the exact shape the shell wrote.
         assert_eq!(
-            to_jsonl(&snap).lines().nth(1).unwrap().to_string() + "\n",
+            to_jsonl(&run).lines().nth(1).unwrap().to_string() + "\n",
             text
         );
         assert!(parse_jsonl("{\"type\": \"mystery\"}").is_err());
         assert!(parse_jsonl("not json").is_err());
+    }
+
+    #[test]
+    fn malformed_rows_are_errors_naming_the_line() {
+        let err = |text: &str| parse_jsonl(text).expect_err(text);
+        let span = |buckets: &str| {
+            format!(
+                "\n{{\"type\": \"span\", \"name\": \"s\", \"count\": 2, \
+                 \"total_nanos\": 9, \"buckets\": {buckets}}}\n"
+            )
+        };
+        // An index past u32 used to truncate silently to bucket 0.
+        let e = err(&span("[[4294967296, 1], [3, 1]]"));
+        assert!(
+            e.starts_with("line 2:") && e.contains("bucket index"),
+            "{e}"
+        );
+        assert!(err(&span("[[64, 1]]")).contains("bucket index"));
+        assert!(err(&span("[[5, 1], [3, 1]]")).contains("ascending"));
+        assert!(err(&span("[[3, 1], [3, 1]]")).contains("ascending"));
+        assert!(parse_jsonl(&span("[[0, 1], [63, 1]]")).is_ok());
+
+        let event = "{\"type\": \"event\", \"cycle\": 3, \"stream\": \"A\", \
+                     \"kind\": \"dispatch\", \"seq\": 0, \"pc\": 4096, \"arg\": 0}";
+        assert!(parse_jsonl(event).is_ok());
+        for (bad, want) in [
+            (event.replace("dispatch", "teleport"), "unknown event kind"),
+            (event.replace("\"A\"", "\"Q\""), "unknown stream"),
+            (event.replace(", \"arg\": 0", ""), "\"arg\""),
+            (event.replace("\"seq\": 0", "\"seq\": -1"), "\"seq\""),
+        ] {
+            let e = err(&format!("\n\n{bad}"));
+            assert!(e.starts_with("line 3:") && e.contains(want), "{e}");
+        }
+
+        let text = to_jsonl(&sample_run());
+        let sample = text.lines().last().unwrap();
+        assert!(sample.starts_with("{\"type\": \"sample\""));
+        let e = err(&sample.replacen("\"cycles\": 10", "\"cycles\": 11", 1));
+        assert!(e.starts_with("line 1: a: CPI stack sums to 10"), "{e}");
+        let e = err(&sample.replace("\"delay_empty\": 3", "\"delay_empty\": 4"));
+        assert!(e.contains("CPI stack sums to 11 but cycles is 10"), "{e}");
+        assert!(err(&sample.replace(", \"ir_misps\": 1", "")).contains("ir_misps"));
+        let e = err(&text.replacen(", \"dropped\": 17", "", 1));
+        assert!(e.starts_with("line 1:") && e.contains("dropped"), "{e}");
     }
 
     #[test]
@@ -573,8 +937,7 @@ mod tests {
 
     #[test]
     fn report_attributes_all_of_run_total() {
-        let snap = sample_snapshot();
-        let report = report_text(std::slice::from_ref(&snap), None);
+        let report = report_text(&[sample_snapshot().into()], None);
         assert!(report.contains("run_total = 1.000 ms"));
         assert!(report.contains("r_window_consume"));
         assert!(report.contains("r_ring_pop_wait"));
@@ -587,14 +950,27 @@ mod tests {
     }
 
     #[test]
-    fn report_juxtaposes_the_simulated_cpi_stack() {
+    fn report_takes_the_cpi_stack_from_sample_rows_or_the_committed_doc() {
         let cpi = "{\n  \"scale\": 1,\n  \"rows\": [\n    \
                    {\"bench\": \"gcc\", \"a_cycles\": 100, \
                    \"a\": {\"base\": 60, \"l2_port\": 40}}\n  ]\n}\n";
-        let report = report_text(&[], Some(cpi));
-        assert!(report.contains("simulated attribution"));
-        assert!(report.contains("base"));
-        assert!(report.contains("60.0%"), "{report}");
-        assert!(report.contains("l2_port"));
+        let committed = committed_cpi_section(cpi).unwrap();
+        assert!(committed_cpi_section("{}").is_err());
+        assert!(committed_cpi_section("{\"rows\": [{\"a_cycles\": 1}]}").is_err());
+
+        let host_only = report_text(&[sample_snapshot().into()], Some(&committed));
+        assert!(host_only.contains("BENCH_cpi_stack.json"));
+        assert!(host_only.contains("l2_port"));
+        assert!(host_only.contains("60.0%"), "{host_only}");
+        assert!(!host_only.contains("flight-recorder window"));
+
+        let traced = report_text(&[sample_run()], Some(&committed));
+        assert!(!traced.contains("BENCH_cpi_stack.json"), "{traced}");
+        assert!(traced.contains("1 sample rows covering cycles 0..10"));
+        assert!(traced.contains("delay_empty"));
+        assert!(traced.contains("30.0%"), "{traced}");
+        assert!(traced.contains("ipc 0.800, removal rate 0.250"), "{traced}");
+        assert!(traced.contains("flight-recorder window (2 events held, 17 dropped)"));
+        assert!(traced.contains("fault-detected"));
     }
 }

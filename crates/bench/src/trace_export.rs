@@ -1,20 +1,19 @@
-//! Exporters for flight recordings.
+//! Renderings of flight recordings, and divergence naming.
 //!
-//! Three output formats, all deterministic (byte-identical for identical
-//! recordings — nothing here reads the clock or the environment):
+//! A run's recording is saved as `event` and `sample` rows of its run file
+//! (see `telemetry_export`); the renderings here are views of it, all
+//! deterministic (nothing reads the clock or the environment):
 //!
-//! - [`chrome_trace_json`]: Chrome Trace Event JSON, loadable in
-//!   `chrome://tracing` / Perfetto. Instruction lifecycles become duration
-//!   (`"X"`) slices on one track per stream, out-of-band events become
-//!   instants, and interval samples become counter tracks. Timestamps are
-//!   simulated cycles interpreted as microseconds.
+//! - [`chrome_trace_json`]: Chrome Trace Event JSON for Perfetto (which
+//!   cannot read the run file), written next to each traced `.jsonl` and
+//!   never read back. Instruction lifecycles become duration (`"X"`)
+//!   slices on one track per stream, out-of-band events become instants,
+//!   and interval samples become counter tracks. Timestamps are simulated
+//!   cycles interpreted as microseconds.
 //! - [`pipeview_text`]: a gem5-`O3PipeView`-style per-instruction lifecycle
 //!   dump — one line per dispatched instruction with its fetch / dispatch /
 //!   issue / complete / retire cycles, followed by the out-of-band events
-//!   and the interval time-series.
-//! - [`metrics_json`]: the interval time-series alone (IPC, removal rate,
-//!   IR-misprediction rate, ROB/IQ-full fractions, cache miss rates) as a
-//!   JSON document for plotting.
+//!   and the interval time-series. The `report` binary prints it.
 //!
 //! Plus [`first_divergence`] / [`violation_trace_text`]: given a fuzz
 //! violation's minimized program, re-run it traced and name the first event
@@ -26,8 +25,8 @@ use std::fmt::Write as _;
 
 use slipstream_core::trace::misp_code_label;
 use slipstream_core::{
-    EventKind, FlightRecording, IntervalSample, SlipstreamConfig, SlipstreamProcessor, StreamId,
-    TraceConfig, TraceEvent, NO_SEQ,
+    EventKind, FlightRecording, SlipstreamConfig, SlipstreamProcessor, StreamId, TraceConfig,
+    TraceEvent, NO_SEQ,
 };
 use slipstream_isa::Program;
 
@@ -37,11 +36,33 @@ use crate::MAX_CYCLES;
 
 /// All streams in fixed export order (determines Chrome track order and
 /// tie-breaking everywhere).
-const STREAMS: [StreamId; 4] = [
+pub(crate) const STREAMS: [StreamId; 4] = [
     StreamId::AStream,
     StreamId::RStream,
     StreamId::Single,
     StreamId::Machine,
+];
+
+/// Every event kind: the labels an `event` row may carry.
+pub(crate) const EVENT_KINDS: [EventKind; 18] = [
+    EventKind::Fetch,
+    EventKind::Dispatch,
+    EventKind::Issue,
+    EventKind::Retire,
+    EventKind::BranchMispredict,
+    EventKind::JumpMispredict,
+    EventKind::IcacheMiss,
+    EventKind::DcacheMiss,
+    EventKind::L2Miss,
+    EventKind::PortStall,
+    EventKind::Flush,
+    EventKind::FaultFired,
+    EventKind::Removed,
+    EventKind::DelayEnqueue,
+    EventKind::DelayDequeue,
+    EventKind::IrMispredict,
+    EventKind::Recovery,
+    EventKind::FaultDetected,
 ];
 
 fn stream_index(s: StreamId) -> u8 {
@@ -398,91 +419,6 @@ pub fn pipeview_text(rec: &FlightRecording) -> String {
     out
 }
 
-/// Misses per 1000 retired instructions across both cores of a sample.
-fn mpki(misses: u64, retired: u64) -> f64 {
-    if retired == 0 {
-        0.0
-    } else {
-        1000.0 * misses as f64 / retired as f64
-    }
-}
-
-fn sample_json(s: &IntervalSample) -> String {
-    let frac = slipstream_core::trace::cycle_fraction;
-    let retired = s.a.retired + s.r.retired;
-    Obj::new()
-        .raw("cycle", s.cycle)
-        .f64("ipc", s.ipc(), 4)
-        .f64("a_ipc", s.a.ipc(), 4)
-        .f64("removal_rate", s.removal_rate(), 4)
-        .f64("ir_misp_per_kilo", s.ir_misp_per_kilo(), 4)
-        .raw("skipped", s.skipped)
-        .raw("value_hints", s.value_hints)
-        .raw("delay_occupancy", s.delay_occupancy)
-        .f64("a_rob_full_frac", frac(s.a.rob_full_cycles, s.a.cycles), 4)
-        .f64("r_rob_full_frac", frac(s.r.rob_full_cycles, s.r.cycles), 4)
-        .f64("a_iq_full_frac", frac(s.a.iq_full_cycles, s.a.cycles), 4)
-        .f64("r_iq_full_frac", frac(s.r.iq_full_cycles, s.r.cycles), 4)
-        .f64(
-            "a_fetch_stall_frac",
-            frac(s.a.fetch_stall_cycles(), s.a.cycles),
-            4,
-        )
-        .f64(
-            "r_fetch_stall_frac",
-            frac(s.r.fetch_stall_cycles(), s.r.cycles),
-            4,
-        )
-        .f64(
-            "a_fetch_fill_frac",
-            frac(s.a.fetch_fill_stall_cycles, s.a.cycles),
-            4,
-        )
-        .f64(
-            "a_fetch_redirect_frac",
-            frac(s.a.fetch_redirect_stall_cycles, s.a.cycles),
-            4,
-        )
-        .f64(
-            "a_fetch_external_frac",
-            frac(s.a.fetch_external_stall_cycles, s.a.cycles),
-            4,
-        )
-        .f64(
-            "r_fetch_fill_frac",
-            frac(s.r.fetch_fill_stall_cycles, s.r.cycles),
-            4,
-        )
-        .f64(
-            "r_fetch_redirect_frac",
-            frac(s.r.fetch_redirect_stall_cycles, s.r.cycles),
-            4,
-        )
-        .f64(
-            "r_fetch_external_frac",
-            frac(s.r.fetch_external_stall_cycles, s.r.cycles),
-            4,
-        )
-        .f64(
-            "icache_mpki",
-            mpki(s.a.icache_misses + s.r.icache_misses, retired),
-            3,
-        )
-        .f64(
-            "dcache_mpki",
-            mpki(s.a.dcache_misses + s.r.dcache_misses, retired),
-            3,
-        )
-        .f64(
-            "branch_misp_per_kilo",
-            mpki(s.a.branch_mispredicts + s.r.branch_mispredicts, retired),
-            3,
-        )
-        .raw("traces_committed", s.front_end.traces_committed)
-        .raw("traces_reduced", s.front_end.traces_reduced)
-        .finish()
-}
-
 /// One CPI stack as an inline JSON object, categories in display order.
 pub fn cpi_stack_obj(stack: &slipstream_cpu::CpiStack) -> String {
     let mut o = Obj::new();
@@ -490,29 +426,6 @@ pub fn cpi_stack_obj(stack: &slipstream_cpu::CpiStack) -> String {
         o = o.raw(cat.label(), n);
     }
     o.finish()
-}
-
-/// One row of the per-interval CPI-stack time-series: each core's
-/// interval stack next to its interval cycle count (the stack sums to it).
-fn cpi_sample_json(s: &IntervalSample) -> String {
-    Obj::new()
-        .raw("cycle", s.cycle)
-        .raw("a_cycles", s.a.cycles)
-        .raw("a", cpi_stack_obj(&s.a.cpi))
-        .raw("r_cycles", s.r.cycles)
-        .raw("r", cpi_stack_obj(&s.r.cpi))
-        .finish()
-}
-
-/// Renders the interval time-series as a standalone JSON document: the
-/// scalar `samples` series plus the stacked `cpi` series (per-interval
-/// A/R CPI stacks, each summing to that core's interval cycles).
-pub fn metrics_json(samples: &[IntervalSample]) -> String {
-    format!(
-        "{{\n  \"samples\": {},\n  \"cpi\": {}\n}}\n",
-        json::array(samples.iter().map(sample_json), 2),
-        json::array(samples.iter().map(cpi_sample_json), 2),
-    )
 }
 
 /// Runs `program` on the slipstream model with tracing enabled. Panics are

@@ -1,59 +1,80 @@
 //! Scheduler-equivalence tests at the bench layer: the flight recorder's
-//! five-sink merge, the trace exporters, the checked-in fuzz corpus, and a
-//! traced fault experiment must all be byte-identical whether the
-//! processor runs serial, slack-windowed, or on two threads. Every event
-//! carries simulated cycles — never wall-clock — so decoupled execution
-//! cannot leak into any artifact.
+//! five-sink merge, its run file, the checked-in fuzz corpus, and a traced
+//! fault experiment must all be byte-identical whether the processor runs
+//! serial, slack-windowed, or on two threads. Every event carries
+//! simulated cycles — never wall-clock — so decoupled execution cannot
+//! leak into any simulated row.
 
 use std::path::Path;
 
-use slipstream_bench::{chrome_trace_json, metrics_json, pipeview_text};
-use slipstream_core::{
-    EventKind, ExecMode, FlightRecording, SlipstreamConfig, SlipstreamProcessor, TraceConfig,
-};
+use slipstream_bench::{parse_jsonl, to_jsonl, RunFile};
+use slipstream_core::telemetry::RunManifest;
+use slipstream_core::{EventKind, ExecMode, SlipstreamConfig, SlipstreamProcessor, TraceConfig};
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::{assemble, Program};
 use slipstream_workloads::benchmark;
 
 const BUDGET: u64 = 1_000_000;
 const ALT_MODES: [ExecMode; 2] = [ExecMode::Windowed, ExecMode::Threaded];
+const TRACE: TraceConfig = TraceConfig {
+    ring_capacity: 8_192,
+    metrics_interval: 200,
+    freeze_after: None,
+};
 
+/// One run with the flight recorder and host telemetry both on, as its
+/// run file.
 fn traced_run(
+    cfg: SlipstreamConfig,
     program: &Program,
     mode: ExecMode,
+    trace: TraceConfig,
     fault: Option<FaultSpec>,
-) -> (bool, FlightRecording) {
-    let mut p = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), program);
-    p.enable_tracing(TraceConfig::flight(8_192).with_metrics(200));
+) -> (bool, RunFile) {
+    let mut p = SlipstreamProcessor::new(cfg, program);
+    p.enable_tracing(trace);
+    p.enable_telemetry();
     if let Some(f) = fault {
         p.arm_fault_a(f);
     }
     let halted = p.run_mode(mode, BUDGET);
-    (halted, p.flight_recording().expect("tracing enabled"))
+    let manifest = RunManifest::new("mode_equivalence_tests", mode.label(), "cmp");
+    let run = RunFile {
+        snapshot: p
+            .take_telemetry()
+            .expect("telemetry on")
+            .snapshot(&manifest),
+        recording: p.flight_recording().expect("tracing enabled"),
+    };
+    (halted, run)
 }
 
-fn assert_recordings_identical(
-    name: &str,
-    mode: ExecMode,
-    a: &FlightRecording,
-    b: &FlightRecording,
-) {
-    assert_eq!(
-        a.events, b.events,
-        "{name}: {mode:?} five-sink event merge diverged from serial"
+/// The `event` and `sample` rows of a run file: its simulated part.
+fn simulated_rows(jsonl: &str) -> Vec<&str> {
+    jsonl
+        .lines()
+        .filter(|l| l.starts_with("{\"type\": \"event\"") || l.starts_with("{\"type\": \"sample\""))
+        .collect()
+}
+
+/// The run file of `got` round-trips through its one reader, and its
+/// `event`/`sample` rows are byte-identical to the serial reference's.
+fn assert_recordings_identical(name: &str, mode: ExecMode, reference: &RunFile, got: &RunFile) {
+    let text = to_jsonl(got);
+    let parsed = parse_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {mode:?}: {e}"));
+    assert!(
+        to_jsonl(&parsed) == text,
+        "{name}: {mode:?} run file does not round-trip"
     );
-    assert_eq!(
-        a.samples, b.samples,
-        "{name}: {mode:?} interval time-series diverged from serial"
-    );
-    assert_eq!(
-        a.dropped, b.dropped,
-        "{name}: {mode:?} drop counts diverged"
-    );
-    // And the rendered artifacts, end to end.
-    assert_eq!(chrome_trace_json(a), chrome_trace_json(b));
-    assert_eq!(pipeview_text(a), pipeview_text(b));
-    assert_eq!(metrics_json(&a.samples), metrics_json(&b.samples));
+    let want = to_jsonl(reference);
+    let (want, got) = (simulated_rows(&want), simulated_rows(&text));
+    if let Some(i) = (0..want.len().max(got.len())).find(|&i| want.get(i) != got.get(i)) {
+        panic!(
+            "{name}: {mode:?} simulated row {i} diverged from serial:\n  serial: {:?}\n  {mode:?}: {:?}",
+            want.get(i),
+            got.get(i)
+        );
+    }
 }
 
 #[test]
@@ -61,11 +82,16 @@ fn five_sink_merge_is_byte_identical_across_schedulers() {
     // vortex at this scale commits traces, removes instructions, and
     // recovers from IR-mispredictions — all five sinks see traffic.
     let w = benchmark("vortex", 0.2).unwrap();
-    let (halted, reference) = traced_run(&w.program, ExecMode::Serial, None);
+    let run = |mode| {
+        let cfg = SlipstreamConfig::cmp_2x64x4();
+        traced_run(cfg, &w.program, mode, TRACE, None)
+    };
+    let (halted, reference) = run(ExecMode::Serial);
     assert!(halted);
-    assert!(!reference.events.is_empty() && !reference.samples.is_empty());
+    let rec = &reference.recording;
+    assert!(!rec.events.is_empty() && !rec.samples.is_empty());
     for mode in ALT_MODES {
-        let (halted, got) = traced_run(&w.program, mode, None);
+        let (halted, got) = run(mode);
         assert!(halted);
         assert_recordings_identical("vortex", mode, &reference, &got);
     }
@@ -78,18 +104,26 @@ fn shared_l2_recording_is_byte_identical_across_schedulers() {
     // must still not depend on the scheduler, even though the two cores'
     // outer-level traffic is interleaved differently by each one.
     let w = benchmark("vortex", 0.2).unwrap();
-    let run = |mode: ExecMode| {
-        let mut p = SlipstreamProcessor::new(SlipstreamConfig::cmp_shared_l2(), &w.program);
-        // A large ring: L2 misses are concentrated in the cold start, and
-        // the default flight window would have evicted them by halt.
-        p.enable_tracing(TraceConfig::flight(1 << 20).with_metrics(200));
-        let halted = p.run_mode(mode, BUDGET);
-        (halted, p.flight_recording().expect("tracing enabled"))
+    // A large ring: L2 misses are concentrated in the cold start, and the
+    // default flight window would have evicted them by halt.
+    let trace = TraceConfig::flight(1 << 20).with_metrics(200);
+    let run = |mode| {
+        traced_run(
+            SlipstreamConfig::cmp_shared_l2(),
+            &w.program,
+            mode,
+            trace,
+            None,
+        )
     };
     let (halted, reference) = run(ExecMode::Serial);
     assert!(halted);
     assert!(
-        reference.events.iter().any(|e| e.kind == EventKind::L2Miss),
+        reference
+            .recording
+            .events
+            .iter()
+            .any(|e| e.kind == EventKind::L2Miss),
         "cold L1 misses must surface as L2 misses in the recording"
     );
     for mode in ALT_MODES {
@@ -106,10 +140,14 @@ fn traced_fault_detection_is_byte_identical_across_schedulers() {
     // not depend on the scheduler.
     let w = benchmark("m88ksim", 0.2).unwrap();
     let fault = Some(FaultSpec { seq: 9_000, bit: 5 });
-    let (halted, reference) = traced_run(&w.program, ExecMode::Serial, fault);
+    let run = |mode| {
+        let cfg = SlipstreamConfig::cmp_2x64x4();
+        traced_run(cfg, &w.program, mode, TRACE, fault)
+    };
+    let (halted, reference) = run(ExecMode::Serial);
     assert!(halted);
     for mode in ALT_MODES {
-        let (halted, got) = traced_run(&w.program, mode, fault);
+        let (halted, got) = run(mode);
         assert!(halted);
         assert_recordings_identical("m88ksim+fault", mode, &reference, &got);
     }

@@ -1,6 +1,6 @@
 //! Telemetry-subsystem integration tests: the merged aggregates from the
 //! parallel harnesses must be worker-count independent, and the snapshot
-//! pipeline (JSONL, deterministic subset, report) must hold its contracts
+//! pipeline (run file, deterministic subset, report) must hold its contracts
 //! on real simulator runs — not just the unit-test fixtures.
 
 use slipstream_bench::{
@@ -103,14 +103,15 @@ fn threaded_run_attributes_its_wall_clock_to_named_spans() {
     assert_eq!(ring.count, consumed);
 
     // The report over this snapshot attributes the full run total.
-    let report = report_text(std::slice::from_ref(&snap), None);
+    let run = snap.into();
+    let report = report_text(std::slice::from_ref(&run), None);
     assert!(
         report.contains("= 100.0% of run_total"),
         "report:\n{report}"
     );
 
     // And the JSONL render of a real run round-trips byte-identically.
-    let jsonl = to_jsonl(&snap);
+    let jsonl = to_jsonl(&run);
     assert_eq!(to_jsonl(&parse_jsonl(&jsonl).unwrap()), jsonl);
 }
 

@@ -1,10 +1,12 @@
-//! End-to-end tests of the flight recorder and its exporters: determinism
-//! across worker counts, JSON validity, and divergence naming.
+//! End-to-end tests of the flight recorder, its run file, and its
+//! renderings: determinism across worker counts, round trips through the
+//! one reader, JSON validity, and divergence naming.
 
 use slipstream_bench::{
-    chrome_trace_json, first_divergence, json, live_count, metrics_json, pipeview_text,
-    trace_slipstream_run, violation_trace_text, FuzzViolation,
+    chrome_trace_json, first_divergence, json, live_count, parse_jsonl, pipeview_text, to_jsonl,
+    trace_slipstream_run, violation_trace_text, FuzzViolation, RunFile,
 };
+use slipstream_core::telemetry::{RunManifest, Telemetry};
 use slipstream_core::{
     golden_state, run_fault_experiment_traced, EventKind, FaultOutcome, FaultReport, FaultTarget,
     FlightRecording, SlipstreamConfig, SlipstreamProcessor, StreamId, TraceConfig, TraceEvent,
@@ -46,6 +48,16 @@ fn kernel_program() -> Program {
     .unwrap()
 }
 
+/// The run file of a recording, with an empty host part — the shape
+/// `fault_campaign --trace` writes.
+fn run_file_text(rec: &FlightRecording) -> String {
+    let manifest = RunManifest::new("trace_tests", "windowed", "cmp_2x64x4");
+    to_jsonl(&RunFile {
+        snapshot: Telemetry::new().snapshot(&manifest),
+        recording: rec.clone(),
+    })
+}
+
 /// Finds a detected+recovered A-stream fault in the kernel program and
 /// returns the traced run's report and recording.
 fn traced_detection(trace: TraceConfig) -> (FaultReport, FlightRecording) {
@@ -76,83 +88,48 @@ fn traced_detection(trace: TraceConfig) -> (FaultReport, FlightRecording) {
 }
 
 #[test]
-fn traced_exports_are_deterministic_and_worker_count_independent() {
+fn run_file_is_deterministic_and_worker_count_independent() {
     let trace = TraceConfig::flight(8_192).with_metrics(200);
-    let export = || {
-        let (_, rec) = traced_detection(trace);
-        (
-            chrome_trace_json(&rec),
-            pipeview_text(&rec),
-            metrics_json(&rec.samples),
-        )
-    };
+    let export = || run_file_text(&traced_detection(trace).1);
     let serial = export();
-    assert!(!serial.0.is_empty() && !serial.1.is_empty());
+    // The sample rows carry each core's interval CPI stack; the reader
+    // rejects any stack that does not sum to its interval cycles.
+    let parsed = parse_jsonl(&serial).expect("the run file parses");
+    assert!(!parsed.recording.samples.is_empty(), "sample rows present");
+    assert!(
+        serial.contains("\"delay_empty\""),
+        "stacks name the categories"
+    );
     // The same traced experiment computed concurrently on 4 workers must
-    // produce byte-identical artifacts — events carry simulated cycles
-    // only, so thread scheduling cannot leak into the output.
+    // produce a byte-identical run file — events and samples carry
+    // simulated cycles only, so thread scheduling cannot leak into them.
     let outputs: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4).map(|_| scope.spawn(export)).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for got in outputs {
-        assert_eq!(got.0, serial.0, "chrome trace must be byte-identical");
-        assert_eq!(got.1, serial.1, "pipeview must be byte-identical");
-        assert_eq!(got.2, serial.2, "time-series must be byte-identical");
+        assert!(got == serial, "run file must be byte-identical");
     }
 }
 
 #[test]
-fn metrics_cpi_series_sums_per_interval_and_is_worker_count_independent() {
-    let program = kernel_program();
-    let trace = TraceConfig::flight(4_096).with_metrics(100);
-    let export = || {
-        let (halted, rec) =
-            trace_slipstream_run(SlipstreamConfig::cmp_2x64x4(), &program, BUDGET, trace)
-                .expect("clean program must not panic");
-        assert!(halted);
-        assert!(
-            !rec.samples.is_empty(),
-            "interval sampling produced samples"
-        );
-        // The interval deltas inherit the sums-to-total invariant: each
-        // core's per-interval stack equals its interval cycle count.
-        for s in &rec.samples {
-            assert_eq!(
-                s.a.cpi.total(),
-                s.a.cycles,
-                "A-stream interval stack must sum to interval cycles"
-            );
-            assert_eq!(
-                s.r.cpi.total(),
-                s.r.cycles,
-                "R-stream interval stack must sum to interval cycles"
-            );
-        }
-        metrics_json(&rec.samples)
-    };
-    let serial = export();
+fn traced_fault_run_round_trips_through_its_run_file() {
+    let (_, rec) = traced_detection(TraceConfig::flight(8_192).with_metrics(200));
     assert!(
-        serial.contains("\"cpi\": ["),
-        "metrics carry the CPI series"
+        rec.events
+            .iter()
+            .any(|e| e.kind == EventKind::FaultDetected),
+        "the synthesized detection event is in the recording"
     );
+    let text = run_file_text(&rec);
+    let parsed = parse_jsonl(&text).expect("the run file parses");
     assert!(
-        serial.contains("\"delay_empty\""),
-        "stacked rows name the accounting categories"
+        to_jsonl(&parsed) == text,
+        "re-render must be byte-identical"
     );
-    json::validate(&serial).expect("metrics export must be valid JSON");
-    // Same run on 4 concurrent workers: the CPI time-series is a pure
-    // function of simulated cycles, so it must be byte-identical.
-    let outputs: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4).map(|_| scope.spawn(export)).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for got in outputs {
-        assert_eq!(
-            got, serial,
-            "CPI time-series must be byte-identical across worker counts"
-        );
-    }
+    assert_eq!(parsed.recording.events, rec.events);
+    assert_eq!(parsed.recording.samples, rec.samples);
+    assert_eq!(parsed.recording.dropped, rec.dropped);
 }
 
 #[test]
@@ -177,8 +154,6 @@ fn chrome_trace_of_a_tiny_program_round_trips_as_valid_json() {
         chrome.contains("\"ph\": \"C\""),
         "counter samples must be present"
     );
-    let metrics = metrics_json(&rec.samples);
-    json::validate(&metrics).expect("metrics export must be valid JSON");
     assert!(
         !rec.samples.is_empty(),
         "interval sampling produced samples"

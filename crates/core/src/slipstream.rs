@@ -73,6 +73,17 @@ pub enum ExecMode {
     Threaded,
 }
 
+impl ExecMode {
+    /// The scheduler's name in run manifests.
+    pub fn label(self) -> &'static str {
+        match self {
+            ExecMode::Serial => "serial",
+            ExecMode::Windowed => "windowed",
+            ExecMode::Threaded => "threaded",
+        }
+    }
+}
+
 /// End-of-run summary of a slipstream execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlipstreamStats {

@@ -140,16 +140,6 @@ impl IntervalSample {
     }
 }
 
-/// Fraction of an interval's cycles a condition held (`0.0` for an empty
-/// interval) — used for ROB-full / IQ-full / fetch-stall fractions.
-pub fn cycle_fraction(held: u64, cycles: u64) -> f64 {
-    if cycles == 0 {
-        0.0
-    } else {
-        held as f64 / cycles as f64
-    }
-}
-
 /// Snapshots counter deltas every N cycles (built on [`CoreStats::delta`]).
 #[derive(Debug, Clone)]
 pub struct IntervalSampler {

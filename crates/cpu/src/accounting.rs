@@ -108,6 +108,12 @@ impl CpiStack {
         self.counts[cat as usize]
     }
 
+    /// Sets the cycles attributed to `cat` (rebuilding a stack from an
+    /// export).
+    pub fn set(&mut self, cat: CpiCat, cycles: u64) {
+        self.counts[cat as usize] = cycles;
+    }
+
     /// Sum over all categories — the invariant is `total() == cycles`.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()

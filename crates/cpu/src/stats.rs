@@ -85,14 +85,6 @@ impl CoreStats {
         }
     }
 
-    /// All fetch-stall cycles regardless of cause (the pre-split
-    /// aggregate, kept for coarse diagnostics).
-    pub fn fetch_stall_cycles(&self) -> u64 {
-        self.fetch_fill_stall_cycles
-            + self.fetch_redirect_stall_cycles
-            + self.fetch_external_stall_cycles
-    }
-
     /// Counters accumulated since `earlier` was snapshotted — the interval
     /// sampler's workhorse. Every cumulative counter is subtracted
     /// (saturating, so a stale snapshot cannot underflow); the fault-fire
@@ -342,17 +334,6 @@ mod tests {
         // Fire before the snapshot is not re-reported in the next interval.
         assert_eq!(later.delta(&later).fault_fired_cycle, None);
         assert_eq!(later.delta(&later).cycles, 0);
-    }
-
-    #[test]
-    fn fetch_stall_aggregate_sums_the_split_causes() {
-        let s = CoreStats {
-            fetch_fill_stall_cycles: 4,
-            fetch_redirect_stall_cycles: 2,
-            fetch_external_stall_cycles: 1,
-            ..Default::default()
-        };
-        assert_eq!(s.fetch_stall_cycles(), 7);
     }
 
     #[test]

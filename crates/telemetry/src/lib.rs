@@ -21,16 +21,16 @@
 //!   [`Telemetry::record_span`] directly.
 //! - [`RunManifest`] + [`Snapshot`] — a run's identity (binary, scheduler,
 //!   FNV-1a config digest, host-speed calibration anchor) married to a
-//!   *dynamic* named-row view of the metrics. Snapshots are what exporters
-//!   consume: they merge across files, carry rows the fixed enums don't
-//!   know (e.g. `gate:*` spans appended by `scripts/check.sh`), and render
-//!   to Prometheus text exposition here ([`Snapshot::prometheus_text`]);
-//!   the JSONL rendering lives in the bench crate's `json.rs` layer.
+//!   *dynamic* named-row view of the metrics that can carry rows the
+//!   fixed enums don't know (e.g. `gate:*` spans appended by
+//!   `scripts/check.sh`). Snapshots are written as the host rows of a run
+//!   file, whose writer and only reader live in the bench crate's
+//!   `telemetry_export` module.
 //!
 //! Cost discipline: the simulator's schedulers hold `Option<Box<Telemetry>>`
 //! and every instrumentation point is gated on it — telemetry off means no
-//! `Instant::now()` calls and zero allocations, enforced by the throughput
-//! harness's marginal-allocation gate.
+//! `Instant::now()` calls and no allocations, checked by the bench crate's
+//! `telemetry_alloc_gate` test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -502,8 +502,8 @@ pub struct HistRow {
     pub buckets: Vec<(u32, u64)>,
 }
 
-/// A manifest plus dynamic named metric rows: the unit every exporter,
-/// parser, and merger operates on.
+/// A manifest plus dynamic named metric rows: the host part of a run
+/// file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Producing binary.
@@ -524,333 +524,6 @@ pub struct Snapshot {
     pub gauges: Vec<(String, u64)>,
     /// Histogram rows.
     pub hists: Vec<HistRow>,
-}
-
-impl Snapshot {
-    /// Sums `other` into `self` by row name (rows new to `self` append in
-    /// `other`'s order): counters/spans/hists add, gauges merge by max.
-    /// The manifest keeps `self`'s identity.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for o in &other.spans {
-            match self.spans.iter_mut().find(|s| s.name == o.name) {
-                Some(s) => {
-                    s.count += o.count;
-                    s.total_nanos += o.total_nanos;
-                    s.buckets = merge_sparse(&s.buckets, &o.buckets);
-                }
-                None => self.spans.push(o.clone()),
-            }
-        }
-        for &(ref name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some(c) => c.1 += v,
-                None => self.counters.push((name.clone(), v)),
-            }
-        }
-        for &(ref name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some(g) => g.1 = g.1.max(v),
-                None => self.gauges.push((name.clone(), v)),
-            }
-        }
-        for o in &other.hists {
-            match self.hists.iter_mut().find(|h| h.name == o.name) {
-                Some(h) => {
-                    h.count += o.count;
-                    h.sum += o.sum;
-                    h.max = h.max.max(o.max);
-                    h.buckets = merge_sparse(&h.buckets, &o.buckets);
-                }
-                None => self.hists.push(o.clone()),
-            }
-        }
-    }
-
-    /// Renders the snapshot as Prometheus text exposition (version 0.0.4):
-    /// one `slipstream_run_info` series carrying the manifest labels, then
-    /// `slipstream_span_count` / `slipstream_span_nanos_total` /
-    /// `slipstream_span_nanos_bucket` per span, and counter / gauge /
-    /// histogram families. Bucket series are cumulative with an `le="+Inf"`
-    /// terminator, as the format requires.
-    pub fn prometheus_text(&self) -> String {
-        use std::fmt::Write;
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# HELP slipstream_run_info Run manifest (value is always 1)."
-        );
-        let _ = writeln!(out, "# TYPE slipstream_run_info gauge");
-        let mut info = format!(
-            "binary=\"{}\",scheduler=\"{}\",config_digest=\"{}\"",
-            esc(&self.binary),
-            esc(&self.scheduler),
-            esc(&self.config_digest)
-        );
-        if let Some(c) = self.calibration_instrs_per_sec {
-            let _ = write!(info, ",calibration_instrs_per_sec=\"{c:.0}\"");
-        }
-        for (k, v) in &self.labels {
-            let _ = write!(info, ",{}=\"{}\"", sanitize_label(k), esc(v));
-        }
-        let _ = writeln!(out, "slipstream_run_info{{{info}}} 1");
-
-        if !self.spans.is_empty() {
-            let _ = writeln!(out, "# HELP slipstream_span_count Span entries.");
-            let _ = writeln!(out, "# TYPE slipstream_span_count counter");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "slipstream_span_count{{span=\"{}\"}} {}",
-                    esc(&s.name),
-                    s.count
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP slipstream_span_nanos_total Wall-clock nanoseconds in span."
-            );
-            let _ = writeln!(out, "# TYPE slipstream_span_nanos_total counter");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "slipstream_span_nanos_total{{span=\"{}\"}} {}",
-                    esc(&s.name),
-                    s.total_nanos
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP slipstream_span_nanos_bucket Log2 span-duration histogram."
-            );
-            let _ = writeln!(out, "# TYPE slipstream_span_nanos_bucket histogram");
-            for s in &self.spans {
-                if s.buckets.is_empty() {
-                    continue;
-                }
-                write_buckets(
-                    &mut out,
-                    "slipstream_span_nanos_bucket",
-                    &format!("span=\"{}\"", esc(&s.name)),
-                    &s.buckets,
-                    s.count,
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "# HELP slipstream_counter_total Harness counters.");
-            let _ = writeln!(out, "# TYPE slipstream_counter_total counter");
-            for (name, v) in &self.counters {
-                let _ = writeln!(
-                    out,
-                    "slipstream_counter_total{{name=\"{}\"}} {v}",
-                    esc(name)
-                );
-            }
-        }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "# HELP slipstream_gauge Harness gauges.");
-            let _ = writeln!(out, "# TYPE slipstream_gauge gauge");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "slipstream_gauge{{name=\"{}\"}} {v}", esc(name));
-            }
-        }
-        if !self.hists.is_empty() {
-            let _ = writeln!(out, "# HELP slipstream_hist_bucket Log2 value histograms.");
-            let _ = writeln!(out, "# TYPE slipstream_hist_bucket histogram");
-            for h in &self.hists {
-                let labels = format!("name=\"{}\"", esc(&h.name));
-                write_buckets(
-                    &mut out,
-                    "slipstream_hist_bucket",
-                    &labels,
-                    &h.buckets,
-                    h.count,
-                );
-                let _ = writeln!(out, "slipstream_hist_sum{{{labels}}} {}", h.sum);
-                let _ = writeln!(out, "slipstream_hist_count{{{labels}}} {}", h.count);
-            }
-        }
-        out
-    }
-}
-
-/// Merges two sparse `(bucket, count)` lists, summing shared buckets.
-fn merge_sparse(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
-    let mut out = a.to_vec();
-    for &(bucket, count) in b {
-        match out.iter_mut().find(|(i, _)| *i == bucket) {
-            Some(e) => e.1 += count,
-            None => out.push((bucket, count)),
-        }
-    }
-    out.sort_unstable_by_key(|&(i, _)| i);
-    out
-}
-
-/// Rewrites `k` into a valid Prometheus label name.
-fn sanitize_label(k: &str) -> String {
-    let mut s: String = k
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if s.chars().next().is_none_or(|c| c.is_ascii_digit()) {
-        s.insert(0, '_');
-    }
-    s
-}
-
-/// Emits a cumulative `le`-labeled bucket series ending in `+Inf`.
-fn write_buckets(out: &mut String, family: &str, labels: &str, sparse: &[(u32, u64)], total: u64) {
-    use std::fmt::Write;
-    let mut cum = 0u64;
-    for &(bucket, count) in sparse {
-        cum += count;
-        // Bucket i covers values < 2^i (bucket 0 covers the value 0).
-        let le = if bucket >= 63 {
-            "+Inf".to_string()
-        } else {
-            (1u64 << bucket).to_string()
-        };
-        let _ = writeln!(out, "{family}{{{labels},le=\"{le}\"}} {cum}");
-    }
-    if sparse.last().is_none_or(|&(b, _)| b < 63) {
-        let _ = writeln!(out, "{family}{{{labels},le=\"+Inf\"}} {total}");
-    }
-}
-
-/// Validates Prometheus text exposition: every line is a comment or a
-/// `name{labels} value` sample with a well-formed metric name, label
-/// syntax, and numeric value; every `_bucket` series is cumulative
-/// (non-decreasing) and terminated by `le="+Inf"`. Returns the first
-/// offending line (1-based) and a description.
-pub fn validate_exposition(text: &str) -> Result<(), String> {
-    let name_ok = |s: &str| {
-        !s.is_empty()
-            && s.chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            && s.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    };
-    // (family, labels-minus-le) -> (last cumulative value, saw +Inf)
-    let mut buckets: Vec<(String, u64, bool)> = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let err = |what: &str| Err(format!("line {}: {what}: {line}", ln + 1));
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name_labels, value) = match line.rsplit_once(' ') {
-            Some(p) => p,
-            None => return err("expected 'name value'"),
-        };
-        let (name, labels) = match name_labels.split_once('{') {
-            Some((n, rest)) => {
-                let Some(l) = rest.strip_suffix('}') else {
-                    return err("unterminated label set");
-                };
-                (n, Some(l))
-            }
-            None => (name_labels, None),
-        };
-        if !name_ok(name) {
-            return err("bad metric name");
-        }
-        let v: f64 = if value == "+Inf" {
-            f64::INFINITY
-        } else {
-            match value.parse() {
-                Ok(v) => v,
-                Err(_) => return err("bad sample value"),
-            }
-        };
-        let mut le: Option<String> = None;
-        let mut rest_labels: Vec<String> = Vec::new();
-        if let Some(labels) = labels {
-            let mut chars = labels.char_indices().peekable();
-            // Parse key="value" pairs, honoring escapes inside values.
-            while chars.peek().is_some() {
-                let start = chars.peek().map(|&(i, _)| i).unwrap_or(0);
-                let Some(eq) = labels[start..].find('=') else {
-                    return err("label without '='");
-                };
-                let key = &labels[start..start + eq];
-                if !name_ok(key) {
-                    return err("bad label name");
-                }
-                let vstart = start + eq + 1;
-                if labels.as_bytes().get(vstart) != Some(&b'"') {
-                    return err("label value must be quoted");
-                }
-                let mut i = vstart + 1;
-                let bytes = labels.as_bytes();
-                let mut val = String::new();
-                loop {
-                    match bytes.get(i) {
-                        None => return err("unterminated label value"),
-                        Some(b'"') => break,
-                        Some(b'\\') => {
-                            match bytes.get(i + 1) {
-                                Some(&c @ (b'"' | b'\\')) => val.push(c as char),
-                                Some(b'n') => val.push('\n'),
-                                _ => return err("bad escape in label value"),
-                            }
-                            i += 2;
-                        }
-                        Some(&c) => {
-                            val.push(c as char);
-                            i += 1;
-                        }
-                    }
-                }
-                if key == "le" {
-                    le = Some(val);
-                } else {
-                    rest_labels.push(format!("{key}={val}"));
-                }
-                // Skip past closing quote and an optional comma.
-                let mut next = i + 1;
-                if bytes.get(next) == Some(&b',') {
-                    next += 1;
-                }
-                while chars.peek().is_some_and(|&(i, _)| i < next) {
-                    chars.next();
-                }
-            }
-        }
-        if name.ends_with("_bucket") {
-            let Some(le) = le else {
-                return err("_bucket sample without an le label");
-            };
-            let key = format!("{name}|{}", rest_labels.join(","));
-            let cum = v as u64;
-            match buckets.iter_mut().find(|(k, _, _)| *k == key) {
-                Some((_, last, saw_inf)) => {
-                    if *saw_inf {
-                        return err("bucket series continues after le=\"+Inf\"");
-                    }
-                    if cum < *last {
-                        return err("bucket series is not cumulative");
-                    }
-                    *last = cum;
-                    *saw_inf = le == "+Inf";
-                }
-                None => buckets.push((key, cum, le == "+Inf")),
-            }
-        }
-    }
-    for (key, _, saw_inf) in &buckets {
-        if !saw_inf {
-            return Err(format!("bucket series {key} never reached le=\"+Inf\""));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -912,36 +585,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_skips_empty_rows_and_merges_by_name() {
+    fn snapshot_skips_empty_rows() {
         let mut tel = Telemetry::new();
         tel.record_span(SpanKind::RunTotal, 100);
         tel.add(CounterKind::FuzzSeeds, 4);
-        let m = RunManifest::new("t", "windowed", "cfg");
-        let mut a = tel.snapshot(&m);
-        assert_eq!(a.spans.len(), 1);
-        assert_eq!(a.counters.len(), 1);
-        let b = a.clone();
-        a.merge(&b);
-        assert_eq!(a.spans[0].total_nanos, 200);
-        assert_eq!(a.counters[0].1, 8);
-    }
-
-    #[test]
-    fn exposition_validates_and_catches_malformed_text() {
-        let mut tel = Telemetry::new();
-        tel.record_span(SpanKind::AWindowExec, 1234);
-        tel.record_span(SpanKind::AWindowExec, 77);
-        tel.add(CounterKind::CampaignSites, 2);
-        tel.set_gauge(GaugeKind::Workers, 3);
-        tel.record_value(HistKind::RingOccupancy, 5);
-        let m = RunManifest::new("throughput", "threaded", "cfg").label("scale", "0.2");
-        let text = tel.snapshot(&m).prometheus_text();
-        validate_exposition(&text).unwrap();
-        assert!(validate_exposition("1bad{x=\"y\"} 1").is_err());
-        assert!(validate_exposition("m_bucket{le=\"1\"} 2\nm_bucket{le=\"+Inf\"} 1").is_err());
-        assert!(
-            validate_exposition("m_bucket{le=\"1\"} 1").is_err(),
-            "missing +Inf"
-        );
+        let snap = tel.snapshot(&RunManifest::new("t", "windowed", "cfg"));
+        assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans[0].total_nanos, 100);
+        assert_eq!(snap.counters, vec![("fuzz_seeds".to_string(), 4)]);
+        assert!(snap.gauges.is_empty() && snap.hists.is_empty());
     }
 }

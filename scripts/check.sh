@@ -4,7 +4,7 @@
 #
 # Each gate's wall time is appended as a telemetry span to
 # target/check_gates.jsonl; the run ends with a per-gate summary rendered
-# by telemetry_report --gate-summary.
+# by report --gate-summary.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,7 +13,7 @@ mkdir -p target
 rm -f "$GATE_LOG"
 
 # run_gate <label> <command...>: times the command and appends one span
-# line in the telemetry JSONL shape (parsed by telemetry_report).
+# line in the run-file JSONL shape (parsed by report).
 run_gate() {
     local label=$1
     shift
@@ -44,18 +44,15 @@ run_gate "fault-campaign smoke (reduced-scale §3 sweep)" \
 run_gate "differential-fuzz smoke (oracle sweep + corpus replay)" \
     cargo run --release -q -p slipstream-bench --bin differential_fuzz -- --smoke --out BENCH_fuzz_smoke.json
 
-run_gate "trace smoke (flight recorder + exporters)" \
-    cargo run --release -q -p slipstream-bench --bin trace_dump -- --smoke
-
 run_gate "throughput smoke (speed gate vs committed BENCH_throughput.json)" \
     cargo run --release -q -p slipstream-bench --bin throughput -- --smoke
 
 run_gate "cpi-stack smoke (drift gate vs committed BENCH_cpi_stack.json)" \
     cargo run --release -q -p slipstream-bench --bin cpi_stack -- --smoke
 
-run_gate "telemetry smoke (JSONL round-trip + exposition + attribution)" \
-    cargo run --release -q -p slipstream-bench --bin telemetry_report -- --smoke
+run_gate "report smoke (run-file round-trip + attribution + CPI stack + pipeview)" \
+    cargo run --release -q -p slipstream-bench --bin report -- --smoke
 
-cargo run --release -q -p slipstream-bench --bin telemetry_report -- --gate-summary "$GATE_LOG"
+cargo run --release -q -p slipstream-bench --bin report -- --gate-summary "$GATE_LOG"
 
 echo "OK"
