@@ -31,7 +31,8 @@
 //! - `--gate-summary FILE` prints the per-gate wall-time table from the
 //!   span log `scripts/check.sh` appends while running its gates.
 //!
-//! A malformed command line prints the usage and exits with status 2.
+//! A malformed command line — including a flag the chosen mode does not
+//! read — prints the usage and exits with status 2.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -86,6 +87,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         gate_summary: None,
         files: Vec::new(),
     };
+    // The first flag given that only `--bench` reads.
+    let mut bench_only = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -101,6 +104,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other if other.starts_with("--") => return Err(format!("unknown argument {other}")),
             file => args.files.push(file.to_string()),
         }
+        if matches!(
+            flag.as_str(),
+            "--scale" | "--ring" | "--metrics-interval" | "--out-dir"
+        ) {
+            bench_only.get_or_insert(flag);
+        }
     }
     let modes = [
         args.bench.is_some(),
@@ -110,6 +119,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     ];
     if modes.iter().filter(|&&m| m).count() != 1 {
         return Err("give exactly one of --bench, FILES, --smoke, --gate-summary".to_string());
+    }
+    if let (None, Some(flag)) = (&args.bench, bench_only) {
+        return Err(format!("{flag} applies only to --bench"));
+    }
+    if args.cpi.is_some() && (args.bench.is_some() || args.gate_summary.is_some()) {
+        return Err("--cpi applies only to FILES and --smoke".to_string());
     }
     Ok(args)
 }
@@ -215,14 +230,11 @@ fn run_file(
 fn record(bench: &str, args: &Args) -> Result<(), String> {
     let trace = TraceConfig::flight(args.ring).with_metrics(args.metrics_interval);
     let run = run_file(bench, args.scale, ExecMode::Windowed, Some(trace), None)?;
-    let jsonl = write_run(&args.out_dir, &format!("trace_{bench}"), &run)?;
-    let written = parse_jsonl(&jsonl)?;
+    write_run(&args.out_dir, &format!("trace_{bench}"), &run)?;
+    let committed = committed_cpi(None, false)?;
     print!(
         "{}",
-        report_text(
-            &[written],
-            committed_cpi(args.cpi.as_deref(), false)?.as_deref()
-        )
+        report_text(std::slice::from_ref(&run), committed.as_deref())
     );
     Ok(())
 }
@@ -323,4 +335,46 @@ fn gate_summary(path: &str) -> Result<(), String> {
     }
     println!("  {:<32} {:>9.3} s", "total", total as f64 / 1e9);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&argv)
+    }
+
+    /// Each mode takes only its own flags; bad numbers and unknown or
+    /// missing arguments are errors too (main prints the usage, exits 2).
+    #[test]
+    fn command_lines_outside_the_usage_are_errors() {
+        let ok = parse("--bench g --scale 0.5 --ring 9 --metrics-interval 7 --out-dir d").unwrap();
+        assert_eq!((ok.scale, ok.ring, ok.metrics_interval), (0.5, 9, 7));
+        for line in [
+            "a.jsonl b.jsonl --cpi c",
+            "--smoke --cpi c",
+            "--gate-summary g",
+        ] {
+            assert!(parse(line).is_ok(), "{line}");
+        }
+        for (line, want) in [
+            ("--smoke --scale 9", "--scale applies only to --bench"),
+            ("run.jsonl --ring 5", "--ring applies only"),
+            ("--gate-summary f --out-dir d", "--out-dir applies only"),
+            ("--smoke --metrics-interval 3", "--metrics-interval applies"),
+            ("--bench gcc --cpi c", "--cpi applies only"),
+            ("--gate-summary f --cpi c", "--cpi applies only"),
+            ("--bench gcc --scale x", "--scale: not a number"),
+            ("--bench gcc --ring -1", "--ring: not a number"),
+            ("--bench gcc --ring", "--ring needs a value"),
+            ("--smoke --verbose", "unknown argument --verbose"),
+            ("", "exactly one of"),
+            ("--smoke run.jsonl", "exactly one of"),
+        ] {
+            let e = parse(line).map(|_| ()).expect_err(line);
+            assert!(e.contains(want), "{line:?}: {e}");
+        }
+    }
 }

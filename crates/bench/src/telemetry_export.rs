@@ -44,25 +44,32 @@ impl From<Snapshot> for RunFile {
     }
 }
 
-/// `(key, &mut field)` pairs of a stats struct, in row order.
+/// `(key, &mut field)` pairs of a stats struct's listed fields, in row
+/// order. The destructuring names every field, so a field added to the
+/// struct fails to compile until it is listed or explicitly skipped.
 macro_rules! fields {
-    ($s:expr; $($f:ident),+) => {
-        [$((stringify!($f), &mut $s.$f)),+]
-    };
+    ($s:expr => $ty:ident { $($f:ident),+ } $(skip { $($skip:ident),+ })?) => {{
+        let $ty { $($f,)+ $($($skip: _,)+)? } = $s;
+        [$((stringify!($f), $f)),+]
+    }};
 }
 
-/// Every integer counter of a [`CoreStats`] except the CPI stack.
+/// Every integer counter of a [`CoreStats`]. The CPI stack and the
+/// optional fault-fire markers are written and read separately.
 fn core_counters(c: &mut CoreStats) -> [(&'static str, &mut u64); 20] {
-    fields! {c; cycles, dispatched, retired, fetched, cond_branches, branch_mispredicts,
-    jump_mispredicts, icache_misses, dcache_misses, l2_hits, l2_misses, port_stall_cycles,
-    rob_full_cycles, iq_full_cycles, fetch_fill_stall_cycles, fetch_redirect_stall_cycles,
-    fetch_external_stall_cycles, fetch_active_cycles, flushes, faults_injected}
+    fields!(c => CoreStats {
+        cycles, dispatched, retired, fetched, cond_branches, branch_mispredicts,
+        jump_mispredicts, icache_misses, dcache_misses, l2_hits, l2_misses, port_stall_cycles,
+        rob_full_cycles, iq_full_cycles, fetch_fill_stall_cycles, fetch_redirect_stall_cycles,
+        fetch_external_stall_cycles, fetch_active_cycles, flushes, faults_injected
+    } skip { cpi, fault_fired_cycle, fault_fired_seq })
 }
 
 /// Every counter of a [`FrontEndStats`].
 fn front_end_counters(f: &mut FrontEndStats) -> [(&'static str, &mut u64); 5] {
-    fields! {f; traces_predicted, traces_fallback, traces_correct, traces_committed,
-    traces_reduced}
+    fields!(f => FrontEndStats {
+        traces_predicted, traces_fallback, traces_correct, traces_committed, traces_reduced
+    })
 }
 
 // ---- JSONL emission -------------------------------------------------------
@@ -650,13 +657,7 @@ fn sampled_cpi_section(out: &mut String, samples: &[IntervalSample]) {
     };
     let mut sum = IntervalSample {
         cycle: last.cycle,
-        a: CoreStats::default(),
-        r: CoreStats::default(),
-        front_end: FrontEndStats::default(),
-        skipped: 0,
-        ir_misps: 0,
-        value_hints: 0,
-        delay_occupancy: 0,
+        ..IntervalSample::default()
     };
     for s in samples {
         sum.a = sum.a.merge(&s.a);

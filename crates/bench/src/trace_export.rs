@@ -34,36 +34,33 @@ use crate::fuzz::{corpus_entry_name, FuzzViolation};
 use crate::json::{self, Obj};
 use crate::MAX_CYCLES;
 
-/// All streams in fixed export order (determines Chrome track order and
-/// tie-breaking everywhere).
-pub(crate) const STREAMS: [StreamId; 4] = [
-    StreamId::AStream,
-    StreamId::RStream,
-    StreamId::Single,
-    StreamId::Machine,
-];
+/// `const $name: [$ty; N]` holding the listed variants, in order, plus a
+/// match over them that names no wildcard: a variant added to the enum
+/// fails to compile until it is listed here.
+macro_rules! every_variant {
+    ($(#[$doc:meta])* $name:ident: $ty:ident = [$($v:ident),+ $(,)?]) => {
+        $(#[$doc])*
+        pub(crate) const $name: [$ty; [$(stringify!($v)),+].len()] = [$($ty::$v),+];
+        const _: fn($ty) = |v| match v {
+            $($ty::$v)|+ => {}
+        };
+    };
+}
 
-/// Every event kind: the labels an `event` row may carry.
-pub(crate) const EVENT_KINDS: [EventKind; 18] = [
-    EventKind::Fetch,
-    EventKind::Dispatch,
-    EventKind::Issue,
-    EventKind::Retire,
-    EventKind::BranchMispredict,
-    EventKind::JumpMispredict,
-    EventKind::IcacheMiss,
-    EventKind::DcacheMiss,
-    EventKind::L2Miss,
-    EventKind::PortStall,
-    EventKind::Flush,
-    EventKind::FaultFired,
-    EventKind::Removed,
-    EventKind::DelayEnqueue,
-    EventKind::DelayDequeue,
-    EventKind::IrMispredict,
-    EventKind::Recovery,
-    EventKind::FaultDetected,
-];
+every_variant! {
+    /// All streams in fixed export order (determines Chrome track order
+    /// and tie-breaking everywhere).
+    STREAMS: StreamId = [AStream, RStream, Single, Machine]
+}
+
+every_variant! {
+    /// Every event kind: the labels an `event` row may carry.
+    EVENT_KINDS: EventKind = [
+        Fetch, Dispatch, Issue, Retire, BranchMispredict, JumpMispredict, IcacheMiss,
+        DcacheMiss, L2Miss, PortStall, Flush, FaultFired, Removed, DelayEnqueue, DelayDequeue,
+        IrMispredict, Recovery, FaultDetected,
+    ]
+}
 
 fn stream_index(s: StreamId) -> u8 {
     match s {
@@ -348,15 +345,9 @@ pub fn pipeview_text(rec: &FlightRecording) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# slipstream pipeview: one line per dispatched instruction; cycles are absolute"
-    );
-    let _ = writeln!(
-        out,
-        "# stages: fetch dispatch issue complete retire ('-' = outside the recorded window)"
-    );
-    let _ = writeln!(
-        out,
-        "# dropped events: {} (nonzero means the trace is a suffix of the run)",
+        "# slipstream pipeview: one line per dispatched instruction; cycles are absolute\n\
+         # stages: fetch dispatch issue complete retire ('-' = outside the recorded window)\n\
+         # dropped events: {} (nonzero means the trace is a suffix of the run)",
         rec.dropped
     );
     let _ = writeln!(

@@ -57,14 +57,19 @@ fn simulated_rows(jsonl: &str) -> Vec<&str> {
         .collect()
 }
 
-/// The run file of `got` round-trips through its one reader, and its
-/// `event`/`sample` rows are byte-identical to the serial reference's.
+/// The run file of `got` round-trips through its one reader, its
+/// `event`/`sample` rows are byte-identical to the serial reference's, and
+/// its rings evicted as many events.
 fn assert_recordings_identical(name: &str, mode: ExecMode, reference: &RunFile, got: &RunFile) {
     let text = to_jsonl(got);
     let parsed = parse_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {mode:?}: {e}"));
     assert!(
         to_jsonl(&parsed) == text,
         "{name}: {mode:?} run file does not round-trip"
+    );
+    assert_eq!(
+        parsed.recording.dropped, reference.recording.dropped,
+        "{name}: {mode:?} dropped count diverged from serial"
     );
     let want = to_jsonl(reference);
     let (want, got) = (simulated_rows(&want), simulated_rows(&text));

@@ -220,13 +220,11 @@ pub struct TraceFrontEnd {
     pub skip_counts: FastHashMap<u8, u64>,
     /// Front-end statistics.
     pub stats: FrontEndStats,
-    /// Debug histogram: committed traces by (start_pc, len).
-    pub commit_histogram: FastHashMap<(u64, u8), u64>,
     /// Flight recorder for removal events; the front end has no clock of
     /// its own, so the owning harness stamps the cycle each step.
     pub trace: Option<TraceSink>,
     /// Committed trace ids whose *learning* side effects (predictor
-    /// training, retired history, trace cache, commit histogram) have not
+    /// training, retired history, trace cache) have not
     /// been applied yet. All schedulers defer learning to the next sync
     /// boundary ([`TraceFrontEnd::apply_training`]) so that the
     /// slack-window checkpoint never has to snapshot the predictor tables
@@ -290,15 +288,9 @@ impl TraceFrontEnd {
             retire_budget: usize::MAX,
             skip_counts: FastHashMap::default(),
             stats: FrontEndStats::default(),
-            commit_histogram: FastHashMap::default(),
             trace: None,
             train_q: Vec::new(),
         }
-    }
-
-    /// Whether the front end has supplied `halt` and gone quiescent.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Restarts the front end at `pc` with all in-flight state dropped
@@ -816,10 +808,10 @@ impl TraceFrontEnd {
     }
 
     /// Applies all deferred learning: predictor training, retired path
-    /// history, trace-cache update, and the commit histogram, in commit
-    /// order. Called at slack-window boundaries (and before recovery
-    /// repairs) by every scheduler, so serial, windowed, and threaded
-    /// execution observe byte-identical predictor state.
+    /// history, and trace-cache update, in commit order. Called at
+    /// slack-window boundaries (and before recovery repairs) by every
+    /// scheduler, so serial, windowed, and threaded execution observe
+    /// byte-identical predictor state.
     pub fn apply_training(&mut self) {
         // Indexed drain: `mem::take` here would drop the queue's buffer and
         // re-allocate it one trace later, once per trace for the rest of
@@ -829,10 +821,6 @@ impl TraceFrontEnd {
             self.predictor.update(&self.retired_hist, id);
             self.retired_hist.push(id);
             self.last_trace_at.insert(id.start_pc, id);
-            *self
-                .commit_histogram
-                .entry((id.start_pc, id.len))
-                .or_insert(0) += 1;
         }
         self.train_q.clear();
     }

@@ -91,7 +91,7 @@ pub fn misp_code_label(code: u64) -> &'static str {
 /// per-interval CPI stacks (`a.cpi`/`r.cpi`, summing to that core's
 /// interval cycles) and the fetch-stall cause split — the stacked
 /// time-series the metrics export draws.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalSample {
     /// Cycle the interval ends at.
     pub cycle: u64,

@@ -517,7 +517,7 @@ fn step_interleaves_with_batch_runs() {
         p.run_mode(ExecMode::Windowed, p.cycles() + 1000);
     }
     // Mirror the batch schedulers' end-of-run boundary flush so post-run
-    // state (commit histogram, predictor) is comparable.
+    // state (predictor, statistics) is comparable.
     p.run_mode(ExecMode::Serial, u64::MAX);
     let got_stats = p.stats();
     assert_identical(

@@ -305,12 +305,6 @@ impl Core {
         self.trace.as_ref()
     }
 
-    /// Mutable access to the installed flight recorder (the slipstream
-    /// harness uses it to freeze the ring around a detection).
-    pub fn trace_mut(&mut self) -> Option<&mut TraceSink> {
-        self.trace.as_mut()
-    }
-
     /// Records one event into the flight recorder, if one is installed.
     #[inline]
     fn trace_event(&mut self, kind: EventKind, seq: u64, pc: u64, arg: u64) {
