@@ -2,9 +2,9 @@
 //! sweep over all eight benchmarks × both streams.
 //!
 //! Enumerates N distinct (dynamic-instruction, bit) injection sites per
-//! benchmark × target from the seeded xorshift64* PRNG, fans the runs out
-//! across a `std::thread` worker pool (per-worker `SlipstreamProcessor`
-//! instances, copy-on-write clones of the per-benchmark golden state), and
+//! benchmark × target from the seeded xorshift64* PRNG, runs each
+//! benchmark's sites on a `std::thread` worker pool (each site forked from
+//! a fault-free leader processor rather than simulated from cycle 0), and
 //! writes the outcome distribution plus the campaign's own wall-clock
 //! throughput to `BENCH_fault_campaign.json`.
 //!

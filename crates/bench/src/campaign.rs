@@ -3,30 +3,31 @@
 //! RepTFD- and MEEK-style systematic sweeps: a deterministic
 //! site-enumeration pass picks N distinct (dynamic-instruction, bit)
 //! injection sites per benchmark × stream from the vendored xorshift64*
-//! PRNG, a `std::thread` worker pool fans the runs out across cores (the
-//! workspace is dependency-free — no rayon), and a structured stats layer
-//! aggregates per-outcome counters, a detection-latency histogram in
+//! PRNG, a `std::thread` worker pool fans the benchmarks out across cores
+//! (the workspace is dependency-free — no rayon), and a structured stats
+//! layer aggregates per-outcome counters, a detection-latency histogram in
 //! cycles, and fired/not-fired accounting.
 //!
-//! Determinism: site enumeration depends only on `(seed, bench, target)`,
-//! every run is independently seeded by its site, and results are
-//! reassembled in site order after the pool drains — the same seed
-//! produces byte-identical campaign rows regardless of worker count.
+//! Forking: the golden state, fault-free baseline and fork points (every
+//! `FORK_STRIDE` cycles of the fault-free run) are computed once per
+//! benchmark. A fault-free leader then walks the benchmark's sites in
+//! fork-point order, and each site runs on a clone of the leader taken at
+//! the last fork point before its faulty instruction dispatches — the same
+//! run as one from cycle 0, minus the re-simulated prefix.
 //!
-//! Sharing: the golden state and fault-free baseline are computed once per
-//! benchmark; each worker receives a copy-on-write clone (`Memory` pages
-//! are `Arc`s, and the one-entry last-page cache makes `Memory`
-//! intentionally `!Sync`, so workers clone rather than share — an O(pages)
-//! pointer copy per worker, no byte copies).
+//! Determinism: site enumeration depends only on `(seed, bench, target)`,
+//! a forked run equals the run from cycle 0, and results are reassembled
+//! in site order after the pool drains — the same seed produces
+//! byte-identical campaign rows regardless of worker count.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use slipstream_core::{
-    golden_state, run_fault_experiment, run_fault_experiment_traced, FaultOutcome, FaultReport,
-    FaultTarget, FlightRecording, IrMispKind, SlipstreamConfig, SlipstreamProcessor, TraceConfig,
+    golden_state, run_fault_experiment, run_fault_experiment_traced, run_injected, FaultOutcome,
+    FaultReport, FaultTarget, FlightRecording, IrMispKind, SlipstreamConfig, SlipstreamProcessor,
+    TraceConfig,
 };
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::ArchState;
@@ -350,8 +351,30 @@ fn summary_json(s: &TargetSummary) -> String {
         .finish()
 }
 
-/// Per-benchmark shared state, computed once and CoW-cloned per worker.
-#[derive(Clone)]
+/// Cycles between the fork points recorded by the fault-free run. Each
+/// site re-simulates at most this many fault-free cycles (plus the
+/// serial catch-up to the next sync boundary) before its fault can fire.
+const FORK_STRIDE: u64 = 256;
+
+/// A point of the fault-free run a site can be forked from: the run's
+/// cycle and the next dispatch sequence number of each core there.
+#[derive(Debug, Clone, Copy)]
+struct ForkPoint {
+    cycle: u64,
+    a_seq: u64,
+    r_seq: u64,
+}
+
+impl ForkPoint {
+    fn next_seq(&self, target: FaultTarget) -> u64 {
+        match target {
+            FaultTarget::AStream => self.a_seq,
+            FaultTarget::RStream => self.r_seq,
+        }
+    }
+}
+
+/// Per-benchmark state, computed once by the fault-free run.
 struct BenchContext {
     workload: Workload,
     cfg: SlipstreamConfig,
@@ -360,6 +383,21 @@ struct BenchContext {
     /// detections by first divergence from it.
     baseline_misp: Vec<(IrMispKind, u64)>,
     dynamic: u64,
+    /// Fork points every [`FORK_STRIDE`] cycles, from cycle 0 up to the
+    /// last stride before the program halts.
+    forks: Vec<ForkPoint>,
+}
+
+impl BenchContext {
+    /// The latest fork point at which `site`'s target instruction has not
+    /// dispatched yet. Sequence numbers only grow, so the points are
+    /// sorted by each core's `next_seq`, and the first point (cycle 0,
+    /// nothing dispatched) always qualifies.
+    fn fork_point(&self, site: &InjectionSite) -> usize {
+        self.forks
+            .partition_point(|p| p.next_seq(site.target) <= site.seq)
+            - 1
+    }
 }
 
 fn prepare(bench: &str, scale: f64, max_cycles: u64) -> BenchContext {
@@ -367,8 +405,17 @@ fn prepare(bench: &str, scale: f64, max_cycles: u64) -> BenchContext {
     let golden = golden_state(&workload.program, 4 * max_cycles);
     let cfg = SlipstreamConfig::cmp_2x64x4();
     let mut clean = SlipstreamProcessor::new(cfg.clone(), &workload.program);
+    let mut forks = Vec::new();
+    while !clean.halted() && clean.cycles() < max_cycles {
+        forks.push(ForkPoint {
+            cycle: clean.cycles(),
+            a_seq: clean.a_core().next_seq(),
+            r_seq: clean.r_core().next_seq(),
+        });
+        clean.run((clean.cycles() + FORK_STRIDE).min(max_cycles));
+    }
     assert!(
-        clean.run(max_cycles),
+        clean.halted(),
         "{bench}: fault-free baseline did not complete"
     );
     let dynamic = clean.stats().r_retired;
@@ -378,6 +425,7 @@ fn prepare(bench: &str, scale: f64, max_cycles: u64) -> BenchContext {
         golden,
         baseline_misp: clean.misp_log().to_vec(),
         dynamic,
+        forks,
     }
 }
 
@@ -429,72 +477,154 @@ pub fn enumerate_sites(
     sites
 }
 
-/// Runs `sites` through the worker pool. Each worker owns CoW clones of
-/// the benchmark contexts and a fresh `SlipstreamProcessor` per run;
-/// results are reassembled in site order, so output is identical for any
-/// worker count.
+/// Runs one benchmark's sites by forking: a fault-free leader walks the
+/// sites in fork-point order, and each site runs on a clone of the leader
+/// taken at its fork point, armed with the fault and run to `max_cycles`.
+/// Hands `visit` each site's index, the site, its report and the finished
+/// fork, in the order the sites ran.
+fn run_forked(
+    ctx: &BenchContext,
+    sites: &[(usize, InjectionSite)],
+    max_cycles: u64,
+    mut tel: Option<&mut Telemetry>,
+    mut visit: impl FnMut(usize, InjectionSite, FaultReport, &SlipstreamProcessor),
+) {
+    let mut order: Vec<(usize, usize, InjectionSite)> = sites
+        .iter()
+        .map(|&(i, site)| (ctx.fork_point(&site), i, site))
+        .collect();
+    order.sort_unstable_by_key(|&(fork, i, _)| (fork, i));
+    let mut leader = SlipstreamProcessor::new(ctx.cfg.clone(), &ctx.workload.program);
+    for (fork, i, site) in order {
+        let at = ctx.forks[fork].cycle;
+        if leader.cycles() < at {
+            leader.run(at);
+        }
+        let t0 = tel.as_ref().map(|_| Instant::now());
+        let mut run = leader.clone();
+        let report = run_injected(
+            &mut run,
+            site.target,
+            FaultSpec {
+                seq: site.seq,
+                bit: site.bit,
+            },
+            max_cycles,
+            &ctx.golden,
+            &ctx.baseline_misp,
+        );
+        if let (Some(t0), Some(tel)) = (t0, tel.as_deref_mut()) {
+            tel.record_span(SpanKind::CampaignSite, t0.elapsed().as_nanos() as u64);
+            tel.add(CounterKind::CampaignSites, 1);
+            tel.add(CounterKind::CampaignFired, report.fired as u64);
+            tel.add(
+                CounterKind::CampaignDetected,
+                (report.outcome == FaultOutcome::DetectedRecovered) as u64,
+            );
+            tel.add(CounterKind::CampaignSimCycles, report.cycles);
+            tel.record_value(HistKind::CampaignSiteCycles, report.cycles);
+        }
+        visit(i, site, report, &run);
+    }
+}
+
+/// Runs `bench`'s enumerated sites for `targets` exactly as
+/// [`run_campaign`] runs them — each forked from a fault-free leader — and
+/// hands `visit` every site with its report and the forked processor as
+/// its run ended. Sites arrive in fork order, not enumeration order.
+pub fn for_each_forked_site(
+    cfg: &CampaignConfig,
+    bench: &'static str,
+    targets: &[FaultTarget],
+    mut visit: impl FnMut(&InjectionSite, &FaultReport, &SlipstreamProcessor),
+) {
+    let ctx = prepare(bench, cfg.scale, cfg.max_cycles);
+    let sites: Vec<(usize, InjectionSite)> = bench_sites(&ctx, targets, cfg)
+        .into_iter()
+        .enumerate()
+        .collect();
+    run_forked(
+        &ctx,
+        &sites,
+        cfg.max_cycles,
+        None,
+        |_, site, report, run| visit(&site, &report, run),
+    );
+}
+
+/// A benchmark's enumerated sites, target by target.
+fn bench_sites(
+    ctx: &BenchContext,
+    targets: &[FaultTarget],
+    cfg: &CampaignConfig,
+) -> Vec<InjectionSite> {
+    targets
+        .iter()
+        .flat_map(|&target| {
+            enumerate_sites(
+                ctx.workload.name,
+                target,
+                ctx.dynamic,
+                cfg.sites_per_target,
+                cfg.seed,
+            )
+        })
+        .collect()
+}
+
+/// Runs `sites` (tagged with their benchmark's index into `contexts`)
+/// through the worker pool, one benchmark per unit of work (see
+/// [`run_forked`]); results are reassembled in site order, so output is
+/// identical for any worker count.
 fn run_sites(
-    contexts: &[BenchContext],
+    contexts: Vec<BenchContext>,
     sites: &[(usize, InjectionSite)],
     workers: usize,
     max_cycles: u64,
     tel: Option<&mut Telemetry>,
 ) -> Vec<SiteResult> {
-    let next = AtomicUsize::new(0);
+    let mut jobs: Vec<(BenchContext, Vec<(usize, InjectionSite)>)> =
+        contexts.into_iter().map(|ctx| (ctx, Vec::new())).collect();
+    for (i, &(ci, site)) in sites.iter().enumerate() {
+        jobs[ci].1.push((i, site));
+    }
+    // Each benchmark runs on exactly one worker, which takes ownership of
+    // its context (`Memory` is `!Sync`, so contexts move rather than share).
+    let jobs = Mutex::new(jobs.into_iter());
     let results: Mutex<Vec<(usize, SiteResult)>> = Mutex::new(Vec::with_capacity(sites.len()));
     // Telemetry: each worker owns a private registry (no locks on the hot
     // path) and parks it here when its loop drains; the commutative merge
     // below makes the aggregate independent of worker count and of how the
-    // work-stealing index happened to partition the sites.
+    // benchmarks happened to be partitioned among the workers.
     let worker_tels: Mutex<Vec<Telemetry>> = Mutex::new(Vec::new());
     let with_tel = tel.is_some();
     std::thread::scope(|scope| {
         for _ in 0..workers.max(1) {
-            let next = &next;
-            let results = &results;
-            let worker_tels = &worker_tels;
-            let ctxs: Vec<BenchContext> = contexts.to_vec();
+            let (jobs, results, worker_tels) = (&jobs, &results, &worker_tels);
             scope.spawn(move || {
                 let mut tel = with_tel.then(Telemetry::new);
                 loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(ci, site)) = sites.get(i) else {
+                    let next = jobs.lock().expect("worker panicked").next();
+                    let Some((ctx, bench_sites)) = next else {
                         break;
                     };
-                    let ctx = &ctxs[ci];
-                    let t0 = tel.as_ref().map(|_| Instant::now());
-                    let report = run_fault_experiment(
-                        ctx.cfg.clone(),
-                        &ctx.workload.program,
-                        site.target,
-                        FaultSpec {
-                            seq: site.seq,
-                            bit: site.bit,
-                        },
+                    run_forked(
+                        &ctx,
+                        &bench_sites,
                         max_cycles,
-                        &ctx.golden,
-                        &ctx.baseline_misp,
+                        tel.as_mut(),
+                        |i, site, r, _| {
+                            let r = SiteResult {
+                                site,
+                                outcome: r.outcome,
+                                fired: r.fired,
+                                detections: r.detections,
+                                detection_latency: r.detection_latency,
+                                cycles: r.cycles,
+                            };
+                            results.lock().expect("worker panicked").push((i, r));
+                        },
                     );
-                    if let (Some(t0), Some(tel)) = (t0, tel.as_mut()) {
-                        tel.record_span(SpanKind::CampaignSite, t0.elapsed().as_nanos() as u64);
-                        tel.add(CounterKind::CampaignSites, 1);
-                        tel.add(CounterKind::CampaignFired, report.fired as u64);
-                        tel.add(
-                            CounterKind::CampaignDetected,
-                            (report.outcome == FaultOutcome::DetectedRecovered) as u64,
-                        );
-                        tel.add(CounterKind::CampaignSimCycles, report.cycles);
-                        tel.record_value(HistKind::CampaignSiteCycles, report.cycles);
-                    }
-                    let r = SiteResult {
-                        site,
-                        outcome: report.outcome,
-                        fired: report.fired,
-                        detections: report.detections,
-                        detection_latency: report.detection_latency,
-                        cycles: report.cycles,
-                    };
-                    results.lock().expect("worker panicked").push((i, r));
                 }
                 if let Some(t) = tel {
                     worker_tels.lock().expect("worker panicked").push(t);
@@ -548,24 +678,15 @@ pub fn run_campaign_telemetry(
         })
         .collect();
 
-    let mut sites: Vec<(usize, InjectionSite)> = Vec::new();
-    for (ci, ctx) in contexts.iter().enumerate() {
-        for &target in targets {
-            sites.extend(
-                enumerate_sites(
-                    ctx.workload.name,
-                    target,
-                    ctx.dynamic,
-                    cfg.sites_per_target,
-                    cfg.seed,
-                )
+    let sites: Vec<(usize, InjectionSite)> = contexts
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, ctx)| {
+            bench_sites(ctx, targets, cfg)
                 .into_iter()
-                .map(|s| (ci, s)),
-            );
-        }
-    }
-
-    let site_results = run_sites(&contexts, &sites, cfg.workers, cfg.max_cycles, tel);
+                .map(move |s| (ci, s))
+        })
+        .collect();
 
     let mut summaries: Vec<TargetSummary> = Vec::new();
     for ctx in &contexts {
@@ -573,6 +694,8 @@ pub fn run_campaign_telemetry(
             summaries.push(TargetSummary::new(ctx.workload.name, target));
         }
     }
+    let site_results = run_sites(contexts, &sites, cfg.workers, cfg.max_cycles, tel);
+
     let per_bench = targets.len();
     for (&(ci, site), r) in sites.iter().zip(&site_results) {
         let ti = targets

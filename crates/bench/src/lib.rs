@@ -32,9 +32,9 @@ use slipstream_cpu::CoreConfig;
 use slipstream_workloads::{suite, Workload};
 
 pub use campaign::{
-    available_workers, enumerate_sites, print_campaign_table, run_campaign, run_campaign_telemetry,
-    target_label, trace_first_detection, CampaignConfig, CampaignResult, InjectionSite,
-    LatencyHistogram, SiteResult, TargetSummary, LATENCY_EDGES, TARGETS,
+    available_workers, enumerate_sites, for_each_forked_site, print_campaign_table, run_campaign,
+    run_campaign_telemetry, target_label, trace_first_detection, CampaignConfig, CampaignResult,
+    InjectionSite, LatencyHistogram, SiteResult, TargetSummary, LATENCY_EDGES, TARGETS,
 };
 pub use fuzz::{
     corpus_entry_text, enumerate_seeds, replay_corpus_dir, replay_corpus_file, run_fuzz,

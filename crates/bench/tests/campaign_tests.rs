@@ -1,8 +1,20 @@
 //! Campaign-subsystem tests: determinism across worker counts, site
-//! enumeration, and the Figure 5 outcome-accounting invariants.
+//! enumeration, the Figure 5 outcome-accounting invariants, equivalence
+//! of forked site runs with runs from cycle 0, and the committed
+//! `BENCH_fault_campaign.json` rows.
 
-use slipstream_bench::{enumerate_sites, run_campaign, CampaignConfig, TARGETS};
-use slipstream_core::{FaultOutcome, FaultTarget};
+use std::path::Path;
+
+use slipstream_bench::{
+    enumerate_sites, for_each_forked_site, json, run_campaign, CampaignConfig, InjectionSite,
+    TARGETS,
+};
+use slipstream_core::{
+    golden_state, run_injected, FaultOutcome, FaultReport, FaultTarget, SlipstreamConfig,
+    SlipstreamProcessor,
+};
+use slipstream_cpu::FaultSpec;
+use slipstream_workloads::benchmark;
 
 /// A small but real two-benchmark campaign for the tests below.
 fn small_cfg(workers: usize) -> CampaignConfig {
@@ -96,4 +108,162 @@ fn outcome_accounting_partitions_sites_and_excludes_not_activated() {
             );
         }
     }
+}
+
+/// Runs `site` from cycle 0 on a fresh processor, the reference every
+/// forked run must reproduce.
+fn from_scratch(cfg: &CampaignConfig, site: &InjectionSite) -> (FaultReport, SlipstreamProcessor) {
+    let program = benchmark(site.bench, cfg.scale)
+        .expect("known benchmark")
+        .program;
+    let golden = golden_state(&program, 4 * cfg.max_cycles);
+    let mut clean = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &program);
+    assert!(clean.run(cfg.max_cycles));
+    let mut proc = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &program);
+    let report = run_injected(
+        &mut proc,
+        site.target,
+        FaultSpec {
+            seq: site.seq,
+            bit: site.bit,
+        },
+        cfg.max_cycles,
+        &golden,
+        clean.misp_log(),
+    );
+    (report, proc)
+}
+
+/// Asserts two finished runs are in the same state: statistics,
+/// misprediction log, and the R-core's registers and memory.
+fn assert_same_run(what: &str, got: &SlipstreamProcessor, want: &SlipstreamProcessor) {
+    assert_eq!(got.stats(), want.stats(), "{what}: stats");
+    assert_eq!(got.misp_log(), want.misp_log(), "{what}: misprediction log");
+    assert_eq!(
+        got.r_core().arch_regs(),
+        want.r_core().arch_regs(),
+        "{what}: R-core registers"
+    );
+    assert_eq!(
+        got.r_core().mem().first_difference(want.r_core().mem()),
+        None,
+        "{what}: R-core memory"
+    );
+}
+
+#[test]
+fn forked_sites_equal_runs_from_cycle_zero() {
+    let cfg = CampaignConfig::smoke();
+    let mut checked = 0;
+    for bench in TEST_BENCHES {
+        for_each_forked_site(&cfg, bench, &TARGETS, |site, report, forked| {
+            let (want_report, want) = from_scratch(&cfg, site);
+            let what = format!(
+                "{} {:?} seq {} bit {}",
+                site.bench, site.target, site.seq, site.bit
+            );
+            assert_same_run(&what, forked, &want);
+            assert_eq!(report.outcome, want_report.outcome, "{what}: outcome");
+            assert_eq!(report.detections, want_report.detections, "{what}");
+            checked += 1;
+        });
+    }
+    assert_eq!(
+        checked,
+        TEST_BENCHES.len() * TARGETS.len() * cfg.sites_per_target
+    );
+}
+
+#[test]
+fn a_leader_finishes_as_if_it_never_forked() {
+    let cfg = CampaignConfig::smoke();
+    let program = benchmark("m88ksim", cfg.scale)
+        .expect("known benchmark")
+        .program;
+    let golden = golden_state(&program, 4 * cfg.max_cycles);
+    let mut clean = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &program);
+    assert!(clean.run(cfg.max_cycles));
+
+    let mut leader = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &program);
+    leader.run(clean.cycles() / 2);
+    for target in TARGETS {
+        let mut fork = leader.clone();
+        let core = match target {
+            FaultTarget::AStream => fork.a_core(),
+            FaultTarget::RStream => fork.r_core(),
+        };
+        let fault = FaultSpec {
+            seq: core.next_seq() + 5,
+            bit: 3,
+        };
+        let report = run_injected(
+            &mut fork,
+            target,
+            fault,
+            cfg.max_cycles,
+            &golden,
+            clean.misp_log(),
+        );
+        assert!(report.fired, "{target:?}: the clone's fault must fire");
+        assert_ne!(fork.stats(), clean.stats(), "{target:?}: the fault shows");
+    }
+    assert!(leader.run(cfg.max_cycles));
+    assert_same_run("leader after two forks", &leader, &clean);
+}
+
+#[test]
+fn committed_campaign_rows_match_regeneration() {
+    // The cheapest benchmark of the committed sweep, at its exact config.
+    const BENCH: &str = "gcc";
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fault_campaign.json");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{} is missing ({e}); run the fault_campaign binary",
+            path.display()
+        )
+    });
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let cfg = CampaignConfig {
+        workers: 1,
+        ..CampaignConfig::full()
+    };
+    let field = |key: &str| {
+        doc.get(key)
+            .and_then(json::Value::as_f64)
+            .unwrap_or_else(|| panic!("{}: no numeric `{key}`", path.display()))
+    };
+    assert_eq!(field("seed"), cfg.seed as f64, "committed seed");
+    assert_eq!(field("scale"), cfg.scale, "committed scale");
+    assert_eq!(
+        field("sites_per_target"),
+        cfg.sites_per_target as f64,
+        "committed sites per target"
+    );
+    let committed: Vec<&json::Value> = doc
+        .get("rows")
+        .and_then(json::Value::as_arr)
+        .unwrap_or_else(|| panic!("{}: no `rows` array", path.display()))
+        .iter()
+        .filter(|row| row.get("bench").and_then(json::Value::as_str) == Some(BENCH))
+        .collect();
+    assert_eq!(
+        committed.len(),
+        TARGETS.len(),
+        "{}: want one {BENCH} row per target",
+        path.display()
+    );
+    let rows = run_campaign(&cfg, &[BENCH], &TARGETS).rows_json();
+    let regenerated = json::parse(&rows).expect("rows_json is valid JSON");
+    let regenerated: Vec<&json::Value> = regenerated
+        .as_arr()
+        .expect("rows_json is an array")
+        .iter()
+        .collect();
+    // Numbers compare as written, so equal values are equal bytes.
+    assert_eq!(
+        regenerated, committed,
+        "{BENCH}'s campaign rows drifted from the committed anchor — if the change is \
+         intentional, re-commit it via `cargo run --release -p slipstream-bench --bin \
+         fault_campaign`"
+    );
 }

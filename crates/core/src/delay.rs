@@ -103,7 +103,7 @@ const CHUNK_MIN_CAP: usize = 128;
 /// works (tests, hand-fed drivers) through an open tail chunk that is
 /// sealed lazily. FIFO order and the data/control occupancy counters are
 /// exactly those of the old flat deque.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DelayBuffer {
     /// Closed chunks in FIFO order; every stored chunk is non-empty.
     chunks: VecDeque<Vec<DelayEntry>>,

@@ -161,7 +161,7 @@ const STORES_SPARE_CAP: usize = 16;
 /// per-evicted-trace removal information from [`IrDetector::pop_output`]
 /// (returning the output to [`IrDetector::recycle`] afterwards) or
 /// [`IrDetector::drain`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IrDetector {
     policy: RemovalPolicy,
     scope_cap: usize,

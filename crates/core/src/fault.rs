@@ -95,17 +95,8 @@ pub fn golden_state(program: &Program, fuel: u64) -> ArchState {
     st
 }
 
-/// Injects one fault and classifies the run against `golden`.
-///
-/// `baseline_misp` is the `(kind, cycle)` IR-misprediction log of a
-/// fault-free run of the same program/config (ordinary mispredicted
-/// removals also trigger detection). Until the fault fires the simulation
-/// is deterministic and its log matches the baseline exactly, so the
-/// first event that differs — in kind *or* cycle — is the fault's
-/// detection. Comparing logs rather than raw counts stays correct when
-/// the fault's detection sits *before* remaining baseline events, and
-/// when post-recovery perturbation adds or removes ordinary events
-/// downstream (a count delta would misclassify both).
+/// Injects one fault into a fresh processor and classifies the run
+/// against `golden` (see [`run_injected`]).
 pub fn run_fault_experiment(
     cfg: SlipstreamConfig,
     program: &Program,
@@ -115,17 +106,8 @@ pub fn run_fault_experiment(
     golden: &ArchState,
     baseline_misp: &[(IrMispKind, u64)],
 ) -> FaultReport {
-    run_fault_experiment_traced(
-        cfg,
-        program,
-        target,
-        fault,
-        max_cycles,
-        golden,
-        baseline_misp,
-        None,
-    )
-    .0
+    let mut proc = SlipstreamProcessor::new(cfg, program);
+    run_injected(&mut proc, target, fault, max_cycles, golden, baseline_misp)
 }
 
 /// [`run_fault_experiment`] with an optional flight recorder: when `trace`
@@ -148,32 +130,79 @@ pub fn run_fault_experiment_traced(
     if let Some(tc) = trace {
         proc.enable_tracing(tc);
     }
+    let report = run_injected(&mut proc, target, fault, max_cycles, golden, baseline_misp);
+    let detection = proc
+        .misp_log()
+        .get(first_divergence(proc.misp_log(), baseline_misp))
+        .copied();
+    let recording = proc.flight_recording().map(|mut rec| {
+        if let Some((kind, det_cycle)) = detection {
+            let (_code, pc) = trace::misp_code(kind);
+            rec.insert_event(TraceEvent {
+                cycle: det_cycle,
+                seq: fault.seq,
+                pc,
+                arg: report.detection_latency.unwrap_or(0),
+                stream: StreamId::Machine,
+                kind: EventKind::FaultDetected,
+            });
+        }
+        rec
+    });
+    (report, recording)
+}
+
+/// Arms `fault` on `proc`, runs it to `max_cycles` and classifies the run
+/// against `golden` — the one classifier behind every fault experiment.
+///
+/// `proc` is either fresh or a fault-free run of the same program that has
+/// not yet dispatched the target instruction (its target core's
+/// `next_seq()` is at most `fault.seq`): a clone of such a run, armed
+/// here, reproduces exactly the run that was armed at cycle 0, because a
+/// not-yet-fired fault changes nothing until its instruction dispatches.
+///
+/// `baseline_misp` is the `(kind, cycle)` IR-misprediction log of a
+/// fault-free run of the same program/config (ordinary mispredicted
+/// removals also trigger detection). Until the fault fires the simulation
+/// is deterministic and its log matches the baseline exactly, so the
+/// first event that differs — in kind *or* cycle — is the fault's
+/// detection. Comparing logs rather than raw counts stays correct when
+/// the fault's detection sits *before* remaining baseline events, and
+/// when post-recovery perturbation adds or removes ordinary events
+/// downstream (a count delta would misclassify both).
+pub fn run_injected(
+    proc: &mut SlipstreamProcessor,
+    target: FaultTarget,
+    fault: FaultSpec,
+    max_cycles: u64,
+    golden: &ArchState,
+    baseline_misp: &[(IrMispKind, u64)],
+) -> FaultReport {
+    let core = match target {
+        FaultTarget::AStream => proc.a_core(),
+        FaultTarget::RStream => proc.r_core(),
+    };
+    assert!(
+        core.next_seq() <= fault.seq,
+        "fault at seq {} armed after its instruction dispatched",
+        fault.seq
+    );
     match target {
         FaultTarget::AStream => proc.arm_fault_a(fault),
         FaultTarget::RStream => proc.arm_fault_r(fault),
     }
     let halted = proc.run(max_cycles);
     let stats = proc.stats();
-    let (fired, fired_cycle) = match target {
-        FaultTarget::AStream => (
-            stats.a_core.faults_injected > 0,
-            stats.a_core.fault_fired_cycle,
-        ),
-        FaultTarget::RStream => (
-            stats.r_core.faults_injected > 0,
-            stats.r_core.fault_fired_cycle,
-        ),
+    let injected = match target {
+        FaultTarget::AStream => &stats.a_core,
+        FaultTarget::RStream => &stats.r_core,
     };
+    let (fired, fired_cycle) = (injected.faults_injected > 0, injected.fault_fired_cycle);
     // First divergence of this run's misprediction log from the baseline
     // log: everything up to `common` is ordinary removal mispredictions
     // (identical kind and cycle); the event at `common`, if any, is the
     // fault's detection, and everything after it is fault-perturbed.
-    let common = proc
-        .misp_log()
-        .iter()
-        .zip(baseline_misp)
-        .take_while(|(a, b)| a == b)
-        .count();
+    let common = first_divergence(proc.misp_log(), baseline_misp);
     let attributed = (proc.misp_log().len() - common) as u64;
     let detection_latency = proc
         .misp_log()
@@ -204,8 +233,7 @@ pub fn run_fault_experiment_traced(
             FaultOutcome::Masked
         }
     };
-    let detection = proc.misp_log().get(common).copied();
-    let report = FaultReport {
+    FaultReport {
         outcome,
         fired,
         fired_cycle,
@@ -213,20 +241,11 @@ pub fn run_fault_experiment_traced(
         total_detections: stats.ir_mispredictions,
         detection_latency,
         cycles: stats.cycles,
-    };
-    let recording = proc.flight_recording().map(|mut rec| {
-        if let Some((kind, det_cycle)) = detection {
-            let (_code, pc) = trace::misp_code(kind);
-            rec.insert_event(TraceEvent {
-                cycle: det_cycle,
-                seq: fault.seq,
-                pc,
-                arg: report.detection_latency.unwrap_or(0),
-                stream: StreamId::Machine,
-                kind: EventKind::FaultDetected,
-            });
-        }
-        rec
-    });
-    (report, recording)
+    }
+}
+
+/// Length of the common prefix of a run's misprediction log and the
+/// fault-free baseline log.
+fn first_divergence(log: &[(IrMispKind, u64)], baseline: &[(IrMispKind, u64)]) -> usize {
+    log.iter().zip(baseline).take_while(|(a, b)| a == b).count()
 }

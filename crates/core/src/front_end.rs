@@ -158,6 +158,7 @@ impl FrontEndStats {
 
 /// A control-flow front end driving one core from the shared trace
 /// predictor, optionally reduced by the IR-predictor (A-stream mode).
+#[derive(Clone)]
 pub struct TraceFrontEnd {
     program: Program,
     /// The next-trace predictor (the paper drives *all* models with it).
@@ -828,9 +829,9 @@ impl TraceFrontEnd {
     /// Snapshots the per-window mutable state for the slack-window
     /// scheduler's checkpoint/replay. Must be taken at a sync boundary:
     /// the learning queue and retirement output buffers are empty there,
-    /// so the (multi-megabyte) predictor tables, removal table, retired
-    /// history, and trace cache are *frozen* for the whole window and need
-    /// no copy — only the cheap speculative state is saved.
+    /// so the predictor tables, removal table, retired history, and trace
+    /// cache are *frozen* for the whole window and need no copy — only the
+    /// cheap speculative state is saved.
     pub fn checkpoint(&self) -> FeCheckpoint {
         debug_assert!(self.train_q.is_empty(), "checkpoint off-boundary");
         debug_assert!(self.out_entries.is_empty() && self.out_commits.is_empty());
@@ -914,6 +915,7 @@ impl TraceFrontEnd {
 
 /// A boundary snapshot of [`TraceFrontEnd`] speculative state (see
 /// [`TraceFrontEnd::checkpoint`]).
+#[derive(Clone)]
 pub struct FeCheckpoint {
     spec_hist: PathHistory,
     ready: VecDeque<FetchItem>,

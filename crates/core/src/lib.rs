@@ -30,8 +30,8 @@ pub use config::{RemovalPolicy, SlipstreamConfig};
 pub use delay::{DelayBuffer, DelayEntry, TraceCommit};
 pub use detector::{DetectorOutput, IrDetector};
 pub use fault::{
-    golden_state, run_fault_experiment, run_fault_experiment_traced, FaultOutcome, FaultReport,
-    FaultTarget,
+    golden_state, run_fault_experiment, run_fault_experiment_traced, run_injected, FaultOutcome,
+    FaultReport, FaultTarget,
 };
 pub use front_end::{FeCheckpoint, FrontEndStats, TraceFrontEnd};
 pub use ir_table::{IrTable, RemovalInfo};

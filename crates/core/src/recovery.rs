@@ -24,7 +24,7 @@ use slipstream_isa::{MemWidth, Memory, NUM_REGS};
 
 /// Tracks potentially-corrupted A-stream memory locations and repairs the
 /// A-stream context from the R-stream context.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryController {
     /// (addr, width) → outstanding count: A-retired, R-companion pending.
     undo: FastHashMap<(u64, MemWidth), u32>,

@@ -43,6 +43,7 @@ pub enum IrMispKind {
 
 /// The R-stream driver: owns the delay buffer's consumer end and the
 /// IR-detector.
+#[derive(Clone)]
 pub struct RStreamDriver {
     /// The delay buffer (producer side filled by the harness from the
     /// A-stream's retirement outbox).

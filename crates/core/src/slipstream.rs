@@ -137,7 +137,7 @@ pub struct SlipstreamStats {
 /// modes a window's batches exist *outside* the delay buffer until the
 /// R-stream pushes them in — capacity accounting happens on the A side via
 /// the boundary credit budget, mirroring the real buffer's limits.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct CycleBatch {
     cycle: u64,
     entries: Vec<DelayEntry>,
@@ -225,6 +225,7 @@ enum Report {
 /// The leading core and its front end: everything the A-stream touches
 /// while running a window, plus the boundary credit budget that stands in
 /// for live delay-buffer back-pressure.
+#[derive(Clone)]
 struct AHalf {
     core: Core,
     fe: TraceFrontEnd,
@@ -247,6 +248,7 @@ struct AHalf {
 }
 
 /// A boundary snapshot of the A side, for rollback-and-replay recovery.
+#[derive(Clone)]
 struct ACheckpoint {
     core: Core,
     fe: FeCheckpoint,
@@ -409,6 +411,7 @@ impl AHalf {
 /// recovery controller, the online checker, the misprediction log, and the
 /// machine-level flight recorder (all of which observe committed —
 /// R-retired — state only, so they never roll back).
+#[derive(Clone)]
 struct RHalf {
     core: Core,
     drv: RStreamDriver,
@@ -465,6 +468,7 @@ fn tel_span(tel: &mut Option<Box<Telemetry>>, kind: SpanKind, start: Option<Inst
 }
 
 /// Machine-level observability state, present only while tracing.
+#[derive(Clone)]
 struct MachineTrace {
     /// Sink for cross-stream events (delay traffic, IR-misps, recovery).
     sink: TraceSink,
@@ -816,6 +820,11 @@ fn a_stream_thread(
 }
 
 /// A slipstream processor built from two identical cores.
+///
+/// `Clone` is a deep copy (memory pages are copy-on-write): a clone runs
+/// on independently of its source, which is how fault campaigns fork
+/// each injection site from a fault-free leader.
+#[derive(Clone)]
 pub struct SlipstreamProcessor {
     cfg: SlipstreamConfig,
     program: Program,

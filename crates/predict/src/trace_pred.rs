@@ -1,5 +1,7 @@
 use std::collections::VecDeque;
 
+use slipstream_isa::FastHashMap;
+
 use crate::trace::TraceId;
 
 /// Configuration for [`TracePredictor`] (defaults follow paper Table 2).
@@ -164,21 +166,34 @@ struct Entry {
 /// are performed by the caller at trace retirement, so the *delayed
 /// update* effect the paper measures (Table 3) arises naturally from how
 /// far retirement lags fetch.
+///
+/// Both tables are sparse: a map from table index to entry, where an
+/// absent index is an empty slot. A run occupies a few thousand of the
+/// 2^16 slots, so a fresh predictor owns no table memory and a clone
+/// copies only the trained entries.
 #[derive(Debug, Clone)]
 pub struct TracePredictor {
     cfg: TracePredictorConfig,
-    correlated: Vec<Option<Entry>>,
-    simple: Vec<Option<Entry>>,
+    correlated: FastHashMap<u32, Entry>,
+    simple: FastHashMap<u32, Entry>,
     stats: TracePredictorStats,
 }
 
 impl TracePredictor {
     /// Creates a predictor with the given table configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either table is configured wider than 32 index bits.
     pub fn new(cfg: TracePredictorConfig) -> TracePredictor {
+        assert!(
+            cfg.correlated_bits <= 32 && cfg.simple_bits <= 32,
+            "trace-predictor tables are indexed by u32"
+        );
         TracePredictor {
             cfg,
-            correlated: vec![None; 1 << cfg.correlated_bits],
-            simple: vec![None; 1 << cfg.simple_bits],
+            correlated: FastHashMap::default(),
+            simple: FastHashMap::default(),
             stats: TracePredictorStats::default(),
         }
     }
@@ -210,14 +225,14 @@ impl TracePredictor {
     /// constructing a trace statically.
     pub fn predict(&mut self, hist: &PathHistory) -> Option<TraceId> {
         let (ci, ctag) = self.correlated_index(hist);
-        if let Some(e) = &self.correlated[ci] {
+        if let Some(e) = self.correlated.get(&ci) {
             if e.tag == ctag {
                 self.stats.from_correlated += 1;
                 return Some(e.pred);
             }
         }
         let (si, stag) = self.simple_index(hist);
-        if let Some(e) = &self.simple[si] {
+        if let Some(e) = self.simple.get(&si) {
             if e.tag == stag {
                 self.stats.from_simple += 1;
                 return Some(e.pred);
@@ -232,12 +247,12 @@ impl TracePredictor {
     pub fn update(&mut self, hist: &PathHistory, actual: TraceId) {
         self.stats.traces += 1;
         let (ci, ctag) = self.correlated_index(hist);
-        update_entry(&mut self.correlated[ci], ctag, actual);
+        update_entry(&mut self.correlated, ci, ctag, actual);
         let (si, stag) = self.simple_index(hist);
-        update_entry(&mut self.simple[si], stag, actual);
+        update_entry(&mut self.simple, si, stag, actual);
     }
 
-    fn correlated_index(&self, hist: &PathHistory) -> (usize, u16) {
+    fn correlated_index(&self, hist: &PathHistory) -> (u32, u16) {
         // DOLC-flavoured hash: the most recent trace id contributes full
         // bits; each older id is shifted right so it contributes fewer.
         let mut acc: u64 = 0xabcd_ef01_2345_6789;
@@ -245,14 +260,14 @@ impl TracePredictor {
             acc ^= h >> (age as u32 * 5);
             acc = acc.rotate_left(11);
         }
-        let mask = (1usize << self.cfg.correlated_bits) - 1;
-        ((acc as usize) & mask, (acc >> 48) as u16)
+        let mask = (1u64 << self.cfg.correlated_bits) - 1;
+        ((acc & mask) as u32, (acc >> 48) as u16)
     }
 
-    fn simple_index(&self, hist: &PathHistory) -> (usize, u16) {
+    fn simple_index(&self, hist: &PathHistory) -> (u32, u16) {
         let h = hist.newest().unwrap_or(0x5555_aaaa);
-        let mask = (1usize << self.cfg.simple_bits) - 1;
-        (((h ^ (h >> 17)) as usize) & mask, (h >> 48) as u16)
+        let mask = (1u64 << self.cfg.simple_bits) - 1;
+        (((h ^ (h >> 17)) & mask) as u32, (h >> 48) as u16)
     }
 }
 
@@ -262,8 +277,8 @@ impl Default for TracePredictor {
     }
 }
 
-fn update_entry(slot: &mut Option<Entry>, tag: u16, actual: TraceId) {
-    match slot {
+fn update_entry(table: &mut FastHashMap<u32, Entry>, index: u32, tag: u16, actual: TraceId) {
+    match table.get_mut(&index) {
         Some(e) if e.tag == tag => {
             if e.pred == actual {
                 e.ctr = (e.ctr + 1).min(3);
@@ -287,11 +302,14 @@ fn update_entry(slot: &mut Option<Entry>, tag: u16, actual: TraceId) {
             }
         }
         None => {
-            *slot = Some(Entry {
-                tag,
-                pred: actual,
-                ctr: 1,
-            })
+            table.insert(
+                index,
+                Entry {
+                    tag,
+                    pred: actual,
+                    ctr: 1,
+                },
+            );
         }
     }
 }
@@ -360,9 +378,67 @@ mod tests {
     #[test]
     fn cold_predictor_returns_none() {
         let mut pred = TracePredictor::default();
-        let hist = pred.new_history();
+        let mut hist = pred.new_history();
         assert_eq!(pred.predict(&hist), None);
-        assert_eq!(pred.stats().no_prediction, 1);
+        hist.push(tid(0x40, 1, 1, 8));
+        assert_eq!(pred.predict(&hist), None, "a cold table misses everywhere");
+        let s = pred.stats();
+        assert_eq!(s.no_prediction, 2);
+        assert_eq!(s.from_correlated + s.from_simple, 0);
+        assert!(pred.correlated.is_empty() && pred.simple.is_empty());
+    }
+
+    #[test]
+    fn tag_conflict_is_arbitrated_by_the_two_bit_counter() {
+        // Two contexts that share a slot but not a tag: the resident entry
+        // loses one counter step per conflicting update and is replaced
+        // (counter 1) only once its counter has reached 0.
+        let mut table = FastHashMap::default();
+        let (a, b) = (tid(0x10, 0, 0, 4), tid(0x20, 0, 0, 4));
+        let slot = 7;
+        update_entry(&mut table, slot, 0xaaaa, a); // allocate, ctr 1
+        update_entry(&mut table, slot, 0xaaaa, a); // ctr 2
+        update_entry(&mut table, slot, 0xaaaa, a); // ctr 3
+        update_entry(&mut table, slot, 0xaaaa, a); // saturates at 3
+        let resident = |t: &FastHashMap<u32, Entry>| {
+            let e = t[&slot];
+            (e.tag, e.pred, e.ctr)
+        };
+        assert_eq!(resident(&table), (0xaaaa, a, 3));
+        for ctr in [2, 1, 0] {
+            update_entry(&mut table, slot, 0xbbbb, b);
+            assert_eq!(resident(&table), (0xaaaa, a, ctr), "conflict decays");
+        }
+        update_entry(&mut table, slot, 0xbbbb, b);
+        assert_eq!(resident(&table), (0xbbbb, b, 1), "replaced at counter 0");
+        // A same-tag disagreement decays, then retargets at counter 0.
+        update_entry(&mut table, slot, 0xbbbb, a);
+        assert_eq!(resident(&table), (0xbbbb, b, 0));
+        update_entry(&mut table, slot, 0xbbbb, a);
+        assert_eq!(resident(&table), (0xbbbb, a, 1));
+        assert_eq!(table.len(), 1, "one slot, one entry");
+    }
+
+    #[test]
+    fn a_clone_trains_independently_of_its_source() {
+        let mut src = TracePredictor::default();
+        let seq: Vec<TraceId> = (0..6)
+            .map(|i| tid(0x1000 + i * 0x40, i as u32, 2, 16))
+            .collect();
+        learn_sequence(&mut src, &seq, 4);
+        let mut fork = src.clone();
+        // Train the clone on a different successor for every context.
+        let junk: Vec<TraceId> = (0..6).map(|i| tid(0x9000 + i * 0x40, 0, 0, 8)).collect();
+        learn_sequence(&mut fork, &junk, 8);
+        let mut hist = src.new_history();
+        for &t in &seq {
+            assert_eq!(
+                src.predict(&hist),
+                Some(t),
+                "the source keeps its own training"
+            );
+            hist.push(t);
+        }
     }
 
     #[test]
