@@ -4,7 +4,8 @@
 //! Sweeps thousands of seeded `random_program`s across a worker pool; each
 //! program is checked against the standard invariant battery (cycle-level
 //! core vs oracle, slipstream under every removal policy with strict +
-//! online checks, stats sanity). Violations are delta-debugged down to
+//! online checks, stats sanity, cycle accounting), one simulation per
+//! slipstream configuration. Violations are delta-debugged down to
 //! minimal reproducers and printed as assembly; `--emit-corpus` writes
 //! them into the regression corpus at `crates/bench/corpus/`.
 //!
@@ -13,6 +14,10 @@
 //!                   [--smoke] [--scaling-probe] [--emit-corpus] [--trace]
 //!                   [--corpus DIR] [--replay PATH] [--telemetry PATH]
 //! ```
+//!
+//! A malformed command line — an unknown flag, a missing value, or a
+//! value that is not an integer where one is expected — prints the usage
+//! and exits with status 2.
 //!
 //! `--smoke` runs the reduced-scale CI gate (≤ 10 s): same code path,
 //! fewer seeds, smaller programs, corpus replay included, sanity
@@ -40,85 +45,91 @@ use slipstream_core::telemetry::{RunManifest, Telemetry};
 /// The checked-in regression corpus, relative to the workspace root.
 const DEFAULT_CORPUS: &str = "crates/bench/corpus";
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str =
+    "usage: differential_fuzz [--seeds N] [--workers W] [--seed X] [--out PATH]\n       \
+                     [--smoke] [--scaling-probe] [--emit-corpus] [--trace]\n       \
+                     [--corpus DIR] [--replay PATH] [--telemetry PATH]";
+
+/// The command line.
+struct Args {
+    cfg: FuzzConfig,
+    smoke: bool,
+    out: Option<String>,
+    corpus: PathBuf,
+    emit_corpus: bool,
+    trace: bool,
+    scaling_probe: bool,
+    replay: Option<PathBuf>,
+    tel_path: Option<String>,
+}
+
+/// A flag's integer value.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: not an integer: {value:?}"))
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     // `--smoke` selects the *base* config regardless of where it appears
     // on the command line; every explicit flag then overlays it, so flag
     // behavior is order-independent.
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut cfg = if smoke {
-        FuzzConfig::smoke()
-    } else {
-        FuzzConfig::full()
+    let smoke = argv.iter().any(|a| a == "--smoke");
+    let mut args = Args {
+        cfg: if smoke {
+            FuzzConfig::smoke()
+        } else {
+            FuzzConfig::full()
+        },
+        smoke,
+        out: (!smoke).then(|| "BENCH_fuzz.json".to_string()),
+        corpus: corpus_dir(),
+        emit_corpus: false,
+        trace: false,
+        scaling_probe: false,
+        replay: None,
+        tel_path: None,
     };
-    let mut out: Option<String> = if smoke {
-        None
-    } else {
-        Some("BENCH_fuzz.json".to_string())
-    };
-    let mut corpus = corpus_dir();
-    let mut emit_corpus = false;
-    let mut trace = false;
-    let mut scaling_probe = false;
-    let mut replay: Option<PathBuf> = None;
-    let mut tel_path: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--smoke" => {
-                i += 1;
-            }
-            "--seeds" => {
-                cfg.seeds = value(i).parse().expect("--seeds: integer");
-                i += 2;
-            }
-            "--workers" => {
-                cfg.workers = value(i)
-                    .parse::<usize>()
-                    .expect("--workers: integer")
-                    .max(1);
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = value(i).parse().expect("--seed: integer");
-                i += 2;
-            }
-            "--out" => {
-                out = Some(value(i).clone());
-                i += 2;
-            }
-            "--corpus" => {
-                corpus = PathBuf::from(value(i));
-                i += 2;
-            }
-            "--emit-corpus" => {
-                emit_corpus = true;
-                i += 1;
-            }
-            "--trace" => {
-                trace = true;
-                i += 1;
-            }
-            "--scaling-probe" => {
-                scaling_probe = true;
-                i += 1;
-            }
-            "--replay" => {
-                replay = Some(PathBuf::from(value(i)));
-                i += 2;
-            }
-            "--telemetry" => {
-                tel_path = Some(value(i).clone());
-                i += 2;
-            }
-            other => panic!("unknown argument {other}"),
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--smoke" => {}
+            "--seeds" => args.cfg.seeds = number(flag, value()?)?,
+            "--workers" => args.cfg.workers = number::<usize>(flag, value()?)?.max(1),
+            "--seed" => args.cfg.seed = number(flag, value()?)?,
+            "--out" => args.out = Some(value()?.clone()),
+            "--corpus" => args.corpus = PathBuf::from(value()?),
+            "--emit-corpus" => args.emit_corpus = true,
+            "--trace" => args.trace = true,
+            "--scaling-probe" => args.scaling_probe = true,
+            "--replay" => args.replay = Some(PathBuf::from(value()?)),
+            "--telemetry" => args.tel_path = Some(value()?.clone()),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    Ok(args)
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        cfg,
+        smoke,
+        out,
+        corpus,
+        emit_corpus,
+        trace,
+        scaling_probe,
+        replay,
+        tel_path,
+    } = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("differential_fuzz: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     if let Some(path) = replay {
         return replay_only(&path);
@@ -305,4 +316,46 @@ fn full_json(result: &FuzzResult) -> String {
         throughput,
         result.rows_json(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&argv)
+    }
+
+    /// Flags overlay the base config in any order; bad numbers and
+    /// unknown or missing arguments are errors (main prints the usage,
+    /// exits 2).
+    #[test]
+    fn command_lines_outside_the_usage_are_errors() {
+        let ok = parse("--seeds 9 --workers 0 --seed 7 --smoke").unwrap();
+        assert_eq!((ok.cfg.seeds, ok.cfg.workers, ok.cfg.seed), (9, 1, 7));
+        assert!(ok.smoke && ok.out.is_none());
+        assert_eq!(ok.cfg.prog.chunks, FuzzConfig::smoke().prog.chunks);
+        let full = parse("--emit-corpus --trace --scaling-probe").unwrap();
+        assert_eq!(full.out.as_deref(), Some("BENCH_fuzz.json"));
+        assert!(full.emit_corpus && full.trace && full.scaling_probe && !full.smoke);
+        let paths = parse("--out o.json --corpus c --replay r.ssir --telemetry t.jsonl").unwrap();
+        assert_eq!(paths.out.as_deref(), Some("o.json"));
+        assert_eq!(paths.corpus, PathBuf::from("c"));
+        assert_eq!(paths.replay, Some(PathBuf::from("r.ssir")));
+        assert_eq!(paths.tel_path.as_deref(), Some("t.jsonl"));
+        for (line, want) in [
+            ("--seeds x", "--seeds: not an integer"),
+            ("--seeds -1", "--seeds: not an integer"),
+            ("--workers 2.5", "--workers: not an integer"),
+            ("--seed 0xf022", "--seed: not an integer"),
+            ("--seeds", "--seeds needs a value"),
+            ("--smoke --replay", "--replay needs a value"),
+            ("--verbose", "unknown argument --verbose"),
+            ("corpus.ssir", "unknown argument corpus.ssir"),
+        ] {
+            let e = parse(line).map(|_| ()).expect_err(line);
+            assert!(e.contains(want), "{line:?}: {e}");
+        }
+    }
 }

@@ -3,12 +3,15 @@
 //! The campaign sweeps thousands of [`random_program`] seeds; for each
 //! generated program it computes the functional oracle's final state once
 //! and then checks every [`Invariant`] in
-//! [`slipstream_core::standard_invariants`] against it — the cycle-level
-//! core, the full slipstream pair under each removal policy (strict +
-//! online checker engaged), and end-of-run stats sanity. Any violation is
-//! immediately minimized by the delta-debugging [`shrink`] pass and
-//! reported with the minimal program's assembly, ready to be checked into
-//! the regression corpus under `crates/bench/corpus/`.
+//! [`slipstream_core::standard_invariants`] against it through
+//! [`check_all`] — the cycle-level core, the full slipstream pair under
+//! each removal policy (strict + online checker engaged), end-of-run stats
+//! sanity and exact cycle accounting, with each distinct slipstream
+//! configuration simulated once and judged by every invariant that names
+//! it. Any violation is immediately minimized by the delta-debugging
+//! [`shrink`] pass, which re-runs only the violated invariant's own
+//! `check`, and reported with the minimal program's assembly, ready to be
+//! checked into the regression corpus under `crates/bench/corpus/`.
 //!
 //! Determinism mirrors `campaign.rs`: seed enumeration depends only on the
 //! master seed, every per-seed check (and its shrink, which re-runs the
@@ -26,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use slipstream_core::{standard_invariants, Invariant};
+use slipstream_core::{check_all, standard_invariants, Invariant};
 use slipstream_isa::{assemble, ArchState, Program};
 use slipstream_telemetry::{CounterKind, GaugeKind, HistKind, SpanKind, Telemetry};
 use slipstream_workloads::{random_program_with_shape, RandProgConfig, XorShift64Star};
@@ -241,13 +244,14 @@ fn check_seed(
             rows: invariants.iter().map(|_| None).collect(),
         };
     };
-    let rows = invariants
-        .iter()
-        .map(|inv| {
-            if let Some(tel) = tel.as_deref_mut() {
-                tel.add(CounterKind::FuzzChecks, 1);
-            }
-            let detail = inv.check(&program, &golden, cfg.max_cycles).err()?;
+    if let Some(tel) = tel.as_deref_mut() {
+        tel.add(CounterKind::FuzzChecks, invariants.len() as u64);
+    }
+    let rows = check_all(invariants, &program, &golden, cfg.max_cycles)
+        .into_iter()
+        .zip(invariants)
+        .map(|(result, inv)| {
+            let detail = result.err()?;
             // Minimize against the *same* invariant. A candidate only
             // counts as failing if it still terminates functionally —
             // shrinking must not wander into non-terminating programs.
@@ -450,17 +454,19 @@ pub fn write_corpus_traced(
 }
 
 /// Replays one corpus entry: assembles it, runs the functional oracle,
-/// and checks the full standard invariant battery. A corpus entry records
-/// a *fixed* historical bug, so replay demands every invariant now holds;
-/// any failure is a regression.
+/// and checks the full standard invariant battery with [`check_all`],
+/// reporting the first invariant in battery order that fails. A corpus
+/// entry records a *fixed* historical bug, so replay demands every
+/// invariant now holds; any failure is a regression.
 pub fn replay_corpus_file(path: &Path) -> Result<(), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let program = assemble(&src).map_err(|e| format!("{}: {e}", path.display()))?;
     let golden = oracle(&program, 3_000_000)
         .map_err(|()| format!("{}: program does not terminate", path.display()))?;
-    for inv in standard_invariants() {
-        inv.check(&program, &golden, MAX_CYCLES)
-            .map_err(|e| format!("{}: {} regressed: {e}", path.display(), inv.name()))?;
+    let invariants = standard_invariants();
+    let results = check_all(&invariants, &program, &golden, MAX_CYCLES);
+    for (inv, result) in invariants.iter().zip(results) {
+        result.map_err(|e| format!("{}: {} regressed: {e}", path.display(), inv.name()))?;
     }
     Ok(())
 }

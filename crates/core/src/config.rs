@@ -21,7 +21,7 @@ pub struct RemovalPolicy {
 
 impl RemovalPolicy {
     /// The paper's default: remove everything removable.
-    pub fn all() -> RemovalPolicy {
+    pub const fn all() -> RemovalPolicy {
         RemovalPolicy {
             branches: true,
             dead_writes: true,

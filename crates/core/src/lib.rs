@@ -23,8 +23,8 @@ pub mod trace;
 
 pub use baseline::{run_superscalar, run_superscalar_with_core, BaselineStats};
 pub use check::{
-    catch_check, standard_invariants, CoreOracle, CycleAccounting, Invariant, SlipstreamOracle,
-    StatsSanity,
+    catch_check, check_all, standard_invariants, CoreOracle, CycleAccounting, Invariant, RunKey,
+    SlipstreamOracle, StatsSanity,
 };
 pub use config::{RemovalPolicy, SlipstreamConfig};
 pub use delay::{DelayBuffer, DelayEntry, TraceCommit};

@@ -424,7 +424,10 @@ fn parse_imm(tok: &str, line: usize) -> Result<i64, AsmError> {
         body.replace('_', "").parse::<i64>()
     };
     match parsed {
-        Ok(v) => Ok(if neg { -v } else { v }),
+        Ok(v) if neg => v
+            .checked_neg()
+            .ok_or_else(|| err(line, format!("immediate `{tok}` out of range"))),
+        Ok(v) => Ok(v),
         Err(_) => Err(err(line, format!("invalid immediate `{tok}`"))),
     }
 }
@@ -447,6 +450,7 @@ fn parse_operand(tok: &str, line: usize) -> Result<Operand, AsmError> {
     if let Some(open) = tok.find('(') {
         let close = tok
             .rfind(')')
+            .filter(|&close| close > open)
             .ok_or_else(|| err(line, format!("unclosed `(` in `{tok}`")))?;
         let off_str = tok[..open].trim();
         let base_str = tok[open + 1..close].trim();
@@ -662,5 +666,27 @@ mod tests {
     fn error_org_after_code() {
         let e = assemble("nop\n.org 0x4000").unwrap_err();
         assert!(e.msg.contains(".org"));
+    }
+
+    #[test]
+    fn error_parentheses_out_of_order() {
+        for src in ["lw r1, )r2(", "lw r1, 4)r2(", "sw r1, 8)(r2"] {
+            let e = assemble(src).unwrap_err();
+            assert!(e.msg.contains("unclosed `(`"), "{src}: {e}");
+        }
+    }
+
+    #[test]
+    fn error_negated_immediate_overflows() {
+        let e = assemble("li r1, -0x8000000000000000").unwrap_err();
+        assert!(e.msg.contains("out of range"), "{e}");
+        let p = assemble("li r1, -0x7fffffffffffffff").unwrap();
+        assert_eq!(
+            p.instrs()[0],
+            Instr::Li {
+                d: Reg::new(1),
+                imm: -i64::MAX
+            }
+        );
     }
 }
