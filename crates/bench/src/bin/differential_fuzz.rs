@@ -36,8 +36,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use slipstream_bench::{
-    corpus_entry_text, json, replay_corpus_dir, replay_corpus_file, run_fuzz, run_fuzz_telemetry,
-    to_jsonl, write_corpus_traced, FuzzConfig, FuzzResult,
+    command_line, corpus_entry_text, json, replay_corpus_dir, replay_corpus_file, run_fuzz,
+    run_fuzz_telemetry, to_jsonl, write_corpus_traced, FuzzConfig, FuzzResult,
 };
 use slipstream_core::standard_invariants;
 use slipstream_core::telemetry::{RunManifest, Telemetry};
@@ -112,7 +112,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let Args {
         cfg,
         smoke,
@@ -123,13 +122,7 @@ fn main() -> ExitCode {
         scaling_probe,
         replay,
         tel_path,
-    } = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("differential_fuzz: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    } = command_line(parse_args, USAGE);
 
     if let Some(path) = replay {
         return replay_only(&path);

@@ -32,101 +32,80 @@
 use std::path::PathBuf;
 
 use slipstream_bench::{
-    json, print_campaign_table, run_campaign, run_campaign_telemetry, target_label, to_jsonl,
-    trace_first_detection, write_run, CampaignConfig, CampaignResult, RunFile, TARGETS,
+    command_line, json, parse_number, parse_scale, print_campaign_table, run_campaign,
+    run_campaign_telemetry, target_label, to_jsonl, trace_first_detection, write_run,
+    CampaignConfig, CampaignResult, RunFile, TARGETS,
 };
 use slipstream_core::telemetry::{RunManifest, Telemetry};
 use slipstream_core::{ExecMode, FaultTarget, TraceConfig};
 use slipstream_workloads::BENCHMARK_NAMES;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: fault_campaign [--sites N] [--workers W] [--scale S] [--seed X] \
+                     [--out PATH] [--smoke] [--scaling-probe] [--trace DIR] \
+                     [--trace-bench NAME] [--ring N] [--metrics-interval N] [--telemetry PATH]";
+
+/// The command line.
+struct Args {
+    cfg: CampaignConfig,
+    out: Option<String>,
+    smoke: bool,
+    scaling_probe: bool,
+    trace_dir: Option<PathBuf>,
+    trace_bench: &'static str,
+    ring: usize,
+    metrics_interval: u64,
+    tel_path: Option<String>,
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     // `--smoke` selects the *base* config regardless of where it appears
     // on the command line; every explicit flag then overlays it, so flag
     // behavior is order-independent.
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut cfg = if smoke {
-        CampaignConfig::smoke()
-    } else {
-        CampaignConfig::full()
+    let smoke = argv.iter().any(|a| a == "--smoke");
+    let mut args = Args {
+        cfg: if smoke {
+            CampaignConfig::smoke()
+        } else {
+            CampaignConfig::full()
+        },
+        out: (!smoke).then(|| "BENCH_fault_campaign.json".to_string()),
+        smoke,
+        scaling_probe: false,
+        trace_dir: None,
+        trace_bench: BENCHMARK_NAMES[0],
+        ring: 65_536,
+        metrics_interval: 0,
+        tel_path: None,
     };
-    let mut out: Option<String> = if smoke {
-        None
-    } else {
-        Some("BENCH_fault_campaign.json".to_string())
-    };
-    let mut scaling_probe = false;
-    let mut trace_dir: Option<PathBuf> = None;
-    let mut trace_bench = BENCHMARK_NAMES[0];
-    let mut ring = 65_536usize;
-    let mut metrics_interval = 0u64;
-    let mut tel_path: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--smoke" => {
-                i += 1;
-            }
-            "--sites" => {
-                cfg.sites_per_target = value(i).parse().expect("--sites: integer");
-                i += 2;
-            }
-            "--workers" => {
-                cfg.workers = value(i)
-                    .parse::<usize>()
-                    .expect("--workers: integer")
-                    .max(1);
-                i += 2;
-            }
-            "--scale" => {
-                cfg.scale = value(i).parse().expect("--scale: number");
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = value(i).parse().expect("--seed: integer");
-                i += 2;
-            }
-            "--out" => {
-                out = Some(value(i).clone());
-                i += 2;
-            }
-            "--scaling-probe" => {
-                scaling_probe = true;
-                i += 1;
-            }
-            "--trace" => {
-                trace_dir = Some(PathBuf::from(value(i)));
-                i += 2;
-            }
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--smoke" => {}
+            "--sites" => args.cfg.sites_per_target = parse_number(flag, value()?)?,
+            "--workers" => args.cfg.workers = parse_number::<usize>(flag, value()?)?.max(1),
+            "--scale" => args.cfg.scale = parse_scale(flag, value()?)?,
+            "--seed" => args.cfg.seed = parse_number(flag, value()?)?,
+            "--out" => args.out = Some(value()?.clone()),
+            "--scaling-probe" => args.scaling_probe = true,
+            "--trace" => args.trace_dir = Some(PathBuf::from(value()?)),
             "--trace-bench" => {
-                let name = value(i).as_str();
-                trace_bench = BENCHMARK_NAMES
-                    .iter()
-                    .copied()
-                    .find(|b| *b == name)
-                    .unwrap_or_else(|| panic!("unknown benchmark {name}"));
-                i += 2;
+                let name = value()?;
+                let known = BENCHMARK_NAMES.iter().find(|b| *b == name);
+                args.trace_bench = known.ok_or(format!("{flag}: unknown benchmark {name:?}"))?;
             }
-            "--ring" => {
-                ring = value(i).parse().expect("--ring: integer");
-                i += 2;
-            }
-            "--metrics-interval" => {
-                metrics_interval = value(i).parse().expect("--metrics-interval: integer");
-                i += 2;
-            }
-            "--telemetry" => {
-                tel_path = Some(value(i).clone());
-                i += 2;
-            }
-            other => panic!("unknown argument {other}"),
+            "--ring" => args.ring = parse_number(flag, value()?)?,
+            "--metrics-interval" => args.metrics_interval = parse_number(flag, value()?)?,
+            "--telemetry" => args.tel_path = Some(value()?.clone()),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    Ok(args)
+}
+
+fn main() {
+    let args = command_line(parse_args, USAGE);
+    let cfg = &args.cfg;
 
     eprintln!(
         "fault campaign: {} benchmarks x {} targets x {} sites (scale {}, seed {:#x}, {} workers)",
@@ -137,11 +116,11 @@ fn main() {
         cfg.seed,
         cfg.workers,
     );
-    let mut tel = tel_path.as_ref().map(|_| Telemetry::new());
-    let result = run_campaign_telemetry(&cfg, &BENCHMARK_NAMES, &TARGETS, tel.as_mut());
+    let mut tel = args.tel_path.as_ref().map(|_| Telemetry::new());
+    let result = run_campaign_telemetry(cfg, &BENCHMARK_NAMES, &TARGETS, tel.as_mut());
     print_campaign_table(&result);
 
-    if let (Some(path), Some(tel)) = (&tel_path, &tel) {
+    if let (Some(path), Some(tel)) = (&args.tel_path, &tel) {
         let manifest = RunManifest::new("fault_campaign", "campaign", &format!("{cfg:?}"))
             .label("workers", cfg.workers)
             .label("sites_per_target", cfg.sites_per_target)
@@ -152,21 +131,22 @@ fn main() {
         eprintln!("wrote {path}");
     }
 
-    if smoke {
+    if args.smoke {
         smoke_assertions(&result);
         println!("smoke campaign OK");
     }
 
-    if scaling_probe {
-        probe_scaling(&cfg);
+    if args.scaling_probe {
+        probe_scaling(cfg);
     }
 
-    if let Some(dir) = trace_dir {
-        dump_detection_traces(&cfg, trace_bench, &dir, ring, metrics_interval);
+    if let Some(dir) = &args.trace_dir {
+        let (bench, ring, interval) = (args.trace_bench, args.ring, args.metrics_interval);
+        dump_detection_traces(cfg, bench, dir, ring, interval);
     }
 
-    if let Some(path) = out {
-        std::fs::write(&path, full_json(&result)).expect("write campaign JSON");
+    if let Some(path) = &args.out {
+        std::fs::write(path, full_json(&result)).expect("write campaign JSON");
         eprintln!("wrote {path}");
     }
 }
@@ -318,4 +298,40 @@ fn full_json(result: &CampaignResult) -> String {
         result.rows_json(),
         totals_obj,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&argv)
+    }
+
+    /// `--smoke` picks the base config wherever it appears; bad values and
+    /// unknown or missing arguments are errors (main prints the usage,
+    /// exits 2) instead of panics.
+    #[test]
+    fn command_lines_outside_the_usage_are_errors() {
+        let ok = parse("--sites 5 --workers 0 --trace-bench li --smoke").unwrap();
+        let smoke = CampaignConfig::smoke();
+        assert_eq!((ok.cfg.sites_per_target, ok.cfg.workers), (5, 1));
+        assert_eq!((ok.cfg.scale, ok.trace_bench), (smoke.scale, "li"));
+        assert!(ok.smoke && ok.out.is_none());
+        let full = parse("").unwrap();
+        assert_eq!(full.out.as_deref(), Some("BENCH_fault_campaign.json"));
+        for (line, want) in [
+            ("--sites x", "--sites: not a number"),
+            ("--workers -2", "--workers: not a number"),
+            ("--scale 0", "--scale: not a positive number"),
+            ("--seed", "--seed needs a value"),
+            ("--trace-bench spice", "unknown benchmark \"spice\""),
+            ("--smoke --verbose", "unknown argument --verbose"),
+            ("1000", "unknown argument 1000"),
+        ] {
+            let e = parse(line).map(|_| ()).expect_err(line);
+            assert!(e.contains(want), "{line:?}: {e}");
+        }
+    }
 }

@@ -38,8 +38,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use slipstream_bench::{
-    chrome_trace_json, committed_calibration, committed_cpi_section, exclusive_spans, json,
-    parse_jsonl, report_text, to_jsonl, write_run, RunFile, MAX_CYCLES,
+    chrome_trace_json, command_line, committed_calibration, committed_cpi_section, exclusive_spans,
+    json, parse_jsonl, parse_number, parse_scale, report_text, to_jsonl, write_run, RunFile,
+    MAX_CYCLES,
 };
 use slipstream_core::telemetry::RunManifest;
 use slipstream_core::{ExecMode, SlipstreamConfig, SlipstreamProcessor, TraceConfig};
@@ -68,13 +69,6 @@ struct Args {
     files: Vec<String>,
 }
 
-/// A flag's numeric value.
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: not a number: {value:?}"))
-}
-
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         bench: None,
@@ -94,9 +88,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--bench" => args.bench = Some(value()?.clone()),
-            "--scale" => args.scale = number(flag, value()?)?,
-            "--ring" => args.ring = number(flag, value()?)?,
-            "--metrics-interval" => args.metrics_interval = number(flag, value()?)?,
+            "--scale" => args.scale = parse_scale(flag, value()?)?,
+            "--ring" => args.ring = parse_number(flag, value()?)?,
+            "--metrics-interval" => args.metrics_interval = parse_number(flag, value()?)?,
             "--out-dir" => args.out_dir = PathBuf::from(value()?),
             "--cpi" => args.cpi = Some(value()?.clone()),
             "--gate-summary" => args.gate_summary = Some(value()?.clone()),
@@ -130,14 +124,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("report: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = command_line(parse_args, USAGE);
     let result = if let Some(bench) = &args.bench {
         record(bench, &args)
     } else if args.smoke {

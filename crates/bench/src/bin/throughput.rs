@@ -38,10 +38,12 @@
 //!   simulation speed against the committed file, after normalizing by
 //!   the calibration row's host-speed ratio, and fails loudly if any
 //!   shared model has slowed beyond the tolerance.
+//!
+//! A malformed command line prints the usage and exits with status 2.
 
 use std::time::Instant;
 
-use slipstream_bench::{json, to_jsonl, MAX_CYCLES};
+use slipstream_bench::{command_line, json, parse_number, parse_scale, to_jsonl, MAX_CYCLES};
 use slipstream_core::telemetry::{RunManifest, Telemetry};
 use slipstream_core::{run_superscalar, ExecMode, SlipstreamConfig, SlipstreamProcessor};
 use slipstream_cpu::CoreConfig;
@@ -290,39 +292,47 @@ fn committed_model_totals(doc: &str) -> Result<Vec<(String, u64, f64)>, String> 
         .collect()
 }
 
-fn main() {
-    let mut scale: Option<f64> = None;
-    let mut reps: Option<u32> = None;
-    let mut smoke = false;
-    let mut parallel_cores = false;
-    let mut tel_dir: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--parallel-cores" => parallel_cores = true,
+const USAGE: &str = "usage: throughput [scale] [reps] [--parallel-cores] [--smoke] \
+                     [--telemetry DIR]";
+
+/// The command line.
+#[derive(Default)]
+struct Args {
+    scale: Option<f64>,
+    reps: Option<u32>,
+    smoke: bool,
+    parallel_cores: bool,
+    tel_dir: Option<String>,
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--smoke" => args.smoke = true,
+            "--parallel-cores" => args.parallel_cores = true,
             "--telemetry" => {
-                i += 1;
-                tel_dir = Some(
-                    args.get(i)
-                        .expect("--telemetry needs a directory argument")
-                        .clone(),
-                );
+                let dir = it.next().ok_or("--telemetry needs a directory argument")?;
+                args.tel_dir = Some(dir.clone());
             }
-            s if scale.is_none() => scale = Some(s.parse().expect("scale must be a number")),
-            s if reps.is_none() => reps = Some(s.parse().expect("reps must be an integer")),
-            s => panic!("unexpected argument: {s}"),
+            flag if flag.starts_with("--") => return Err(format!("unknown argument {flag}")),
+            s if args.scale.is_none() => args.scale = Some(parse_scale("scale", s)?),
+            s if args.reps.is_none() => args.reps = Some(parse_number("reps", s)?),
+            s => return Err(format!("unexpected argument {s}")),
         }
-        i += 1;
     }
+    Ok(args)
+}
+
+fn main() {
+    let args = command_line(parse_args, USAGE);
+    let (smoke, tel_dir) = (args.smoke, args.tel_dir);
     // Smoke mode measures every model: the regression gate should catch a
     // slowdown in any scheduler, not just the default.
-    if smoke {
-        parallel_cores = true;
-    }
-    let scale = scale.unwrap_or(if smoke { 0.2 } else { 1.0 });
-    let reps = reps.unwrap_or(if smoke { 1 } else { 3 }).max(1);
+    let parallel_cores = args.parallel_cores || smoke;
+    let scale = args.scale.unwrap_or(if smoke { 0.2 } else { 1.0 });
+    let reps = args.reps.unwrap_or(if smoke { 1 } else { 3 }).max(1);
 
     let workloads = suite(scale);
     let cfg = SlipstreamConfig::cmp_2x64x4();
@@ -498,4 +508,35 @@ fn main() {
     );
     std::fs::write("BENCH_throughput.json", doc).expect("write BENCH_throughput.json");
     eprintln!("wrote BENCH_throughput.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&argv)
+    }
+
+    /// Bad positionals and unknown or missing arguments are errors (main
+    /// prints the usage, exits 2) instead of panics.
+    #[test]
+    fn command_lines_outside_the_usage_are_errors() {
+        let ok = parse("0.5 2 --parallel-cores --telemetry d").unwrap();
+        assert_eq!((ok.scale, ok.reps), (Some(0.5), Some(2)));
+        assert!(ok.parallel_cores && !ok.smoke && ok.tel_dir.as_deref() == Some("d"));
+        assert_eq!(parse("--smoke").unwrap().scale, None);
+        for (line, want) in [
+            ("x", "scale: not a number"),
+            ("0", "scale: not a positive number"),
+            ("1 many", "reps: not a number"),
+            ("1 3 7", "unexpected argument 7"),
+            ("--telemetry", "--telemetry needs a directory"),
+            ("--parallel", "unknown argument --parallel"),
+        ] {
+            let e = parse(line).map(|_| ()).expect_err(line);
+            assert!(e.contains(want), "{line:?}: {e}");
+        }
+    }
 }

@@ -769,50 +769,32 @@ pub fn trace_first_detection(
     None
 }
 
-/// Prints a campaign as a stdout table (Figure 5 shape plus activation
-/// accounting and detection latency).
+/// Prints a campaign as a markdown table (Figure 5 shape plus activation
+/// accounting and detection latency; rates over activated faults).
 pub fn print_campaign_table(result: &CampaignResult) {
-    println!(
-        "{:<10} {:<9} {:>6} {:>7} {:>6} {:>9} {:>7} {:>7} {:>6} {:>9}",
-        "benchmark",
-        "target",
-        "sites",
-        "!activ",
-        "fired",
-        "det+rec",
-        "masked",
-        "silent",
-        "hangs",
-        "lat(cyc)"
-    );
-    for s in &result.summaries {
-        println!(
-            "{:<10} {:<9} {:>6} {:>7} {:>6} {:>8.1}% {:>6.1}% {:>6.1}% {:>6} {:>9.1}",
-            s.bench,
-            target_label(s.target),
-            s.sites,
-            s.not_activated,
-            s.fired,
-            100.0 * s.rate(s.detected_recovered),
-            100.0 * s.rate(s.masked),
-            100.0 * s.rate(s.silent),
-            s.hangs,
-            s.latency.mean(),
-        );
+    fn pct(part: u64, s: &TargetSummary) -> String {
+        format!("{:.1}", 100.0 * s.rate(part))
     }
+    let columns: &[crate::Column<TargetSummary>] = &[
+        ("benchmark", false, |s| s.bench.to_string()),
+        ("target", false, |s| target_label(s.target).to_string()),
+        ("sites", true, |s| s.sites.to_string()),
+        ("not activated", true, |s| s.not_activated.to_string()),
+        ("fired", true, |s| s.fired.to_string()),
+        ("det+rec %", true, |s| pct(s.detected_recovered, s)),
+        ("masked %", true, |s| pct(s.masked, s)),
+        ("silent %", true, |s| pct(s.silent, s)),
+        ("hangs", true, |s| s.hangs.to_string()),
+        ("latency (cyc)", true, |s| {
+            format!("{:.1}", s.latency.mean())
+        }),
+    ];
     let t = result.totals();
-    println!(
-        "{:<10} {:<9} {:>6} {:>7} {:>6} {:>8.1}% {:>6.1}% {:>6.1}% {:>6} {:>9.1}",
-        "TOTAL",
-        "both",
-        t.sites,
-        t.not_activated,
-        t.fired,
-        100.0 * t.rate(t.detected_recovered),
-        100.0 * t.rate(t.masked),
-        100.0 * t.rate(t.silent),
-        t.hangs,
-        t.latency.mean(),
+    let mut footer: Vec<String> = columns.iter().map(|c| (c.2)(&t)).collect();
+    footer[..2].clone_from_slice(&["**TOTAL**".to_string(), "both".to_string()]);
+    print!(
+        "{}",
+        crate::md_table(&result.summaries, columns, Some(footer))
     );
     println!(
         "campaign: {} runs in {:.2}s ({:.1} runs/s, {:.2}M simulated cycles/s, {} workers)",

@@ -1,10 +1,11 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§5) plus the §3 fault-tolerance scenarios.
 //!
-//! `paper_tables` prints every table and figure the paper reports and
-//! re-anchors the committed figure documents; `fault_campaign` runs the
-//! full §3 sweep. The simulator's own speed is measured by the
-//! `perfbench` package in `examples/perfbench`.
+//! `paper_tables` prints every table and figure the paper reports as
+//! markdown ([`paper_regions`]), re-anchors the committed figure documents
+//! and splices the tables into EXPERIMENTS.md ([`splice_regions`]);
+//! `fault_campaign` runs the full §3 sweep. The simulator's own speed is
+//! measured by the `perfbench` package in `examples/perfbench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +29,7 @@ use slipstream_core::{
     run_superscalar, BaselineStats, CpiCat, RemovalPolicy, SlipstreamConfig, SlipstreamProcessor,
     SlipstreamStats,
 };
-use slipstream_cpu::CoreConfig;
+use slipstream_cpu::{CoreConfig, CoreStats};
 use slipstream_workloads::{suite, Workload};
 
 pub use campaign::{
@@ -136,63 +137,6 @@ pub fn evaluate_suite(scale: f64) -> Vec<BenchRow> {
     suite(scale).iter().map(evaluate_workload).collect()
 }
 
-// ---- printers (one per paper table/figure) -------------------------------
-
-/// Table 1: benchmarks and dynamic instruction counts.
-pub fn print_table1(rows: &[BenchRow]) {
-    println!("Table 1: Benchmarks (synthetic SPEC95int analogues).");
-    println!("{:<10} {:>14}", "benchmark", "instr. count");
-    for r in rows {
-        println!("{:<10} {:>14}", r.name, r.dynamic);
-    }
-    println!();
-}
-
-/// Figure 6: % IPC improvement of CMP(2x64x4) slipstream over SS(64x4).
-pub fn print_fig6(rows: &[BenchRow]) {
-    println!("Figure 6: Performance of CMP(2x64x4) (slipstream) vs SS(64x4).");
-    println!(
-        "{:<10} {:>10} {:>10} {:>14} {:>10}",
-        "benchmark", "SS64 IPC", "slip IPC", "improvement", "removal"
-    );
-    let mut sum = 0.0;
-    for r in rows {
-        println!(
-            "{:<10} {:>10.2} {:>10.2} {:>13.1}% {:>9.1}%",
-            r.name,
-            r.ss64.ipc(),
-            r.slip.ipc,
-            r.fig6_improvement(),
-            100.0 * r.slip.removal_fraction,
-        );
-        sum += r.fig6_improvement();
-    }
-    println!("{:<10} {:>36.1}%", "average", sum / rows.len() as f64);
-    println!();
-}
-
-/// Figure 7: % IPC improvement of SS(128x8) over SS(64x4).
-pub fn print_fig7(rows: &[BenchRow]) {
-    println!("Figure 7: Performance of SS(128x8) vs SS(64x4).");
-    println!(
-        "{:<10} {:>10} {:>10} {:>14}",
-        "benchmark", "SS64 IPC", "SS128 IPC", "improvement"
-    );
-    let mut sum = 0.0;
-    for r in rows {
-        println!(
-            "{:<10} {:>10.2} {:>10.2} {:>13.1}%",
-            r.name,
-            r.ss64.ipc(),
-            r.ss128.ipc(),
-            r.fig7_improvement()
-        );
-        sum += r.fig7_improvement();
-    }
-    println!("{:<10} {:>36.1}%", "average", sum / rows.len() as f64);
-    println!();
-}
-
 /// Breakdown used by Figure 8: removal fraction per category, as a
 /// percentage of all dynamic instructions.
 pub fn removal_breakdown(stats: &SlipstreamStats) -> Vec<(String, f64)> {
@@ -208,41 +152,6 @@ pub fn removal_breakdown(stats: &SlipstreamStats) -> Vec<(String, f64)> {
     cats.into_iter()
         .map(|(l, n)| (l, 100.0 * n as f64 / stats.r_retired.max(1) as f64))
         .collect()
-}
-
-/// Figure 8: breakdown of removed A-stream instructions (top: all
-/// triggers; bottom: branches only).
-pub fn print_fig8(rows: &[BenchRow]) {
-    println!("Figure 8 (top): removed A-stream instructions, all triggers.");
-    println!("{:<10} {:>8}  breakdown", "benchmark", "total");
-    for r in rows {
-        let parts: Vec<String> = removal_breakdown(&r.slip)
-            .iter()
-            .map(|(l, p)| format!("{l}={p:.1}%"))
-            .collect();
-        println!(
-            "{:<10} {:>7.1}%  {}",
-            r.name,
-            100.0 * r.slip.removal_fraction,
-            parts.join("  ")
-        );
-    }
-    println!();
-    println!("Figure 8 (bottom): only branches (and their chains) removed.");
-    println!("{:<10} {:>8}  breakdown", "benchmark", "total");
-    for r in rows {
-        let parts: Vec<String> = removal_breakdown(&r.slip_br)
-            .iter()
-            .map(|(l, p)| format!("{l}={p:.1}%"))
-            .collect();
-        println!(
-            "{:<10} {:>7.1}%  {}",
-            r.name,
-            100.0 * r.slip_br.removal_fraction,
-            parts.join("  ")
-        );
-    }
-    println!();
 }
 
 // ---- committed figure documents (BENCH_fig*.json) ------------------------
@@ -420,6 +329,13 @@ pub struct SharedL2Row {
     pub slip: SlipstreamStats,
 }
 
+impl SharedL2Row {
+    /// A counter summed over the A and R cores.
+    fn both(&self, counter: fn(&CoreStats) -> u64) -> u64 {
+        counter(&self.slip.a_core) + counter(&self.slip.r_core)
+    }
+}
+
 /// Runs the full suite under the `cmp_shared_l2` preset.
 pub fn evaluate_shared_l2_suite(scale: f64) -> Vec<SharedL2Row> {
     suite(scale)
@@ -462,12 +378,9 @@ fn shared_l2_row_json(r: &SharedL2Row) -> String {
         .raw("a", cpi_stack_obj(&a.cpi))
         .raw("r_cycles", rr.cycles)
         .raw("r", cpi_stack_obj(&rr.cpi))
-        .raw("l2_hits", a.l2_hits + rr.l2_hits)
-        .raw("l2_misses", a.l2_misses + rr.l2_misses)
-        .raw(
-            "port_stall_cycles",
-            a.port_stall_cycles + rr.port_stall_cycles,
-        )
+        .raw("l2_hits", r.both(|c| c.l2_hits))
+        .raw("l2_misses", r.both(|c| c.l2_misses))
+        .raw("port_stall_cycles", r.both(|c| c.port_stall_cycles))
         .finish()
 }
 
@@ -497,23 +410,6 @@ pub fn cpi_stack_json(rows: &[BenchRow], l2_rows: &[SharedL2Row], scale: f64) ->
     )
 }
 
-/// The top `n` non-base cycle sinks of a stack, as `(label, % of cycles)`
-/// rows in descending order. Drives the `cpi_stack` binary's table and
-/// the documented per-benchmark sink summaries.
-pub fn top_sinks(stack: &slipstream_cpu::CpiStack, n: usize) -> Vec<(&'static str, f64)> {
-    let cycles = stack.total().max(1);
-    let mut rows: Vec<(&'static str, u64)> = stack
-        .entries()
-        .filter(|&(cat, count)| cat != CpiCat::Base && count > 0)
-        .map(|(cat, count)| (cat.label(), count))
-        .collect();
-    rows.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-    rows.truncate(n);
-    rows.into_iter()
-        .map(|(label, count)| (label, 100.0 * count as f64 / cycles as f64))
-        .collect()
-}
-
 /// Writes `text` to `name` in the current directory (the convention all
 /// `BENCH_*.json` emitters follow) after self-validating it as JSON.
 pub fn write_figure_doc(name: &str, text: &str) {
@@ -522,23 +418,255 @@ pub fn write_figure_doc(name: &str, text: &str) {
     eprintln!("wrote {name}");
 }
 
-/// Table 3: misprediction measurements.
-pub fn print_table3(rows: &[BenchRow]) {
-    println!("Table 3: Misprediction measurements.");
-    println!(
-        "{:<10} {:>9} {:>12} {:>12} {:>12} {:>12}",
-        "benchmark", "SS64 IPC", "SS64 bm/1k", "CMP bm/1k", "IRmisp/1k", "avg penalty"
-    );
-    for r in rows {
-        println!(
-            "{:<10} {:>9.2} {:>12.2} {:>12.2} {:>12.3} {:>12.1}",
-            r.name,
-            r.ss64.ipc(),
-            r.ss64.core.branch_mispredicts_per_kilo(),
-            r.slip.branch_misp_per_kilo,
-            r.slip.ir_misp_per_kilo,
-            r.slip.avg_ir_penalty,
-        );
+// ---- markdown tables (stdout and EXPERIMENTS.md) --------------------------
+//
+// Each paper table is rendered once, as markdown: `paper_tables` prints the
+// regions and splices them into EXPERIMENTS.md between
+// `<!-- paper_tables:NAME -->` and `<!-- /paper_tables:NAME -->` markers,
+// and `tests/figure_drift.rs` fails when a committed region is stale.
+
+/// One markdown table column: header, whether it is right-aligned, and
+/// the cell it shows for a row.
+type Column<T> = (&'static str, bool, fn(&T) -> String);
+
+/// A markdown table of `rows` plus an optional `footer` row; cells are
+/// padded to their column's width so the raw text reads as a table too.
+fn md_table<T>(rows: &[T], columns: &[Column<T>], footer: Option<Vec<String>>) -> String {
+    let header = columns.iter().map(|c| c.0.to_string()).collect();
+    let body = rows
+        .iter()
+        .map(|r| columns.iter().map(|c| (c.2)(r)).collect());
+    let mut lines: Vec<Vec<String>> = std::iter::once(header).chain(body).chain(footer).collect();
+    let width = |i: usize| {
+        lines
+            .iter()
+            .map(|l| l[i].chars().count())
+            .fold(3, usize::max)
+    };
+    let widths: Vec<usize> = (0..columns.len()).map(width).collect();
+    lines.insert(1, widths.iter().map(|&w| "-".repeat(w)).collect());
+    let mut out = String::new();
+    for (i, line) in lines.iter().enumerate() {
+        let cells = line.iter().zip(&widths).zip(columns);
+        let cells: Vec<String> = cells
+            .map(|((cell, &w), &(_, right, _))| match (i, right) {
+                (1, true) => format!("{}:", &cell[1..]),
+                (_, true) => format!("{cell:>w$}"),
+                _ => format!("{cell:<w$}"),
+            })
+            .collect();
+        out.push_str(&format!("| {} |\n", cells.join(" | ")));
     }
-    println!();
+    out
+}
+
+/// A two-decimal cell.
+fn f2(v: f64) -> String {
+    format!("{v:.2}")
+}
+
+/// A Figure 8 breakdown as `CAT pct; ...`, or `—` when nothing was removed.
+fn breakdown_text(stats: &SlipstreamStats) -> String {
+    let parts: Vec<String> = removal_breakdown(stats)
+        .iter()
+        .map(|(label, pct)| format!("{label} {pct:.2}"))
+        .collect();
+    if parts.is_empty() {
+        "—".to_string()
+    } else {
+        parts.join("; ")
+    }
+}
+
+/// A CPI stack as `category pct, ...` in descending order of cycles, in %
+/// of the core's cycles; categories below 0.05 % are omitted.
+fn stack_text(stack: &slipstream_cpu::CpiStack) -> String {
+    let cycles = stack.total().max(1) as f64;
+    let mut entries: Vec<(CpiCat, u64)> = stack.entries().collect();
+    entries.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    entries
+        .iter()
+        .map(|&(cat, n)| (cat.label(), 100.0 * n as f64 / cycles))
+        .filter(|&(_, pct)| pct >= 0.05)
+        .map(|(label, pct)| format!("{label} {pct:.1}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+// The measured columns of each table.
+const BENCH: Column<BenchRow> = ("benchmark", false, |r| r.name.to_string());
+const SS64_IPC: Column<BenchRow> = ("SS64 IPC", true, |r| f2(r.ss64.ipc()));
+const TABLE1: &[Column<BenchRow>] = &[BENCH, ("instructions", true, |r| r.dynamic.to_string())];
+const FIG6: &[Column<BenchRow>] = &[
+    BENCH,
+    SS64_IPC,
+    ("slipstream IPC", true, |r| f2(r.slip.ipc)),
+    ("improvement %", true, |r| f2(r.fig6_improvement())),
+    ("removal %", true, |r| f2(100.0 * r.slip.removal_fraction)),
+];
+const FIG7: &[Column<BenchRow>] = &[
+    BENCH,
+    SS64_IPC,
+    ("SS128 IPC", true, |r| f2(r.ss128.ipc())),
+    ("improvement %", true, |r| f2(r.fig7_improvement())),
+];
+const FIG8: &[Column<BenchRow>] = &[
+    BENCH,
+    ("all triggers %", true, |r| {
+        f2(100.0 * r.slip.removal_fraction)
+    }),
+    ("all-triggers breakdown", false, |r| breakdown_text(&r.slip)),
+    ("branches only %", true, |r| {
+        f2(100.0 * r.slip_br.removal_fraction)
+    }),
+    ("branches-only breakdown", false, |r| {
+        breakdown_text(&r.slip_br)
+    }),
+];
+const TABLE3: &[Column<BenchRow>] = &[
+    BENCH,
+    SS64_IPC,
+    ("SS64 bm/1k", true, |r| {
+        f2(r.ss64.core.branch_mispredicts_per_kilo())
+    }),
+    ("CMP bm/1k", true, |r| f2(r.slip.branch_misp_per_kilo)),
+    ("IR-misp/1k", true, |r| {
+        format!("{:.3}", r.slip.ir_misp_per_kilo)
+    }),
+    ("avg IR penalty", true, |r| match r.slip.ir_mispredictions {
+        0 => "—".to_string(),
+        _ => format!("{:.1}", r.slip.avg_ir_penalty),
+    }),
+];
+const CPI_STACKS: &[Column<BenchRow>] = &[
+    BENCH,
+    ("A-stream stack", false, |r| stack_text(&r.slip.a_core.cpi)),
+    ("R-stream stack", false, |r| stack_text(&r.slip.r_core.cpi)),
+    ("SS64 stack", false, |r| stack_text(&r.ss64.core.cpi)),
+];
+const SHARED_L2: &[Column<SharedL2Row>] = &[
+    ("benchmark", false, |r| r.name.to_string()),
+    ("A cycles", true, |r| r.slip.a_core.cycles.to_string()),
+    ("R cycles", true, |r| r.slip.r_core.cycles.to_string()),
+    ("L2 hits", true, |r| r.both(|c| c.l2_hits).to_string()),
+    ("L2 misses", true, |r| r.both(|c| c.l2_misses).to_string()),
+    ("port-stall cycles", true, |r| {
+        r.both(|c| c.port_stall_cycles).to_string()
+    }),
+];
+
+/// Every measured table of the paper's evaluation plus the CPI stacks, as
+/// named markdown regions: `table1`, `fig6`, `fig7`, `fig8` (both
+/// panels), `table3`, `cpi_stacks` and `cmp_shared_l2`.
+pub fn paper_regions(rows: &[BenchRow], l2_rows: &[SharedL2Row]) -> Vec<(&'static str, String)> {
+    // A bold footer under `columns` averaging `f` in column 3.
+    let average = |columns: &[Column<BenchRow>], f: fn(&BenchRow) -> f64| {
+        let mut footer = vec![String::new(); columns.len()];
+        footer[0] = "**average**".to_string();
+        footer[3] = format!(
+            "**{:.2}**",
+            rows.iter().map(f).sum::<f64>() / rows.len() as f64
+        );
+        Some(footer)
+    };
+    let fig6_avg = average(FIG6, BenchRow::fig6_improvement);
+    let fig7_avg = average(FIG7, BenchRow::fig7_improvement);
+    vec![
+        ("table1", md_table(rows, TABLE1, None)),
+        ("fig6", md_table(rows, FIG6, fig6_avg)),
+        ("fig7", md_table(rows, FIG7, fig7_avg)),
+        ("fig8", md_table(rows, FIG8, None)),
+        ("table3", md_table(rows, TABLE3, None)),
+        ("cpi_stacks", md_table(rows, CPI_STACKS, None)),
+        ("cmp_shared_l2", md_table(l2_rows, SHARED_L2, None)),
+    ]
+}
+
+/// Replaces the text between each region's `<!-- paper_tables:NAME -->`
+/// and `<!-- /paper_tables:NAME -->` markers in `doc` with its table; all
+/// other text is kept byte for byte. A missing, unterminated or duplicated
+/// marker is an error naming the region.
+pub fn splice_regions(doc: &str, regions: &[(&str, String)]) -> Result<String, String> {
+    let mut out = doc.to_string();
+    for (name, table) in regions {
+        let begin = format!("<!-- paper_tables:{name} -->");
+        let end = format!("<!-- /paper_tables:{name} -->");
+        if out.matches(&begin).count() > 1 || out.matches(&end).count() > 1 {
+            return Err(format!("region {name}: duplicated marker"));
+        }
+        let start = out
+            .find(&begin)
+            .ok_or_else(|| format!("region {name}: missing `{begin}`"))?
+            + begin.len();
+        let stop = out[start..]
+            .find(&end)
+            .ok_or_else(|| format!("region {name}: unterminated, no `{end}` after `{begin}`"))?
+            + start;
+        out.replace_range(start..stop, &format!("\n{table}"));
+    }
+    Ok(out)
+}
+
+/// A binary's command line, parsed by `parse`; a malformed one prints the
+/// error and `usage` and exits with status 2.
+pub fn command_line<A>(parse: fn(&[String]) -> Result<A, String>, usage: &str) -> A {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    parse(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}\n{usage}");
+        std::process::exit(2)
+    })
+}
+
+/// A command-line flag's numeric value; the error names the flag.
+pub fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: not a number: {value:?}"))
+}
+
+/// A workload scale: a positive, finite number.
+pub fn parse_scale(flag: &str, value: &str) -> Result<f64, String> {
+    let scale: f64 = parse_number(flag, value)?;
+    if scale > 0.0 && scale.is_finite() {
+        Ok(scale)
+    } else {
+        Err(format!("{flag}: not a positive number: {value:?}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const DOC: &str = "# head\n\nprose *kept*\n<!-- paper_tables:a -->\nold a\n\
+                       <!-- /paper_tables:a -->\nmiddle  \n<!-- paper_tables:b -->\
+                       <!-- /paper_tables:b -->\ntail";
+
+    #[test]
+    fn splicing_replaces_only_region_bodies() {
+        let regions = [("a", "| new a |\n".into()), ("b", "| new b |\n".into())];
+        let spliced = splice_regions(DOC, &regions).unwrap();
+        assert_eq!(
+            spliced,
+            "# head\n\nprose *kept*\n<!-- paper_tables:a -->\n| new a |\n\
+             <!-- /paper_tables:a -->\nmiddle  \n<!-- paper_tables:b -->\n| new b |\n\
+             <!-- /paper_tables:b -->\ntail"
+        );
+        assert_eq!(splice_regions(&spliced, &regions).unwrap(), spliced);
+    }
+
+    #[test]
+    fn bad_markers_are_errors_naming_the_region() {
+        let (b, e) = ("<!-- paper_tables:a -->", "<!-- /paper_tables:a -->");
+        for (doc, want) in [
+            (format!("text\n{e}\n"), "region a: missing"),
+            (format!("{b}\nx\n"), "region a: unterminated"),
+            (format!("{e}{b}\n"), "region a: unterminated"),
+            (format!("{b}\n{e}\n{b}\n{e}\n"), "region a: duplicated"),
+            (format!("{b}\n{e}\n{e}"), "region a: duplicated"),
+        ] {
+            let err = splice_regions(&doc, &[("a", "x\n".to_string())]).expect_err(&doc);
+            assert!(err.starts_with(want), "{doc:?}: {err}");
+        }
+    }
 }

@@ -15,10 +15,9 @@
 //! - [`Telemetry::merge`] — commutative, associative summation, so the
 //!   aggregate of N worker registries is independent of worker count and
 //!   merge order (the same discipline the campaign rows follow).
-//! - [`SpanGuard`] — an RAII timer that records into a span on drop, for
-//!   straight-line phases; accumulate-and-subtract call sites (window
-//!   execution minus in-window ring waits) record with
-//!   [`Telemetry::record_span`] directly.
+//! - [`Telemetry::record_span`] — records one timed span entry; call sites
+//!   time their own phases, so accumulate-and-subtract spans (window
+//!   execution minus in-window ring waits) need no special support.
 //! - [`RunManifest`] + [`Snapshot`] — a run's identity (binary, scheduler,
 //!   FNV-1a config digest, host-speed calibration anchor) married to a
 //!   *dynamic* named-row view of the metrics that can carry rows the
@@ -34,8 +33,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::time::Instant;
 
 /// Number of log2 buckets: bucket `i` counts values in `[2^(i-1), 2^i)`
 /// (bucket 0 counts zero), which spans the full `u64` range.
@@ -184,8 +181,6 @@ kinds! {
         FuzzSeed => "fuzz_seed",
         /// Fuzz worker: one delta-debugging shrink pass.
         ShrinkPass => "shrink_pass",
-        /// Harness: evaluating one benchmark through the processor models.
-        BenchEval => "bench_eval",
     }
 }
 
@@ -287,15 +282,6 @@ impl Telemetry {
         s.count += 1;
         s.total_nanos += nanos;
         s.hist.record(nanos);
-    }
-
-    /// RAII span timer: records into `kind` when the guard drops.
-    pub fn span_guard(&mut self, kind: SpanKind) -> SpanGuard<'_> {
-        SpanGuard {
-            tel: self,
-            kind,
-            start: Instant::now(),
-        }
     }
 
     /// Adds `n` to a counter.
@@ -402,20 +388,6 @@ impl Telemetry {
             gauges,
             hists,
         }
-    }
-}
-
-/// RAII span timer from [`Telemetry::span_guard`].
-pub struct SpanGuard<'a> {
-    tel: &'a mut Telemetry,
-    kind: SpanKind,
-    start: Instant,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let nanos = self.start.elapsed().as_nanos() as u64;
-        self.tel.record_span(self.kind, nanos);
     }
 }
 
@@ -573,15 +545,6 @@ mod tests {
             merged.hist(HistKind::CampaignSiteCycles),
             all.hist(HistKind::CampaignSiteCycles)
         );
-    }
-
-    #[test]
-    fn span_guard_records_on_drop() {
-        let mut tel = Telemetry::new();
-        {
-            let _g = tel.span_guard(SpanKind::BenchEval);
-        }
-        assert_eq!(tel.span(SpanKind::BenchEval).count, 1);
     }
 
     #[test]

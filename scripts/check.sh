@@ -47,9 +47,6 @@ run_gate "differential-fuzz smoke (oracle sweep + corpus replay)" \
 run_gate "throughput smoke (speed gate vs committed BENCH_throughput.json)" \
     cargo run --release -q -p slipstream-bench --bin throughput -- --smoke
 
-run_gate "cpi-stack smoke (drift gate vs committed BENCH_cpi_stack.json)" \
-    cargo run --release -q -p slipstream-bench --bin cpi_stack -- --smoke
-
 run_gate "report smoke (run-file round-trip + attribution + CPI stack + pipeview)" \
     cargo run --release -q -p slipstream-bench --bin report -- --smoke
 
