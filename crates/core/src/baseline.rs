@@ -4,7 +4,7 @@
 //! prediction in all three processor models").
 
 use slipstream_cpu::{Core, CoreConfig, CoreStats};
-use slipstream_isa::{Program, Retired};
+use slipstream_isa::Program;
 use slipstream_predict::TracePredictorConfig;
 
 use crate::front_end::{FrontEndStats, TraceFrontEnd};
@@ -36,19 +36,7 @@ pub fn run_superscalar(
     program: &Program,
     max_cycles: u64,
 ) -> BaselineStats {
-    let mut core = Core::new(core_cfg, program.initial_memory());
-    let mut fe = TraceFrontEnd::baseline(program, tp_cfg);
-    let mut retired: Vec<Retired> = Vec::new();
-    while !core.halted() && core.now() < max_cycles {
-        core.cycle(&mut fe, &mut retired);
-        // The baseline has no sync windows: train on every commit at once.
-        fe.apply_training();
-    }
-    BaselineStats {
-        core: *core.stats(),
-        front_end: fe.stats,
-        halted: core.halted(),
-    }
+    run_superscalar_with_core(core_cfg, tp_cfg, program, max_cycles).0
 }
 
 /// Like [`run_superscalar`] but also returns the core for state
@@ -62,9 +50,10 @@ pub fn run_superscalar_with_core(
 ) -> (BaselineStats, Core) {
     let mut core = Core::new(core_cfg, program.initial_memory());
     let mut fe = TraceFrontEnd::baseline(program, tp_cfg);
-    let mut retired: Vec<Retired> = Vec::new();
     while !core.halted() && core.now() < max_cycles {
-        core.cycle(&mut fe, &mut retired);
+        // The front end observes every retirement through `on_retire`.
+        core.cycle_quiet(&mut fe);
+        // The baseline has no sync windows: train on every commit at once.
         fe.apply_training();
     }
     let stats = BaselineStats {

@@ -48,6 +48,13 @@ pub struct DelayEntry {
     pub store_value: Option<u64>,
 }
 
+// One of these is copied into and out of the delay buffer per A-stream
+// instruction: a field that fattens it must raise this pin.
+const _: () = assert!(
+    std::mem::size_of::<DelayEntry>() <= 120,
+    "DelayEntry grew past 120 bytes; shrink it or deliberately raise this pin"
+);
+
 impl DelayEntry {
     /// A data-less marker for an instruction the A-stream skipped.
     pub fn skipped(pc: u64, instr: Instr, next_pc: u64, ends_trace: bool) -> DelayEntry {

@@ -19,9 +19,7 @@ fn debug_fe() -> bool {
     *ON.get_or_init(|| std::env::var_os("SLIP_DEBUG_FE").is_some())
 }
 
-use slipstream_cpu::{
-    CoreDriver, DriverStall, EventKind, FetchBlock, FetchItem, TraceSink, NO_SEQ,
-};
+use slipstream_cpu::{CoreDriver, DriverStall, EventKind, FetchItem, TraceSink, NO_SEQ};
 use slipstream_isa::{Instr, Program, Retired};
 use slipstream_predict::{
     materialize_into, PathHistory, TraceId, TracePredictor, TracePredictorConfig,
@@ -650,31 +648,6 @@ impl CoreDriver for TraceFrontEnd {
             }
         }
         self.ready.pop_front()
-    }
-
-    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
-        // Native batch: drain whatever `ready` already holds, preparing
-        // more traces only when it runs dry. The guard matches
-        // `next_fetch` exactly (per item, not per block) so the two paths
-        // yield byte-identical streams.
-        while out.len() < max {
-            let mut guard = 0;
-            while self.ready.is_empty() {
-                if !self.prepare_trace() {
-                    return;
-                }
-                guard += 1;
-                if guard > 64 {
-                    return;
-                }
-            }
-            while out.len() < max {
-                match self.ready.pop_front() {
-                    Some(item) => out.push(item),
-                    None => break,
-                }
-            }
-        }
     }
 
     fn on_redirect(&mut self, resolved: &Retired, meta: u64) {

@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 
 use slipstream_cpu::{
-    CoreDriver, DispatchHints, DriverStall, EventKind, FetchBlock, FetchItem, TraceSink, NO_SEQ,
+    CoreDriver, DispatchHints, DriverStall, EventKind, FetchItem, TraceSink, NO_SEQ,
 };
 use slipstream_isa::{MemWidth, Retired};
 
@@ -140,6 +140,9 @@ impl RStreamDriver {
 
 impl CoreDriver for RStreamDriver {
     fn next_fetch(&mut self) -> Option<FetchItem> {
+        // An entry pulled here but not yet fetched sits in the core's fetch
+        // group; it is already in `inflight`, and recovery clears both
+        // sides together (`reset_for_recovery` + core flush).
         if self.frozen {
             return None;
         }
@@ -170,46 +173,6 @@ impl CoreDriver for RStreamDriver {
         };
         self.inflight.push_back((meta, e));
         Some(item)
-    }
-
-    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
-        // Native batch: one frozen check and one virtual call per fetch
-        // group. Entries pulled here but not yet consumed by the core sit
-        // in its fetch block; they are already in `inflight`, and recovery
-        // clears both sides together (`reset_for_recovery` + core flush).
-        if self.frozen {
-            return;
-        }
-        while out.len() < max {
-            let Some(e) = self.delay.pop() else {
-                break;
-            };
-            if let Some(t) = self.trace.as_mut() {
-                t.record(
-                    EventKind::DelayDequeue,
-                    NO_SEQ,
-                    e.pc,
-                    self.delay.len() as u64,
-                );
-            }
-            let meta = self.next_meta;
-            self.next_meta += 1;
-            let new_block = self.prev_pc.is_none_or(|p| p + 4 != e.pc);
-            self.prev_pc = Some(e.pc);
-            let pred_taken = e
-                .taken
-                .or_else(|| e.instr.is_branch().then(|| e.next_pc != e.pc + 4));
-            out.push(FetchItem {
-                pc: e.pc,
-                instr: e.instr,
-                pred_npc: e.next_pc,
-                pred_taken,
-                new_block,
-                slot_cost: 1,
-                meta,
-            });
-            self.inflight.push_back((meta, e));
-        }
     }
 
     fn on_dispatch(&mut self, rec: &Retired, meta: u64) -> DispatchHints {

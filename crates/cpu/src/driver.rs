@@ -34,6 +34,13 @@ pub struct FetchItem {
     pub meta: u64,
 }
 
+// Copied into the core's fetch buffer and out at dispatch, once per
+// instruction: a field that fattens it must raise this pin.
+const _: () = assert!(
+    std::mem::size_of::<FetchItem>() <= 48,
+    "FetchItem grew past 48 bytes; shrink it or deliberately raise this pin"
+);
+
 impl FetchItem {
     /// A plain sequential item: predicts fall-through, costs one slot.
     pub fn sequential(pc: u64, instr: Instr) -> FetchItem {
@@ -46,79 +53,6 @@ impl FetchItem {
             slot_cost: 1,
             meta: 0,
         }
-    }
-}
-
-/// A reusable, caller-owned block of fetch items.
-///
-/// [`crate::Core`] hands one of these to [`CoreDriver::next_fetch_block`]
-/// once per fetch group instead of making one virtual `next_fetch` call per
-/// instruction slot. The block is a simple cursor over a recycled `Vec`:
-/// items the core could not consume this cycle (fetch queue full, icache
-/// miss, block boundary) stay in the block and are re-examined next cycle,
-/// playing the role the old single-item `pending_fetch` stash did.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct FetchBlock {
-    items: Vec<FetchItem>,
-    head: usize,
-}
-
-// Hand-written so `clone_from` reuses the destination's item buffer when
-// a whole `Core` is checkpointed every slack window.
-impl Clone for FetchBlock {
-    fn clone(&self) -> FetchBlock {
-        FetchBlock {
-            items: self.items.clone(),
-            head: self.head,
-        }
-    }
-
-    fn clone_from(&mut self, src: &FetchBlock) {
-        self.items.clone_from(&src.items);
-        self.head = src.head;
-    }
-}
-
-impl FetchBlock {
-    /// An empty block with no reserved capacity.
-    pub fn new() -> FetchBlock {
-        FetchBlock::default()
-    }
-
-    /// Discards all items (keeps the allocation for reuse).
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.head = 0;
-    }
-
-    /// Unconsumed items remaining in the block.
-    pub fn len(&self) -> usize {
-        self.items.len() - self.head
-    }
-
-    /// True when every item has been consumed (or none were supplied).
-    pub fn is_empty(&self) -> bool {
-        self.head == self.items.len()
-    }
-
-    /// The next unconsumed item, without consuming it.
-    pub fn peek(&self) -> Option<&FetchItem> {
-        self.items.get(self.head)
-    }
-
-    /// Consumes the item [`FetchBlock::peek`] returned.
-    pub fn advance(&mut self) {
-        debug_assert!(self.head < self.items.len());
-        self.head += 1;
-        if self.head == self.items.len() {
-            self.clear();
-        }
-    }
-
-    /// Appends an item (drivers call this from
-    /// [`CoreDriver::next_fetch_block`]).
-    pub fn push(&mut self, item: FetchItem) {
-        self.items.push(item);
     }
 }
 
@@ -159,29 +93,20 @@ pub enum DriverStall {
 /// The control-flow and observation interface a [`crate::Core`] is driven
 /// by.
 ///
-/// Call order within one simulated cycle: retirements first
-/// ([`CoreDriver::on_retire`]), then any resolved misprediction
-/// ([`CoreDriver::on_redirect`]), then dispatches
-/// ([`CoreDriver::on_dispatch`]), then fetches ([`CoreDriver::next_fetch`]).
+/// Call order within one simulated cycle:
+///
+/// 1. [`CoreDriver::stall_kind`], sampled once before any stage runs;
+/// 2. [`CoreDriver::on_redirect`], if a mispredicted instruction resolved;
+/// 3. [`CoreDriver::retire_capacity`], then [`CoreDriver::on_retire`] per
+///    retiring instruction;
+/// 4. [`CoreDriver::on_dispatch`] per dispatching instruction;
+/// 5. [`CoreDriver::next_fetch`], only when the core has fetched every item
+///    it pulled before: then up to `fetch_width` times in a row, stopping
+///    at the first `None`.
 pub trait CoreDriver {
     /// Supplies the next instruction on the predicted path, or `None` to
     /// let fetch idle this cycle (e.g. delay buffer empty, program done).
     fn next_fetch(&mut self) -> Option<FetchItem>;
-
-    /// Batched fetch: appends up to `max` items to `out`, stopping early
-    /// when the stream idles. MUST yield the byte-identical item sequence
-    /// that repeated [`CoreDriver::next_fetch`] calls would — the core uses
-    /// the two interchangeably and the property-test battery compares them.
-    /// The default forwards to `next_fetch`; hot drivers override it to
-    /// amortize the virtual call and their own per-item bookkeeping.
-    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
-        while out.len() < max {
-            match self.next_fetch() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-    }
 
     /// A control misprediction resolved: `resolved` is the offending
     /// instruction's functional record; fetch restarts at

@@ -10,7 +10,7 @@
 
 use slipstream_isa::{ArchState, Instr, InstrKind, Program, Retired};
 
-use crate::driver::{CoreDriver, FetchBlock, FetchItem};
+use crate::driver::{CoreDriver, FetchItem};
 
 /// Supplies the exact dynamic instruction stream by functionally executing
 /// one step ahead of fetch; predictions are always correct.
@@ -57,30 +57,6 @@ impl CoreDriver for OracleDriver {
         })
     }
 
-    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
-        // Native batch: one bounds-check per item instead of one virtual
-        // call; identical stream to repeated `next_fetch` by construction.
-        while out.len() < max && !self.done {
-            let Ok(rec) = self.oracle.step(&self.program) else {
-                break;
-            };
-            if rec.is_halt() {
-                self.done = true;
-            }
-            let new_block = self.prev_pc.is_none_or(|p| p + 4 != rec.pc);
-            self.prev_pc = Some(rec.pc);
-            out.push(FetchItem {
-                pc: rec.pc,
-                instr: rec.instr,
-                pred_npc: rec.next_pc,
-                pred_taken: rec.taken,
-                new_block,
-                slot_cost: 1,
-                meta: 0,
-            });
-        }
-    }
-
     fn on_redirect(&mut self, resolved: &Retired, _meta: u64) {
         unreachable!(
             "oracle-driven cores never mispredict (pc {:#x})",
@@ -108,11 +84,10 @@ impl StaticDriver {
             done: false,
         }
     }
+}
 
-    /// One predicted fetch step; shared (monomorphic) body of both the
-    /// single-item and batched trait methods.
-    #[inline]
-    fn step_item(&mut self) -> Option<FetchItem> {
+impl CoreDriver for StaticDriver {
+    fn next_fetch(&mut self) -> Option<FetchItem> {
         if self.done {
             return None;
         }
@@ -142,23 +117,6 @@ impl StaticDriver {
         self.new_block = pred_npc != pc + 4;
         self.pc = pred_npc;
         Some(item)
-    }
-}
-
-impl CoreDriver for StaticDriver {
-    fn next_fetch(&mut self) -> Option<FetchItem> {
-        self.step_item()
-    }
-
-    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
-        // Native batch: the monomorphic `step_item` inlines here, so the
-        // per-item cost is the program-text lookup alone.
-        while out.len() < max {
-            match self.step_item() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
     }
 
     fn on_redirect(&mut self, resolved: &Retired, _meta: u64) {

@@ -58,7 +58,7 @@ mod trace;
 pub use accounting::{CpiCat, CpiStack};
 pub use cache::{Cache, CacheConfig};
 pub use config::CoreConfig;
-pub use driver::{CoreDriver, DispatchHints, DriverStall, FetchBlock, FetchItem};
+pub use driver::{CoreDriver, DispatchHints, DriverStall, FetchItem};
 pub use drivers::{OracleDriver, StaticDriver};
 pub use l2::{merge_l2_logs, L2Access, L2Config, L2Outcome, L2View};
 pub use pipeline::{Core, FaultSpec};

@@ -7,7 +7,7 @@ use slipstream_isa::ExecOut;
 use crate::accounting::{Accounting, CpiCat, StallCause};
 use crate::cache::Cache;
 use crate::config::CoreConfig;
-use crate::driver::{CoreDriver, DispatchHints, DriverStall, FetchBlock, FetchItem};
+use crate::driver::{CoreDriver, DispatchHints, DriverStall, FetchItem};
 use crate::l2::{L2Access, L2View};
 use crate::stats::CoreStats;
 use crate::trace::{EventKind, TraceSink, NO_SEQ};
@@ -31,13 +31,15 @@ pub struct FaultSpec {
 /// enough that cache-miss pile-ups and delay-buffer stalls never trip it.
 const WATCHDOG_CYCLES: u64 = 1_000_000;
 
-/// Whether `SLIP_DEBUG_MISP` was set when the process first asked. Read
-/// once: an `env::var_os` per mispredict was a measurable cost in the
-/// dispatch hot path.
-fn debug_misp() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SLIP_DEBUG_MISP").is_some())
-}
+/// Completion cycle of an in-flight instruction that has not issued yet.
+/// No cycle count reaches it, so `done_at(id) <= now` reads "complete".
+const NOT_ISSUED: u64 = u64::MAX;
+
+/// An [`IqEntry`] dependence slot with no producer.
+const NO_DEP: u64 = u64::MAX;
+
+/// [`IqEntry::ready_at`] while some producer has not issued.
+const NOT_YET: u64 = u64::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct StoreEntry {
@@ -47,24 +49,44 @@ struct StoreEntry {
     value: u64,
 }
 
+/// One in-flight instruction, from dispatch to retirement. Its
+/// completion cycle lives in [`Core::done_at`] and, until it issues, its
+/// dependences in an [`IqEntry`], so the issue scan never touches this
+/// (`Retired`-sized) record.
 #[derive(Debug, Clone)]
 struct RobEntry {
     id: u64,
     meta: u64,
     rec: Retired,
-    /// Producer ROB ids this entry's sources wait on (timing only).
-    deps: [Option<u64>; 3],
-    issued: bool,
-    complete_cycle: Option<u64>,
-    /// Cycle at which every dependence is complete, cached once all
-    /// producers have a scheduled completion (producers complete exactly
-    /// once, so the value never goes stale). `None` = not yet computable.
-    ready_at: Option<u64>,
     /// This entry is a load that missed in the data cache — while it sits
     /// incomplete at the ROB head, the core is in a d-miss shadow
     /// (cycle-accounting only; no timing decision reads it).
     missed: bool,
 }
+
+/// One dispatched-but-unissued instruction in the issue queue.
+#[derive(Debug, Clone, Copy)]
+struct IqEntry {
+    rob_id: u64,
+    /// Producer ROB ids the sources (and, for a load, the memory
+    /// dependence) wait on; [`NO_DEP`] for an empty slot.
+    deps: [u64; 3],
+    /// Cycle at which every dependence is complete, cached once all
+    /// producers have a scheduled completion (producers complete exactly
+    /// once, so the value never goes stale); [`NOT_YET`] until then.
+    ready_at: u64,
+}
+
+// Both are copied per dispatched instruction, and the issue queue is
+// scanned every cycle: a field that fattens either must raise its pin.
+const _: () = assert!(
+    std::mem::size_of::<RobEntry>() <= 184,
+    "RobEntry grew past 184 bytes; shrink it or deliberately raise this pin"
+);
+const _: () = assert!(
+    std::mem::size_of::<IqEntry>() <= 40,
+    "IqEntry grew past 40 bytes; shrink it or deliberately raise this pin"
+);
 
 /// Speculative (dispatch-time) view of data memory: architectural memory
 /// overlaid with the in-flight store queue, newest store wins per byte.
@@ -135,20 +157,25 @@ pub struct Core {
     mem: Memory,
     icache: Cache,
     dcache: Cache,
-    fetch_queue: VecDeque<FetchItem>,
-    /// Items pulled from the driver in a batch but not yet consumed (the
-    /// generalization of the old single-item `pending_fetch` stash).
-    /// Discarded wherever the fetch queue is discarded.
-    fetch_block: FetchBlock,
+    /// The fetch queue, then the rest of the current fetch group: the first
+    /// `fetched` items were fetched and await dispatch, the others were
+    /// pulled from the driver as one group but not fetched yet. Sharing
+    /// one buffer makes fetching an item a boundary move, not a copy.
+    fetch_buf: VecDeque<FetchItem>,
+    fetched: usize,
     fetch_resume_cycle: u64,
     rob: VecDeque<RobEntry>,
     rob_base: u64,
     next_rob_id: u64,
+    /// Completion cycle of each in-flight instruction ([`NOT_ISSUED`]
+    /// before it issues), indexed by ROB id modulo the length: a power of
+    /// two no smaller than `rob_size`, so in-flight ids never share a slot.
+    done_at: Vec<u64>,
+    /// Dispatched-but-unissued instructions, oldest first.
+    iq: Vec<IqEntry>,
     store_queue: VecDeque<StoreEntry>,
     reg_producer: [Option<u64>; NUM_REGS],
     pending_redirect: Option<u64>,
-    /// Dispatched-but-unissued instructions (issue-queue occupancy).
-    unissued: usize,
     /// Reusable scratch for issue selection (avoids a per-cycle `Vec`).
     issue_scratch: Vec<usize>,
     /// Busy-until cycle of each miss status holding register.
@@ -184,16 +211,17 @@ impl Clone for Core {
             mem: self.mem.clone(),
             icache: self.icache.clone(),
             dcache: self.dcache.clone(),
-            fetch_queue: self.fetch_queue.clone(),
-            fetch_block: self.fetch_block.clone(),
+            fetch_buf: self.fetch_buf.clone(),
+            fetched: self.fetched,
             fetch_resume_cycle: self.fetch_resume_cycle,
             rob: self.rob.clone(),
             rob_base: self.rob_base,
             next_rob_id: self.next_rob_id,
+            done_at: self.done_at.clone(),
+            iq: self.iq.clone(),
             store_queue: self.store_queue.clone(),
             reg_producer: self.reg_producer,
             pending_redirect: self.pending_redirect,
-            unissued: self.unissued,
             issue_scratch: self.issue_scratch.clone(),
             mshrs: self.mshrs.clone(),
             l2: self.l2.clone(),
@@ -215,16 +243,17 @@ impl Clone for Core {
         self.mem.clone_from(&src.mem);
         self.icache.clone_from(&src.icache);
         self.dcache.clone_from(&src.dcache);
-        self.fetch_queue.clone_from(&src.fetch_queue);
-        self.fetch_block.clone_from(&src.fetch_block);
+        self.fetch_buf.clone_from(&src.fetch_buf);
+        self.fetched = src.fetched;
         self.fetch_resume_cycle = src.fetch_resume_cycle;
         self.rob.clone_from(&src.rob);
         self.rob_base = src.rob_base;
         self.next_rob_id = src.next_rob_id;
+        self.done_at.clone_from(&src.done_at);
+        self.iq.clone_from(&src.iq);
         self.store_queue.clone_from(&src.store_queue);
         self.reg_producer = src.reg_producer;
         self.pending_redirect = src.pending_redirect;
-        self.unissued = src.unissued;
         self.issue_scratch.clone_from(&src.issue_scratch);
         self.mshrs.clone_from(&src.mshrs);
         self.l2.clone_from(&src.l2);
@@ -243,6 +272,7 @@ impl Core {
     /// Creates a core with `mem` as its private initial memory image.
     pub fn new(cfg: CoreConfig, mem: Memory) -> Core {
         let mshrs = vec![0; cfg.mshr_count];
+        let done_at = vec![NOT_ISSUED; cfg.rob_size.next_power_of_two()];
         Core {
             icache: Cache::new(cfg.icache),
             dcache: Cache::new(cfg.dcache),
@@ -251,16 +281,17 @@ impl Core {
             spec_regs: [0; NUM_REGS],
             arch_regs: [0; NUM_REGS],
             mem,
-            fetch_queue: VecDeque::new(),
-            fetch_block: FetchBlock::new(),
+            fetch_buf: VecDeque::new(),
+            fetched: 0,
             fetch_resume_cycle: 0,
             rob: VecDeque::new(),
             rob_base: 0,
             next_rob_id: 0,
+            done_at,
+            iq: Vec::new(),
             store_queue: VecDeque::new(),
             reg_producer: [None; NUM_REGS],
             pending_redirect: None,
-            unissued: 0,
             issue_scratch: Vec::new(),
             l2: None,
             fault: None,
@@ -403,14 +434,13 @@ impl Core {
     /// re-synchronized to the architectural state. Also clears a sticky
     /// `halted` flag (a corrupted A-stream may have "halted" spuriously).
     pub fn flush(&mut self) {
-        self.fetch_queue.clear();
-        self.fetch_block.clear();
+        self.discard_fetch();
         self.rob_base = self.next_rob_id;
         self.rob.clear();
         self.store_queue.clear();
         self.reg_producer = [None; NUM_REGS];
         self.pending_redirect = None;
-        self.unissued = 0;
+        self.iq.clear();
         self.spec_regs = self.arch_regs;
         self.halted = false;
         // A squashed icache miss (or redirect penalty) must not keep the
@@ -448,26 +478,34 @@ impl Core {
     /// performs no allocation — at two cores × millions of cycles per run,
     /// a fresh `Vec` per cycle was a measurable cost.
     ///
+    /// Generic over the driver so each concrete driver's callbacks inline
+    /// into the pipeline; `&mut dyn CoreDriver` still works.
+    ///
     /// # Panics
     ///
     /// Panics if the core makes no progress for an implausibly long time
     /// (an internal deadlock — indicates a simulator bug, not a program
     /// property).
-    pub fn cycle(&mut self, driver: &mut dyn CoreDriver, retired: &mut Vec<Retired>) {
+    pub fn cycle<D: CoreDriver + ?Sized>(&mut self, driver: &mut D, retired: &mut Vec<Retired>) {
         retired.clear();
         self.cycle_inner(driver, Some(retired));
     }
 
     /// [`Core::cycle`] without materializing the retired records — the
     /// driver still observes every retirement via
-    /// [`CoreDriver::on_retire`]. The A-stream half uses this: it consumes
-    /// retirements through its front end only, and skipping the `Retired`
-    /// copy-out (~130 bytes each) is a measurable hot-path saving.
-    pub fn cycle_quiet(&mut self, driver: &mut dyn CoreDriver) {
+    /// [`CoreDriver::on_retire`]. The A-stream half and the superscalar
+    /// baselines use this: they consume retirements through their front
+    /// end only, and skipping the `Retired` copy-out (~130 bytes each) is a
+    /// measurable hot-path saving.
+    pub fn cycle_quiet<D: CoreDriver + ?Sized>(&mut self, driver: &mut D) {
         self.cycle_inner(driver, None);
     }
 
-    fn cycle_inner(&mut self, driver: &mut dyn CoreDriver, retired: Option<&mut Vec<Retired>>) {
+    fn cycle_inner<D: CoreDriver + ?Sized>(
+        &mut self,
+        driver: &mut D,
+        retired: Option<&mut Vec<Retired>>,
+    ) {
         self.now += 1;
         self.stats.cycles += 1;
         self.acct.reset_cycle();
@@ -538,7 +576,7 @@ impl Core {
         let head_missed = self
             .rob
             .front()
-            .is_some_and(|e| e.missed && e.complete_cycle.is_none_or(|c| c > self.now));
+            .is_some_and(|e| e.missed && self.done_at(e.id) > self.now);
         if head_missed {
             if self.acct.port_debt > 0 {
                 self.acct.port_debt -= 1;
@@ -581,18 +619,24 @@ impl Core {
 
     // ---- retire ---------------------------------------------------------
 
-    fn retire(&mut self, driver: &mut dyn CoreDriver, mut out: Option<&mut Vec<Retired>>) -> bool {
+    fn retire<D: CoreDriver + ?Sized>(
+        &mut self,
+        driver: &mut D,
+        mut out: Option<&mut Vec<Retired>>,
+    ) -> bool {
         let cap = self.cfg.width.min(driver.retire_capacity());
         let mut count = 0;
         while count < cap {
-            let ready = match self.rob.front() {
-                Some(e) => e.complete_cycle.is_some_and(|c| c <= self.now),
-                None => false,
-            };
+            let ready = self
+                .rob
+                .front()
+                .is_some_and(|e| self.done_at(e.id) <= self.now);
             if !ready {
                 break;
             }
-            let entry = self.rob.pop_front().expect("checked nonempty");
+            // Read the head in place and pop it last: the entry is never
+            // moved out of the deque.
+            let entry = &self.rob[0];
             self.rob_base = entry.id + 1;
             // Apply the store to architectural memory.
             if let Some(m) = entry.rec.mem {
@@ -613,11 +657,14 @@ impl Core {
             }
             self.stats.retired += 1;
             count += 1;
-            self.trace_event(EventKind::Retire, entry.rec.seq, entry.rec.pc, 0);
+            if let Some(t) = self.trace.as_mut() {
+                t.record(EventKind::Retire, entry.rec.seq, entry.rec.pc, 0);
+            }
             driver.on_retire(&entry.rec, entry.meta);
             if let Some(out) = out.as_deref_mut() {
                 out.push(entry.rec);
             }
+            self.rob.pop_front();
             if self.halted {
                 break;
             }
@@ -627,19 +674,21 @@ impl Core {
 
     // ---- redirect resolution -------------------------------------------
 
-    fn resolve_redirect(&mut self, driver: &mut dyn CoreDriver) {
+    fn resolve_redirect<D: CoreDriver + ?Sized>(&mut self, driver: &mut D) {
         let Some(id) = self.pending_redirect else {
             return;
         };
-        let Some(entry) = self.rob_entry(id) else {
+        let Some(idx) = id
+            .checked_sub(self.rob_base)
+            .map(|i| i as usize)
+            .filter(|&i| i < self.rob.len())
+        else {
             // The offending entry already retired (resolution happened at
             // an earlier cycle boundary); should not happen, but recover.
             self.pending_redirect = None;
             return;
         };
-        if entry.complete_cycle.is_some_and(|c| c <= self.now) {
-            let rec = entry.rec;
-            let meta = entry.meta;
+        if self.done_at(id) <= self.now {
             self.pending_redirect = None;
             self.fetch_resume_cycle = self
                 .fetch_resume_cycle
@@ -648,86 +697,73 @@ impl Core {
                 .acct
                 .redirect_until
                 .max(self.now + self.cfg.redirect_penalty);
-            driver.on_redirect(&rec, meta);
+            let entry = &self.rob[idx];
+            driver.on_redirect(&entry.rec, entry.meta);
         }
     }
 
-    fn rob_entry(&self, id: u64) -> Option<&RobEntry> {
-        let idx = id.checked_sub(self.rob_base)? as usize;
-        self.rob.get(idx)
+    /// Completion cycle of in-flight instruction `id` ([`NOT_ISSUED`] until
+    /// it issues).
+    #[inline]
+    fn done_at(&self, id: u64) -> u64 {
+        self.done_at[id as usize & (self.done_at.len() - 1)]
     }
 
     // ---- issue ----------------------------------------------------------
 
     fn issue(&mut self) {
-        let mut issued = 0;
-        let mut seen = 0;
         let base = self.rob_base;
         let now = self.now;
-        // Collect issue decisions first to appease the borrow checker,
-        // reusing one scratch buffer across cycles.
+        let mask = self.done_at.len() - 1;
         let mut to_issue = std::mem::take(&mut self.issue_scratch);
         to_issue.clear();
-        // The scan is oldest-first over the whole ROB but stops once every
-        // unissued entry has been examined — issued entries cost one flag
-        // check each, and the dependence walk runs at most once per entry
-        // thanks to the `ready_at` cache.
-        for idx in 0..self.rob.len() {
-            if issued >= self.cfg.width || seen >= self.unissued {
+        // Select oldest-first among the ready entries, up to `width`. A
+        // selection that then defers on a structural hazard still used its
+        // slot this cycle. The dependence walk runs until every producer
+        // has a completion cycle, then `ready_at` answers alone.
+        for (i, e) in self.iq.iter_mut().enumerate() {
+            if to_issue.len() >= self.cfg.width {
                 break;
             }
-            let e = &self.rob[idx];
-            if e.issued {
-                continue;
-            }
-            seen += 1;
-            let ready = match e.ready_at {
-                Some(t) => t <= now,
-                None => {
-                    let deps = e.deps;
-                    let mut at = 0u64;
-                    let mut computable = true;
-                    for id in deps.into_iter().flatten() {
-                        if id < base {
-                            continue; // already retired, hence complete
-                        }
-                        match self.rob[(id - base) as usize].complete_cycle {
-                            Some(c) => at = at.max(c),
-                            None => {
-                                // A producer has not issued yet; its
-                                // completion cycle is unknowable, retry.
-                                computable = false;
-                                break;
-                            }
-                        }
+            if e.ready_at == NOT_YET {
+                let mut at = 0u64;
+                for d in e.deps {
+                    if d == NO_DEP || d < base {
+                        continue; // no producer, or already retired
                     }
-                    if computable {
-                        self.rob[idx].ready_at = Some(at);
-                        at <= now
-                    } else {
-                        false
-                    }
+                    at = at.max(self.done_at[d as usize & mask]);
                 }
-            };
-            if ready {
-                to_issue.push(idx);
-                issued += 1;
+                if at == NOT_ISSUED {
+                    // A producer has not issued yet; its completion cycle
+                    // is unknowable, retry.
+                    continue;
+                }
+                e.ready_at = at;
+            }
+            if e.ready_at <= now {
+                to_issue.push(i);
             }
         }
-        for &idx in &to_issue {
+        let mut issued_any = false;
+        for &i in &to_issue {
+            let id = self.iq[i].rob_id;
+            let idx = (id - base) as usize;
             let Some(lat) = self.exec_latency(idx) else {
                 // Structural hazard (all MSHRs busy): retry next cycle.
                 continue;
             };
-            let complete = self.now + lat;
-            let (seq, pc) = {
-                let e = &mut self.rob[idx];
-                e.issued = true;
-                e.complete_cycle = Some(complete);
-                (e.rec.seq, e.rec.pc)
-            };
-            self.unissued -= 1;
-            self.trace_event(EventKind::Issue, seq, pc, complete);
+            let complete = now + lat;
+            self.done_at[id as usize & mask] = complete;
+            issued_any = true;
+            if let Some(t) = self.trace.as_mut() {
+                let rec = &self.rob[idx].rec;
+                t.record(EventKind::Issue, rec.seq, rec.pc, complete);
+            }
+        }
+        if issued_any {
+            let done_at = &self.done_at;
+            self.iq
+                .retain(|e| done_at[e.rob_id as usize & mask] == NOT_ISSUED);
         }
         self.issue_scratch = to_issue;
     }
@@ -763,8 +799,9 @@ impl Core {
     /// when a structural hazard (no free MSHR for a missing load or store)
     /// defers issue to a later cycle.
     fn exec_latency(&mut self, idx: usize) -> Option<u64> {
-        let rec = self.rob[idx].rec;
-        Some(match rec.instr.kind() {
+        let rec = &self.rob[idx].rec;
+        let (kind, mem, seq, pc) = (rec.instr.kind(), rec.mem, rec.seq, rec.pc);
+        Some(match kind {
             InstrKind::IntAlu | InstrKind::Branch | InstrKind::Jump => self.cfg.alu_latency,
             InstrKind::Nop | InstrKind::Halt => self.cfg.alu_latency,
             InstrKind::Mul => self.cfg.mul_latency,
@@ -776,7 +813,7 @@ impl Core {
                 // fill occupies an MSHR like any other miss, and issue
                 // defers while all MSHRs are busy. Retirement itself never
                 // waits on the fill.
-                if let Some(m) = rec.mem {
+                if let Some(m) = mem {
                     if self.dcache.probe(m.addr) {
                         self.dcache.access(m.addr); // update LRU
                     } else {
@@ -784,12 +821,8 @@ impl Core {
                             return None;
                         }
                         let req = self.now + self.cfg.agen_latency + self.cfg.mem_latency;
-                        let fill = self.next_level_latency(
-                            req,
-                            m.addr,
-                            self.cfg.dcache.miss_penalty,
-                            rec.seq,
-                        );
+                        let fill =
+                            self.next_level_latency(req, m.addr, self.cfg.dcache.miss_penalty, seq);
                         let done = req + fill;
                         let slot = self
                             .mshrs
@@ -799,13 +832,13 @@ impl Core {
                         *slot = done;
                         self.dcache.access(m.addr); // allocate the line
                         self.stats.dcache_misses += 1;
-                        self.trace_event(EventKind::DcacheMiss, rec.seq, rec.pc, m.addr);
+                        self.trace_event(EventKind::DcacheMiss, seq, pc, m.addr);
                     }
                 }
                 self.cfg.agen_latency
             }
             InstrKind::Load => {
-                let m = rec.mem.expect("loads carry a memory effect");
+                let m = mem.expect("loads carry a memory effect");
                 // Store-to-load forwarding: if an older in-flight store
                 // covers this address, data comes from the store queue at
                 // hit latency.
@@ -830,7 +863,7 @@ impl Core {
                     }
                     let req = self.now + self.cfg.agen_latency + self.cfg.mem_latency;
                     let fill =
-                        self.next_level_latency(req, m.addr, self.cfg.dcache.miss_penalty, rec.seq);
+                        self.next_level_latency(req, m.addr, self.cfg.dcache.miss_penalty, seq);
                     let lat = self.cfg.agen_latency + self.cfg.mem_latency + fill;
                     let slot = self
                         .mshrs
@@ -841,7 +874,7 @@ impl Core {
                     self.dcache.access(m.addr); // allocate the line
                     self.stats.dcache_misses += 1;
                     self.rob[idx].missed = true;
-                    self.trace_event(EventKind::DcacheMiss, rec.seq, rec.pc, m.addr);
+                    self.trace_event(EventKind::DcacheMiss, seq, pc, m.addr);
                     lat
                 }
             }
@@ -850,7 +883,7 @@ impl Core {
 
     // ---- dispatch --------------------------------------------------------
 
-    fn dispatch(&mut self, driver: &mut dyn CoreDriver) {
+    fn dispatch<D: CoreDriver + ?Sized>(&mut self, driver: &mut D) {
         if self.pending_redirect.is_some() || self.halted {
             return;
         }
@@ -860,61 +893,56 @@ impl Core {
                 self.acct.rob_full = true;
                 break;
             }
-            if self.unissued >= self.cfg.iq_size {
+            if self.iq.len() >= self.cfg.iq_size {
                 self.stats.iq_full_cycles += 1;
                 self.acct.iq_full = true;
                 break;
             }
-            let Some(item) = self.fetch_queue.front().copied() else {
+            if self.fetched == 0 {
                 break;
-            };
+            }
+            let item = self.fetch_buf[0];
             if item.instr.is_store() && self.store_queue.len() >= self.cfg.store_queue {
                 break;
             }
-            self.fetch_queue.pop_front();
+            self.fetch_buf.pop_front();
+            self.fetched -= 1;
             let rec = self.execute_functionally(&item);
             let hints = driver.on_dispatch(&rec, item.meta);
-            let mispredicted =
-                !matches!(item.instr.kind(), InstrKind::Halt) && rec.next_pc != item.pred_npc;
-            self.admit(item, rec, hints);
+            let (seq, pc, taken, next_pc) = (rec.seq, rec.pc, rec.taken, rec.next_pc);
+            let halt = matches!(item.instr.kind(), InstrKind::Halt);
+            let mispredicted = !halt && next_pc != item.pred_npc;
+            self.admit(item.meta, rec, hints);
             self.stats.dispatched += 1;
-            self.trace_event(EventKind::Dispatch, rec.seq, rec.pc, 0);
-            if rec.taken.is_some() {
+            self.trace_event(EventKind::Dispatch, seq, pc, 0);
+            if taken.is_some() {
                 self.stats.cond_branches += 1;
-                if mispredicted || item.pred_taken != rec.taken {
+                if mispredicted || item.pred_taken != taken {
                     self.stats.branch_mispredicts += 1;
-                    self.trace_event(EventKind::BranchMispredict, rec.seq, rec.pc, rec.next_pc);
-                    if debug_misp() {
-                        eprintln!(
-                            "misp pc {:#x} taken {:?} pred {:?}",
-                            rec.pc, rec.taken, item.pred_taken
-                        );
-                    }
+                    self.trace_event(EventKind::BranchMispredict, seq, pc, next_pc);
                 }
             } else if mispredicted {
                 self.stats.jump_mispredicts += 1;
-                self.trace_event(EventKind::JumpMispredict, rec.seq, rec.pc, rec.next_pc);
-                if debug_misp() {
-                    eprintln!(
-                        "misp pc {:#x} jump to {:#x} pred {:#x}",
-                        rec.pc, rec.next_pc, item.pred_npc
-                    );
-                }
+                self.trace_event(EventKind::JumpMispredict, seq, pc, next_pc);
             }
             if mispredicted {
                 // Stop dispatching; everything younger is wrong-path.
                 self.pending_redirect = Some(self.next_rob_id - 1);
-                self.fetch_queue.clear();
-                self.fetch_block.clear();
+                self.discard_fetch();
                 break;
             }
-            if matches!(item.instr.kind(), InstrKind::Halt) {
+            if halt {
                 // Nothing meaningful follows; drop whatever was prefetched.
-                self.fetch_queue.clear();
-                self.fetch_block.clear();
+                self.discard_fetch();
                 break;
             }
         }
+    }
+
+    /// Drops the fetch queue and the unfetched rest of the fetch group.
+    fn discard_fetch(&mut self) {
+        self.fetch_buf.clear();
+        self.fetched = 0;
     }
 
     fn execute_functionally(&mut self, item: &FetchItem) -> Retired {
@@ -1002,20 +1030,20 @@ impl Core {
         // fault silently — architecturally masked.
     }
 
-    fn admit(&mut self, item: FetchItem, rec: Retired, hints: DispatchHints) {
+    fn admit(&mut self, meta: u64, rec: Retired, hints: DispatchHints) {
         let id = self.next_rob_id;
         self.next_rob_id += 1;
         let (s1, s2) = rec.instr.src_regs();
         let dep_of = |src: Option<Reg>, predicted: bool, producers: &[Option<u64>; NUM_REGS]| {
             if predicted {
-                return None;
+                return NO_DEP;
             }
-            src.and_then(|r| producers[r.index()])
+            src.and_then(|r| producers[r.index()]).unwrap_or(NO_DEP)
         };
         let mut deps = [
             dep_of(s1, hints.src1_predicted, &self.reg_producer),
             dep_of(s2, hints.src2_predicted, &self.reg_producer),
-            None,
+            NO_DEP,
         ];
         // Memory dependence: a load waits for the youngest older store to
         // an overlapping address.
@@ -1026,7 +1054,7 @@ impl Core {
                     .iter()
                     .rev()
                     .find(|st| overlaps(st, m))
-                    .map(|st| st.rob_id);
+                    .map_or(NO_DEP, |st| st.rob_id);
             } else {
                 self.store_queue.push_back(StoreEntry {
                     rob_id: id,
@@ -1040,22 +1068,24 @@ impl Core {
             self.spec_regs[d.index()] = v;
             self.reg_producer[d.index()] = Some(id);
         }
-        self.unissued += 1;
+        let mask = self.done_at.len() - 1;
+        self.done_at[id as usize & mask] = NOT_ISSUED;
+        self.iq.push(IqEntry {
+            rob_id: id,
+            deps,
+            ready_at: NOT_YET,
+        });
         self.rob.push_back(RobEntry {
             id,
-            meta: item.meta,
+            meta,
             rec,
-            deps,
-            issued: false,
-            complete_cycle: None,
-            ready_at: None,
             missed: false,
         });
     }
 
     // ---- fetch ----------------------------------------------------------
 
-    fn fetch(&mut self, driver: &mut dyn CoreDriver) {
+    fn fetch<D: CoreDriver + ?Sized>(&mut self, driver: &mut D) {
         if self.pending_redirect.is_some() || self.halted {
             return;
         }
@@ -1077,54 +1107,55 @@ impl Core {
         // nothing else touches the icache inside this burst.
         let mut probed_line: Option<u64> = None;
         loop {
-            // Pull a whole fetch group in one virtual call; unconsumed
-            // items stay in the block across cycles.
-            if self.fetch_block.is_empty() {
-                driver.next_fetch_block(&mut self.fetch_block, self.cfg.fetch_width);
-                if self.fetch_block.is_empty() {
+            // Pull a whole fetch group (up to `fetch_width` items, fewer
+            // only if the driver idles) once the last one is fetched;
+            // unfetched items wait in `fetch_buf` across cycles.
+            if self.fetched == self.fetch_buf.len() {
+                for _ in 0..self.cfg.fetch_width {
+                    let Some(item) = driver.next_fetch() else {
+                        break;
+                    };
+                    self.fetch_buf.push_back(item);
+                }
+                if self.fetched == self.fetch_buf.len() {
                     break;
                 }
             }
-            let item = *self.fetch_block.peek().expect("block checked nonempty");
-            if self.fetch_queue.len() >= self.cfg.fetch_queue {
+            if self.fetched >= self.cfg.fetch_queue {
                 break;
             }
+            let item = &self.fetch_buf[self.fetched];
+            let (pc, new_block, slot_cost) = (item.pc, item.new_block, item.slot_cost);
             // A new fetch block cannot start mid-cycle.
-            if slots_used > 0 && item.new_block {
+            if slots_used > 0 && new_block {
                 break;
             }
             // Respect per-cycle fetch bandwidth (a single oversized skip
             // still goes through alone).
-            if slots_used > 0 && slots_used + item.slot_cost > self.cfg.fetch_width as u32 {
+            if slots_used > 0 && slots_used + slot_cost > self.cfg.fetch_width as u32 {
                 break;
             }
             // Instruction cache probe; a miss stalls fetch (the line fills
             // during the stall).
-            let line = self.icache.line_of(item.pc);
+            let line = self.icache.line_of(pc);
             if probed_line != Some(line) {
-                if !self.icache.access(item.pc) {
+                if !self.icache.access(pc) {
                     self.stats.icache_misses += 1;
-                    let fill = self.next_level_latency(
-                        self.now,
-                        item.pc,
-                        self.cfg.icache.miss_penalty,
-                        NO_SEQ,
-                    );
+                    let fill =
+                        self.next_level_latency(self.now, pc, self.cfg.icache.miss_penalty, NO_SEQ);
                     self.fetch_resume_cycle = self.now + fill;
                     // Fetch only runs with every deadline expired, so a
                     // plain assignment keeps the mirror exact.
                     self.acct.fill_until = self.now + fill;
-                    self.trace_event(EventKind::IcacheMiss, NO_SEQ, item.pc, 0);
+                    self.trace_event(EventKind::IcacheMiss, NO_SEQ, pc, 0);
                     break;
                 }
                 probed_line = Some(line);
             }
-            self.fetch_block.advance();
-            slots_used += item.slot_cost.max(1);
-            let fetched_pc = item.pc;
-            self.fetch_queue.push_back(item);
+            self.fetched += 1;
+            slots_used += slot_cost.max(1);
             self.stats.fetched += 1;
-            self.trace_event(EventKind::Fetch, NO_SEQ, fetched_pc, 0);
+            self.trace_event(EventKind::Fetch, NO_SEQ, pc, 0);
             if slots_used >= self.cfg.fetch_width as u32 {
                 break;
             }

@@ -5,7 +5,7 @@
 //! directions.
 
 use slipstream_cpu::{
-    Core, CoreConfig, CoreDriver, DispatchHints, FetchBlock, FetchItem, OracleDriver, StaticDriver,
+    Core, CoreConfig, CoreDriver, DispatchHints, FetchItem, OracleDriver, StaticDriver,
 };
 use slipstream_isa::{assemble, ArchState, Program, Retired};
 
@@ -304,9 +304,6 @@ impl CoreDriver for ValuePredictedOracle {
     fn next_fetch(&mut self) -> Option<FetchItem> {
         self.0.next_fetch()
     }
-    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
-        self.0.next_fetch_block(out, max);
-    }
     fn on_redirect(&mut self, resolved: &Retired, meta: u64) {
         self.0.on_redirect(resolved, meta);
     }
@@ -346,9 +343,6 @@ struct GatedOracle(OracleDriver);
 impl CoreDriver for GatedOracle {
     fn next_fetch(&mut self) -> Option<FetchItem> {
         self.0.next_fetch()
-    }
-    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
-        self.0.next_fetch_block(out, max);
     }
     fn on_redirect(&mut self, resolved: &Retired, meta: u64) {
         self.0.on_redirect(resolved, meta);
@@ -420,4 +414,73 @@ fn icache_cold_miss_costs_startup_cycles() {
     assert!(core.stats().icache_misses >= 1);
     // 12-cycle miss + pipeline depth: tiny programs still take a while.
     assert!(core.stats().cycles >= 12);
+}
+
+/// Wraps the oracle, idles (returns `None`) on every seventh call, and
+/// logs what this cycle's calls returned: `true` for an item.
+struct FetchLog(OracleDriver, u64, Vec<bool>);
+
+impl CoreDriver for FetchLog {
+    fn next_fetch(&mut self) -> Option<FetchItem> {
+        self.1 += 1;
+        let item = (!self.1.is_multiple_of(7))
+            .then(|| self.0.next_fetch())
+            .flatten();
+        self.2.push(item.is_some());
+        item
+    }
+    fn on_redirect(&mut self, resolved: &Retired, meta: u64) {
+        self.0.on_redirect(resolved, meta);
+    }
+}
+
+/// The core keeps what it pulled but could not fetch yet (fetch queue
+/// full, icache miss, block boundary) and asks the driver for more only
+/// once that is all fetched. It then pulls a whole group: `fetch_width`
+/// items, or fewer only when the driver idles.
+#[test]
+fn core_pulls_a_fetch_group_only_when_its_buffer_is_empty() {
+    let chain = "slli r3, r2, 1\nxor r2, r2, r3\naddi r2, r2, 7\n".repeat(3);
+    let p = assemble(&format!(
+        "li r1, 200\nloop:\nmv r2, r1\n{chain}li r10, 1\naddi r1, r1, -1\nbne r1, r0, loop\nhalt"
+    ))
+    .unwrap();
+    let mut narrow = CoreConfig::ss_64x4();
+    (narrow.fetch_width, narrow.fetch_queue) = (4, 6);
+    for cfg in [CoreConfig::ss_64x4(), CoreConfig::ss_128x8(), narrow] {
+        let fw = cfg.fetch_width as u64;
+        let mut core = Core::new(cfg, p.initial_memory());
+        let mut d = FetchLog(OracleDriver::new(&p), 0, Vec::new());
+        let (mut supplied, mut retired, mut leftover_cycles) = (0, Vec::new(), 0);
+        while !core.halted() {
+            assert!(core.now() < 1_000_000, "did not halt");
+            let before = core.stats().fetched;
+            let held = supplied - before;
+            d.2.clear();
+            core.cycle(&mut d, &mut retired);
+            supplied += d.2.iter().filter(|&&some| some).count() as u64;
+            let fetched = core.stats().fetched - before;
+            leftover_cycles += u32::from(held > 0);
+            assert!(
+                d.2.is_empty() || fetched >= held,
+                "pulled with {held} unfetched"
+            );
+            // Each group ends at an idle `None` or at `fetch_width` items.
+            let short =
+                d.2.iter()
+                    .fold(0, |n, &some| if some { (n + 1) % fw } else { 0 });
+            assert_eq!(
+                short,
+                0,
+                "cycle {}: a group stopped short ({:?})",
+                core.now(),
+                d.2
+            );
+            assert!(supplied - core.stats().fetched <= fw);
+        }
+        assert!(
+            leftover_cycles > 50,
+            "{leftover_cycles} cycles began with unfetched items"
+        );
+    }
 }

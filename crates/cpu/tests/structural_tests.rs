@@ -1,7 +1,12 @@
 //! Structural-hazard and fault-injection behaviour of the cycle-level
-//! core: issue-queue pressure, MSHR limits, and single-bit result faults.
+//! core: issue-queue pressure, issue selection order, MSHR limits, and
+//! single-bit result faults.
 
-use slipstream_cpu::{Core, CoreConfig, CoreDriver, FaultSpec, OracleDriver};
+use std::collections::BTreeMap;
+
+use slipstream_cpu::{
+    Core, CoreConfig, CoreDriver, EventKind, FaultSpec, OracleDriver, StreamId, TraceSink,
+};
 use slipstream_isa::{assemble, ArchState, Program, Reg, Retired};
 
 fn run(cfg: CoreConfig, p: &Program) -> (Core, Vec<Retired>) {
@@ -16,11 +21,9 @@ fn run(cfg: CoreConfig, p: &Program) -> (Core, Vec<Retired>) {
     (core, trace)
 }
 
-/// A loop whose body is one long dependence chain: with a small issue
-/// queue, the waiting chain blocks dispatch of the independent work behind
-/// it; a large issue queue lets the machine run at full width.
-#[test]
-fn issue_queue_pressure_throttles_chains() {
+/// A loop whose body is one long dependence chain followed by independent
+/// work.
+fn chain_program() -> Program {
     let chain = "slli r3, r2, 1\nxor r2, r2, r3\naddi r2, r2, 7\nsrli r3, r2, 3\nadd r2, r2, r3\n"
         .repeat(4);
     let indep = (0..12)
@@ -31,7 +34,15 @@ fn issue_queue_pressure_throttles_chains() {
     let src = format!(
         "li r1, 300\nloop:\nmv r2, r1\n{chain}{indep}addi r1, r1, -1\nbne r1, r0, loop\nhalt"
     );
-    let p = assemble(&src).unwrap();
+    assemble(&src).unwrap()
+}
+
+/// With a small issue queue, the waiting chain blocks dispatch of the
+/// independent work behind it; a large issue queue lets the machine run
+/// at full width.
+#[test]
+fn issue_queue_pressure_throttles_chains() {
+    let p = chain_program();
 
     let mut small = CoreConfig::ss_64x4();
     small.iq_size = 8;
@@ -366,4 +377,231 @@ fn flush_clears_squashed_icache_fill_timer() {
         "fetch stayed stalled {} cycles after the flush",
         core.now() - flushed_at
     );
+}
+
+// ---- issue selection, as the flight recorder sees it -------------------
+
+/// One traced run, cycle by cycle: the instructions waiting in the issue
+/// queue with every producer complete (`ready`, oldest first) and the ones
+/// that issued, both read from `Dispatch`/`Issue` events. Dependences are
+/// rebuilt from the retired stream the way dispatch renames them: the last
+/// writer of each source register and, for a load, the youngest older
+/// overlapping store.
+struct IssueRun {
+    core: Core,
+    recs: Vec<Retired>,
+    /// `(ready, issued)` for cycles 1, 2, ...
+    cycles: Vec<(Vec<usize>, Vec<usize>)>,
+}
+
+impl IssueRun {
+    /// Runs `p` and checks the selection rule on every cycle: issue takes
+    /// the oldest `width` ready instructions, in age order, and only a
+    /// memory access (an MSHR deferral) may drop out of that selection.
+    fn new(cfg: CoreConfig, p: &Program) -> IssueRun {
+        let width = cfg.width;
+        let mut core = Core::new(cfg, p.initial_memory());
+        core.set_trace(Some(TraceSink::new(StreamId::Single, 1 << 22)));
+        let (mut d, mut recs, mut retired) = (OracleDriver::new(p), Vec::new(), Vec::new());
+        while !core.halted() {
+            core.cycle(&mut d, &mut retired);
+            recs.extend_from_slice(&retired);
+        }
+        let t = core.trace().expect("trace installed");
+        assert_eq!(t.dropped(), 0, "the ring must hold the whole run");
+        let n = recs.len();
+        let (mut dispatched, mut issued, mut done) = (vec![0; n], vec![0; n], vec![0; n]);
+        let mut by_cycle: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for e in t.events() {
+            let s = e.seq as usize;
+            match e.kind {
+                EventKind::Dispatch => dispatched[s] = e.cycle,
+                EventKind::Issue => {
+                    (issued[s], done[s]) = (e.cycle, e.arg);
+                    by_cycle.entry(e.cycle).or_default().push(s);
+                }
+                _ => {}
+            }
+        }
+        let (mut producer, mut stores) = ([None; 64], Vec::new());
+        let deps: Vec<Vec<usize>> = (0..n)
+            .map(|s| {
+                let r = recs[s];
+                let mut ds: Vec<usize> = [r.src1, r.src2]
+                    .into_iter()
+                    .flatten()
+                    .filter_map(|(reg, _)| producer[reg.index()])
+                    .collect();
+                match r.mem {
+                    Some(m) if m.is_store => stores.push(s),
+                    Some(m) => ds.extend(stores.iter().rev().copied().find(|&st| {
+                        let o = recs[st].mem.expect("a store");
+                        o.addr < m.addr + m.width.bytes() && m.addr < o.addr + o.width.bytes()
+                    })),
+                    None => {}
+                }
+                if let Some((reg, _)) = r.dest {
+                    producer[reg.index()] = Some(s);
+                }
+                ds
+            })
+            .collect();
+        assert!(
+            dispatched.iter().chain(&issued).all(|&c| c > 0),
+            "events missing"
+        );
+        // Issue runs before dispatch, so an instruction dispatched in
+        // cycle `d` is first seen by issue in cycle `d + 1`.
+        let (mut cycles, mut waiting, mut next) = (Vec::new(), Vec::new(), 0);
+        for cycle in 1..=issued.iter().copied().max().unwrap_or(0) {
+            while next < n && dispatched[next] < cycle {
+                waiting.push(next);
+                next += 1;
+            }
+            waiting.retain(|&s| issued[s] >= cycle);
+            let ready: Vec<usize> = waiting
+                .iter()
+                .copied()
+                .filter(|&s| deps[s].iter().all(|&d| done[d] <= cycle))
+                .collect();
+            let now = by_cycle.remove(&cycle).unwrap_or_default();
+            assert!(now.is_sorted(), "cycle {cycle}: issue order {now:?}");
+            let sel = &ready[..ready.len().min(width)];
+            for s in &now {
+                assert!(
+                    sel.contains(s),
+                    "cycle {cycle}: {s} issued; ready {ready:?}"
+                );
+            }
+            for &s in sel.iter().filter(|s| !now.contains(s)) {
+                assert!(recs[s].mem.is_some(), "cycle {cycle}: {s} not issued");
+            }
+            cycles.push((ready, now));
+        }
+        IssueRun { core, recs, cycles }
+    }
+
+    /// Per cycle: the selected instructions that did not issue.
+    fn deferred(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
+        let width = self.core.config().width;
+        self.cycles.iter().map(move |(ready, issued)| {
+            ready
+                .iter()
+                .take(width)
+                .copied()
+                .filter(|s| !issued.contains(s))
+                .collect()
+        })
+    }
+}
+
+/// Independent missing loads (a new line each) between independent ALU
+/// work: with one MSHR, loads keep deferring while younger work is ready.
+fn miss_stream() -> Program {
+    let body = "ld r3, 0(r1)\naddi r5, r5, 1\nld r4, 64(r1)\naddi r6, r6, 2\nxor r7, r5, r6\n\
+                ld r8, 128(r1)\nadd r10, r10, r5\nld r9, 192(r1)\naddi r11, r11, 3\nor r12, r11, r7\n";
+    let src = format!(
+        "li r1, 0x100000\nli r2, 256\nloop:\n{body}addi r1, r1, 256\naddi r2, r2, -4\n\
+         bne r2, r0, loop\nhalt"
+    );
+    assemble(&src).unwrap()
+}
+
+fn one_mshr() -> CoreConfig {
+    let mut cfg = CoreConfig::ss_64x4();
+    cfg.mshr_count = 1;
+    cfg
+}
+
+#[test]
+fn issue_selects_the_oldest_ready_instructions_first() {
+    // Chains, stores, forwarded loads, and a multiply whose ten consumers
+    // wake together: issue must often choose, even eight wide.
+    let fan: String = (0..10)
+        .map(|i| format!("addi r{}, r13, {i}\n", 20 + i))
+        .collect();
+    let p = assemble(&format!(
+        "li r1, 0x3000\nli r2, 300\nloop:\nmul r3, r2, r2\nst r3, 0(r1)\nld r4, 0(r1)\n\
+         add r5, r5, r4\nslli r6, r5, 1\nxor r5, r5, r6\naddi r7, r2, 1\naddi r8, r2, 2\n\
+         add r10, r7, r8\ndiv r12, r10, r7\nmul r13, r2, r3\n{fan}addi r1, r1, 8\n\
+         addi r2, r2, -1\nbne r2, r0, loop\nhalt"
+    ))
+    .unwrap();
+    let mut narrow = CoreConfig::ss_64x4();
+    (narrow.width, narrow.iq_size) = (2, 6);
+    for cfg in [CoreConfig::ss_64x4(), CoreConfig::ss_128x8(), narrow] {
+        let run = IssueRun::new(cfg, &p);
+        let width = run.core.config().width;
+        let contested = run.cycles.iter().filter(|(r, _)| r.len() > width).count();
+        assert!(
+            contested > 50,
+            "width {width}: {contested} cycles with a choice"
+        );
+    }
+}
+
+/// A deferred access keeps its selection slot: with more than `width`
+/// ready, exactly `width - deferred` issue, and the younger ready work
+/// that would fit the freed slot waits.
+#[test]
+fn issue_width_counts_selections_before_mshr_deferral() {
+    let run = IssueRun::new(one_mshr(), &miss_stream());
+    let width = run.core.config().width;
+    let mut squeezed = 0;
+    for ((ready, issued), deferred) in run.cycles.iter().zip(run.deferred()) {
+        if !deferred.is_empty() && ready.len() > width {
+            assert_eq!(issued.len(), width - deferred.len());
+            squeezed += 1;
+        }
+    }
+    assert!(
+        squeezed > 20,
+        "{squeezed} cycles deferred with younger work ready"
+    );
+}
+
+/// A load deferred for want of an MSHR is still ready next cycle and,
+/// being older than anything that arrived since, is selected again ahead
+/// of every younger ready instruction.
+#[test]
+fn mshr_deferred_load_is_retried_ahead_of_younger_ready_work() {
+    let run = IssueRun::new(one_mshr(), &miss_stream());
+    let width = run.core.config().width;
+    let mut contested = 0;
+    for (c, deferred) in run.deferred().enumerate() {
+        let Some((ready, _)) = run.cycles.get(c + 1) else {
+            continue;
+        };
+        for s in deferred {
+            assert!(run.recs[s].instr.is_load() || run.recs[s].instr.is_store());
+            let pos = ready.iter().position(|&r| r == s);
+            assert!(
+                pos.is_some_and(|i| i < width),
+                "cycle {}: {s} lost its place",
+                c + 2
+            );
+            contested += usize::from(ready.iter().filter(|&&y| y > s).count() >= width);
+        }
+    }
+    assert!(
+        contested > 20,
+        "{contested} retries competed with a full width"
+    );
+}
+
+/// Exact issue-queue-full counts: how dispatch sees issue-queue occupancy
+/// must not drift.
+#[test]
+fn iq_full_cycles_are_pinned() {
+    let mut got = Vec::new();
+    for (iq, mut cfg) in [
+        (8, CoreConfig::ss_64x4()),
+        (16, CoreConfig::ss_64x4()),
+        (32, CoreConfig::ss_128x8()),
+    ] {
+        cfg.iq_size = iq;
+        let s = *IssueRun::new(cfg, &chain_program()).core.stats();
+        got.push((iq, s.iq_full_cycles, s.cycles));
+    }
+    assert_eq!(got, [(8, 5092, 6026), (16, 2538, 3791), (32, 1788, 2247)]);
 }

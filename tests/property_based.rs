@@ -155,153 +155,6 @@ fn online_checker_accepts_random_programs() {
     }
 }
 
-/// Batched fetch is observationally pure batching: for every driver,
-/// `next_fetch_block` must yield the byte-identical `FetchItem` stream
-/// that repeated `next_fetch` calls produce, for any sequence of block
-/// sizes. The pipeline's fetch stage depends on this — it refills its
-/// block opportunistically and consumes it item by item against the
-/// per-cycle stop conditions, so a driver whose native batch drops,
-/// duplicates, reorders, or re-derives an item differently (e.g. the
-/// `new_block`/`meta` bookkeeping) would silently change timing.
-#[test]
-fn next_fetch_block_equals_repeated_next_fetch_for_every_driver() {
-    use slipstream::core::{DelayEntry, RStreamDriver, RemovalPolicy, TraceFrontEnd};
-    use slipstream::cpu::{CoreDriver, FetchBlock, FetchItem, OracleDriver, StaticDriver};
-    use slipstream::predict::{TraceBuilder, TracePredictorConfig};
-    use slipstream::workloads::random_program_with_shape;
-
-    /// Infinite-stream guard (the trace front end follows its predicted
-    /// path forever on looping programs).
-    const CAP: usize = 2048;
-
-    fn single(drv: &mut dyn CoreDriver, cap: usize) -> Vec<FetchItem> {
-        let mut v = Vec::new();
-        while v.len() < cap {
-            match drv.next_fetch() {
-                Some(item) => v.push(item),
-                None => break,
-            }
-        }
-        v
-    }
-
-    /// Drains the driver through `next_fetch_block` with a randomized
-    /// block-size schedule, consuming via `peek`/`advance` exactly as the
-    /// pipeline does.
-    fn blocked(drv: &mut dyn CoreDriver, cap: usize, seed: u64) -> Vec<FetchItem> {
-        let mut rng = XorShift64Star::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut v = Vec::new();
-        let mut block = FetchBlock::new();
-        while v.len() < cap {
-            if block.is_empty() {
-                let max = 1 + rng.below(16) as usize;
-                drv.next_fetch_block(&mut block, max);
-                if block.is_empty() {
-                    break;
-                }
-            }
-            let item = *block.peek().expect("nonempty block peeks");
-            block.advance();
-            v.push(item);
-        }
-        v
-    }
-
-    /// A driver that only implements the required methods, so block
-    /// fetches go through the trait's default `next_fetch_block` — the
-    /// default impl is a driver too and must satisfy the same property.
-    struct DefaultBatched(OracleDriver);
-    impl CoreDriver for DefaultBatched {
-        fn next_fetch(&mut self) -> Option<FetchItem> {
-            self.0.next_fetch()
-        }
-        fn on_redirect(&mut self, resolved: &Retired, meta: u64) {
-            self.0.on_redirect(resolved, meta);
-        }
-    }
-
-    /// Functional-trace delay entries (what the A-stream would transmit),
-    /// segmented with the standard trace builder.
-    fn delay_entries(p: &slipstream::isa::Program, cap: usize) -> Vec<DelayEntry> {
-        let mut st = ArchState::new(p);
-        let trace = st.run(p, FUEL).expect("generated programs terminate");
-        let mut tb = TraceBuilder::new();
-        trace
-            .iter()
-            .take(cap)
-            .map(|rec| DelayEntry {
-                pc: rec.pc,
-                instr: rec.instr,
-                next_pc: rec.next_pc,
-                skipped: false,
-                ends_trace: tb.push(rec.pc, &rec.instr, rec.taken).is_some(),
-                taken: rec.taken,
-                src1: rec.src1.map(|(_, v)| v),
-                src2: rec.src2.map(|(_, v)| v),
-                result: rec.dest.map(|(_, v)| v),
-                addr: rec.mem.map(|m| m.addr),
-                store_value: rec.mem.and_then(|m| m.is_store.then_some(m.value)),
-            })
-            .collect()
-    }
-
-    let rstream = |entries: &[DelayEntry]| {
-        let mut drv = RStreamDriver::new(usize::MAX, usize::MAX, RemovalPolicy::all(), 8);
-        for &e in entries {
-            drv.delay.push(e);
-        }
-        drv
-    };
-
-    for seed in seeds(
-        "next_fetch_block_equals_repeated_next_fetch_for_every_driver",
-        64,
-        100_000,
-    ) {
-        // A distinct structural shape per case, not just a distinct seed.
-        let mut shape = XorShift64Star::new(seed.wrapping_mul(0xa076_1d64_78bd_642f));
-        let cfg = RandProgConfig {
-            chunks: 4 + shape.below(28) as usize,
-            max_chunk_len: 2 + shape.below(16) as usize,
-            max_trip: 1 + shape.below(12),
-            ..RandProgConfig::default()
-        };
-        let (p, _) = random_program_with_shape(seed, cfg);
-
-        let want = single(&mut OracleDriver::new(&p), CAP);
-        assert_eq!(
-            want,
-            blocked(&mut OracleDriver::new(&p), CAP, seed),
-            "oracle driver diverged, seed {seed}"
-        );
-        assert_eq!(
-            want,
-            blocked(&mut DefaultBatched(OracleDriver::new(&p)), CAP, seed),
-            "default next_fetch_block impl diverged, seed {seed}"
-        );
-
-        assert_eq!(
-            single(&mut StaticDriver::new(&p), CAP),
-            blocked(&mut StaticDriver::new(&p), CAP, seed),
-            "static driver diverged, seed {seed}"
-        );
-
-        let tp = TracePredictorConfig::default();
-        assert_eq!(
-            single(&mut TraceFrontEnd::baseline(&p, tp), CAP),
-            blocked(&mut TraceFrontEnd::baseline(&p, tp), CAP, seed),
-            "trace front end diverged, seed {seed}"
-        );
-
-        let entries = delay_entries(&p, CAP);
-        assert_eq!(
-            single(&mut rstream(&entries), CAP),
-            blocked(&mut rstream(&entries), CAP, seed),
-            "r-stream driver diverged, seed {seed}"
-        );
-    }
-}
-
 /// The functional simulator itself is deterministic.
 #[test]
 fn functional_simulator_is_deterministic() {
