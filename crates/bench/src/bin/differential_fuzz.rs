@@ -12,11 +12,11 @@
 //! ```text
 //! differential_fuzz [--seeds N] [--workers W] [--seed X] [--out PATH]
 //!                   [--smoke] [--scaling-probe] [--emit-corpus] [--trace]
-//!                   [--corpus DIR] [--replay PATH] [--telemetry PATH]
+//!                   [--corpus DIR] [--replay PATH]
 //! ```
 //!
 //! A malformed command line — an unknown flag, a missing value, or a
-//! value that is not an integer where one is expected — prints the usage
+//! value that is not a number where one is expected — prints the usage
 //! and exits with status 2.
 //!
 //! `--smoke` runs the reduced-scale CI gate (≤ 10 s): same code path,
@@ -27,20 +27,16 @@
 //! at 1 worker and asserts the rows are byte-identical. `--trace` writes a
 //! flight-recorder trace of each violation's minimized program next to its
 //! `.ssir` reproducer, headed by the first divergent event against the
-//! functional oracle (implies writing the reproducers too). `--telemetry
-//! PATH` collects host telemetry (per-seed and shrink-pass spans, fuzz
-//! counters, worker gauge) during the sweep and writes it to `PATH` as
-//! JSONL for `report`.
+//! functional oracle (implies writing the reproducers too).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use slipstream_bench::{
-    command_line, corpus_entry_text, json, replay_corpus_dir, replay_corpus_file, run_fuzz,
-    run_fuzz_telemetry, to_jsonl, write_corpus_traced, FuzzConfig, FuzzResult,
+    command_line, corpus_entry_text, json, parse_number, replay_corpus_dir, replay_corpus_file,
+    run_fuzz, write_corpus_traced, FuzzConfig, FuzzResult,
 };
 use slipstream_core::standard_invariants;
-use slipstream_core::telemetry::{RunManifest, Telemetry};
 
 /// The checked-in regression corpus, relative to the workspace root.
 const DEFAULT_CORPUS: &str = "crates/bench/corpus";
@@ -48,7 +44,7 @@ const DEFAULT_CORPUS: &str = "crates/bench/corpus";
 const USAGE: &str =
     "usage: differential_fuzz [--seeds N] [--workers W] [--seed X] [--out PATH]\n       \
                      [--smoke] [--scaling-probe] [--emit-corpus] [--trace]\n       \
-                     [--corpus DIR] [--replay PATH] [--telemetry PATH]";
+                     [--corpus DIR] [--replay PATH]";
 
 /// The command line.
 struct Args {
@@ -60,14 +56,6 @@ struct Args {
     trace: bool,
     scaling_probe: bool,
     replay: Option<PathBuf>,
-    tel_path: Option<String>,
-}
-
-/// A flag's integer value.
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: not an integer: {value:?}"))
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -88,23 +76,21 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace: false,
         scaling_probe: false,
         replay: None,
-        tel_path: None,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--smoke" => {}
-            "--seeds" => args.cfg.seeds = number(flag, value()?)?,
-            "--workers" => args.cfg.workers = number::<usize>(flag, value()?)?.max(1),
-            "--seed" => args.cfg.seed = number(flag, value()?)?,
+            "--seeds" => args.cfg.seeds = parse_number(flag, value()?)?,
+            "--workers" => args.cfg.workers = parse_number::<usize>(flag, value()?)?.max(1),
+            "--seed" => args.cfg.seed = parse_number(flag, value()?)?,
             "--out" => args.out = Some(value()?.clone()),
             "--corpus" => args.corpus = PathBuf::from(value()?),
             "--emit-corpus" => args.emit_corpus = true,
             "--trace" => args.trace = true,
             "--scaling-probe" => args.scaling_probe = true,
             "--replay" => args.replay = Some(PathBuf::from(value()?)),
-            "--telemetry" => args.tel_path = Some(value()?.clone()),
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -121,7 +107,6 @@ fn main() -> ExitCode {
         trace,
         scaling_probe,
         replay,
-        tel_path,
     } = command_line(parse_args, USAGE);
 
     if let Some(path) = replay {
@@ -136,19 +121,8 @@ fn main() -> ExitCode {
         cfg.workers,
     );
     let invariants = standard_invariants();
-    let mut tel = tel_path.as_ref().map(|_| Telemetry::new());
-    let result = run_fuzz_telemetry(&cfg, &invariants, tel.as_mut());
+    let result = run_fuzz(&cfg, &invariants);
     print_report(&result);
-
-    if let (Some(path), Some(tel)) = (&tel_path, &tel) {
-        let manifest = RunManifest::new("differential_fuzz", "fuzz", &format!("{cfg:?}"))
-            .label("workers", cfg.workers)
-            .label("seeds", cfg.seeds)
-            .label("seed", format!("{:#x}", cfg.seed));
-        std::fs::write(path, to_jsonl(&tel.snapshot(&manifest).into()))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
 
     // Replay the checked-in corpus alongside every sweep: old minimized
     // reproducers must stay fixed.
@@ -332,19 +306,19 @@ mod tests {
         let full = parse("--emit-corpus --trace --scaling-probe").unwrap();
         assert_eq!(full.out.as_deref(), Some("BENCH_fuzz.json"));
         assert!(full.emit_corpus && full.trace && full.scaling_probe && !full.smoke);
-        let paths = parse("--out o.json --corpus c --replay r.ssir --telemetry t.jsonl").unwrap();
+        let paths = parse("--out o.json --corpus c --replay r.ssir").unwrap();
         assert_eq!(paths.out.as_deref(), Some("o.json"));
         assert_eq!(paths.corpus, PathBuf::from("c"));
         assert_eq!(paths.replay, Some(PathBuf::from("r.ssir")));
-        assert_eq!(paths.tel_path.as_deref(), Some("t.jsonl"));
         for (line, want) in [
-            ("--seeds x", "--seeds: not an integer"),
-            ("--seeds -1", "--seeds: not an integer"),
-            ("--workers 2.5", "--workers: not an integer"),
-            ("--seed 0xf022", "--seed: not an integer"),
+            ("--seeds x", "--seeds: not a number"),
+            ("--seeds -1", "--seeds: not a number"),
+            ("--workers 2.5", "--workers: not a number"),
+            ("--seed 0xf022", "--seed: not a number"),
             ("--seeds", "--seeds needs a value"),
             ("--smoke --replay", "--replay needs a value"),
             ("--verbose", "unknown argument --verbose"),
+            ("--telemetry x", "unknown argument --telemetry"),
             ("corpus.ssir", "unknown argument corpus.ssir"),
         ] {
             let e = parse(line).map(|_| ()).expect_err(line);

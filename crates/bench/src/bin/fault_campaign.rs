@@ -12,7 +12,7 @@
 //! fault_campaign [--sites N] [--workers W] [--scale S] [--seed X]
 //!                [--out PATH] [--smoke] [--scaling-probe]
 //!                [--trace DIR] [--trace-bench NAME] [--ring N]
-//!                [--metrics-interval N] [--telemetry PATH]
+//!                [--metrics-interval N]
 //! ```
 //!
 //! `--smoke` runs the reduced-scale CI gate (≤ 10 s): same code path, few
@@ -24,17 +24,14 @@
 //! benchmark) for each target with the flight recorder frozen just after
 //! the detection, and writes its run file `DIR/fault_<bench>_<A|R>.jsonl`
 //! (event rows, plus sample rows when `--metrics-interval` is nonzero)
-//! and the Perfetto rendering `.chrome.json` next to it. `--telemetry PATH`
-//! collects host telemetry (per-site spans, campaign counters, worker
-//! gauge) during the sweep and writes it to `PATH` as JSONL for
-//! `report`.
+//! and the Perfetto rendering `.chrome.json` next to it.
 
 use std::path::PathBuf;
 
 use slipstream_bench::{
     command_line, json, parse_number, parse_scale, print_campaign_table, run_campaign,
-    run_campaign_telemetry, target_label, to_jsonl, trace_first_detection, write_run,
-    CampaignConfig, CampaignResult, RunFile, TARGETS,
+    target_label, trace_first_detection, write_run, CampaignConfig, CampaignResult, RunFile,
+    TARGETS,
 };
 use slipstream_core::telemetry::{RunManifest, Telemetry};
 use slipstream_core::{ExecMode, FaultTarget, TraceConfig};
@@ -42,7 +39,7 @@ use slipstream_workloads::BENCHMARK_NAMES;
 
 const USAGE: &str = "usage: fault_campaign [--sites N] [--workers W] [--scale S] [--seed X] \
                      [--out PATH] [--smoke] [--scaling-probe] [--trace DIR] \
-                     [--trace-bench NAME] [--ring N] [--metrics-interval N] [--telemetry PATH]";
+                     [--trace-bench NAME] [--ring N] [--metrics-interval N]";
 
 /// The command line.
 struct Args {
@@ -54,7 +51,6 @@ struct Args {
     trace_bench: &'static str,
     ring: usize,
     metrics_interval: u64,
-    tel_path: Option<String>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -75,7 +71,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace_bench: BENCHMARK_NAMES[0],
         ring: 65_536,
         metrics_interval: 0,
-        tel_path: None,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -96,7 +91,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--ring" => args.ring = parse_number(flag, value()?)?,
             "--metrics-interval" => args.metrics_interval = parse_number(flag, value()?)?,
-            "--telemetry" => args.tel_path = Some(value()?.clone()),
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -116,20 +110,8 @@ fn main() {
         cfg.seed,
         cfg.workers,
     );
-    let mut tel = args.tel_path.as_ref().map(|_| Telemetry::new());
-    let result = run_campaign_telemetry(cfg, &BENCHMARK_NAMES, &TARGETS, tel.as_mut());
+    let result = run_campaign(cfg, &BENCHMARK_NAMES, &TARGETS);
     print_campaign_table(&result);
-
-    if let (Some(path), Some(tel)) = (&args.tel_path, &tel) {
-        let manifest = RunManifest::new("fault_campaign", "campaign", &format!("{cfg:?}"))
-            .label("workers", cfg.workers)
-            .label("sites_per_target", cfg.sites_per_target)
-            .label("scale", cfg.scale)
-            .label("seed", format!("{:#x}", cfg.seed));
-        std::fs::write(path, to_jsonl(&tel.snapshot(&manifest).into()))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
 
     if args.smoke {
         smoke_assertions(&result);
@@ -328,6 +310,7 @@ mod tests {
             ("--seed", "--seed needs a value"),
             ("--trace-bench spice", "unknown benchmark \"spice\""),
             ("--smoke --verbose", "unknown argument --verbose"),
+            ("--telemetry x", "unknown argument --telemetry"),
             ("1000", "unknown argument 1000"),
         ] {
             let e = parse(line).map(|_| ()).expect_err(line);

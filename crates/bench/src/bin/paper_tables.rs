@@ -111,6 +111,7 @@ mod tests {
             ("--scale -1", "--scale: not a positive number"),
             ("--scale", "--scale needs a value"),
             ("--scael 0.2", "unknown argument --scael"),
+            ("--telemetry x", "unknown argument --telemetry"),
             ("0.2", "unknown argument 0.2"),
         ] {
             let e = parse(line).map(|_| ()).expect_err(line);

@@ -15,13 +15,12 @@
 //!   rendering `DIR/trace_<bench>.chrome.json` (default `DIR`: `.`), and
 //!   prints that file's report.
 //! - `FILES...` are run files: from `report --bench`, `fault_campaign
-//!   --trace/--telemetry`, `throughput --telemetry`, `differential_fuzz
-//!   --telemetry`, `cpi_stack --telemetry`, or `scripts/check.sh`'s gate
-//!   log. For each file the report prints the host span attribution, the
-//!   simulated CPI stack (summed from the file's `sample` rows, else from
-//!   the committed `BENCH_cpi_stack.json`, or `--cpi PATH`, when present),
-//!   and the pipeview of the flight-recorder window when the file has
-//!   `event` rows. An explicit `--cpi` that cannot be read is an error.
+//!   --trace`, or `scripts/check.sh`'s gate log. For each file the report
+//!   prints the host span attribution, the simulated CPI stack (summed
+//!   from the file's `sample` rows, else from the committed
+//!   `BENCH_cpi_stack.json`, or `--cpi PATH`, when present), and the
+//!   pipeview of the flight-recorder window when the file has `event`
+//!   rows. An explicit `--cpi` that cannot be read is an error.
 //! - `--smoke` is the CI gate: a small traced windowed run and a
 //!   telemetry-only threaded run, each written, read back, and checked to
 //!   re-render byte-identically and to attribute its `run_total`, then
@@ -357,6 +356,7 @@ mod tests {
             ("--bench gcc --ring -1", "--ring: not a number"),
             ("--bench gcc --ring", "--ring needs a value"),
             ("--smoke --verbose", "unknown argument --verbose"),
+            ("--telemetry x", "unknown argument --telemetry"),
             ("", "exactly one of"),
             ("--smoke run.jsonl", "exactly one of"),
         ] {

@@ -20,18 +20,11 @@
 //! - `slipstream-threaded` — CMP(2x64x4), two OS threads over the SPSC
 //!   ring (only with `--parallel-cores`)
 //!
-//! Usage: `throughput [scale] [reps] [--parallel-cores] [--smoke]
-//! [--telemetry DIR]`
+//! Usage: `throughput [scale] [reps] [--parallel-cores] [--smoke]`
 //!
 //! - `scale` stretches the workload suite (default 1.0), `reps` is runs
 //!   per measurement (default 3).
 //! - `--parallel-cores` adds the `slipstream-threaded` rows.
-//! - `--telemetry DIR` runs one extra telemetry-enabled suite pass per
-//!   slipstream model *after* the timed rows (so instrumentation cannot
-//!   perturb the measurements) and writes
-//!   the run file `DIR/throughput_<model>.telemetry.jsonl` per model,
-//!   anchored to this run's calibration row. `BENCH_throughput.json` is
-//!   unaffected.
 //! - `--smoke` is the CI regression gate: a quick reduced-scale pass
 //!   (scale 0.2, reps 1, all models) that does NOT overwrite
 //!   `BENCH_throughput.json`; instead it compares the measured per-model
@@ -43,8 +36,7 @@
 
 use std::time::Instant;
 
-use slipstream_bench::{command_line, json, parse_number, parse_scale, to_jsonl, MAX_CYCLES};
-use slipstream_core::telemetry::{RunManifest, Telemetry};
+use slipstream_bench::{command_line, json, parse_number, parse_scale, MAX_CYCLES};
 use slipstream_core::{run_superscalar, ExecMode, SlipstreamConfig, SlipstreamProcessor};
 use slipstream_cpu::CoreConfig;
 use slipstream_isa::assemble;
@@ -207,50 +199,6 @@ fn measure(
     }
 }
 
-/// The `--telemetry DIR` pass: one telemetry-enabled suite run per
-/// slipstream model (the SS(64x4) baseline has no scheduler to profile),
-/// merged across workloads into a single registry per model and written
-/// as one run file per model. Runs after every timed measurement.
-fn telemetry_pass(
-    dir: &str,
-    workloads: &[Workload],
-    model_list: &[(&'static str, Option<ExecMode>, bool)],
-    cfg: &SlipstreamConfig,
-    scale: f64,
-    calibration_anchor: Option<f64>,
-) {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {dir}: {e}"));
-    for &(model, mode, shared_l2) in model_list {
-        let Some(mode) = mode else {
-            continue;
-        };
-        let run_cfg = if shared_l2 {
-            SlipstreamConfig::cmp_shared_l2()
-        } else {
-            cfg.clone()
-        };
-        let mut merged = Telemetry::new();
-        for w in workloads {
-            let mut proc = SlipstreamProcessor::new(run_cfg.clone(), &w.program);
-            proc.enable_telemetry();
-            assert!(
-                proc.run_mode(mode, MAX_CYCLES),
-                "{}: {model} telemetry pass did not complete",
-                w.name
-            );
-            merged.merge(&proc.take_telemetry().expect("telemetry was enabled"));
-        }
-        let manifest = RunManifest::new("throughput", mode.label(), &format!("{run_cfg:?}"))
-            .label("model", model)
-            .label("scale", scale)
-            .calibration(calibration_anchor);
-        let path = format!("{dir}/throughput_{model}.telemetry.jsonl");
-        std::fs::write(&path, to_jsonl(&merged.snapshot(&manifest).into()))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-}
-
 /// Per-model totals (instructions, seconds) over a row set.
 fn model_totals<'a>(rows: impl Iterator<Item = &'a Measurement>) -> Vec<(&'static str, u64, f64)> {
     let mut totals: Vec<(&'static str, u64, f64)> = Vec::new();
@@ -292,8 +240,7 @@ fn committed_model_totals(doc: &str) -> Result<Vec<(String, u64, f64)>, String> 
         .collect()
 }
 
-const USAGE: &str = "usage: throughput [scale] [reps] [--parallel-cores] [--smoke] \
-                     [--telemetry DIR]";
+const USAGE: &str = "usage: throughput [scale] [reps] [--parallel-cores] [--smoke]";
 
 /// The command line.
 #[derive(Default)]
@@ -302,20 +249,14 @@ struct Args {
     reps: Option<u32>,
     smoke: bool,
     parallel_cores: bool,
-    tel_dir: Option<String>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
+    for arg in argv {
         match arg.as_str() {
             "--smoke" => args.smoke = true,
             "--parallel-cores" => args.parallel_cores = true,
-            "--telemetry" => {
-                let dir = it.next().ok_or("--telemetry needs a directory argument")?;
-                args.tel_dir = Some(dir.clone());
-            }
             flag if flag.starts_with("--") => return Err(format!("unknown argument {flag}")),
             s if args.scale.is_none() => args.scale = Some(parse_scale("scale", s)?),
             s if args.reps.is_none() => args.reps = Some(parse_number("reps", s)?),
@@ -327,7 +268,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
 fn main() {
     let args = command_line(parse_args, USAGE);
-    let (smoke, tel_dir) = (args.smoke, args.tel_dir);
+    let smoke = args.smoke;
     // Smoke mode measures every model: the regression gate should catch a
     // slowdown in any scheduler, not just the default.
     let parallel_cores = args.parallel_cores || smoke;
@@ -401,14 +342,6 @@ fn main() {
                 );
             }
         }
-    }
-
-    if let Some(dir) = &tel_dir {
-        let anchor = totals
-            .iter()
-            .find(|(m, _, _)| *m == "calibration")
-            .map(|&(_, instrs, secs)| instrs as f64 / secs);
-        telemetry_pass(dir, &workloads, &model_list, &cfg, scale, anchor);
     }
 
     if smoke {
@@ -523,16 +456,16 @@ mod tests {
     /// prints the usage, exits 2) instead of panics.
     #[test]
     fn command_lines_outside_the_usage_are_errors() {
-        let ok = parse("0.5 2 --parallel-cores --telemetry d").unwrap();
+        let ok = parse("0.5 2 --parallel-cores").unwrap();
         assert_eq!((ok.scale, ok.reps), (Some(0.5), Some(2)));
-        assert!(ok.parallel_cores && !ok.smoke && ok.tel_dir.as_deref() == Some("d"));
+        assert!(ok.parallel_cores && !ok.smoke);
         assert_eq!(parse("--smoke").unwrap().scale, None);
         for (line, want) in [
             ("x", "scale: not a number"),
             ("0", "scale: not a positive number"),
             ("1 many", "reps: not a number"),
             ("1 3 7", "unexpected argument 7"),
-            ("--telemetry", "--telemetry needs a directory"),
+            ("--telemetry x", "unknown argument --telemetry"),
             ("--parallel", "unknown argument --parallel"),
         ] {
             let e = parse(line).map(|_| ()).expect_err(line);

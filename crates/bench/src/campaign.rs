@@ -21,7 +21,6 @@
 //! byte-identical campaign rows regardless of worker count.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use slipstream_core::{
@@ -31,10 +30,9 @@ use slipstream_core::{
 };
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::ArchState;
-use slipstream_telemetry::{CounterKind, GaugeKind, HistKind, SpanKind, Telemetry};
 use slipstream_workloads::{benchmark, Workload, XorShift64Star};
 
-use crate::{json, MAX_CYCLES};
+use crate::{json, map_ordered, MAX_CYCLES};
 
 /// Both fault targets, in reporting order.
 pub const TARGETS: [FaultTarget; 2] = [FaultTarget::AStream, FaultTarget::RStream];
@@ -486,7 +484,6 @@ fn run_forked(
     ctx: &BenchContext,
     sites: &[(usize, InjectionSite)],
     max_cycles: u64,
-    mut tel: Option<&mut Telemetry>,
     mut visit: impl FnMut(usize, InjectionSite, FaultReport, &SlipstreamProcessor),
 ) {
     let mut order: Vec<(usize, usize, InjectionSite)> = sites
@@ -500,7 +497,6 @@ fn run_forked(
         if leader.cycles() < at {
             leader.run(at);
         }
-        let t0 = tel.as_ref().map(|_| Instant::now());
         let mut run = leader.clone();
         let report = run_injected(
             &mut run,
@@ -513,17 +509,6 @@ fn run_forked(
             &ctx.golden,
             &ctx.baseline_misp,
         );
-        if let (Some(t0), Some(tel)) = (t0, tel.as_deref_mut()) {
-            tel.record_span(SpanKind::CampaignSite, t0.elapsed().as_nanos() as u64);
-            tel.add(CounterKind::CampaignSites, 1);
-            tel.add(CounterKind::CampaignFired, report.fired as u64);
-            tel.add(
-                CounterKind::CampaignDetected,
-                (report.outcome == FaultOutcome::DetectedRecovered) as u64,
-            );
-            tel.add(CounterKind::CampaignSimCycles, report.cycles);
-            tel.record_value(HistKind::CampaignSiteCycles, report.cycles);
-        }
         visit(i, site, report, &run);
     }
 }
@@ -543,13 +528,9 @@ pub fn for_each_forked_site(
         .into_iter()
         .enumerate()
         .collect();
-    run_forked(
-        &ctx,
-        &sites,
-        cfg.max_cycles,
-        None,
-        |_, site, report, run| visit(&site, &report, run),
-    );
+    run_forked(&ctx, &sites, cfg.max_cycles, |_, site, report, run| {
+        visit(&site, &report, run)
+    });
 }
 
 /// A benchmark's enumerated sites, target by target.
@@ -581,7 +562,6 @@ fn run_sites(
     sites: &[(usize, InjectionSite)],
     workers: usize,
     max_cycles: u64,
-    tel: Option<&mut Telemetry>,
 ) -> Vec<SiteResult> {
     let mut jobs: Vec<(BenchContext, Vec<(usize, InjectionSite)>)> =
         contexts.into_iter().map(|ctx| (ctx, Vec::new())).collect();
@@ -590,54 +570,24 @@ fn run_sites(
     }
     // Each benchmark runs on exactly one worker, which takes ownership of
     // its context (`Memory` is `!Sync`, so contexts move rather than share).
-    let jobs = Mutex::new(jobs.into_iter());
-    let results: Mutex<Vec<(usize, SiteResult)>> = Mutex::new(Vec::with_capacity(sites.len()));
-    // Telemetry: each worker owns a private registry (no locks on the hot
-    // path) and parks it here when its loop drains; the commutative merge
-    // below makes the aggregate independent of worker count and of how the
-    // benchmarks happened to be partitioned among the workers.
-    let worker_tels: Mutex<Vec<Telemetry>> = Mutex::new(Vec::new());
-    let with_tel = tel.is_some();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            let (jobs, results, worker_tels) = (&jobs, &results, &worker_tels);
-            scope.spawn(move || {
-                let mut tel = with_tel.then(Telemetry::new);
-                loop {
-                    let next = jobs.lock().expect("worker panicked").next();
-                    let Some((ctx, bench_sites)) = next else {
-                        break;
-                    };
-                    run_forked(
-                        &ctx,
-                        &bench_sites,
-                        max_cycles,
-                        tel.as_mut(),
-                        |i, site, r, _| {
-                            let r = SiteResult {
-                                site,
-                                outcome: r.outcome,
-                                fired: r.fired,
-                                detections: r.detections,
-                                detection_latency: r.detection_latency,
-                                cycles: r.cycles,
-                            };
-                            results.lock().expect("worker panicked").push((i, r));
-                        },
-                    );
-                }
-                if let Some(t) = tel {
-                    worker_tels.lock().expect("worker panicked").push(t);
-                }
-            });
-        }
+    let per_bench = map_ordered(jobs, workers, |(ctx, bench_sites)| {
+        let mut results = Vec::with_capacity(bench_sites.len());
+        run_forked(&ctx, &bench_sites, max_cycles, |i, site, r, _| {
+            results.push((
+                i,
+                SiteResult {
+                    site,
+                    outcome: r.outcome,
+                    fired: r.fired,
+                    detections: r.detections,
+                    detection_latency: r.detection_latency,
+                    cycles: r.cycles,
+                },
+            ));
+        });
+        results
     });
-    if let Some(tel) = tel {
-        for t in worker_tels.into_inner().expect("worker panicked").iter() {
-            tel.merge(t);
-        }
-    }
-    let mut v = results.into_inner().expect("worker panicked");
+    let mut v: Vec<(usize, SiteResult)> = per_bench.into_iter().flatten().collect();
     v.sort_unstable_by_key(|&(i, _)| i);
     v.into_iter().map(|(_, r)| r).collect()
 }
@@ -650,32 +600,10 @@ pub fn run_campaign(
     benches: &[&str],
     targets: &[FaultTarget],
 ) -> CampaignResult {
-    run_campaign_telemetry(cfg, benches, targets, None)
-}
-
-/// [`run_campaign`] with optional host telemetry: per-site spans, outcome
-/// counters, and a cycles-per-site histogram recorded into worker-local
-/// registries and merged (worker-count-independently) into `tel`.
-pub fn run_campaign_telemetry(
-    cfg: &CampaignConfig,
-    benches: &[&str],
-    targets: &[FaultTarget],
-    mut tel: Option<&mut Telemetry>,
-) -> CampaignResult {
     let start = Instant::now();
-    if let Some(tel) = tel.as_deref_mut() {
-        tel.set_gauge(GaugeKind::Workers, cfg.workers.max(1) as u64);
-    }
     let contexts: Vec<BenchContext> = benches
         .iter()
-        .map(|b| {
-            let t0 = tel.as_ref().map(|_| Instant::now());
-            let ctx = prepare(b, cfg.scale, cfg.max_cycles);
-            if let (Some(t0), Some(tel)) = (t0, tel.as_deref_mut()) {
-                tel.record_span(SpanKind::CampaignPrepare, t0.elapsed().as_nanos() as u64);
-            }
-            ctx
-        })
+        .map(|b| prepare(b, cfg.scale, cfg.max_cycles))
         .collect();
 
     let sites: Vec<(usize, InjectionSite)> = contexts
@@ -694,7 +622,7 @@ pub fn run_campaign_telemetry(
             summaries.push(TargetSummary::new(ctx.workload.name, target));
         }
     }
-    let site_results = run_sites(contexts, &sites, cfg.workers, cfg.max_cycles, tel);
+    let site_results = run_sites(contexts, &sites, cfg.workers, cfg.max_cycles);
 
     let per_bench = targets.len();
     for (&(ci, site), r) in sites.iter().zip(&site_results) {

@@ -25,17 +25,14 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use slipstream_core::{check_all, standard_invariants, Invariant};
 use slipstream_isa::{assemble, ArchState, Program};
-use slipstream_telemetry::{CounterKind, GaugeKind, HistKind, SpanKind, Telemetry};
 use slipstream_workloads::{random_program_with_shape, RandProgConfig, XorShift64Star};
 
 use crate::shrink::shrink;
-use crate::{available_workers, json, trace_export, MAX_CYCLES};
+use crate::{available_workers, json, map_ordered, trace_export, MAX_CYCLES};
 
 /// Parameters of one fuzzing sweep.
 #[derive(Debug, Clone)]
@@ -225,28 +222,14 @@ struct SeedOutcome {
     rows: Vec<Option<FuzzViolation>>,
 }
 
-fn check_seed(
-    cfg: &FuzzConfig,
-    seed: u64,
-    invariants: &[Box<dyn Invariant>],
-    mut tel: Option<&mut Telemetry>,
-) -> SeedOutcome {
-    let t0 = tel.as_ref().map(|_| Instant::now());
+fn check_seed(cfg: &FuzzConfig, seed: u64, invariants: &[Box<dyn Invariant>]) -> SeedOutcome {
     let (program, shape) = random_program_with_shape(seed, cfg.prog);
     let Ok(golden) = oracle(&program, cfg.fuel) else {
-        if let (Some(t0), Some(tel)) = (t0, tel.as_deref_mut()) {
-            tel.record_span(SpanKind::FuzzSeed, t0.elapsed().as_nanos() as u64);
-            tel.add(CounterKind::FuzzSeeds, 1);
-            tel.add(CounterKind::FuzzGenRejected, 1);
-        }
         return SeedOutcome {
             rejected: true,
             rows: invariants.iter().map(|_| None).collect(),
         };
     };
-    if let Some(tel) = tel.as_deref_mut() {
-        tel.add(CounterKind::FuzzChecks, invariants.len() as u64);
-    }
     let rows = check_all(invariants, &program, &golden, cfg.max_cycles)
         .into_iter()
         .zip(invariants)
@@ -259,14 +242,7 @@ fn check_seed(
                 Ok(g) => inv.check(p, &g, cfg.max_cycles).is_err(),
                 Err(()) => false,
             };
-            let s0 = tel.as_ref().map(|_| Instant::now());
             let out = shrink(&program, &shape, cfg.shrink_evals, &mut fails);
-            if let (Some(s0), Some(tel)) = (s0, tel.as_deref_mut()) {
-                tel.record_span(SpanKind::ShrinkPass, s0.elapsed().as_nanos() as u64);
-                tel.add(CounterKind::FuzzViolations, 1);
-                tel.add(CounterKind::FuzzShrinkEvals, out.evals as u64);
-                tel.record_value(HistKind::ShrinkEvals, out.evals as u64);
-            }
             Some(FuzzViolation {
                 seed,
                 invariant: inv.name(),
@@ -278,10 +254,6 @@ fn check_seed(
             })
         })
         .collect();
-    if let (Some(t0), Some(tel)) = (t0, tel) {
-        tel.record_span(SpanKind::FuzzSeed, t0.elapsed().as_nanos() as u64);
-        tel.add(CounterKind::FuzzSeeds, 1);
-    }
     SeedOutcome {
         rejected: false,
         rows,
@@ -291,58 +263,11 @@ fn check_seed(
 /// Runs a fuzzing sweep over `cfg.seeds` seeds with the given invariant
 /// set (pass [`standard_invariants`]`()` for the full battery).
 pub fn run_fuzz(cfg: &FuzzConfig, invariants: &[Box<dyn Invariant>]) -> FuzzResult {
-    run_fuzz_telemetry(cfg, invariants, None)
-}
-
-/// [`run_fuzz`] with optional host telemetry: per-seed and per-shrink
-/// spans plus check/violation counters recorded into worker-local
-/// registries and merged (worker-count-independently) into `tel`.
-pub fn run_fuzz_telemetry(
-    cfg: &FuzzConfig,
-    invariants: &[Box<dyn Invariant>],
-    mut tel: Option<&mut Telemetry>,
-) -> FuzzResult {
     let start = Instant::now();
-    if let Some(tel) = tel.as_deref_mut() {
-        tel.set_gauge(GaugeKind::Workers, cfg.workers.max(1) as u64);
-    }
     let seeds = enumerate_seeds(cfg.seeds, cfg.seed);
-
-    let next = AtomicUsize::new(0);
-    let outcomes: Mutex<Vec<(usize, SeedOutcome)>> = Mutex::new(Vec::with_capacity(seeds.len()));
-    // Worker-local registries, merged commutatively after the pool drains
-    // (same discipline as `campaign::run_sites`).
-    let worker_tels: Mutex<Vec<Telemetry>> = Mutex::new(Vec::new());
-    let with_tel = tel.is_some();
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.workers.max(1) {
-            let next = &next;
-            let outcomes = &outcomes;
-            let worker_tels = &worker_tels;
-            let seeds = &seeds;
-            scope.spawn(move || {
-                let mut wtel = with_tel.then(Telemetry::new);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = seeds.get(i) else {
-                        break;
-                    };
-                    let o = check_seed(cfg, seed, invariants, wtel.as_mut());
-                    outcomes.lock().expect("worker panicked").push((i, o));
-                }
-                if let Some(t) = wtel {
-                    worker_tels.lock().expect("worker panicked").push(t);
-                }
-            });
-        }
+    let outcomes = map_ordered(&seeds, cfg.workers, |&seed| {
+        check_seed(cfg, seed, invariants)
     });
-    if let Some(tel) = tel {
-        for t in worker_tels.into_inner().expect("worker panicked").iter() {
-            tel.merge(t);
-        }
-    }
-    let mut v = outcomes.into_inner().expect("worker panicked");
-    v.sort_unstable_by_key(|&(i, _)| i);
 
     let mut coverage: Vec<InvariantCoverage> = invariants
         .iter()
@@ -354,7 +279,7 @@ pub fn run_fuzz_telemetry(
         .collect();
     let mut violations = Vec::new();
     let mut gen_rejected = 0u64;
-    for (_, o) in v {
+    for o in outcomes {
         if o.rejected {
             gen_rejected += 1;
             continue;

@@ -25,6 +25,8 @@ pub mod telemetry_export;
 /// naming.
 pub mod trace_export;
 
+use std::sync::Mutex;
+
 use slipstream_core::{
     run_superscalar, BaselineStats, CpiCat, RemovalPolicy, SlipstreamConfig, SlipstreamProcessor,
     SlipstreamStats,
@@ -34,18 +36,18 @@ use slipstream_workloads::{suite, Workload};
 
 pub use campaign::{
     available_workers, enumerate_sites, for_each_forked_site, print_campaign_table, run_campaign,
-    run_campaign_telemetry, target_label, trace_first_detection, CampaignConfig, CampaignResult,
-    InjectionSite, LatencyHistogram, SiteResult, TargetSummary, LATENCY_EDGES, TARGETS,
+    target_label, trace_first_detection, CampaignConfig, CampaignResult, InjectionSite,
+    LatencyHistogram, SiteResult, TargetSummary, LATENCY_EDGES, TARGETS,
 };
 pub use fuzz::{
     corpus_entry_text, enumerate_seeds, replay_corpus_dir, replay_corpus_file, run_fuzz,
-    run_fuzz_telemetry, trace_entry_name, write_corpus, write_corpus_traced, FuzzConfig,
-    FuzzResult, FuzzViolation, InvariantCoverage,
+    trace_entry_name, write_corpus, write_corpus_traced, FuzzConfig, FuzzResult, FuzzViolation,
+    InvariantCoverage,
 };
 pub use shrink::{live_count, shrink, ShrinkOutcome};
 pub use telemetry_export::{
-    committed_calibration, committed_cpi_section, deterministic_jsonl, exclusive_spans,
-    parse_jsonl, report_text, to_jsonl, write_run, RunFile,
+    committed_calibration, committed_cpi_section, exclusive_spans, parse_jsonl, report_text,
+    to_jsonl, write_run, RunFile,
 };
 pub use trace_export::{
     chrome_trace_json, cpi_stack_obj, first_divergence, lifecycles, pipeview_text,
@@ -605,6 +607,33 @@ pub fn splice_regions(doc: &str, regions: &[(&str, String)]) -> Result<String, S
         out.replace_range(start..stop, &format!("\n{table}"));
     }
     Ok(out)
+}
+
+/// Maps `f` over `items` on `workers` scoped threads (at least one) and
+/// returns the results in input order. Each worker takes the next
+/// unclaimed item, so which thread ran an item never shows in the output.
+pub(crate) fn map_ordered<I, R>(items: I, workers: usize, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    I::Item: Send,
+    R: Send,
+{
+    let jobs = Mutex::new(items.into_iter().enumerate());
+    let results = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..workers.max(1) {
+            scope.spawn(|| loop {
+                let next = jobs.lock().expect("worker panicked").next();
+                let Some((i, item)) = next else { break };
+                let r = f(item);
+                results.lock().expect("worker panicked").push((i, r));
+            });
+        }
+    });
+    let mut v = results.into_inner().expect("worker panicked");
+    v.sort_unstable_by_key(|&(i, _)| i);
+    v.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A binary's command line, parsed by `parse`; a malformed one prints the

@@ -5,8 +5,8 @@
 //! run's identity and the flight recorder's `dropped` count; every other
 //! line is one row, and the row type fixes its clock:
 //!
-//! - host rows, in wall-clock nanoseconds: `span`, `counter`, `gauge`,
-//!   `hist` (the [`Snapshot`]);
+//! - host rows, in wall-clock nanoseconds: `span` (one scheduler phase's
+//!   count, total and duration buckets; the [`Snapshot`]);
 //! - simulated rows, in simulated cycles: `event` (one flight-recorder
 //!   event) and `sample` (one interval sample, integer counters only —
 //!   ratios are computed when rendered) (the [`FlightRecording`]).
@@ -23,9 +23,9 @@ use crate::json::{self, Value};
 use crate::trace_export::{chrome_trace_json, cpi_stack_obj, pipeview_text, EVENT_KINDS, STREAMS};
 use slipstream_core::{FlightRecording, FrontEndStats, IntervalSample, TraceEvent};
 use slipstream_cpu::{CoreStats, CpiCat};
-use slipstream_telemetry::{HistRow, Snapshot, SpanRow, LOG2_BUCKETS};
+use slipstream_telemetry::{Snapshot, SpanRow, LOG2_BUCKETS};
 
-/// Everything one run leaves for later reading: host telemetry plus the
+/// Everything one run leaves for later reading: host spans plus the
 /// simulated flight recording (empty when the run was not traced).
 #[derive(Debug, Clone)]
 pub struct RunFile {
@@ -93,29 +93,6 @@ fn span_line(s: &SpanRow) -> String {
     o.finish()
 }
 
-/// One counter or gauge row.
-fn value_line(ty: &str, name: &str, value: u64) -> String {
-    json::Obj::new()
-        .str("type", ty)
-        .str("name", name)
-        .raw("value", value)
-        .finish()
-}
-
-/// One value-histogram row.
-fn hist_line(h: &HistRow) -> String {
-    let mut o = json::Obj::new()
-        .str("type", "hist")
-        .str("name", &h.name)
-        .raw("count", h.count)
-        .raw("sum", h.sum)
-        .raw("max", h.max);
-    if !h.buckets.is_empty() {
-        o = o.raw("buckets", buckets_json(&h.buckets));
-    }
-    o.finish()
-}
-
 /// One flight-recorder event row.
 fn event_line(e: &TraceEvent) -> String {
     json::Obj::new()
@@ -166,9 +143,9 @@ fn sample_line(s: &IntervalSample) -> String {
         .finish()
 }
 
-/// The run as JSONL: manifest first, then spans, counters, gauges,
-/// histograms, events, and samples. `parse_jsonl` inverts this
-/// byte-identically (`to_jsonl(&parse_jsonl(&to_jsonl(r))?) == to_jsonl(r)`).
+/// The run as JSONL: manifest first, then spans, events, and samples.
+/// `parse_jsonl` inverts this byte-identically
+/// (`to_jsonl(&parse_jsonl(&to_jsonl(r))?) == to_jsonl(r)`).
 pub fn to_jsonl(run: &RunFile) -> String {
     let (snap, rec) = (&run.snapshot, &run.recording);
     let mut labels = json::Obj::new();
@@ -189,33 +166,8 @@ pub fn to_jsonl(run: &RunFile) -> String {
         .finish();
     std::iter::once(manifest)
         .chain(snap.spans.iter().map(span_line))
-        .chain(
-            snap.counters
-                .iter()
-                .map(|(n, v)| value_line("counter", n, *v)),
-        )
-        .chain(snap.gauges.iter().map(|(n, v)| value_line("gauge", n, *v)))
-        .chain(snap.hists.iter().map(hist_line))
         .chain(rec.events.iter().map(event_line))
         .chain(rec.samples.iter().map(sample_line))
-        .map(|line| line + "\n")
-        .collect()
-}
-
-/// The snapshot's *deterministic* subset as JSONL: counters and value
-/// histograms only, minus the scheduling-dependent `ring_occupancy`. No
-/// manifest (its labels carry worker counts), no spans, no gauges —
-/// everything emitted here is a pure function of the simulated work, so
-/// two runs of the same work produce byte-identical output regardless of
-/// worker count. The determinism tests diff exactly this.
-pub fn deterministic_jsonl(snap: &Snapshot) -> String {
-    let counters = snap
-        .counters
-        .iter()
-        .map(|(n, v)| value_line("counter", n, *v));
-    let hists = snap.hists.iter().filter(|h| h.name != "ring_occupancy");
-    counters
-        .chain(hists.map(hist_line))
         .map(|line| line + "\n")
         .collect()
 }
@@ -377,9 +329,6 @@ pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
         calibration_instrs_per_sec: None,
         labels: Vec::new(),
         spans: Vec::new(),
-        counters: Vec::new(),
-        gauges: Vec::new(),
-        hists: Vec::new(),
     };
     let mut rec = FlightRecording::default();
     let mut saw_manifest = false;
@@ -415,21 +364,6 @@ pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
                 name: need_str(&val, "name").map_err(&fail)?,
                 count: need_u64(&val, "count").map_err(&fail)?,
                 total_nanos: need_u64(&val, "total_nanos").map_err(&fail)?,
-                buckets: read_buckets(&val).map_err(&fail)?,
-            }),
-            "counter" => snap.counters.push((
-                need_str(&val, "name").map_err(&fail)?,
-                need_u64(&val, "value").map_err(&fail)?,
-            )),
-            "gauge" => snap.gauges.push((
-                need_str(&val, "name").map_err(&fail)?,
-                need_u64(&val, "value").map_err(&fail)?,
-            )),
-            "hist" => snap.hists.push(HistRow {
-                name: need_str(&val, "name").map_err(&fail)?,
-                count: need_u64(&val, "count").map_err(&fail)?,
-                sum: need_u64(&val, "sum").map_err(&fail)?,
-                max: need_u64(&val, "max").map_err(&fail)?,
                 buckets: read_buckets(&val).map_err(&fail)?,
             }),
             "event" => rec.events.push(read_event(&val).map_err(&fail)?),
@@ -508,7 +442,7 @@ const THREADED_A_SET: &[&str] = &[
 ];
 
 /// The exclusive top-level span set of `scheduler`'s measuring thread;
-/// `None` for harness-level snapshots with no scheduler span structure.
+/// `None` for files with no scheduler span structure (`check.sh` gates).
 pub fn exclusive_spans(scheduler: &str) -> Option<&'static [&'static str]> {
     match scheduler {
         "serial" => Some(SERIAL_SET),
@@ -588,9 +522,8 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
             }
         }
         _ => {
-            // Harness-level snapshots (campaign, fuzz, check.sh gates)
-            // have no scheduler span structure: list everything, largest
-            // first, as a share of the span sum.
+            // Files with no scheduler span structure (check.sh gates):
+            // list everything, largest first, as a share of the span sum.
             let mut rows: Vec<&SpanRow> = snap.spans.iter().collect();
             if rows.is_empty() {
                 return;
@@ -694,10 +627,10 @@ fn sampled_cpi_section(out: &mut String, samples: &[IntervalSample]) {
 }
 
 /// The human-readable run report, three sections per run file: host
-/// wall-clock attribution (plus counters, gauges, and histograms); the
-/// simulated CPI stack, from the file's `sample` rows or else from
-/// `committed_cpi` (a rendered [`committed_cpi_section`]); and the
-/// pipeview of the flight-recorder window when the file has `event` rows.
+/// wall-clock attribution; the simulated CPI stack, from the file's
+/// `sample` rows or else from `committed_cpi` (a rendered
+/// [`committed_cpi_section`]); and the pipeview of the flight-recorder
+/// window when the file has `event` rows.
 pub fn report_text(files: &[RunFile], committed_cpi: Option<&str>) -> String {
     let mut out = String::new();
     out.push_str("slipstream run report\n");
@@ -720,22 +653,6 @@ pub fn report_text(files: &[RunFile], committed_cpi: Option<&str>) -> String {
             out.push_str(&format!("  labels: {}\n", labels.join(", ")));
         }
         attribution_section(&mut out, snap);
-        for (what, rows) in [("counters", &snap.counters), ("gauges", &snap.gauges)] {
-            if !rows.is_empty() {
-                let rows: Vec<String> = rows.iter().map(|(n, v)| format!("{n}={v}")).collect();
-                out.push_str(&format!("  {what}: {}\n", rows.join(", ")));
-            }
-        }
-        for h in &snap.hists {
-            let mean = h.sum as f64 / h.count.max(1) as f64;
-            out.push_str(&format!(
-                "  hist {}: count={} mean={} max={}\n",
-                h.name,
-                h.count,
-                json::f64_fixed(mean, 1),
-                h.max
-            ));
-        }
         if !rec.samples.is_empty() {
             sampled_cpi_section(&mut out, &rec.samples);
         } else if let Some(section) = committed_cpi {
@@ -763,9 +680,7 @@ pub fn report_text(files: &[RunFile], committed_cpi: Option<&str>) -> String {
 mod tests {
     use super::*;
     use slipstream_core::{EventKind, StreamId, NO_SEQ};
-    use slipstream_telemetry::{
-        CounterKind, GaugeKind, HistKind, RunManifest, SpanKind, Telemetry,
-    };
+    use slipstream_telemetry::{RunManifest, SpanKind, Telemetry};
 
     fn sample_snapshot() -> Snapshot {
         let mut tel = Telemetry::new();
@@ -773,17 +688,13 @@ mod tests {
         tel.record_span(SpanKind::RWindowConsume, 600_000);
         tel.record_span(SpanKind::RRingPopWait, 100_000);
         tel.record_span(SpanKind::RBoundarySync, 50_000);
-        tel.add(CounterKind::CampaignSites, 96);
-        tel.set_gauge(GaugeKind::Workers, 3);
-        tel.record_value(HistKind::RingOccupancy, 5);
-        tel.record_value(HistKind::CampaignSiteCycles, 40_000);
         let m = RunManifest::new("throughput", "threaded", "cfg-debug")
             .label("scale", "0.2")
             .calibration(Some(10_164_380.25));
         tel.snapshot(&m)
     }
 
-    /// A traced run: host rows, two events, and one interval sample whose
+    /// A traced run: span rows, two events, and one interval sample whose
     /// stacks sum to 10 cycles per core.
     fn sample_run() -> RunFile {
         let core = |retired, fired: Option<u64>| {
@@ -885,6 +796,21 @@ mod tests {
         assert!(err(&span("[[3, 1], [3, 1]]")).contains("ascending"));
         assert!(parse_jsonl(&span("[[0, 1], [63, 1]]")).is_ok());
 
+        // Run files hold span, event and sample rows only.
+        for (ty, rest) in [
+            ("counter", "\"value\": 96"),
+            ("gauge", "\"value\": 3"),
+            ("hist", "\"count\": 1, \"sum\": 5, \"max\": 5"),
+        ] {
+            let e = err(&format!(
+                "\n{{\"type\": \"{ty}\", \"name\": \"x\", {rest}}}"
+            ));
+            assert!(
+                e.starts_with("line 2: unknown line type") && e.contains(ty),
+                "{e}"
+            );
+        }
+
         let event = "{\"type\": \"event\", \"cycle\": 3, \"stream\": \"A\", \
                      \"kind\": \"dispatch\", \"seq\": 0, \"pc\": 4096, \"arg\": 0}";
         assert!(parse_jsonl(event).is_ok());
@@ -911,20 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_subset_drops_scheduling_dependent_rows() {
-        let text = deterministic_jsonl(&sample_snapshot());
-        assert!(text.contains("campaign_sites"));
-        assert!(text.contains("campaign_site_cycles"));
-        assert!(!text.contains("ring_occupancy"), "scheduling-dependent");
-        assert!(!text.contains("\"span\""), "spans are host-dependent");
-        assert!(
-            !text.contains("\"gauge\""),
-            "workers gauge differs by design"
-        );
-        assert!(!text.contains("manifest"));
-    }
-
-    #[test]
     fn committed_calibration_reads_the_throughput_doc() {
         let doc = "{\n  \"scale\": 1,\n  \"rows\": [\n    \
                    {\"bench\": \"calibration\", \"model\": \"calibration\", \
@@ -947,7 +859,6 @@ mod tests {
             report.contains("75.0% named + 25.0% other = 100.0%"),
             "{report}"
         );
-        assert!(report.contains("counters: campaign_sites=96"));
     }
 
     #[test]

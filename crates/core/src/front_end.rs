@@ -10,17 +10,8 @@
 
 use std::collections::VecDeque;
 
-use slipstream_isa::FastHashMap;
-
-/// Whether `SLIP_DEBUG_FE` was set, read once: an `env::var_os` per
-/// prepared trace was a measurable cost in the fetch hot path.
-fn debug_fe() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SLIP_DEBUG_FE").is_some())
-}
-
 use slipstream_cpu::{CoreDriver, DriverStall, EventKind, FetchItem, TraceSink, NO_SEQ};
-use slipstream_isa::{Instr, Program, Retired};
+use slipstream_isa::{FastHashMap, Instr, Program, Retired};
 use slipstream_predict::{
     materialize_into, PathHistory, TraceId, TracePredictor, TracePredictorConfig,
     TracePredictorStats, MAX_TRACE_LEN,
@@ -488,23 +479,6 @@ impl TraceFrontEnd {
             return false;
         };
         let pcs = std::mem::take(&mut self.pcs_scratch);
-        if debug_fe() {
-            eprintln!(
-                "prep ctx={:016x} used=({:#x},{:x},bc{},l{}) pred={}",
-                self.spec_hist.context_hash(),
-                used_id.start_pc,
-                used_id.outcomes,
-                used_id.branch_count,
-                used_id.len,
-                match predicted {
-                    Some(p) => format!(
-                        "({:#x},{:x},bc{},l{})",
-                        p.start_pc, p.outcomes, p.branch_count, p.len
-                    ),
-                    None => "none".into(),
-                }
-            );
-        }
         // Context under which this trace's removal entry lives: the path
         // history *before* the trace itself.
         let context_key = self.spec_hist.context_hash();

@@ -1,11 +1,4 @@
 use slipstream_isa::FastHashMap;
-
-/// Whether `SLIP_DEBUG_IRT` was set, read once (not per confidence reset).
-fn debug_irt() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SLIP_DEBUG_IRT").is_some())
-}
-
 use slipstream_predict::{ResettingCounter, TraceId};
 
 use crate::removal::Reason;
@@ -108,20 +101,6 @@ impl IrTable {
                 e.info.reasons = info.reasons; // keep freshest reason detail
                 e.confidence.hit();
             } else {
-                if debug_irt() {
-                    eprintln!(
-                        "irt reset @{:#x}: id ({},{},{:x})->({},{},{:x}) vec {:08x}->{:08x}",
-                        id.start_pc,
-                        e.id.len,
-                        e.id.branch_count,
-                        e.id.outcomes,
-                        id.len,
-                        id.branch_count,
-                        id.outcomes,
-                        e.info.ir_vec,
-                        info.ir_vec
-                    );
-                }
                 e.id = id;
                 e.info = info;
                 e.confidence.miss();

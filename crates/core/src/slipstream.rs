@@ -42,7 +42,7 @@ use slipstream_cpu::{merge_l2_logs, Core, CoreStats, FaultSpec, L2Access, L2View
 use slipstream_isa::{ArchState, MemWidth, Memory, Program, Retired, NUM_REGS};
 use slipstream_predict::{PathHistory, TraceId};
 use slipstream_spsc as spsc;
-use slipstream_telemetry::{GaugeKind, HistKind, SpanKind, Telemetry};
+use slipstream_telemetry::{SpanKind, Telemetry};
 use std::time::Instant;
 
 use crate::config::SlipstreamConfig;
@@ -938,15 +938,12 @@ impl SlipstreamProcessor {
 
     /// Turns on host-side telemetry: wall-clock span timers around the
     /// scheduler phases (window execution, boundary sync, checkpoint,
-    /// rollback/replay, SPSC ring push/pop waits) plus ring-occupancy
-    /// sampling in the threaded scheduler. Off by default; the off path
-    /// pays only never-taken `Option` branches — no `Instant::now` calls
-    /// and no allocations (enforced by the throughput harness's
-    /// marginal-allocation gate).
+    /// rollback/replay, SPSC ring push/pop waits). Off by default; the off
+    /// path pays only never-taken `Option` branches — no `Instant::now`
+    /// calls and no allocations (enforced by the bench crate's
+    /// `telemetry_alloc_gate` test).
     pub fn enable_telemetry(&mut self) {
-        let mut r_tel = Box::new(Telemetry::new());
-        r_tel.set_gauge(GaugeKind::SyncQuantum, self.quantum());
-        self.r.tel = Some(r_tel);
+        self.r.tel = Some(Box::new(Telemetry::new()));
         self.a.tel = Some(Box::new(Telemetry::new()));
     }
 
@@ -1252,9 +1249,6 @@ impl SlipstreamProcessor {
         let (report_tx, report_rx) = std::sync::mpsc::channel::<Report>();
         let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<CycleBatch>();
         let mut final_anchor = anchor0;
-        if let Some(tel) = r.tel.as_deref_mut() {
-            tel.set_gauge(GaugeKind::RingCapacity, batch_rx.capacity() as u64);
-        }
 
         std::thread::scope(|scope| {
             scope.spawn(move || {
@@ -1264,9 +1258,6 @@ impl SlipstreamProcessor {
             let mut anchor_r = anchor0;
             'windows: while anchor_r < max_cycles {
                 let window_end = (anchor_r + q).min(max_cycles);
-                if let Some(tel) = r.tel.as_deref_mut() {
-                    tel.record_value(HistKind::RingOccupancy, batch_rx.occupancy() as u64);
-                }
                 let t0 = tel_now(&r.tel);
                 // Ring-empty waits and recovery building are timed
                 // separately and subtracted, so `r_window_consume` is pure

@@ -273,14 +273,6 @@ impl Instr {
         self.kind() == InstrKind::Branch
     }
 
-    /// Whether this is any control-flow instruction (branch or jump or halt).
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self.kind(),
-            InstrKind::Branch | InstrKind::Jump | InstrKind::Halt
-        )
-    }
-
     /// Whether this instruction writes memory.
     pub fn is_store(&self) -> bool {
         self.kind() == InstrKind::Store

@@ -69,11 +69,6 @@ impl Program {
         &self.instrs
     }
 
-    /// Initialised data segments as `(address, bytes)` pairs.
-    pub fn data_segments(&self) -> &[(u64, Vec<u8>)] {
-        &self.data
-    }
-
     /// Writes the initialised data segments into a memory image.
     pub fn load_data(&self, mem: &mut Memory) {
         for (addr, bytes) in &self.data {

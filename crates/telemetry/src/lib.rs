@@ -1,30 +1,26 @@
-//! Host-side telemetry for the slipstream harness: where does the
+//! Host-side telemetry for the slipstream simulator: where does the
 //! *simulator's own* wall-clock go?
 //!
-//! PR 4 and PR 9 made simulated time observable (flight recorder, interval
-//! metrics, CPI stacks); this crate turns the same lens on the host. It
-//! provides:
+//! The flight recorder and interval samples make simulated time
+//! observable; this crate turns the same lens on the host, timing the
+//! slipstream schedulers' phases and nothing else. It provides:
 //!
-//! - [`Telemetry`] — a per-thread metrics registry: span timers (count +
-//!   total nanoseconds + a log2-bucketed duration histogram per
-//!   [`SpanKind`]), monotonic counters ([`CounterKind`]), last-value
-//!   gauges ([`GaugeKind`]), and value histograms ([`HistKind`]). Every
-//!   field is a plain `u64` in a fixed-size array — no atomics, no locks,
-//!   no allocation after construction — because each worker thread owns
-//!   its own instance and registries are combined *after* a pool drains.
+//! - [`Telemetry`] — a per-thread registry of span timers (count + total
+//!   nanoseconds + a log2-bucketed duration histogram per [`SpanKind`]).
+//!   Every field is a plain `u64` — no atomics, no locks, no allocation
+//!   after construction — because each scheduler thread owns its own
+//!   instance and registries are combined after the run.
 //! - [`Telemetry::merge`] — commutative, associative summation, so the
-//!   aggregate of N worker registries is independent of worker count and
-//!   merge order (the same discipline the campaign rows follow).
+//!   aggregate of several registries is independent of merge order.
 //! - [`Telemetry::record_span`] — records one timed span entry; call sites
 //!   time their own phases, so accumulate-and-subtract spans (window
 //!   execution minus in-window ring waits) need no special support.
 //! - [`RunManifest`] + [`Snapshot`] — a run's identity (binary, scheduler,
 //!   FNV-1a config digest, host-speed calibration anchor) married to a
-//!   *dynamic* named-row view of the metrics that can carry rows the
-//!   fixed enums don't know (e.g. `gate:*` spans appended by
-//!   `scripts/check.sh`). Snapshots are written as the host rows of a run
-//!   file, whose writer and only reader live in the bench crate's
-//!   `telemetry_export` module.
+//!   *dynamic* named-span view that can carry rows [`SpanKind`] doesn't
+//!   know (e.g. `gate:*` spans appended by `scripts/check.sh`). Snapshots
+//!   are written as the span rows of a run file, whose writer and only
+//!   reader live in the bench crate's `telemetry_export` module.
 //!
 //! Cost discipline: the simulator's schedulers hold `Option<Box<Telemetry>>`
 //! and every instrumentation point is gated on it — telemetry off means no
@@ -48,8 +44,8 @@ pub fn log2_bucket(v: u64) -> usize {
     }
 }
 
-/// A log2-bucketed histogram of `u64` values (durations in nanoseconds,
-/// ring occupancies, shrink evaluation counts, ...).
+/// A log2-bucketed histogram of `u64` values (span durations in
+/// nanoseconds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHist {
     /// Count per log2 bucket (see [`log2_bucket`]).
@@ -90,11 +86,6 @@ impl LogHist {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// The non-empty buckets as `(bucket_index, count)` pairs, ascending.
@@ -139,10 +130,11 @@ macro_rules! kinds {
 }
 
 kinds! {
-    /// Named wall-clock spans around the harness's phases. The `A`/`R`
-    /// prefixes name the *logical side* of the machine a span belongs to
-    /// (in the threaded scheduler they run on different OS threads, so
-    /// per-side sums can be compared against the run total independently).
+    /// Named wall-clock spans around the slipstream schedulers' phases.
+    /// The `A`/`R` prefixes name the *logical side* of the machine a span
+    /// belongs to (in the threaded scheduler they run on different OS
+    /// threads, so per-side sums can be compared against the run total
+    /// independently).
     SpanKind {
         /// Whole `run_mode` call, recorded on the R (calling) side.
         RunTotal => "run_total",
@@ -172,68 +164,6 @@ kinds! {
         RBoundarySync => "r_boundary_sync",
         /// R side: building a recovery command (repair list, flush).
         RRecoveryBuild => "r_recovery_build",
-        /// Campaign: preparing one benchmark context (golden state +
-        /// fault-free baseline).
-        CampaignPrepare => "campaign_prepare",
-        /// Campaign worker: one injection-site experiment.
-        CampaignSite => "campaign_site",
-        /// Fuzz worker: checking one program seed against all invariants.
-        FuzzSeed => "fuzz_seed",
-        /// Fuzz worker: one delta-debugging shrink pass.
-        ShrinkPass => "shrink_pass",
-    }
-}
-
-kinds! {
-    /// Monotonic counters. All are *deterministic* (functions of the
-    /// simulated work, not of scheduling), so merged values are
-    /// byte-identical across worker counts.
-    CounterKind {
-        /// Campaign: injection sites run.
-        CampaignSites => "campaign_sites",
-        /// Campaign: sites whose fault dispatched.
-        CampaignFired => "campaign_fired",
-        /// Campaign: sites detected and transparently recovered.
-        CampaignDetected => "campaign_detected",
-        /// Campaign: total cycles simulated across all site runs.
-        CampaignSimCycles => "campaign_sim_cycles",
-        /// Fuzz: program seeds swept.
-        FuzzSeeds => "fuzz_seeds",
-        /// Fuzz: invariant checks performed.
-        FuzzChecks => "fuzz_checks",
-        /// Fuzz: seeds whose generated program was rejected (oracle
-        /// non-termination).
-        FuzzGenRejected => "fuzz_gen_rejected",
-        /// Fuzz: invariant violations found.
-        FuzzViolations => "fuzz_violations",
-        /// Fuzz: shrink predicate evaluations consumed.
-        FuzzShrinkEvals => "fuzz_shrink_evals",
-    }
-}
-
-kinds! {
-    /// Last-value gauges (merge by max — the interesting configurations
-    /// are identical across workers, and max is commutative).
-    GaugeKind {
-        /// Worker threads in the pool.
-        Workers => "workers",
-        /// SPSC ring capacity (threaded scheduler).
-        RingCapacity => "ring_capacity",
-        /// Sync quantum (window length) in cycles.
-        SyncQuantum => "sync_quantum",
-    }
-}
-
-kinds! {
-    /// Value histograms. `ring_occupancy` is scheduling-dependent; the
-    /// others are deterministic.
-    HistKind {
-        /// SPSC ring occupancy sampled at each window start (R side).
-        RingOccupancy => "ring_occupancy",
-        /// Cycles simulated per campaign site run.
-        CampaignSiteCycles => "campaign_site_cycles",
-        /// Shrink predicate evaluations per violation.
-        ShrinkEvals => "shrink_evals",
     }
 }
 
@@ -248,15 +178,12 @@ pub struct SpanStat {
     pub hist: LogHist,
 }
 
-/// A per-thread metrics registry (see the crate docs). Construct one per
+/// A per-thread span registry (see the crate docs). Construct one per
 /// owning thread, record into it without synchronization, and
-/// [`merge`](Telemetry::merge) after the pool drains.
+/// [`merge`](Telemetry::merge) after the run.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     spans: Vec<SpanStat>,
-    counters: [u64; CounterKind::COUNT],
-    gauges: [u64; GaugeKind::COUNT],
-    hists: Vec<LogHist>,
 }
 
 impl Default for Telemetry {
@@ -270,9 +197,6 @@ impl Telemetry {
     pub fn new() -> Telemetry {
         Telemetry {
             spans: vec![SpanStat::default(); SpanKind::COUNT],
-            counters: [0; CounterKind::COUNT],
-            gauges: [0; GaugeKind::COUNT],
-            hists: vec![LogHist::default(); HistKind::COUNT],
         }
     }
 
@@ -284,65 +208,24 @@ impl Telemetry {
         s.hist.record(nanos);
     }
 
-    /// Adds `n` to a counter.
-    pub fn add(&mut self, kind: CounterKind, n: u64) {
-        self.counters[kind.index()] += n;
-    }
-
-    /// Sets a gauge to `v`.
-    pub fn set_gauge(&mut self, kind: GaugeKind, v: u64) {
-        self.gauges[kind.index()] = v;
-    }
-
-    /// Records one value into a value histogram.
-    pub fn record_value(&mut self, kind: HistKind, v: u64) {
-        self.hists[kind.index()].record(v);
-    }
-
     /// A span's accumulated statistics.
     pub fn span(&self, kind: SpanKind) -> &SpanStat {
         &self.spans[kind.index()]
     }
 
-    /// A counter's value.
-    pub fn counter(&self, kind: CounterKind) -> u64 {
-        self.counters[kind.index()]
-    }
-
-    /// A gauge's value.
-    pub fn gauge(&self, kind: GaugeKind) -> u64 {
-        self.gauges[kind.index()]
-    }
-
-    /// A value histogram.
-    pub fn hist(&self, kind: HistKind) -> &LogHist {
-        &self.hists[kind.index()]
-    }
-
-    /// Sums `other` into `self`. Counters, span stats, and histograms add;
-    /// gauges merge by max. Merging is commutative and associative, so any
-    /// merge order over any partitioning of the work yields the same
-    /// registry.
+    /// Sums `other` into `self`. Merging is commutative and associative,
+    /// so any merge order over any partitioning of the work yields the
+    /// same registry.
     pub fn merge(&mut self, other: &Telemetry) {
         for (a, b) in self.spans.iter_mut().zip(&other.spans) {
             a.count += b.count;
             a.total_nanos += b.total_nanos;
             a.hist.merge(&b.hist);
         }
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
-        }
-        for (a, b) in self.gauges.iter_mut().zip(&other.gauges) {
-            *a = (*a).max(*b);
-        }
-        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
-            a.merge(b);
-        }
     }
 
     /// The registry as a dynamic named-row [`Snapshot`] under `manifest`'s
-    /// identity. Empty rows (zero-count spans/hists, zero counters and
-    /// gauges) are skipped.
+    /// identity. Zero-count spans are skipped.
     pub fn snapshot(&self, manifest: &RunManifest) -> Snapshot {
         let spans = SpanKind::ALL
             .iter()
@@ -355,28 +238,6 @@ impl Telemetry {
                 buckets: s.hist.sparse(),
             })
             .collect();
-        let counters = CounterKind::ALL
-            .iter()
-            .map(|&k| (k.label().to_string(), self.counter(k)))
-            .filter(|&(_, v)| v > 0)
-            .collect();
-        let gauges = GaugeKind::ALL
-            .iter()
-            .map(|&k| (k.label().to_string(), self.gauge(k)))
-            .filter(|&(_, v)| v > 0)
-            .collect();
-        let hists = HistKind::ALL
-            .iter()
-            .map(|&k| (k, self.hist(k)))
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(k, h)| HistRow {
-                name: k.label().to_string(),
-                count: h.count,
-                sum: h.sum,
-                max: h.max,
-                buckets: h.sparse(),
-            })
-            .collect();
         Snapshot {
             binary: manifest.binary.clone(),
             scheduler: manifest.scheduler.clone(),
@@ -384,9 +245,6 @@ impl Telemetry {
             calibration_instrs_per_sec: manifest.calibration_instrs_per_sec,
             labels: manifest.labels.clone(),
             spans,
-            counters,
-            gauges,
-            hists,
         }
     }
 }
@@ -459,23 +317,7 @@ pub struct SpanRow {
     pub buckets: Vec<(u32, u64)>,
 }
 
-/// One value-histogram row of a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistRow {
-    /// Histogram name.
-    pub name: String,
-    /// Recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Maximum recorded value.
-    pub max: u64,
-    /// Sparse log2 buckets (`(bucket, count)`, ascending).
-    pub buckets: Vec<(u32, u64)>,
-}
-
-/// A manifest plus dynamic named metric rows: the host part of a run
-/// file.
+/// A manifest plus dynamic named span rows: the host part of a run file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Producing binary.
@@ -490,12 +332,6 @@ pub struct Snapshot {
     pub labels: Vec<(String, String)>,
     /// Span rows, in export order.
     pub spans: Vec<SpanRow>,
-    /// Counter rows.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge rows.
-    pub gauges: Vec<(String, u64)>,
-    /// Histogram rows.
-    pub hists: Vec<HistRow>,
 }
 
 #[cfg(test)]
@@ -516,15 +352,14 @@ mod tests {
     fn merge_is_commutative_and_partition_independent() {
         let record = |tel: &mut Telemetry, vs: &[u64]| {
             for &v in vs {
-                tel.record_span(SpanKind::CampaignSite, v);
-                tel.add(CounterKind::CampaignSites, 1);
-                tel.record_value(HistKind::CampaignSiteCycles, v);
+                tel.record_span(SpanKind::AWindowExec, v);
+                tel.record_span(SpanKind::RWindowConsume, v / 2);
             }
         };
-        // One worker does all the work...
+        // One registry records all the spans...
         let mut all = Telemetry::new();
         record(&mut all, &[3, 700, 19, 0, 1 << 40]);
-        // ...vs three workers splitting it, merged in a different order.
+        // ...vs three registries splitting them, merged in a different order.
         let (mut w1, mut w2, mut w3) = (Telemetry::new(), Telemetry::new(), Telemetry::new());
         record(&mut w1, &[700]);
         record(&mut w2, &[19, 3]);
@@ -533,29 +368,18 @@ mod tests {
         merged.merge(&w3);
         merged.merge(&w1);
         merged.merge(&w2);
-        assert_eq!(
-            merged.span(SpanKind::CampaignSite),
-            all.span(SpanKind::CampaignSite)
-        );
-        assert_eq!(
-            merged.counter(CounterKind::CampaignSites),
-            all.counter(CounterKind::CampaignSites)
-        );
-        assert_eq!(
-            merged.hist(HistKind::CampaignSiteCycles),
-            all.hist(HistKind::CampaignSiteCycles)
-        );
+        for kind in SpanKind::ALL {
+            assert_eq!(merged.span(*kind), all.span(*kind), "{}", kind.label());
+        }
     }
 
     #[test]
     fn snapshot_skips_empty_rows() {
         let mut tel = Telemetry::new();
         tel.record_span(SpanKind::RunTotal, 100);
-        tel.add(CounterKind::FuzzSeeds, 4);
         let snap = tel.snapshot(&RunManifest::new("t", "windowed", "cfg"));
         assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans[0].name, "run_total");
         assert_eq!(snap.spans[0].total_nanos, 100);
-        assert_eq!(snap.counters, vec![("fuzz_seeds".to_string(), 4)]);
-        assert!(snap.gauges.is_empty() && snap.hists.is_empty());
     }
 }
