@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! differential_fuzz [--seeds N] [--workers W] [--seed X] [--out PATH]
-//!                   [--smoke] [--scaling-probe] [--emit-corpus] [--trace]
+//!                   [--smoke] [--emit-corpus] [--trace]
 //!                   [--corpus DIR] [--replay PATH]
 //! ```
 //!
@@ -23,18 +23,20 @@
 //! fewer seeds, smaller programs, corpus replay included, sanity
 //! assertions that fail the build on any divergence, and no JSON artifact
 //! unless `--out` is given. `--replay PATH` only replays a corpus entry
-//! (or a directory of them) and exits. `--scaling-probe` reruns the sweep
-//! at 1 worker and asserts the rows are byte-identical. `--trace` writes a
-//! flight-recorder trace of each violation's minimized program next to its
-//! `.ssir` reproducer, headed by the first divergent event against the
-//! functional oracle (implies writing the reproducers too).
+//! (or a directory of them) and exits. The rows and corpus entries do not
+//! depend on `--workers`. `--trace` writes, next to each violation's
+//! `.ssir` reproducer, the run file `seed_<seed>_<invariant>.jsonl` of its
+//! minimized program's traced slipstream replay under the shared `TRACE`
+//! config, with the first divergent event against the functional oracle
+//! and the replay's end in its manifest labels; `report` reads it (implies
+//! writing the reproducers too).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use slipstream_bench::{
     command_line, corpus_entry_text, json, parse_number, replay_corpus_dir, replay_corpus_file,
-    run_fuzz, write_corpus_traced, FuzzConfig, FuzzResult,
+    run_fuzz, write_corpus, FuzzConfig, FuzzResult,
 };
 use slipstream_core::standard_invariants;
 
@@ -43,7 +45,7 @@ const DEFAULT_CORPUS: &str = "crates/bench/corpus";
 
 const USAGE: &str =
     "usage: differential_fuzz [--seeds N] [--workers W] [--seed X] [--out PATH]\n       \
-                     [--smoke] [--scaling-probe] [--emit-corpus] [--trace]\n       \
+                     [--smoke] [--emit-corpus] [--trace]\n       \
                      [--corpus DIR] [--replay PATH]";
 
 /// The command line.
@@ -54,7 +56,6 @@ struct Args {
     corpus: PathBuf,
     emit_corpus: bool,
     trace: bool,
-    scaling_probe: bool,
     replay: Option<PathBuf>,
 }
 
@@ -74,7 +75,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         corpus: corpus_dir(),
         emit_corpus: false,
         trace: false,
-        scaling_probe: false,
         replay: None,
     };
     let mut it = argv.iter();
@@ -89,7 +89,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--corpus" => args.corpus = PathBuf::from(value()?),
             "--emit-corpus" => args.emit_corpus = true,
             "--trace" => args.trace = true,
-            "--scaling-probe" => args.scaling_probe = true,
             "--replay" => args.replay = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown argument {other}")),
         }
@@ -105,7 +104,6 @@ fn main() -> ExitCode {
         corpus,
         emit_corpus,
         trace,
-        scaling_probe,
         replay,
     } = command_line(parse_args, USAGE);
 
@@ -137,10 +135,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if scaling_probe {
-        probe_scaling(&cfg, &result);
-    }
-
     if smoke {
         smoke_assertions(&result, replayed);
         println!("smoke fuzz OK");
@@ -155,10 +149,9 @@ fn main() -> ExitCode {
             print!("{}", corpus_entry_text(v));
         }
         if emit_corpus || trace {
-            let paths = write_corpus_traced(&corpus, &result.violations, trace)
-                .expect("write corpus entries");
-            for p in &paths {
-                eprintln!("wrote {}", p.display());
+            if let Err(e) = write_corpus(&corpus, &result.violations, trace) {
+                eprintln!("writing the corpus FAILED: {e}");
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -243,27 +236,6 @@ fn smoke_assertions(result: &FuzzResult, replayed: usize) {
     assert!(replayed > 0, "the checked-in corpus must not be empty");
 }
 
-/// Reruns the same seed set single-threaded and asserts the deterministic
-/// rows are byte-identical — the worker pool must not affect output.
-fn probe_scaling(cfg: &FuzzConfig, pooled: &FuzzResult) {
-    let mut one = cfg.clone();
-    one.workers = 1;
-    let invariants = standard_invariants();
-    let serial = run_fuzz(&one, &invariants);
-    assert_eq!(
-        serial.rows_json(),
-        pooled.rows_json(),
-        "fuzz rows must be worker-count independent"
-    );
-    println!(
-        "scaling probe: 1 worker {:.2}s, {} workers {:.2}s — {:.2}x speedup",
-        serial.elapsed_seconds,
-        cfg.workers,
-        pooled.elapsed_seconds,
-        serial.elapsed_seconds / pooled.elapsed_seconds.max(1e-9),
-    );
-}
-
 /// The JSON document: sweep parameters, wall-clock throughput, and the
 /// deterministic per-invariant rows.
 fn full_json(result: &FuzzResult) -> String {
@@ -303,9 +275,9 @@ mod tests {
         assert_eq!((ok.cfg.seeds, ok.cfg.workers, ok.cfg.seed), (9, 1, 7));
         assert!(ok.smoke && ok.out.is_none());
         assert_eq!(ok.cfg.prog.chunks, FuzzConfig::smoke().prog.chunks);
-        let full = parse("--emit-corpus --trace --scaling-probe").unwrap();
+        let full = parse("--emit-corpus --trace").unwrap();
         assert_eq!(full.out.as_deref(), Some("BENCH_fuzz.json"));
-        assert!(full.emit_corpus && full.trace && full.scaling_probe && !full.smoke);
+        assert!(full.emit_corpus && full.trace && !full.smoke);
         let paths = parse("--out o.json --corpus c --replay r.ssir").unwrap();
         assert_eq!(paths.out.as_deref(), Some("o.json"));
         assert_eq!(paths.corpus, PathBuf::from("c"));

@@ -10,47 +10,39 @@
 //!
 //! ```text
 //! fault_campaign [--sites N] [--workers W] [--scale S] [--seed X]
-//!                [--out PATH] [--smoke] [--scaling-probe]
-//!                [--trace DIR] [--trace-bench NAME] [--ring N]
-//!                [--metrics-interval N]
+//!                [--out PATH] [--smoke] [--trace DIR] [--trace-bench NAME]
 //! ```
 //!
 //! `--smoke` runs the reduced-scale CI gate (≤ 10 s): same code path, few
 //! sites, small workloads, sanity assertions that fail the build on
 //! fault-path regressions, and no JSON artifact unless `--out` is given.
-//! `--scaling-probe` reruns the same site set at 1 and `--workers` threads
-//! and reports the wall-clock speedup. `--trace DIR` re-runs the first
+//! The rows do not depend on `--workers`. `--trace DIR` re-runs the first
 //! detected+recovered site of `--trace-bench` (default: the first
-//! benchmark) for each target with the flight recorder frozen just after
-//! the detection, and writes its run file `DIR/fault_<bench>_<A|R>.jsonl`
-//! (event rows, plus sample rows when `--metrics-interval` is nonzero)
-//! and the Perfetto rendering `.chrome.json` next to it.
+//! benchmark) for each target under the shared `TRACE` config, with the
+//! flight recorder frozen just after the detection, and writes its run
+//! file `DIR/fault_<bench>_<A|R>.jsonl` (event and sample rows).
 
 use std::path::PathBuf;
 
 use slipstream_bench::{
     command_line, json, parse_number, parse_scale, print_campaign_table, run_campaign,
     target_label, trace_first_detection, write_run, CampaignConfig, CampaignResult, RunFile,
-    TARGETS,
+    TARGETS, TRACE,
 };
 use slipstream_core::telemetry::{RunManifest, Telemetry};
-use slipstream_core::{ExecMode, FaultTarget, TraceConfig};
+use slipstream_core::{ExecMode, FaultTarget};
 use slipstream_workloads::BENCHMARK_NAMES;
 
 const USAGE: &str = "usage: fault_campaign [--sites N] [--workers W] [--scale S] [--seed X] \
-                     [--out PATH] [--smoke] [--scaling-probe] [--trace DIR] \
-                     [--trace-bench NAME] [--ring N] [--metrics-interval N]";
+                     [--out PATH] [--smoke] [--trace DIR] [--trace-bench NAME]";
 
 /// The command line.
 struct Args {
     cfg: CampaignConfig,
     out: Option<String>,
     smoke: bool,
-    scaling_probe: bool,
     trace_dir: Option<PathBuf>,
     trace_bench: &'static str,
-    ring: usize,
-    metrics_interval: u64,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -66,11 +58,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         },
         out: (!smoke).then(|| "BENCH_fault_campaign.json".to_string()),
         smoke,
-        scaling_probe: false,
         trace_dir: None,
         trace_bench: BENCHMARK_NAMES[0],
-        ring: 65_536,
-        metrics_interval: 0,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -82,15 +71,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--scale" => args.cfg.scale = parse_scale(flag, value()?)?,
             "--seed" => args.cfg.seed = parse_number(flag, value()?)?,
             "--out" => args.out = Some(value()?.clone()),
-            "--scaling-probe" => args.scaling_probe = true,
             "--trace" => args.trace_dir = Some(PathBuf::from(value()?)),
             "--trace-bench" => {
                 let name = value()?;
                 let known = BENCHMARK_NAMES.iter().find(|b| *b == name);
                 args.trace_bench = known.ok_or(format!("{flag}: unknown benchmark {name:?}"))?;
             }
-            "--ring" => args.ring = parse_number(flag, value()?)?,
-            "--metrics-interval" => args.metrics_interval = parse_number(flag, value()?)?,
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -118,13 +104,8 @@ fn main() {
         println!("smoke campaign OK");
     }
 
-    if args.scaling_probe {
-        probe_scaling(cfg);
-    }
-
     if let Some(dir) = &args.trace_dir {
-        let (bench, ring, interval) = (args.trace_bench, args.ring, args.metrics_interval);
-        dump_detection_traces(cfg, bench, dir, ring, interval);
+        dump_detection_traces(cfg, args.trace_bench, dir);
     }
 
     if let Some(path) = &args.out {
@@ -135,22 +116,15 @@ fn main() {
 
 /// For each target, replays `bench`'s first detected+recovered site with
 /// the flight recorder frozen just after the detection and writes its run
-/// file (plus the Perfetto rendering) into `dir`.
-fn dump_detection_traces(
-    cfg: &CampaignConfig,
-    bench: &'static str,
-    dir: &std::path::Path,
-    ring: usize,
-    metrics_interval: u64,
-) {
-    let trace = TraceConfig::flight(ring).with_metrics(metrics_interval);
+/// file into `dir`.
+fn dump_detection_traces(cfg: &CampaignConfig, bench: &'static str, dir: &std::path::Path) {
     for target in TARGETS {
         let label = if target == FaultTarget::AStream {
             "A"
         } else {
             "R"
         };
-        let Some((site, report, rec)) = trace_first_detection(cfg, bench, target, trace) else {
+        let Some((site, report, rec)) = trace_first_detection(cfg, bench, target, TRACE) else {
             eprintln!("trace: no detected+recovered site for {bench} {label}-stream");
             continue;
         };
@@ -211,28 +185,6 @@ fn smoke_assertions(result: &CampaignResult) {
     assert_eq!(
         totals.latency.n, totals.detected_recovered,
         "every detected+recovered run must report a detection latency"
-    );
-}
-
-/// Reruns the same site set single-threaded vs the configured pool and
-/// reports the speedup (the site enumeration is identical, so the rows
-/// are too — only wall-clock changes).
-fn probe_scaling(cfg: &CampaignConfig) {
-    let mut one = cfg.clone();
-    one.workers = 1;
-    let serial = run_campaign(&one, &BENCHMARK_NAMES, &TARGETS);
-    let pooled = run_campaign(cfg, &BENCHMARK_NAMES, &TARGETS);
-    assert_eq!(
-        serial.rows_json(),
-        pooled.rows_json(),
-        "campaign rows must be worker-count independent"
-    );
-    println!(
-        "scaling probe: 1 worker {:.2}s, {} workers {:.2}s — {:.2}x speedup",
-        serial.elapsed_seconds,
-        cfg.workers,
-        pooled.elapsed_seconds,
-        serial.elapsed_seconds / pooled.elapsed_seconds.max(1e-9),
     );
 }
 
@@ -310,6 +262,11 @@ mod tests {
             ("--seed", "--seed needs a value"),
             ("--trace-bench spice", "unknown benchmark \"spice\""),
             ("--smoke --verbose", "unknown argument --verbose"),
+            ("--trace t --ring 9", "unknown argument --ring"),
+            (
+                "--trace t --metrics-interval 7",
+                "unknown argument --metrics-interval",
+            ),
             ("--telemetry x", "unknown argument --telemetry"),
             ("1000", "unknown argument 1000"),
         ] {

@@ -2,31 +2,28 @@
 //! back and reports them.
 //!
 //! ```text
-//! report --bench NAME [--scale S] [--ring N] [--metrics-interval N] [--out-dir DIR]
-//! report FILES... [--cpi PATH]
-//! report --smoke [--cpi PATH]
+//! report --bench NAME [--scale S] [--out-dir DIR]
+//! report FILES...
+//! report --smoke
 //! report --gate-summary FILE
 //! ```
 //!
 //! - `--bench NAME` runs one benchmark on CMP(2x64x4) under the windowed
-//!   scheduler with the flight recorder and host telemetry both on
-//!   (defaults: scale 0.2, a 65536-event ring per sink, one sample every
-//!   10000 cycles), writes `DIR/trace_<bench>.jsonl` and its Perfetto
-//!   rendering `DIR/trace_<bench>.chrome.json` (default `DIR`: `.`), and
-//!   prints that file's report.
+//!   scheduler with the flight recorder (the shared `TRACE` config: a
+//!   65536-event ring per sink, one sample every 10000 cycles) and host
+//!   telemetry both on (default scale 0.2), writes the run file
+//!   `DIR/trace_<bench>.jsonl` (default `DIR`: `.`), and prints its report.
 //! - `FILES...` are run files: from `report --bench`, `fault_campaign
-//!   --trace`, or `scripts/check.sh`'s gate log. For each file the report
-//!   prints the host span attribution, the simulated CPI stack (summed
-//!   from the file's `sample` rows, else from the committed
-//!   `BENCH_cpi_stack.json`, or `--cpi PATH`, when present), and the
-//!   pipeview of the flight-recorder window when the file has `event`
-//!   rows. An explicit `--cpi` that cannot be read is an error.
+//!   --trace`, `differential_fuzz --trace`, or `scripts/check.sh`'s gate
+//!   log. Run files are the only input: for each file the report prints
+//!   its manifest labels, the host span attribution, the simulated CPI
+//!   stack summed from the file's `sample` rows, and the pipeview of the
+//!   flight-recorder window when the file has `event` rows.
 //! - `--smoke` is the CI gate: a small traced windowed run and a
 //!   telemetry-only threaded run, each written, read back, and checked to
 //!   re-render byte-identically and to attribute its `run_total`, then
-//!   reported together. It fails without the committed
-//!   `BENCH_throughput.json` calibration row or the CPI-stack document.
-//!   Artifacts land in `report_smoke/`.
+//!   reported together. It reads no committed file. Artifacts land in
+//!   `report_smoke/`: the two run files and `report.txt`.
 //! - `--gate-summary FILE` prints the per-gate wall-time table from the
 //!   span log `scripts/check.sh` appends while running its gates.
 //!
@@ -37,32 +34,31 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use slipstream_bench::{
-    chrome_trace_json, command_line, committed_calibration, committed_cpi_section, exclusive_spans,
-    json, parse_jsonl, parse_number, parse_scale, report_text, to_jsonl, write_run, RunFile,
-    MAX_CYCLES,
+    command_line, exclusive_spans, parse_jsonl, parse_scale, report_text, to_jsonl, write_run,
+    RunFile, MAX_CYCLES, TRACE,
 };
 use slipstream_core::telemetry::RunManifest;
 use slipstream_core::{ExecMode, SlipstreamConfig, SlipstreamProcessor, TraceConfig};
 use slipstream_workloads::{benchmark, BENCHMARK_NAMES};
 
-const USAGE: &str = "usage: report --bench NAME [--scale S] [--ring N] [--metrics-interval N] \
-                     [--out-dir DIR]\n       report FILES... [--cpi PATH]\n       \
-                     report --smoke [--cpi PATH]\n       report --gate-summary FILE";
+const USAGE: &str = "usage: report --bench NAME [--scale S] [--out-dir DIR]\n       \
+                     report FILES...\n       report --smoke\n       report --gate-summary FILE";
 
 /// Where `--smoke` writes its artifacts.
 const SMOKE_DIR: &str = "report_smoke";
 
-/// The committed CPI-stack document the report falls back to.
-const DEFAULT_CPI: &str = "BENCH_cpi_stack.json";
+/// The `--smoke` traced run's recorder: [`TRACE`] sampling every 1000
+/// cycles, so its short run still yields sample rows.
+const SMOKE_TRACE: TraceConfig = TraceConfig {
+    metrics_interval: 1_000,
+    ..TRACE
+};
 
 /// The command line.
 struct Args {
     bench: Option<String>,
     scale: f64,
-    ring: usize,
-    metrics_interval: u64,
     out_dir: PathBuf,
-    cpi: Option<String>,
     smoke: bool,
     gate_summary: Option<String>,
     files: Vec<String>,
@@ -72,10 +68,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         bench: None,
         scale: 0.2,
-        ring: 65_536,
-        metrics_interval: 10_000,
         out_dir: PathBuf::from("."),
-        cpi: None,
         smoke: false,
         gate_summary: None,
         files: Vec::new(),
@@ -88,19 +81,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match flag.as_str() {
             "--bench" => args.bench = Some(value()?.clone()),
             "--scale" => args.scale = parse_scale(flag, value()?)?,
-            "--ring" => args.ring = parse_number(flag, value()?)?,
-            "--metrics-interval" => args.metrics_interval = parse_number(flag, value()?)?,
             "--out-dir" => args.out_dir = PathBuf::from(value()?),
-            "--cpi" => args.cpi = Some(value()?.clone()),
             "--gate-summary" => args.gate_summary = Some(value()?.clone()),
             "--smoke" => args.smoke = true,
             other if other.starts_with("--") => return Err(format!("unknown argument {other}")),
             file => args.files.push(file.to_string()),
         }
-        if matches!(
-            flag.as_str(),
-            "--scale" | "--ring" | "--metrics-interval" | "--out-dir"
-        ) {
+        if matches!(flag.as_str(), "--scale" | "--out-dir") {
             bench_only.get_or_insert(flag);
         }
     }
@@ -116,9 +103,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if let (None, Some(flag)) = (&args.bench, bench_only) {
         return Err(format!("{flag} applies only to --bench"));
     }
-    if args.cpi.is_some() && (args.bench.is_some() || args.gate_summary.is_some()) {
-        return Err("--cpi applies only to FILES and --smoke".to_string());
-    }
     Ok(args)
 }
 
@@ -127,11 +111,11 @@ fn main() -> ExitCode {
     let result = if let Some(bench) = &args.bench {
         record(bench, &args)
     } else if args.smoke {
-        smoke(args.cpi.as_deref())
+        smoke()
     } else if let Some(path) = &args.gate_summary {
         gate_summary(path)
     } else {
-        report_files(&args.files, args.cpi.as_deref())
+        report_files(&args.files)
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -148,30 +132,13 @@ fn read_run(path: &str) -> Result<RunFile, String> {
     parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The rendered committed CPI-stack section: from `cpi` (an error when it
-/// cannot be read), else from the committed default when it exists. With
-/// `required`, a missing default is an error too.
-fn committed_cpi(cpi: Option<&str>, required: bool) -> Result<Option<String>, String> {
-    let path = cpi.unwrap_or(DEFAULT_CPI);
-    match std::fs::read_to_string(path) {
-        Ok(doc) => committed_cpi_section(&doc)
-            .map(Some)
-            .map_err(|e| format!("{path}: {e}")),
-        Err(e) if cpi.is_some() || required => Err(format!("{path}: {e}")),
-        Err(_) => Ok(None),
-    }
-}
-
 /// `report FILES...`.
-fn report_files(files: &[String], cpi: Option<&str>) -> Result<(), String> {
+fn report_files(files: &[String]) -> Result<(), String> {
     let runs = files
         .iter()
         .map(|path| read_run(path))
         .collect::<Result<Vec<_>, _>>()?;
-    print!(
-        "{}",
-        report_text(&runs, committed_cpi(cpi, false)?.as_deref())
-    );
+    print!("{}", report_text(&runs));
     Ok(())
 }
 
@@ -182,7 +149,6 @@ fn run_file(
     scale: f64,
     mode: ExecMode,
     trace: Option<TraceConfig>,
-    calibration: Option<f64>,
 ) -> Result<RunFile, String> {
     let w = benchmark(bench, scale).ok_or_else(|| {
         format!(
@@ -201,8 +167,7 @@ fn run_file(
     }
     let manifest = RunManifest::new("report", mode.label(), &format!("{cfg:?}"))
         .label("bench", bench)
-        .label("scale", scale)
-        .calibration(calibration);
+        .label("scale", scale);
     Ok(RunFile {
         snapshot: proc
             .take_telemetry()
@@ -214,14 +179,9 @@ fn run_file(
 
 /// `report --bench NAME`: record, write, and report the file written.
 fn record(bench: &str, args: &Args) -> Result<(), String> {
-    let trace = TraceConfig::flight(args.ring).with_metrics(args.metrics_interval);
-    let run = run_file(bench, args.scale, ExecMode::Windowed, Some(trace), None)?;
+    let run = run_file(bench, args.scale, ExecMode::Windowed, Some(TRACE))?;
     write_run(&args.out_dir, &format!("trace_{bench}"), &run)?;
-    let committed = committed_cpi(None, false)?;
-    print!(
-        "{}",
-        report_text(std::slice::from_ref(&run), committed.as_deref())
-    );
+    print!("{}", report_text(std::slice::from_ref(&run)));
     Ok(())
 }
 
@@ -254,24 +214,12 @@ fn check_attribution(stem: &str, run: &RunFile) -> Result<(), String> {
 }
 
 /// The `--smoke` gate body.
-fn smoke(cpi: Option<&str>) -> Result<(), String> {
-    let calibration = std::fs::read_to_string("BENCH_throughput.json")
-        .map_err(|e| e.to_string())
-        .and_then(|doc| committed_calibration(&doc))
-        .map_err(|e| format!("--smoke needs the committed BENCH_throughput.json: {e}"))?;
-    let committed = committed_cpi(cpi, true)?;
-    let trace = TraceConfig::flight(65_536).with_metrics(1_000);
-    let traced = run_file(
-        "m88ksim",
-        0.05,
-        ExecMode::Windowed,
-        Some(trace),
-        Some(calibration),
-    )?;
+fn smoke() -> Result<(), String> {
+    let traced = run_file("m88ksim", 0.05, ExecMode::Windowed, Some(SMOKE_TRACE))?;
     if traced.recording.events.is_empty() || traced.recording.samples.is_empty() {
         return Err("the traced run recorded no events or no samples".to_string());
     }
-    let threaded = run_file("gcc", 0.2, ExecMode::Threaded, None, Some(calibration))?;
+    let threaded = run_file("gcc", 0.2, ExecMode::Threaded, None)?;
     let mut runs = Vec::new();
     for (stem, run) in [("trace_m88ksim", traced), ("telemetry_threaded", threaded)] {
         let jsonl = write_run(Path::new(SMOKE_DIR), stem, &run)?;
@@ -282,12 +230,9 @@ fn smoke(cpi: Option<&str>) -> Result<(), String> {
         check_attribution(stem, &parsed)?;
         runs.push(parsed);
     }
-    json::validate(&chrome_trace_json(&runs[0].recording))
-        .map_err(|e| format!("the Perfetto rendering is not valid JSON: {e}"))?;
-    let report = report_text(&runs, committed.as_deref());
+    let report = report_text(&runs);
     for (want, what) in [
         ("sample rows covering", "the CPI stack from sample rows"),
-        ("(BENCH_cpi_stack.json", "the committed CPI stack"),
         ("flight-recorder window", "the pipeview window"),
     ] {
         if !report.contains(want) {
@@ -336,25 +281,23 @@ mod tests {
     /// missing arguments are errors too (main prints the usage, exits 2).
     #[test]
     fn command_lines_outside_the_usage_are_errors() {
-        let ok = parse("--bench g --scale 0.5 --ring 9 --metrics-interval 7 --out-dir d").unwrap();
-        assert_eq!((ok.scale, ok.ring, ok.metrics_interval), (0.5, 9, 7));
-        for line in [
-            "a.jsonl b.jsonl --cpi c",
-            "--smoke --cpi c",
-            "--gate-summary g",
-        ] {
+        let ok = parse("--bench g --scale 0.5 --out-dir d").unwrap();
+        assert_eq!((ok.scale, ok.out_dir), (0.5, PathBuf::from("d")));
+        for line in ["a.jsonl b.jsonl", "--smoke", "--gate-summary g"] {
             assert!(parse(line).is_ok(), "{line}");
         }
         for (line, want) in [
             ("--smoke --scale 9", "--scale applies only to --bench"),
-            ("run.jsonl --ring 5", "--ring applies only"),
             ("--gate-summary f --out-dir d", "--out-dir applies only"),
-            ("--smoke --metrics-interval 3", "--metrics-interval applies"),
-            ("--bench gcc --cpi c", "--cpi applies only"),
-            ("--gate-summary f --cpi c", "--cpi applies only"),
             ("--bench gcc --scale x", "--scale: not a number"),
-            ("--bench gcc --ring -1", "--ring: not a number"),
-            ("--bench gcc --ring", "--ring needs a value"),
+            ("--bench gcc --out-dir", "--out-dir needs a value"),
+            ("--bench gcc --ring 9", "unknown argument --ring"),
+            (
+                "--bench gcc --metrics-interval 7",
+                "unknown argument --metrics-interval",
+            ),
+            ("a.jsonl --cpi c", "unknown argument --cpi"),
+            ("--smoke --cpi c", "unknown argument --cpi"),
             ("--smoke --verbose", "unknown argument --verbose"),
             ("--telemetry x", "unknown argument --telemetry"),
             ("", "exactly one of"),

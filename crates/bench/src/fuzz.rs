@@ -32,7 +32,9 @@ use slipstream_isa::{assemble, ArchState, Program};
 use slipstream_workloads::{random_program_with_shape, RandProgConfig, XorShift64Star};
 
 use crate::shrink::shrink;
-use crate::{available_workers, json, map_ordered, trace_export, MAX_CYCLES};
+use crate::telemetry_export::write_run;
+use crate::trace_export::violation_run;
+use crate::{available_workers, json, map_ordered, MAX_CYCLES};
 
 /// Parameters of one fuzzing sweep.
 #[derive(Debug, Clone)]
@@ -337,45 +339,25 @@ pub fn corpus_entry_text(v: &FuzzViolation) -> String {
     out
 }
 
-/// File name for a violation's corpus entry.
-pub fn corpus_entry_name(v: &FuzzViolation) -> String {
-    format!("seed_{:016x}_{}.ssir", v.seed, v.invariant)
-}
-
-/// Writes each violation's corpus entry into `dir`, returning the paths.
-pub fn write_corpus(dir: &Path, violations: &[FuzzViolation]) -> std::io::Result<Vec<PathBuf>> {
-    write_corpus_traced(dir, violations, false)
-}
-
-/// File name for a violation's flight-recorder trace, written next to its
-/// `.ssir` reproducer. The `.trace.txt` extension keeps it invisible to
-/// [`replay_corpus_dir`], which only picks up `.ssir` entries.
-pub fn trace_entry_name(v: &FuzzViolation) -> String {
-    format!("seed_{:016x}_{}.trace.txt", v.seed, v.invariant)
-}
-
-/// [`write_corpus`] plus, when `with_traces` is set, a flight-recorder
-/// trace of the minimized program's slipstream replay next to each
-/// reproducer — headed by the first divergent event (kind, cycle, seq)
-/// against the functional oracle's retirement stream.
-pub fn write_corpus_traced(
-    dir: &Path,
-    violations: &[FuzzViolation],
-    with_traces: bool,
-) -> std::io::Result<Vec<PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::with_capacity(violations.len());
+/// Writes each violation's corpus entry `seed_<seed>_<invariant>.ssir`
+/// into `dir` and, with `traced`, the run file of its minimized program's
+/// traced slipstream replay next to it as `seed_<seed>_<invariant>.jsonl`
+/// ([`violation_run`]: the manifest names the first divergent event
+/// against the functional oracle). [`replay_corpus_dir`] only picks up the
+/// `.ssir` entries.
+pub fn write_corpus(dir: &Path, violations: &[FuzzViolation], traced: bool) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     for v in violations {
-        let path = dir.join(corpus_entry_name(v));
-        std::fs::write(&path, corpus_entry_text(v))?;
-        paths.push(path);
-        if with_traces {
-            let tpath = dir.join(trace_entry_name(v));
-            std::fs::write(&tpath, trace_export::violation_trace_text(v))?;
-            paths.push(tpath);
+        let stem = format!("seed_{:016x}_{}", v.seed, v.invariant);
+        let path = dir.join(format!("{stem}.ssir"));
+        std::fs::write(&path, corpus_entry_text(v))
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+        if traced {
+            write_run(dir, &stem, &violation_run(v))?;
         }
     }
-    Ok(paths)
+    Ok(())
 }
 
 /// Replays one corpus entry: assembles it, runs the functional oracle,

@@ -21,8 +21,8 @@ pub mod shrink;
 /// The run file (one JSONL stream of host and simulated rows), its one
 /// reader, and the run report.
 pub mod telemetry_export;
-/// Flight-recording renderings (Chrome trace, pipeview) and divergence
-/// naming.
+/// The pipeview rendering of flight recordings, the shared trace config,
+/// and divergence naming.
 pub mod trace_export;
 
 use std::sync::Mutex;
@@ -41,17 +41,15 @@ pub use campaign::{
 };
 pub use fuzz::{
     corpus_entry_text, enumerate_seeds, replay_corpus_dir, replay_corpus_file, run_fuzz,
-    trace_entry_name, write_corpus, write_corpus_traced, FuzzConfig, FuzzResult, FuzzViolation,
-    InvariantCoverage,
+    write_corpus, FuzzConfig, FuzzResult, FuzzViolation, InvariantCoverage,
 };
 pub use shrink::{live_count, shrink, ShrinkOutcome};
 pub use telemetry_export::{
-    committed_calibration, committed_cpi_section, exclusive_spans, parse_jsonl, report_text,
-    to_jsonl, write_run, RunFile,
+    exclusive_spans, parse_jsonl, report_text, to_jsonl, write_run, RunFile,
 };
 pub use trace_export::{
-    chrome_trace_json, cpi_stack_obj, first_divergence, lifecycles, pipeview_text,
-    trace_slipstream_run, violation_trace_text, Divergence, Lifecycle,
+    cpi_stack_obj, first_divergence, lifecycles, pipeview_text, violation_run, Divergence,
+    Lifecycle, TRACE,
 };
 
 /// Cycle budget per run — far above anything a healthy run needs.

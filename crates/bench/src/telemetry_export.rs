@@ -6,13 +6,14 @@
 //! line is one row, and the row type fixes its clock:
 //!
 //! - host rows, in wall-clock nanoseconds: `span` (one scheduler phase's
-//!   count, total and duration buckets; the [`Snapshot`]);
+//!   count and total; the [`Snapshot`]);
 //! - simulated rows, in simulated cycles: `event` (one flight-recorder
 //!   event) and `sample` (one interval sample, integer counters only —
 //!   ratios are computed when rendered) (the [`FlightRecording`]).
 //!
 //! [`to_jsonl`] writes a [`RunFile`] and [`parse_jsonl`], the only reader,
-//! inverts it byte for byte. Lines are self-describing, so external
+//! inverts it byte for byte. A run file is the only artifact a traced run
+//! writes and the only input `report` reads. Lines are self-describing, so external
 //! producers can append rows — the `run_gate` wrapper in
 //! `scripts/check.sh` appends `gate:*` span lines with nothing but a shell
 //! and `date +%s%N` — and everything still parses and reports.
@@ -20,10 +21,10 @@
 use std::path::Path;
 
 use crate::json::{self, Value};
-use crate::trace_export::{chrome_trace_json, cpi_stack_obj, pipeview_text, EVENT_KINDS, STREAMS};
+use crate::trace_export::{cpi_stack_obj, pipeview_text, EVENT_KINDS, STREAMS};
 use slipstream_core::{FlightRecording, FrontEndStats, IntervalSample, TraceEvent};
 use slipstream_cpu::{CoreStats, CpiCat};
-use slipstream_telemetry::{Snapshot, SpanRow, LOG2_BUCKETS};
+use slipstream_telemetry::{Snapshot, SpanRow};
 
 /// Everything one run leaves for later reading: host spans plus the
 /// simulated flight recording (empty when the run was not traced).
@@ -74,23 +75,14 @@ fn front_end_counters(f: &mut FrontEndStats) -> [(&'static str, &mut u64); 5] {
 
 // ---- JSONL emission -------------------------------------------------------
 
-/// Renders sparse `(bucket, count)` pairs as `[[b, c], ...]`.
-fn buckets_json(buckets: &[(u32, u64)]) -> String {
-    json::inline_array(buckets.iter().map(|&(b, c)| format!("[{b}, {c}]")))
-}
-
-/// One span row. Empty histograms omit the `buckets` key — the exact
-/// shape shell producers emit.
+/// One span row — the exact shape shell producers emit.
 fn span_line(s: &SpanRow) -> String {
-    let mut o = json::Obj::new()
+    json::Obj::new()
         .str("type", "span")
         .str("name", &s.name)
         .raw("count", s.count)
-        .raw("total_nanos", s.total_nanos);
-    if !s.buckets.is_empty() {
-        o = o.raw("buckets", buckets_json(&s.buckets));
-    }
-    o.finish()
+        .raw("total_nanos", s.total_nanos)
+        .finish()
 }
 
 /// One flight-recorder event row.
@@ -152,15 +144,11 @@ pub fn to_jsonl(run: &RunFile) -> String {
     for (k, v) in &snap.labels {
         labels = labels.str(k, v);
     }
-    let mut manifest = json::Obj::new()
+    let manifest = json::Obj::new()
         .str("type", "manifest")
         .str("binary", &snap.binary)
         .str("scheduler", &snap.scheduler)
-        .str("config_digest", &snap.config_digest);
-    if let Some(c) = snap.calibration_instrs_per_sec {
-        manifest = manifest.f64("calibration_instrs_per_sec", c, 2);
-    }
-    let manifest = manifest
+        .str("config_digest", &snap.config_digest)
         .raw("dropped", rec.dropped)
         .raw("labels", labels.finish())
         .finish();
@@ -172,52 +160,17 @@ pub fn to_jsonl(run: &RunFile) -> String {
         .collect()
 }
 
-/// Writes `<dir>/<stem>.jsonl` and, for a traced run, its Perfetto
-/// rendering `<dir>/<stem>.chrome.json` (written for viewing, never read
-/// back). Returns the JSONL text.
+/// Writes the run file `<dir>/<stem>.jsonl`. Returns the JSONL text.
 pub fn write_run(dir: &Path, stem: &str, run: &RunFile) -> Result<String, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let jsonl = to_jsonl(run);
-    let rec = &run.recording;
-    let chrome =
-        (!rec.events.is_empty() || !rec.samples.is_empty()).then(|| chrome_trace_json(rec));
-    for (suffix, text) in [("jsonl", Some(&jsonl)), ("chrome.json", chrome.as_ref())] {
-        let Some(text) = text else { continue };
-        let path = dir.join(format!("{stem}.{suffix}"));
-        std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
-        eprintln!("wrote {}", path.display());
-    }
+    let path = dir.join(format!("{stem}.jsonl"));
+    std::fs::write(&path, &jsonl).map_err(|e| format!("write {}: {e}", path.display()))?;
+    eprintln!("wrote {}", path.display());
     Ok(jsonl)
 }
 
 // ---- JSONL parsing --------------------------------------------------------
-
-/// Extracts `(bucket, count)` pairs from an optional `buckets` field. The
-/// indices must be valid log2 buckets in strictly ascending order — the
-/// shape `LogHist::sparse` writes.
-fn read_buckets(obj: &Value) -> Result<Vec<(u32, u64)>, String> {
-    let Some(arr) = obj.get("buckets") else {
-        return Ok(Vec::new());
-    };
-    let arr = arr.as_arr().ok_or("buckets is not an array")?;
-    let mut out: Vec<(u32, u64)> = Vec::with_capacity(arr.len());
-    for pair in arr {
-        let pair = pair
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or("bad bucket pair in buckets")?;
-        let b = pair[0]
-            .as_u64()
-            .filter(|&b| b < LOG2_BUCKETS as u64)
-            .ok_or_else(|| format!("bucket index outside 0..{LOG2_BUCKETS}"))?;
-        let c = pair[1].as_u64().ok_or("bad bucket count in buckets")?;
-        if out.last().is_some_and(|&(prev, _)| u64::from(prev) >= b) {
-            return Err("bucket indices are not strictly ascending".to_string());
-        }
-        out.push((b as u32, c));
-    }
-    Ok(out)
-}
 
 /// A required string field.
 fn need_str(obj: &Value, key: &str) -> Result<String, String> {
@@ -326,7 +279,6 @@ pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
         binary: "-".to_string(),
         scheduler: "-".to_string(),
         config_digest: "0000000000000000".to_string(),
-        calibration_instrs_per_sec: None,
         labels: Vec::new(),
         spans: Vec::new(),
     };
@@ -349,11 +301,11 @@ pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
                 snap.binary = need_str(&val, "binary").map_err(&fail)?;
                 snap.scheduler = need_str(&val, "scheduler").map_err(&fail)?;
                 snap.config_digest = need_str(&val, "config_digest").map_err(&fail)?;
-                snap.calibration_instrs_per_sec = val
-                    .get("calibration_instrs_per_sec")
-                    .and_then(Value::as_f64);
                 rec.dropped = need_u64(&val, "dropped").map_err(&fail)?;
-                if let Some(labels) = val.get("labels").and_then(Value::as_obj) {
+                if let Some(labels) = val.get("labels") {
+                    let labels = labels
+                        .as_obj()
+                        .ok_or_else(|| fail("labels is not an object".into()))?;
                     for (k, v) in labels {
                         let v = v.as_str().ok_or_else(|| fail("non-string label".into()))?;
                         snap.labels.push((k.clone(), v.to_string()));
@@ -364,7 +316,6 @@ pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
                 name: need_str(&val, "name").map_err(&fail)?,
                 count: need_u64(&val, "count").map_err(&fail)?,
                 total_nanos: need_u64(&val, "total_nanos").map_err(&fail)?,
-                buckets: read_buckets(&val).map_err(&fail)?,
             }),
             "event" => rec.events.push(read_event(&val).map_err(&fail)?),
             "sample" => rec.samples.push(read_sample(&val).map_err(&fail)?),
@@ -375,25 +326,6 @@ pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
         snapshot: snap,
         recording: rec,
     })
-}
-
-// ---- committed-calibration lookup -----------------------------------------
-
-/// The calibration anchor from a committed `BENCH_throughput.json`
-/// document: the `instrs_per_sec` of its `bench == "calibration"` row.
-/// An error when the document does not parse or has no such row: a gate
-/// anchored to it must not run unanchored.
-pub fn committed_calibration(doc: &str) -> Result<f64, String> {
-    json::parse(doc)?
-        .get("rows")
-        .and_then(Value::as_arr)
-        .ok_or("no rows array")?
-        .iter()
-        .find(|r| r.get("bench").and_then(Value::as_str) == Some("calibration"))
-        .ok_or("no calibration row")?
-        .get("instrs_per_sec")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| "calibration row has no numeric instrs_per_sec".to_string())
 }
 
 // ---- the run report ------------------------------------------------------
@@ -541,47 +473,6 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
     }
 }
 
-/// The simulated CPI stack from a committed `BENCH_cpi_stack.json`
-/// document (suite-total A-stream cycles per category): what the report
-/// shows for a run file without `sample` rows. An error when the document
-/// does not have that shape.
-pub fn committed_cpi_section(doc: &str) -> Result<String, String> {
-    let val = json::parse(doc)?;
-    let rows = val
-        .get("rows")
-        .and_then(Value::as_arr)
-        .ok_or("no rows array")?;
-    let mut cats: Vec<(String, u64)> = Vec::new();
-    let mut total = 0u64;
-    for row in rows {
-        total += row
-            .get("a_cycles")
-            .and_then(Value::as_u64)
-            .ok_or("a row has no integer a_cycles")?;
-        for (cat, cycles) in row
-            .get("a")
-            .and_then(Value::as_obj)
-            .ok_or("a row has no a stack")?
-        {
-            let cycles = cycles.as_u64().ok_or("non-integer CPI cycles")?;
-            match cats.iter_mut().find(|(c, _)| c == cat) {
-                Some(e) => e.1 += cycles,
-                None => cats.push((cat.clone(), cycles)),
-            }
-        }
-    }
-    cats.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-    let mut out =
-        String::from("  simulated CPI stack (BENCH_cpi_stack.json, A-stream suite totals):\n");
-    for (cat, cycles) in cats.iter().filter(|&&(_, c)| c > 0) {
-        out.push_str(&format!(
-            "    {cat:<22} {cycles:>12} cycles {:>6}%\n",
-            pct(*cycles, total)
-        ));
-    }
-    Ok(out)
-}
-
 /// The simulated CPI stack summed from a recording's `sample` rows, plus
 /// the ratios over the span they cover.
 fn sampled_cpi_section(out: &mut String, samples: &[IntervalSample]) {
@@ -627,11 +518,10 @@ fn sampled_cpi_section(out: &mut String, samples: &[IntervalSample]) {
 }
 
 /// The human-readable run report, three sections per run file: host
-/// wall-clock attribution; the simulated CPI stack, from the file's
-/// `sample` rows or else from `committed_cpi` (a rendered
-/// [`committed_cpi_section`]); and the pipeview of the flight-recorder
-/// window when the file has `event` rows.
-pub fn report_text(files: &[RunFile], committed_cpi: Option<&str>) -> String {
+/// wall-clock attribution; the simulated CPI stack, summed from the file's
+/// `sample` rows; and the pipeview of the flight-recorder window when the
+/// file has `event` rows. Each section is omitted when its rows are absent.
+pub fn report_text(files: &[RunFile]) -> String {
     let mut out = String::new();
     out.push_str("slipstream run report\n");
     out.push_str("=====================\n\n");
@@ -641,9 +531,6 @@ pub fn report_text(files: &[RunFile], committed_cpi: Option<&str>) -> String {
             "== {} / {} ==  config {}\n",
             snap.binary, snap.scheduler, snap.config_digest
         ));
-        if let Some(c) = snap.calibration_instrs_per_sec {
-            out.push_str(&format!("  calibration: {c:.0} instrs/s\n"));
-        }
         if !snap.labels.is_empty() {
             let labels: Vec<String> = snap
                 .labels
@@ -653,11 +540,7 @@ pub fn report_text(files: &[RunFile], committed_cpi: Option<&str>) -> String {
             out.push_str(&format!("  labels: {}\n", labels.join(", ")));
         }
         attribution_section(&mut out, snap);
-        if !rec.samples.is_empty() {
-            sampled_cpi_section(&mut out, &rec.samples);
-        } else if let Some(section) = committed_cpi {
-            out.push_str(section);
-        }
+        sampled_cpi_section(&mut out, &rec.samples);
         if !rec.events.is_empty() {
             out.push_str(&format!(
                 "  flight-recorder window ({} events held, {} dropped):\n",
@@ -688,9 +571,7 @@ mod tests {
         tel.record_span(SpanKind::RWindowConsume, 600_000);
         tel.record_span(SpanKind::RRingPopWait, 100_000);
         tel.record_span(SpanKind::RBoundarySync, 50_000);
-        let m = RunManifest::new("throughput", "threaded", "cfg-debug")
-            .label("scale", "0.2")
-            .calibration(Some(10_164_380.25));
+        let m = RunManifest::new("throughput", "threaded", "cfg-debug").label("scale", "0.2");
         tel.snapshot(&m)
     }
 
@@ -758,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_shell_produced_gate_lines_without_manifest_or_buckets() {
+    fn parses_shell_produced_gate_lines_without_manifest() {
         let text = "{\"type\": \"span\", \"name\": \"gate:fmt\", \"count\": 1, \
                     \"total_nanos\": 123456789}\n";
         let run = parse_jsonl(text).unwrap();
@@ -766,7 +647,6 @@ mod tests {
         assert_eq!(snap.binary, "-");
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].name, "gate:fmt");
-        assert!(snap.spans[0].buckets.is_empty());
         // And it re-renders in the exact shape the shell wrote.
         assert_eq!(
             to_jsonl(&run).lines().nth(1).unwrap().to_string() + "\n",
@@ -779,22 +659,15 @@ mod tests {
     #[test]
     fn malformed_rows_are_errors_naming_the_line() {
         let err = |text: &str| parse_jsonl(text).expect_err(text);
-        let span = |buckets: &str| {
+        let span = |count: &str| {
             format!(
-                "\n{{\"type\": \"span\", \"name\": \"s\", \"count\": 2, \
-                 \"total_nanos\": 9, \"buckets\": {buckets}}}\n"
+                "\n{{\"type\": \"span\", \"name\": \"s\", \"count\": {count}, \
+                 \"total_nanos\": 9}}\n"
             )
         };
-        // An index past u32 used to truncate silently to bucket 0.
-        let e = err(&span("[[4294967296, 1], [3, 1]]"));
-        assert!(
-            e.starts_with("line 2:") && e.contains("bucket index"),
-            "{e}"
-        );
-        assert!(err(&span("[[64, 1]]")).contains("bucket index"));
-        assert!(err(&span("[[5, 1], [3, 1]]")).contains("ascending"));
-        assert!(err(&span("[[3, 1], [3, 1]]")).contains("ascending"));
-        assert!(parse_jsonl(&span("[[0, 1], [63, 1]]")).is_ok());
+        assert!(parse_jsonl(&span("2")).is_ok());
+        let e = err(&span("-2"));
+        assert!(e.starts_with("line 2:") && e.contains("\"count\""), "{e}");
 
         // Run files hold span, event and sample rows only.
         for (ty, rest) in [
@@ -834,23 +707,20 @@ mod tests {
         assert!(err(&sample.replace(", \"ir_misps\": 1", "")).contains("ir_misps"));
         let e = err(&text.replacen(", \"dropped\": 17", "", 1));
         assert!(e.starts_with("line 1:") && e.contains("dropped"), "{e}");
-    }
-
-    #[test]
-    fn committed_calibration_reads_the_throughput_doc() {
-        let doc = "{\n  \"scale\": 1,\n  \"rows\": [\n    \
-                   {\"bench\": \"calibration\", \"model\": \"calibration\", \
-                   \"instrs_per_sec\": 10164380},\n    \
-                   {\"bench\": \"gcc\", \"model\": \"ss64\", \"instrs_per_sec\": 1}\n  ]\n}\n";
-        assert_eq!(committed_calibration(doc), Ok(10_164_380.0));
-        for bad in ["{}", "nonsense", "{\"rows\": [{\"bench\": \"gcc\"}]}"] {
-            assert!(committed_calibration(bad).is_err(), "accepted {bad:?}");
+        // Labels that are not an object are an error, not an empty set.
+        let manifest = text.lines().next().unwrap();
+        for labels in ["[]", "\"scale=0.2\"", "7"] {
+            let bad = manifest.replace("{\"scale\": \"0.2\"}", labels);
+            let e = err(&format!("\n{bad}"));
+            assert!(e.starts_with("line 2: labels is not an object"), "{e}");
         }
+        let e = err(&manifest.replace("\"0.2\"", "0.2"));
+        assert!(e.starts_with("line 1: non-string label"), "{e}");
     }
 
     #[test]
     fn report_attributes_all_of_run_total() {
-        let report = report_text(&[sample_snapshot().into()], None);
+        let report = report_text(&[sample_snapshot().into()]);
         assert!(report.contains("run_total = 1.000 ms"));
         assert!(report.contains("r_window_consume"));
         assert!(report.contains("r_ring_pop_wait"));
@@ -862,22 +732,12 @@ mod tests {
     }
 
     #[test]
-    fn report_takes_the_cpi_stack_from_sample_rows_or_the_committed_doc() {
-        let cpi = "{\n  \"scale\": 1,\n  \"rows\": [\n    \
-                   {\"bench\": \"gcc\", \"a_cycles\": 100, \
-                   \"a\": {\"base\": 60, \"l2_port\": 40}}\n  ]\n}\n";
-        let committed = committed_cpi_section(cpi).unwrap();
-        assert!(committed_cpi_section("{}").is_err());
-        assert!(committed_cpi_section("{\"rows\": [{\"a_cycles\": 1}]}").is_err());
-
-        let host_only = report_text(&[sample_snapshot().into()], Some(&committed));
-        assert!(host_only.contains("BENCH_cpi_stack.json"));
-        assert!(host_only.contains("l2_port"));
-        assert!(host_only.contains("60.0%"), "{host_only}");
+    fn report_takes_the_cpi_stack_from_sample_rows_only() {
+        let host_only = report_text(&[sample_snapshot().into()]);
+        assert!(!host_only.contains("simulated CPI stack"), "{host_only}");
         assert!(!host_only.contains("flight-recorder window"));
 
-        let traced = report_text(&[sample_run()], Some(&committed));
-        assert!(!traced.contains("BENCH_cpi_stack.json"), "{traced}");
+        let traced = report_text(&[sample_run()]);
         assert!(traced.contains("1 sample rows covering cycles 0..10"));
         assert!(traced.contains("delay_empty"));
         assert!(traced.contains("30.0%"), "{traced}");

@@ -1,38 +1,42 @@
-//! Renderings of flight recordings, and divergence naming.
+//! The pipeview rendering of flight recordings, and divergence naming.
 //!
 //! A run's recording is saved as `event` and `sample` rows of its run file
-//! (see `telemetry_export`); the renderings here are views of it, all
-//! deterministic (nothing reads the clock or the environment):
+//! (see `telemetry_export`). [`pipeview_text`] renders it deterministically
+//! (nothing reads the clock or the environment) as a gem5-`O3PipeView`-style
+//! per-instruction lifecycle dump — one line per dispatched instruction with
+//! its fetch / dispatch / issue / complete / retire cycles, followed by the
+//! out-of-band events and the interval time-series. The `report` binary
+//! prints it.
 //!
-//! - [`chrome_trace_json`]: Chrome Trace Event JSON for Perfetto (which
-//!   cannot read the run file), written next to each traced `.jsonl` and
-//!   never read back. Instruction lifecycles become duration (`"X"`)
-//!   slices on one track per stream, out-of-band events become instants,
-//!   and interval samples become counter tracks. Timestamps are simulated
-//!   cycles interpreted as microseconds.
-//! - [`pipeview_text`]: a gem5-`O3PipeView`-style per-instruction lifecycle
-//!   dump — one line per dispatched instruction with its fetch / dispatch /
-//!   issue / complete / retire cycles, followed by the out-of-band events
-//!   and the interval time-series. The `report` binary prints it.
-//!
-//! Plus [`first_divergence`] / [`violation_trace_text`]: given a fuzz
-//! violation's minimized program, re-run it traced and name the first event
-//! where the slipstream machine's retirement stream leaves the functional
-//! oracle's path.
+//! Plus [`first_divergence`] / [`violation_run`]: given a fuzz violation's
+//! minimized program, re-run it traced and name, in its run file's
+//! manifest, the first event where the slipstream machine's retirement
+//! stream leaves the functional oracle's path.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
 use slipstream_core::trace::misp_code_label;
 use slipstream_core::{
-    EventKind, FlightRecording, SlipstreamConfig, SlipstreamProcessor, StreamId, TraceConfig,
-    TraceEvent, NO_SEQ,
+    EventKind, ExecMode, FlightRecording, SlipstreamConfig, SlipstreamProcessor, StreamId,
+    TraceConfig, TraceEvent, NO_SEQ,
 };
 use slipstream_isa::Program;
+use slipstream_telemetry::{RunManifest, Telemetry};
 
-use crate::fuzz::{corpus_entry_name, FuzzViolation};
-use crate::json::{self, Obj};
+use crate::fuzz::FuzzViolation;
+use crate::json::Obj;
+use crate::telemetry_export::RunFile;
 use crate::MAX_CYCLES;
+
+/// The flight recorder every traced run file is recorded with (`report
+/// --bench`, `fault_campaign --trace`, `differential_fuzz --trace`): the
+/// last 65,536 events per sink and one interval sample every 10,000 cycles.
+pub const TRACE: TraceConfig = TraceConfig {
+    ring_capacity: 65_536,
+    metrics_interval: 10_000,
+    freeze_after: None,
+};
 
 /// `const $name: [$ty; N]` holding the listed variants, in order, plus a
 /// match over them that names no wildcard: a variant added to the enum
@@ -48,8 +52,8 @@ macro_rules! every_variant {
 }
 
 every_variant! {
-    /// All streams in fixed export order (determines Chrome track order
-    /// and tie-breaking everywhere).
+    /// All streams in fixed export order: the labels an `event` row may
+    /// carry.
     STREAMS: StreamId = [AStream, RStream, Single, Machine]
 }
 
@@ -60,24 +64,6 @@ every_variant! {
         DcacheMiss, L2Miss, PortStall, Flush, FaultFired, Removed, DelayEnqueue, DelayDequeue,
         IrMispredict, Recovery, FaultDetected,
     ]
-}
-
-fn stream_index(s: StreamId) -> u8 {
-    match s {
-        StreamId::AStream => 0,
-        StreamId::RStream => 1,
-        StreamId::Single => 2,
-        StreamId::Machine => 3,
-    }
-}
-
-fn stream_name(s: StreamId) -> &'static str {
-    match s {
-        StreamId::AStream => "A-stream core",
-        StreamId::RStream => "R-stream core",
-        StreamId::Single => "single core",
-        StreamId::Machine => "machine",
-    }
 }
 
 /// Whether `kind` is one of the per-instruction lifecycle stages (consumed
@@ -124,19 +110,6 @@ impl Lifecycle {
             retire: None,
         }
     }
-
-    /// Last known cycle of the lifecycle (for slice durations).
-    fn end(&self) -> Option<u64> {
-        self.retire
-            .or(self.complete)
-            .or(self.issue)
-            .or(self.dispatch)
-    }
-
-    /// First known cycle of the lifecycle.
-    fn start(&self) -> Option<u64> {
-        self.fetch.or(self.dispatch).or(self.issue).or(self.retire)
-    }
 }
 
 /// Reconstructs per-instruction lifecycles from a cycle-ordered event
@@ -150,10 +123,10 @@ impl Lifecycle {
 /// later stage events) with the missing stages as `None`.
 pub fn lifecycles(events: &[TraceEvent]) -> Vec<Lifecycle> {
     let mut lives: Vec<Lifecycle> = Vec::new();
-    let mut open: HashMap<(u8, u64), usize> = HashMap::new();
-    let mut fetched: HashMap<u8, VecDeque<(u64, u64)>> = HashMap::new();
+    let mut open: HashMap<(StreamId, u64), usize> = HashMap::new();
+    let mut fetched: HashMap<StreamId, VecDeque<(u64, u64)>> = HashMap::new();
     for e in events {
-        let s = stream_index(e.stream);
+        let s = e.stream;
         let mut stage = |lives: &mut Vec<Lifecycle>| -> usize {
             *open.entry((s, e.seq)).or_insert_with(|| {
                 lives.push(Lifecycle::partial(e.stream, e.seq, e.pc));
@@ -194,131 +167,6 @@ pub fn lifecycles(events: &[TraceEvent]) -> Vec<Lifecycle> {
         }
     }
     lives
-}
-
-/// Renders a recording as Chrome Trace Event JSON (the `traceEvents`
-/// object form), loadable in `chrome://tracing` or Perfetto. Simulated
-/// cycles map 1:1 to microseconds.
-pub fn chrome_trace_json(rec: &FlightRecording) -> String {
-    let lives = lifecycles(&rec.events);
-    let mut rows: Vec<String> = Vec::new();
-
-    // Track metadata: one named thread per stream that appears.
-    let mut used = [false; 4];
-    for e in &rec.events {
-        used[stream_index(e.stream) as usize] = true;
-    }
-    if !rec.samples.is_empty() {
-        used[stream_index(StreamId::Machine) as usize] = true;
-    }
-    for s in STREAMS {
-        let i = stream_index(s);
-        if !used[i as usize] {
-            continue;
-        }
-        rows.push(
-            Obj::new()
-                .str("name", "thread_name")
-                .str("ph", "M")
-                .raw("pid", 0)
-                .raw("tid", i)
-                .raw("args", Obj::new().str("name", stream_name(s)).finish())
-                .finish(),
-        );
-        rows.push(
-            Obj::new()
-                .str("name", "thread_sort_index")
-                .str("ph", "M")
-                .raw("pid", 0)
-                .raw("tid", i)
-                .raw("args", Obj::new().raw("sort_index", i).finish())
-                .finish(),
-        );
-    }
-
-    // Instruction lifecycles as duration slices.
-    for l in &lives {
-        let (Some(start), Some(end)) = (l.start(), l.end()) else {
-            continue;
-        };
-        let mut args = Obj::new().raw("seq", seq_str(l.seq)).str("pc", &hex(l.pc));
-        for (label, stage) in [
-            ("fetch", l.fetch),
-            ("dispatch", l.dispatch),
-            ("issue", l.issue),
-            ("complete", l.complete),
-            ("retire", l.retire),
-        ] {
-            if let Some(c) = stage {
-                args = args.raw(label, c);
-            }
-        }
-        rows.push(
-            Obj::new()
-                .str("name", &hex(l.pc))
-                .str("cat", "instr")
-                .str("ph", "X")
-                .raw("ts", start)
-                .raw("dur", (end - start).max(1))
-                .raw("pid", 0)
-                .raw("tid", stream_index(l.stream))
-                .raw("args", args.finish())
-                .finish(),
-        );
-    }
-
-    // Out-of-band events as instants.
-    for e in &rec.events {
-        if is_lifecycle_stage(e.kind) {
-            continue;
-        }
-        let mut args = Obj::new().str("pc", &hex(e.pc)).raw("arg", e.arg);
-        if e.seq != NO_SEQ {
-            args = args.raw("seq", e.seq);
-        }
-        if e.kind == EventKind::IrMispredict {
-            args = args.str("misp_kind", misp_code_label(e.arg));
-        }
-        rows.push(
-            Obj::new()
-                .str("name", e.kind.label())
-                .str("cat", "event")
-                .str("ph", "i")
-                .str("s", "t")
-                .raw("ts", e.cycle)
-                .raw("pid", 0)
-                .raw("tid", stream_index(e.stream))
-                .raw("args", args.finish())
-                .finish(),
-        );
-    }
-
-    // Interval metrics as counter tracks.
-    for s in &rec.samples {
-        for (name, value) in [
-            ("ipc", json::f64_fixed(s.ipc(), 4)),
-            ("removal_rate", json::f64_fixed(s.removal_rate(), 4)),
-            ("ir_misp_per_kilo", json::f64_fixed(s.ir_misp_per_kilo(), 4)),
-            ("delay_occupancy", s.delay_occupancy.to_string()),
-        ] {
-            rows.push(
-                Obj::new()
-                    .str("name", name)
-                    .str("ph", "C")
-                    .raw("ts", s.cycle)
-                    .raw("pid", 0)
-                    .raw("args", Obj::new().raw("value", value).finish())
-                    .finish(),
-            );
-        }
-    }
-
-    format!(
-        "{{\n  \"displayTimeUnit\": \"ms\",\n  \"dropped_events\": {},\n  \
-         \"traceEvents\": {}\n}}\n",
-        rec.dropped,
-        json::array(rows, 2),
-    )
 }
 
 fn hex(v: u64) -> String {
@@ -421,8 +269,8 @@ pub fn cpi_stack_obj(stack: &slipstream_cpu::CpiStack) -> String {
 
 /// Runs `program` on the slipstream model with tracing enabled. Panics are
 /// caught and returned as `Err` — a violating fuzz program may legitimately
-/// trip simulator assertions, and the caller still wants a trace file.
-pub fn trace_slipstream_run(
+/// trip simulator assertions, and the caller still wants a run file.
+fn trace_slipstream_run(
     cfg: SlipstreamConfig,
     program: &Program,
     max_cycles: u64,
@@ -522,58 +370,45 @@ fn oracle_retire_pcs(program: &Program, fuel: u64) -> Option<Vec<u64>> {
         .map(|trace| trace.iter().map(|r| r.pc).collect())
 }
 
-/// Renders the flight-recorder trace file written next to a fuzz
-/// violation's `.ssir` reproducer: a comment header naming the first
-/// divergent event (kind + cycle + seq), then the full pipeview dump of
-/// the minimized program's traced slipstream replay.
-pub fn violation_trace_text(v: &FuzzViolation) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "; flight-recorder trace for reproducer {}",
-        corpus_entry_name(v)
-    );
-    let _ = writeln!(out, "; invariant: {}", v.invariant);
-    match trace_slipstream_run(
-        SlipstreamConfig::cmp_2x64x4(),
-        &v.minimized,
-        MAX_CYCLES,
-        TraceConfig::default(),
-    ) {
+/// A fuzz violation's traced replay as a run file: the minimized program
+/// re-run on CMP(2x64x4) under [`TRACE`]. Its manifest labels name the
+/// seed, the invariant, how the replay ended (`halted`, `out-of-cycles`
+/// or `panicked`, with the panic message), and the first divergent event
+/// against the functional oracle (`divergence` kind, or `none`, plus its
+/// cycle, seq and detail). A panicked replay has no rows.
+pub fn violation_run(v: &FuzzViolation) -> RunFile {
+    let cfg = SlipstreamConfig::cmp_2x64x4();
+    let mut manifest = RunManifest::new(
+        "differential_fuzz",
+        ExecMode::Windowed.label(),
+        &format!("{cfg:?}"),
+    )
+    .label("seed", format!("{:#x}", v.seed))
+    .label("invariant", v.invariant);
+    let recording = match trace_slipstream_run(cfg, &v.minimized, MAX_CYCLES, TRACE) {
         Err(panic) => {
-            let _ = writeln!(
-                out,
-                "; slipstream replay panicked before completion: {}",
-                panic.replace('\n', " | ")
-            );
-            let _ = writeln!(out, "; no events recorded");
+            manifest = manifest
+                .label("replay", "panicked")
+                .label("panic", panic.replace('\n', " | "));
+            FlightRecording::default()
         }
         Ok((halted, rec)) => {
+            let replay = if halted { "halted" } else { "out-of-cycles" };
+            manifest = manifest.label("replay", replay);
             let oracle_pcs = oracle_retire_pcs(&v.minimized, 3_000_000).unwrap_or_default();
-            match first_divergence(&rec, &oracle_pcs) {
-                Some(d) => {
-                    let _ = writeln!(
-                        out,
-                        "; first divergent event: kind={} cycle={} seq={}",
-                        d.kind,
-                        d.cycle,
-                        seq_str(d.seq),
-                    );
-                    let _ = writeln!(out, "; detail: {}", d.detail);
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "; no divergent event in the slipstream replay (the violation \
-                         may be baseline-core-only or stats-level)"
-                    );
-                }
-            }
-            if !halted {
-                let _ = writeln!(out, "; replay did not halt within its cycle budget");
-            }
-            out.push_str(&pipeview_text(&rec));
+            manifest = match first_divergence(&rec, &oracle_pcs) {
+                Some(d) => manifest
+                    .label("divergence", d.kind)
+                    .label("divergence_cycle", d.cycle)
+                    .label("divergence_seq", seq_str(d.seq))
+                    .label("divergence_detail", d.detail),
+                None => manifest.label("divergence", "none"),
+            };
+            rec
         }
+    };
+    RunFile {
+        snapshot: Telemetry::new().snapshot(&manifest),
+        recording,
     }
-    out
 }

@@ -50,7 +50,7 @@ fn threaded_run_attributes_its_wall_clock_to_named_spans() {
 
     // The report over this snapshot attributes the full run total.
     let run = snap.into();
-    let report = report_text(std::slice::from_ref(&run), None);
+    let report = report_text(std::slice::from_ref(&run));
     assert!(
         report.contains("= 100.0% of run_total"),
         "report:\n{report}"

@@ -1,10 +1,12 @@
 //! End-to-end tests of the flight recorder, its run file, and its
-//! renderings: determinism across worker counts, round trips through the
-//! one reader, JSON validity, and divergence naming.
+//! pipeview: determinism across worker counts, round trips through the
+//! one reader, and divergence naming in a fuzz violation's run file.
+
+use std::path::Path;
 
 use slipstream_bench::{
-    chrome_trace_json, first_divergence, json, live_count, parse_jsonl, pipeview_text, to_jsonl,
-    trace_slipstream_run, violation_trace_text, FuzzViolation, RunFile,
+    first_divergence, live_count, parse_jsonl, pipeview_text, report_text, to_jsonl, write_corpus,
+    FuzzViolation, RunFile,
 };
 use slipstream_core::telemetry::{RunManifest, Telemetry};
 use slipstream_core::{
@@ -13,7 +15,7 @@ use slipstream_core::{
     NO_SEQ,
 };
 use slipstream_cpu::FaultSpec;
-use slipstream_isa::{assemble, Program};
+use slipstream_isa::{assemble, ArchState, Program};
 use slipstream_workloads::{random_program_with_shape, RandProgConfig};
 
 const BUDGET: u64 = 1_000_000;
@@ -128,36 +130,12 @@ fn traced_fault_run_round_trips_through_its_run_file() {
         "re-render must be byte-identical"
     );
     assert_eq!(parsed.recording.events, rec.events);
-    assert_eq!(parsed.recording.samples, rec.samples);
-    assert_eq!(parsed.recording.dropped, rec.dropped);
-}
-
-#[test]
-fn chrome_trace_of_a_tiny_program_round_trips_as_valid_json() {
-    let program = kernel_program();
-    let (halted, rec) = trace_slipstream_run(
-        SlipstreamConfig::cmp_2x64x4(),
-        &program,
-        BUDGET,
-        TraceConfig::flight(4_096).with_metrics(100),
-    )
-    .expect("clean program must not panic");
-    assert!(halted);
-    let chrome = chrome_trace_json(&rec);
-    json::validate(&chrome).expect("chrome trace export must be valid JSON");
-    assert!(chrome.contains("\"traceEvents\""));
-    assert!(
-        chrome.contains("\"ph\": \"X\""),
-        "lifecycle slices must be present"
-    );
-    assert!(
-        chrome.contains("\"ph\": \"C\""),
-        "counter samples must be present"
-    );
     assert!(
         !rec.samples.is_empty(),
         "interval sampling produced samples"
     );
+    assert_eq!(parsed.recording.samples, rec.samples);
+    assert_eq!(parsed.recording.dropped, rec.dropped);
 }
 
 #[test]
@@ -222,10 +200,9 @@ fn first_divergence_names_kind_cycle_and_seq() {
 }
 
 #[test]
-fn violation_trace_text_reports_the_replay() {
+fn violation_trace_is_a_run_file_that_report_reads() {
     // A clean random program stands in for a violation's minimized
-    // reproducer: its slipstream replay matches the oracle, so the trace
-    // header reports no divergence but still carries the full pipeview.
+    // reproducer: its slipstream replay halts on the oracle's path.
     let (program, _) = random_program_with_shape(11, RandProgConfig::default());
     let v = FuzzViolation {
         seed: 11,
@@ -236,12 +213,65 @@ fn violation_trace_text_reports_the_replay() {
         minimized_live: live_count(&program),
         shrink_evals: 0,
     };
-    let text = violation_trace_text(&v);
-    assert!(text.starts_with("; flight-recorder trace for reproducer"));
-    assert!(text.contains("; invariant: core-oracle"));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("violation_trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    write_corpus(&dir, std::slice::from_ref(&v), true).expect("write the corpus entry and trace");
+    let stem = dir.join("seed_000000000000000b_core-oracle");
     assert!(
-        text.contains("no divergent event") || text.contains("first divergent event:"),
-        "header names the divergence outcome"
+        stem.with_extension("ssir").is_file(),
+        "the reproducer is written"
     );
-    assert!(text.contains("# slipstream pipeview"));
+    let text = std::fs::read_to_string(stem.with_extension("jsonl")).expect("the run file");
+    let run = parse_jsonl(&text).expect("the run file parses");
+    assert_eq!(to_jsonl(&run), text, "re-render must be byte-identical");
+
+    let label = |key: &str| {
+        run.snapshot
+            .labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    };
+    assert_eq!(run.snapshot.binary, "differential_fuzz");
+    assert_eq!(label("invariant"), Some("core-oracle"));
+    assert_eq!(label("seed"), Some("0xb"));
+    assert_eq!(label("replay"), Some("halted"));
+    // The retire streams agree, so only a detection can be named; either
+    // way the divergence labels describe first_divergence's answer.
+    let oracle: Vec<u64> = ArchState::new(&program)
+        .run(&program, BUDGET)
+        .expect("the oracle halts")
+        .iter()
+        .map(|r| r.pc)
+        .collect();
+    match first_divergence(&run.recording, &oracle) {
+        None => {
+            assert_eq!(label("divergence"), Some("none"));
+            assert_eq!(label("divergence_cycle"), None);
+        }
+        Some(d) => {
+            assert_eq!(label("divergence"), Some(d.kind));
+            assert_eq!(
+                label("divergence_cycle"),
+                Some(d.cycle.to_string().as_str())
+            );
+            assert_eq!(label("divergence_detail"), Some(d.detail.as_str()));
+            assert_ne!(d.kind, "retire", "a clean replay retires the oracle's path");
+        }
+    }
+    // The R-stream retire events are the oracle's retirement stream.
+    assert_eq!(run.recording.dropped, 0, "a tiny program fits the ring");
+    let retired: Vec<u64> = run
+        .recording
+        .events
+        .iter()
+        .filter(|e| e.stream == StreamId::RStream && e.kind == EventKind::Retire)
+        .map(|e| e.pc)
+        .collect();
+    assert_eq!(retired, oracle);
+
+    let report = report_text(std::slice::from_ref(&run));
+    assert!(report.contains("invariant=core-oracle"), "{report}");
+    assert!(report.contains("flight-recorder window"), "{report}");
+    assert!(report.contains("# slipstream pipeview"), "{report}");
 }

@@ -4,8 +4,7 @@
 //! predictor" (Jacobson, Rotenberg, Smith — *Path-Based Next Trace
 //! Prediction*) and uses resetting confidence counters (Jacobsen,
 //! Rotenberg, Smith — *Assigning Confidence to Conditional Branch
-//! Predictions*). Both are reproduced here, along with conventional
-//! single-branch predictors used for ablations:
+//! Predictions*). Both are reproduced here:
 //!
 //! - [`TraceId`], [`TraceBuilder`], [`materialize`] — the trace abstraction:
 //!   a trace is up to 32 dynamic instructions identified by a start PC and
@@ -18,18 +17,14 @@
 //!   retirement, as in the paper's §5).
 //! - [`ResettingCounter`] — the confidence mechanism the IR-predictor uses
 //!   to gate instruction removal.
-//! - [`Bimodal`], [`Gshare`], [`Btb`], [`ReturnStack`] — conventional
-//!   predictors for comparison experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod branch;
 mod confidence;
 mod trace;
 mod trace_pred;
 
-pub use branch::{Bimodal, Btb, Gshare, ReturnStack};
 pub use confidence::ResettingCounter;
 pub use trace::{
     materialize, materialize_into, MaterializedTrace, TraceBuilder, TraceId, MAX_TRACE_LEN,

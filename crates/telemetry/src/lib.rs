@@ -6,7 +6,7 @@
 //! slipstream schedulers' phases and nothing else. It provides:
 //!
 //! - [`Telemetry`] — a per-thread registry of span timers (count + total
-//!   nanoseconds + a log2-bucketed duration histogram per [`SpanKind`]).
+//!   nanoseconds per [`SpanKind`]).
 //!   Every field is a plain `u64` — no atomics, no locks, no allocation
 //!   after construction — because each scheduler thread owns its own
 //!   instance and registries are combined after the run.
@@ -16,7 +16,7 @@
 //!   time their own phases, so accumulate-and-subtract spans (window
 //!   execution minus in-window ring waits) need no special support.
 //! - [`RunManifest`] + [`Snapshot`] — a run's identity (binary, scheduler,
-//!   FNV-1a config digest, host-speed calibration anchor) married to a
+//!   FNV-1a config digest, free-form labels) married to a
 //!   *dynamic* named-span view that can carry rows [`SpanKind`] doesn't
 //!   know (e.g. `gate:*` spans appended by `scripts/check.sh`). Snapshots
 //!   are written as the span rows of a run file, whose writer and only
@@ -29,75 +29,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// Number of log2 buckets: bucket `i` counts values in `[2^(i-1), 2^i)`
-/// (bucket 0 counts zero), which spans the full `u64` range.
-pub const LOG2_BUCKETS: usize = 64;
-
-/// The log2 bucket index of `v` (0 for 0, else `64 - leading_zeros`,
-/// clamped to the last bucket).
-pub fn log2_bucket(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        ((64 - v.leading_zeros()) as usize).min(LOG2_BUCKETS - 1)
-    }
-}
-
-/// A log2-bucketed histogram of `u64` values (span durations in
-/// nanoseconds).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogHist {
-    /// Count per log2 bucket (see [`log2_bucket`]).
-    pub buckets: [u64; LOG2_BUCKETS],
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Maximum recorded value (0 when empty).
-    pub max: u64,
-}
-
-impl Default for LogHist {
-    fn default() -> LogHist {
-        LogHist {
-            buckets: [0; LOG2_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl LogHist {
-    /// Records one value.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[log2_bucket(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    /// Sums `other` into `self` (commutative; `max` merges by max).
-    pub fn merge(&mut self, other: &LogHist) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// The non-empty buckets as `(bucket_index, count)` pairs, ascending.
-    pub fn sparse(&self) -> Vec<(u32, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u32, c))
-            .collect()
-    }
-}
 
 macro_rules! kinds {
     ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident => $label:literal,)+ }) => {
@@ -174,8 +105,6 @@ pub struct SpanStat {
     pub count: u64,
     /// Total nanoseconds across all entries.
     pub total_nanos: u64,
-    /// Log2 histogram of per-entry durations (nanoseconds).
-    pub hist: LogHist,
 }
 
 /// A per-thread span registry (see the crate docs). Construct one per
@@ -205,7 +134,6 @@ impl Telemetry {
         let s = &mut self.spans[kind.index()];
         s.count += 1;
         s.total_nanos += nanos;
-        s.hist.record(nanos);
     }
 
     /// A span's accumulated statistics.
@@ -220,7 +148,6 @@ impl Telemetry {
         for (a, b) in self.spans.iter_mut().zip(&other.spans) {
             a.count += b.count;
             a.total_nanos += b.total_nanos;
-            a.hist.merge(&b.hist);
         }
     }
 
@@ -235,14 +162,12 @@ impl Telemetry {
                 name: k.label().to_string(),
                 count: s.count,
                 total_nanos: s.total_nanos,
-                buckets: s.hist.sparse(),
             })
             .collect();
         Snapshot {
             binary: manifest.binary.clone(),
             scheduler: manifest.scheduler.clone(),
             config_digest: format!("{:016x}", manifest.config_digest),
-            calibration_instrs_per_sec: manifest.calibration_instrs_per_sec,
             labels: manifest.labels.clone(),
             spans,
         }
@@ -271,9 +196,6 @@ pub struct RunManifest {
     /// FNV-1a digest of the run's configuration (`Debug`-rendered), so
     /// two exports are only comparable when their digests match.
     pub config_digest: u64,
-    /// Host-speed anchor: the throughput calibration row's instrs/s on
-    /// this machine (`None` when no calibration is available).
-    pub calibration_instrs_per_sec: Option<f64>,
     /// Free-form extra labels (scale, workers, ...).
     pub labels: Vec<(String, String)>,
 }
@@ -285,7 +207,6 @@ impl RunManifest {
             binary: binary.to_string(),
             scheduler: scheduler.to_string(),
             config_digest: fnv1a(config_debug.as_bytes()),
-            calibration_instrs_per_sec: None,
             labels: Vec::new(),
         }
     }
@@ -293,12 +214,6 @@ impl RunManifest {
     /// Adds a free-form label.
     pub fn label(mut self, key: &str, value: impl std::fmt::Display) -> RunManifest {
         self.labels.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Sets the calibration anchor.
-    pub fn calibration(mut self, instrs_per_sec: Option<f64>) -> RunManifest {
-        self.calibration_instrs_per_sec = instrs_per_sec;
         self
     }
 }
@@ -313,8 +228,6 @@ pub struct SpanRow {
     pub count: u64,
     /// Total nanoseconds.
     pub total_nanos: u64,
-    /// Sparse log2 duration histogram (`(bucket, count)`, ascending).
-    pub buckets: Vec<(u32, u64)>,
 }
 
 /// A manifest plus dynamic named span rows: the host part of a run file.
@@ -326,8 +239,6 @@ pub struct Snapshot {
     pub scheduler: String,
     /// Config digest as 16 hex digits.
     pub config_digest: String,
-    /// Host-speed calibration anchor (instrs/s), when known.
-    pub calibration_instrs_per_sec: Option<f64>,
     /// Free-form labels.
     pub labels: Vec<(String, String)>,
     /// Span rows, in export order.
@@ -337,16 +248,6 @@ pub struct Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log2_bucket_edges() {
-        assert_eq!(log2_bucket(0), 0);
-        assert_eq!(log2_bucket(1), 1);
-        assert_eq!(log2_bucket(2), 2);
-        assert_eq!(log2_bucket(3), 2);
-        assert_eq!(log2_bucket(4), 3);
-        assert_eq!(log2_bucket(u64::MAX), 63);
-    }
 
     #[test]
     fn merge_is_commutative_and_partition_independent() {

@@ -47,7 +47,7 @@ run_gate "differential-fuzz smoke (oracle sweep + corpus replay)" \
 run_gate "throughput smoke (speed gate vs committed BENCH_throughput.json)" \
     cargo run --release -q -p slipstream-bench --bin throughput -- --smoke
 
-run_gate "report smoke (run-file round-trip + attribution + CPI stack + pipeview)" \
+run_gate "report smoke (run files only: round-trip + attribution + sampled CPI stack + pipeview)" \
     cargo run --release -q -p slipstream-bench --bin report -- --smoke
 
 cargo run --release -q -p slipstream-bench --bin report -- --gate-summary "$GATE_LOG"
