@@ -15,10 +15,15 @@
 
 use std::collections::VecDeque;
 
-use slipstream_isa::Instr;
+use slipstream_isa::{Instr, Retired};
 use slipstream_predict::TraceId;
 
 /// One slot of the A-stream's path, communicated to the R-stream.
+///
+/// Built only by [`DelayEntry::executed`] and [`DelayEntry::skipped`]; the
+/// outcome values are read through accessors. An absent value is stored as
+/// zero with its presence bit clear, so two entries with the same outcomes
+/// compare equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelayEntry {
     /// Instruction address.
@@ -29,51 +34,122 @@ pub struct DelayEntry {
     pub instr: Instr,
     /// PC of the next slot on the A-stream's path.
     pub next_pc: u64,
-    /// Whether the A-stream skipped this instruction (no data available).
-    pub skipped: bool,
-    /// This slot ends its trace (boundary flag used by the R-side
-    /// reconstruction and the IR-detector).
-    pub ends_trace: bool,
-    /// Executed conditional branches: the A-stream's outcome.
-    pub taken: Option<bool>,
-    /// Executed: first source operand value.
-    pub src1: Option<u64>,
-    /// Executed: second source operand value.
-    pub src2: Option<u64>,
-    /// Executed: result (register write or load) value.
-    pub result: Option<u64>,
-    /// Executed loads/stores: effective address.
-    pub addr: Option<u64>,
-    /// Executed stores: value stored.
-    pub store_value: Option<u64>,
+    /// Outcome values, indexed by the `SRC1`..`STORE_VALUE` slots.
+    values: [u64; 5],
+    /// `SKIPPED`, `ENDS_TRACE`, `HAS_TAKEN`, `TAKEN` and one `HAS_VALUE`
+    /// bit per value slot.
+    flags: u32,
 }
 
-// One of these is copied into and out of the delay buffer per A-stream
-// instruction: a field that fattens it must raise this pin.
+// One of these is copied into the delay buffer per A-stream instruction:
+// a field that fattens it must raise this pin.
 const _: () = assert!(
-    std::mem::size_of::<DelayEntry>() <= 120,
-    "DelayEntry grew past 120 bytes; shrink it or deliberately raise this pin"
+    std::mem::size_of::<DelayEntry>() <= 80,
+    "DelayEntry grew past 80 bytes; shrink it or deliberately raise this pin"
 );
 
+const SKIPPED: u32 = 1 << 0;
+const ENDS_TRACE: u32 = 1 << 1;
+const HAS_TAKEN: u32 = 1 << 2;
+const TAKEN: u32 = 1 << 3;
+/// Presence bit of value slot 0; slot `i` uses `HAS_VALUE << i`.
+const HAS_VALUE: u32 = 1 << 4;
+
+const SRC1: usize = 0;
+const SRC2: usize = 1;
+const RESULT: usize = 2;
+const ADDR: usize = 3;
+const STORE_VALUE: usize = 4;
+
 impl DelayEntry {
+    /// The entry for an instruction the A-stream executed: its branch
+    /// outcome, operand, result and memory values, taken from `rec`.
+    pub fn executed(rec: &Retired, ends_trace: bool) -> DelayEntry {
+        let mut e = DelayEntry {
+            pc: rec.pc,
+            instr: rec.instr,
+            next_pc: rec.next_pc,
+            values: [0; 5],
+            flags: if ends_trace { ENDS_TRACE } else { 0 },
+        };
+        if let Some(t) = rec.taken {
+            e.flags |= HAS_TAKEN | if t { TAKEN } else { 0 };
+        }
+        e.set(SRC1, rec.src1.map(|(_, v)| v));
+        e.set(SRC2, rec.src2.map(|(_, v)| v));
+        e.set(RESULT, rec.dest.map(|(_, v)| v));
+        e.set(ADDR, rec.mem.map(|m| m.addr));
+        e.set(
+            STORE_VALUE,
+            rec.mem.and_then(|m| m.is_store.then_some(m.value)),
+        );
+        e
+    }
+
     /// A data-less marker for an instruction the A-stream skipped.
     pub fn skipped(pc: u64, instr: Instr, next_pc: u64, ends_trace: bool) -> DelayEntry {
         DelayEntry {
             pc,
             instr,
             next_pc,
-            skipped: true,
-            ends_trace,
-            taken: None,
-            src1: None,
-            src2: None,
-            result: None,
-            addr: None,
-            store_value: None,
+            values: [0; 5],
+            flags: SKIPPED | if ends_trace { ENDS_TRACE } else { 0 },
         }
     }
-}
 
+    fn set(&mut self, slot: usize, v: Option<u64>) {
+        if let Some(v) = v {
+            self.values[slot] = v;
+            self.flags |= HAS_VALUE << slot;
+        }
+    }
+
+    fn value(&self, slot: usize) -> Option<u64> {
+        (self.flags & (HAS_VALUE << slot) != 0).then_some(self.values[slot])
+    }
+
+    /// Whether the A-stream skipped this instruction (no data available).
+    /// (Named apart from the [`DelayEntry::skipped`] constructor.)
+    pub fn is_skipped(&self) -> bool {
+        self.flags & SKIPPED != 0
+    }
+
+    /// This slot ends its trace (boundary flag used by the R-side
+    /// reconstruction and the IR-detector).
+    pub fn ends_trace(&self) -> bool {
+        self.flags & ENDS_TRACE != 0
+    }
+
+    /// Executed conditional branches: the A-stream's outcome.
+    pub fn taken(&self) -> Option<bool> {
+        (self.flags & HAS_TAKEN != 0).then_some(self.flags & TAKEN != 0)
+    }
+
+    /// Executed: first source operand value.
+    pub fn src1(&self) -> Option<u64> {
+        self.value(SRC1)
+    }
+
+    /// Executed: second source operand value.
+    pub fn src2(&self) -> Option<u64> {
+        self.value(SRC2)
+    }
+
+    /// Executed: result (register write or load) value.
+    pub fn result(&self) -> Option<u64> {
+        self.value(RESULT)
+    }
+
+    /// Executed loads/stores: effective address.
+    pub fn addr(&self) -> Option<u64> {
+        self.value(ADDR)
+    }
+
+    /// Executed stores: value stored.
+    pub fn store_value(&self) -> Option<u64> {
+        self.value(STORE_VALUE)
+    }
+}
 /// A `{trace-id, ir-vec}` pair recording what the A-stream actually
 /// retired for one trace: consumed by the IR-misprediction checker, which
 /// compares the *used* ir-vec against the IR-detector's *computed* one.
@@ -86,48 +162,27 @@ pub struct TraceCommit {
     pub used_vec: u32,
 }
 
-/// Recycled chunk allocations kept beyond this are dropped. The pool must
-/// cover the peak chunk population — every buffered chunk (one per
-/// producing cycle while the R-stream lags, so up to the data capacity in
-/// the worst case) plus the `CycleBatch` vectors in circulation. A tight
-/// cap makes occupancy swings drop and re-grow chunk buffers in a steady
-/// churn; chunks are small (a cycle's retirement burst), so retaining the
-/// worst-case population outright is cheaper.
-const SPARE_CHUNKS: usize = 512;
-
-/// Recycled chunks are topped up to this capacity so a buffer that sealed
-/// small (a quiet cycle) doesn't re-grow through doubling the next time it
-/// lands on a full-width retirement burst. One reserve per buffer,
-/// amortized to zero once the pool saturates.
-const CHUNK_MIN_CAP: usize = 128;
-
 /// The FIFO connecting the two streams.
 ///
-/// Storage is *chunked*: the R-side consumer donates each cycle's batch of
-/// entries as a whole `Vec` via [`DelayBuffer::push_chunk`] — a pointer
-/// swap, not a per-entry copy (a [`DelayEntry`] is ~112 bytes) — and gets a
-/// recycled empty allocation back. Single-entry [`DelayBuffer::push`] still
-/// works (tests, hand-fed drivers) through an open tail chunk that is
-/// sealed lazily. FIFO order and the data/control occupancy counters are
-/// exactly those of the old flat deque.
+/// One ring holds an entry from the A-stream's push until the R-stream
+/// retires it. The oldest entries have been popped: they are in flight in
+/// the R-core, which reads them in place through `in_flight` at dispatch
+/// and drops them with `release` at retire. The rest are queued. The
+/// data/control occupancy counters, [`DelayBuffer::len`] and
+/// [`DelayBuffer::iter`] see queued entries only: an entry leaves the
+/// paper's buffer when the R-stream fetches it.
 #[derive(Debug, Clone, Default)]
 pub struct DelayBuffer {
-    /// Closed chunks in FIFO order; every stored chunk is non-empty.
-    chunks: VecDeque<Vec<DelayEntry>>,
-    /// Read cursor into `chunks.front()`.
-    head: usize,
-    /// Open chunk receiving singleton pushes.
-    tail: Vec<DelayEntry>,
-    /// Consumed chunk allocations awaiting reuse.
-    spare: Vec<Vec<DelayEntry>>,
-    /// Total entries buffered (all chunks + tail).
-    len: usize,
+    /// In-flight entries, then queued ones, oldest first.
+    ring: VecDeque<DelayEntry>,
+    /// How many entries at the front of `ring` are in flight.
+    taken: usize,
     commits: VecDeque<TraceCommit>,
     data_cap: usize,
     control_cap: usize,
-    /// Executed entries currently buffered (data-side occupancy).
+    /// Executed entries currently queued (data-side occupancy).
     data_count: usize,
-    /// Trace boundaries currently buffered (control-side occupancy).
+    /// Trace boundaries currently queued (control-side occupancy).
     control_count: usize,
 }
 
@@ -136,33 +191,13 @@ impl DelayBuffer {
     /// control pairs = 128 by default).
     pub fn new(data_cap: usize, control_cap: usize) -> DelayBuffer {
         DelayBuffer {
-            chunks: VecDeque::new(),
-            head: 0,
-            tail: Vec::new(),
-            spare: Vec::new(),
-            len: 0,
+            ring: VecDeque::new(),
+            taken: 0,
             commits: VecDeque::new(),
             data_cap,
             control_cap,
             data_count: 0,
             control_count: 0,
-        }
-    }
-
-    fn recycle(&mut self, mut chunk: Vec<DelayEntry>) {
-        if self.spare.len() < SPARE_CHUNKS {
-            chunk.clear();
-            if chunk.capacity() < CHUNK_MIN_CAP {
-                chunk.reserve(CHUNK_MIN_CAP);
-            }
-            self.spare.push(chunk);
-        }
-    }
-
-    fn seal_tail(&mut self) {
-        if !self.tail.is_empty() {
-            let chunk = std::mem::replace(&mut self.tail, self.spare.pop().unwrap_or_default());
-            self.chunks.push_back(chunk);
         }
     }
 
@@ -177,26 +212,31 @@ impl DelayBuffer {
         self.control_count >= self.control_cap
     }
 
-    /// Data-side occupancy (executed entries currently buffered). The
+    /// Data-side occupancy (executed entries currently queued). The
     /// slack-window scheduler snapshots this at window boundaries to hand
     /// the A-core a credit budget covering the whole window.
     pub fn data_occupancy(&self) -> usize {
         self.data_count
     }
 
-    /// Control-side occupancy (trace boundaries currently buffered).
+    /// Control-side occupancy (trace boundaries currently queued).
     pub fn control_occupancy(&self) -> usize {
         self.control_count
     }
 
-    /// Entries currently queued.
+    /// Entries currently queued (in-flight entries excluded).
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len() - self.taken
     }
 
     /// Whether no entries are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
+    }
+
+    fn count_in(&mut self, e: &DelayEntry) {
+        self.data_count += usize::from(!e.is_skipped());
+        self.control_count += usize::from(e.ends_trace());
     }
 
     /// Appends one entry (capacity is the *caller's* responsibility — the
@@ -204,36 +244,19 @@ impl DelayBuffer {
     /// [`DelayBuffer::control_full`], matching how the hardware
     /// back-pressures retirement rather than dropping data).
     pub fn push(&mut self, e: DelayEntry) {
-        if !e.skipped {
-            self.data_count += 1;
-        }
-        if e.ends_trace {
-            self.control_count += 1;
-        }
-        self.len += 1;
-        self.tail.push(e);
+        self.count_in(&e);
+        self.ring.push_back(e);
     }
 
-    /// Appends every entry of `batch` by *taking the allocation* — `batch`
-    /// comes back empty, holding a recycled buffer ready for refilling.
-    /// Equivalent to `for &e in batch { self.push(e) }` without the
-    /// per-entry copies.
+    /// Appends every entry of `batch` in order. `batch` comes back empty
+    /// with its allocation intact, ready for refilling.
     pub fn push_chunk(&mut self, batch: &mut Vec<DelayEntry>) {
-        if batch.is_empty() {
-            return;
-        }
         for e in batch.iter() {
-            if !e.skipped {
-                self.data_count += 1;
-            }
-            if e.ends_trace {
-                self.control_count += 1;
-            }
+            self.count_in(e);
         }
-        self.len += batch.len();
-        self.seal_tail();
-        let chunk = std::mem::replace(batch, self.spare.pop().unwrap_or_default());
-        self.chunks.push_back(chunk);
+        // Extending from a slice of `Copy` entries is one block copy.
+        self.ring.extend(batch.iter());
+        batch.clear();
     }
 
     /// Records a completed-trace commit (control-flow side bookkeeping for
@@ -242,40 +265,41 @@ impl DelayBuffer {
         self.commits.push_back(c);
     }
 
-    /// Next entry for the R-stream, if any.
-    pub fn pop(&mut self) -> Option<DelayEntry> {
-        if self.chunks.is_empty() {
-            if self.tail.is_empty() {
-                return None;
-            }
-            self.seal_tail();
-        }
-        let front = self.chunks.front().expect("sealed a non-empty chunk");
-        let e = front[self.head];
-        self.head += 1;
-        if self.head == front.len() {
-            let done = self.chunks.pop_front().expect("checked nonempty");
-            self.recycle(done);
-            self.head = 0;
-        }
-        self.len -= 1;
-        if !e.skipped {
-            self.data_count -= 1;
-        }
-        if e.ends_trace {
-            self.control_count -= 1;
-        }
+    /// Next queued entry for the R-stream, if any. It leaves the queue
+    /// (and the occupancy counters) but stays readable through
+    /// `DelayBuffer::in_flight` until `DelayBuffer::release`.
+    pub fn pop(&mut self) -> Option<&DelayEntry> {
+        let e = self.ring.get(self.taken)?;
+        self.taken += 1;
+        self.data_count -= usize::from(!e.is_skipped());
+        self.control_count -= usize::from(e.ends_trace());
         Some(e)
+    }
+
+    /// The `i`-th oldest entry in flight (0 = the next to be released).
+    pub(crate) fn in_flight(&self, i: usize) -> Option<&DelayEntry> {
+        if i < self.taken {
+            self.ring.get(i)
+        } else {
+            None
+        }
+    }
+
+    /// Drops the oldest in-flight entry (the R-stream retired it).
+    ///
+    /// # Panics
+    ///
+    /// If no entry is in flight.
+    pub(crate) fn release(&mut self) {
+        assert!(self.taken > 0, "release without an entry in flight");
+        self.taken -= 1;
+        self.ring.pop_front();
     }
 
     /// Iterates the queued entries in FIFO order (test/diagnostic use —
     /// the hot paths never walk the buffer).
     pub fn iter(&self) -> impl Iterator<Item = &DelayEntry> + '_ {
-        self.chunks
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, c)| c[if i == 0 { self.head } else { 0 }..].iter())
-            .chain(self.tail.iter())
+        self.ring.range(self.taken..)
     }
 
     /// Oldest unconsumed trace commit.
@@ -288,14 +312,11 @@ impl DelayBuffer {
         self.commits.front()
     }
 
-    /// Discards everything (IR-misprediction recovery flushes the buffer).
+    /// Discards everything, in-flight entries included (IR-misprediction
+    /// recovery flushes the buffer and the R-core together).
     pub fn clear(&mut self) {
-        while let Some(chunk) = self.chunks.pop_front() {
-            self.recycle(chunk);
-        }
-        self.head = 0;
-        self.tail.clear();
-        self.len = 0;
+        self.ring.clear();
+        self.taken = 0;
         self.commits.clear();
         self.data_count = 0;
         self.control_count = 0;
@@ -312,20 +333,21 @@ impl DelayBuffer {
 mod tests {
     use super::*;
 
+    use slipstream_isa::{assemble, ArchState, Reg};
+
     fn exec_entry(pc: u64, ends: bool) -> DelayEntry {
-        DelayEntry {
+        let rec = Retired {
+            seq: 0,
             pc,
             instr: Instr::Nop,
-            next_pc: pc + 4,
-            skipped: false,
-            ends_trace: ends,
-            taken: None,
-            src1: Some(1),
+            src1: Some((Reg::new(1), 1)),
             src2: None,
-            result: Some(2),
-            addr: None,
-            store_value: None,
-        }
+            dest: Some((Reg::new(2), 2)),
+            mem: None,
+            taken: None,
+            next_pc: pc + 4,
+        };
+        DelayEntry::executed(&rec, ends)
     }
 
     #[test]
@@ -459,18 +481,17 @@ mod tests {
     }
 
     #[test]
-    fn push_chunk_takes_the_allocation_and_preserves_fifo_order() {
+    fn push_chunk_preserves_fifo_order_and_hands_the_batch_back() {
         let mut db = DelayBuffer::new(8, 8);
-        db.push(exec_entry(0, false)); // opens the tail chunk
-        let mut batch = vec![
-            exec_entry(4, true),
-            DelayEntry::skipped(8, Instr::Nop, 12, false),
-        ];
+        db.push(exec_entry(0, false));
+        let mut batch = Vec::with_capacity(16);
+        batch.push(exec_entry(4, true));
+        batch.push(DelayEntry::skipped(8, Instr::Nop, 12, false));
         db.push_chunk(&mut batch);
-        assert!(batch.is_empty(), "the allocation was donated");
-        db.push(exec_entry(12, false)); // new tail *after* the chunk
-        let mut batch2 = vec![exec_entry(16, true)];
-        db.push_chunk(&mut batch2);
+        assert!(batch.is_empty(), "the entries moved into the ring");
+        assert_eq!(batch.capacity(), 16, "the allocation stays for reuse");
+        db.push(exec_entry(12, false));
+        db.push_chunk(&mut vec![exec_entry(16, true)]);
         assert_eq!(db.len(), 5);
         assert_eq!(db.data_occupancy(), 4, "skip markers are control-only");
         assert_eq!(db.control_occupancy(), 2);
@@ -482,11 +503,119 @@ mod tests {
         assert!(db.pop().is_none());
         assert_eq!(db.data_occupancy(), 0);
         assert_eq!(db.control_occupancy(), 0);
-        // The next chunk push reuses a recycled allocation (no way to
-        // observe the pointer here, but the capacity survives the trip).
-        let mut batch3 = vec![exec_entry(20, false)];
-        db.push_chunk(&mut batch3);
-        assert_eq!(db.pop().unwrap().pc, 20);
+    }
+
+    #[test]
+    fn popped_entry_stays_readable_until_release() {
+        let mut db = DelayBuffer::new(8, 8);
+        db.push(exec_entry(0, false));
+        db.push(exec_entry(4, true));
+        db.push(exec_entry(8, false));
+        assert!(
+            db.in_flight(0).is_none(),
+            "queued entries are not in flight"
+        );
+        db.pop();
+        db.pop();
+        assert_eq!(db.in_flight(0).unwrap().pc, 0);
+        assert_eq!(db.in_flight(1).unwrap().pc, 4);
+        assert!(db.in_flight(2).is_none(), "the third entry is still queued");
+        db.release();
+        assert_eq!(db.in_flight(0).unwrap().pc, 4);
+        assert!(db.in_flight(1).is_none());
+        db.release();
+        assert!(db.in_flight(0).is_none());
+        assert_eq!(db.pop().unwrap().pc, 8, "release leaves the queue alone");
+    }
+
+    #[test]
+    fn occupancy_drops_at_pop_not_at_release() {
+        let mut db = DelayBuffer::new(2, 2);
+        db.push(exec_entry(0, true));
+        db.push(exec_entry(4, false));
+        assert_eq!(db.free_data(), 0);
+        db.pop();
+        assert_eq!(db.free_data(), 1);
+        assert_eq!(db.data_occupancy(), 1);
+        assert_eq!(db.control_occupancy(), 0);
+        db.release();
+        assert_eq!(db.free_data(), 1, "release frees no credit");
+        assert_eq!(db.data_occupancy(), 1);
+        assert_eq!(db.control_occupancy(), 0);
+    }
+
+    #[test]
+    fn clear_drops_in_flight_entries() {
+        let mut db = DelayBuffer::new(8, 8);
+        db.push(exec_entry(0, false));
+        db.push(exec_entry(4, false));
+        db.pop();
+        db.clear();
+        assert!(db.in_flight(0).is_none());
+        assert!(db.pop().is_none());
+        db.push(exec_entry(8, false));
+        assert_eq!(db.pop().unwrap().pc, 8);
+        assert_eq!(db.in_flight(0).unwrap().pc, 8, "no stale entry survives");
+    }
+
+    #[test]
+    fn len_and_iter_exclude_in_flight_entries() {
+        let mut db = DelayBuffer::new(8, 8);
+        for pc in [0, 4, 8] {
+            db.push(exec_entry(pc, false));
+        }
+        db.pop();
+        assert_eq!(db.len(), 2);
+        assert!(!db.is_empty());
+        let pcs: Vec<u64> = db.iter().map(|e| e.pc).collect();
+        assert_eq!(pcs, [4, 8]);
+        db.pop();
+        db.pop();
+        assert!(db.is_empty(), "two entries in flight, none queued");
+        assert_eq!(db.iter().count(), 0);
+    }
+
+    #[test]
+    fn entry_accessors_round_trip_every_retired_record() {
+        let p = assemble(
+            "li r1, 0x4000\nli r2, 5\nloop:\nst r2, 0(r1)\nld r3, 0(r1)\n\
+             add r4, r3, r2\naddi r2, r2, -1\nbne r2, r0, loop\nhalt",
+        )
+        .unwrap();
+        let trace = ArchState::new(&p).run(&p, 1_000).unwrap();
+        let mut kinds = [0; 3];
+        for (i, rec) in trace.iter().enumerate() {
+            let ends = i % 3 == 0;
+            let e = DelayEntry::executed(rec, ends);
+            assert_eq!((e.pc, e.instr, e.next_pc), (rec.pc, rec.instr, rec.next_pc));
+            assert!(!e.is_skipped());
+            assert_eq!(e.ends_trace(), ends);
+            assert_eq!(e.taken(), rec.taken);
+            assert_eq!(e.src1(), rec.src1.map(|(_, v)| v));
+            assert_eq!(e.src2(), rec.src2.map(|(_, v)| v));
+            assert_eq!(e.result(), rec.dest.map(|(_, v)| v));
+            assert_eq!(e.addr(), rec.mem.map(|m| m.addr));
+            assert_eq!(
+                e.store_value(),
+                rec.mem.and_then(|m| m.is_store.then_some(m.value))
+            );
+            kinds[0] += usize::from(rec.mem.is_some_and(|m| !m.is_store));
+            kinds[1] += usize::from(rec.mem.is_some_and(|m| m.is_store));
+            kinds[2] += usize::from(rec.taken.is_some());
+
+            let s = DelayEntry::skipped(rec.pc, rec.instr, rec.next_pc, ends);
+            assert!(s.is_skipped());
+            assert_eq!(s.ends_trace(), ends);
+            assert_eq!(
+                [s.src1(), s.src2(), s.result(), s.addr(), s.store_value()],
+                [None; 5]
+            );
+            assert_eq!(s.taken(), None);
+        }
+        assert!(
+            kinds.iter().all(|&n| n >= 5),
+            "loads, stores and branches all covered: {kinds:?}"
+        );
     }
 
     #[test]

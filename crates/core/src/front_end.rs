@@ -702,19 +702,8 @@ impl CoreDriver for TraceFrontEnd {
             self.finish_commit(c);
         }
         if self.emit {
-            self.out_entries.push(DelayEntry {
-                pc: rec.pc,
-                instr: rec.instr,
-                next_pc: rec.next_pc,
-                skipped: false,
-                ends_trace: m.ends_trace,
-                taken: rec.taken,
-                src1: rec.src1.map(|(_, v)| v),
-                src2: rec.src2.map(|(_, v)| v),
-                result: rec.dest.map(|(_, v)| v),
-                addr: rec.mem.map(|mm| mm.addr),
-                store_value: rec.mem.and_then(|mm| mm.is_store.then_some(mm.value)),
-            });
+            self.out_entries
+                .push(DelayEntry::executed(rec, m.ends_trace));
         }
     }
 

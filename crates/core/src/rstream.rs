@@ -5,8 +5,6 @@
 //! IR-misprediction (paper §2.3). Matching operand values are used as
 //! value predictions so dependent instructions issue immediately.
 
-use std::collections::VecDeque;
-
 use slipstream_cpu::{
     CoreDriver, DispatchHints, DriverStall, EventKind, FetchItem, TraceSink, NO_SEQ,
 };
@@ -43,6 +41,10 @@ pub enum IrMispKind {
 
 /// The R-stream driver: owns the delay buffer's consumer end and the
 /// IR-detector.
+///
+/// An entry stays in the delay buffer from fetch to retire: dispatch checks
+/// it in place (`DelayBuffer::in_flight`) and retire releases it, so the
+/// driver keeps only the meta id of the oldest entry in flight.
 #[derive(Clone)]
 pub struct RStreamDriver {
     /// The delay buffer (producer side filled by the harness from the
@@ -50,12 +52,11 @@ pub struct RStreamDriver {
     pub delay: DelayBuffer,
     /// The IR-detector, fed by R-stream retirement.
     pub detector: IrDetector,
-    /// Delay entries for fetched-but-not-retired items, ordered by meta
-    /// id. Ids are handed out contiguously at fetch and items retire
-    /// strictly in dispatch order, so the deque replaces a per-instruction
-    /// `HashMap`: dispatch indexes at `meta - front_id`, retire pops the
-    /// front, and recovery clears the lot.
-    inflight: VecDeque<(u64, DelayEntry)>,
+    /// Meta id of the oldest entry in flight. Ids are handed out
+    /// contiguously at fetch and items retire strictly in dispatch order,
+    /// so entry `meta` is the delay buffer's in-flight entry
+    /// `meta - inflight_base`.
+    inflight_base: u64,
     next_meta: u64,
     prev_pc: Option<u64>,
     frozen: bool,
@@ -89,7 +90,7 @@ impl RStreamDriver {
         RStreamDriver {
             delay: DelayBuffer::new(data_cap, control_cap),
             detector: IrDetector::new(policy, detector_scope),
-            inflight: VecDeque::new(),
+            inflight_base: 1,
             next_meta: 1,
             prev_pc: None,
             frozen: false,
@@ -116,51 +117,41 @@ impl RStreamDriver {
     pub fn reset_for_recovery(&mut self) {
         self.delay.clear();
         self.detector.flush();
-        self.inflight.clear();
+        self.inflight_base = self.next_meta;
         self.prev_pc = None;
         self.frozen = false;
         self.ir_misp = None;
         self.out_undo_remove.clear();
         self.out_do_add.clear();
     }
+}
 
-    fn check_entry(&mut self, e: &DelayEntry, rec: &Retired) -> bool {
-        self.checked += 1;
-        let mism = e.src1.is_some() && e.src1 != rec.src1.map(|(_, v)| v)
-            || e.src2.is_some() && e.src2 != rec.src2.map(|(_, v)| v)
-            || e.result.is_some() && e.result != rec.dest.map(|(_, v)| v)
-            || e.taken != rec.taken
-            || e.addr.is_some() && e.addr != rec.mem.map(|m| m.addr)
-            || e.store_value.is_some()
-                && e.store_value != rec.mem.and_then(|m| m.is_store.then_some(m.value))
-            || e.next_pc != rec.next_pc;
-        !mism
-    }
+/// Whether the R-stream's execution `rec` agrees with every outcome the
+/// A-stream recorded in `e`.
+fn check_entry(e: &DelayEntry, rec: &Retired) -> bool {
+    let mism = e.src1().is_some() && e.src1() != rec.src1.map(|(_, v)| v)
+        || e.src2().is_some() && e.src2() != rec.src2.map(|(_, v)| v)
+        || e.result().is_some() && e.result() != rec.dest.map(|(_, v)| v)
+        || e.taken() != rec.taken
+        || e.addr().is_some() && e.addr() != rec.mem.map(|m| m.addr)
+        || e.store_value().is_some()
+            && e.store_value() != rec.mem.and_then(|m| m.is_store.then_some(m.value))
+        || e.next_pc != rec.next_pc;
+    !mism
 }
 
 impl CoreDriver for RStreamDriver {
     fn next_fetch(&mut self) -> Option<FetchItem> {
         // An entry pulled here but not yet fetched sits in the core's fetch
-        // group; it is already in `inflight`, and recovery clears both
-        // sides together (`reset_for_recovery` + core flush).
+        // group; it is already in flight, and recovery clears both sides
+        // together (`reset_for_recovery` + core flush).
         if self.frozen {
             return None;
         }
         let e = self.delay.pop()?;
-        if let Some(t) = self.trace.as_mut() {
-            t.record(
-                EventKind::DelayDequeue,
-                NO_SEQ,
-                e.pc,
-                self.delay.len() as u64,
-            );
-        }
-        let meta = self.next_meta;
-        self.next_meta += 1;
         let new_block = self.prev_pc.is_none_or(|p| p + 4 != e.pc);
-        self.prev_pc = Some(e.pc);
         let pred_taken = e
-            .taken
+            .taken()
             .or_else(|| e.instr.is_branch().then(|| e.next_pc != e.pc + 4));
         let item = FetchItem {
             pc: e.pc,
@@ -169,38 +160,42 @@ impl CoreDriver for RStreamDriver {
             pred_taken,
             new_block,
             slot_cost: 1,
-            meta,
+            meta: self.next_meta,
         };
-        self.inflight.push_back((meta, e));
+        self.next_meta += 1;
+        self.prev_pc = Some(item.pc);
+        if let Some(t) = self.trace.as_mut() {
+            t.record(
+                EventKind::DelayDequeue,
+                NO_SEQ,
+                item.pc,
+                self.delay.len() as u64,
+            );
+        }
         Some(item)
     }
 
     fn on_dispatch(&mut self, rec: &Retired, meta: u64) -> DispatchHints {
-        // Contiguous ids make the lookup an O(1) index off the front.
-        let e = match self.inflight.front() {
-            Some(&(front_id, _)) => match meta
-                .checked_sub(front_id)
-                .and_then(|i| self.inflight.get(i as usize))
-            {
-                Some(&(id, e)) => {
-                    debug_assert_eq!(id, meta, "inflight ids are contiguous");
-                    e
-                }
-                None => return DispatchHints::default(),
-            },
-            None => return DispatchHints::default(),
-        };
-        if e.skipped {
+        // Contiguous ids make the lookup an O(1) index off the oldest entry
+        // in flight. A miss would mean a broken id invariant, and skipping
+        // the value check would hide a detection, so it panics.
+        let e = meta
+            .checked_sub(self.inflight_base)
+            .and_then(|i| self.delay.in_flight(i as usize))
+            .expect("every dispatched R-stream item has its delay entry");
+        if e.is_skipped() {
             return DispatchHints::default();
         }
-        if !self.check_entry(&e, rec) {
+        let matches = check_entry(e, rec);
+        let hints = DispatchHints {
+            src1_predicted: e.src1().is_some(),
+            src2_predicted: e.src2().is_some(),
+        };
+        self.checked += 1;
+        if !matches {
             self.flag(IrMispKind::ValueMismatch { pc: rec.pc });
             return DispatchHints::default();
         }
-        let hints = DispatchHints {
-            src1_predicted: e.src1.is_some(),
-            src2_predicted: e.src2.is_some(),
-        };
         self.value_hints += u64::from(hints.src1_predicted) + u64::from(hints.src2_predicted);
         hints
     }
@@ -227,15 +222,21 @@ impl CoreDriver for RStreamDriver {
     }
 
     fn on_retire(&mut self, rec: &Retired, meta: u64) {
-        let (id, e) = self
-            .inflight
-            .pop_front()
+        debug_assert_eq!(
+            meta, self.inflight_base,
+            "R-stream items retire in dispatch order"
+        );
+        let e = self
+            .delay
+            .in_flight(0)
             .expect("every dispatched R-stream item has its delay entry");
-        debug_assert_eq!(id, meta, "R-stream items retire in dispatch order");
-        self.detector.push(rec, e.ends_trace);
+        let (skipped, ends_trace) = (e.is_skipped(), e.ends_trace());
+        self.delay.release();
+        self.inflight_base += 1;
+        self.detector.push(rec, ends_trace);
         if let Some(m) = rec.mem {
             if m.is_store {
-                if e.skipped {
+                if skipped {
                     self.out_do_add.push((m.addr, m.width));
                 } else {
                     self.out_undo_remove.push((m.addr, m.width));

@@ -299,8 +299,8 @@ impl AHalf {
         // end's output buffers straight into the batch (the batch's cleared
         // vectors become the front end's recycled scratch for next cycle).
         for e in &self.fe.out_entries {
-            self.data_pushed += usize::from(!e.skipped);
-            self.ctrl_pushed += usize::from(e.ends_trace);
+            self.data_pushed += usize::from(!e.is_skipped());
+            self.ctrl_pushed += usize::from(e.ends_trace());
         }
         std::mem::swap(&mut batch.entries, &mut self.fe.out_entries);
         std::mem::swap(&mut batch.applied, &mut self.fe.out_applied);
@@ -515,17 +515,17 @@ impl RHalf {
 
         // Route the A-stream's retirement output into the delay buffer and
         // the recovery controller: one read-only pass for the bookkeeping,
-        // then the whole batch moves into the buffer as a chunk (allocation
-        // swap — no per-entry copy; the batch gets a recycled vector back).
+        // then the batch's entries move into the buffer's ring (the batch
+        // keeps its emptied vector for refilling).
         for e in &batch.entries {
-            if !e.skipped && e.instr.is_store() {
-                if let (Some(addr), Some(w)) = (e.addr, e.instr.mem_width()) {
+            if !e.is_skipped() && e.instr.is_store() {
+                if let (Some(addr), Some(w)) = (e.addr(), e.instr.mem_width()) {
                     self.recovery.add_undo(addr, w);
                 }
             }
             if let Some(mt) = self.machine_trace.as_mut() {
                 mt.sink
-                    .record(EventKind::DelayEnqueue, NO_SEQ, e.pc, e.skipped as u64);
+                    .record(EventKind::DelayEnqueue, NO_SEQ, e.pc, e.is_skipped() as u64);
             }
         }
         self.drv.delay.push_chunk(&mut batch.entries);

@@ -67,7 +67,7 @@ fn baseline_emits_nothing_astream_emits_everything() {
         true,
     );
     let (core, fe) = run_with_front_end(&p, fe);
-    let executed = fe.out_entries.iter().filter(|e| !e.skipped).count() as u64;
+    let executed = fe.out_entries.iter().filter(|e| !e.is_skipped()).count() as u64;
     assert_eq!(
         executed,
         core.stats().retired,
@@ -180,19 +180,10 @@ fn rstream_replays_a_faithful_delay_stream() {
     let trace = st.run(&p, 1_000_000).unwrap();
     let mut drv = RStreamDriver::new(100_000, 100_000, RemovalPolicy::all(), 8);
     for (i, rec) in trace.iter().enumerate() {
-        drv.delay.push(DelayEntry {
-            pc: rec.pc,
-            instr: rec.instr,
-            next_pc: rec.next_pc,
-            skipped: false,
-            ends_trace: (i + 1) % 32 == 0 || rec.is_halt(),
-            taken: rec.taken,
-            src1: rec.src1.map(|(_, v)| v),
-            src2: rec.src2.map(|(_, v)| v),
-            result: rec.dest.map(|(_, v)| v),
-            addr: rec.mem.map(|m| m.addr),
-            store_value: rec.mem.and_then(|m| m.is_store.then_some(m.value)),
-        });
+        drv.delay.push(DelayEntry::executed(
+            rec,
+            (i + 1) % 32 == 0 || rec.is_halt(),
+        ));
     }
     let mut core = Core::new(CoreConfig::ss_64x4(), p.initial_memory());
     let mut retired = Vec::new();
@@ -222,23 +213,15 @@ fn rstream_flags_corrupted_delay_stream() {
     let trace = st.run(&p, 1_000_000).unwrap();
     let mut drv = RStreamDriver::new(100_000, 100_000, RemovalPolicy::all(), 8);
     for (i, rec) in trace.iter().enumerate() {
-        let mut result = rec.dest.map(|(_, v)| v);
+        let mut rec = *rec;
         if i == 57 {
-            result = result.map(|v| v ^ 4); // the "A-stream" went wrong here
+            // The "A-stream" went wrong here.
+            rec.dest = rec.dest.map(|(r, v)| (r, v ^ 4));
         }
-        drv.delay.push(DelayEntry {
-            pc: rec.pc,
-            instr: rec.instr,
-            next_pc: rec.next_pc,
-            skipped: false,
-            ends_trace: (i + 1) % 32 == 0 || rec.is_halt(),
-            taken: rec.taken,
-            src1: rec.src1.map(|(_, v)| v),
-            src2: rec.src2.map(|(_, v)| v),
-            result,
-            addr: rec.mem.map(|m| m.addr),
-            store_value: rec.mem.and_then(|m| m.is_store.then_some(m.value)),
-        });
+        drv.delay.push(DelayEntry::executed(
+            &rec,
+            (i + 1) % 32 == 0 || rec.is_halt(),
+        ));
     }
     let mut core = Core::new(CoreConfig::ss_64x4(), p.initial_memory());
     let mut retired = Vec::new();
@@ -280,19 +263,7 @@ fn rstream_executes_skip_markers_without_checking() {
             drv.delay
                 .push(DelayEntry::skipped(rec.pc, rec.instr, rec.next_pc, false));
         } else {
-            drv.delay.push(DelayEntry {
-                pc: rec.pc,
-                instr: rec.instr,
-                next_pc: rec.next_pc,
-                skipped: false,
-                ends_trace: rec.is_halt(),
-                taken: rec.taken,
-                src1: rec.src1.map(|(_, v)| v),
-                src2: rec.src2.map(|(_, v)| v),
-                result: rec.dest.map(|(_, v)| v),
-                addr: rec.mem.map(|m| m.addr),
-                store_value: rec.mem.and_then(|m| m.is_store.then_some(m.value)),
-            });
+            drv.delay.push(DelayEntry::executed(rec, rec.is_halt()));
         }
     }
     let mut core = Core::new(CoreConfig::ss_64x4(), p.initial_memory());

@@ -418,14 +418,13 @@ fn cpi_stacks_exact_across_window_quanta() {
 
 #[test]
 fn retire_path_recycled_buffers_never_alias_live_delay_data() {
-    // The zero-copy retire path circulates the same allocations through
-    // `fe.out_entries` → `CycleBatch::entries` → delay-buffer chunks →
-    // the spare pool, in every scheduler (including across the threaded
-    // scheduler's recycle channel). If any recycled buffer aliased live
-    // data — a chunk returned to the pool while the R-stream still reads
-    // it, or a batch reused before its window is consumed — the delay
-    // buffer's contents would diverge between schedulers somewhere
-    // mid-run, not just at the end. Drive a recovery-heavy, shared-L2
+    // The zero-copy retire path circulates the same allocations between
+    // `fe.out_entries` and `CycleBatch::entries`, whose entries are then
+    // copied into the delay buffer's ring, in every scheduler (including
+    // across the threaded scheduler's recycle channel). If any recycled
+    // buffer aliased live data — a batch reused before its window is
+    // consumed — the delay buffer's contents would diverge between
+    // schedulers somewhere mid-run, not just at the end. Drive a recovery-heavy, shared-L2
     // workload in lockstep chunks at a degenerate and an oversized
     // quantum and compare the full queued-entry sequence plus occupancy
     // counters against the serial reference at every truncation point.

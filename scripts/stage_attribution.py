@@ -5,8 +5,10 @@ The core's stages (`Core::fetch`, `dispatch`, `issue`, `retire`, ...) are
 inlined into `Core::cycle_inner`, so a per-function profile shows one
 function. This script takes every sampled PC, asks `addr2line -i` for its
 inline chain, and charges the sample to the innermost frame that names a
-stage, or to "driver callbacks" when that frame is a `CoreDriver` method
-(inlined or not). Samples outside the core keep their function name.
+stage, or to "driver callbacks, <driver>" when that frame is a
+`CoreDriver` method (inlined or not), named by the driver type, so the
+R-stream's `RStreamDriver` and the A-stream's `TraceFrontEnd` show
+apart. Samples outside the core keep their function name.
 
 Usage (from the repository root):
 
@@ -16,6 +18,13 @@ Usage (from the repository root):
     gprofng collect app -o target/prof/pb.er target/prof/release/perfbench \\
         run paper_suite --seconds 120
     scripts/stage_attribution.py target/prof/pb.er target/prof/release/perfbench
+
+For the per-instruction cost of one long windowed run, profile `long_run`
+instead (a fresh experiment directory each time):
+
+    gprofng collect app -o target/prof/long.er target/prof/release/perfbench \\
+        run long_run --seconds 120
+    scripts/stage_attribution.py target/prof/long.er target/prof/release/perfbench
 """
 
 import collections
@@ -31,7 +40,7 @@ STAGES = [
     ("redirect", ["Core::resolve_redirect"]),
     ("classify", ["Core::classify_cycle"]),
 ]
-DRIVER = "as slipstream_cpu::driver::CoreDriver>::"
+DRIVER = re.compile(r"<(?:[\w:]+::)?(\w+) as slipstream_cpu::driver::CoreDriver>::")
 
 
 def run(args):
@@ -78,8 +87,9 @@ def main():
         chain = chains.get(addr, [])
         label = None
         for fn in chain:  # innermost first
-            if DRIVER in fn:
-                label = "driver callbacks"
+            driver = DRIVER.search(fn)
+            if driver:
+                label = "driver callbacks, " + driver.group(1)
             else:
                 label = next((st for st, keys in STAGES if any(k in fn for k in keys)), None)
             if label:
