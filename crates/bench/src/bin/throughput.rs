@@ -17,14 +17,13 @@
 //!   library default)
 //! - `slipstream-l2` — CMP(2x64x4) with the shared 512 KB L2 and
 //!   bandwidth-limited memory port modeled, slack-window scheduler
-//! - `slipstream-threaded` — CMP(2x64x4), two OS threads over the SPSC
-//!   ring (only with `--parallel-cores`)
+//! - `slipstream-threaded` — CMP(2x64x4), the slack-window scheduler with
+//!   each window's A-stream cycles on a helper thread
 //!
-//! Usage: `throughput [scale] [reps] [--parallel-cores] [--smoke]`
+//! Usage: `throughput [scale] [reps] [--smoke]`
 //!
 //! - `scale` stretches the workload suite (default 1.0), `reps` is runs
 //!   per measurement (default 3).
-//! - `--parallel-cores` adds the `slipstream-threaded` rows.
 //! - `--smoke` is the CI regression gate: a quick reduced-scale pass
 //!   (scale 0.2, reps 1, all models) that does NOT overwrite
 //!   `BENCH_throughput.json`; instead it compares the measured per-model
@@ -94,18 +93,13 @@ fn best_of<F: FnMut() -> (u64, u64, [u64; 3])>(reps: u32, mut f: F) -> (u64, u64
 
 /// The models to measure, in output order: name, scheduler (None = the
 /// single-core baseline), and whether the shared-L2 memory system is on.
-fn models(parallel_cores: bool) -> Vec<(&'static str, Option<ExecMode>, bool)> {
-    let mut m = vec![
-        ("ss64", None, false),
-        ("slipstream", Some(ExecMode::Serial), false),
-        ("slipstream-window", Some(ExecMode::Windowed), false),
-        ("slipstream-l2", Some(ExecMode::Windowed), true),
-    ];
-    if parallel_cores {
-        m.push(("slipstream-threaded", Some(ExecMode::Threaded), false));
-    }
-    m
-}
+const MODELS: [(&str, Option<ExecMode>, bool); 5] = [
+    ("ss64", None, false),
+    ("slipstream", Some(ExecMode::Serial), false),
+    ("slipstream-window", Some(ExecMode::Windowed), false),
+    ("slipstream-l2", Some(ExecMode::Windowed), true),
+    ("slipstream-threaded", Some(ExecMode::Threaded), false),
+];
 
 /// The host-speed probe: a fixed arithmetic loop whose simulated work is
 /// independent of `scale`, so its instrs/s measures only the machine (and
@@ -240,7 +234,7 @@ fn committed_model_totals(doc: &str) -> Result<Vec<(String, u64, f64)>, String> 
         .collect()
 }
 
-const USAGE: &str = "usage: throughput [scale] [reps] [--parallel-cores] [--smoke]";
+const USAGE: &str = "usage: throughput [scale] [reps] [--smoke]";
 
 /// The command line.
 #[derive(Default)]
@@ -248,7 +242,6 @@ struct Args {
     scale: Option<f64>,
     reps: Option<u32>,
     smoke: bool,
-    parallel_cores: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -256,7 +249,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     for arg in argv {
         match arg.as_str() {
             "--smoke" => args.smoke = true,
-            "--parallel-cores" => args.parallel_cores = true,
             flag if flag.starts_with("--") => return Err(format!("unknown argument {flag}")),
             s if args.scale.is_none() => args.scale = Some(parse_scale("scale", s)?),
             s if args.reps.is_none() => args.reps = Some(parse_number("reps", s)?),
@@ -269,15 +261,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 fn main() {
     let args = command_line(parse_args, USAGE);
     let smoke = args.smoke;
-    // Smoke mode measures every model: the regression gate should catch a
-    // slowdown in any scheduler, not just the default.
-    let parallel_cores = args.parallel_cores || smoke;
     let scale = args.scale.unwrap_or(if smoke { 0.2 } else { 1.0 });
     let reps = args.reps.unwrap_or(if smoke { 1 } else { 3 }).max(1);
 
     let workloads = suite(scale);
     let cfg = SlipstreamConfig::cmp_2x64x4();
-    let model_list = models(parallel_cores);
     let mut rows: Vec<Measurement> = Vec::new();
 
     println!(
@@ -288,7 +276,7 @@ fn main() {
     // committed file and the smoke pass always have a host-speed anchor.
     rows.push(calibration(reps));
     for w in &workloads {
-        for &(model, mode, shared_l2) in &model_list {
+        for (model, mode, shared_l2) in MODELS {
             rows.push(measure(w, &cfg, model, mode, shared_l2, reps));
         }
     }
@@ -456,9 +444,9 @@ mod tests {
     /// prints the usage, exits 2) instead of panics.
     #[test]
     fn command_lines_outside_the_usage_are_errors() {
-        let ok = parse("0.5 2 --parallel-cores").unwrap();
+        let ok = parse("0.5 2").unwrap();
         assert_eq!((ok.scale, ok.reps), (Some(0.5), Some(2)));
-        assert!(ok.parallel_cores && !ok.smoke);
+        assert!(!ok.smoke);
         assert_eq!(parse("--smoke").unwrap().scale, None);
         for (line, want) in [
             ("x", "scale: not a number"),
@@ -467,6 +455,10 @@ mod tests {
             ("1 3 7", "unexpected argument 7"),
             ("--telemetry x", "unknown argument --telemetry"),
             ("--parallel", "unknown argument --parallel"),
+            (
+                "0.5 2 --parallel-cores",
+                "unknown argument --parallel-cores",
+            ),
         ] {
             let e = parse(line).map(|_| ()).expect_err(line);
             assert!(e.contains(want), "{line:?}: {e}");

@@ -353,22 +353,14 @@ const WINDOWED_SET: &[&str] = &[
     "a_recover_apply",
 ];
 
-/// Threaded scheduler, main (R) thread — the thread whose elapsed time is
-/// `run_total`. A-side spans run on the spawned thread and are reported
-/// separately as utilization.
+/// Threaded scheduler: the windowed set minus `a_window_exec`, which runs
+/// on the helper thread and overlaps `r_window_consume`. Everything else
+/// runs on the calling thread, whose elapsed time is `run_total`.
 const THREADED_SET: &[&str] = &[
-    "r_ring_pop_wait",
+    "a_checkpoint",
     "r_window_consume",
     "r_boundary_sync",
     "r_recovery_build",
-];
-
-/// Threaded scheduler, A thread (utilization vs `run_total`).
-const THREADED_A_SET: &[&str] = &[
-    "a_checkpoint",
-    "a_window_exec",
-    "a_ring_push_wait",
-    "a_boundary_apply",
     "a_rollback_replay",
     "a_recover_apply",
 ];
@@ -442,16 +434,6 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
                 pct(named.min(total), total),
                 pct(other, total)
             ));
-            if snap.scheduler == "threaded" {
-                out.push_str("  A-thread utilization (vs run_total):\n");
-                for name in THREADED_A_SET {
-                    let (count, nanos) = span_sum(snap, name);
-                    if count == 0 {
-                        continue;
-                    }
-                    push_row(out, name, count, nanos, total);
-                }
-            }
         }
         _ => {
             // Files with no scheduler span structure (check.sh gates):
@@ -569,7 +551,7 @@ mod tests {
         let mut tel = Telemetry::new();
         tel.record_span(SpanKind::RunTotal, 1_000_000);
         tel.record_span(SpanKind::RWindowConsume, 600_000);
-        tel.record_span(SpanKind::RRingPopWait, 100_000);
+        tel.record_span(SpanKind::ACheckpoint, 100_000);
         tel.record_span(SpanKind::RBoundarySync, 50_000);
         let m = RunManifest::new("throughput", "threaded", "cfg-debug").label("scale", "0.2");
         tel.snapshot(&m)
@@ -723,7 +705,7 @@ mod tests {
         let report = report_text(&[sample_snapshot().into()]);
         assert!(report.contains("run_total = 1.000 ms"));
         assert!(report.contains("r_window_consume"));
-        assert!(report.contains("r_ring_pop_wait"));
+        assert!(report.contains("a_checkpoint"));
         // 600k + 100k + 50k named of 1M total -> 25% other.
         assert!(
             report.contains("75.0% named + 25.0% other = 100.0%"),

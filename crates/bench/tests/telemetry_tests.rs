@@ -2,7 +2,7 @@
 //! pipeline (run file, report) must hold their contracts on real simulator
 //! runs — not just the unit-test fixtures.
 
-use slipstream_bench::{parse_jsonl, report_text, to_jsonl, MAX_CYCLES};
+use slipstream_bench::{exclusive_spans, parse_jsonl, report_text, to_jsonl, MAX_CYCLES};
 use slipstream_core::telemetry::RunManifest;
 use slipstream_core::{ExecMode, SlipstreamConfig, SlipstreamProcessor};
 use slipstream_workloads::benchmark;
@@ -21,7 +21,8 @@ fn threaded_run_attributes_its_wall_clock_to_named_spans() {
     let span = |name: &str| snap.spans.iter().find(|s| s.name == name);
     let run_total = span("run_total").expect("run_total recorded").total_nanos;
     assert!(run_total > 0);
-    // Both threads must have produced their core spans.
+    // Both threads must have produced their core spans (the helper thread
+    // records `a_window_exec` into the A half's registry).
     for required in [
         "a_window_exec",
         "a_checkpoint",
@@ -33,19 +34,16 @@ fn threaded_run_attributes_its_wall_clock_to_named_spans() {
             "{required} missing from a threaded telemetry run"
         );
     }
-    // The R-side exclusive set nests inside run_total, so its sum is
-    // bounded by it — this is what makes the "other" remainder (and the
-    // report's 100% attribution) well-defined.
-    let named: u64 = [
-        "r_ring_pop_wait",
-        "r_window_consume",
-        "r_boundary_sync",
-        "r_recovery_build",
-    ]
-    .iter()
-    .filter_map(|n| span(n))
-    .map(|s| s.total_nanos)
-    .sum();
+    // The calling thread's exclusive set nests inside run_total, so its
+    // sum is bounded by it — this is what makes the "other" remainder (and
+    // the report's 100% attribution) well-defined.
+    let set = exclusive_spans("threaded").expect("threaded has a span set");
+    assert!(!set.contains(&"a_window_exec"), "overlaps r_window_consume");
+    let named: u64 = set
+        .iter()
+        .filter_map(|n| span(n))
+        .map(|s| s.total_nanos)
+        .sum();
     assert!(named <= run_total, "exclusive spans exceed run_total");
 
     // The report over this snapshot attributes the full run total.

@@ -25,9 +25,11 @@
 //!   rolls the A-stream back to a boundary checkpoint and deterministically
 //!   replays it to the exact recovery cycle.
 //! - **two threads** ([`SlipstreamProcessor::run_parallel`]) — the same
-//!   window protocol with the A-stream on its own thread, publishing
-//!   batches through a bounded lock-free SPSC ring and receiving one sync
-//!   report per window.
+//!   window loop, except that each window's A cycles run on a helper
+//!   thread while the R-stream consumes their batches on the calling
+//!   thread. The A half goes back to the calling thread at every boundary,
+//!   so checkpoint, boundary sync, recovery and the halt rollback have one
+//!   implementation for both window schedulers.
 //!
 //! Determinism rests on three invariants, enforced here and in
 //! [`TraceFrontEnd`]: (1) all learning (trace-predictor training,
@@ -41,8 +43,8 @@
 use slipstream_cpu::{merge_l2_logs, Core, CoreStats, FaultSpec, L2Access, L2View};
 use slipstream_isa::{ArchState, MemWidth, Memory, Program, Retired, NUM_REGS};
 use slipstream_predict::{PathHistory, TraceId};
-use slipstream_spsc as spsc;
 use slipstream_telemetry::{SpanKind, Telemetry};
+use std::sync::mpsc::{self, Receiver, RecvError, TryRecvError};
 use std::time::Instant;
 
 use crate::config::SlipstreamConfig;
@@ -69,7 +71,8 @@ pub enum ExecMode {
     Serial,
     /// Slack-window batching on one thread (the default).
     Windowed,
-    /// Slack-window batching across two threads via the SPSC ring.
+    /// Slack-window batching with each window's A cycles on a helper
+    /// thread.
     Threaded,
 }
 
@@ -133,8 +136,8 @@ pub struct SlipstreamStats {
 }
 
 /// One simulated cycle's worth of A→R traffic: everything the A-stream
-/// produced at `cycle` that the R-stream consumes. In windowed/threaded
-/// modes a window's batches exist *outside* the delay buffer until the
+/// produced at `cycle` that the R-stream consumes. In the window
+/// schedulers a window's batches exist *outside* the delay buffer until the
 /// R-stream pushes them in — capacity accounting happens on the A side via
 /// the boundary credit budget, mirroring the real buffer's limits.
 #[derive(Debug, Clone, Default)]
@@ -144,9 +147,9 @@ struct CycleBatch {
     commits: Vec<TraceCommit>,
     applied: Vec<(u64, TraceId)>,
     /// Shared-L2 accesses the A-core made this cycle. The R side
-    /// accumulates them so a recovery (or threaded boundary) can rebuild
-    /// the merged arbitration stream without asking the A side — whose
-    /// core may have run ahead.
+    /// accumulates them so a recovery can rebuild the merged arbitration
+    /// stream without asking the A side, whose core has run ahead to the
+    /// window's end.
     l2_log: Vec<L2Access>,
     sample: Option<ASample>,
 }
@@ -199,29 +202,6 @@ struct RecoverCmd {
     strict_mem: Option<Memory>,
 }
 
-/// One sync report per window, R-thread → A-thread.
-#[allow(clippy::large_enum_variant)] // one Report per window, never stored
-enum Report {
-    /// Window completed cleanly: boundary credits + deferred observations
-    /// (+ the R-core's shared-L2 log for the A side's boundary merge).
-    Boundary {
-        data_occ: usize,
-        ctrl_occ: usize,
-        obs: Vec<(u64, TraceId, RemovalInfo)>,
-        l2_log: Vec<L2Access>,
-    },
-    /// IR-misprediction inside the window.
-    Recover(RecoverCmd),
-    /// `halt` retired inside the window at `cycle`.
-    Halted {
-        /// The halt cycle the A-stream must roll back to.
-        cycle: u64,
-    },
-    /// Budget-clamped final window: stop without a boundary sync (keeps
-    /// the window grid identical to the single-threaded schedulers).
-    Done,
-}
-
 /// The leading core and its front end: everything the A-stream touches
 /// while running a window, plus the boundary credit budget that stands in
 /// for live delay-buffer back-pressure.
@@ -241,9 +221,10 @@ struct AHalf {
     /// Interval-sampler period (0 = off), mirrored from the R side so
     /// A-side counters are captured at exactly the due cycles.
     sample_interval: u64,
-    /// Host-side telemetry (`None` = off, the zero-cost default). Boxed so
-    /// the registry's fixed arrays don't bloat the half that the threaded
-    /// scheduler moves across threads.
+    /// Host-side telemetry for the A side (`None` = off, the zero-cost
+    /// default). It travels with the half: a threaded run records
+    /// `a_window_exec` into it on the helper thread and every other A span
+    /// on the calling thread.
     tel: Option<Box<Telemetry>>,
 }
 
@@ -444,8 +425,8 @@ struct RHalf {
     /// keeps every scheduler's table updates at identical points).
     obs_q: Vec<(u64, TraceId, RemovalInfo)>,
     /// The A-core's shared-L2 accesses accumulated from consumed batches —
-    /// this side's copy of the A log, so boundary/recovery merges never
-    /// have to read the (possibly run-ahead) A core.
+    /// this side's copy of the A log, so a recovery merge never has to
+    /// read the run-ahead A core.
     pending_a_l2: Vec<L2Access>,
     recovery_startup: u64,
     restores_per_cycle: u64,
@@ -692,9 +673,9 @@ impl RHalf {
     }
 }
 
-/// The sync-boundary handshake, single-threaded form: flush deferred
-/// learning into the A side's predictor/IR-table and refresh its credit
-/// budget from live delay-buffer occupancy.
+/// The sync-boundary handshake: flush deferred learning into the A side's
+/// predictor/IR-table and refresh its credit budget from live delay-buffer
+/// occupancy.
 fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
     let t0 = tel_now(&r.tel);
     a.fe.apply_training();
@@ -720,102 +701,129 @@ fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
     tel_span(&mut r.tel, SpanKind::RBoundarySync, t0);
 }
 
-/// The A-stream's thread body in [`SlipstreamProcessor::run_parallel`]:
-/// produce each window into the SPSC ring, then block for the R-thread's
-/// one-per-window report. Both sides compute the window grid from the same
-/// `(anchor, quantum, max_cycles)`, so no further coordination is needed.
-fn a_stream_thread(
-    a: &mut AHalf,
-    mut anchor: u64,
+/// Blocking receive that spins, then yields, instead of parking: the two
+/// threads of a threaded run hand over every few microseconds, and a
+/// park/unpark round trip through the OS costs more than the wait.
+fn recv_spin<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let mut spins = 0u32;
+    loop {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) if spins < 64 => {
+                spins += 1;
+                std::hint::spin_loop();
+            }
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+}
+
+/// The first non-`Ok` phase of a window and the cycle it happened at.
+type Outcome = Option<(RPhase, u64)>;
+
+/// The processor's state that the schedulers touch besides the A half,
+/// borrowed apart from it so a threaded run can lend the A half to its
+/// helper thread while the R side keeps consuming.
+struct Sched<'m> {
+    r: &'m mut RHalf,
+    program: &'m Program,
+    anchor: &'m mut u64,
     quantum: u64,
-    max_cycles: u64,
-    mut out: spsc::Producer<CycleBatch>,
-    reports: std::sync::mpsc::Receiver<Report>,
-    recycle: std::sync::mpsc::Receiver<CycleBatch>,
-) {
-    let mut scratch = CycleBatch::default();
-    // Reused window checkpoint (see `SlipstreamProcessor::window_ck`).
-    let mut ck_slot: Option<ACheckpoint> = None;
-    while anchor < max_cycles {
-        let window_end = (anchor + quantum).min(max_cycles);
-        debug_assert_eq!(a.cycles, anchor, "windows start at the anchor");
-        let t0 = tel_now(&a.tel);
-        match &mut ck_slot {
-            Some(ck) => a.checkpoint_into(ck),
-            None => ck_slot = Some(a.checkpoint()),
+    scratch: &'m mut CycleBatch,
+    window_ck: &'m mut Option<ACheckpoint>,
+}
+
+impl Sched<'_> {
+    /// Performs the boundary sync if the current cycle sits on the window
+    /// grid (`anchor`, or `quantum`+ cycles past it).
+    fn maybe_boundary(&mut self, a: &mut AHalf) {
+        if a.cycles == *self.anchor || a.cycles - *self.anchor >= self.quantum {
+            *self.anchor = a.cycles;
+            boundary_sync(a, self.r);
         }
-        tel_span(&mut a.tel, SpanKind::ACheckpoint, t0);
-        let ck = ck_slot.as_ref().expect("checkpointed above");
-        let t0 = tel_now(&a.tel);
-        // Ring-full waits are timed separately and subtracted, so
-        // `a_window_exec` is pure execution and `a_ring_push_wait` is pure
-        // back-pressure (the quantity SPSC tuning needs).
-        let mut wait_nanos = 0u64;
-        for _ in anchor..window_end {
-            let mut batch = recycle.try_recv().unwrap_or_default();
-            a.run_cycle(&mut batch);
-            if let Err(batch) = out.try_push(batch) {
-                let w0 = tel_now(&a.tel);
-                let pushed = out.push(batch);
-                if let (Some(w0), Some(tel)) = (w0, a.tel.as_deref_mut()) {
-                    let nanos = w0.elapsed().as_nanos() as u64;
-                    wait_nanos += nanos;
-                    tel.record_span(SpanKind::ARingPushWait, nanos);
+    }
+
+    /// Advances both halves one cycle in lockstep, recovering immediately
+    /// on an IR-misprediction (the A side is already at the detection
+    /// cycle, so no rollback is needed).
+    fn one_cycle(&mut self, a: &mut AHalf) {
+        a.run_cycle(self.scratch);
+        if self.r.consume_cycle(self.scratch, self.program) == RPhase::Misp {
+            let cmd = self.r.build_recover(self.program);
+            a.apply_recover(&cmd);
+            *self.anchor = cmd.cycle;
+        }
+    }
+
+    /// The window loop of both window schedulers. Each window checkpoints
+    /// the A side, then `exec` runs its A cycles and has the R side consume
+    /// the batches up to the first misprediction or halt. `exec` takes the
+    /// A half by value and hands it back, so a threaded run can lend it to
+    /// another thread for exactly the window's A cycles; everything between
+    /// windows (boundary sync, recovery, halt rollback) happens here.
+    fn run_windows<'a, E>(&mut self, mut a: &'a mut AHalf, max_cycles: u64, mut exec: E)
+    where
+        E: FnMut(&'a mut AHalf, usize, &mut RHalf, &Program) -> (&'a mut AHalf, Outcome),
+    {
+        let q = self.quantum;
+        while !self.r.core.halted() && self.r.cycles < max_cycles {
+            self.maybe_boundary(a);
+            if a.cycles != *self.anchor {
+                // Resumed mid-window (a prior run stopped at its cycle
+                // budget): advance serially to the next boundary.
+                self.one_cycle(a);
+                continue;
+            }
+            let anchor = *self.anchor;
+            let window_end = (anchor + q).min(max_cycles);
+            let t0 = tel_now(&a.tel);
+            match self.window_ck {
+                Some(ck) => a.checkpoint_into(ck),
+                None => *self.window_ck = Some(a.checkpoint()),
+            }
+            tel_span(&mut a.tel, SpanKind::ACheckpoint, t0);
+            let outcome;
+            (a, outcome) = exec(a, (window_end - anchor) as usize, self.r, self.program);
+            let ck = self.window_ck.as_ref().expect("checkpointed above");
+            match outcome {
+                None => {
+                    if window_end == anchor + q {
+                        *self.anchor = window_end;
+                    }
+                    // else: budget-clamped window — leave the grid alone
+                    // (matching the serial scheduler) and exit at the top.
                 }
-                if pushed.is_err() {
-                    return; // R side exited (panic propagates via scope join)
+                Some((RPhase::Misp, cycle)) => {
+                    let t0 = tel_now(&self.r.tel);
+                    let cmd = self.r.build_recover(self.program);
+                    tel_span(&mut self.r.tel, SpanKind::RRecoveryBuild, t0);
+                    let t0 = tel_now(&a.tel);
+                    a.rollback_replay(ck, cycle, self.scratch);
+                    tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
+                    let t0 = tel_now(&a.tel);
+                    a.apply_recover(&cmd);
+                    tel_span(&mut a.tel, SpanKind::ARecoverApply, t0);
+                    *self.anchor = cycle;
+                }
+                Some((_, cycle)) => {
+                    // Halted: discard the A-stream's overrun.
+                    let t0 = tel_now(&a.tel);
+                    a.rollback_replay(ck, cycle, self.scratch);
+                    tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
+                    break;
                 }
             }
         }
-        if let (Some(t0), Some(tel)) = (t0, a.tel.as_deref_mut()) {
-            let nanos = t0.elapsed().as_nanos() as u64;
-            tel.record_span(SpanKind::AWindowExec, nanos.saturating_sub(wait_nanos));
-        }
-        let Ok(report) = reports.recv() else {
-            return;
-        };
-        match report {
-            Report::Boundary {
-                data_occ,
-                ctrl_occ,
-                obs,
-                l2_log,
-            } => {
-                let t0 = tel_now(&a.tel);
-                a.fe.apply_training();
-                for (key, id, info) in obs {
-                    a.fe.ir_table.observe(key, id, info);
-                }
-                // Shared-L2 boundary merge, A side: own log + the shipped
-                // R log is the same stream the R thread already applied.
-                let a_l2 = a.core.l2_take_log();
-                let merged = merge_l2_logs(&a_l2, &l2_log);
-                a.core.l2_apply_boundary(&merged);
-                a.data_occ = data_occ;
-                a.ctrl_occ = ctrl_occ;
-                a.data_pushed = 0;
-                a.ctrl_pushed = 0;
-                tel_span(&mut a.tel, SpanKind::ABoundaryApply, t0);
-                anchor = window_end;
-            }
-            Report::Recover(cmd) => {
-                let cycle = cmd.cycle;
-                let t0 = tel_now(&a.tel);
-                a.rollback_replay(ck, cycle, &mut scratch);
-                tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
-                let t0 = tel_now(&a.tel);
-                a.apply_recover(&cmd);
-                tel_span(&mut a.tel, SpanKind::ARecoverApply, t0);
-                anchor = cycle;
-            }
-            Report::Halted { cycle } => {
-                let t0 = tel_now(&a.tel);
-                a.rollback_replay(ck, cycle, &mut scratch);
-                tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
-                return;
-            }
-            Report::Done => return,
-        }
+    }
+}
+
+/// Has `r` consume `batch` and reports a phase other than `Ok` with its
+/// cycle.
+fn consume(r: &mut RHalf, batch: &mut CycleBatch, program: &Program) -> Outcome {
+    match r.consume_cycle(batch, program) {
+        RPhase::Ok => None,
+        phase => Some((phase, batch.cycle)),
     }
 }
 
@@ -837,7 +845,7 @@ pub struct SlipstreamProcessor {
     scratch: CycleBatch,
     /// Reused window batches (windowed scheduler).
     batches: Vec<CycleBatch>,
-    /// Reused window checkpoint (windowed scheduler): re-snapshotting into
+    /// Reused window checkpoint (window schedulers): re-snapshotting into
     /// the previous window's buffers makes checkpointing allocation-free.
     window_ck: Option<ACheckpoint>,
 }
@@ -937,8 +945,8 @@ impl SlipstreamProcessor {
     }
 
     /// Turns on host-side telemetry: wall-clock span timers around the
-    /// scheduler phases (window execution, boundary sync, checkpoint,
-    /// rollback/replay, SPSC ring push/pop waits). Off by default; the off
+    /// scheduler phases (window execution and consumption, boundary sync,
+    /// checkpoint, rollback/replay, recovery). Off by default; the off
     /// path pays only never-taken `Option` branches — no `Instant::now`
     /// calls and no allocations (enforced by the bench crate's
     /// `telemetry_alloc_gate` test).
@@ -1063,39 +1071,25 @@ impl SlipstreamProcessor {
         self.r.core.arm_fault(fault);
     }
 
-    /// The sync quantum (window length) in cycles, never zero.
-    fn quantum(&self) -> u64 {
-        (self.cfg.sync_quantum.max(1)) as u64
-    }
-
-    /// Performs the boundary sync if the current cycle sits on the window
-    /// grid (`anchor`, or `quantum`+ cycles past it).
-    fn maybe_boundary(&mut self) {
-        if self.a.cycles == self.anchor || self.a.cycles - self.anchor >= self.quantum() {
-            self.anchor = self.a.cycles;
-            boundary_sync(&mut self.a, &mut self.r);
-        }
-    }
-
-    /// Advances both halves one cycle in lockstep, recovering immediately
-    /// on an IR-misprediction (the A side is already at the detection
-    /// cycle, so no rollback is needed).
-    fn one_cycle(&mut self) {
-        let mut batch = std::mem::take(&mut self.scratch);
-        self.a.run_cycle(&mut batch);
-        let phase = self.r.consume_cycle(&mut batch, &self.program);
-        self.scratch = batch;
-        if phase == RPhase::Misp {
-            let cmd = self.r.build_recover(&self.program);
-            self.a.apply_recover(&cmd);
-            self.anchor = cmd.cycle;
-        }
+    /// Splits the processor into the A half, the state the schedulers
+    /// borrow beside it, and the windowed scheduler's batches.
+    fn split(&mut self) -> (&mut AHalf, Sched<'_>, &mut Vec<CycleBatch>) {
+        let sched = Sched {
+            r: &mut self.r,
+            program: &self.program,
+            anchor: &mut self.anchor,
+            quantum: self.cfg.sync_quantum.max(1) as u64,
+            scratch: &mut self.scratch,
+            window_ck: &mut self.window_ck,
+        };
+        (&mut self.a, sched, &mut self.batches)
     }
 
     /// Advances both cores one cycle and routes all inter-stream traffic.
     pub fn step(&mut self) {
-        self.maybe_boundary();
-        self.one_cycle();
+        let (a, mut sched, _) = self.split();
+        sched.maybe_boundary(a);
+        sched.one_cycle(a);
     }
 
     /// A completed run ends on a boundary: flush the deferred learning so
@@ -1148,216 +1142,90 @@ impl SlipstreamProcessor {
     /// byte-identical to the serial scheduler, but with all the cross-core
     /// ping-ponging (and its cache traffic) hoisted out of the hot loop.
     pub fn run_windowed(&mut self, max_cycles: u64) -> bool {
-        let q = self.quantum();
-        while !self.halted() && self.r.cycles < max_cycles {
-            self.maybe_boundary();
-            if self.a.cycles != self.anchor {
-                // Resumed mid-window (a prior run stopped at its cycle
-                // budget): advance serially to the next boundary.
-                self.one_cycle();
-                continue;
+        let (a, mut sched, batches) = self.split();
+        sched.run_windows(a, max_cycles, |a, n, r, program| {
+            if batches.len() < n {
+                batches.resize_with(n, CycleBatch::default);
             }
-            let window_end = (self.anchor + q).min(max_cycles);
-            let n = (window_end - self.anchor) as usize;
-            let t0 = tel_now(&self.a.tel);
-            match &mut self.window_ck {
-                Some(ck) => self.a.checkpoint_into(ck),
-                None => self.window_ck = Some(self.a.checkpoint()),
+            let window = &mut batches[..n];
+            let t0 = tel_now(&a.tel);
+            for batch in window.iter_mut() {
+                a.run_cycle(batch);
             }
-            tel_span(&mut self.a.tel, SpanKind::ACheckpoint, t0);
-            while self.batches.len() < n {
-                self.batches.push(CycleBatch::default());
-            }
-            let t0 = tel_now(&self.a.tel);
-            for batch in self.batches.iter_mut().take(n) {
-                self.a.run_cycle(batch);
-            }
-            tel_span(&mut self.a.tel, SpanKind::AWindowExec, t0);
-            let t0 = tel_now(&self.r.tel);
-            let mut outcome: Option<(RPhase, u64)> = None;
-            for batch in self.batches.iter_mut().take(n) {
-                match self.r.consume_cycle(batch, &self.program) {
-                    RPhase::Ok => {}
-                    phase => {
-                        outcome = Some((phase, batch.cycle));
-                        break;
-                    }
-                }
-            }
-            tel_span(&mut self.r.tel, SpanKind::RWindowConsume, t0);
-            match outcome {
-                None => {
-                    if window_end == self.anchor + q {
-                        self.anchor = window_end;
-                    }
-                    // else: budget-clamped window — leave the grid alone
-                    // (matching the serial scheduler) and exit at the top.
-                }
-                Some((RPhase::Misp, cycle)) => {
-                    let t0 = tel_now(&self.r.tel);
-                    let cmd = self.r.build_recover(&self.program);
-                    tel_span(&mut self.r.tel, SpanKind::RRecoveryBuild, t0);
-                    let ck = self.window_ck.as_ref().expect("checkpointed above");
-                    let t0 = tel_now(&self.a.tel);
-                    self.a.rollback_replay(ck, cycle, &mut self.scratch);
-                    tel_span(&mut self.a.tel, SpanKind::ARollbackReplay, t0);
-                    let t0 = tel_now(&self.a.tel);
-                    self.a.apply_recover(&cmd);
-                    tel_span(&mut self.a.tel, SpanKind::ARecoverApply, t0);
-                    self.anchor = cycle;
-                }
-                Some((_, cycle)) => {
-                    // Halted: discard the A-stream's overrun.
-                    let ck = self.window_ck.as_ref().expect("checkpointed above");
-                    let t0 = tel_now(&self.a.tel);
-                    self.a.rollback_replay(ck, cycle, &mut self.scratch);
-                    tel_span(&mut self.a.tel, SpanKind::ARollbackReplay, t0);
-                    break;
-                }
-            }
-        }
+            tel_span(&mut a.tel, SpanKind::AWindowExec, t0);
+            let t0 = tel_now(&r.tel);
+            let outcome = window.iter_mut().find_map(|b| consume(r, b, program));
+            tel_span(&mut r.tel, SpanKind::RWindowConsume, t0);
+            (a, outcome)
+        });
         self.finish_run()
     }
 
-    /// Two-thread run: the A-stream executes on its own thread, publishing
-    /// cycle batches through a bounded lock-free SPSC ring sized to one
-    /// window (back-pressure semantics are carried by the boundary credit
-    /// budget, which mirrors the delay buffer's configured capacities).
-    /// The R-stream consumes on the calling thread and sends exactly one
-    /// sync report per window. Results are byte-identical to the other
-    /// schedulers; a panic on either thread propagates to the caller.
+    /// Two-thread run: the window loop of [`SlipstreamProcessor::run_windowed`],
+    /// with each window's A cycles on a helper thread. The calling thread
+    /// lends the A half to the helper, consumes the batches as they arrive
+    /// over a channel sized to one window, and gets the A half back before
+    /// the boundary. Results are byte-identical to the other schedulers; a
+    /// panic on either thread propagates to the caller.
     pub fn run_parallel(&mut self, max_cycles: u64) -> bool {
-        // Catch up serially to a sync boundary (a previous run may have
-        // stopped mid-window at its cycle budget).
-        loop {
-            if self.halted() || self.r.cycles >= max_cycles {
-                return self.finish_run();
-            }
-            self.maybe_boundary();
-            if self.a.cycles == self.anchor {
-                break;
-            }
-            self.one_cycle();
-        }
-
-        let q = self.quantum();
-        let anchor0 = self.anchor;
-        let a = &mut self.a;
-        let r = &mut self.r;
-        let program = &self.program;
-        let (batch_tx, mut batch_rx) = spsc::ring::<CycleBatch>(q as usize);
-        let (report_tx, report_rx) = std::sync::mpsc::channel::<Report>();
-        let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<CycleBatch>();
-        let mut final_anchor = anchor0;
-
+        let (a, mut sched, _) = self.split();
+        let q = sched.quantum as usize;
         std::thread::scope(|scope| {
-            scope.spawn(move || {
-                a_stream_thread(a, anchor0, q, max_cycles, batch_tx, report_rx, recycle_rx);
-            });
-
-            let mut anchor_r = anchor0;
-            'windows: while anchor_r < max_cycles {
-                let window_end = (anchor_r + q).min(max_cycles);
-                let t0 = tel_now(&r.tel);
-                // Ring-empty waits and recovery building are timed
-                // separately and subtracted, so `r_window_consume` is pure
-                // consumption and `r_ring_pop_wait` is pure starvation.
-                let mut wait_nanos = 0u64;
-                let mut recover_nanos = 0u64;
-                let mut verdict: Option<Report> = None;
-                for _ in anchor_r..window_end {
-                    let mut batch = match batch_rx.try_pop() {
-                        Some(batch) => batch,
-                        None => {
-                            let w0 = tel_now(&r.tel);
-                            let Ok(batch) = batch_rx.pop() else {
-                                // A thread exited early (its panic
-                                // propagates when the scope joins).
-                                break 'windows;
-                            };
-                            if let (Some(w0), Some(tel)) = (w0, r.tel.as_deref_mut()) {
-                                let nanos = w0.elapsed().as_nanos() as u64;
-                                wait_nanos += nanos;
-                                tel.record_span(SpanKind::RRingPopWait, nanos);
-                            }
-                            batch
-                        }
-                    };
-                    if verdict.is_none() {
-                        match r.consume_cycle(&mut batch, program) {
-                            RPhase::Ok => {}
-                            RPhase::Misp => {
-                                let b0 = tel_now(&r.tel);
-                                let cmd = r.build_recover(program);
-                                if let (Some(b0), Some(tel)) = (b0, r.tel.as_deref_mut()) {
-                                    let nanos = b0.elapsed().as_nanos() as u64;
-                                    recover_nanos += nanos;
-                                    tel.record_span(SpanKind::RRecoveryBuild, nanos);
-                                }
-                                verdict = Some(Report::Recover(cmd));
-                            }
-                            RPhase::Halted => {
-                                verdict = Some(Report::Halted { cycle: r.cycles });
-                            }
+            let (job_tx, job_rx) = mpsc::sync_channel::<(&mut AHalf, usize)>(1);
+            let (batch_tx, batch_rx) = mpsc::sync_channel::<CycleBatch>(q);
+            let (back_tx, back_rx) = mpsc::sync_channel::<&mut AHalf>(1);
+            let (recycle_tx, recycle_rx) = mpsc::channel::<CycleBatch>();
+            let mut helper = Some(scope.spawn(move || {
+                while let Ok((a, n)) = recv_spin(&job_rx) {
+                    let t0 = tel_now(&a.tel);
+                    for _ in 0..n {
+                        let mut batch = recycle_rx.try_recv().unwrap_or_default();
+                        a.run_cycle(&mut batch);
+                        // Never blocks: the channel holds a whole window.
+                        if batch_tx.send(batch).is_err() {
+                            return;
                         }
                     }
+                    tel_span(&mut a.tel, SpanKind::AWindowExec, t0);
+                    if back_tx.send(a).is_err() {
+                        return;
+                    }
+                }
+            }));
+            // The helper hangs up only by panicking: re-raise its panic.
+            let mut helper_died = || -> ! {
+                let helper = helper.take().expect("the helper dies once");
+                match helper.join() {
+                    Err(panic) => std::panic::resume_unwind(panic),
+                    Ok(()) => unreachable!("the helper runs until the job channel closes"),
+                }
+            };
+            sched.run_windows(a, max_cycles, |a, n, r, program| {
+                if job_tx.send((a, n)).is_err() {
+                    helper_died();
+                }
+                let t0 = tel_now(&r.tel);
+                let mut outcome = None;
+                for _ in 0..n {
+                    let Ok(mut batch) = recv_spin(&batch_rx) else {
+                        helper_died();
+                    };
+                    if outcome.is_none() {
+                        outcome = consume(r, &mut batch, program);
+                    }
+                    // Fails only once the helper has gone; the next
+                    // receive reports that.
                     let _ = recycle_tx.send(batch);
                 }
-                if let (Some(t0), Some(tel)) = (t0, r.tel.as_deref_mut()) {
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    tel.record_span(
-                        SpanKind::RWindowConsume,
-                        nanos.saturating_sub(wait_nanos + recover_nanos),
-                    );
-                }
-                match verdict {
-                    None => {
-                        if window_end < anchor_r + q {
-                            // Budget-clamped final window: no boundary
-                            // sync, same as the other schedulers.
-                            let _ = report_tx.send(Report::Done);
-                            break 'windows;
-                        }
-                        let t0 = tel_now(&r.tel);
-                        // Shared-L2 boundary merge, R side (mirrors
-                        // `build_recover`): own log + accumulated A log.
-                        let r_l2 = r.core.l2_take_log();
-                        let a_l2 = std::mem::take(&mut r.pending_a_l2);
-                        let merged = merge_l2_logs(&a_l2, &r_l2);
-                        r.core.l2_apply_boundary(&merged);
-                        let report = Report::Boundary {
-                            data_occ: r.drv.delay.data_occupancy(),
-                            ctrl_occ: r.drv.delay.control_occupancy(),
-                            obs: std::mem::take(&mut r.obs_q),
-                            l2_log: r_l2,
-                        };
-                        let sent = report_tx.send(report);
-                        tel_span(&mut r.tel, SpanKind::RBoundarySync, t0);
-                        if sent.is_err() {
-                            break 'windows;
-                        }
-                        anchor_r = window_end;
-                    }
-                    Some(Report::Recover(cmd)) => {
-                        let cycle = cmd.cycle;
-                        if report_tx.send(Report::Recover(cmd)).is_err() {
-                            break 'windows;
-                        }
-                        anchor_r = cycle;
-                    }
-                    Some(rep @ Report::Halted { .. }) => {
-                        let _ = report_tx.send(rep);
-                        break 'windows;
-                    }
-                    Some(_) => unreachable!("R side only builds Recover/Halted verdicts"),
-                }
-            }
-            final_anchor = anchor_r;
-            // Dropping our endpoints unblocks the A thread if it is still
-            // pushing or waiting for a report.
+                tel_span(&mut r.tel, SpanKind::RWindowConsume, t0);
+                let Ok(a) = recv_spin(&back_rx) else {
+                    helper_died();
+                };
+                (a, outcome)
+            });
+            // The scope's locals drop before it joins the helper; the
+            // closed job channel ends the helper's loop.
         });
-
-        self.anchor = final_anchor;
         self.finish_run()
     }
 

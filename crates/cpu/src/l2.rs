@@ -486,8 +486,9 @@ mod tests {
 
     #[test]
     fn merge_is_independent_of_which_side_computes_it() {
-        // The two sides of the threaded scheduler each compute the merge
-        // from their own copies of the logs; the result must be one list.
+        // At a recovery each side computes the merge from its own copies of
+        // the logs (the R side in `build_recover`, the A side after its
+        // replay in `apply_recover`); the result must be one list.
         let mut a = L2View::new(tiny(), 0);
         let mut r = L2View::new(tiny(), 1);
         for c in 0..6u64 {

@@ -5,16 +5,16 @@
 //! observable; this crate turns the same lens on the host, timing the
 //! slipstream schedulers' phases and nothing else. It provides:
 //!
-//! - [`Telemetry`] — a per-thread registry of span timers (count + total
+//! - [`Telemetry`] — a registry of span timers (count + total
 //!   nanoseconds per [`SpanKind`]).
 //!   Every field is a plain `u64` — no atomics, no locks, no allocation
-//!   after construction — because each scheduler thread owns its own
-//!   instance and registries are combined after the run.
+//!   after construction — because each side of the machine owns its own
+//!   instance (one thread records into it at a time) and registries are
+//!   combined after the run.
 //! - [`Telemetry::merge`] — commutative, associative summation, so the
 //!   aggregate of several registries is independent of merge order.
 //! - [`Telemetry::record_span`] — records one timed span entry; call sites
-//!   time their own phases, so accumulate-and-subtract spans (window
-//!   execution minus in-window ring waits) need no special support.
+//!   time their own phases.
 //! - [`RunManifest`] + [`Snapshot`] — a run's identity (binary, scheduler,
 //!   FNV-1a config digest, free-form labels) married to a
 //!   *dynamic* named-span view that can carry rows [`SpanKind`] doesn't
@@ -63,33 +63,26 @@ macro_rules! kinds {
 kinds! {
     /// Named wall-clock spans around the slipstream schedulers' phases.
     /// The `A`/`R` prefixes name the *logical side* of the machine a span
-    /// belongs to (in the threaded scheduler they run on different OS
-    /// threads, so per-side sums can be compared against the run total
-    /// independently).
+    /// belongs to. Every span is recorded on the calling thread except
+    /// `a_window_exec` in the threaded scheduler, which runs on its helper
+    /// thread and overlaps `r_window_consume`.
     SpanKind {
         /// Whole `run_mode` call, recorded on the R (calling) side.
         RunTotal => "run_total",
         /// Serial scheduler: the entire lockstep loop (one span per run;
         /// the serial loop is not decomposed further).
         SerialExec => "serial_exec",
-        /// A side: executing one window's burst of cycles (net of ring
-        /// push waits in the threaded scheduler).
+        /// A side: executing one window's burst of cycles.
         AWindowExec => "a_window_exec",
-        /// A thread: blocked pushing a batch into the full SPSC ring.
-        ARingPushWait => "a_ring_push_wait",
         /// A side: taking the window boundary checkpoint.
         ACheckpoint => "a_checkpoint",
         /// A side: rollback to the window checkpoint + deterministic replay.
         ARollbackReplay => "a_rollback_replay",
-        /// A side: applying a boundary report (training + credit refresh).
-        ABoundaryApply => "a_boundary_apply",
         /// A side: applying a recovery command.
         ARecoverApply => "a_recover_apply",
-        /// R side: consuming one window's batches (net of ring pop waits
-        /// and recovery building).
+        /// R side: consuming one window's batches (in the threaded
+        /// scheduler, including waits for the helper thread's batches).
         RWindowConsume => "r_window_consume",
-        /// R thread: blocked popping from the empty SPSC ring.
-        RRingPopWait => "r_ring_pop_wait",
         /// R side: the window boundary sync (training hand-off, L2 merge,
         /// credit snapshot).
         RBoundarySync => "r_boundary_sync",
@@ -107,8 +100,8 @@ pub struct SpanStat {
     pub total_nanos: u64,
 }
 
-/// A per-thread span registry (see the crate docs). Construct one per
-/// owning thread, record into it without synchronization, and
+/// A span registry (see the crate docs). Construct one per side of the
+/// machine, record into it without synchronization, and
 /// [`merge`](Telemetry::merge) after the run.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
