@@ -3,10 +3,13 @@
 //!
 //! Enumerates N distinct (dynamic-instruction, bit) injection sites per
 //! benchmark × target from the seeded xorshift64* PRNG, runs each
-//! benchmark's sites on a `std::thread` worker pool (each site forked from
-//! a fault-free leader processor rather than simulated from cycle 0), and
-//! writes the outcome distribution plus the campaign's own wall-clock
-//! throughput to `BENCH_fault_campaign.json`.
+//! benchmark's single fault-free pass on a `std::thread` worker pool (each
+//! site forked from the pass's leader processor rather than simulated from
+//! cycle 0), and writes the outcome distribution plus the campaign's own
+//! wall-clock throughput to `BENCH_fault_campaign.json`. Writing that file
+//! also renders its outcome table into the `campaign_outcomes` region of
+//! `EXPERIMENTS.md` (exit 1, naming the region, if the file or a marker is
+//! missing).
 //!
 //! ```text
 //! fault_campaign [--sites N] [--workers W] [--scale S] [--seed X]
@@ -25,13 +28,18 @@
 use std::path::PathBuf;
 
 use slipstream_bench::{
-    command_line, json, parse_number, parse_scale, print_campaign_table, run_campaign,
-    target_label, trace_first_detection, write_run, CampaignConfig, CampaignResult, RunFile,
-    TARGETS, TRACE,
+    command_line, json, outcome_table, parse_number, parse_scale, print_campaign_table,
+    run_campaign, splice_regions, target_label, trace_first_detection, write_run, CampaignConfig,
+    CampaignResult, RunFile, OUTCOMES_REGION, TARGETS, TRACE,
 };
 use slipstream_core::telemetry::{RunManifest, Telemetry};
 use slipstream_core::{ExecMode, FaultTarget};
 use slipstream_workloads::BENCHMARK_NAMES;
+
+/// The committed campaign document, whose outcome table EXPERIMENTS.md
+/// quotes.
+const COMMITTED: &str = "BENCH_fault_campaign.json";
+const EXPERIMENTS: &str = "EXPERIMENTS.md";
 
 const USAGE: &str = "usage: fault_campaign [--sites N] [--workers W] [--scale S] [--seed X] \
                      [--out PATH] [--smoke] [--trace DIR] [--trace-bench NAME]";
@@ -56,7 +64,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         } else {
             CampaignConfig::full()
         },
-        out: (!smoke).then(|| "BENCH_fault_campaign.json".to_string()),
+        out: (!smoke).then(|| COMMITTED.to_string()),
         smoke,
         trace_dir: None,
         trace_bench: BENCHMARK_NAMES[0],
@@ -109,9 +117,30 @@ fn main() {
     }
 
     if let Some(path) = &args.out {
-        std::fs::write(path, full_json(&result)).expect("write campaign JSON");
+        let doc = full_json(&result);
+        std::fs::write(path, &doc).expect("write campaign JSON");
         eprintln!("wrote {path}");
+        if path == COMMITTED {
+            splice_outcome_table(&doc);
+        }
     }
+}
+
+/// Renders `doc`'s outcome table into its EXPERIMENTS.md region; a missing
+/// file or marker exits with status 1, naming the region.
+fn splice_outcome_table(doc: &str) {
+    let spliced = json::parse(doc)
+        .and_then(|doc| outcome_table(&doc))
+        .and_then(|table| {
+            let experiments = std::fs::read_to_string(EXPERIMENTS).map_err(|e| e.to_string())?;
+            splice_regions(&experiments, &[(OUTCOMES_REGION, table)])
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("fault_campaign: {EXPERIMENTS}: {e}");
+            std::process::exit(1)
+        });
+    std::fs::write(EXPERIMENTS, spliced).unwrap_or_else(|e| panic!("write {EXPERIMENTS}: {e}"));
+    eprintln!("wrote {EXPERIMENTS}");
 }
 
 /// For each target, replays `bench`'s first detected+recovered site with

@@ -8,12 +8,17 @@
 //! layer aggregates per-outcome counters, a detection-latency histogram in
 //! cycles, and fired/not-fired accounting.
 //!
-//! Forking: the golden state, fault-free baseline and fork points (every
-//! `FORK_STRIDE` cycles of the fault-free run) are computed once per
-//! benchmark. A fault-free leader then walks the benchmark's sites in
-//! fork-point order, and each site runs on a clone of the leader taken at
-//! the last fork point before its faulty instruction dispatches — the same
-//! run as one from cycle 0, minus the re-simulated prefix.
+//! One fault-free pass per benchmark: the functional oracle gives the
+//! golden state and the dynamic instruction count, so the sites are
+//! enumerated before any processor runs. A fault-free leader then runs
+//! the program once, `FORK_STRIDE` cycles at a time. At each stop it
+//! forks every site whose instruction could dispatch within the next
+//! stride (`seq < next_seq + FORK_STRIDE × width`), arms the clone with
+//! the fault and runs it to the budget — the same run as one from cycle
+//! 0, minus the re-simulated prefix. The leader is also the baseline: when
+//! it halts, its misprediction log classifies every site's run, and a
+//! site it never forked (the instruction never dispatches) takes the
+//! leader's own result.
 //!
 //! Determinism: site enumeration depends only on `(seed, bench, target)`,
 //! a forked run equals the run from cycle 0, and results are reassembled
@@ -24,9 +29,8 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use slipstream_core::{
-    golden_state, run_fault_experiment, run_fault_experiment_traced, run_injected, FaultOutcome,
-    FaultReport, FaultTarget, FlightRecording, IrMispKind, SlipstreamConfig, SlipstreamProcessor,
-    TraceConfig,
+    golden_state, run_fault_experiment_traced, run_injected, FaultOutcome, FaultReport, FaultRun,
+    FaultTarget, FlightRecording, IrMispKind, SlipstreamConfig, SlipstreamProcessor, TraceConfig,
 };
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::ArchState;
@@ -121,6 +125,20 @@ pub struct SiteResult {
     pub detection_latency: Option<u64>,
     /// Cycles the run simulated.
     pub cycles: u64,
+}
+
+impl SiteResult {
+    /// `site`'s result, taken from its run's report.
+    pub fn new(site: InjectionSite, report: &FaultReport) -> SiteResult {
+        SiteResult {
+            site,
+            outcome: report.outcome,
+            fired: report.fired,
+            detections: report.detections,
+            detection_latency: report.detection_latency,
+            cycles: report.cycles,
+        }
+    }
 }
 
 /// Upper bucket edges (inclusive) of the detection-latency histogram; the
@@ -263,8 +281,8 @@ pub struct CampaignResult {
     /// Per-site results, in site-enumeration order (worker-count
     /// independent).
     pub site_results: Vec<SiteResult>,
-    /// Wall-clock seconds for the whole sweep (including golden-state and
-    /// baseline preparation).
+    /// Wall-clock seconds for the whole sweep (including the golden states
+    /// and the fault-free passes).
     pub elapsed_seconds: f64,
 }
 
@@ -349,81 +367,32 @@ fn summary_json(s: &TargetSummary) -> String {
         .finish()
 }
 
-/// Cycles between the fork points recorded by the fault-free run. Each
-/// site re-simulates at most this many fault-free cycles (plus the
-/// serial catch-up to the next sync boundary) before its fault can fire.
+/// Cycles the fault-free leader runs between fork points. A core
+/// dispatches at most `width` instructions a cycle, so a site is forked at
+/// the last point from which its instruction could dispatch within one
+/// stride, and re-simulates at most `FORK_STRIDE × width` of its core's
+/// dispatches (plus the serial catch-up to the next sync boundary) before
+/// its fault can fire.
 const FORK_STRIDE: u64 = 256;
 
-/// A point of the fault-free run a site can be forked from: the run's
-/// cycle and the next dispatch sequence number of each core there.
-#[derive(Debug, Clone, Copy)]
-struct ForkPoint {
-    cycle: u64,
-    a_seq: u64,
-    r_seq: u64,
-}
-
-impl ForkPoint {
-    fn next_seq(&self, target: FaultTarget) -> u64 {
-        match target {
-            FaultTarget::AStream => self.a_seq,
-            FaultTarget::RStream => self.r_seq,
-        }
-    }
-}
-
-/// Per-benchmark state, computed once by the fault-free run.
+/// Per-benchmark inputs of the fault-free pass; preparing them simulates
+/// only the functional oracle.
 struct BenchContext {
     workload: Workload,
     cfg: SlipstreamConfig,
     golden: ArchState,
-    /// Fault-free (kind, cycle) IR-misprediction log; fault runs attribute
-    /// detections by first divergence from it.
-    baseline_misp: Vec<(IrMispKind, u64)>,
+    /// Instructions the program retires: the site-enumeration range.
     dynamic: u64,
-    /// Fork points every [`FORK_STRIDE`] cycles, from cycle 0 up to the
-    /// last stride before the program halts.
-    forks: Vec<ForkPoint>,
-}
-
-impl BenchContext {
-    /// The latest fork point at which `site`'s target instruction has not
-    /// dispatched yet. Sequence numbers only grow, so the points are
-    /// sorted by each core's `next_seq`, and the first point (cycle 0,
-    /// nothing dispatched) always qualifies.
-    fn fork_point(&self, site: &InjectionSite) -> usize {
-        self.forks
-            .partition_point(|p| p.next_seq(site.target) <= site.seq)
-            - 1
-    }
 }
 
 fn prepare(bench: &str, scale: f64, max_cycles: u64) -> BenchContext {
     let workload = benchmark(bench, scale).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
     let golden = golden_state(&workload.program, 4 * max_cycles);
-    let cfg = SlipstreamConfig::cmp_2x64x4();
-    let mut clean = SlipstreamProcessor::new(cfg.clone(), &workload.program);
-    let mut forks = Vec::new();
-    while !clean.halted() && clean.cycles() < max_cycles {
-        forks.push(ForkPoint {
-            cycle: clean.cycles(),
-            a_seq: clean.a_core().next_seq(),
-            r_seq: clean.r_core().next_seq(),
-        });
-        clean.run((clean.cycles() + FORK_STRIDE).min(max_cycles));
-    }
-    assert!(
-        clean.halted(),
-        "{bench}: fault-free baseline did not complete"
-    );
-    let dynamic = clean.stats().r_retired;
     BenchContext {
         workload,
-        cfg,
+        cfg: SlipstreamConfig::cmp_2x64x4(),
+        dynamic: golden.retired(),
         golden,
-        baseline_misp: clean.misp_log().to_vec(),
-        dynamic,
-        forks,
     }
 }
 
@@ -475,62 +444,88 @@ pub fn enumerate_sites(
     sites
 }
 
-/// Runs one benchmark's sites by forking: a fault-free leader walks the
-/// sites in fork-point order, and each site runs on a clone of the leader
-/// taken at its fork point, armed with the fault and run to `max_cycles`.
-/// Hands `visit` each site's index, the site, its report and the finished
-/// fork, in the order the sites ran.
-fn run_forked(
+/// Runs one benchmark's `sites` in its single fault-free pass. The leader
+/// runs [`FORK_STRIDE`] cycles at a time; at each stop it forks every
+/// pending site whose instruction could dispatch before the next stop,
+/// runs the fork armed with the fault to `max_cycles` and hands it to
+/// `visit` with the site's index. A site still pending when the leader
+/// halts never dispatches, so its run is the leader's own. Once the leader
+/// has halted its misprediction log is the baseline, and every run is
+/// classified against it. Returns the reports in `sites` order, and the
+/// baseline.
+fn run_pass(
     ctx: &BenchContext,
-    sites: &[(usize, InjectionSite)],
+    sites: &[InjectionSite],
     max_cycles: u64,
-    mut visit: impl FnMut(usize, InjectionSite, FaultReport, &SlipstreamProcessor),
-) {
-    let mut order: Vec<(usize, usize, InjectionSite)> = sites
-        .iter()
-        .map(|&(i, site)| (ctx.fork_point(&site), i, site))
-        .collect();
-    order.sort_unstable_by_key(|&(fork, i, _)| (fork, i));
+    mut visit: impl FnMut(usize, &SlipstreamProcessor),
+) -> (Vec<FaultReport>, Vec<(IrMispKind, u64)>) {
+    let reach = FORK_STRIDE * ctx.cfg.core.width as u64;
+    let mut runs: Vec<Option<FaultRun>> = vec![None; sites.len()];
+    let mut pending: Vec<usize> = (0..sites.len()).collect();
     let mut leader = SlipstreamProcessor::new(ctx.cfg.clone(), &ctx.workload.program);
-    for (fork, i, site) in order {
-        let at = ctx.forks[fork].cycle;
-        if leader.cycles() < at {
-            leader.run(at);
-        }
-        let mut run = leader.clone();
-        let report = run_injected(
-            &mut run,
-            site.target,
-            FaultSpec {
+    while !leader.halted() && leader.cycles() < max_cycles {
+        pending.retain(|&i| {
+            let site = sites[i];
+            if site.seq >= site.target.core(&leader).next_seq() + reach {
+                return true;
+            }
+            let mut fork = leader.clone();
+            let spec = FaultSpec {
                 seq: site.seq,
                 bit: site.bit,
-            },
-            max_cycles,
-            &ctx.golden,
-            &ctx.baseline_misp,
-        );
-        visit(i, site, report, &run);
+            };
+            runs[i] = Some(run_injected(
+                &mut fork,
+                site.target,
+                spec,
+                max_cycles,
+                &ctx.golden,
+            ));
+            visit(i, &fork);
+            false
+        });
+        leader.run((leader.cycles() + FORK_STRIDE).min(max_cycles));
     }
+    let name = ctx.workload.name;
+    assert!(
+        leader.halted(),
+        "{name}: fault-free baseline did not complete"
+    );
+    assert_eq!(
+        leader.stats().r_retired,
+        ctx.dynamic,
+        "{name}: the fault-free run retired a different count from the functional run"
+    );
+    let baseline = leader.misp_log().to_vec();
+    let reports = runs
+        .into_iter()
+        .zip(sites)
+        .map(|(run, site)| {
+            run.unwrap_or_else(|| FaultRun::observe(&leader, site.target, &ctx.golden))
+                .classify(&baseline)
+        })
+        .collect();
+    (reports, baseline)
 }
 
 /// Runs `bench`'s enumerated sites for `targets` exactly as
-/// [`run_campaign`] runs them — each forked from a fault-free leader — and
-/// hands `visit` every site with its report and the forked processor as
-/// its run ended. Sites arrive in fork order, not enumeration order.
+/// [`run_campaign`] runs them, in one fault-free pass, and hands `visit`
+/// each forked site with its processor as its run ended, in the order the
+/// pass forked them. Returns every site with its report, in enumeration
+/// order; a site the pass never forked (its instruction never dispatches)
+/// takes the leader's result and is not visited.
 pub fn for_each_forked_site(
     cfg: &CampaignConfig,
     bench: &'static str,
     targets: &[FaultTarget],
-    mut visit: impl FnMut(&InjectionSite, &FaultReport, &SlipstreamProcessor),
-) {
+    mut visit: impl FnMut(&InjectionSite, &SlipstreamProcessor),
+) -> Vec<(InjectionSite, FaultReport)> {
     let ctx = prepare(bench, cfg.scale, cfg.max_cycles);
-    let sites: Vec<(usize, InjectionSite)> = bench_sites(&ctx, targets, cfg)
-        .into_iter()
-        .enumerate()
-        .collect();
-    run_forked(&ctx, &sites, cfg.max_cycles, |_, site, report, run| {
-        visit(&site, &report, run)
+    let sites = bench_sites(&ctx, targets, cfg);
+    let (reports, _) = run_pass(&ctx, &sites, cfg.max_cycles, |i, fork| {
+        visit(&sites[i], fork)
     });
+    sites.into_iter().zip(reports).collect()
 }
 
 /// A benchmark's enumerated sites, target by target.
@@ -553,45 +548,6 @@ fn bench_sites(
         .collect()
 }
 
-/// Runs `sites` (tagged with their benchmark's index into `contexts`)
-/// through the worker pool, one benchmark per unit of work (see
-/// [`run_forked`]); results are reassembled in site order, so output is
-/// identical for any worker count.
-fn run_sites(
-    contexts: Vec<BenchContext>,
-    sites: &[(usize, InjectionSite)],
-    workers: usize,
-    max_cycles: u64,
-) -> Vec<SiteResult> {
-    let mut jobs: Vec<(BenchContext, Vec<(usize, InjectionSite)>)> =
-        contexts.into_iter().map(|ctx| (ctx, Vec::new())).collect();
-    for (i, &(ci, site)) in sites.iter().enumerate() {
-        jobs[ci].1.push((i, site));
-    }
-    // Each benchmark runs on exactly one worker, which takes ownership of
-    // its context (`Memory` is `!Sync`, so contexts move rather than share).
-    let per_bench = map_ordered(jobs, workers, |(ctx, bench_sites)| {
-        let mut results = Vec::with_capacity(bench_sites.len());
-        run_forked(&ctx, &bench_sites, max_cycles, |i, site, r, _| {
-            results.push((
-                i,
-                SiteResult {
-                    site,
-                    outcome: r.outcome,
-                    fired: r.fired,
-                    detections: r.detections,
-                    detection_latency: r.detection_latency,
-                    cycles: r.cycles,
-                },
-            ));
-        });
-        results
-    });
-    let mut v: Vec<(usize, SiteResult)> = per_bench.into_iter().flatten().collect();
-    v.sort_unstable_by_key(|&(i, _)| i);
-    v.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Runs a full campaign: for every benchmark in `benches` and every target
 /// in `targets`, enumerates `cfg.sites_per_target` sites and sweeps them
 /// across `cfg.workers` threads.
@@ -601,36 +557,43 @@ pub fn run_campaign(
     targets: &[FaultTarget],
 ) -> CampaignResult {
     let start = Instant::now();
-    let contexts: Vec<BenchContext> = benches
+    let jobs: Vec<(BenchContext, Vec<InjectionSite>)> = benches
         .iter()
-        .map(|b| prepare(b, cfg.scale, cfg.max_cycles))
-        .collect();
-
-    let sites: Vec<(usize, InjectionSite)> = contexts
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, ctx)| {
-            bench_sites(ctx, targets, cfg)
-                .into_iter()
-                .map(move |s| (ci, s))
+        .map(|b| {
+            let ctx = prepare(b, cfg.scale, cfg.max_cycles);
+            let sites = bench_sites(&ctx, targets, cfg);
+            (ctx, sites)
         })
         .collect();
-
     let mut summaries: Vec<TargetSummary> = Vec::new();
-    for ctx in &contexts {
+    for (ctx, _) in &jobs {
         for &target in targets {
             summaries.push(TargetSummary::new(ctx.workload.name, target));
         }
     }
-    let site_results = run_sites(contexts, &sites, cfg.workers, cfg.max_cycles);
-
-    let per_bench = targets.len();
-    for (&(ci, site), r) in sites.iter().zip(&site_results) {
-        let ti = targets
-            .iter()
-            .position(|&t| t == site.target)
-            .expect("site target is enumerated");
-        summaries[ci * per_bench + ti].absorb(r);
+    // Each benchmark's pass runs on exactly one worker, which takes
+    // ownership of its context (`Memory` is `!Sync`, so contexts move
+    // rather than share). Results come back in benchmark order, each
+    // benchmark's in site order, so output is identical for any worker
+    // count.
+    let per_bench = map_ordered(jobs, cfg.workers, |(ctx, sites)| {
+        let (reports, _) = run_pass(&ctx, &sites, cfg.max_cycles, |_, _| {});
+        sites
+            .into_iter()
+            .zip(reports)
+            .map(|(site, r)| SiteResult::new(site, &r))
+            .collect::<Vec<_>>()
+    });
+    let mut site_results = Vec::new();
+    for (ci, results) in per_bench.into_iter().enumerate() {
+        for r in &results {
+            let ti = targets
+                .iter()
+                .position(|&t| t == r.site.target)
+                .expect("site target is enumerated");
+            summaries[ci * targets.len() + ti].absorb(r);
+        }
+        site_results.extend(results);
     }
 
     CampaignResult {
@@ -659,42 +622,77 @@ pub fn trace_first_detection(
     trace: TraceConfig,
 ) -> Option<(InjectionSite, FaultReport, FlightRecording)> {
     let ctx = prepare(bench, cfg.scale, cfg.max_cycles);
-    for site in enumerate_sites(bench, target, ctx.dynamic, cfg.sites_per_target, cfg.seed) {
-        let spec = FaultSpec {
+    let sites = enumerate_sites(bench, target, ctx.dynamic, cfg.sites_per_target, cfg.seed);
+    // The pass (untraced) locates the first detecting site and its
+    // detection cycle; the replay from cycle 0 is deterministic, with the
+    // recorder freezing just after that cycle.
+    let (reports, baseline) = run_pass(&ctx, &sites, cfg.max_cycles, |_, _| {});
+    let (site, scout) = sites
+        .into_iter()
+        .zip(reports)
+        .find(|(_, r)| r.outcome == FaultOutcome::DetectedRecovered)?;
+    let detected_at = scout
+        .fired_cycle
+        .unwrap_or(0)
+        .saturating_add(scout.detection_latency.unwrap_or(0));
+    let (report, recording) = run_fault_experiment_traced(
+        ctx.cfg.clone(),
+        &ctx.workload.program,
+        target,
+        FaultSpec {
             seq: site.seq,
             bit: site.bit,
-        };
-        // Pass 1 (untraced) locates the detection cycle; pass 2 replays
-        // deterministically with the recorder freezing just after it.
-        let scout = run_fault_experiment(
-            ctx.cfg.clone(),
-            &ctx.workload.program,
-            target,
-            spec,
-            cfg.max_cycles,
-            &ctx.golden,
-            &ctx.baseline_misp,
-        );
-        if scout.outcome != FaultOutcome::DetectedRecovered {
-            continue;
+        },
+        cfg.max_cycles,
+        &ctx.golden,
+        &baseline,
+        Some(trace.frozen_after(detected_at + FREEZE_PAD)),
+    );
+    Some((site, report, recording.expect("tracing was enabled")))
+}
+
+/// The EXPERIMENTS.md region that holds the §3 outcome table.
+pub const OUTCOMES_REGION: &str = "campaign_outcomes";
+
+/// The §3 outcome table — each outcome's count and its rate over the
+/// activated sites — from the `totals` of a campaign document as
+/// `fault_campaign` writes it.
+pub fn outcome_table(doc: &json::Value) -> Result<String, String> {
+    let count = |key: &str| {
+        doc.get("totals")
+            .and_then(|t| t.get(key))
+            .and_then(json::Value::as_f64)
+            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
+            .map(|v| v as u64)
+            .ok_or_else(|| format!("no count `totals.{key}`"))
+    };
+    let activated = count("activated")?.max(1) as f64;
+    let rows = [
+        ("detected + recovered", count("detected_recovered")?),
+        ("architecturally masked", count("masked")?),
+        ("silent corruption", count("silent_corruption")?),
+        ("hangs", count("hangs")?),
+    ]
+    .map(|(outcome, n)| (outcome, n, 100.0 * n as f64 / activated));
+    let columns: &[crate::Column<(&str, u64, f64)>] = &[
+        ("outcome", false, |r| r.0.to_string()),
+        ("count", true, |r| grouped(r.1)),
+        ("rate", true, |r| format!("{:.1} %", r.2)),
+    ];
+    Ok(crate::md_table(&rows, columns, None))
+}
+
+/// `n` with its digits grouped in threes (`1,870`).
+fn grouped(n: u64) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(',');
         }
-        let detected_at = scout
-            .fired_cycle
-            .unwrap_or(0)
-            .saturating_add(scout.detection_latency.unwrap_or(0));
-        let (report, recording) = run_fault_experiment_traced(
-            ctx.cfg.clone(),
-            &ctx.workload.program,
-            target,
-            spec,
-            cfg.max_cycles,
-            &ctx.golden,
-            &ctx.baseline_misp,
-            Some(trace.frozen_after(detected_at + FREEZE_PAD)),
-        );
-        return Some((site, report, recording.expect("tracing was enabled")));
+        out.push(c);
     }
-    None
+    out
 }
 
 /// Prints a campaign as a markdown table (Figure 5 shape plus activation

@@ -35,9 +35,10 @@ use slipstream_cpu::{CoreConfig, CoreStats};
 use slipstream_workloads::{suite, Workload};
 
 pub use campaign::{
-    available_workers, enumerate_sites, for_each_forked_site, print_campaign_table, run_campaign,
-    target_label, trace_first_detection, CampaignConfig, CampaignResult, InjectionSite,
-    LatencyHistogram, SiteResult, TargetSummary, LATENCY_EDGES, TARGETS,
+    available_workers, enumerate_sites, for_each_forked_site, outcome_table, print_campaign_table,
+    run_campaign, target_label, trace_first_detection, CampaignConfig, CampaignResult,
+    InjectionSite, LatencyHistogram, SiteResult, TargetSummary, LATENCY_EDGES, OUTCOMES_REGION,
+    TARGETS,
 };
 pub use fuzz::{
     corpus_entry_text, enumerate_seeds, replay_corpus_dir, replay_corpus_file, run_fuzz,

@@ -1,20 +1,21 @@
 //! Campaign-subsystem tests: determinism across worker counts, site
-//! enumeration, the Figure 5 outcome-accounting invariants, equivalence
-//! of forked site runs with runs from cycle 0, and the committed
-//! `BENCH_fault_campaign.json` rows.
+//! enumeration, the Figure 5 outcome-accounting invariants, the fault-free
+//! pass's premises, equivalence of forked site runs with runs from cycle
+//! 0, and the committed `BENCH_fault_campaign.json` rows and the
+//! EXPERIMENTS.md outcome table quoted from them.
 
 use std::path::Path;
 
 use slipstream_bench::{
-    enumerate_sites, for_each_forked_site, json, run_campaign, CampaignConfig, InjectionSite,
-    TARGETS,
+    enumerate_sites, for_each_forked_site, json, outcome_table, run_campaign, splice_regions,
+    CampaignConfig, InjectionSite, SiteResult, OUTCOMES_REGION, TARGETS,
 };
 use slipstream_core::{
-    golden_state, run_injected, FaultOutcome, FaultReport, FaultTarget, SlipstreamConfig,
-    SlipstreamProcessor,
+    golden_state, run_fault_experiment, run_injected, FaultOutcome, FaultReport, FaultTarget,
+    SlipstreamConfig, SlipstreamProcessor,
 };
 use slipstream_cpu::FaultSpec;
-use slipstream_workloads::benchmark;
+use slipstream_workloads::{benchmark, BENCHMARK_NAMES};
 
 /// A small but real two-benchmark campaign for the tests below.
 fn small_cfg(workers: usize) -> CampaignConfig {
@@ -129,8 +130,8 @@ fn from_scratch(cfg: &CampaignConfig, site: &InjectionSite) -> (FaultReport, Sli
         },
         cfg.max_cycles,
         &golden,
-        clean.misp_log(),
-    );
+    )
+    .classify(clean.misp_log());
     (report, proc)
 }
 
@@ -154,24 +155,92 @@ fn assert_same_run(what: &str, got: &SlipstreamProcessor, want: &SlipstreamProce
 #[test]
 fn forked_sites_equal_runs_from_cycle_zero() {
     let cfg = CampaignConfig::smoke();
-    let mut checked = 0;
+    let (mut forked, mut reports) = (0, 0);
     for bench in TEST_BENCHES {
-        for_each_forked_site(&cfg, bench, &TARGETS, |site, report, forked| {
+        let mut want_reports: Vec<(InjectionSite, FaultReport)> = Vec::new();
+        let results = for_each_forked_site(&cfg, bench, &TARGETS, |site, fork| {
             let (want_report, want) = from_scratch(&cfg, site);
             let what = format!(
                 "{} {:?} seq {} bit {}",
                 site.bench, site.target, site.seq, site.bit
             );
-            assert_same_run(&what, forked, &want);
-            assert_eq!(report.outcome, want_report.outcome, "{what}: outcome");
-            assert_eq!(report.detections, want_report.detections, "{what}");
-            checked += 1;
+            assert_same_run(&what, fork, &want);
+            want_reports.push((*site, want_report));
         });
+        forked += want_reports.len();
+        for (site, report) in &results {
+            let want = match want_reports.iter().find(|(s, _)| s == site) {
+                Some((_, want)) => want.clone(),
+                None => from_scratch(&cfg, site).0,
+            };
+            assert_eq!(report, &want, "{site:?}: report");
+            reports += 1;
+        }
     }
+    // Every site gets a report; only the ones whose instruction never
+    // dispatches may go without a fork.
     assert_eq!(
-        checked,
+        reports,
         TEST_BENCHES.len() * TARGETS.len() * cfg.sites_per_target
     );
+    assert!(
+        forked > 0 && forked <= reports,
+        "{forked} of {reports} forked"
+    );
+}
+
+#[test]
+fn never_dispatched_sites_equal_runs_from_cycle_zero() {
+    let cfg = CampaignConfig::smoke();
+    let result = run_campaign(&cfg, &BENCHMARK_NAMES, &TARGETS);
+    let dead: Vec<&SiteResult> = result
+        .site_results
+        .iter()
+        .filter(|r| r.outcome == FaultOutcome::NotActivated)
+        .collect();
+    // The smoke campaign's A-stream sites past the reduced stream's end.
+    assert_eq!(
+        dead.len(),
+        6,
+        "never-dispatched sites of the smoke campaign"
+    );
+    for got in dead {
+        let program = benchmark(got.site.bench, cfg.scale)
+            .expect("known benchmark")
+            .program;
+        let golden = golden_state(&program, 4 * cfg.max_cycles);
+        let mut clean = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &program);
+        assert!(clean.run(cfg.max_cycles));
+        let report = run_fault_experiment(
+            SlipstreamConfig::cmp_2x64x4(),
+            &program,
+            got.site.target,
+            FaultSpec {
+                seq: got.site.seq,
+                bit: got.site.bit,
+            },
+            cfg.max_cycles,
+            &golden,
+            clean.misp_log(),
+        );
+        assert_eq!(got, &SiteResult::new(got.site, &report));
+    }
+}
+
+#[test]
+fn the_functional_oracle_counts_the_fault_free_run() {
+    // The pass enumerates sites from the oracle's retired count before
+    // any processor runs; it must equal what the slipstream run retires.
+    let cfg = CampaignConfig::smoke();
+    for bench in BENCHMARK_NAMES {
+        let program = benchmark(bench, cfg.scale)
+            .expect("known benchmark")
+            .program;
+        let golden = golden_state(&program, 4 * cfg.max_cycles);
+        let mut proc = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &program);
+        assert!(proc.run(cfg.max_cycles), "{bench} halts");
+        assert_eq!(golden.retired(), proc.stats().r_retired, "{bench}");
+    }
 }
 
 #[test]
@@ -188,22 +257,12 @@ fn a_leader_finishes_as_if_it_never_forked() {
     leader.run(clean.cycles() / 2);
     for target in TARGETS {
         let mut fork = leader.clone();
-        let core = match target {
-            FaultTarget::AStream => fork.a_core(),
-            FaultTarget::RStream => fork.r_core(),
-        };
         let fault = FaultSpec {
-            seq: core.next_seq() + 5,
+            seq: target.core(&fork).next_seq() + 5,
             bit: 3,
         };
-        let report = run_injected(
-            &mut fork,
-            target,
-            fault,
-            cfg.max_cycles,
-            &golden,
-            clean.misp_log(),
-        );
+        let report = run_injected(&mut fork, target, fault, cfg.max_cycles, &golden)
+            .classify(clean.misp_log());
         assert!(report.fired, "{target:?}: the clone's fault must fire");
         assert_ne!(fork.stats(), clean.stats(), "{target:?}: the fault shows");
     }
@@ -265,5 +324,25 @@ fn committed_campaign_rows_match_regeneration() {
         "{BENCH}'s campaign rows drifted from the committed anchor — if the change is \
          intentional, re-commit it via `cargo run --release -p slipstream-bench --bin \
          fault_campaign`"
+    );
+}
+
+#[test]
+fn experiments_outcome_table_matches_the_committed_campaign() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |name: &str| {
+        std::fs::read_to_string(root.join(name))
+            .unwrap_or_else(|e| panic!("{name} is missing at the repo root ({e})"))
+    };
+    let doc = json::parse(&read("BENCH_fault_campaign.json"))
+        .unwrap_or_else(|e| panic!("BENCH_fault_campaign.json: {e}"));
+    let table = outcome_table(&doc).unwrap_or_else(|e| panic!("BENCH_fault_campaign.json: {e}"));
+    let experiments = read("EXPERIMENTS.md");
+    let spliced = splice_regions(&experiments, &[(OUTCOMES_REGION, table)])
+        .unwrap_or_else(|e| panic!("EXPERIMENTS.md: {e}"));
+    assert!(
+        spliced == experiments,
+        "EXPERIMENTS.md region {OUTCOMES_REGION} is stale — re-render it via `cargo run \
+         --release -p slipstream-bench --bin fault_campaign`"
     );
 }

@@ -13,7 +13,7 @@
 //! - **Scenario 3** (fault after a divergence point): recovery flushes the
 //!   faulty instruction before it does damage.
 
-use slipstream_cpu::FaultSpec;
+use slipstream_cpu::{Core, FaultSpec};
 use slipstream_isa::{ArchState, Program};
 
 use crate::config::SlipstreamConfig;
@@ -28,6 +28,16 @@ pub enum FaultTarget {
     AStream,
     /// The trailing, checking stream.
     RStream,
+}
+
+impl FaultTarget {
+    /// The core in `proc` that takes this target's bit flips.
+    pub fn core(self, proc: &SlipstreamProcessor) -> &Core {
+        match self {
+            FaultTarget::AStream => proc.a_core(),
+            FaultTarget::RStream => proc.r_core(),
+        }
+    }
 }
 
 /// Classification of a fault-injection run.
@@ -55,7 +65,7 @@ pub enum FaultOutcome {
 }
 
 /// Everything observed about one fault-injection run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultReport {
     /// Classified outcome.
     pub outcome: FaultOutcome,
@@ -95,8 +105,9 @@ pub fn golden_state(program: &Program, fuel: u64) -> ArchState {
     st
 }
 
-/// Injects one fault into a fresh processor and classifies the run
-/// against `golden` (see [`run_injected`]).
+/// Injects one fault into a fresh processor, runs it and classifies the
+/// run against `golden` and the fault-free `baseline_misp` log (see
+/// [`run_injected`] and [`FaultRun::classify`]).
 pub fn run_fault_experiment(
     cfg: SlipstreamConfig,
     program: &Program,
@@ -107,7 +118,7 @@ pub fn run_fault_experiment(
     baseline_misp: &[(IrMispKind, u64)],
 ) -> FaultReport {
     let mut proc = SlipstreamProcessor::new(cfg, program);
-    run_injected(&mut proc, target, fault, max_cycles, golden, baseline_misp)
+    run_injected(&mut proc, target, fault, max_cycles, golden).classify(baseline_misp)
 }
 
 /// [`run_fault_experiment`] with an optional flight recorder: when `trace`
@@ -130,7 +141,7 @@ pub fn run_fault_experiment_traced(
     if let Some(tc) = trace {
         proc.enable_tracing(tc);
     }
-    let report = run_injected(&mut proc, target, fault, max_cycles, golden, baseline_misp);
+    let report = run_injected(&mut proc, target, fault, max_cycles, golden).classify(baseline_misp);
     let detection = proc
         .misp_log()
         .get(first_divergence(proc.misp_log(), baseline_misp))
@@ -152,38 +163,124 @@ pub fn run_fault_experiment_traced(
     (report, recording)
 }
 
-/// Arms `fault` on `proc`, runs it to `max_cycles` and classifies the run
-/// against `golden` — the one classifier behind every fault experiment.
+/// What a finished fault run leaves for classification: everything
+/// [`FaultRun::classify`] needs except the fault-free baseline log, so a
+/// campaign can run its sites before its baseline run has halted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultRun {
+    /// Whether the program halted within the cycle budget.
+    halted: bool,
+    /// Whether the run halted with the R-core's registers and memory equal
+    /// to the golden state.
+    correct: bool,
+    /// Whether the armed fault fired (its target instruction dispatched).
+    fired: bool,
+    /// Cycle at which the fault fired.
+    fired_cycle: Option<u64>,
+    /// Cycles simulated.
+    cycles: u64,
+    /// The run's `(kind, cycle)` IR-misprediction log.
+    misp_log: Vec<(IrMispKind, u64)>,
+}
+
+impl FaultRun {
+    /// Observes `proc` as its run ended: `target` names the core whose
+    /// fault statistics count, and the R-core's final state is compared
+    /// with `golden`.
+    pub fn observe(
+        proc: &SlipstreamProcessor,
+        target: FaultTarget,
+        golden: &ArchState,
+    ) -> FaultRun {
+        let stats = target.core(proc).stats();
+        let halted = proc.halted();
+        let correct = halted
+            && proc.r_core().arch_regs() == golden.regs()
+            && proc.r_core().mem().first_difference(golden.mem()).is_none();
+        FaultRun {
+            halted,
+            correct,
+            fired: stats.faults_injected > 0,
+            fired_cycle: stats.fault_fired_cycle,
+            cycles: proc.cycles(),
+            misp_log: proc.misp_log().to_vec(),
+        }
+    }
+
+    /// Classifies the run against `baseline_misp`, the `(kind, cycle)`
+    /// IR-misprediction log of a fault-free run of the same program and
+    /// config (ordinary mispredicted removals also trigger detection).
+    ///
+    /// Until the fault fires the simulation is deterministic and its log
+    /// matches the baseline exactly, so the first event that differs — in
+    /// kind *or* cycle — is the fault's detection. Comparing logs rather
+    /// than raw counts stays correct when the fault's detection sits
+    /// *before* remaining baseline events, and when post-recovery
+    /// perturbation adds or removes ordinary events downstream (a count
+    /// delta would misclassify both).
+    pub fn classify(&self, baseline_misp: &[(IrMispKind, u64)]) -> FaultReport {
+        // Everything up to `common` is ordinary removal mispredictions
+        // (identical kind and cycle); the event at `common`, if any, is the
+        // fault's detection, and everything after it is fault-perturbed.
+        let common = first_divergence(&self.misp_log, baseline_misp);
+        let attributed = (self.misp_log.len() - common) as u64;
+        let detection_latency = self
+            .misp_log
+            .get(common)
+            .zip(self.fired_cycle)
+            .map(|(&(_, det), fire)| det.saturating_sub(fire));
+        // Classify on `fired` first: a fault that never dispatched is a dead
+        // injection site (NotActivated), not an architecturally-masked fault.
+        let outcome = if !self.halted {
+            FaultOutcome::Hang
+        } else if !self.fired {
+            if self.correct {
+                FaultOutcome::NotActivated
+            } else {
+                // An unfired fault cannot corrupt output; surface the
+                // divergence as corruption so simulator bugs stay visible.
+                FaultOutcome::SilentCorruption
+            }
+        } else if !self.correct {
+            FaultOutcome::SilentCorruption
+        } else if attributed > 0 {
+            FaultOutcome::DetectedRecovered
+        } else {
+            FaultOutcome::Masked
+        };
+        FaultReport {
+            outcome,
+            fired: self.fired,
+            fired_cycle: self.fired_cycle,
+            detections: attributed,
+            total_detections: self.misp_log.len() as u64,
+            detection_latency,
+            cycles: self.cycles,
+        }
+    }
+}
+
+/// Arms `fault` on `proc` and runs it to `max_cycles`; classify the
+/// returned run with [`FaultRun::classify`].
 ///
 /// `proc` is either fresh or a fault-free run of the same program that has
 /// not yet dispatched the target instruction (its target core's
 /// `next_seq()` is at most `fault.seq`): a clone of such a run, armed
 /// here, reproduces exactly the run that was armed at cycle 0, because a
 /// not-yet-fired fault changes nothing until its instruction dispatches.
-///
-/// `baseline_misp` is the `(kind, cycle)` IR-misprediction log of a
-/// fault-free run of the same program/config (ordinary mispredicted
-/// removals also trigger detection). Until the fault fires the simulation
-/// is deterministic and its log matches the baseline exactly, so the
-/// first event that differs — in kind *or* cycle — is the fault's
-/// detection. Comparing logs rather than raw counts stays correct when
-/// the fault's detection sits *before* remaining baseline events, and
-/// when post-recovery perturbation adds or removes ordinary events
-/// downstream (a count delta would misclassify both).
+/// A campaign forks each site from its fault-free leader while the leader
+/// is still short of the site's instruction, so the fork re-simulates at
+/// most one fork stride of fault-free prefix, and classifies every site
+/// once the leader has halted and its misprediction log is the baseline.
 pub fn run_injected(
     proc: &mut SlipstreamProcessor,
     target: FaultTarget,
     fault: FaultSpec,
     max_cycles: u64,
     golden: &ArchState,
-    baseline_misp: &[(IrMispKind, u64)],
-) -> FaultReport {
-    let core = match target {
-        FaultTarget::AStream => proc.a_core(),
-        FaultTarget::RStream => proc.r_core(),
-    };
+) -> FaultRun {
     assert!(
-        core.next_seq() <= fault.seq,
+        target.core(proc).next_seq() <= fault.seq,
         "fault at seq {} armed after its instruction dispatched",
         fault.seq
     );
@@ -191,57 +288,8 @@ pub fn run_injected(
         FaultTarget::AStream => proc.arm_fault_a(fault),
         FaultTarget::RStream => proc.arm_fault_r(fault),
     }
-    let halted = proc.run(max_cycles);
-    let stats = proc.stats();
-    let injected = match target {
-        FaultTarget::AStream => &stats.a_core,
-        FaultTarget::RStream => &stats.r_core,
-    };
-    let (fired, fired_cycle) = (injected.faults_injected > 0, injected.fault_fired_cycle);
-    // First divergence of this run's misprediction log from the baseline
-    // log: everything up to `common` is ordinary removal mispredictions
-    // (identical kind and cycle); the event at `common`, if any, is the
-    // fault's detection, and everything after it is fault-perturbed.
-    let common = first_divergence(proc.misp_log(), baseline_misp);
-    let attributed = (proc.misp_log().len() - common) as u64;
-    let detection_latency = proc
-        .misp_log()
-        .get(common)
-        .zip(fired_cycle)
-        .map(|(&(_, det), fire)| det.saturating_sub(fire));
-    // Classify on `fired` first: a fault that never dispatched is a dead
-    // injection site (NotActivated), not an architecturally-masked fault.
-    let outcome = if !halted {
-        FaultOutcome::Hang
-    } else {
-        let regs_ok = proc.r_core().arch_regs() == golden.regs();
-        let mem_ok = proc.r_core().mem().first_difference(golden.mem()).is_none();
-        let correct = regs_ok && mem_ok;
-        if !fired {
-            if correct {
-                FaultOutcome::NotActivated
-            } else {
-                // An unfired fault cannot corrupt output; surface the
-                // divergence as corruption so simulator bugs stay visible.
-                FaultOutcome::SilentCorruption
-            }
-        } else if !correct {
-            FaultOutcome::SilentCorruption
-        } else if attributed > 0 {
-            FaultOutcome::DetectedRecovered
-        } else {
-            FaultOutcome::Masked
-        }
-    };
-    FaultReport {
-        outcome,
-        fired,
-        fired_cycle,
-        detections: attributed,
-        total_detections: stats.ir_mispredictions,
-        detection_latency,
-        cycles: stats.cycles,
-    }
+    proc.run(max_cycles);
+    FaultRun::observe(proc, target, golden)
 }
 
 /// Length of the common prefix of a run's misprediction log and the

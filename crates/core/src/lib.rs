@@ -31,7 +31,7 @@ pub use delay::{DelayBuffer, DelayEntry, TraceCommit};
 pub use detector::{DetectorOutput, IrDetector};
 pub use fault::{
     golden_state, run_fault_experiment, run_fault_experiment_traced, run_injected, FaultOutcome,
-    FaultReport, FaultTarget,
+    FaultReport, FaultRun, FaultTarget,
 };
 pub use front_end::{FeCheckpoint, FrontEndStats, TraceFrontEnd};
 pub use ir_table::{IrTable, RemovalInfo};

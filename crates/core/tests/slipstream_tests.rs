@@ -231,6 +231,44 @@ fn forced_ir_mispredictions_recover_correctly() {
 }
 
 #[test]
+fn each_core_dispatches_at_most_width_instructions_a_cycle() {
+    // Fault campaigns fork a site while its core's `next_seq()` is more
+    // than one stride's worth of `width`-wide dispatch short of the site,
+    // so this bound must hold on both cores, across IR-mispredictions and
+    // recoveries (m88ksim and perl have both).
+    for bench in ["m88ksim", "perl"] {
+        let program = slipstream_workloads::benchmark(bench, 0.05)
+            .expect("known benchmark")
+            .program;
+        let cfg = SlipstreamConfig::cmp_2x64x4();
+        let width = cfg.core.width as u64;
+        let mut proc = SlipstreamProcessor::new(cfg, &program);
+        let mut seqs = (0, 0);
+        while !proc.halted() && proc.cycles() < MAX_CYCLES {
+            proc.step();
+            let now = (proc.a_core().next_seq(), proc.r_core().next_seq());
+            assert!(
+                now.0 >= seqs.0 && now.0 - seqs.0 <= width,
+                "{bench}: A-core next_seq {} -> {} at cycle {}",
+                seqs.0,
+                now.0,
+                proc.cycles()
+            );
+            assert!(
+                now.1 >= seqs.1 && now.1 - seqs.1 <= width,
+                "{bench}: R-core next_seq {} -> {} at cycle {}",
+                seqs.1,
+                now.1,
+                proc.cycles()
+            );
+            seqs = now;
+        }
+        assert!(proc.halted(), "{bench} halts");
+        assert!(proc.stats().ir_mispredictions > 0, "{bench} recovers");
+    }
+}
+
+#[test]
 fn slipstream_beats_or_matches_baseline_on_removable_code() {
     let p = removable_heavy_program(3000);
     let cfg = SlipstreamConfig::cmp_2x64x4();
