@@ -5,7 +5,6 @@
 //! report --bench NAME [--scale S] [--out-dir DIR]
 //! report FILES...
 //! report --smoke
-//! report --gate-summary FILE
 //! ```
 //!
 //! - `--bench NAME` runs one benchmark on CMP(2x64x4) under the windowed
@@ -24,8 +23,6 @@
 //!   re-render byte-identically and to attribute its `run_total`, then
 //!   reported together. It reads no committed file. Artifacts land in
 //!   `report_smoke/`: the two run files and `report.txt`.
-//! - `--gate-summary FILE` prints the per-gate wall-time table from the
-//!   span log `scripts/check.sh` appends while running its gates.
 //!
 //! A malformed command line — including a flag the chosen mode does not
 //! read — prints the usage and exits with status 2.
@@ -42,7 +39,7 @@ use slipstream_core::{ExecMode, SlipstreamConfig, SlipstreamProcessor, TraceConf
 use slipstream_workloads::{benchmark, BENCHMARK_NAMES};
 
 const USAGE: &str = "usage: report --bench NAME [--scale S] [--out-dir DIR]\n       \
-                     report FILES...\n       report --smoke\n       report --gate-summary FILE";
+                     report FILES...\n       report --smoke";
 
 /// Where `--smoke` writes its artifacts.
 const SMOKE_DIR: &str = "report_smoke";
@@ -60,7 +57,6 @@ struct Args {
     scale: f64,
     out_dir: PathBuf,
     smoke: bool,
-    gate_summary: Option<String>,
     files: Vec<String>,
 }
 
@@ -70,7 +66,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         scale: 0.2,
         out_dir: PathBuf::from("."),
         smoke: false,
-        gate_summary: None,
         files: Vec::new(),
     };
     // The first flag given that only `--bench` reads.
@@ -82,7 +77,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--bench" => args.bench = Some(value()?.clone()),
             "--scale" => args.scale = parse_scale(flag, value()?)?,
             "--out-dir" => args.out_dir = PathBuf::from(value()?),
-            "--gate-summary" => args.gate_summary = Some(value()?.clone()),
             "--smoke" => args.smoke = true,
             other if other.starts_with("--") => return Err(format!("unknown argument {other}")),
             file => args.files.push(file.to_string()),
@@ -91,14 +85,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             bench_only.get_or_insert(flag);
         }
     }
-    let modes = [
-        args.bench.is_some(),
-        !args.files.is_empty(),
-        args.smoke,
-        args.gate_summary.is_some(),
-    ];
+    let modes = [args.bench.is_some(), !args.files.is_empty(), args.smoke];
     if modes.iter().filter(|&&m| m).count() != 1 {
-        return Err("give exactly one of --bench, FILES, --smoke, --gate-summary".to_string());
+        return Err("give exactly one of --bench, FILES, --smoke".to_string());
     }
     if let (None, Some(flag)) = (&args.bench, bench_only) {
         return Err(format!("{flag} applies only to --bench"));
@@ -112,8 +101,6 @@ fn main() -> ExitCode {
         record(bench, &args)
     } else if args.smoke {
         smoke()
-    } else if let Some(path) = &args.gate_summary {
-        gate_summary(path)
     } else {
         report_files(&args.files)
     };
@@ -251,23 +238,6 @@ fn smoke() -> Result<(), String> {
     Ok(())
 }
 
-/// `--gate-summary FILE`: the per-gate wall-time table.
-fn gate_summary(path: &str) -> Result<(), String> {
-    let snap = read_run(path)?.snapshot;
-    let total: u64 = snap.spans.iter().map(|s| s.total_nanos).sum();
-    println!("check.sh gate wall-time summary:");
-    for s in &snap.spans {
-        println!(
-            "  {:<32} {:>9.3} s {:>5.1}%",
-            s.name,
-            s.total_nanos as f64 / 1e9,
-            100.0 * s.total_nanos as f64 / total.max(1) as f64,
-        );
-    }
-    println!("  {:<32} {:>9.3} s", "total", total as f64 / 1e9);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,12 +253,13 @@ mod tests {
     fn command_lines_outside_the_usage_are_errors() {
         let ok = parse("--bench g --scale 0.5 --out-dir d").unwrap();
         assert_eq!((ok.scale, ok.out_dir), (0.5, PathBuf::from("d")));
-        for line in ["a.jsonl b.jsonl", "--smoke", "--gate-summary g"] {
+        for line in ["a.jsonl b.jsonl", "--smoke"] {
             assert!(parse(line).is_ok(), "{line}");
         }
         for (line, want) in [
             ("--smoke --scale 9", "--scale applies only to --bench"),
-            ("--gate-summary f --out-dir d", "--out-dir applies only"),
+            ("a.jsonl --out-dir d", "--out-dir applies only"),
+            ("--gate-summary f", "unknown argument --gate-summary"),
             ("--bench gcc --scale x", "--scale: not a number"),
             ("--bench gcc --out-dir", "--out-dir needs a value"),
             ("--bench gcc --ring 9", "unknown argument --ring"),

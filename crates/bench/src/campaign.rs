@@ -34,6 +34,7 @@ use slipstream_core::{
 };
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::ArchState;
+use slipstream_telemetry::fnv1a;
 use slipstream_workloads::{benchmark, Workload, XorShift64Star};
 
 use crate::{json, map_ordered, MAX_CYCLES};
@@ -396,13 +397,10 @@ fn prepare(bench: &str, scale: f64, max_cycles: u64) -> BenchContext {
     }
 }
 
-/// Splitmix-style mix of the master seed with a benchmark name and target,
-/// so each (bench, target) stream draws decorrelated sites.
+/// Mixes the master seed with an FNV-1a hash of the benchmark name and a
+/// per-target tag, so each (bench, target) stream draws decorrelated sites.
 fn site_stream_seed(seed: u64, bench: &str, target: FaultTarget) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    for b in bench.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a(bench.as_bytes());
     let tag = match target {
         FaultTarget::AStream => 0x5bd1_e995,
         FaultTarget::RStream => 0xc2b2_ae35,

@@ -45,34 +45,6 @@ impl From<Snapshot> for RunFile {
     }
 }
 
-/// `(key, &mut field)` pairs of a stats struct's listed fields, in row
-/// order. The destructuring names every field, so a field added to the
-/// struct fails to compile until it is listed or explicitly skipped.
-macro_rules! fields {
-    ($s:expr => $ty:ident { $($f:ident),+ } $(skip { $($skip:ident),+ })?) => {{
-        let $ty { $($f,)+ $($($skip: _,)+)? } = $s;
-        [$((stringify!($f), $f)),+]
-    }};
-}
-
-/// Every integer counter of a [`CoreStats`]. The CPI stack and the
-/// optional fault-fire markers are written and read separately.
-fn core_counters(c: &mut CoreStats) -> [(&'static str, &mut u64); 20] {
-    fields!(c => CoreStats {
-        cycles, dispatched, retired, fetched, cond_branches, branch_mispredicts,
-        jump_mispredicts, icache_misses, dcache_misses, l2_hits, l2_misses, port_stall_cycles,
-        rob_full_cycles, iq_full_cycles, fetch_fill_stall_cycles, fetch_redirect_stall_cycles,
-        fetch_external_stall_cycles, fetch_active_cycles, flushes, faults_injected
-    } skip { cpi, fault_fired_cycle, fault_fired_seq })
-}
-
-/// Every counter of a [`FrontEndStats`].
-fn front_end_counters(f: &mut FrontEndStats) -> [(&'static str, &mut u64); 5] {
-    fields!(f => FrontEndStats {
-        traces_predicted, traces_fallback, traces_correct, traces_committed, traces_reduced
-    })
-}
-
 // ---- JSONL emission -------------------------------------------------------
 
 /// One span row — the exact shape shell producers emit.
@@ -103,7 +75,7 @@ fn event_line(e: &TraceEvent) -> String {
 fn core_obj(c: &CoreStats) -> String {
     let mut c = *c;
     let mut o = json::Obj::new();
-    for (key, v) in core_counters(&mut c) {
+    for (key, v) in c.counters_mut() {
         o = o.raw(key, v);
     }
     if let Some(cycle) = c.fault_fired_cycle {
@@ -119,7 +91,7 @@ fn core_obj(c: &CoreStats) -> String {
 fn sample_line(s: &IntervalSample) -> String {
     let mut fe = s.front_end;
     let mut front_end = json::Obj::new();
-    for (key, v) in front_end_counters(&mut fe) {
+    for (key, v) in fe.counters_mut() {
         front_end = front_end.raw(key, v);
     }
     json::Obj::new()
@@ -231,7 +203,7 @@ fn read_core(sample: &Value, core: &str) -> Result<CoreStats, String> {
         fault_fired_seq: opt_u64(obj, "fault_fired_seq")?,
         ..CoreStats::default()
     };
-    for (key, v) in core_counters(&mut c) {
+    for (key, v) in c.counters_mut() {
         *v = need_u64(obj, key).map_err(|e| format!("{core}: {e}"))?;
     }
     let cpi = need_obj(obj, "cpi").map_err(|e| format!("{core}: {e}"))?;
@@ -253,7 +225,7 @@ fn read_core(sample: &Value, core: &str) -> Result<CoreStats, String> {
 fn read_sample(val: &Value) -> Result<IntervalSample, String> {
     let mut front_end = FrontEndStats::default();
     let fe = need_obj(val, "front_end")?;
-    for (key, v) in front_end_counters(&mut front_end) {
+    for (key, v) in front_end.counters_mut() {
         *v = need_u64(fe, key).map_err(|e| format!("front_end: {e}"))?;
     }
     Ok(IntervalSample {

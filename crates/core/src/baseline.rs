@@ -58,7 +58,7 @@ pub fn run_superscalar_with_core(
     }
     let stats = BaselineStats {
         core: *core.stats(),
-        front_end: fe.stats,
+        front_end: fe.spec.stats,
         halted: core.halted(),
     };
     (stats, core)

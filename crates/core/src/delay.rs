@@ -201,15 +201,17 @@ impl DelayBuffer {
         }
     }
 
-    /// Free data-side slots: how many more *executed* instructions the
-    /// A-stream may retire before stalling.
-    pub fn free_data(&self) -> usize {
-        self.data_cap.saturating_sub(self.data_count)
-    }
-
-    /// Whether the control side (trace pairs) is full.
-    pub fn control_full(&self) -> bool {
-        self.control_count >= self.control_cap
+    /// The A-stream's credit budget at a sync boundary: the live
+    /// occupancy, with nothing pushed since.
+    pub fn credits(&self) -> Credits {
+        Credits {
+            data_cap: self.data_cap,
+            control_cap: self.control_cap,
+            data_occ: self.data_count,
+            control_occ: self.control_count,
+            data_pushed: 0,
+            control_pushed: 0,
+        }
     }
 
     /// Data-side occupancy (executed entries currently queued). The
@@ -239,10 +241,9 @@ impl DelayBuffer {
         self.control_count += usize::from(e.ends_trace());
     }
 
-    /// Appends one entry (capacity is the *caller's* responsibility — the
-    /// A-stream driver gates retirement on [`DelayBuffer::free_data`] /
-    /// [`DelayBuffer::control_full`], matching how the hardware
-    /// back-pressures retirement rather than dropping data).
+    /// Appends one entry. Capacity is the *caller's* responsibility: the
+    /// A side gates retirement on [`Credits::retire_budget`], matching how
+    /// the hardware back-pressures retirement rather than dropping data.
     pub fn push(&mut self, e: DelayEntry) {
         self.count_in(&e);
         self.ring.push_back(e);
@@ -321,11 +322,42 @@ impl DelayBuffer {
         self.data_count = 0;
         self.control_count = 0;
     }
+}
 
-    /// All pending commits, drained (used at recovery to penalize applied
-    /// removals that were never verified).
-    pub fn drain_commits(&mut self) -> Vec<TraceCommit> {
-        self.commits.drain(..).collect()
+/// The A-stream's delay-buffer credit budget between two sync boundaries:
+/// the buffer's occupancy at the last boundary plus the entries the
+/// A-stream has pushed since. The R-stream may have drained entries in
+/// the meantime, so the budget is conservative; it never reads the live
+/// buffer, which keeps every scheduler's retire decisions identical.
+#[derive(Debug, Clone, Copy)]
+pub struct Credits {
+    data_cap: usize,
+    control_cap: usize,
+    /// Occupancy at the last boundary.
+    data_occ: usize,
+    control_occ: usize,
+    /// Entries pushed since the boundary.
+    data_pushed: usize,
+    control_pushed: usize,
+}
+
+impl Credits {
+    /// The back-pressure rule: how many more *executed* instructions the
+    /// A-stream may retire — none while the control side (trace
+    /// boundaries) is full, else the free data-side slots.
+    pub fn retire_budget(&self) -> usize {
+        if self.control_occ + self.control_pushed >= self.control_cap {
+            0
+        } else {
+            self.data_cap
+                .saturating_sub(self.data_occ + self.data_pushed)
+        }
+    }
+
+    /// Counts one entry the A-stream pushed since the boundary.
+    pub fn count(&mut self, e: &DelayEntry) {
+        self.data_pushed += usize::from(!e.is_skipped());
+        self.control_pushed += usize::from(e.ends_trace());
     }
 }
 
@@ -350,6 +382,11 @@ mod tests {
         DelayEntry::executed(&rec, ends)
     }
 
+    /// The A side's retire budget were a sync boundary taken now.
+    fn budget(db: &DelayBuffer) -> usize {
+        db.credits().retire_budget()
+    }
+
     #[test]
     fn fifo_order_preserved() {
         let mut db = DelayBuffer::new(4, 4);
@@ -365,25 +402,44 @@ mod tests {
     #[test]
     fn data_capacity_counts_only_executed_entries() {
         let mut db = DelayBuffer::new(2, 8);
-        assert_eq!(db.free_data(), 2);
+        assert_eq!(budget(&db), 2);
         db.push(exec_entry(0, false));
         db.push(DelayEntry::skipped(4, Instr::Nop, 8, false));
-        assert_eq!(db.free_data(), 1, "skip markers are control-only");
+        assert_eq!(budget(&db), 1, "skip markers are control-only");
         db.push(exec_entry(8, false));
-        assert_eq!(db.free_data(), 0);
+        assert_eq!(budget(&db), 0);
         db.pop();
-        assert_eq!(db.free_data(), 1);
+        assert_eq!(budget(&db), 1);
     }
 
     #[test]
     fn control_capacity_counts_trace_boundaries() {
         let mut db = DelayBuffer::new(100, 2);
         db.push(exec_entry(0, true));
-        assert!(!db.control_full());
+        assert_eq!(budget(&db), 99);
         db.push(exec_entry(4, true));
-        assert!(db.control_full());
+        assert_eq!(budget(&db), 0, "a full control side stops retirement");
         db.pop();
-        assert!(!db.control_full());
+        assert_eq!(budget(&db), 99);
+    }
+
+    #[test]
+    fn counted_pushes_spend_credits_like_buffered_ones() {
+        // Within a window the A side counts its own pushes instead of
+        // reading the buffer: each count must cost what the push does.
+        let mut db = DelayBuffer::new(3, 2);
+        let mut credits = db.credits();
+        for e in [
+            exec_entry(0, false),
+            DelayEntry::skipped(4, Instr::Nop, 8, true),
+            exec_entry(8, false),
+            exec_entry(12, true),
+        ] {
+            credits.count(&e);
+            db.push(e);
+            assert_eq!(credits.retire_budget(), budget(&db), "after {:#x}", e.pc);
+        }
+        assert_eq!(credits.retire_budget(), 0, "the control side filled");
     }
 
     #[test]
@@ -408,17 +464,16 @@ mod tests {
     fn free_data_when_data_full_but_control_is_not() {
         // The slack-window credit formula gates retirement on the *data*
         // side alone when control has room: a full data side must read as
-        // zero credits while control_full() stays false.
+        // zero credits while the control side is not full.
         let mut db = DelayBuffer::new(2, 8);
         db.push(exec_entry(0, false));
         db.push(exec_entry(4, false));
-        assert_eq!(db.free_data(), 0);
-        assert!(!db.control_full());
+        assert_eq!(budget(&db), 0);
         assert_eq!(db.data_occupancy(), 2);
         assert_eq!(db.control_occupancy(), 0);
         // Skip markers still flow even with zero data credits.
         db.push(DelayEntry::skipped(8, Instr::Nop, 12, true));
-        assert_eq!(db.free_data(), 0);
+        assert_eq!(budget(&db), 0);
         assert_eq!(db.control_occupancy(), 1);
     }
 
@@ -426,33 +481,32 @@ mod tests {
     fn push_while_draining_in_the_same_window() {
         // Interleave pushes and pops the way one scheduler window does:
         // occupancy must track the live difference, never go stale, and
-        // free_data must saturate rather than underflow.
+        // the budget must saturate rather than underflow.
         let mut db = DelayBuffer::new(3, 3);
         db.push(exec_entry(0, false));
         db.push(exec_entry(4, true));
         assert_eq!(db.pop().unwrap().pc, 0);
         db.push(exec_entry(8, false));
         db.push(exec_entry(12, true));
-        assert_eq!(db.free_data(), 0);
+        assert_eq!(budget(&db), 0);
         assert_eq!(db.data_occupancy(), 3);
         assert_eq!(db.control_occupancy(), 2);
         assert_eq!(db.pop().unwrap().pc, 4);
-        assert_eq!(db.free_data(), 1);
+        assert_eq!(budget(&db), 1);
         assert_eq!(db.control_occupancy(), 1);
         db.push(exec_entry(16, false));
-        assert_eq!(db.free_data(), 0);
+        assert_eq!(budget(&db), 0);
         // Drain completely: occupancies return to zero exactly.
         while db.pop().is_some() {}
-        assert_eq!(db.free_data(), 3);
+        assert_eq!(budget(&db), 3);
         assert_eq!(db.data_occupancy(), 0);
         assert_eq!(db.control_occupancy(), 0);
-        assert!(!db.control_full());
     }
 
     #[test]
     fn commit_queue_interleaves_independently_of_entries() {
         // Commits ride a separate queue: draining entries must not consume
-        // commits and vice versa, and drain_commits empties only commits.
+        // commits and vice versa, and popping commits leaves entries alone.
         let mut db = DelayBuffer::new(4, 4);
         let id = |pc: u64| TraceId {
             start_pc: pc,
@@ -473,9 +527,8 @@ mod tests {
         assert_eq!(db.pop().unwrap().pc, 0);
         assert_eq!(db.peek_commit().unwrap().id.start_pc, 0);
         assert_eq!(db.pop_commit().unwrap().id.start_pc, 0);
-        let drained = db.drain_commits();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].id.start_pc, 8);
+        assert_eq!(db.pop_commit().unwrap().id.start_pc, 8);
+        assert!(db.pop_commit().is_none());
         assert_eq!(db.len(), 1, "entries untouched by commit draining");
         assert_eq!(db.control_occupancy(), 1);
     }
@@ -533,13 +586,13 @@ mod tests {
         let mut db = DelayBuffer::new(2, 2);
         db.push(exec_entry(0, true));
         db.push(exec_entry(4, false));
-        assert_eq!(db.free_data(), 0);
+        assert_eq!(budget(&db), 0);
         db.pop();
-        assert_eq!(db.free_data(), 1);
+        assert_eq!(budget(&db), 1);
         assert_eq!(db.data_occupancy(), 1);
         assert_eq!(db.control_occupancy(), 0);
         db.release();
-        assert_eq!(db.free_data(), 1, "release frees no credit");
+        assert_eq!(budget(&db), 1, "release frees no credit");
         assert_eq!(db.data_occupancy(), 1);
         assert_eq!(db.control_occupancy(), 0);
     }
@@ -622,11 +675,10 @@ mod tests {
     fn clear_resets_occupancy() {
         let mut db = DelayBuffer::new(1, 1);
         db.push(exec_entry(0, true));
-        assert_eq!(db.free_data(), 0);
-        assert!(db.control_full());
+        assert_eq!(db.control_occupancy(), 1);
+        assert_eq!(budget(&db), 0);
         db.clear();
-        assert_eq!(db.free_data(), 1);
-        assert!(!db.control_full());
+        assert_eq!(budget(&db), 1);
         assert!(db.is_empty());
     }
 }

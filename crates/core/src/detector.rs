@@ -384,13 +384,7 @@ impl IrDetector {
         }
     }
 
-    /// Takes all accumulated evicted-trace outputs, in order.
-    pub fn drain(&mut self) -> Vec<DetectorOutput> {
-        self.outputs.drain(..).collect()
-    }
-
-    /// Takes the oldest evicted-trace output, if any. The hot-path
-    /// alternative to [`IrDetector::drain`]: pair with
+    /// Takes the oldest evicted-trace output, if any. Pair with
     /// [`IrDetector::recycle`] so the per-output `stores` allocation
     /// circulates instead of being freed and re-made every trace.
     pub fn pop_output(&mut self) -> Option<DetectorOutput> {
@@ -673,7 +667,12 @@ mod tests {
             det.push(rec, ended);
         }
         det.finish();
-        det.drain()
+        outputs(&mut det)
+    }
+
+    /// Takes every evicted-trace output so far, in order.
+    fn outputs(det: &mut IrDetector) -> Vec<DetectorOutput> {
+        std::iter::from_fn(|| det.pop_output()).collect()
     }
 
     fn all_reasons(outputs: &[DetectorOutput]) -> Vec<(usize, usize, Reason)> {
@@ -928,7 +927,7 @@ mod tests {
             want.push(t);
         }
         det.finish();
-        let got: Vec<_> = det.drain().into_iter().map(|o| o.id).collect();
+        let got: Vec<_> = outputs(&mut det).into_iter().map(|o| o.id).collect();
         assert_eq!(got, want);
     }
 
@@ -946,13 +945,13 @@ mod tests {
             let ended = tb.push(rec.pc, &rec.instr, rec.taken).is_some();
             det.push(rec, ended);
         }
-        let before_finish = det.drain().len();
+        let before_finish = outputs(&mut det).len();
         assert!(
             before_finish >= 12,
             "evictions must stream out, got {before_finish}"
         );
         det.finish();
-        let after = det.drain().len();
+        let after = outputs(&mut det).len();
         assert!(after >= 8, "finish flushes the in-scope tail, got {after}");
     }
 
@@ -967,7 +966,7 @@ mod tests {
         }
         det.flush();
         det.finish();
-        assert!(det.drain().is_empty());
+        assert!(outputs(&mut det).is_empty());
     }
 
     /// Loads one of the checked-in `.ssir` corpus reproducers (they live

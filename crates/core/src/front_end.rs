@@ -40,7 +40,7 @@ struct SkipRec {
 #[derive(Debug, Clone, Copy, Default)]
 struct ItemMeta {
     /// How many records this item owns at the front of the flat skip
-    /// queue (see [`TraceFrontEnd::skips`]); `Copy` metas keep the
+    /// queue (see [`FeSpec::skips`]); `Copy` metas keep the
     /// per-window checkpoint a flat memcpy.
     skip_count: u32,
     ends_trace: bool,
@@ -131,22 +131,28 @@ impl FrontEndStats {
     /// Counters accumulated since `earlier` was snapshotted (interval
     /// sampling; see [`slipstream_cpu::CoreStats::delta`]).
     pub fn delta(&self, earlier: &FrontEndStats) -> FrontEndStats {
-        FrontEndStats {
-            traces_predicted: self
-                .traces_predicted
-                .saturating_sub(earlier.traces_predicted),
-            traces_fallback: self.traces_fallback.saturating_sub(earlier.traces_fallback),
-            traces_correct: self.traces_correct.saturating_sub(earlier.traces_correct),
-            traces_committed: self
-                .traces_committed
-                .saturating_sub(earlier.traces_committed),
-            traces_reduced: self.traces_reduced.saturating_sub(earlier.traces_reduced),
-        }
+        self.zip_counters(earlier, u64::saturating_sub)
     }
 }
 
+// The one list of `FrontEndStats`' counters (`delta` and the run file).
+slipstream_isa::counter_list!(FrontEndStats {
+    traces_predicted,
+    traces_fallback,
+    traces_correct,
+    traces_committed,
+    traces_reduced
+});
+
 /// A control-flow front end driving one core from the shared trace
 /// predictor, optionally reduced by the IR-predictor (A-stream mode).
+///
+/// Its state falls in three parts. [`FeSpec`] is everything a slack window
+/// changes, so it is all a window checkpoint copies. The predictor and
+/// removal tables, the retired history and the trace cache learn only at
+/// window boundaries (see [`TraceFrontEnd::apply_training`]), so they are
+/// frozen for a whole window. The `out_*` buffers are per-cycle output
+/// that the harness drains.
 #[derive(Clone)]
 pub struct TraceFrontEnd {
     program: Program,
@@ -154,12 +160,50 @@ pub struct TraceFrontEnd {
     pub predictor: TracePredictor,
     /// The instruction-removal table (the IR-predictor's removal half).
     pub ir_table: IrTable,
-    spec_hist: PathHistory,
     retired_hist: PathHistory,
     removal_enabled: bool,
     /// Emit delay-buffer entries and trace commits (A-stream mode).
     emit: bool,
+    /// The window-speculative state.
+    pub spec: FeSpec,
+    /// Last committed trace id per start PC — a tiny trace cache used as
+    /// the fallback of last resort (repeats the previous path through this
+    /// PC instead of guessing all-not-taken).
+    last_trace_at: FastHashMap<u64, TraceId>,
+    /// Reusable trace-PC buffer (filled by `materialize_into`/fallback).
+    pcs_scratch: Vec<u64>,
+    /// Reusable per-slot block-index buffer.
+    block_scratch: Vec<u32>,
 
+    /// Delay entries produced at retirement (drained by the harness).
+    pub out_entries: Vec<DelayEntry>,
+    /// Trace commits produced at retirement (drained by the harness).
+    pub out_commits: Vec<TraceCommit>,
+    /// `(context key, trace id)` pairs whose removal was applied at fetch
+    /// (drained by the harness for verification bookkeeping and
+    /// recovery-time confidence penalties).
+    pub out_applied: Vec<(u64, TraceId)>,
+    /// Executed-entry retire budget for this cycle (delay-buffer
+    /// back-pressure; `usize::MAX` when unconstrained).
+    pub retire_budget: usize,
+    /// Committed trace ids whose *learning* side effects (predictor
+    /// training, retired history, trace cache) have not
+    /// been applied yet. All schedulers defer learning to the next sync
+    /// boundary ([`TraceFrontEnd::apply_training`]) so that the
+    /// slack-window checkpoint never has to snapshot the predictor tables
+    /// and every mode trains at identical points.
+    train_q: Vec<TraceId>,
+}
+
+/// The [`TraceFrontEnd`] state that a slack window changes: the
+/// speculative path history, fetch and retire bookkeeping, and the
+/// counters and flight recorder that fetch and retire bump. A window
+/// checkpoint copies exactly this struct, and its `Clone` is generated
+/// from one field list, so a field added here is checkpointed and
+/// restored with the rest.
+#[derive(Default)]
+pub struct FeSpec {
+    spec_hist: PathHistory,
     ready: VecDeque<FetchItem>,
     next_pred: Option<TraceId>,
     fetch_pc: Option<u64>,
@@ -184,28 +228,8 @@ pub struct TraceFrontEnd {
     /// traces close only at 32 instructions, `jr`, or `halt`).
     open_len: u8,
     open_trace_no: u64,
-    /// Last committed trace id per start PC — a tiny trace cache used as
-    /// the fallback of last resort (repeats the previous path through this
-    /// PC instead of guessing all-not-taken).
-    last_trace_at: FastHashMap<u64, TraceId>,
     commit: CommitBuilder,
     done: bool,
-    /// Reusable trace-PC buffer (filled by `materialize_into`/fallback).
-    pcs_scratch: Vec<u64>,
-    /// Reusable per-slot block-index buffer.
-    block_scratch: Vec<u32>,
-
-    /// Delay entries produced at retirement (drained by the harness).
-    pub out_entries: Vec<DelayEntry>,
-    /// Trace commits produced at retirement (drained by the harness).
-    pub out_commits: Vec<TraceCommit>,
-    /// `(context key, trace id)` pairs whose removal was applied at fetch
-    /// (drained by the harness for verification bookkeeping and
-    /// recovery-time confidence penalties).
-    pub out_applied: Vec<(u64, TraceId)>,
-    /// Executed-entry retire budget for this cycle (delay-buffer
-    /// back-pressure; `usize::MAX` when unconstrained).
-    pub retire_budget: usize,
     /// Removed-slot counts by [`Reason`] bits.
     pub skip_counts: FastHashMap<u8, u64>,
     /// Front-end statistics.
@@ -213,14 +237,27 @@ pub struct TraceFrontEnd {
     /// Flight recorder for removal events; the front end has no clock of
     /// its own, so the owning harness stamps the cycle each step.
     pub trace: Option<TraceSink>,
-    /// Committed trace ids whose *learning* side effects (predictor
-    /// training, retired history, trace cache) have not
-    /// been applied yet. All schedulers defer learning to the next sync
-    /// boundary ([`TraceFrontEnd::apply_training`]) so that the
-    /// slack-window checkpoint never has to snapshot the predictor tables
-    /// and every mode trains at identical points.
-    train_q: Vec<TraceId>,
 }
+
+slipstream_isa::clone_in_place!(FeSpec {
+    spec_hist,
+    ready,
+    next_pred,
+    fetch_pc,
+    next_meta,
+    metas,
+    skips,
+    pending_skips,
+    inflight,
+    trace_counter,
+    open_len,
+    open_trace_no,
+    commit,
+    done,
+    skip_counts,
+    stats,
+    trace
+});
 
 impl TraceFrontEnd {
     /// Creates a baseline front end (no removal, no delay-buffer output).
@@ -249,36 +286,25 @@ impl TraceFrontEnd {
         let spec_hist = predictor.new_history();
         let retired_hist = predictor.new_history();
         TraceFrontEnd {
-            fetch_pc: Some(program.entry()),
             program: program.clone(),
             predictor,
             ir_table,
-            spec_hist,
             retired_hist,
             removal_enabled,
             emit,
-            ready: VecDeque::new(),
-            next_pred: None,
-            next_meta: 1,
-            metas: VecDeque::new(),
-            skips: VecDeque::new(),
-            pending_skips: Vec::new(),
-            inflight: VecDeque::new(),
-            trace_counter: 0,
-            open_len: 0,
-            open_trace_no: 0,
+            spec: FeSpec {
+                spec_hist,
+                fetch_pc: Some(program.entry()),
+                next_meta: 1,
+                ..FeSpec::default()
+            },
             last_trace_at: FastHashMap::default(),
-            commit: CommitBuilder::default(),
-            done: false,
             pcs_scratch: Vec::new(),
             block_scratch: Vec::new(),
             out_entries: Vec::new(),
             out_commits: Vec::new(),
             out_applied: Vec::new(),
             retire_budget: usize::MAX,
-            skip_counts: FastHashMap::default(),
-            stats: FrontEndStats::default(),
-            trace: None,
             train_q: Vec::new(),
         }
     }
@@ -287,20 +313,20 @@ impl TraceFrontEnd {
     /// (IR-misprediction recovery). Predictor tables and the removal table
     /// survive; path histories re-synchronize to the retired history.
     pub fn reset_to(&mut self, pc: u64) {
-        self.ready.clear();
-        self.next_pred = None;
-        self.metas.clear();
-        self.skips.clear();
-        self.pending_skips.clear();
-        self.inflight.clear();
-        self.commit = CommitBuilder::default();
-        self.open_len = 0;
-        self.done = false;
-        self.fetch_pc = Some(pc);
+        self.spec.ready.clear();
+        self.spec.next_pred = None;
+        self.spec.metas.clear();
+        self.spec.skips.clear();
+        self.spec.pending_skips.clear();
+        self.spec.inflight.clear();
+        self.spec.commit = CommitBuilder::default();
+        self.spec.open_len = 0;
+        self.spec.done = false;
+        self.spec.fetch_pc = Some(pc);
         self.out_entries.clear();
         self.out_commits.clear();
         self.out_applied.clear();
-        self.spec_hist.sync_to(&self.retired_hist);
+        self.spec.spec_hist.sync_to(&self.retired_hist);
     }
 
     // ---- fetch-side trace preparation ------------------------------------
@@ -309,11 +335,12 @@ impl TraceFrontEnd {
     /// predicted)`, with the trace's PCs left in `self.pcs_scratch`.
     fn resolve_next(&mut self) -> Option<(TraceId, Option<u64>, Option<TraceId>)> {
         let pred = self
+            .spec
             .next_pred
             .take()
-            .or_else(|| self.predictor.predict(&self.spec_hist));
+            .or_else(|| self.predictor.predict(&self.spec.spec_hist));
         let mut pcs = std::mem::take(&mut self.pcs_scratch);
-        let resolved = match (pred, self.fetch_pc) {
+        let resolved = match (pred, self.spec.fetch_pc) {
             (Some(id), Some(pc)) if id.start_pc == pc => {
                 materialize_into(&self.program, id, &mut pcs).map(|npc| (id, npc))
             }
@@ -326,10 +353,10 @@ impl TraceFrontEnd {
         };
         let out = match resolved {
             Some((id, npc)) => {
-                self.stats.traces_predicted += 1;
+                self.spec.stats.traces_predicted += 1;
                 Some((id, npc, pred))
             }
-            None => match self.fetch_pc {
+            None => match self.spec.fetch_pc {
                 // Trace-cache fallback: repeat the last committed path
                 // through this PC; otherwise construct statically.
                 Some(pc) => self
@@ -341,7 +368,7 @@ impl TraceFrontEnd {
                     })
                     .or_else(|| self.fallback_trace(pc, &mut pcs))
                     .map(|(id, npc)| {
-                        self.stats.traces_fallback += 1;
+                        self.spec.stats.traces_fallback += 1;
                         (id, npc, pred)
                     }),
                 None => None,
@@ -394,10 +421,10 @@ impl TraceFrontEnd {
     /// (branches assumed not-taken) — the canonical trace id is rebuilt at
     /// retirement either way.
     fn prepare_continuation(&mut self) -> bool {
-        let Some(mut pc) = self.fetch_pc else {
+        let Some(mut pc) = self.spec.fetch_pc else {
             return false;
         };
-        let remaining = MAX_TRACE_LEN as u8 - self.open_len;
+        let remaining = MAX_TRACE_LEN as u8 - self.spec.open_len;
         let mut emitted = 0u8;
         let mut closed = false;
         let mut new_block = true;
@@ -414,18 +441,18 @@ impl TraceFrontEnd {
                 Instr::Halt => pc,
                 _ => pc + 4,
             };
-            let meta = self.next_meta;
-            self.next_meta += 1;
-            self.metas.push_back((
+            let meta = self.spec.next_meta;
+            self.spec.next_meta += 1;
+            self.spec.metas.push_back((
                 meta,
                 ItemMeta {
                     skip_count: 0,
                     ends_trace: ends,
-                    trace_no: self.open_trace_no,
-                    canonical_pos: self.open_len + emitted,
+                    trace_no: self.spec.open_trace_no,
+                    canonical_pos: self.spec.open_len + emitted,
                 },
             ));
-            self.ready.push_back(FetchItem {
+            self.spec.ready.push_back(FetchItem {
                 pc,
                 instr,
                 pred_npc,
@@ -437,13 +464,13 @@ impl TraceFrontEnd {
             new_block = pred_npc != pc + 4;
             emitted += 1;
             if matches!(instr, Instr::Halt) {
-                self.done = true;
+                self.spec.done = true;
                 closed = true;
                 break;
             }
             if matches!(instr, Instr::Jr { .. }) {
                 closed = true;
-                self.fetch_pc = None;
+                self.spec.fetch_pc = None;
                 break;
             }
             pc = pred_npc;
@@ -453,15 +480,15 @@ impl TraceFrontEnd {
             }
         }
         if closed || emitted == remaining {
-            self.open_len = 0;
-            if self.done {
-                self.fetch_pc = None;
-            } else if self.fetch_pc.is_some() {
+            self.spec.open_len = 0;
+            if self.spec.done {
+                self.spec.fetch_pc = None;
+            } else if self.spec.fetch_pc.is_some() {
                 // Not a jr ending: next trace starts at the fall-through.
-                self.fetch_pc = Some(pc);
+                self.spec.fetch_pc = Some(pc);
             }
         } else {
-            self.open_len += emitted;
+            self.spec.open_len += emitted;
         }
         emitted > 0
     }
@@ -469,10 +496,10 @@ impl TraceFrontEnd {
     /// Prepares one more trace's worth of fetch items. Returns `false` if
     /// nothing could be prepared (unknown successor or program finished).
     fn prepare_trace(&mut self) -> bool {
-        if self.done {
+        if self.spec.done {
             return false;
         }
-        if self.open_len > 0 {
+        if self.spec.open_len > 0 {
             return self.prepare_continuation();
         }
         let Some((used_id, next_start, predicted)) = self.resolve_next() else {
@@ -481,11 +508,11 @@ impl TraceFrontEnd {
         let pcs = std::mem::take(&mut self.pcs_scratch);
         // Context under which this trace's removal entry lives: the path
         // history *before* the trace itself.
-        let context_key = self.spec_hist.context_hash();
-        self.spec_hist.push(used_id);
-        let trace_no = self.trace_counter;
-        self.trace_counter += 1;
-        self.inflight.push_back(InflightTrace {
+        let context_key = self.spec.spec_hist.context_hash();
+        self.spec.spec_hist.push(used_id);
+        let trace_no = self.spec.trace_counter;
+        self.spec.trace_counter += 1;
+        self.spec.inflight.push_back(InflightTrace {
             trace_no,
             used: used_id,
             predicted,
@@ -493,10 +520,10 @@ impl TraceFrontEnd {
 
         // Removal lookup (A-stream only).
         let removal: RemovalInfo =
-            if self.removal_enabled && self.pending_skips.len() < MAX_PENDING_SKIPS {
+            if self.removal_enabled && self.spec.pending_skips.len() < MAX_PENDING_SKIPS {
                 match self.ir_table.removal_for(context_key, &used_id) {
                     Some(info) => {
-                        self.stats.traces_reduced += 1;
+                        self.spec.stats.traces_reduced += 1;
                         self.out_applied.push((context_key, used_id));
                         info
                     }
@@ -506,7 +533,7 @@ impl TraceFrontEnd {
                 RemovalInfo::empty()
             };
 
-        self.open_trace_no = trace_no;
+        self.spec.open_trace_no = trace_no;
         let n = pcs.len();
         let ends_with_halt = self
             .program
@@ -518,11 +545,11 @@ impl TraceFrontEnd {
             Some(npc) => Some(npc),
             None if ends_with_halt => None,
             None => {
-                self.next_pred = self.predictor.predict(&self.spec_hist);
-                self.next_pred.map(|t| t.start_pc)
+                self.spec.next_pred = self.predictor.predict(&self.spec.spec_hist);
+                self.spec.next_pred.map(|t| t.start_pc)
             }
         };
-        self.fetch_pc = successor;
+        self.spec.fetch_pc = successor;
 
         // Per-slot block indices: a new block starts wherever the path is
         // not sequential.
@@ -556,7 +583,7 @@ impl TraceFrontEnd {
             let removable = removal.removes(i)
                 && !matches!(instr, Instr::Halt | Instr::Jr { .. } | Instr::Jal { .. });
             if removable {
-                self.pending_skips.push(SkipRec {
+                self.spec.pending_skips.push(SkipRec {
                     pc,
                     instr,
                     next_pc: slot_next.unwrap_or(0),
@@ -569,11 +596,11 @@ impl TraceFrontEnd {
                 }
                 continue;
             }
-            let meta = self.next_meta;
-            self.next_meta += 1;
-            let skip_count = self.pending_skips.len() as u32;
-            self.skips.extend(self.pending_skips.drain(..));
-            self.metas.push_back((
+            let meta = self.spec.next_meta;
+            self.spec.next_meta += 1;
+            let skip_count = self.spec.pending_skips.len() as u32;
+            self.spec.skips.extend(self.spec.pending_skips.drain(..));
+            self.spec.metas.push_back((
                 meta,
                 ItemMeta {
                     skip_count,
@@ -589,7 +616,7 @@ impl TraceFrontEnd {
             };
             skips_since_kept_in_block = 0;
             last_kept = Some((i, block[i]));
-            self.ready.push_back(FetchItem {
+            self.spec.ready.push_back(FetchItem {
                 pc,
                 instr,
                 pred_npc: slot_next.unwrap_or(0),
@@ -599,7 +626,7 @@ impl TraceFrontEnd {
                 meta,
             });
             if matches!(instr, Instr::Halt) {
-                self.done = true;
+                self.spec.done = true;
             }
         }
         self.block_scratch = block;
@@ -611,7 +638,7 @@ impl TraceFrontEnd {
 impl CoreDriver for TraceFrontEnd {
     fn next_fetch(&mut self) -> Option<FetchItem> {
         let mut guard = 0;
-        while self.ready.is_empty() {
+        while self.spec.ready.is_empty() {
             if !self.prepare_trace() {
                 return None;
             }
@@ -621,63 +648,71 @@ impl CoreDriver for TraceFrontEnd {
                 return None;
             }
         }
-        self.ready.pop_front()
+        self.spec.ready.pop_front()
     }
 
     fn on_redirect(&mut self, resolved: &Retired, meta: u64) {
-        self.ready.clear();
-        self.next_pred = None;
-        self.pending_skips.clear();
+        self.spec.ready.clear();
+        self.spec.next_pred = None;
+        self.spec.pending_skips.clear();
         // Traces fetched beyond the redirecting one are wrong-path: drop
         // them and undo their speculative-history pushes.
         let (cur_trace, pos, ended) = match self
+            .spec
             .metas
             .binary_search_by_key(&meta, |&(k, _)| k)
             .ok()
-            .map(|i| &self.metas[i].1)
+            .map(|i| &self.spec.metas[i].1)
         {
             Some(m) => (m.trace_no, m.canonical_pos, m.ends_trace),
             None => (u64::MAX, 0, true),
         };
-        while self.inflight.back().is_some_and(|t| t.trace_no > cur_trace) {
-            self.inflight.pop_back();
-            self.spec_hist.pop_recent();
+        while self
+            .spec
+            .inflight
+            .back()
+            .is_some_and(|t| t.trace_no > cur_trace)
+        {
+            self.spec.inflight.pop_back();
+            self.spec.spec_hist.pop_recent();
         }
         // Meta ids are pushed in increasing order, so the wrong-path items
         // are exactly the deque's tail beyond `meta`.
-        while self.metas.back().is_some_and(|&(k, _)| k > meta) {
-            if let Some((_, m)) = self.metas.pop_back() {
+        while self.spec.metas.back().is_some_and(|&(k, _)| k > meta) {
+            if let Some((_, m)) = self.spec.metas.pop_back() {
                 // The squashed item's skip group is the flat queue's tail
                 // (skips are appended in the same order metas are pushed).
                 for _ in 0..m.skip_count {
-                    self.skips.pop_back();
+                    self.spec.skips.pop_back();
                 }
             }
         }
         // The canonical trace continues through the redirect unless the
         // redirecting instruction already closed it.
         if ended {
-            self.open_len = 0;
+            self.spec.open_len = 0;
         } else {
-            self.open_len = pos + 1;
-            self.open_trace_no = cur_trace;
+            self.spec.open_len = pos + 1;
+            self.spec.open_trace_no = cur_trace;
         }
-        self.fetch_pc = Some(resolved.next_pc);
-        self.done = false;
+        self.spec.fetch_pc = Some(resolved.next_pc);
+        self.spec.done = false;
     }
 
     fn on_retire(&mut self, rec: &Retired, meta: u64) {
         let (key, m) = self
+            .spec
             .metas
             .pop_front()
             .expect("every dispatched item has retire metadata");
         debug_assert_eq!(key, meta, "items retire in dispatch order");
         for _ in 0..m.skip_count {
             let skip = self
+                .spec
                 .skips
                 .pop_front()
                 .expect("the flat skip queue tracks meta skip counts");
-            if let Some(t) = self.trace.as_mut() {
+            if let Some(t) = self.spec.trace.as_mut() {
                 t.record(
                     EventKind::Removed,
                     NO_SEQ,
@@ -685,7 +720,11 @@ impl CoreDriver for TraceFrontEnd {
                     skip.reason.bits() as u64,
                 );
             }
-            if let Some(c) = self.commit.feed(skip.pc, skip.taken, true, skip.ends_trace) {
+            if let Some(c) = self
+                .spec
+                .commit
+                .feed(skip.pc, skip.taken, true, skip.ends_trace)
+            {
                 self.finish_commit(c);
             }
             if self.emit {
@@ -696,9 +735,13 @@ impl CoreDriver for TraceFrontEnd {
                     skip.ends_trace,
                 ));
             }
-            *self.skip_counts.entry(skip.reason.bits()).or_insert(0) += 1;
+            *self.spec.skip_counts.entry(skip.reason.bits()).or_insert(0) += 1;
         }
-        if let Some(c) = self.commit.feed(rec.pc, rec.taken, false, m.ends_trace) {
+        if let Some(c) = self
+            .spec
+            .commit
+            .feed(rec.pc, rec.taken, false, m.ends_trace)
+        {
             self.finish_commit(c);
         }
         if self.emit {
@@ -725,16 +768,16 @@ impl CoreDriver for TraceFrontEnd {
 
 impl TraceFrontEnd {
     fn finish_commit(&mut self, c: TraceCommit) {
-        self.stats.traces_committed += 1;
-        if let Some(t) = self.inflight.pop_front() {
+        self.spec.stats.traces_committed += 1;
+        if let Some(t) = self.spec.inflight.pop_front() {
             if t.predicted == Some(c.id) {
-                self.stats.traces_correct += 1;
+                self.spec.stats.traces_correct += 1;
             }
             // Reconcile the speculative history with reality: the id we
             // pushed at fetch may differ from what retired (fallback
             // guess, truncation at a misprediction).
             if t.used != c.id {
-                self.spec_hist.replace_oldest(t.used, c.id);
+                self.spec.spec_hist.replace_oldest(t.used, c.id);
             }
         }
         // Learning is deferred to the next sync boundary; see `train_q`.
@@ -762,61 +805,17 @@ impl TraceFrontEnd {
         self.train_q.clear();
     }
 
-    /// Snapshots the per-window mutable state for the slack-window
-    /// scheduler's checkpoint/replay. Must be taken at a sync boundary:
-    /// the learning queue and retirement output buffers are empty there,
-    /// so the predictor tables, removal table, retired history, and trace
-    /// cache are *frozen* for the whole window and need no copy — only the
-    /// cheap speculative state is saved.
-    pub fn checkpoint(&self) -> FeCheckpoint {
-        debug_assert!(self.train_q.is_empty(), "checkpoint off-boundary");
-        debug_assert!(self.out_entries.is_empty() && self.out_commits.is_empty());
-        FeCheckpoint {
-            spec_hist: self.spec_hist.clone(),
-            ready: self.ready.clone(),
-            next_pred: self.next_pred,
-            fetch_pc: self.fetch_pc,
-            next_meta: self.next_meta,
-            metas: self.metas.clone(),
-            skips: self.skips.clone(),
-            pending_skips: self.pending_skips.clone(),
-            inflight: self.inflight.clone(),
-            trace_counter: self.trace_counter,
-            open_len: self.open_len,
-            open_trace_no: self.open_trace_no,
-            commit: self.commit.clone(),
-            done: self.done,
-            skip_counts: self.skip_counts.clone(),
-            stats: self.stats,
-            pred_stats: self.predictor.stats(),
-            trace: self.trace.clone(),
-        }
-    }
-
-    /// [`TraceFrontEnd::checkpoint`] into an existing snapshot, reusing
-    /// its buffers — the slack-window scheduler checkpoints every window,
-    /// and `clone_from` keeps that steady state allocation-free.
+    /// Snapshots the window-speculative state into `out`, reusing its
+    /// buffers, for the slack-window scheduler's checkpoint/replay. Must
+    /// be taken at a sync boundary: the learning queue and retirement
+    /// output buffers are empty there, so everything outside [`FeSpec`] is
+    /// *frozen* for the whole window and needs no copy. The predictor's
+    /// accuracy counters are the one exception: `predict` bumps them.
     pub fn checkpoint_into(&self, out: &mut FeCheckpoint) {
         debug_assert!(self.train_q.is_empty(), "checkpoint off-boundary");
         debug_assert!(self.out_entries.is_empty() && self.out_commits.is_empty());
-        out.spec_hist.clone_from(&self.spec_hist);
-        out.ready.clone_from(&self.ready);
-        out.next_pred = self.next_pred;
-        out.fetch_pc = self.fetch_pc;
-        out.next_meta = self.next_meta;
-        out.metas.clone_from(&self.metas);
-        out.skips.clone_from(&self.skips);
-        out.pending_skips.clone_from(&self.pending_skips);
-        out.inflight.clone_from(&self.inflight);
-        out.trace_counter = self.trace_counter;
-        out.open_len = self.open_len;
-        out.open_trace_no = self.open_trace_no;
-        out.commit = self.commit.clone();
-        out.done = self.done;
-        out.skip_counts.clone_from(&self.skip_counts);
-        out.stats = self.stats;
+        out.spec.clone_from(&self.spec);
         out.pred_stats = self.predictor.stats();
-        out.trace.clone_from(&self.trace);
     }
 
     /// Restores a boundary checkpoint, rewinding every side effect of the
@@ -824,24 +823,8 @@ impl TraceFrontEnd {
     /// the recovery point deterministically — the frozen tables guarantee
     /// identical fetch decisions).
     pub fn restore(&mut self, ck: &FeCheckpoint) {
-        self.spec_hist.clone_from(&ck.spec_hist);
-        self.ready.clone_from(&ck.ready);
-        self.next_pred = ck.next_pred;
-        self.fetch_pc = ck.fetch_pc;
-        self.next_meta = ck.next_meta;
-        self.metas.clone_from(&ck.metas);
-        self.skips.clone_from(&ck.skips);
-        self.pending_skips.clone_from(&ck.pending_skips);
-        self.inflight.clone_from(&ck.inflight);
-        self.trace_counter = ck.trace_counter;
-        self.open_len = ck.open_len;
-        self.open_trace_no = ck.open_trace_no;
-        self.commit = ck.commit.clone();
-        self.done = ck.done;
-        self.skip_counts.clone_from(&ck.skip_counts);
-        self.stats = ck.stats;
+        self.spec.clone_from(&ck.spec);
         self.predictor.restore_stats(ck.pred_stats);
-        self.trace.clone_from(&ck.trace);
         self.train_q.clear();
         self.out_entries.clear();
         self.out_commits.clear();
@@ -849,26 +832,13 @@ impl TraceFrontEnd {
     }
 }
 
-/// A boundary snapshot of [`TraceFrontEnd`] speculative state (see
-/// [`TraceFrontEnd::checkpoint`]).
-#[derive(Clone)]
+/// A boundary snapshot of a [`TraceFrontEnd`]: its [`FeSpec`] and the
+/// predictor's accuracy counters (see [`TraceFrontEnd::checkpoint_into`]).
+/// The default value is an empty snapshot to take the first one into.
+#[derive(Default)]
 pub struct FeCheckpoint {
-    spec_hist: PathHistory,
-    ready: VecDeque<FetchItem>,
-    next_pred: Option<TraceId>,
-    fetch_pc: Option<u64>,
-    next_meta: u64,
-    metas: VecDeque<(u64, ItemMeta)>,
-    skips: VecDeque<SkipRec>,
-    pending_skips: Vec<SkipRec>,
-    inflight: VecDeque<InflightTrace>,
-    trace_counter: u64,
-    open_len: u8,
-    open_trace_no: u64,
-    commit: CommitBuilder,
-    done: bool,
-    skip_counts: FastHashMap<u8, u64>,
-    stats: FrontEndStats,
+    spec: FeSpec,
     pred_stats: TracePredictorStats,
-    trace: Option<TraceSink>,
 }
+
+slipstream_isa::clone_in_place!(FeCheckpoint { spec, pred_stats });

@@ -27,15 +27,15 @@ pub use check::{
     SlipstreamOracle, StatsSanity,
 };
 pub use config::{RemovalPolicy, SlipstreamConfig};
-pub use delay::{DelayBuffer, DelayEntry, TraceCommit};
+pub use delay::{Credits, DelayBuffer, DelayEntry, TraceCommit};
 pub use detector::{DetectorOutput, IrDetector};
 pub use fault::{
     golden_state, run_fault_experiment, run_fault_experiment_traced, run_injected, FaultOutcome,
     FaultReport, FaultRun, FaultTarget,
 };
-pub use front_end::{FeCheckpoint, FrontEndStats, TraceFrontEnd};
+pub use front_end::{FeCheckpoint, FeSpec, FrontEndStats, TraceFrontEnd};
 pub use ir_table::{IrTable, RemovalInfo};
-pub use recovery::{RecoveryController, RecoveryOutcome};
+pub use recovery::RecoveryController;
 pub use removal::{Category, Reason};
 pub use rstream::{IrMispKind, RStreamDriver};
 pub use slipstream::{ExecMode, SlipstreamProcessor, SlipstreamStats};

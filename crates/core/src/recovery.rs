@@ -32,13 +32,6 @@ pub struct RecoveryController {
     do_: FastHashMap<(u64, MemWidth), u32>,
 }
 
-/// What a recovery event cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryOutcome {
-    /// Distinct memory locations restored.
-    pub mem_restored: u64,
-}
-
 impl RecoveryController {
     /// An empty controller.
     pub fn new() -> RecoveryController {
@@ -89,35 +82,15 @@ impl RecoveryController {
         n
     }
 
-    /// Repairs the A-stream memory image from the R-stream image: every
-    /// tracked location takes the R-stream's bytes. Clears all tracking.
-    /// (Register repair — copying the whole register file — is performed
-    /// by the caller on the cores themselves.)
-    pub fn recover(&mut self, a_mem: &mut Memory, r_mem: &Memory) -> RecoveryOutcome {
-        let mut locations: Vec<(u64, MemWidth)> = self.undo.keys().copied().collect();
-        for k in self.do_.keys() {
-            if !self.undo.contains_key(k) {
-                locations.push(*k);
-            }
-        }
-        for &(addr, width) in &locations {
-            let v = r_mem.load(addr, width);
-            a_mem.store(addr, width, v);
-        }
-        self.undo.clear();
-        self.do_.clear();
-        RecoveryOutcome {
-            mem_restored: locations.len() as u64,
-        }
-    }
-
-    /// Splits [`RecoveryController::recover`] for the decoupled schedulers:
-    /// collects the tracked locations *with their R-stream values* and
-    /// clears all tracking, without touching the A-stream image. The
-    /// R-side builds this list when it detects the misprediction; the
-    /// A-side applies it (after rollback) via [`apply_repairs`]. Every
-    /// value comes from the single consistent `r_mem` snapshot, so the
-    /// HashMap iteration order is immaterial even for overlapping ranges.
+    /// The repair, R-stream half: collects every tracked location *with
+    /// its R-stream value* and clears all tracking, without touching the
+    /// A-stream image. The R side builds this list when it detects the
+    /// misprediction; the A side applies it (after rollback) via
+    /// [`apply_repairs`]. Every value comes from the single consistent
+    /// `r_mem` snapshot, so the HashMap iteration order is immaterial even
+    /// for overlapping ranges. (Register repair — copying the whole
+    /// register file — is performed by the caller on the cores
+    /// themselves.)
     pub fn repair_list(&mut self, r_mem: &Memory) -> Vec<(u64, MemWidth, u64)> {
         let mut repairs: Vec<(u64, MemWidth, u64)> = self
             .undo
@@ -185,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_copies_tracked_bytes_and_clears() {
+    fn repair_list_copies_tracked_bytes_and_clears() {
         let mut a = Memory::new();
         let mut r = Memory::new();
         a.store_word(0x100, 111); // A diverged here
@@ -197,31 +170,13 @@ mod tests {
         let mut rc = RecoveryController::new();
         rc.add_undo(0x100, MemWidth::Word);
         rc.add_do(0x300, MemWidth::Byte);
-        let out = rc.recover(&mut a, &r);
-        assert_eq!(out.mem_restored, 2);
-        assert_eq!(a.load_word(0x100), 222);
-        assert_eq!(a.load_byte(0x300), 0xbb);
-        assert_eq!(a.load_word(0x900), 5, "untracked locations untouched");
-        assert_eq!(rc.tracked(), 0);
-    }
-
-    #[test]
-    fn repair_list_matches_direct_recover() {
-        let mut a = Memory::new();
-        let mut r = Memory::new();
-        a.store_word(0x100, 111);
-        r.store_word(0x100, 222);
-        r.store_byte(0x300, 0xbb);
-
-        let mut rc = RecoveryController::new();
-        rc.add_undo(0x100, MemWidth::Word);
-        rc.add_do(0x300, MemWidth::Byte);
         let repairs = rc.repair_list(&r);
         assert_eq!(repairs.len(), 2);
         assert_eq!(rc.tracked(), 0, "repair_list clears tracking");
         apply_repairs(&mut a, &repairs);
         assert_eq!(a.load_word(0x100), 222);
         assert_eq!(a.load_byte(0x300), 0xbb);
+        assert_eq!(a.load_word(0x900), 5, "untracked locations untouched");
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //! [`CycleBatch`]es, with three interchangeable schedulers that all
 //! produce byte-identical results:
 //!
-//! - **serial** ([`SlipstreamProcessor::step`] /
-//!   [`SlipstreamProcessor::run_serial`]) — one batch at a time, cores in
-//!   lockstep; the reference semantics.
+//! - **serial** ([`SlipstreamProcessor::step`], or
+//!   [`SlipstreamProcessor::run_mode`] with [`ExecMode::Serial`]) — one
+//!   batch at a time, cores in lockstep; the reference semantics.
 //! - **slack-window** ([`SlipstreamProcessor::run`], the default) — the
 //!   A-stream runs `sync_quantum` cycles in a burst against a boundary
 //!   credit budget, then the R-stream consumes the whole window; recovery
 //!   rolls the A-stream back to a boundary checkpoint and deterministically
 //!   replays it to the exact recovery cycle.
-//! - **two threads** ([`SlipstreamProcessor::run_parallel`]) — the same
+//! - **two threads** ([`ExecMode::Threaded`]) — the same
 //!   window loop, except that each window's A cycles run on a helper
 //!   thread while the R-stream consumes their batches on the calling
 //!   thread. The A half goes back to the calling thread at every boundary,
@@ -48,7 +48,7 @@ use std::sync::mpsc::{self, Receiver, RecvError, TryRecvError};
 use std::time::Instant;
 
 use crate::config::SlipstreamConfig;
-use crate::delay::{DelayEntry, TraceCommit};
+use crate::delay::{Credits, DelayEntry, TraceCommit};
 use crate::front_end::{FeCheckpoint, FrontEndStats, TraceFrontEnd};
 use crate::ir_table::{IrTable, RemovalInfo};
 use crate::recovery::{apply_repairs, RecoveryController};
@@ -200,6 +200,8 @@ struct RecoverCmd {
     /// Strict mode only: the R-stream's full memory image for the
     /// post-recovery bit-identity check.
     strict_mem: Option<Memory>,
+    /// The credit budget of the emptied delay buffer.
+    credits: Credits,
 }
 
 /// The leading core and its front end: everything the A-stream touches
@@ -210,14 +212,9 @@ struct AHalf {
     core: Core,
     fe: TraceFrontEnd,
     cycles: u64,
-    /// Delay-buffer occupancy snapshot from the last sync boundary.
-    data_occ: usize,
-    ctrl_occ: usize,
-    /// Entries pushed by this side since the boundary.
-    data_pushed: usize,
-    ctrl_pushed: usize,
-    data_cap: usize,
-    ctrl_cap: usize,
+    /// Delay-buffer back-pressure, as of the last sync boundary plus this
+    /// side's pushes since.
+    credits: Credits,
     /// Interval-sampler period (0 = off), mirrored from the R side so
     /// A-side counters are captured at exactly the due cycles.
     sample_interval: u64,
@@ -229,16 +226,19 @@ struct AHalf {
 }
 
 /// A boundary snapshot of the A side, for rollback-and-replay recovery.
-#[derive(Clone)]
 struct ACheckpoint {
     core: Core,
     fe: FeCheckpoint,
     cycles: u64,
-    data_occ: usize,
-    ctrl_occ: usize,
-    data_pushed: usize,
-    ctrl_pushed: usize,
+    credits: Credits,
 }
+
+slipstream_isa::clone_in_place!(ACheckpoint {
+    core,
+    fe,
+    cycles,
+    credits
+});
 
 impl AHalf {
     /// Runs one A-stream cycle into `batch`.
@@ -254,20 +254,12 @@ impl AHalf {
 
         // The front end has no clock of its own; stamp its sink here (the
         // core stamps its own sink inside `cycle`).
-        if let Some(t) = self.fe.trace.as_mut() {
+        if let Some(t) = self.fe.spec.trace.as_mut() {
             t.set_cycle(self.cycles);
         }
 
-        // Delay-buffer back-pressure gates A-stream retirement. The budget
-        // is conservative against the *boundary* occupancy: the R-stream
-        // may already have drained entries this window, but never below
-        // what the boundary snapshot plus our own pushes guarantee.
-        self.fe.retire_budget = if self.ctrl_occ + self.ctrl_pushed >= self.ctrl_cap {
-            0
-        } else {
-            self.data_cap
-                .saturating_sub(self.data_occ + self.data_pushed)
-        };
+        // Delay-buffer back-pressure gates A-stream retirement.
+        self.fe.retire_budget = self.credits.retire_budget();
         // `cycle_quiet`: the A side observes retirement through its front
         // end only, so materializing the `Retired` records would be a pure
         // ~130-byte-per-instruction copy.
@@ -280,8 +272,7 @@ impl AHalf {
         // end's output buffers straight into the batch (the batch's cleared
         // vectors become the front end's recycled scratch for next cycle).
         for e in &self.fe.out_entries {
-            self.data_pushed += usize::from(!e.is_skipped());
-            self.ctrl_pushed += usize::from(e.ends_trace());
+            self.credits.count(e);
         }
         std::mem::swap(&mut batch.entries, &mut self.fe.out_entries);
         std::mem::swap(&mut batch.applied, &mut self.fe.out_applied);
@@ -290,8 +281,8 @@ impl AHalf {
         if self.sample_interval != 0 && self.cycles.is_multiple_of(self.sample_interval) {
             batch.sample = Some(ASample {
                 a_stats: *self.core.stats(),
-                fe_stats: self.fe.stats,
-                skipped: self.fe.skip_counts.values().sum(),
+                fe_stats: self.fe.spec.stats,
+                skipped: self.fe.spec.skip_counts.values().sum(),
             });
         }
     }
@@ -299,14 +290,13 @@ impl AHalf {
     /// Boundary checkpoint (must be taken at a sync boundary — the front
     /// end asserts its deferred queues are empty).
     fn checkpoint(&self) -> ACheckpoint {
+        let mut fe = FeCheckpoint::default();
+        self.fe.checkpoint_into(&mut fe);
         ACheckpoint {
             core: self.core.clone(),
-            fe: self.fe.checkpoint(),
+            fe,
             cycles: self.cycles,
-            data_occ: self.data_occ,
-            ctrl_occ: self.ctrl_occ,
-            data_pushed: self.data_pushed,
-            ctrl_pushed: self.ctrl_pushed,
+            credits: self.credits,
         }
     }
 
@@ -316,10 +306,7 @@ impl AHalf {
         out.core.clone_from(&self.core);
         self.fe.checkpoint_into(&mut out.fe);
         out.cycles = self.cycles;
-        out.data_occ = self.data_occ;
-        out.ctrl_occ = self.ctrl_occ;
-        out.data_pushed = self.data_pushed;
-        out.ctrl_pushed = self.ctrl_pushed;
+        out.credits = self.credits;
     }
 
     /// Restores `ck` and deterministically re-runs to `target` (inclusive),
@@ -332,10 +319,7 @@ impl AHalf {
         self.core.clone_from(&ck.core);
         self.fe.restore(&ck.fe);
         self.cycles = ck.cycles;
-        self.data_occ = ck.data_occ;
-        self.ctrl_occ = ck.ctrl_occ;
-        self.data_pushed = ck.data_pushed;
-        self.ctrl_pushed = ck.ctrl_pushed;
+        self.credits = ck.credits;
         while self.cycles < target {
             self.run_cycle(scratch);
         }
@@ -369,10 +353,7 @@ impl AHalf {
         self.core.stall_fetch_recovery(resume);
         // The delay buffer was cleared on the R side; restart with a full
         // credit budget.
-        self.data_occ = 0;
-        self.ctrl_occ = 0;
-        self.data_pushed = 0;
-        self.ctrl_pushed = 0;
+        self.credits = cmd.credits;
 
         if let Some(want_mem) = &cmd.strict_mem {
             assert_eq!(self.core.arch_regs(), &cmd.r_regs);
@@ -669,6 +650,7 @@ impl RHalf {
             obs: std::mem::take(&mut self.obs_q),
             l2_log: r_l2,
             strict_mem: self.strict.then(|| self.core.mem().clone()),
+            credits: self.drv.delay.credits(),
         }
     }
 }
@@ -694,10 +676,7 @@ fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
         r.core.l2_apply_boundary(&merged);
         r.pending_a_l2.clear();
     }
-    a.data_occ = r.drv.delay.data_occupancy();
-    a.ctrl_occ = r.drv.delay.control_occupancy();
-    a.data_pushed = 0;
-    a.ctrl_pushed = 0;
+    a.credits = r.drv.delay.credits();
     tel_span(&mut r.tel, SpanKind::RBoundarySync, t0);
 }
 
@@ -880,12 +859,7 @@ impl SlipstreamProcessor {
                 core: a_core,
                 fe: a_fe,
                 cycles: 0,
-                data_occ: 0,
-                ctrl_occ: 0,
-                data_pushed: 0,
-                ctrl_pushed: 0,
-                data_cap: cfg.delay_data_entries,
-                ctrl_cap: cfg.delay_control_entries,
+                credits: r_drv.delay.credits(),
                 sample_interval: 0,
                 tel: None,
             },
@@ -935,7 +909,7 @@ impl SlipstreamProcessor {
         };
         self.a.core.set_trace(Some(mk(StreamId::AStream)));
         self.r.core.set_trace(Some(mk(StreamId::RStream)));
-        self.a.fe.trace = Some(mk(StreamId::AStream));
+        self.a.fe.spec.trace = Some(mk(StreamId::AStream));
         self.r.drv.trace = Some(mk(StreamId::RStream));
         self.a.sample_interval = cfg.metrics_interval;
         self.r.machine_trace = Some(MachineTrace {
@@ -976,7 +950,7 @@ impl SlipstreamProcessor {
         // A core, A front end, machine, R core, R driver.
         [
             self.a.core.trace(),
-            self.a.fe.trace.as_ref(),
+            self.a.fe.spec.trace.as_ref(),
             self.r.machine_trace.as_ref().map(|mt| &mt.sink),
             self.r.core.trace(),
             self.r.drv.trace.as_ref(),
@@ -1125,7 +1099,7 @@ impl SlipstreamProcessor {
     }
 
     /// Cycle-by-cycle lockstep run (the reference scheduler).
-    pub fn run_serial(&mut self, max_cycles: u64) -> bool {
+    fn run_serial(&mut self, max_cycles: u64) -> bool {
         let t0 = tel_now(&self.r.tel);
         while !self.halted() && self.r.cycles < max_cycles {
             self.step();
@@ -1141,7 +1115,7 @@ impl SlipstreamProcessor {
     /// and replays to the exact detection cycle before recovering —
     /// byte-identical to the serial scheduler, but with all the cross-core
     /// ping-ponging (and its cache traffic) hoisted out of the hot loop.
-    pub fn run_windowed(&mut self, max_cycles: u64) -> bool {
+    fn run_windowed(&mut self, max_cycles: u64) -> bool {
         let (a, mut sched, batches) = self.split();
         sched.run_windows(a, max_cycles, |a, n, r, program| {
             if batches.len() < n {
@@ -1161,13 +1135,13 @@ impl SlipstreamProcessor {
         self.finish_run()
     }
 
-    /// Two-thread run: the window loop of [`SlipstreamProcessor::run_windowed`],
+    /// Two-thread run: the window loop of `run_windowed`,
     /// with each window's A cycles on a helper thread. The calling thread
     /// lends the A half to the helper, consumes the batches as they arrive
     /// over a channel sized to one window, and gets the A half back before
     /// the boundary. Results are byte-identical to the other schedulers; a
     /// panic on either thread propagates to the caller.
-    pub fn run_parallel(&mut self, max_cycles: u64) -> bool {
+    fn run_parallel(&mut self, max_cycles: u64) -> bool {
         let (a, mut sched, _) = self.split();
         let q = sched.quantum as usize;
         std::thread::scope(|scope| {
@@ -1233,10 +1207,11 @@ impl SlipstreamProcessor {
     pub fn stats(&self) -> SlipstreamStats {
         let r = *self.r.core.stats();
         let a = *self.a.core.stats();
-        let skipped: u64 = self.a.fe.skip_counts.values().sum();
+        let skipped: u64 = self.a.fe.spec.skip_counts.values().sum();
         let mut by_reason: Vec<(Reason, u64)> = self
             .a
             .fe
+            .spec
             .skip_counts
             .iter()
             .map(|(&bits, &n)| (Reason::from_bits(bits), n))
@@ -1279,7 +1254,7 @@ impl SlipstreamProcessor {
             value_hints: self.r.drv.value_hints,
             a_core: a,
             r_core: r,
-            front_end: self.a.fe.stats,
+            front_end: self.a.fe.spec.stats,
             halted: self.halted(),
         }
     }

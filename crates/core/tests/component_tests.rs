@@ -34,7 +34,7 @@ fn baseline_front_end_matches_oracle_and_learns() {
     let fe = TraceFrontEnd::baseline(&p, TracePredictorConfig::default());
     let (core, fe) = run_with_front_end(&p, fe);
     assert_eq!(core.arch_regs(), gold.regs());
-    let s = fe.stats;
+    let s = fe.spec.stats;
     assert!(
         s.traces_predicted > s.traces_fallback * 5,
         "a steady loop must be served by predictions ({} pred vs {} fallback)",

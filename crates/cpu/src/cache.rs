@@ -32,32 +32,18 @@ pub struct Cache {
     misses: u64,
 }
 
-// Hand-written so `clone_from` re-fills the destination's tag arrays in
-// place: the slack-window checkpoint clones every cache once per window,
-// and the derived impl would re-allocate both vectors each time.
-impl Clone for Cache {
-    fn clone(&self) -> Cache {
-        Cache {
-            cfg: self.cfg,
-            tags: self.tags.clone(),
-            len: self.len.clone(),
-            line_shift: self.line_shift,
-            set_mask: self.set_mask,
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-
-    fn clone_from(&mut self, src: &Cache) {
-        self.cfg = src.cfg;
-        self.tags.clone_from(&src.tags);
-        self.len.clone_from(&src.len);
-        self.line_shift = src.line_shift;
-        self.set_mask = src.set_mask;
-        self.hits = src.hits;
-        self.misses = src.misses;
-    }
-}
+// `clone_from` re-fills the destination's tag arrays in place: the
+// slack-window checkpoint clones every cache once per window, and the
+// derived impl would re-allocate both vectors each time.
+slipstream_isa::clone_in_place!(Cache {
+    cfg,
+    tags,
+    len,
+    line_shift,
+    set_mask,
+    hits,
+    misses
+});
 
 impl Cache {
     /// Creates an empty cache.

@@ -137,41 +137,22 @@ pub struct L2View {
     port_stall_cycles: u64,
 }
 
-// Hand-written so `clone_from` reuses the destination's vectors — the
-// slack-window checkpoint clones each core's view once per window.
-impl Clone for L2View {
-    fn clone(&self) -> L2View {
-        L2View {
-            cfg: self.cfg,
-            core_id: self.core_id,
-            canonical: self.canonical.clone(),
-            canonical_port: self.canonical_port.clone(),
-            port: self.port.clone(),
-            overlay: self.overlay.clone(),
-            log: self.log.clone(),
-            next_ord: self.next_ord,
-            line_shift: self.line_shift,
-            hits: self.hits,
-            misses: self.misses,
-            port_stall_cycles: self.port_stall_cycles,
-        }
-    }
-
-    fn clone_from(&mut self, src: &L2View) {
-        self.cfg = src.cfg;
-        self.core_id = src.core_id;
-        self.canonical.clone_from(&src.canonical);
-        self.canonical_port.clone_from(&src.canonical_port);
-        self.port.clone_from(&src.port);
-        self.overlay.clone_from(&src.overlay);
-        self.log.clone_from(&src.log);
-        self.next_ord = src.next_ord;
-        self.line_shift = src.line_shift;
-        self.hits = src.hits;
-        self.misses = src.misses;
-        self.port_stall_cycles = src.port_stall_cycles;
-    }
-}
+// `clone_from` reuses the destination's vectors — the slack-window
+// checkpoint clones each core's view once per window.
+slipstream_isa::clone_in_place!(L2View {
+    cfg,
+    core_id,
+    canonical,
+    canonical_port,
+    port,
+    overlay,
+    log,
+    next_ord,
+    line_shift,
+    hits,
+    misses,
+    port_stall_cycles
+});
 
 impl L2View {
     /// Creates an empty view for `core_id` (0 = A-stream/leader,

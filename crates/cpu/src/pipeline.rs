@@ -200,73 +200,38 @@ pub struct Core {
     trace: Option<TraceSink>,
 }
 
-// Hand-written (see the struct docs): field-wise `clone_from` lets the
-// slack-window checkpoint reuse every container it cloned last window.
-impl Clone for Core {
-    fn clone(&self) -> Core {
-        Core {
-            cfg: self.cfg.clone(),
-            spec_regs: self.spec_regs,
-            arch_regs: self.arch_regs,
-            mem: self.mem.clone(),
-            icache: self.icache.clone(),
-            dcache: self.dcache.clone(),
-            fetch_buf: self.fetch_buf.clone(),
-            fetched: self.fetched,
-            fetch_resume_cycle: self.fetch_resume_cycle,
-            rob: self.rob.clone(),
-            rob_base: self.rob_base,
-            next_rob_id: self.next_rob_id,
-            done_at: self.done_at.clone(),
-            iq: self.iq.clone(),
-            store_queue: self.store_queue.clone(),
-            reg_producer: self.reg_producer,
-            pending_redirect: self.pending_redirect,
-            issue_scratch: self.issue_scratch.clone(),
-            mshrs: self.mshrs.clone(),
-            l2: self.l2.clone(),
-            fault: self.fault,
-            halted: self.halted,
-            now: self.now,
-            next_seq: self.next_seq,
-            last_progress: self.last_progress,
-            stats: self.stats,
-            acct: self.acct,
-            trace: self.trace.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Core) {
-        self.cfg.clone_from(&src.cfg);
-        self.spec_regs = src.spec_regs;
-        self.arch_regs = src.arch_regs;
-        self.mem.clone_from(&src.mem);
-        self.icache.clone_from(&src.icache);
-        self.dcache.clone_from(&src.dcache);
-        self.fetch_buf.clone_from(&src.fetch_buf);
-        self.fetched = src.fetched;
-        self.fetch_resume_cycle = src.fetch_resume_cycle;
-        self.rob.clone_from(&src.rob);
-        self.rob_base = src.rob_base;
-        self.next_rob_id = src.next_rob_id;
-        self.done_at.clone_from(&src.done_at);
-        self.iq.clone_from(&src.iq);
-        self.store_queue.clone_from(&src.store_queue);
-        self.reg_producer = src.reg_producer;
-        self.pending_redirect = src.pending_redirect;
-        self.issue_scratch.clone_from(&src.issue_scratch);
-        self.mshrs.clone_from(&src.mshrs);
-        self.l2.clone_from(&src.l2);
-        self.fault = src.fault;
-        self.halted = src.halted;
-        self.now = src.now;
-        self.next_seq = src.next_seq;
-        self.last_progress = src.last_progress;
-        self.stats = src.stats;
-        self.acct = src.acct;
-        self.trace.clone_from(&src.trace);
-    }
-}
+// Field-wise `clone_from` (see the struct docs) lets the slack-window
+// checkpoint reuse every container it cloned last window.
+slipstream_isa::clone_in_place!(Core {
+    cfg,
+    spec_regs,
+    arch_regs,
+    mem,
+    icache,
+    dcache,
+    fetch_buf,
+    fetched,
+    fetch_resume_cycle,
+    rob,
+    rob_base,
+    next_rob_id,
+    done_at,
+    iq,
+    store_queue,
+    reg_producer,
+    pending_redirect,
+    issue_scratch,
+    mshrs,
+    l2,
+    fault,
+    halted,
+    now,
+    next_seq,
+    last_progress,
+    stats,
+    acct,
+    trace
+});
 
 impl Core {
     /// Creates a core with `mem` as its private initial memory image.

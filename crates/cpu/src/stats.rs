@@ -89,141 +89,64 @@ impl CoreStats {
     /// sampler's workhorse. Every cumulative counter is subtracted
     /// (saturating, so a stale snapshot cannot underflow); the fault-fire
     /// markers are kept only if the fault fired *inside* the interval.
-    ///
-    /// Destructuring without `..` is deliberate: adding a `CoreStats`
-    /// field without deciding its delta/merge behaviour fails to compile
-    /// here, instead of silently dropping the new counter.
     pub fn delta(&self, earlier: &CoreStats) -> CoreStats {
-        let CoreStats {
-            cycles,
-            dispatched,
-            retired,
-            fetched,
-            cond_branches,
-            branch_mispredicts,
-            jump_mispredicts,
-            icache_misses,
-            dcache_misses,
-            l2_hits,
-            l2_misses,
-            port_stall_cycles,
-            rob_full_cycles,
-            iq_full_cycles,
-            fetch_fill_stall_cycles,
-            fetch_redirect_stall_cycles,
-            fetch_external_stall_cycles,
-            fetch_active_cycles,
-            flushes,
-            faults_injected,
-            cpi,
-            fault_fired_cycle,
-            fault_fired_seq,
-        } = *self;
-        CoreStats {
-            cycles: cycles.saturating_sub(earlier.cycles),
-            dispatched: dispatched.saturating_sub(earlier.dispatched),
-            retired: retired.saturating_sub(earlier.retired),
-            fetched: fetched.saturating_sub(earlier.fetched),
-            cond_branches: cond_branches.saturating_sub(earlier.cond_branches),
-            branch_mispredicts: branch_mispredicts.saturating_sub(earlier.branch_mispredicts),
-            jump_mispredicts: jump_mispredicts.saturating_sub(earlier.jump_mispredicts),
-            icache_misses: icache_misses.saturating_sub(earlier.icache_misses),
-            dcache_misses: dcache_misses.saturating_sub(earlier.dcache_misses),
-            l2_hits: l2_hits.saturating_sub(earlier.l2_hits),
-            l2_misses: l2_misses.saturating_sub(earlier.l2_misses),
-            port_stall_cycles: port_stall_cycles.saturating_sub(earlier.port_stall_cycles),
-            rob_full_cycles: rob_full_cycles.saturating_sub(earlier.rob_full_cycles),
-            iq_full_cycles: iq_full_cycles.saturating_sub(earlier.iq_full_cycles),
-            fetch_fill_stall_cycles: fetch_fill_stall_cycles
-                .saturating_sub(earlier.fetch_fill_stall_cycles),
-            fetch_redirect_stall_cycles: fetch_redirect_stall_cycles
-                .saturating_sub(earlier.fetch_redirect_stall_cycles),
-            fetch_external_stall_cycles: fetch_external_stall_cycles
-                .saturating_sub(earlier.fetch_external_stall_cycles),
-            fetch_active_cycles: fetch_active_cycles.saturating_sub(earlier.fetch_active_cycles),
-            flushes: flushes.saturating_sub(earlier.flushes),
-            faults_injected: faults_injected.saturating_sub(earlier.faults_injected),
-            cpi: cpi.delta(&earlier.cpi),
-            fault_fired_cycle: if fault_fired_cycle == earlier.fault_fired_cycle {
-                None
-            } else {
-                fault_fired_cycle
-            },
-            fault_fired_seq: if fault_fired_seq == earlier.fault_fired_seq {
-                None
-            } else {
-                fault_fired_seq
-            },
+        let mut d = self.zip_counters(earlier, u64::saturating_sub);
+        d.cpi = self.cpi.delta(&earlier.cpi);
+        if self.fault_fired_cycle == earlier.fault_fired_cycle {
+            d.fault_fired_cycle = None;
         }
+        if self.fault_fired_seq == earlier.fault_fired_seq {
+            d.fault_fired_seq = None;
+        }
+        d
     }
 
     /// Sums `other` into a combined view (aggregate stats across cores or
     /// runs). Counters add; of the fault-fire markers the earliest fire
     /// wins, matching campaign attribution which keys off the first fire.
-    ///
-    /// Same exhaustive-destructuring guard as [`CoreStats::delta`].
     pub fn merge(&self, other: &CoreStats) -> CoreStats {
-        let CoreStats {
-            cycles,
-            dispatched,
-            retired,
-            fetched,
-            cond_branches,
-            branch_mispredicts,
-            jump_mispredicts,
-            icache_misses,
-            dcache_misses,
-            l2_hits,
-            l2_misses,
-            port_stall_cycles,
-            rob_full_cycles,
-            iq_full_cycles,
-            fetch_fill_stall_cycles,
-            fetch_redirect_stall_cycles,
-            fetch_external_stall_cycles,
-            fetch_active_cycles,
-            flushes,
-            faults_injected,
-            cpi,
-            fault_fired_cycle: _,
-            fault_fired_seq: _,
-        } = *self;
-        let (fault_fired_cycle, fault_fired_seq) =
+        let mut m = self.zip_counters(other, |a, b| a + b);
+        m.cpi = self.cpi.merge(&other.cpi);
+        (m.fault_fired_cycle, m.fault_fired_seq) =
             match (self.fault_fired_cycle, other.fault_fired_cycle) {
                 (Some(a), Some(b)) if b < a => (other.fault_fired_cycle, other.fault_fired_seq),
                 (Some(_), _) => (self.fault_fired_cycle, self.fault_fired_seq),
                 (None, Some(_)) => (other.fault_fired_cycle, other.fault_fired_seq),
                 (None, None) => (None, None),
             };
-        CoreStats {
-            cycles: cycles + other.cycles,
-            dispatched: dispatched + other.dispatched,
-            retired: retired + other.retired,
-            fetched: fetched + other.fetched,
-            cond_branches: cond_branches + other.cond_branches,
-            branch_mispredicts: branch_mispredicts + other.branch_mispredicts,
-            jump_mispredicts: jump_mispredicts + other.jump_mispredicts,
-            icache_misses: icache_misses + other.icache_misses,
-            dcache_misses: dcache_misses + other.dcache_misses,
-            l2_hits: l2_hits + other.l2_hits,
-            l2_misses: l2_misses + other.l2_misses,
-            port_stall_cycles: port_stall_cycles + other.port_stall_cycles,
-            rob_full_cycles: rob_full_cycles + other.rob_full_cycles,
-            iq_full_cycles: iq_full_cycles + other.iq_full_cycles,
-            fetch_fill_stall_cycles: fetch_fill_stall_cycles + other.fetch_fill_stall_cycles,
-            fetch_redirect_stall_cycles: fetch_redirect_stall_cycles
-                + other.fetch_redirect_stall_cycles,
-            fetch_external_stall_cycles: fetch_external_stall_cycles
-                + other.fetch_external_stall_cycles,
-            fetch_active_cycles: fetch_active_cycles + other.fetch_active_cycles,
-            flushes: flushes + other.flushes,
-            faults_injected: faults_injected + other.faults_injected,
-            cpi: cpi.merge(&other.cpi),
-            fault_fired_cycle,
-            fault_fired_seq,
-        }
+        m
     }
 }
+
+// The one list of `CoreStats`' integer counters: `delta`, `merge` and the
+// run file's sample rows all walk it. The CPI stack and the fault-fire
+// markers are not plain counters, so each of those handles them itself.
+slipstream_isa::counter_list!(CoreStats {
+    cycles,
+    dispatched,
+    retired,
+    fetched,
+    cond_branches,
+    branch_mispredicts,
+    jump_mispredicts,
+    icache_misses,
+    dcache_misses,
+    l2_hits,
+    l2_misses,
+    port_stall_cycles,
+    rob_full_cycles,
+    iq_full_cycles,
+    fetch_fill_stall_cycles,
+    fetch_redirect_stall_cycles,
+    fetch_external_stall_cycles,
+    fetch_active_cycles,
+    flushes,
+    faults_injected
+} skip {
+    cpi,
+    fault_fired_cycle,
+    fault_fired_seq
+});
 
 #[cfg(test)]
 mod tests {

@@ -47,6 +47,7 @@
 mod arch;
 mod asm;
 pub mod fasthash;
+mod fields;
 mod instr;
 mod mem;
 mod program;

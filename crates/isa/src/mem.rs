@@ -57,27 +57,16 @@ pub struct Memory {
     last: Cell<(u64, u32)>,
 }
 
-// Hand-written so `clone_from` reuses the destination's index and slot
-// vectors (the pages themselves are already shared copy-on-write):
-// checkpoint-heavy callers snapshot a `Memory` every window, and the
-// derived impl would re-allocate all three containers each time.
-impl Clone for Memory {
-    fn clone(&self) -> Memory {
-        Memory {
-            index: self.index.clone(),
-            pages: self.pages.clone(),
-            page_nos: self.page_nos.clone(),
-            last: self.last.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Memory) {
-        self.index.clone_from(&src.index);
-        self.pages.clone_from(&src.pages);
-        self.page_nos.clone_from(&src.page_nos);
-        self.last = src.last.clone();
-    }
-}
+// `clone_from` reuses the destination's index and slot vectors (the pages
+// themselves are already shared copy-on-write): checkpoint-heavy callers
+// snapshot a `Memory` every window, and the derived impl would
+// re-allocate all three containers each time.
+crate::clone_in_place!(Memory {
+    index,
+    pages,
+    page_nos,
+    last
+});
 
 impl Default for Memory {
     fn default() -> Memory {

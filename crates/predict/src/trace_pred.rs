@@ -39,22 +39,10 @@ pub struct PathHistory {
     cap: usize,
 }
 
-// Hand-written so `clone_from` reuses the destination's ring buffer: the
-// slack-window scheduler snapshots histories every window, and the
-// derived impl would re-allocate each time.
-impl Clone for PathHistory {
-    fn clone(&self) -> PathHistory {
-        PathHistory {
-            ids: self.ids.clone(),
-            cap: self.cap,
-        }
-    }
-
-    fn clone_from(&mut self, src: &PathHistory) {
-        self.ids.clone_from(&src.ids);
-        self.cap = src.cap;
-    }
-}
+// `clone_from` reuses the destination's ring buffer: the slack-window
+// scheduler snapshots histories every window, and the derived impl would
+// re-allocate each time.
+slipstream_isa::clone_in_place!(PathHistory { ids, cap });
 
 impl PathHistory {
     /// An empty history holding up to `cap` trace ids.

@@ -3,8 +3,8 @@
 # Everything here runs offline — the workspace has no external dependencies.
 #
 # Each gate's wall time is appended as a telemetry span to
-# target/check_gates.jsonl; the run ends with a per-gate summary rendered
-# by report --gate-summary.
+# target/check_gates.jsonl; the run ends with that file's report, which
+# lists the gates largest first with each one's share of the total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +50,6 @@ run_gate "throughput smoke (speed gate vs committed BENCH_throughput.json)" \
 run_gate "report smoke (run files only: round-trip + attribution + sampled CPI stack + pipeview)" \
     cargo run --release -q -p slipstream-bench --bin report -- --smoke
 
-cargo run --release -q -p slipstream-bench --bin report -- --gate-summary "$GATE_LOG"
+cargo run --release -q -p slipstream-bench --bin report -- "$GATE_LOG"
 
 echo "OK"
