@@ -644,9 +644,9 @@ pub fn trace_first_detection(
         cfg.max_cycles,
         &ctx.golden,
         &baseline,
-        Some(trace.frozen_after(detected_at + FREEZE_PAD)),
+        trace.frozen_after(detected_at + FREEZE_PAD),
     );
-    Some((site, report, recording.expect("tracing was enabled")))
+    Some((site, report, recording))
 }
 
 /// The EXPERIMENTS.md region that holds the §3 outcome table.

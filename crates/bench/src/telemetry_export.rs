@@ -240,16 +240,20 @@ fn read_sample(val: &Value) -> Result<IntervalSample, String> {
     })
 }
 
+/// The `binary` and `scheduler` of a run file without a manifest line.
+const NO_MANIFEST: &str = "-";
+
 /// Parses a run file back into a [`RunFile`] — the only reader of run
 /// files. A `manifest` line is optional (shell-produced gate files have
-/// none; the identity then stays at its `-` placeholders) but at most one
-/// is allowed: one file per run. Rows append in file order, so `to_jsonl`
-/// of the result reproduces any file it wrote byte-for-byte. Malformed
-/// rows are an `Err` naming the line.
+/// none; the identity then stays at its [`NO_MANIFEST`] placeholders, and
+/// the report prints no header for it) but at most one is allowed: one
+/// file per run. Rows append in file order, so `to_jsonl` of the result
+/// reproduces any file it wrote byte-for-byte. Malformed rows are an `Err`
+/// naming the line.
 pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
     let mut snap = Snapshot {
-        binary: "-".to_string(),
-        scheduler: "-".to_string(),
+        binary: NO_MANIFEST.to_string(),
+        scheduler: NO_MANIFEST.to_string(),
         config_digest: "0000000000000000".to_string(),
         labels: Vec::new(),
         spans: Vec::new(),
@@ -367,13 +371,21 @@ fn pct(part: u64, total: u64) -> String {
     json::f64_fixed(100.0 * part as f64 / total.max(1) as f64, 1)
 }
 
-/// One attribution row.
-fn push_row(out: &mut String, name: &str, count: u64, nanos: u64, total: u64) {
-    out.push_str(&format!(
-        "    {name:<22} {:>12} ms {:>6}%  (count {count})\n",
-        ms(nanos),
-        pct(nanos, total)
-    ));
+/// Attribution rows `(name, count, nanos)` as shares of `total`, the name
+/// column as wide as the longest name.
+fn push_rows(out: &mut String, rows: &[(&str, Option<u64>, u64)], total: u64) {
+    let width = rows.iter().map(|r| r.0.len()).max().unwrap_or(0);
+    for &(name, count, nanos) in rows {
+        out.push_str(&format!(
+            "    {name:<width$} {:>12} ms {:>6}%",
+            ms(nanos),
+            pct(nanos, total)
+        ));
+        if let Some(count) = count {
+            out.push_str(&format!("  (count {count})"));
+        }
+        out.push('\n');
+    }
 }
 
 /// The host wall-clock attribution section for one snapshot.
@@ -385,22 +397,16 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
                 "  host wall-clock attribution (run_total = {} ms):\n",
                 ms(total)
             ));
-            let mut named = 0u64;
-            for name in set {
-                let (count, nanos) = span_sum(snap, name);
-                if count == 0 {
-                    continue;
-                }
-                named += nanos;
-                push_row(out, name, count, nanos, total);
-            }
+            let mut rows: Vec<(&str, Option<u64>, u64)> = set
+                .iter()
+                .map(|&name| (name, span_sum(snap, name)))
+                .filter(|&(_, (count, _))| count > 0)
+                .map(|(name, (count, nanos))| (name, Some(count), nanos))
+                .collect();
+            let named: u64 = rows.iter().map(|r| r.2).sum();
             let other = total.saturating_sub(named);
-            out.push_str(&format!(
-                "    {:<22} {:>12} ms {:>6}%\n",
-                "other",
-                ms(other),
-                pct(other, total)
-            ));
+            rows.push(("other", None, other));
+            push_rows(out, &rows, total);
             out.push_str(&format!(
                 "    attributed: {}% named + {}% other = 100.0% of run_total\n",
                 pct(named.min(total), total),
@@ -410,19 +416,21 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
         _ => {
             // Files with no scheduler span structure (check.sh gates):
             // list everything, largest first, as a share of the span sum.
-            let mut rows: Vec<&SpanRow> = snap.spans.iter().collect();
+            let mut rows: Vec<_> = snap
+                .spans
+                .iter()
+                .map(|s| (s.name.as_str(), Some(s.count), s.total_nanos))
+                .collect();
             if rows.is_empty() {
                 return;
             }
-            rows.sort_by_key(|s| std::cmp::Reverse(s.total_nanos));
-            let total: u64 = rows.iter().map(|s| s.total_nanos).sum();
+            rows.sort_by_key(|r| std::cmp::Reverse(r.2));
+            let total: u64 = rows.iter().map(|r| r.2).sum();
             out.push_str(&format!(
                 "  host wall-clock spans (sum = {} ms):\n",
                 ms(total)
             ));
-            for s in rows {
-                push_row(out, &s.name, s.count, s.total_nanos, total);
-            }
+            push_rows(out, &rows, total);
         }
     }
 }
@@ -481,10 +489,12 @@ pub fn report_text(files: &[RunFile]) -> String {
     out.push_str("=====================\n\n");
     for file in files {
         let (snap, rec) = (&file.snapshot, &file.recording);
-        out.push_str(&format!(
-            "== {} / {} ==  config {}\n",
-            snap.binary, snap.scheduler, snap.config_digest
-        ));
+        if snap.binary != NO_MANIFEST {
+            out.push_str(&format!(
+                "== {} / {} ==  config {}\n",
+                snap.binary, snap.scheduler, snap.config_digest
+            ));
+        }
         if !snap.labels.is_empty() {
             let labels: Vec<String> = snap
                 .labels
@@ -683,6 +693,28 @@ mod tests {
             report.contains("75.0% named + 25.0% other = 100.0%"),
             "{report}"
         );
+    }
+
+    #[test]
+    fn gate_log_report_aligns_long_names_and_has_no_placeholder_header() {
+        let long = format!("gate:{}", "x".repeat(55));
+        let text = format!(
+            "{{\"type\": \"span\", \"name\": \"{long}\", \"count\": 1, \"total_nanos\": 3000000}}\n\
+             {{\"type\": \"span\", \"name\": \"gate:fmt\", \"count\": 1, \"total_nanos\": 1000000}}\n"
+        );
+        let report = report_text(&[parse_jsonl(&text).unwrap()]);
+        assert!(!report.lines().any(|l| l.starts_with("== ")), "{report}");
+        assert!(!report.contains("config"), "{report}");
+        let rows: Vec<&str> = report.lines().filter(|l| l.contains(" ms ")).collect();
+        assert_eq!(rows.len(), 2, "{report}");
+        assert!(rows[0].contains(&long) && rows[1].contains("gate:fmt"));
+        for col in [" ms ", "%", "(count"] {
+            assert_eq!(
+                rows[0].find(col),
+                rows[1].find(col),
+                "{col:?} column in\n{report}"
+            );
+        }
     }
 
     #[test]

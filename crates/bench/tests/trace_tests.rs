@@ -80,10 +80,10 @@ fn traced_detection(trace: TraceConfig) -> (FaultReport, FlightRecording) {
             BUDGET,
             &golden,
             &baseline,
-            Some(trace),
+            trace,
         );
         if report.outcome == FaultOutcome::DetectedRecovered {
-            return (report, recording.expect("tracing enabled"));
+            return (report, recording);
         }
     }
     panic!("no detected+recovered A-stream fault found in the kernel program");

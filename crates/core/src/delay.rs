@@ -114,8 +114,8 @@ impl DelayEntry {
         self.flags & SKIPPED != 0
     }
 
-    /// This slot ends its trace (boundary flag used by the R-side
-    /// reconstruction and the IR-detector).
+    /// This slot ends its trace: the A-stream's commit builder closed a
+    /// trace on it, so the entry counts one control-side pair.
     pub fn ends_trace(&self) -> bool {
         self.flags & ENDS_TRACE != 0
     }

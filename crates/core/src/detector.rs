@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use slipstream_isa::FastHashMap;
 
 use slipstream_isa::{Instr, MemWidth, Retired, NUM_REGS};
-use slipstream_predict::{TraceId, MAX_TRACE_LEN};
+use slipstream_predict::{TraceBuilder, TraceId, MAX_TRACE_LEN};
 
 use crate::config::RemovalPolicy;
 use crate::ir_table::RemovalInfo;
@@ -102,23 +102,17 @@ impl Node {
 #[derive(Debug, Clone, Copy)]
 struct TraceDfg {
     trace_no: u64,
-    start_pc: u64,
-    outcomes: u32,
-    branch_count: u8,
     /// First arena index of this trace's stripe.
     base: usize,
-    /// Number of nodes written so far (`<= MAX_TRACE_LEN`).
-    len: usize,
+    /// The trace's id, built slot by slot; it decides where the trace
+    /// closes.
+    trace: TraceBuilder,
 }
 
 impl TraceDfg {
-    fn id(&self) -> TraceId {
-        TraceId {
-            start_pc: self.start_pc,
-            outcomes: self.outcomes,
-            branch_count: self.branch_count,
-            len: self.len as u8,
-        }
+    /// Number of nodes written so far (`<= MAX_TRACE_LEN`).
+    fn len(&self) -> usize {
+        self.trace.id().len as usize
     }
 }
 
@@ -157,10 +151,9 @@ pub struct DetectorOutput {
 const STORES_SPARE_CAP: usize = 16;
 
 /// The IR-detector. Feed it the R-stream's retired instructions in order
-/// (with trace boundaries) via [`IrDetector::push`]; collect
-/// per-evicted-trace removal information from [`IrDetector::pop_output`]
-/// (returning the output to [`IrDetector::recycle`] afterwards) or
-/// [`IrDetector::drain`].
+/// via [`IrDetector::push`]; collect per-evicted-trace removal information
+/// from [`IrDetector::pop_output`] (returning the output to
+/// [`IrDetector::recycle`] afterwards).
 #[derive(Debug, Clone)]
 pub struct IrDetector {
     policy: RemovalPolicy,
@@ -230,10 +223,11 @@ impl IrDetector {
     }
 
     /// Merges one retired instruction into the current trace's R-DFG.
-    /// `ends_trace` marks trace boundaries (they are decided by the
-    /// A-stream's fetch and transmitted through the delay buffer, so both
-    /// sides segment the dynamic stream identically).
-    pub fn push(&mut self, rec: &Retired, ends_trace: bool) {
+    /// The trace closes by the trace-selection rule
+    /// ([`slipstream_predict::ends_trace`]), the same rule the A-stream's
+    /// front end commits by, so both sides segment the dynamic stream
+    /// identically.
+    pub fn push(&mut self, rec: &Retired) {
         if self.current.is_none() {
             let no = self.next_trace_no;
             self.next_trace_no += 1;
@@ -244,15 +238,12 @@ impl IrDetector {
             );
             self.current = Some(TraceDfg {
                 trace_no: no,
-                start_pc: rec.pc,
-                outcomes: 0,
-                branch_count: 0,
                 base,
-                len: 0,
+                trace: TraceBuilder::new(),
             });
         }
         let cur_no = self.current.as_ref().expect("just ensured").trace_no;
-        let slot = self.current.as_ref().expect("just ensured").len as u8;
+        let slot = self.current.as_ref().expect("just ensured").len() as u8;
         let me = Producer {
             trace_no: cur_no,
             slot,
@@ -302,21 +293,15 @@ impl IrDetector {
                 .mem
                 .and_then(|m| m.is_store.then_some((m.addr, m.width))),
         };
-        {
+        let closed = {
             let cur = self.current.as_mut().expect("current exists");
-            debug_assert!(cur.len < MAX_TRACE_LEN, "trace overflows its stripe");
-            self.nodes[cur.base + cur.len] = node;
-            cur.len += 1;
+            debug_assert!(cur.len() < MAX_TRACE_LEN, "trace overflows its stripe");
+            self.nodes[cur.base + cur.len()] = node;
             for &p in producers.as_slice() {
                 self.nodes[cur.base + p as usize].consumers.push(slot);
             }
-            if let Some(t) = rec.taken {
-                if t {
-                    cur.outcomes |= 1 << cur.branch_count;
-                }
-                cur.branch_count += 1;
-            }
-        }
+            cur.trace.push(rec.pc, &rec.instr, rec.taken).is_some()
+        };
 
         // ---- triggers and destination bookkeeping.
         let mut pending_select = std::mem::take(&mut self.pending_scratch);
@@ -371,11 +356,7 @@ impl IrDetector {
         self.pending_scratch = pending_select;
 
         // ---- trace completion.
-        let done = {
-            let cur = self.current.as_ref().expect("current exists");
-            ends_trace || cur.len >= MAX_TRACE_LEN
-        };
-        if done {
+        if closed {
             let cur = self.current.take().expect("current exists");
             self.scope.push_back(cur);
             while self.scope.len() > self.scope_cap {
@@ -427,7 +408,7 @@ impl IrDetector {
 
     fn node_mut(&mut self, p: Producer) -> Option<&mut Node> {
         let t = *self.trace_of(p.trace_no)?;
-        if p.slot as usize >= t.len {
+        if p.slot as usize >= t.len() {
             return None;
         }
         debug_assert_eq!(
@@ -572,7 +553,7 @@ impl IrDetector {
                 return;
             };
             let base = trace.base;
-            debug_assert!((p.slot as usize) < trace.len, "slot outside trace");
+            debug_assert!((p.slot as usize) < trace.len(), "slot outside trace");
             let node = &self.nodes[base + p.slot as usize];
             if node.selected
                 || !node.killed
@@ -621,7 +602,7 @@ impl IrDetector {
         };
         let mut info = RemovalInfo::empty();
         let mut stores = self.stores_spare.pop().unwrap_or_default();
-        for i in 0..t.len {
+        for i in 0..t.len() {
             let node = &self.nodes[t.base + i];
             if node.selected {
                 info.ir_vec |= 1 << i;
@@ -639,7 +620,7 @@ impl IrDetector {
         }
         self.mem.retain(|_, st| st.producer.trace_no != t.trace_no);
         self.outputs.push_back(DetectorOutput {
-            id: t.id(),
+            id: t.trace.id(),
             info,
             stores,
         });
@@ -652,19 +633,14 @@ mod tests {
     use slipstream_isa::{assemble, ArchState};
 
     /// Runs `src` functionally, feeds every retired instruction to a
-    /// detector with standard trace segmentation (32/jr/halt), evicts
-    /// everything, and returns the outputs.
+    /// detector, evicts everything, and returns the outputs.
     fn analyse(src: &str, policy: RemovalPolicy) -> Vec<DetectorOutput> {
         let p = assemble(src).expect("test program assembles");
         let mut st = ArchState::new(&p);
         let trace = st.run(&p, 100_000).expect("halts");
         let mut det = IrDetector::new(policy, 8);
-        let mut tb = slipstream_predict::TraceBuilder::new();
         for rec in &trace {
-            // Probe the builder to learn boundaries, then feed the detector
-            // with the same segmentation.
-            let ended = tb.push(rec.pc, &rec.instr, rec.taken).is_some();
-            det.push(rec, ended);
+            det.push(rec);
         }
         det.finish();
         outputs(&mut det)
@@ -913,15 +889,12 @@ mod tests {
         let p = assemble(src).unwrap();
         let mut st = ArchState::new(&p);
         let trace = st.run(&p, 10_000).unwrap();
-        let mut tb = slipstream_predict::TraceBuilder::new();
+        let mut tb = TraceBuilder::new();
         let mut want = Vec::new();
         let mut det = IrDetector::new(RemovalPolicy::all(), 8);
         for rec in &trace {
-            let done = tb.push(rec.pc, &rec.instr, rec.taken);
-            det.push(rec, done.is_some());
-            if let Some(t) = done {
-                want.push(t);
-            }
+            det.push(rec);
+            want.extend(tb.push(rec.pc, &rec.instr, rec.taken));
         }
         if let Some(t) = tb.flush() {
             want.push(t);
@@ -940,10 +913,8 @@ mod tests {
         let mut st = ArchState::new(&p);
         let trace = st.run(&p, 100_000).unwrap();
         let mut det = IrDetector::new(RemovalPolicy::all(), 8);
-        let mut tb = slipstream_predict::TraceBuilder::new();
         for rec in &trace {
-            let ended = tb.push(rec.pc, &rec.instr, rec.taken).is_some();
-            det.push(rec, ended);
+            det.push(rec);
         }
         let before_finish = outputs(&mut det).len();
         assert!(
@@ -962,7 +933,7 @@ mod tests {
         let trace = st.run(&p, 100).unwrap();
         let mut det = IrDetector::new(RemovalPolicy::all(), 8);
         for rec in &trace {
-            det.push(rec, false);
+            det.push(rec);
         }
         det.flush();
         det.finish();

@@ -121,11 +121,11 @@ pub fn run_fault_experiment(
     run_injected(&mut proc, target, fault, max_cycles, golden).classify(baseline_misp)
 }
 
-/// [`run_fault_experiment`] with an optional flight recorder: when `trace`
-/// is `Some`, the run is recorded and the returned [`FlightRecording`]
-/// holds the event window plus a synthesized [`EventKind::FaultDetected`]
-/// event at the attributed detection point (detection is only knowable
-/// post-run, against the baseline log).
+/// [`run_fault_experiment`] with a flight recorder: the run is recorded
+/// under `trace`, and the returned [`FlightRecording`] holds the event
+/// window plus a synthesized [`EventKind::FaultDetected`] event at the
+/// attributed detection point (detection is only knowable post-run,
+/// against the baseline log).
 #[allow(clippy::too_many_arguments)]
 pub fn run_fault_experiment_traced(
     cfg: SlipstreamConfig,
@@ -135,31 +135,27 @@ pub fn run_fault_experiment_traced(
     max_cycles: u64,
     golden: &ArchState,
     baseline_misp: &[(IrMispKind, u64)],
-    trace: Option<TraceConfig>,
-) -> (FaultReport, Option<FlightRecording>) {
+    trace: TraceConfig,
+) -> (FaultReport, FlightRecording) {
     let mut proc = SlipstreamProcessor::new(cfg, program);
-    if let Some(tc) = trace {
-        proc.enable_tracing(tc);
-    }
+    proc.enable_tracing(trace);
     let report = run_injected(&mut proc, target, fault, max_cycles, golden).classify(baseline_misp);
     let detection = proc
         .misp_log()
         .get(first_divergence(proc.misp_log(), baseline_misp))
         .copied();
-    let recording = proc.flight_recording().map(|mut rec| {
-        if let Some((kind, det_cycle)) = detection {
-            let (_code, pc) = trace::misp_code(kind);
-            rec.insert_event(TraceEvent {
-                cycle: det_cycle,
-                seq: fault.seq,
-                pc,
-                arg: report.detection_latency.unwrap_or(0),
-                stream: StreamId::Machine,
-                kind: EventKind::FaultDetected,
-            });
-        }
-        rec
-    });
+    let mut recording = proc.flight_recording().expect("tracing is enabled");
+    if let Some((kind, det_cycle)) = detection {
+        let (_code, pc) = trace::misp_code(kind);
+        recording.insert_event(TraceEvent {
+            cycle: det_cycle,
+            seq: fault.seq,
+            pc,
+            arg: report.detection_latency.unwrap_or(0),
+            stream: StreamId::Machine,
+            kind: EventKind::FaultDetected,
+        });
+    }
     (report, recording)
 }
 

@@ -13,8 +13,8 @@ use std::collections::VecDeque;
 use slipstream_cpu::{CoreDriver, DriverStall, EventKind, FetchItem, TraceSink, NO_SEQ};
 use slipstream_isa::{FastHashMap, Instr, Program, Retired};
 use slipstream_predict::{
-    materialize_into, PathHistory, TraceId, TracePredictor, TracePredictorConfig,
-    TracePredictorStats, MAX_TRACE_LEN,
+    ends_trace, materialize_into, walk, PathHistory, TraceBuilder, TraceId, TracePredictor,
+    TracePredictorConfig, TracePredictorStats, WalkEnd, MAX_TRACE_LEN,
 };
 
 use crate::delay::{DelayEntry, TraceCommit};
@@ -31,7 +31,6 @@ struct SkipRec {
     pc: u64,
     instr: Instr,
     next_pc: u64,
-    ends_trace: bool,
     /// Predicted outcome if this is a skipped branch.
     taken: Option<bool>,
     reason: Reason,
@@ -43,7 +42,6 @@ struct ItemMeta {
     /// queue (see [`FeSpec::skips`]); `Copy` metas keep the
     /// per-window checkpoint a flat memcpy.
     skip_count: u32,
-    ends_trace: bool,
     /// Which fetched trace this item belongs to (monotonic counter).
     trace_no: u64,
     /// Slot index within the canonical trace (counting skipped slots).
@@ -64,51 +62,30 @@ struct InflightTrace {
 /// Builds the trace id that *actually retired* (predicted outcomes for
 /// skipped slots, computed outcomes for executed ones) plus the used
 /// ir-vec, from the in-order retire stream.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CommitBuilder {
-    start_pc: Option<u64>,
-    outcomes: u32,
-    branch_count: u8,
-    len: u8,
+    trace: TraceBuilder,
     used_vec: u32,
 }
 
 impl CommitBuilder {
-    /// Feeds one slot; returns the finished commit at a trace boundary.
+    /// Feeds one slot; returns the finished commit when the slot closes
+    /// its trace.
     fn feed(
         &mut self,
         pc: u64,
+        instr: &Instr,
         taken: Option<bool>,
         skipped: bool,
-        ends_trace: bool,
     ) -> Option<TraceCommit> {
-        if self.start_pc.is_none() {
-            self.start_pc = Some(pc);
-        }
-        if let Some(t) = taken {
-            if t {
-                self.outcomes |= 1 << self.branch_count;
-            }
-            self.branch_count += 1;
-        }
         if skipped {
-            self.used_vec |= 1 << self.len;
+            self.used_vec |= 1 << self.trace.pending_len();
         }
-        self.len += 1;
-        if ends_trace || self.len as usize >= MAX_TRACE_LEN {
-            let commit = TraceCommit {
-                id: TraceId {
-                    start_pc: self.start_pc.expect("fed at least one slot"),
-                    outcomes: self.outcomes,
-                    branch_count: self.branch_count,
-                    len: self.len,
-                },
-                used_vec: self.used_vec,
-            };
-            *self = CommitBuilder::default();
-            return Some(commit);
-        }
-        None
+        let id = self.trace.push(pc, instr, taken)?;
+        Some(TraceCommit {
+            id,
+            used_vec: std::mem::take(&mut self.used_vec),
+        })
     }
 }
 
@@ -170,10 +147,8 @@ pub struct TraceFrontEnd {
     /// the fallback of last resort (repeats the previous path through this
     /// PC instead of guessing all-not-taken).
     last_trace_at: FastHashMap<u64, TraceId>,
-    /// Reusable trace-PC buffer (filled by `materialize_into`/fallback).
+    /// Reusable trace-PC buffer (filled by `walk`/`materialize_into`).
     pcs_scratch: Vec<u64>,
-    /// Reusable per-slot block-index buffer.
-    block_scratch: Vec<u32>,
 
     /// Delay entries produced at retirement (drained by the harness).
     pub out_entries: Vec<DelayEntry>,
@@ -225,7 +200,7 @@ pub struct FeSpec {
     /// Slots of the current canonical trace already emitted (nonzero only
     /// after a misprediction truncated fetch mid-trace: the next fetch is
     /// a *continuation* of the same trace, so boundaries stay canonical —
-    /// traces close only at 32 instructions, `jr`, or `halt`).
+    /// traces close only by [`ends_trace`]).
     open_len: u8,
     open_trace_no: u64,
     commit: CommitBuilder,
@@ -300,7 +275,6 @@ impl TraceFrontEnd {
             },
             last_trace_at: FastHashMap::default(),
             pcs_scratch: Vec::new(),
-            block_scratch: Vec::new(),
             out_entries: Vec::new(),
             out_commits: Vec::new(),
             out_applied: Vec::new(),
@@ -340,80 +314,34 @@ impl TraceFrontEnd {
             .take()
             .or_else(|| self.predictor.predict(&self.spec.spec_hist));
         let mut pcs = std::mem::take(&mut self.pcs_scratch);
-        let resolved = match (pred, self.spec.fetch_pc) {
-            (Some(id), Some(pc)) if id.start_pc == pc => {
-                materialize_into(&self.program, id, &mut pcs).map(|npc| (id, npc))
-            }
-            (Some(_), Some(_)) | (None, Some(_)) => None, // fall back below
-            (Some(id), None) => materialize_into(&self.program, id, &mut pcs).map(|npc| (id, npc)),
-            (None, None) => {
-                self.pcs_scratch = pcs;
-                return None;
-            }
-        };
-        let out = match resolved {
-            Some((id, npc)) => {
-                self.spec.stats.traces_predicted += 1;
-                Some((id, npc, pred))
-            }
-            None => match self.spec.fetch_pc {
-                // Trace-cache fallback: repeat the last committed path
-                // through this PC; otherwise construct statically.
-                Some(pc) => self
-                    .last_trace_at
-                    .get(&pc)
-                    .copied()
-                    .and_then(|id| {
-                        materialize_into(&self.program, id, &mut pcs).map(|npc| (id, npc))
-                    })
-                    .or_else(|| self.fallback_trace(pc, &mut pcs))
-                    .map(|(id, npc)| {
-                        self.spec.stats.traces_fallback += 1;
-                        (id, npc, pred)
-                    }),
-                None => None,
-            },
+        let (program, fetch_pc) = (&self.program, self.spec.fetch_pc);
+        // A prediction is used when it starts at the fetch PC (any PC after
+        // a `jr`, whose target only the prediction knows).
+        let predicted = pred
+            .filter(|id| fetch_pc.is_none_or(|pc| pc == id.start_pc))
+            .and_then(|id| Some((id, materialize_into(program, id, &mut pcs)?)));
+        let out = if let Some((id, npc)) = predicted {
+            self.spec.stats.traces_predicted += 1;
+            Some((id, npc, pred))
+        } else if let Some(pc) = fetch_pc {
+            // Trace-cache fallback: repeat the last committed path through
+            // this PC; otherwise construct statically, branches assumed
+            // not-taken.
+            let fallback = self
+                .last_trace_at
+                .get(&pc)
+                .and_then(|&id| Some((id, materialize_into(program, id, &mut pcs)?)))
+                .or_else(|| {
+                    let (id, end) = walk(program, pc, 0, MAX_TRACE_LEN as u8, &mut pcs);
+                    (end != WalkEnd::OffText).then_some((id, end.next_pc()))
+                });
+            self.spec.stats.traces_fallback += u64::from(fallback.is_some());
+            fallback.map(|(id, npc)| (id, npc, pred))
+        } else {
+            None
         };
         self.pcs_scratch = pcs;
         out
-    }
-
-    /// Statically constructs a trace from `pc` into `pcs`: branches
-    /// assumed not-taken, static jump targets followed, ends at
-    /// `jr`/`halt`/32.
-    fn fallback_trace(&self, pc: u64, pcs: &mut Vec<u64>) -> Option<(TraceId, Option<u64>)> {
-        pcs.clear();
-        let mut cur = pc;
-        let mut branch_count = 0u8;
-        let mut next_start = None;
-        for i in 0..MAX_TRACE_LEN {
-            let instr = self.program.instr_at(cur)?;
-            pcs.push(cur);
-            let following = match instr {
-                Instr::Beq { .. } | Instr::Bne { .. } | Instr::Blt { .. } | Instr::Bge { .. } => {
-                    branch_count += 1;
-                    cur + 4 // predicted not-taken
-                }
-                Instr::J { target } | Instr::Jal { target, .. } => *target,
-                Instr::Jr { .. } | Instr::Halt => break,
-                _ => cur + 4,
-            };
-            if i + 1 == MAX_TRACE_LEN {
-                next_start = Some(following);
-            }
-            cur = following;
-        }
-        if pcs.len() < MAX_TRACE_LEN {
-            // Ended at jr/halt: no statically-known successor.
-            next_start = None;
-        }
-        let id = TraceId {
-            start_pc: pc,
-            outcomes: 0,
-            branch_count,
-            len: pcs.len() as u8,
-        };
-        Some((id, next_start))
     }
 
     /// Fetches the remainder of the current canonical trace after a
@@ -421,20 +349,21 @@ impl TraceFrontEnd {
     /// (branches assumed not-taken) — the canonical trace id is rebuilt at
     /// retirement either way.
     fn prepare_continuation(&mut self) -> bool {
-        let Some(mut pc) = self.spec.fetch_pc else {
+        let Some(start) = self.spec.fetch_pc else {
             return false;
         };
-        let remaining = MAX_TRACE_LEN as u8 - self.spec.open_len;
-        let mut emitted = 0u8;
-        let mut closed = false;
+        let open_len = self.spec.open_len;
+        let mut pcs = std::mem::take(&mut self.pcs_scratch);
+        let (_, end) = walk(
+            &self.program,
+            start,
+            0,
+            MAX_TRACE_LEN as u8 - open_len,
+            &mut pcs,
+        );
         let mut new_block = true;
-        while emitted < remaining {
-            let Some(&instr) = self.program.instr_at(pc) else {
-                // Wild continuation (corrupt A-stream context): supply
-                // nothing; the R-stream's checks will trigger recovery.
-                return emitted > 0;
-            };
-            let ends = matches!(instr, Instr::Jr { .. } | Instr::Halt) || emitted + 1 == remaining;
+        for (i, &pc) in pcs.iter().enumerate() {
+            let instr = *self.program.instr_at(pc).expect("walked pcs are valid");
             let pred_npc = match instr {
                 Instr::J { target } | Instr::Jal { target, .. } => target,
                 Instr::Jr { .. } => 0, // unknown: resolves via redirect
@@ -447,9 +376,8 @@ impl TraceFrontEnd {
                 meta,
                 ItemMeta {
                     skip_count: 0,
-                    ends_trace: ends,
                     trace_no: self.spec.open_trace_no,
-                    canonical_pos: self.spec.open_len + emitted,
+                    canonical_pos: open_len + i as u8,
                 },
             ));
             self.spec.ready.push_back(FetchItem {
@@ -462,35 +390,21 @@ impl TraceFrontEnd {
                 meta,
             });
             new_block = pred_npc != pc + 4;
-            emitted += 1;
             if matches!(instr, Instr::Halt) {
                 self.spec.done = true;
-                closed = true;
-                break;
-            }
-            if matches!(instr, Instr::Jr { .. }) {
-                closed = true;
-                self.spec.fetch_pc = None;
-                break;
-            }
-            pc = pred_npc;
-            if ends {
-                closed = true;
-                break;
             }
         }
-        if closed || emitted == remaining {
+        let emitted = !pcs.is_empty();
+        self.pcs_scratch = pcs;
+        // A wild continuation (corrupt A-stream context) supplies only the
+        // path before the text ends; the R-stream's checks will trigger
+        // recovery. Otherwise the trace is closed, and the next one starts
+        // at the fall-through (none after a `jr` or `halt`).
+        if end != WalkEnd::OffText {
             self.spec.open_len = 0;
-            if self.spec.done {
-                self.spec.fetch_pc = None;
-            } else if self.spec.fetch_pc.is_some() {
-                // Not a jr ending: next trace starts at the fall-through.
-                self.spec.fetch_pc = Some(pc);
-            }
-        } else {
-            self.spec.open_len += emitted;
+            self.spec.fetch_pc = end.next_pc();
         }
-        emitted > 0
+        emitted
     }
 
     /// Prepares one more trace's worth of fetch items. Returns `false` if
@@ -535,36 +449,24 @@ impl TraceFrontEnd {
 
         self.spec.open_trace_no = trace_no;
         let n = pcs.len();
-        let ends_with_halt = self
-            .program
-            .instr_at(pcs[n - 1])
-            .is_some_and(|i| matches!(i, Instr::Halt));
         // Eager successor prediction for jr-ended traces (the paper's next
         // trace prediction supplies the indirect target).
-        let successor: Option<u64> = match next_start {
-            Some(npc) => Some(npc),
-            None if ends_with_halt => None,
-            None => {
+        let successor = match next_start {
+            None if self.program.instr_at(pcs[n - 1]) != Some(&Instr::Halt) => {
                 self.spec.next_pred = self.predictor.predict(&self.spec.spec_hist);
                 self.spec.next_pred.map(|t| t.start_pc)
             }
+            _ => next_start,
         };
         self.spec.fetch_pc = successor;
 
-        // Per-slot block indices: a new block starts wherever the path is
-        // not sequential.
-        let mut block = std::mem::take(&mut self.block_scratch);
-        block.clear();
-        block.resize(n, 0);
-        for i in 1..n {
-            block[i] = block[i - 1] + u32::from(pcs[i] != pcs[i - 1] + 4);
-        }
-
         let mut branch_idx = 0usize;
-        let mut last_kept: Option<(usize, u32)> = None; // (slot, block)
+        let mut block = 0u32;
+        let mut last_kept_block: Option<u32> = None;
         let mut skips_since_kept_in_block = 0u32;
-        for i in 0..n {
-            let pc = pcs[i];
+        for (i, &pc) in pcs.iter().enumerate() {
+            // A new block starts wherever the path is not sequential.
+            block += u32::from(i > 0 && pc != pcs[i - 1] + 4);
             let instr = *self
                 .program
                 .instr_at(pc)
@@ -587,11 +489,10 @@ impl TraceFrontEnd {
                     pc,
                     instr,
                     next_pc: slot_next.unwrap_or(0),
-                    ends_trace: i + 1 == n,
                     taken: pred_taken,
                     reason: removal.reasons[i],
                 });
-                if last_kept.is_some_and(|(_, b)| b == block[i]) {
+                if last_kept_block == Some(block) {
                     skips_since_kept_in_block += 1;
                 }
                 continue;
@@ -604,18 +505,17 @@ impl TraceFrontEnd {
                 meta,
                 ItemMeta {
                     skip_count,
-                    ends_trace: i + 1 == n,
                     trace_no,
                     canonical_pos: i as u8,
                 },
             ));
-            let (new_block, slot_cost) = match last_kept {
-                Some((_, b)) if b == block[i] => (false, 1 + skips_since_kept_in_block),
-                Some(_) => (true, 1),
-                None => (true, 1),
+            let (new_block, slot_cost) = if last_kept_block == Some(block) {
+                (false, 1 + skips_since_kept_in_block)
+            } else {
+                (true, 1)
             };
             skips_since_kept_in_block = 0;
-            last_kept = Some((i, block[i]));
+            last_kept_block = Some(block);
             self.spec.ready.push_back(FetchItem {
                 pc,
                 instr,
@@ -629,7 +529,6 @@ impl TraceFrontEnd {
                 self.spec.done = true;
             }
         }
-        self.block_scratch = block;
         self.pcs_scratch = pcs;
         true
     }
@@ -657,16 +556,12 @@ impl CoreDriver for TraceFrontEnd {
         self.spec.pending_skips.clear();
         // Traces fetched beyond the redirecting one are wrong-path: drop
         // them and undo their speculative-history pushes.
-        let (cur_trace, pos, ended) = match self
-            .spec
-            .metas
+        let metas = &self.spec.metas;
+        let redirecting = metas
             .binary_search_by_key(&meta, |&(k, _)| k)
             .ok()
-            .map(|i| &self.spec.metas[i].1)
-        {
-            Some(m) => (m.trace_no, m.canonical_pos, m.ends_trace),
-            None => (u64::MAX, 0, true),
-        };
+            .map(|i| metas[i].1);
+        let cur_trace = redirecting.map_or(u64::MAX, |m| m.trace_no);
         while self
             .spec
             .inflight
@@ -689,11 +584,12 @@ impl CoreDriver for TraceFrontEnd {
         }
         // The canonical trace continues through the redirect unless the
         // redirecting instruction already closed it.
-        if ended {
-            self.spec.open_len = 0;
-        } else {
-            self.spec.open_len = pos + 1;
-            self.spec.open_trace_no = cur_trace;
+        match redirecting {
+            Some(m) if !ends_trace(m.canonical_pos as usize + 1, &resolved.instr) => {
+                self.spec.open_len = m.canonical_pos + 1;
+                self.spec.open_trace_no = m.trace_no;
+            }
+            _ => self.spec.open_len = 0,
         }
         self.spec.fetch_pc = Some(resolved.next_pc);
         self.spec.done = false;
@@ -720,33 +616,27 @@ impl CoreDriver for TraceFrontEnd {
                     skip.reason.bits() as u64,
                 );
             }
-            if let Some(c) = self
+            let commit = self
                 .spec
                 .commit
-                .feed(skip.pc, skip.taken, true, skip.ends_trace)
-            {
+                .feed(skip.pc, &skip.instr, skip.taken, true);
+            let ends = commit.is_some();
+            if let Some(c) = commit {
                 self.finish_commit(c);
             }
             if self.emit {
-                self.out_entries.push(DelayEntry::skipped(
-                    skip.pc,
-                    skip.instr,
-                    skip.next_pc,
-                    skip.ends_trace,
-                ));
+                self.out_entries
+                    .push(DelayEntry::skipped(skip.pc, skip.instr, skip.next_pc, ends));
             }
             *self.spec.skip_counts.entry(skip.reason.bits()).or_insert(0) += 1;
         }
-        if let Some(c) = self
-            .spec
-            .commit
-            .feed(rec.pc, rec.taken, false, m.ends_trace)
-        {
+        let commit = self.spec.commit.feed(rec.pc, &rec.instr, rec.taken, false);
+        let ends = commit.is_some();
+        if let Some(c) = commit {
             self.finish_commit(c);
         }
         if self.emit {
-            self.out_entries
-                .push(DelayEntry::executed(rec, m.ends_trace));
+            self.out_entries.push(DelayEntry::executed(rec, ends));
         }
     }
 

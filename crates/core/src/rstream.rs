@@ -230,10 +230,10 @@ impl CoreDriver for RStreamDriver {
             .delay
             .in_flight(0)
             .expect("every dispatched R-stream item has its delay entry");
-        let (skipped, ends_trace) = (e.is_skipped(), e.ends_trace());
+        let skipped = e.is_skipped();
         self.delay.release();
         self.inflight_base += 1;
-        self.detector.push(rec, ends_trace);
+        self.detector.push(rec);
         if let Some(m) = rec.mem {
             if m.is_store {
                 if skipped {

@@ -7,7 +7,7 @@ use slipstream_core::{
 };
 use slipstream_cpu::{Core, CoreConfig};
 use slipstream_isa::{assemble, ArchState, Program};
-use slipstream_predict::TracePredictorConfig;
+use slipstream_predict::{walk, TracePredictorConfig, WalkEnd, MAX_TRACE_LEN};
 
 fn loopy_program(iters: u64) -> Program {
     assemble(&format!(
@@ -88,22 +88,49 @@ fn baseline_emits_nothing_astream_emits_everything() {
     }
 }
 
+/// Asserts every committed id walks back through the text to a path that
+/// is 32 slots long or ends at a `jr`/`halt`, and returns how many ended
+/// early.
+fn assert_canonical_boundaries(p: &Program, fe: &TraceFrontEnd) -> usize {
+    let mut pcs = Vec::new();
+    let mut early = 0;
+    for c in &fe.out_commits {
+        let (id, end) = walk(p, c.id.start_pc, c.id.outcomes, c.id.len, &mut pcs);
+        assert_eq!(id, c.id, "committed id walks back through the text");
+        if c.id.len as usize != MAX_TRACE_LEN {
+            assert_eq!(end, WalkEnd::Terminator, "{:?} closed early", c.id);
+            early += 1;
+        }
+    }
+    early
+}
+
 #[test]
 fn canonical_trace_boundaries_are_32_or_terminators() {
-    let p = loopy_program(3000);
-    let fe = TraceFrontEnd::a_stream(
-        &p,
-        TracePredictorConfig::default(),
-        IrTable::new(1 << 16, 32),
-        false,
-    );
-    let (_, fe) = run_with_front_end(&p, fe);
-    for c in &fe.out_commits {
-        assert!(
-            c.id.len as usize == 32 || c.id.len as usize <= 32,
-            "trace length bounded"
+    let a_stream = |p: &Program| {
+        let fe = TraceFrontEnd::a_stream(
+            p,
+            TracePredictorConfig::default(),
+            IrTable::new(1 << 16, 32),
+            false,
         );
-    }
+        run_with_front_end(p, fe).1
+    };
+    // A call in the loop body: every `jr` closes a trace early.
+    let calls = assemble(
+        "li r1, 300\nloop:\njal r31, f\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n\
+         f:\naddi r2, r2, 3\njr r31",
+    )
+    .unwrap();
+    assert!(assert_canonical_boundaries(&calls, &a_stream(&calls)) >= 300);
+
+    let p = loopy_program(3000);
+    let fe = a_stream(&p);
+    assert_eq!(
+        assert_canonical_boundaries(&p, &fe),
+        1,
+        "only halt ends early"
+    );
     // In a long run, almost all traces must be full-length (canonical
     // policy: only jr/halt end a trace early).
     let full = fe.out_commits.iter().filter(|c| c.id.len == 32).count();

@@ -1,4 +1,4 @@
-use slipstream_isa::{Instr, InstrKind, Program};
+use slipstream_isa::{Instr, Program};
 
 /// Maximum trace length in instructions (the paper uses length-32 traces
 /// throughout: IR-predictor entries, R-DFG size, ir-vec width).
@@ -10,9 +10,9 @@ pub const MAX_TRACE_LEN: usize = 32;
 /// indicating the path through the trace").
 ///
 /// Given the program, a `TraceId` deterministically denotes a sequence of
-/// up to 32 dynamic instructions (see [`materialize`]). Traces end early at
-/// indirect jumps (`jr`) and `halt`, whose successors a trace id cannot
-/// encode; the successor is captured by the next trace's start PC.
+/// up to 32 dynamic instructions (see [`materialize_into`]). Traces end
+/// early at indirect jumps (`jr`) and `halt`, whose successors a trace id
+/// cannot encode; the successor is captured by the next trace's start PC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TraceId {
     /// PC of the first instruction in the trace.
@@ -48,18 +48,31 @@ impl TraceId {
     }
 }
 
-/// Whether `instr` must terminate the trace it appears in (its successor
-/// cannot be encoded in a trace id, or the program ends).
-fn ends_trace(instr: &Instr) -> bool {
-    matches!(instr.kind(), InstrKind::Halt) || matches!(instr, Instr::Jr { .. })
+/// Whether `instr` ends the trace it appears in wherever it falls: an
+/// indirect jump's successor cannot be encoded in a trace id, and `halt`
+/// ends the program.
+fn is_terminator(instr: &Instr) -> bool {
+    matches!(instr, Instr::Jr { .. } | Instr::Halt)
 }
 
-/// Incrementally builds [`TraceId`]s from a retired instruction stream.
+/// The trace-selection rule: whether a trace whose `len`-th slot holds
+/// `instr` closes at that slot. A trace closes at [`MAX_TRACE_LEN`] slots,
+/// or early at a `jr` or `halt`.
 ///
-/// All components that need a trace view of the dynamic stream (trace
-/// predictor update, IR-detector scope, statistics) share this single
-/// selection policy, which is what the paper calls a "consistent (static)
-/// trace selection policy" — a prerequisite for accurate trace prediction.
+/// Every component with a trace view of the dynamic stream (trace
+/// predictor update, the front end's commits and redirects, the
+/// IR-detector's scope) segments it by this one rule, through
+/// [`TraceBuilder`] or directly; that is what the paper calls a
+/// "consistent (static) trace selection policy" — a prerequisite for
+/// accurate trace prediction.
+pub fn ends_trace(len: usize, instr: &Instr) -> bool {
+    len >= MAX_TRACE_LEN || is_terminator(instr)
+}
+
+/// Incrementally builds [`TraceId`]s from a retired instruction stream,
+/// closing each trace by the rule of [`ends_trace`]. It is the only
+/// incremental builder: the front end's commits and the IR-detector's
+/// trace ids both come from one.
 ///
 /// ```
 /// use slipstream_predict::TraceBuilder;
@@ -77,9 +90,11 @@ fn ends_trace(instr: &Instr) -> bool {
 /// assert_eq!(traces.iter().map(|t| t.len as u64).sum::<u64>(), st.retired());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TraceBuilder {
-    current: Option<TraceId>,
+    /// The open trace's id so far, or the last closed trace's id.
+    id: TraceId,
+    open: bool,
 }
 
 impl TraceBuilder {
@@ -88,120 +103,131 @@ impl TraceBuilder {
         TraceBuilder::default()
     }
 
-    /// Adds one retired instruction; returns a completed trace id when this
-    /// instruction fills or terminates the current trace.
+    /// Adds one retired instruction; returns the completed trace id when
+    /// this instruction closes the current trace.
     ///
     /// `taken` must be `Some` exactly for conditional branches.
     pub fn push(&mut self, pc: u64, instr: &Instr, taken: Option<bool>) -> Option<TraceId> {
-        let cur = self.current.get_or_insert(TraceId {
-            start_pc: pc,
-            outcomes: 0,
-            branch_count: 0,
-            len: 0,
-        });
+        if !self.open {
+            self.id = TraceId {
+                start_pc: pc,
+                ..TraceId::default()
+            };
+            self.open = true;
+        }
         if let Some(t) = taken {
-            if t {
-                cur.outcomes |= 1 << cur.branch_count;
-            }
-            cur.branch_count += 1;
+            self.id.outcomes |= u32::from(t) << self.id.branch_count;
+            self.id.branch_count += 1;
         }
-        cur.len += 1;
-        if cur.len as usize >= MAX_TRACE_LEN || ends_trace(instr) {
-            return self.current.take();
-        }
-        None
+        self.id.len += 1;
+        self.open = !ends_trace(self.id.len as usize, instr);
+        (!self.open).then_some(self.id)
     }
 
     /// Completes and returns the in-progress partial trace, if any.
     pub fn flush(&mut self) -> Option<TraceId> {
-        self.current.take()
+        std::mem::take(&mut self.open).then_some(self.id)
     }
 
     /// Length of the in-progress trace (0 if none).
     pub fn pending_len(&self) -> usize {
-        self.current.map_or(0, |t| t.len as usize)
-    }
-}
-
-/// A trace id resolved against the program text: the concrete dynamic
-/// instruction sequence it denotes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaterializedTrace {
-    /// The id this was materialized from.
-    pub id: TraceId,
-    /// PCs of the instructions in the trace, in dynamic order.
-    pub pcs: Vec<u64>,
-    /// PC of the instruction after the trace, or `None` when the trace ends
-    /// at an indirect jump (`jr`) or `halt` — the successor then comes from
-    /// the next trace prediction.
-    pub next_pc: Option<u64>,
-}
-
-/// Walks the program text along `id`'s path, recovering the instruction
-/// sequence the id denotes.
-///
-/// Returns `None` if the id is inconsistent with the program (walks off the
-/// text segment, or runs out of branch-outcome bits before the trace ends)
-/// — a stale or aliased predictor entry. Callers treat that as "no
-/// prediction".
-pub fn materialize(program: &Program, id: TraceId) -> Option<MaterializedTrace> {
-    let mut pcs = Vec::with_capacity(id.len as usize);
-    let next_pc = materialize_into(program, id, &mut pcs)?;
-    Some(MaterializedTrace { id, pcs, next_pc })
-}
-
-/// Allocation-free [`materialize`]: fills the caller-provided `pcs` buffer
-/// (cleared first) and returns the trace's successor PC on success.
-///
-/// The A-stream front end fetches a trace every few cycles for the whole
-/// run; reusing one buffer there keeps trace fetch off the allocator.
-/// Returns `None` — with `pcs` contents unspecified — under the same
-/// conditions as [`materialize`].
-pub fn materialize_into(program: &Program, id: TraceId, pcs: &mut Vec<u64>) -> Option<Option<u64>> {
-    pcs.clear();
-    let mut pc = id.start_pc;
-    let mut branch_idx = 0usize;
-    let mut next_pc = None;
-    for i in 0..id.len {
-        let instr = program.instr_at(pc)?;
-        pcs.push(pc);
-        let fall = pc + 4;
-        let following = match instr {
-            Instr::Beq { target, .. }
-            | Instr::Bne { target, .. }
-            | Instr::Blt { target, .. }
-            | Instr::Bge { target, .. } => {
-                if branch_idx >= id.branch_count as usize {
-                    return None;
-                }
-                let taken = id.outcome(branch_idx);
-                branch_idx += 1;
-                if taken {
-                    *target
-                } else {
-                    fall
-                }
-            }
-            Instr::J { target } | Instr::Jal { target, .. } => *target,
-            Instr::Jr { .. } | Instr::Halt => {
-                // Must be the last instruction of the trace.
-                if i + 1 != id.len {
-                    return None;
-                }
-                break;
-            }
-            _ => fall,
-        };
-        if i + 1 == id.len {
-            next_pc = Some(following);
+        if self.open {
+            self.id.len as usize
         } else {
-            pc = following;
+            0
         }
     }
-    if pcs.len() != id.len as usize || branch_idx != id.branch_count as usize {
-        return None;
+
+    /// The in-progress trace's id so far or, between traces, the last
+    /// completed one (all zero before the first push).
+    pub fn id(&self) -> TraceId {
+        self.id
     }
-    Some(next_pc)
+}
+
+/// How a [`walk`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkEnd {
+    /// Filled its slot cap; the path continues at this PC.
+    Cap(u64),
+    /// Stopped at a `jr` or `halt`, whose successor the path cannot
+    /// encode.
+    Terminator,
+    /// Reached a PC outside the text segment: the walked slots are the
+    /// partial path before it.
+    OffText,
+}
+
+impl WalkEnd {
+    /// The PC after the walked path, when the walk stopped at its cap.
+    pub fn next_pc(self) -> Option<u64> {
+        match self {
+            WalkEnd::Cap(pc) => Some(pc),
+            WalkEnd::Terminator | WalkEnd::OffText => None,
+        }
+    }
+}
+
+/// The static trace walk: follows the program text from `start_pc` for up
+/// to `cap` slots, stopping early at a `jr` or `halt`, and leaves the
+/// walked PCs in `pcs` (cleared first). Returns the walked path's id —
+/// `start_pc` and `outcomes` as given, the conditional branches passed and
+/// the slots walked — and how the walk stopped.
+///
+/// The `i`-th conditional branch on the path follows bit `i` of
+/// `outcomes` (a zero bit means not-taken); direct jumps follow their
+/// targets. With `outcomes` 0 and `cap` [`MAX_TRACE_LEN`] this is the
+/// static not-taken trace a cold front end fetches; capped at an id's
+/// length it is [`materialize_into`]. The caller-provided buffer keeps
+/// trace fetch off the allocator.
+pub fn walk(
+    program: &Program,
+    start_pc: u64,
+    outcomes: u32,
+    cap: u8,
+    pcs: &mut Vec<u64>,
+) -> (TraceId, WalkEnd) {
+    pcs.clear();
+    let mut id = TraceId {
+        start_pc,
+        outcomes,
+        ..TraceId::default()
+    };
+    let mut pc = start_pc;
+    while id.len < cap {
+        let Some(instr) = program.instr_at(pc) else {
+            return (id, WalkEnd::OffText);
+        };
+        pcs.push(pc);
+        id.len += 1;
+        if is_terminator(instr) {
+            return (id, WalkEnd::Terminator);
+        }
+        let taken = instr
+            .is_branch()
+            .then(|| id.outcome(id.branch_count as usize));
+        id.branch_count += u8::from(taken.is_some());
+        pc = match (instr.static_target(), taken) {
+            (Some(target), None | Some(true)) => target,
+            _ => pc + 4,
+        };
+    }
+    (id, WalkEnd::Cap(pc))
+}
+
+/// Walks the program text along `id`'s path, filling `pcs` (cleared
+/// first) with the instruction sequence the id denotes, and returns the
+/// trace's successor PC: `None` when the trace ends at a `jr` or `halt`,
+/// whose successor comes from the next trace prediction.
+///
+/// Returns `None` — with `pcs` contents unspecified — if the id is
+/// inconsistent with the program (walks off the text segment, ends at a
+/// `jr`/`halt` before its last slot, or passes a different number of
+/// conditional branches than it records): a stale or aliased predictor
+/// entry, which callers treat as "no prediction".
+pub fn materialize_into(program: &Program, id: TraceId, pcs: &mut Vec<u64>) -> Option<Option<u64>> {
+    let (walked, end) = walk(program, id.start_pc, id.outcomes, id.len, pcs);
+    (walked == id).then_some(end.next_pc())
 }
 
 #[cfg(test)]
@@ -213,16 +239,21 @@ mod tests {
         let p = assemble(src).unwrap();
         let mut st = ArchState::new(&p);
         let mut tb = TraceBuilder::new();
-        let mut out = Vec::new();
-        for rec in st.run(&p, fuel).unwrap() {
-            if let Some(t) = tb.push(rec.pc, &rec.instr, rec.taken) {
-                out.push(t);
-            }
-        }
-        if let Some(t) = tb.flush() {
-            out.push(t);
-        }
+        let mut out: Vec<_> = st
+            .run(&p, fuel)
+            .unwrap()
+            .iter()
+            .filter_map(|rec| tb.push(rec.pc, &rec.instr, rec.taken))
+            .collect();
+        out.extend(tb.flush());
         (out, p)
+    }
+
+    /// `materialize_into` with a fresh buffer: the PCs and successor.
+    fn materialize(p: &Program, id: TraceId) -> Option<(Vec<u64>, Option<u64>)> {
+        let mut pcs = Vec::new();
+        let next_pc = materialize_into(p, id, &mut pcs)?;
+        Some((pcs, next_pc))
     }
 
     #[test]
@@ -270,24 +301,13 @@ mod tests {
     #[test]
     fn materialize_round_trips_the_dynamic_stream() {
         let src = "li r1, 20\nli r3, 0\nloop:\nandi r2, r1, 1\nbeq r2, r0, even\naddi r3, r3, 1\neven:\naddi r1, r1, -1\nbne r1, r0, loop\nhalt";
-        let p = assemble(src).unwrap();
-        let mut st = ArchState::new(&p);
-        let mut tb = TraceBuilder::new();
-        let mut dynamic_pcs = Vec::new();
-        let mut traces = Vec::new();
-        for rec in st.run(&p, 10_000).unwrap() {
-            dynamic_pcs.push(rec.pc);
-            if let Some(t) = tb.push(rec.pc, &rec.instr, rec.taken) {
-                traces.push(t);
-            }
-        }
-        if let Some(t) = tb.flush() {
-            traces.push(t);
-        }
+        let (traces, p) = traces_of(src, 10_000);
+        let run = ArchState::new(&p).run(&p, 10_000).unwrap();
+        let dynamic_pcs: Vec<u64> = run.iter().map(|rec| rec.pc).collect();
         let mut rebuilt = Vec::new();
         for t in traces {
-            let m = materialize(&p, t).expect("constructed traces always materialize");
-            rebuilt.extend(m.pcs);
+            let (pcs, _) = materialize(&p, t).expect("constructed traces always materialize");
+            rebuilt.extend(pcs);
         }
         assert_eq!(rebuilt, dynamic_pcs);
     }
@@ -296,10 +316,10 @@ mod tests {
     fn materialize_provides_next_pc_for_fallthrough_traces() {
         let body = "addi r1, r1, 1\n".repeat(40);
         let (traces, p) = traces_of(&format!("{body}halt"), 1000);
-        let m = materialize(&p, traces[0]).unwrap();
-        assert_eq!(m.next_pc, Some(0x1000 + 32 * 4));
-        let last = materialize(&p, traces[1]).unwrap();
-        assert_eq!(last.next_pc, None); // ends at halt
+        let (_, next_pc) = materialize(&p, traces[0]).unwrap();
+        assert_eq!(next_pc, Some(0x1000 + 32 * 4));
+        let (_, last) = materialize(&p, traces[1]).unwrap();
+        assert_eq!(last, None); // ends at halt
     }
 
     #[test]
@@ -332,6 +352,22 @@ mod tests {
     }
 
     #[test]
+    fn walk_reports_how_it_stopped() {
+        let p = assemble("nop\nbeq r0, r0, out\nnop\nhalt\nout:\nnop\nj 0x9000").unwrap();
+        let mut pcs = Vec::new();
+        // Not-taken: nop, beq, nop, halt.
+        let (id, end) = walk(&p, 0x1000, 0, 32, &mut pcs);
+        assert_eq!((id.len, id.branch_count, end), (4, 1, WalkEnd::Terminator));
+        assert_eq!(pcs, [0x1000, 0x1004, 0x1008, 0x100c]);
+        // Capped at two slots, the path continues at the branch's fall-through.
+        assert_eq!(walk(&p, 0x1000, 0, 2, &mut pcs).1, WalkEnd::Cap(0x1008));
+        // Taken: nop, beq, nop, j — then off the text at 0x9000.
+        let (id, end) = walk(&p, 0x1000, 1, 32, &mut pcs);
+        assert_eq!((id.len, end), (4, WalkEnd::OffText));
+        assert_eq!(pcs, [0x1000, 0x1004, 0x1010, 0x1014]);
+    }
+
+    #[test]
     fn hash_is_stable_and_distinguishes() {
         let a = TraceId {
             start_pc: 0x1000,
@@ -358,5 +394,6 @@ mod tests {
         assert_eq!(tb.pending_len(), 2);
         assert_eq!(tb.flush().unwrap().len, 2);
         assert_eq!(tb.pending_len(), 0);
+        assert_eq!(tb.flush(), None);
     }
 }

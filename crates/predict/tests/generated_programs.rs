@@ -5,7 +5,10 @@
 //! end-to-end slipstream runs.
 
 use slipstream_isa::{ArchState, Program};
-use slipstream_predict::{PathHistory, ResettingCounter, TraceBuilder, TraceId, TracePredictor};
+use slipstream_predict::{
+    materialize_into, walk, PathHistory, ResettingCounter, TraceBuilder, TraceId, TracePredictor,
+    WalkEnd, MAX_TRACE_LEN,
+};
 use slipstream_workloads::{random_program, RandProgConfig};
 
 // ---- resetting-counter edges ----------------------------------------------
@@ -214,4 +217,44 @@ fn predictor_learns_a_generated_programs_trace_stream() {
         s.from_correlated > 0,
         "the path table must serve predictions"
     );
+}
+
+// ---- the static trace walk -------------------------------------------------
+
+/// From every text PC, the static not-taken trace a cold front end builds
+/// walks back through `materialize_into` to the same PCs and successor.
+/// The programs' text is also cut in half, so that walks run off its end:
+/// such a walk reports the partial path before the text ends, and that
+/// path's id materializes with the first PC past the text as successor.
+#[test]
+fn static_traces_materialize_back_from_every_text_pc() {
+    let (mut built, mut walked) = (Vec::new(), Vec::new());
+    let mut off_text = 0;
+    for seed in [1u64, 42, 0xdead] {
+        let full = small_prog(seed);
+        let half = Program::new(
+            full.text_base(),
+            full.instrs()[..full.len() / 2].to_vec(),
+            Vec::new(),
+        );
+        for p in [&full, &half] {
+            for i in 0..p.len() {
+                let (id, end) = walk(p, p.pc_of(i), 0, MAX_TRACE_LEN as u8, &mut built);
+                assert_eq!((id.start_pc, id.outcomes), (p.pc_of(i), 0));
+                assert_eq!(id.len as usize, built.len());
+                let next = materialize_into(p, id, &mut walked);
+                assert_eq!(walked, built, "seed {seed} pc {:#x}", p.pc_of(i));
+                match end {
+                    WalkEnd::OffText => {
+                        off_text += 1;
+                        assert!(built.len() < MAX_TRACE_LEN);
+                        let past = next.flatten().expect("the partial path has a successor");
+                        assert!(p.instr_at(past).is_none(), "{past:#x} is past the text");
+                    }
+                    end => assert_eq!(next, Some(end.next_pc()), "seed {seed}"),
+                }
+            }
+        }
+    }
+    assert!(off_text > 0, "some walks must run off a cut text");
 }

@@ -113,7 +113,7 @@ fn ar_smt_mode_is_fully_redundant() {
 /// each id back through the text reproduces the exact PC sequence.
 #[test]
 fn trace_ids_materialize_back_to_the_dynamic_stream() {
-    use slipstream::predict::{materialize, TraceBuilder};
+    use slipstream::predict::{materialize_into, TraceBuilder};
     for seed in seeds(
         "trace_ids_materialize_back_to_the_dynamic_stream",
         24,
@@ -123,21 +123,15 @@ fn trace_ids_materialize_back_to_the_dynamic_stream() {
         let mut st = ArchState::new(&p);
         let trace = st.run(&p, FUEL).expect("terminates");
         let mut tb = TraceBuilder::new();
-        let mut ids = Vec::new();
-        let mut pcs = Vec::new();
-        for rec in &trace {
-            pcs.push(rec.pc);
-            if let Some(t) = tb.push(rec.pc, &rec.instr, rec.taken) {
-                ids.push(t);
-            }
-        }
-        if let Some(t) = tb.flush() {
-            ids.push(t);
-        }
-        let mut rebuilt = Vec::new();
-        for id in ids {
-            let m = materialize(&p, id).expect("constructed ids always materialize");
-            rebuilt.extend(m.pcs);
+        let ids: Vec<_> = trace
+            .iter()
+            .filter_map(|rec| tb.push(rec.pc, &rec.instr, rec.taken))
+            .collect();
+        let pcs: Vec<u64> = trace.iter().map(|rec| rec.pc).collect();
+        let (mut rebuilt, mut walked) = (Vec::new(), Vec::new());
+        for id in ids.into_iter().chain(tb.flush()) {
+            materialize_into(&p, id, &mut walked).expect("constructed ids always materialize");
+            rebuilt.extend_from_slice(&walked);
         }
         assert_eq!(rebuilt, pcs, "seed {seed}");
     }
