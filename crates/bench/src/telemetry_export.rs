@@ -312,8 +312,8 @@ pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
 // remainder, so the named rows plus "other" attribute 100% of run_total
 // by construction — the report's job is to show how small "other" is.
 
-/// Serial scheduler: the whole loop is one span (`r_boundary_sync`
-/// nests inside it).
+/// Serial scheduler: the whole loop is one span (the boundary and
+/// recovery spans nest inside it).
 const SERIAL_SET: &[&str] = &["serial_exec"];
 
 /// Windowed scheduler: single-threaded, so A- and R-side phases

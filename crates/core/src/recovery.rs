@@ -82,29 +82,21 @@ impl RecoveryController {
         n
     }
 
-    /// The repair, R-stream half: collects every tracked location *with
-    /// its R-stream value* and clears all tracking, without touching the
-    /// A-stream image. The R side builds this list when it detects the
-    /// misprediction; the A side applies it (after rollback) via
-    /// [`apply_repairs`]. Every value comes from the single consistent
-    /// `r_mem` snapshot, so the HashMap iteration order is immaterial even
-    /// for overlapping ranges. (Register repair — copying the whole
-    /// register file — is performed by the caller on the cores
+    /// The memory repair: copies every tracked location from the
+    /// R-stream image `r_mem` into the A-stream image `a_mem`, clears all
+    /// tracking, and returns the number of locations restored. Every value
+    /// comes from the one `r_mem` image, so the HashMap iteration order is
+    /// immaterial even for overlapping ranges. (Register repair — copying
+    /// the whole register file — is performed by the caller on the cores
     /// themselves.)
-    pub fn repair_list(&mut self, r_mem: &Memory) -> Vec<(u64, MemWidth, u64)> {
-        let mut repairs: Vec<(u64, MemWidth, u64)> = self
-            .undo
-            .keys()
-            .map(|&(addr, width)| (addr, width, r_mem.load(addr, width)))
-            .collect();
-        for &(addr, width) in self.do_.keys() {
-            if !self.undo.contains_key(&(addr, width)) {
-                repairs.push((addr, width, r_mem.load(addr, width)));
-            }
+    pub fn repair(&mut self, r_mem: &Memory, a_mem: &mut Memory) -> usize {
+        let restored = self.tracked();
+        for &(addr, width) in self.undo.keys().chain(self.do_.keys()) {
+            a_mem.store(addr, width, r_mem.load(addr, width));
         }
         self.undo.clear();
         self.do_.clear();
-        repairs
+        restored
     }
 
     /// Recovery latency for this event, per the paper's recovery pipeline:
@@ -117,14 +109,6 @@ impl RecoveryController {
         startup
             + (NUM_REGS as u64).div_ceil(per_cycle)
             + (self.tracked() as u64).div_ceil(per_cycle)
-    }
-}
-
-/// Applies a repair list produced by [`RecoveryController::repair_list`]
-/// to the A-stream memory image.
-pub fn apply_repairs(a_mem: &mut Memory, repairs: &[(u64, MemWidth, u64)]) {
-    for &(addr, width, value) in repairs {
-        a_mem.store(addr, width, value);
     }
 }
 
@@ -158,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_list_copies_tracked_bytes_and_clears() {
+    fn repair_copies_tracked_bytes_and_clears() {
         let mut a = Memory::new();
         let mut r = Memory::new();
         a.store_word(0x100, 111); // A diverged here
@@ -170,10 +154,8 @@ mod tests {
         let mut rc = RecoveryController::new();
         rc.add_undo(0x100, MemWidth::Word);
         rc.add_do(0x300, MemWidth::Byte);
-        let repairs = rc.repair_list(&r);
-        assert_eq!(repairs.len(), 2);
-        assert_eq!(rc.tracked(), 0, "repair_list clears tracking");
-        apply_repairs(&mut a, &repairs);
+        assert_eq!(rc.repair(&r, &mut a), 2);
+        assert_eq!(rc.tracked(), 0, "repair clears tracking");
         assert_eq!(a.load_word(0x100), 222);
         assert_eq!(a.load_byte(0x300), 0xbb);
         assert_eq!(a.load_word(0x900), 5, "untracked locations untouched");

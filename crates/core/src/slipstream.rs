@@ -31,6 +31,12 @@
 //!   so checkpoint, boundary sync, recovery and the halt rollback have one
 //!   implementation for both window schedulers.
 //!
+//! Recovery is a sync boundary. It runs once both halves sit at the
+//! detection cycle, goes through the same hand-off as a window boundary
+//! (deferred learning, shared-L2 merge, credits), and repairs the
+//! A-stream's registers and tracked memory locations straight from the
+//! R-core. Neither half keeps a copy of the other's state for it.
+//!
 //! Determinism rests on three invariants, enforced here and in
 //! [`TraceFrontEnd`]: (1) all learning (trace-predictor training,
 //! IR-table observations) is deferred to window boundaries, so the
@@ -40,8 +46,8 @@
 //! — never from the live buffer the R-stream is draining; (3) recovery
 //! always restarts the window grid at the recovery cycle.
 
-use slipstream_cpu::{merge_l2_logs, Core, CoreStats, FaultSpec, L2Access, L2View};
-use slipstream_isa::{ArchState, MemWidth, Memory, Program, Retired, NUM_REGS};
+use slipstream_cpu::{Core, CoreStats, FaultSpec, L2View};
+use slipstream_isa::{ArchState, Program, Retired};
 use slipstream_predict::{PathHistory, TraceId};
 use slipstream_telemetry::{SpanKind, Telemetry};
 use std::sync::mpsc::{self, Receiver, RecvError, TryRecvError};
@@ -51,7 +57,7 @@ use crate::config::SlipstreamConfig;
 use crate::delay::{Credits, DelayEntry, TraceCommit};
 use crate::front_end::{FeCheckpoint, FrontEndStats, TraceFrontEnd};
 use crate::ir_table::{IrTable, RemovalInfo};
-use crate::recovery::{apply_repairs, RecoveryController};
+use crate::recovery::RecoveryController;
 use crate::removal::Reason;
 use crate::rstream::{IrMispKind, RStreamDriver};
 use crate::trace::{
@@ -146,11 +152,6 @@ struct CycleBatch {
     entries: Vec<DelayEntry>,
     commits: Vec<TraceCommit>,
     applied: Vec<(u64, TraceId)>,
-    /// Shared-L2 accesses the A-core made this cycle. The R side
-    /// accumulates them so a recovery can rebuild the merged arbitration
-    /// stream without asking the A side, whose core has run ahead to the
-    /// window's end.
-    l2_log: Vec<L2Access>,
     sample: Option<ASample>,
 }
 
@@ -174,34 +175,6 @@ enum RPhase {
     /// (Takes priority over `Halted`: recovery flushes the R-core, which
     /// clears a halt that retired on the same divergent path.)
     Misp,
-}
-
-/// Everything the R-stream decided at a recovery, for the A-stream to
-/// apply once it has rolled back (or caught up) to `cycle`.
-struct RecoverCmd {
-    /// Detection cycle — the exact cycle the serial model would recover.
-    cycle: u64,
-    /// PC both streams restart from.
-    restart: u64,
-    /// Recovery-pipeline latency charged to both cores.
-    latency: u64,
-    /// Tracked memory locations with their R-stream values.
-    repairs: Vec<(u64, MemWidth, u64)>,
-    /// The R-stream's architectural register file.
-    r_regs: [u64; NUM_REGS],
-    /// Context keys of applied-but-unverified removals to penalize.
-    penalize: Vec<u64>,
-    /// Deferred IR-table observations from the truncated window.
-    obs: Vec<(u64, TraceId, RemovalInfo)>,
-    /// The R-core's shared-L2 accesses since the last boundary; the A side
-    /// merges them with its own (replayed) log so both canonical L2
-    /// replicas apply the identical stream at the recovery cycle.
-    l2_log: Vec<L2Access>,
-    /// Strict mode only: the R-stream's full memory image for the
-    /// post-recovery bit-identity check.
-    strict_mem: Option<Memory>,
-    /// The credit budget of the emptied delay buffer.
-    credits: Credits,
 }
 
 /// The leading core and its front end: everything the A-stream touches
@@ -248,9 +221,7 @@ impl AHalf {
         batch.entries.clear();
         batch.commits.clear();
         batch.applied.clear();
-        batch.l2_log.clear();
         batch.sample = None;
-        let l2_mark = self.core.l2_log().len();
 
         // The front end has no clock of its own; stamp its sink here (the
         // core stamps its own sink inside `cycle`).
@@ -264,9 +235,6 @@ impl AHalf {
         // end only, so materializing the `Retired` records would be a pure
         // ~130-byte-per-instruction copy.
         self.core.cycle_quiet(&mut self.fe);
-        batch
-            .l2_log
-            .extend_from_slice(&self.core.l2_log()[l2_mark..]);
 
         // Zero-copy hand-off: count the push credits, then swap the front
         // end's output buffers straight into the batch (the batch's cleared
@@ -324,49 +292,6 @@ impl AHalf {
             self.run_cycle(scratch);
         }
     }
-
-    /// Applies a recovery decided by the R side. The A side must already
-    /// be at exactly `cmd.cycle` (serial lockstep, or rolled back and
-    /// replayed there).
-    fn apply_recover(&mut self, cmd: &RecoverCmd) {
-        debug_assert_eq!(self.cycles, cmd.cycle, "A must sit at the recovery cycle");
-        // Recovery is a sync boundary: flush deferred learning first, in
-        // the same train-then-observe order as a normal boundary. The
-        // shared-L2 merge follows the same rule — this side's log (rebuilt
-        // by replay) merged with the R-core's log is the identical stream
-        // the R side applied in `build_recover`.
-        let a_l2 = self.core.l2_take_log();
-        let merged = merge_l2_logs(&a_l2, &cmd.l2_log);
-        self.core.l2_apply_boundary(&merged);
-        self.fe.apply_training();
-        for &(key, id, info) in &cmd.obs {
-            self.fe.ir_table.observe(key, id, info);
-        }
-        apply_repairs(self.core.mem_mut(), &cmd.repairs);
-        self.core.flush();
-        self.core.set_regs(&cmd.r_regs);
-        self.fe.reset_to(cmd.restart);
-        for &key in &cmd.penalize {
-            self.fe.ir_table.penalize(key);
-        }
-        let resume = self.core.now() + cmd.latency;
-        self.core.stall_fetch_recovery(resume);
-        // The delay buffer was cleared on the R side; restart with a full
-        // credit budget.
-        self.credits = cmd.credits;
-
-        if let Some(want_mem) = &cmd.strict_mem {
-            assert_eq!(self.core.arch_regs(), &cmd.r_regs);
-            if let Some(addr) = self.core.mem().first_difference(want_mem) {
-                panic!(
-                    "post-recovery divergence: A and R memories differ at {addr:#x} \
-                     (A={:#x}, R={:#x})",
-                    self.core.mem().load_word(addr & !7),
-                    want_mem.load_word(addr & !7),
-                );
-            }
-        }
-    }
 }
 
 /// The trailing core, its driver, and everything downstream of it: the
@@ -405,10 +330,6 @@ struct RHalf {
     /// IR-table lives on the A side; shipping observations at boundaries
     /// keeps every scheduler's table updates at identical points).
     obs_q: Vec<(u64, TraceId, RemovalInfo)>,
-    /// The A-core's shared-L2 accesses accumulated from consumed batches —
-    /// this side's copy of the A log, so a recovery merge never has to
-    /// read the run-ahead A core.
-    pending_a_l2: Vec<L2Access>,
     recovery_startup: u64,
     restores_per_cycle: u64,
     /// Host-side telemetry for the R/consuming side (`None` = off).
@@ -492,7 +413,6 @@ impl RHalf {
         }
         self.drv.delay.push_chunk(&mut batch.entries);
         self.applied_pending.extend_from_slice(&batch.applied);
-        self.pending_a_l2.extend_from_slice(&batch.l2_log);
         for &c in &batch.commits {
             self.drv.delay.push_commit(c);
         }
@@ -597,87 +517,90 @@ impl RHalf {
             RPhase::Ok
         }
     }
-
-    /// IR-misprediction recovery (paper §2.3), R-stream half: log it,
-    /// compute the repair list and latency, flush/restart this core, and
-    /// package everything the A side must apply at the same cycle.
-    fn build_recover(&mut self, program: &Program) -> RecoverCmd {
-        let kind = self.drv.ir_misp.expect("called only when flagged");
-        self.misp_log.push((kind, self.cycles));
-        let restart = self
-            .last_r_retired
-            .map(|r| r.next_pc)
-            .unwrap_or_else(|| program.entry());
-
-        // Latency depends on the tracked-location count, so compute it
-        // before `repair_list` clears the tracking sets.
-        let latency = self
-            .recovery
-            .latency(self.recovery_startup, self.restores_per_cycle);
-        if let Some(mt) = self.machine_trace.as_mut() {
-            let (code, pc) = trace::misp_code(kind);
-            mt.sink.record(EventKind::IrMispredict, NO_SEQ, pc, code);
-            mt.sink
-                .record(EventKind::Recovery, NO_SEQ, restart, latency);
-        }
-        let repairs = self.recovery.repair_list(self.core.mem());
-        let r_regs = *self.core.arch_regs();
-        self.core.flush();
-        let penalize: Vec<u64> = self.applied_pending.drain(..).map(|(key, _)| key).collect();
-        self.drv.reset_for_recovery();
-        let r_resume = self.core.now() + latency;
-        self.core.stall_fetch_recovery(r_resume);
-
-        self.ir_misps += 1;
-        self.penalty_sum += latency;
-        self.mem_restored_sum += repairs.len() as u64;
-
-        // Shared-L2 boundary merge, R side: this core's log plus the
-        // A-core accesses accumulated from consumed batches (exactly the
-        // cycles up to the detection — the stream A's replay regenerates).
-        let r_l2 = self.core.l2_take_log();
-        let a_l2 = std::mem::take(&mut self.pending_a_l2);
-        let merged = merge_l2_logs(&a_l2, &r_l2);
-        self.core.l2_apply_boundary(&merged);
-
-        RecoverCmd {
-            cycle: self.cycles,
-            restart,
-            latency,
-            repairs,
-            r_regs,
-            penalize,
-            obs: std::mem::take(&mut self.obs_q),
-            l2_log: r_l2,
-            strict_mem: self.strict.then(|| self.core.mem().clone()),
-            credits: self.drv.delay.credits(),
-        }
-    }
 }
 
-/// The sync-boundary handshake: flush deferred learning into the A side's
-/// predictor/IR-table and refresh its credit budget from live delay-buffer
-/// occupancy.
-fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
-    let t0 = tel_now(&r.tel);
+/// The sync-boundary hand-off, shared by boundaries and recoveries: flush
+/// deferred learning into the A side's predictor/IR-table, merge the two
+/// cores' shared-L2 logs onto both replicas, and refresh the A side's
+/// credit budget from live delay-buffer occupancy. Both halves must sit
+/// at the same cycle.
+fn sync_halves(a: &mut AHalf, r: &mut RHalf) {
     a.fe.apply_training();
     for (key, id, info) in r.obs_q.drain(..) {
         a.fe.ir_table.observe(key, id, info);
     }
-    // Shared-L2 boundary merge: both cores are at the same cycle here, so
-    // read both logs directly and apply the identical merged stream to
-    // both canonical replicas. The R side's batch-accumulated copy of the
-    // A log duplicates `a_l2` and is discarded.
-    if a.core.l2().is_some() {
-        let a_l2 = a.core.l2_take_log();
-        let r_l2 = r.core.l2_take_log();
-        let merged = merge_l2_logs(&a_l2, &r_l2);
-        a.core.l2_apply_boundary(&merged);
-        r.core.l2_apply_boundary(&merged);
-        r.pending_a_l2.clear();
-    }
+    a.core.sync_l2(&mut r.core);
     a.credits = r.drv.delay.credits();
+}
+
+/// A window boundary: [`sync_halves`], timed as `r_boundary_sync`.
+fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
+    let t0 = tel_now(&r.tel);
+    sync_halves(a, r);
     tel_span(&mut r.tel, SpanKind::RBoundarySync, t0);
+}
+
+/// IR-misprediction recovery (paper §2.3). Recovery is a sync boundary:
+/// the A half must sit at the detection cycle, either because it runs in
+/// lockstep or because it was rolled back and replayed there.
+///
+/// The R side goes first (timed as `r_recovery_build`): it logs the
+/// misprediction, charges the recovery latency, and flushes and restarts
+/// its core. It does not read A. Then the boundary hand-off runs, and the
+/// A-stream context is repaired from the R-core (timed as
+/// `a_recover_apply`): the tracked memory locations and the whole register
+/// file are copied over, the A-stream restarts behind the same latency,
+/// and the unverified removals it applied are penalized.
+fn recover(a: &mut AHalf, r: &mut RHalf, program: &Program) {
+    debug_assert_eq!(a.cycles, r.cycles, "A must sit at the recovery cycle");
+    let t0 = tel_now(&r.tel);
+    let kind = r.drv.ir_misp.expect("called only when flagged");
+    r.misp_log.push((kind, r.cycles));
+    let restart = r
+        .last_r_retired
+        .map(|rec| rec.next_pc)
+        .unwrap_or_else(|| program.entry());
+    // Latency depends on the tracked-location count, so compute it
+    // before the repair clears the tracking sets.
+    let latency = r.recovery.latency(r.recovery_startup, r.restores_per_cycle);
+    if let Some(mt) = r.machine_trace.as_mut() {
+        let (code, pc) = trace::misp_code(kind);
+        mt.sink.record(EventKind::IrMispredict, NO_SEQ, pc, code);
+        mt.sink
+            .record(EventKind::Recovery, NO_SEQ, restart, latency);
+    }
+    r.core.flush();
+    r.drv.reset_for_recovery();
+    let r_resume = r.core.now() + latency;
+    r.core.stall_fetch_recovery(r_resume);
+    r.ir_misps += 1;
+    r.penalty_sum += latency;
+    tel_span(&mut r.tel, SpanKind::RRecoveryBuild, t0);
+
+    let t0 = tel_now(&a.tel);
+    // Observations reach the IR table before the penalties below.
+    sync_halves(a, r);
+    r.mem_restored_sum += r.recovery.repair(r.core.mem(), a.core.mem_mut()) as u64;
+    a.core.flush();
+    a.core.set_regs(r.core.arch_regs());
+    a.fe.reset_to(restart);
+    for (key, _) in r.applied_pending.drain(..) {
+        a.fe.ir_table.penalize(key);
+    }
+    let a_resume = a.core.now() + latency;
+    a.core.stall_fetch_recovery(a_resume);
+    if r.strict {
+        assert_eq!(a.core.arch_regs(), r.core.arch_regs());
+        if let Some(addr) = a.core.mem().first_difference(r.core.mem()) {
+            panic!(
+                "post-recovery divergence: A and R memories differ at {addr:#x} \
+                 (A={:#x}, R={:#x})",
+                a.core.mem().load_word(addr & !7),
+                r.core.mem().load_word(addr & !7),
+            );
+        }
+    }
+    tel_span(&mut a.tel, SpanKind::ARecoverApply, t0);
 }
 
 /// Blocking receive that spins, then yields, instead of parking: the two
@@ -729,9 +652,8 @@ impl Sched<'_> {
     fn one_cycle(&mut self, a: &mut AHalf) {
         a.run_cycle(self.scratch);
         if self.r.consume_cycle(self.scratch, self.program) == RPhase::Misp {
-            let cmd = self.r.build_recover(self.program);
-            a.apply_recover(&cmd);
-            *self.anchor = cmd.cycle;
+            recover(a, self.r, self.program);
+            *self.anchor = a.cycles;
         }
     }
 
@@ -774,15 +696,10 @@ impl Sched<'_> {
                     // (matching the serial scheduler) and exit at the top.
                 }
                 Some((RPhase::Misp, cycle)) => {
-                    let t0 = tel_now(&self.r.tel);
-                    let cmd = self.r.build_recover(self.program);
-                    tel_span(&mut self.r.tel, SpanKind::RRecoveryBuild, t0);
                     let t0 = tel_now(&a.tel);
                     a.rollback_replay(ck, cycle, self.scratch);
                     tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
-                    let t0 = tel_now(&a.tel);
-                    a.apply_recover(&cmd);
-                    tel_span(&mut a.tel, SpanKind::ARecoverApply, t0);
+                    recover(a, self.r, self.program);
                     *self.anchor = cycle;
                 }
                 Some((_, cycle)) => {
@@ -881,7 +798,6 @@ impl SlipstreamProcessor {
                 misp_log: Vec::new(),
                 machine_trace: None,
                 obs_q: Vec::new(),
-                pending_a_l2: Vec::new(),
                 recovery_startup: cfg.recovery_startup,
                 restores_per_cycle: cfg.restores_per_cycle,
                 tel: None,

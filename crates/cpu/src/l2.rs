@@ -17,13 +17,14 @@
 //!   (so its own repeat accesses hit) and port reservations for its own
 //!   fills (so its own fills queue behind each other);
 //! - **an access log** — every L2 access since the boundary, stamped with
-//!   `(cycle, per-core ordinal)`.
+//!   its cycle; its position in the log is its per-core ordinal.
 //!
 //! At every sync boundary — the same points where the slipstream machine
-//! applies deferred predictor/IR-table learning — the two logs are merged
-//! in a fixed `(cycle, core-id, ordinal)` order ([`merge_l2_logs`]) and
-//! replayed onto both canonical replicas ([`L2View::apply_boundary`]),
-//! which therefore stay bit-identical without any cross-thread sharing.
+//! applies deferred predictor/IR-table learning, recoveries included — one
+//! call, [`L2View::sync`], merges the two logs in a fixed
+//! `(cycle, core-id, ordinal)` order and replays the result onto both
+//! canonical replicas, which therefore stay bit-identical without any
+//! cross-thread sharing.
 //! Within a window a core sees only boundary state plus its own traffic,
 //! so results cannot depend on how far the other core has advanced — the
 //! property the mode-equivalence battery pins down.
@@ -87,18 +88,17 @@ impl L2Config {
     }
 }
 
-/// One logged L2 access: the replay unit of the boundary merge.
+/// One logged L2 access: the replay unit of the boundary merge. Its
+/// position in its core's log is its ordinal, the third key of the
+/// `(cycle, core-id, ordinal)` arbitration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct L2Access {
+struct L2Access {
     /// Simulated cycle the request reached the L2.
-    pub cycle: u64,
-    /// Per-core access ordinal since the last boundary — the third key of
-    /// the `(cycle, core-id, ordinal)` arbitration tie-break.
-    pub ord: u32,
+    cycle: u64,
     /// Line index (address >> line shift).
-    pub line: u64,
+    line: u64,
     /// Whether the requesting core issued a memory fill (its view missed).
-    pub fill: bool,
+    fill: bool,
 }
 
 /// What one L2 access cost the requesting core.
@@ -125,16 +125,9 @@ pub struct L2View {
     port: Vec<u64>,
     /// Lines this core filled since the boundary (own repeat hits).
     overlay: Vec<u64>,
-    /// Accesses since the boundary, in `(cycle, ord)` order.
+    /// Accesses since the boundary, in `(cycle, ordinal)` order.
     log: Vec<L2Access>,
-    next_ord: u32,
     line_shift: u32,
-    hits: u64,
-    misses: u64,
-    /// Cumulative cycles this core's fills waited for a port slot — the
-    /// L2-side total behind the per-core `port_stall_cycles` stat and the
-    /// CPI stack's `l2_port` bucket.
-    port_stall_cycles: u64,
 }
 
 // `clone_from` reuses the destination's vectors — the slack-window
@@ -147,11 +140,7 @@ slipstream_isa::clone_in_place!(L2View {
     port,
     overlay,
     log,
-    next_ord,
-    line_shift,
-    hits,
-    misses,
-    port_stall_cycles
+    line_shift
 });
 
 impl L2View {
@@ -166,39 +155,9 @@ impl L2View {
             port: vec![0; cfg.max_fills.max(1)],
             overlay: Vec::new(),
             log: Vec::new(),
-            next_ord: 0,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            hits: 0,
-            misses: 0,
-            port_stall_cycles: 0,
             cfg,
         }
-    }
-
-    /// The configured geometry/timing.
-    pub fn config(&self) -> L2Config {
-        self.cfg
-    }
-
-    /// Which core this view belongs to.
-    pub fn core_id(&self) -> u8 {
-        self.core_id
-    }
-
-    /// L2 hits observed by this core.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// L2 misses (memory fills) issued by this core.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Cumulative cycles this core's fills spent queued for a free
-    /// memory-port slot.
-    pub fn port_stall_cycles(&self) -> u64 {
-        self.port_stall_cycles
     }
 
     /// Services an L1 miss whose request reaches the L2 at `cycle`. Logs
@@ -208,30 +167,24 @@ impl L2View {
     pub fn access(&mut self, cycle: u64, addr: u64) -> L2Outcome {
         let line = addr >> self.line_shift;
         let hit = self.canonical.probe(addr) || self.overlay.contains(&line);
-        let ord = self.next_ord;
-        self.next_ord += 1;
         self.log.push(L2Access {
             cycle,
-            ord,
             line,
             fill: !hit,
         });
         if hit {
-            self.hits += 1;
             return L2Outcome {
                 hit: true,
                 ready_at: cycle + self.cfg.hit_latency,
                 port_stall: 0,
             };
         }
-        self.misses += 1;
         self.overlay.push(line);
         // Tag check runs before the fill can be requested.
         let request = cycle + self.cfg.hit_latency;
         let slot = earliest_slot(&self.port);
         let start = request.max(self.port[slot]);
         self.port[slot] = start + self.cfg.fill_latency;
-        self.port_stall_cycles += start - request;
         L2Outcome {
             hit: false,
             ready_at: start + self.cfg.fill_latency,
@@ -239,38 +192,43 @@ impl L2View {
         }
     }
 
-    /// The accesses logged since the last boundary, oldest first.
-    pub fn log(&self) -> &[L2Access] {
-        &self.log
-    }
-
-    /// Removes and returns the logged accesses (the boundary handshake
-    /// ships them to the other core before [`L2View::apply_boundary`]).
-    pub fn take_log(&mut self) -> Vec<L2Access> {
-        std::mem::take(&mut self.log)
-    }
-
-    /// Boundary sync: replays the merged two-core access stream (from
-    /// [`merge_l2_logs`]) onto the canonical tags and port, then resets
-    /// the per-window overlay/log state. Applying the same `merged` slice
-    /// to both views keeps their canonical replicas bit-identical.
-    pub fn apply_boundary(&mut self, merged: &[L2Access]) {
-        debug_assert!(
-            self.log.is_empty(),
-            "take_log must run before apply_boundary"
-        );
-        for a in merged {
-            let addr = a.line << self.line_shift;
-            self.canonical.access(addr);
-            if a.fill {
-                let slot = earliest_slot(&self.canonical_port);
-                let start = (a.cycle + self.cfg.hit_latency).max(self.canonical_port[slot]);
-                self.canonical_port[slot] = start + self.cfg.fill_latency;
-            }
+    /// Boundary sync of the two cores' views: merges both access logs in
+    /// the canonical arbitration order and replays the merged stream onto
+    /// both canonical replicas, which therefore stay bit-identical; then
+    /// starts both views' next window (empty overlay and log, working port
+    /// reset to canonical). The argument order is immaterial — the core
+    /// ids decide the tie-break.
+    pub fn sync(&mut self, other: &mut L2View) {
+        let (v0, v1) = if self.core_id <= other.core_id {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let (log0, log1) = (std::mem::take(&mut v0.log), std::mem::take(&mut v1.log));
+        for a in merged(&log0, &log1) {
+            v0.replay(a);
+            v1.replay(a);
         }
+        v0.start_window(log0);
+        v1.start_window(log1);
+    }
+
+    /// Applies one merged access to the canonical tags and port.
+    fn replay(&mut self, a: L2Access) {
+        self.canonical.access(a.line << self.line_shift);
+        if a.fill {
+            let slot = earliest_slot(&self.canonical_port);
+            let start = (a.cycle + self.cfg.hit_latency).max(self.canonical_port[slot]);
+            self.canonical_port[slot] = start + self.cfg.fill_latency;
+        }
+    }
+
+    /// Resets the per-window state, reusing `log`'s buffer.
+    fn start_window(&mut self, mut log: Vec<L2Access>) {
+        log.clear();
+        self.log = log;
         self.port.copy_from_slice(&self.canonical_port);
         self.overlay.clear();
-        self.next_ord = 0;
     }
 }
 
@@ -287,27 +245,27 @@ fn earliest_slot(slots: &[u64]) -> usize {
     best
 }
 
-/// Merges the two cores' boundary logs into the canonical arbitration
-/// order: ascending `(cycle, core-id, ordinal)`, where `log0` is core 0
-/// (the A-stream wins same-cycle ties) and `log1` is core 1. Both inputs
-/// are already `(cycle, ordinal)`-sorted because cores log in simulation
-/// order.
-pub fn merge_l2_logs(log0: &[L2Access], log1: &[L2Access]) -> Vec<L2Access> {
-    let mut out = Vec::with_capacity(log0.len() + log1.len());
+/// The two cores' boundary logs in the canonical arbitration order:
+/// ascending `(cycle, core-id, ordinal)`, where `log0` is core 0 (the
+/// A-stream wins same-cycle ties) and `log1` is core 1. Both inputs are
+/// already `(cycle, ordinal)`-sorted because cores log in simulation order.
+fn merged<'a>(log0: &'a [L2Access], log1: &'a [L2Access]) -> impl Iterator<Item = L2Access> + 'a {
     let (mut i, mut j) = (0, 0);
-    while i < log0.len() && j < log1.len() {
+    std::iter::from_fn(move || {
         // Core 0 goes first on equal cycles: the fixed core-id tie-break.
-        if log0[i].cycle <= log1[j].cycle {
-            out.push(log0[i]);
+        let from0 = match (log0.get(i), log1.get(j)) {
+            (Some(x), Some(y)) => x.cycle <= y.cycle,
+            (x, _) => x.is_some(),
+        };
+        if from0 {
             i += 1;
+            Some(log0[i - 1])
         } else {
-            out.push(log1[j]);
+            let y = *log1.get(j)?;
             j += 1;
+            Some(y)
         }
-    }
-    out.extend_from_slice(&log0[i..]);
-    out.extend_from_slice(&log1[j..]);
-    out
+    })
 }
 
 #[cfg(test)]
@@ -337,7 +295,6 @@ mod tests {
         let h = v.access(120, 0x1020);
         assert!(h.hit);
         assert_eq!(h.ready_at, 120 + 10);
-        assert_eq!((v.hits(), v.misses()), (1, 1));
     }
 
     #[test]
@@ -365,58 +322,33 @@ mod tests {
         a.access(3, 0x2000);
         r.access(2, 0x0000); // same line as A's first — both charged a fill
         r.access(2, 0x4000);
-        let (la, lr) = (a.take_log(), r.take_log());
-        let merged = merge_l2_logs(&la, &lr);
-        assert_eq!(merged.len(), 4);
         assert_eq!(
-            merged.iter().map(|m| m.cycle).collect::<Vec<_>>(),
+            merged(&a.log, &r.log).map(|m| m.cycle).collect::<Vec<_>>(),
             vec![1, 2, 2, 3]
         );
-        a.apply_boundary(&merged);
-        r.apply_boundary(&merged);
+        a.sync(&mut r);
+        assert!(
+            a.log.is_empty() && r.log.is_empty(),
+            "sync starts a new window"
+        );
         for addr in [0x0000u64, 0x2000, 0x4000, 0x6000] {
             let (oa, or) = (a.access(10, addr), r.access(10, addr));
             assert_eq!(oa, or, "replicas disagree at {addr:#x}");
-            // Fresh logs for the next round keep the views in lockstep.
-            let (la, lr) = (a.take_log(), r.take_log());
-            let merged = merge_l2_logs(&la, &lr);
-            a.apply_boundary(&merged);
-            r.apply_boundary(&merged);
+            // A sync per round keeps the views in lockstep.
+            a.sync(&mut r);
         }
     }
 
     #[test]
     fn merge_tie_break_is_cycle_then_core_then_ordinal() {
-        let l0 = [
-            L2Access {
-                cycle: 5,
-                ord: 0,
-                line: 1,
-                fill: true,
-            },
-            L2Access {
-                cycle: 5,
-                ord: 1,
-                line: 2,
-                fill: true,
-            },
-        ];
-        let l1 = [
-            L2Access {
-                cycle: 4,
-                ord: 0,
-                line: 3,
-                fill: true,
-            },
-            L2Access {
-                cycle: 5,
-                ord: 1,
-                line: 4,
-                fill: true,
-            },
-        ];
-        let merged = merge_l2_logs(&l0, &l1);
-        let order: Vec<u64> = merged.iter().map(|m| m.line).collect();
+        let at = |cycle, line| L2Access {
+            cycle,
+            line,
+            fill: true,
+        };
+        let l0 = [at(5, 1), at(5, 2)];
+        let l1 = [at(4, 3), at(5, 4)];
+        let order: Vec<u64> = merged(&l0, &l1).map(|m| m.line).collect();
         // Cycle 4 first; at cycle 5 core 0 wins, its own ordinals in order.
         assert_eq!(order, vec![3, 1, 2, 4]);
     }
@@ -430,10 +362,7 @@ mod tests {
         a.access(2, 0x080);
         a.access(3, 0x000); // touch: LRU is now 0x080
         a.access(4, 0x100); // evicts 0x080 at the merge
-        let (la, lr) = (a.take_log(), r.take_log());
-        let merged = merge_l2_logs(&la, &lr);
-        a.apply_boundary(&merged);
-        r.apply_boundary(&merged);
+        a.sync(&mut r);
         assert!(a.access(10, 0x000).hit, "touched line survives");
         assert!(r.access(10, 0x100).hit, "new line resident in both views");
         assert!(!r.access(11, 0x080).hit, "LRU line evicted in both views");
@@ -450,10 +379,7 @@ mod tests {
             v.access(0, 0x2000 * (1 + i as u64));
             v.access(0, 0x2000 * (3 + i as u64));
         }
-        let (la, lr) = (a.take_log(), r.take_log());
-        let merged = merge_l2_logs(&la, &lr);
-        a.apply_boundary(&merged);
-        r.apply_boundary(&merged);
+        a.sync(&mut r);
         // The merged four fills occupied both slots twice: slots busy
         // until cycle 10+50+50. A window-2 fill at cycle 20 must stall.
         let out = a.access(20, 0xa000);
@@ -463,30 +389,5 @@ mod tests {
             "merged cross-core fills must delay the next window"
         );
         assert_eq!(out.port_stall, (10 + 50 + 50) - (20 + 10));
-    }
-
-    #[test]
-    fn merge_is_independent_of_which_side_computes_it() {
-        // At a recovery each side computes the merge from its own copies of
-        // the logs (the R side in `build_recover`, the A side after its
-        // replay in `apply_recover`); the result must be one list.
-        let mut a = L2View::new(tiny(), 0);
-        let mut r = L2View::new(tiny(), 1);
-        for c in 0..6u64 {
-            a.access(c, 0x80 * c);
-            if c.is_multiple_of(2) {
-                r.access(c, 0x80 * (c + 7));
-            }
-        }
-        let (la, lr) = (a.take_log(), r.take_log());
-        let m1 = merge_l2_logs(&la, &lr);
-        let m2 = merge_l2_logs(&la.clone(), &lr.clone());
-        assert_eq!(m1, m2);
-        // And applying it twice to fresh views converges to equal state.
-        let mut x = L2View::new(tiny(), 0);
-        let mut y = L2View::new(tiny(), 1);
-        x.apply_boundary(&m1);
-        y.apply_boundary(&m2);
-        assert_eq!(x.access(50, 0x80).hit, y.access(50, 0x80).hit);
     }
 }

@@ -60,7 +60,7 @@ pub use cache::{Cache, CacheConfig};
 pub use config::CoreConfig;
 pub use driver::{CoreDriver, DispatchHints, DriverStall, FetchItem};
 pub use drivers::{OracleDriver, StaticDriver};
-pub use l2::{merge_l2_logs, L2Access, L2Config, L2Outcome, L2View};
+pub use l2::{L2Config, L2Outcome, L2View};
 pub use pipeline::{Core, FaultSpec};
 pub use stats::CoreStats;
 pub use trace::{EventKind, StreamId, TraceEvent, TraceSink, NO_SEQ};

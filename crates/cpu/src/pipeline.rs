@@ -8,7 +8,7 @@ use crate::accounting::{Accounting, CpiCat, StallCause};
 use crate::cache::Cache;
 use crate::config::CoreConfig;
 use crate::driver::{CoreDriver, DispatchHints, DriverStall, FetchItem};
-use crate::l2::{L2Access, L2View};
+use crate::l2::L2View;
 use crate::stats::CoreStats;
 use crate::trace::{EventKind, TraceSink, NO_SEQ};
 
@@ -340,35 +340,18 @@ impl Core {
 
     /// Attaches a shared-L2 view: L1 misses (icache, loads, stores) now go
     /// through the L2 and its bandwidth-limited memory port instead of the
-    /// flat `miss_penalty`. The caller (the slipstream machine) must drain
-    /// the view's access log and call [`Core::l2_apply_boundary`] at every
-    /// sync boundary — the log grows until it does.
+    /// flat `miss_penalty`. The caller (the slipstream machine) must call
+    /// [`Core::sync_l2`] with the other core at every sync boundary — the
+    /// view's access log grows until it does.
     pub fn attach_l2(&mut self, view: L2View) {
         self.l2 = Some(view);
     }
 
-    /// The attached shared-L2 view, if any.
-    pub fn l2(&self) -> Option<&L2View> {
-        self.l2.as_ref()
-    }
-
-    /// This core's L2 accesses logged since the last boundary (empty when
-    /// no L2 is attached).
-    pub fn l2_log(&self) -> &[L2Access] {
-        self.l2.as_ref().map_or(&[], |v| v.log())
-    }
-
-    /// Removes and returns the L2 access log (see [`L2View::take_log`]).
-    pub fn l2_take_log(&mut self) -> Vec<L2Access> {
-        self.l2.as_mut().map(|v| v.take_log()).unwrap_or_default()
-    }
-
-    /// Boundary sync for the shared L2: replays the merged two-core access
-    /// stream onto this core's canonical replica (see
-    /// [`L2View::apply_boundary`]). No-op when no L2 is attached.
-    pub fn l2_apply_boundary(&mut self, merged: &[L2Access]) {
-        if let Some(v) = self.l2.as_mut() {
-            v.apply_boundary(merged);
+    /// Boundary sync of the shared L2 between this core and `other` (see
+    /// [`L2View::sync`]). No-op unless both cores have a view attached.
+    pub fn sync_l2(&mut self, other: &mut Core) {
+        if let (Some(v), Some(w)) = (self.l2.as_mut(), other.l2.as_mut()) {
+            v.sync(w);
         }
     }
 

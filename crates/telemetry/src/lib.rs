@@ -78,7 +78,9 @@ kinds! {
         ACheckpoint => "a_checkpoint",
         /// A side: rollback to the window checkpoint + deterministic replay.
         ARollbackReplay => "a_rollback_replay",
-        /// A side: applying a recovery command.
+        /// A side of a recovery: the boundary hand-off, then the A-stream
+        /// context repaired from the R-core (memory repairs, register
+        /// copy, restart, penalties).
         ARecoverApply => "a_recover_apply",
         /// R side: consuming one window's batches (in the threaded
         /// scheduler, including waits for the helper thread's batches).
@@ -86,7 +88,8 @@ kinds! {
         /// R side: the window boundary sync (training hand-off, L2 merge,
         /// credit snapshot).
         RBoundarySync => "r_boundary_sync",
-        /// R side: building a recovery command (repair list, flush).
+        /// R side of a recovery: logging the misprediction, charging its
+        /// latency, and flushing and restarting the R-core.
         RRecoveryBuild => "r_recovery_build",
     }
 }
