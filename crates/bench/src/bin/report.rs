@@ -21,8 +21,10 @@
 //! - `--smoke` is the CI gate: a small traced windowed run and a
 //!   telemetry-only threaded run, each written, read back, and checked to
 //!   re-render byte-identically and to attribute its `run_total`, then
-//!   reported together. It reads no committed file. Artifacts land in
-//!   `report_smoke/`: the two run files and `report.txt`.
+//!   reported together. The traced run must also spend at most 20 % of
+//!   its `run_total` in `a_checkpoint`. It reads no committed file.
+//!   Artifacts land in `report_smoke/`: the two run files and
+//!   `report.txt`.
 //!
 //! A malformed command line — including a flag the chosen mode does not
 //! read — prints the usage and exits with status 2.
@@ -43,6 +45,11 @@ const USAGE: &str = "usage: report --bench NAME [--scale S] [--out-dir DIR]\n   
 
 /// Where `--smoke` writes its artifacts.
 const SMOKE_DIR: &str = "report_smoke";
+
+/// The largest share of `run_total` the `--smoke` traced run may spend in
+/// `a_checkpoint`. The window checkpoint copies no flight-recorder state,
+/// so it reads under 2 %; a checkpoint that copied the rings read 65–67 %.
+const MAX_CHECKPOINT_SHARE: f64 = 0.20;
 
 /// The `--smoke` traced run's recorder: [`TRACE`] sampling every 1000
 /// cycles, so its short run still yields sample rows.
@@ -205,6 +212,21 @@ fn smoke() -> Result<(), String> {
     let traced = run_file("m88ksim", 0.05, ExecMode::Windowed, Some(SMOKE_TRACE))?;
     if traced.recording.events.is_empty() || traced.recording.samples.is_empty() {
         return Err("the traced run recorded no events or no samples".to_string());
+    }
+    let nanos = |name: &str| {
+        let spans = &traced.snapshot.spans;
+        spans
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.total_nanos)
+    };
+    let share = nanos("a_checkpoint") as f64 / nanos("run_total").max(1) as f64;
+    if share > MAX_CHECKPOINT_SHARE {
+        return Err(format!(
+            "the traced run spent {:.1}% of run_total in a_checkpoint (at most {:.0}%)",
+            100.0 * share,
+            100.0 * MAX_CHECKPOINT_SHARE
+        ));
     }
     let threaded = run_file("gcc", 0.2, ExecMode::Threaded, None)?;
     let mut runs = Vec::new();

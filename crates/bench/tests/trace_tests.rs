@@ -6,17 +6,17 @@ use std::path::Path;
 
 use slipstream_bench::{
     first_divergence, live_count, parse_jsonl, pipeview_text, report_text, to_jsonl, write_corpus,
-    FuzzViolation, RunFile,
+    FuzzViolation, RunFile, TRACE,
 };
 use slipstream_core::telemetry::{RunManifest, Telemetry};
 use slipstream_core::{
     golden_state, run_fault_experiment_traced, EventKind, FaultOutcome, FaultReport, FaultTarget,
-    FlightRecording, SlipstreamConfig, SlipstreamProcessor, StreamId, TraceConfig, TraceEvent,
-    NO_SEQ,
+    FlightRecording, IntervalSample, SlipstreamConfig, SlipstreamProcessor, StreamId, TraceConfig,
+    TraceEvent, NO_SEQ,
 };
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::{assemble, ArchState, Program};
-use slipstream_workloads::{random_program_with_shape, RandProgConfig};
+use slipstream_workloads::{benchmark, random_program_with_shape, RandProgConfig};
 
 const BUDGET: u64 = 1_000_000;
 
@@ -274,4 +274,25 @@ fn violation_trace_is_a_run_file_that_report_reads() {
     assert!(report.contains("invariant=core-oracle"), "{report}");
     assert!(report.contains("flight-recorder window"), "{report}");
     assert!(report.contains("# slipstream pipeview"), "{report}");
+}
+
+#[test]
+fn sample_rows_cover_the_whole_run() {
+    // `report --bench m88ksim`'s run: 13,134 cycles against a 10,000-cycle
+    // interval, so the run ends inside an interval. The final partial row
+    // makes the rows add up to the run; ending the run again adds nothing.
+    let w = benchmark("m88ksim", 0.2).unwrap();
+    let mut proc = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &w.program);
+    proc.enable_tracing(TRACE);
+    assert!(proc.run(BUDGET));
+    assert!(proc.run(BUDGET), "a second run of a halted program");
+    let samples = proc.flight_recording().unwrap().samples;
+    let stats = proc.stats();
+    assert_ne!(stats.r_core.cycles % TRACE.metrics_interval, 0);
+    let summed = |f: fn(&IntervalSample) -> u64| samples.iter().map(f).sum::<u64>();
+    assert_eq!(summed(|s| s.r.cycles), stats.r_core.cycles);
+    assert_eq!(summed(|s| s.r.retired), stats.r_retired);
+    assert_eq!(summed(|s| s.a.retired), stats.a_retired);
+    assert_eq!(summed(|s| s.skipped), stats.skipped);
+    assert_eq!(samples.last().map(|s| s.cycle), Some(stats.cycles));
 }

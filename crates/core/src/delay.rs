@@ -18,6 +18,8 @@ use std::collections::VecDeque;
 use slipstream_isa::{Instr, Retired};
 use slipstream_predict::TraceId;
 
+use crate::removal::Reason;
+
 /// One slot of the A-stream's path, communicated to the R-stream.
 ///
 /// Built only by [`DelayEntry::executed`] and [`DelayEntry::skipped`]; the
@@ -36,8 +38,9 @@ pub struct DelayEntry {
     pub next_pc: u64,
     /// Outcome values, indexed by the `SRC1`..`STORE_VALUE` slots.
     values: [u64; 5],
-    /// `SKIPPED`, `ENDS_TRACE`, `HAS_TAKEN`, `TAKEN` and one `HAS_VALUE`
-    /// bit per value slot.
+    /// `SKIPPED`, `ENDS_TRACE`, `HAS_TAKEN`, `TAKEN`, one `HAS_VALUE`
+    /// bit per value slot, and a skipped entry's removal [`Reason`] bits
+    /// at `REASON_SHIFT`.
     flags: u32,
 }
 
@@ -54,6 +57,8 @@ const HAS_TAKEN: u32 = 1 << 2;
 const TAKEN: u32 = 1 << 3;
 /// Presence bit of value slot 0; slot `i` uses `HAS_VALUE << i`.
 const HAS_VALUE: u32 = 1 << 4;
+/// Lowest bit of the removal reason, above the five presence bits.
+const REASON_SHIFT: u32 = 9;
 
 const SRC1: usize = 0;
 const SRC2: usize = 1;
@@ -86,14 +91,23 @@ impl DelayEntry {
         e
     }
 
-    /// A data-less marker for an instruction the A-stream skipped.
-    pub fn skipped(pc: u64, instr: Instr, next_pc: u64, ends_trace: bool) -> DelayEntry {
+    /// A data-less marker for an instruction the A-stream skipped, and
+    /// why it was removed.
+    pub fn skipped(
+        pc: u64,
+        instr: Instr,
+        next_pc: u64,
+        ends_trace: bool,
+        reason: Reason,
+    ) -> DelayEntry {
         DelayEntry {
             pc,
             instr,
             next_pc,
             values: [0; 5],
-            flags: SKIPPED | if ends_trace { ENDS_TRACE } else { 0 },
+            flags: SKIPPED
+                | if ends_trace { ENDS_TRACE } else { 0 }
+                | u32::from(reason.bits()) << REASON_SHIFT,
         }
     }
 
@@ -112,6 +126,12 @@ impl DelayEntry {
     /// (Named apart from the [`DelayEntry::skipped`] constructor.)
     pub fn is_skipped(&self) -> bool {
         self.flags & SKIPPED != 0
+    }
+
+    /// Why the A-stream removed this instruction ([`Reason::NONE`] for an
+    /// executed entry).
+    pub fn reason(&self) -> Reason {
+        Reason::from_bits((self.flags >> REASON_SHIFT) as u8)
     }
 
     /// This slot ends its trace: the A-stream's commit builder closed a
@@ -391,7 +411,13 @@ mod tests {
     fn fifo_order_preserved() {
         let mut db = DelayBuffer::new(4, 4);
         db.push(exec_entry(0x1000, false));
-        db.push(DelayEntry::skipped(0x1004, Instr::Nop, 0x1008, false));
+        db.push(DelayEntry::skipped(
+            0x1004,
+            Instr::Nop,
+            0x1008,
+            false,
+            Reason::NONE,
+        ));
         db.push(exec_entry(0x1008, true));
         assert_eq!(db.pop().unwrap().pc, 0x1000);
         assert_eq!(db.pop().unwrap().pc, 0x1004);
@@ -404,7 +430,7 @@ mod tests {
         let mut db = DelayBuffer::new(2, 8);
         assert_eq!(budget(&db), 2);
         db.push(exec_entry(0, false));
-        db.push(DelayEntry::skipped(4, Instr::Nop, 8, false));
+        db.push(DelayEntry::skipped(4, Instr::Nop, 8, false, Reason::NONE));
         assert_eq!(budget(&db), 1, "skip markers are control-only");
         db.push(exec_entry(8, false));
         assert_eq!(budget(&db), 0);
@@ -431,7 +457,7 @@ mod tests {
         let mut credits = db.credits();
         for e in [
             exec_entry(0, false),
-            DelayEntry::skipped(4, Instr::Nop, 8, true),
+            DelayEntry::skipped(4, Instr::Nop, 8, true, Reason::NONE),
             exec_entry(8, false),
             exec_entry(12, true),
         ] {
@@ -472,7 +498,7 @@ mod tests {
         assert_eq!(db.data_occupancy(), 2);
         assert_eq!(db.control_occupancy(), 0);
         // Skip markers still flow even with zero data credits.
-        db.push(DelayEntry::skipped(8, Instr::Nop, 12, true));
+        db.push(DelayEntry::skipped(8, Instr::Nop, 12, true, Reason::NONE));
         assert_eq!(budget(&db), 0);
         assert_eq!(db.control_occupancy(), 1);
     }
@@ -539,7 +565,7 @@ mod tests {
         db.push(exec_entry(0, false));
         let mut batch = Vec::with_capacity(16);
         batch.push(exec_entry(4, true));
-        batch.push(DelayEntry::skipped(8, Instr::Nop, 12, false));
+        batch.push(DelayEntry::skipped(8, Instr::Nop, 12, false, Reason::NONE));
         db.push_chunk(&mut batch);
         assert!(batch.is_empty(), "the entries moved into the ring");
         assert_eq!(batch.capacity(), 16, "the allocation stays for reuse");
@@ -656,9 +682,11 @@ mod tests {
             kinds[1] += usize::from(rec.mem.is_some_and(|m| m.is_store));
             kinds[2] += usize::from(rec.taken.is_some());
 
-            let s = DelayEntry::skipped(rec.pc, rec.instr, rec.next_pc, ends);
+            let reason = Reason::from_bits(i as u8 % 16);
+            let s = DelayEntry::skipped(rec.pc, rec.instr, rec.next_pc, ends, reason);
             assert!(s.is_skipped());
             assert_eq!(s.ends_trace(), ends);
+            assert_eq!((s.reason(), e.reason()), (reason, Reason::NONE));
             assert_eq!(
                 [s.src1(), s.src2(), s.result(), s.addr(), s.store_value()],
                 [None; 5]

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use slipstream_cpu::{CoreDriver, DriverStall, EventKind, FetchItem, TraceSink, NO_SEQ};
+use slipstream_cpu::{CoreDriver, DriverStall, FetchItem};
 use slipstream_isa::{FastHashMap, Instr, Program, Retired};
 use slipstream_predict::{
     ends_trace, materialize_into, walk, PathHistory, TraceBuilder, TraceId, TracePredictor,
@@ -172,10 +172,11 @@ pub struct TraceFrontEnd {
 
 /// The [`TraceFrontEnd`] state that a slack window changes: the
 /// speculative path history, fetch and retire bookkeeping, and the
-/// counters and flight recorder that fetch and retire bump. A window
-/// checkpoint copies exactly this struct, and its `Clone` is generated
-/// from one field list, so a field added here is checkpointed and
-/// restored with the rest.
+/// counters that fetch and retire bump. A window checkpoint copies
+/// exactly this struct, and its `Clone` is generated from one field list,
+/// so a field added here is checkpointed and restored with the rest. It
+/// holds no flight recorder: a removal travels to the R side as the
+/// skipped [`DelayEntry`]'s reason, and the R side records and counts it.
 #[derive(Default)]
 pub struct FeSpec {
     spec_hist: PathHistory,
@@ -205,13 +206,8 @@ pub struct FeSpec {
     open_trace_no: u64,
     commit: CommitBuilder,
     done: bool,
-    /// Removed-slot counts by [`Reason`] bits.
-    pub skip_counts: FastHashMap<u8, u64>,
     /// Front-end statistics.
     pub stats: FrontEndStats,
-    /// Flight recorder for removal events; the front end has no clock of
-    /// its own, so the owning harness stamps the cycle each step.
-    pub trace: Option<TraceSink>,
 }
 
 slipstream_isa::clone_in_place!(FeSpec {
@@ -229,9 +225,7 @@ slipstream_isa::clone_in_place!(FeSpec {
     open_trace_no,
     commit,
     done,
-    skip_counts,
-    stats,
-    trace
+    stats
 });
 
 impl TraceFrontEnd {
@@ -608,14 +602,6 @@ impl CoreDriver for TraceFrontEnd {
                 .skips
                 .pop_front()
                 .expect("the flat skip queue tracks meta skip counts");
-            if let Some(t) = self.spec.trace.as_mut() {
-                t.record(
-                    EventKind::Removed,
-                    NO_SEQ,
-                    skip.pc,
-                    skip.reason.bits() as u64,
-                );
-            }
             let commit = self
                 .spec
                 .commit
@@ -625,10 +611,14 @@ impl CoreDriver for TraceFrontEnd {
                 self.finish_commit(c);
             }
             if self.emit {
-                self.out_entries
-                    .push(DelayEntry::skipped(skip.pc, skip.instr, skip.next_pc, ends));
+                self.out_entries.push(DelayEntry::skipped(
+                    skip.pc,
+                    skip.instr,
+                    skip.next_pc,
+                    ends,
+                    skip.reason,
+                ));
             }
-            *self.spec.skip_counts.entry(skip.reason.bits()).or_insert(0) += 1;
         }
         let commit = self.spec.commit.feed(rec.pc, &rec.instr, rec.taken, false);
         let ends = commit.is_some();

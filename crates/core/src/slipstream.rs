@@ -62,7 +62,7 @@ use crate::removal::Reason;
 use crate::rstream::{IrMispKind, RStreamDriver};
 use crate::trace::{
     self, EventKind, FlightRecording, IntervalSample, IntervalSampler, StreamId, TraceConfig,
-    TraceSink, NO_SEQ,
+    TraceEvent, TraceSink, NO_SEQ,
 };
 
 /// If the R-stream retires nothing for this many cycles the simulation is
@@ -152,6 +152,10 @@ struct CycleBatch {
     entries: Vec<DelayEntry>,
     commits: Vec<TraceCommit>,
     applied: Vec<(u64, TraceId)>,
+    /// The A-core's flight-recorder events of this cycle (empty unless
+    /// tracing): the R side keeps the ring, so a batch thrown away by a
+    /// rollback takes its events with it.
+    events: Vec<TraceEvent>,
     sample: Option<ASample>,
 }
 
@@ -161,7 +165,6 @@ struct CycleBatch {
 struct ASample {
     a_stats: CoreStats,
     fe_stats: FrontEndStats,
-    skipped: u64,
 }
 
 /// What the R-stream observed while consuming one cycle.
@@ -221,13 +224,8 @@ impl AHalf {
         batch.entries.clear();
         batch.commits.clear();
         batch.applied.clear();
+        batch.events.clear();
         batch.sample = None;
-
-        // The front end has no clock of its own; stamp its sink here (the
-        // core stamps its own sink inside `cycle`).
-        if let Some(t) = self.fe.spec.trace.as_mut() {
-            t.set_cycle(self.cycles);
-        }
 
         // Delay-buffer back-pressure gates A-stream retirement.
         self.fe.retire_budget = self.credits.retire_budget();
@@ -235,6 +233,7 @@ impl AHalf {
         // end only, so materializing the `Retired` records would be a pure
         // ~130-byte-per-instruction copy.
         self.core.cycle_quiet(&mut self.fe);
+        self.core.drain_trace(&mut batch.events);
 
         // Zero-copy hand-off: count the push credits, then swap the front
         // end's output buffers straight into the batch (the batch's cleared
@@ -250,7 +249,6 @@ impl AHalf {
             batch.sample = Some(ASample {
                 a_stats: *self.core.stats(),
                 fe_stats: self.fe.spec.stats,
-                skipped: self.fe.spec.skip_counts.values().sum(),
             });
         }
     }
@@ -295,9 +293,9 @@ impl AHalf {
 }
 
 /// The trailing core, its driver, and everything downstream of it: the
-/// recovery controller, the online checker, the misprediction log, and the
-/// machine-level flight recorder (all of which observe committed —
-/// R-retired — state only, so they never roll back).
+/// recovery controller, the online checker, the misprediction log, the
+/// removal counts, and every flight-recorder ring (all of which observe
+/// consumed batches and committed state only, so they never roll back).
 #[derive(Clone)]
 struct RHalf {
     core: Core,
@@ -311,6 +309,8 @@ struct RHalf {
     last_r_retired: Option<Retired>,
     cycles: u64,
     ir_misps: u64,
+    /// Skipped delay entries consumed, indexed by removal [`Reason`] bits.
+    skipped_by_reason: [u64; 16],
     penalty_sum: u64,
     mem_restored_sum: u64,
     last_r_progress: u64,
@@ -323,8 +323,9 @@ struct RHalf {
     /// Log of detected IR-mispredictions (kind, cycle) — used by the fault
     /// experiments to classify outcomes.
     misp_log: Vec<(IrMispKind, u64)>,
-    /// Machine-level flight recorder + interval sampler (`None` = tracing
-    /// disabled, which also leaves every component sink uninstalled).
+    /// The A side's and the machine's flight-recorder rings + interval
+    /// sampler (`None` = tracing disabled, which also leaves every
+    /// component sink uninstalled).
     machine_trace: Option<MachineTrace>,
     /// IR-detector observations deferred to the next sync boundary (the
     /// IR-table lives on the A side; shipping observations at boundaries
@@ -353,6 +354,11 @@ fn tel_span(tel: &mut Option<Box<Telemetry>>, kind: SpanKind, start: Option<Inst
 /// Machine-level observability state, present only while tracing.
 #[derive(Clone)]
 struct MachineTrace {
+    /// The A-core's events, fed from each consumed batch and from the
+    /// A-core's flush at recovery.
+    a_core: TraceSink,
+    /// The A-stream's removals, one per consumed skipped entry.
+    a_fe: TraceSink,
     /// Sink for cross-stream events (delay traffic, IR-misps, recovery).
     sink: TraceSink,
     sampler: IntervalSampler,
@@ -390,6 +396,8 @@ impl RHalf {
     fn consume_cycle(&mut self, batch: &mut CycleBatch, program: &Program) -> RPhase {
         self.cycles = batch.cycle;
         if let Some(mt) = self.machine_trace.as_mut() {
+            mt.a_core.extend(batch.events.iter().copied());
+            mt.a_fe.set_cycle(self.cycles);
             mt.sink.set_cycle(self.cycles);
         }
         if let Some(t) = self.drv.trace.as_mut() {
@@ -401,7 +409,14 @@ impl RHalf {
         // then the batch's entries move into the buffer's ring (the batch
         // keeps its emptied vector for refilling).
         for e in &batch.entries {
-            if !e.is_skipped() && e.instr.is_store() {
+            if e.is_skipped() {
+                let bits = e.reason().bits();
+                self.skipped_by_reason[bits as usize] += 1;
+                if let Some(mt) = self.machine_trace.as_mut() {
+                    mt.a_fe
+                        .record(EventKind::Removed, NO_SEQ, e.pc, u64::from(bits));
+                }
+            } else if e.instr.is_store() {
                 if let (Some(addr), Some(w)) = (e.addr(), e.instr.mem_width()) {
                     self.recovery.add_undo(addr, w);
                 }
@@ -480,22 +495,10 @@ impl RHalf {
             self.applied_pending.drain(..2048);
         }
 
-        if let Some(mt) = self.machine_trace.as_mut() {
+        if let Some(mt) = &self.machine_trace {
             if mt.sampler.due(self.cycles) {
-                let s = batch
-                    .sample
-                    .as_ref()
-                    .expect("A side samples at the same due cycles");
-                mt.sampler.sample(
-                    self.cycles,
-                    &s.a_stats,
-                    self.core.stats(),
-                    &s.fe_stats,
-                    s.skipped,
-                    self.ir_misps,
-                    self.drv.value_hints,
-                    self.drv.delay.len() as u64,
-                );
+                let s = batch.sample.expect("A side samples at the same due cycles");
+                self.sample(&s.a_stats, &s.fe_stats);
             }
         }
 
@@ -515,6 +518,29 @@ impl RHalf {
             RPhase::Halted
         } else {
             RPhase::Ok
+        }
+    }
+
+    /// Skipped delay entries consumed so far.
+    fn skipped(&self) -> u64 {
+        self.skipped_by_reason.iter().sum()
+    }
+
+    /// Appends the interval sample ending at the current cycle, given the
+    /// A side's counters as of that cycle (a no-op unless tracing).
+    fn sample(&mut self, a_stats: &CoreStats, fe_stats: &FrontEndStats) {
+        let skipped = self.skipped();
+        if let Some(mt) = self.machine_trace.as_mut() {
+            mt.sampler.sample(
+                self.cycles,
+                a_stats,
+                self.core.stats(),
+                fe_stats,
+                skipped,
+                self.ir_misps,
+                self.drv.value_hints,
+                self.drv.delay.len() as u64,
+            );
         }
     }
 }
@@ -582,6 +608,9 @@ fn recover(a: &mut AHalf, r: &mut RHalf, program: &Program) {
     sync_halves(a, r);
     r.mem_restored_sum += r.recovery.repair(r.core.mem(), a.core.mem_mut()) as u64;
     a.core.flush();
+    if let Some(mt) = r.machine_trace.as_mut() {
+        a.core.drain_trace(&mut mt.a_core);
+    }
     a.core.set_regs(r.core.arch_regs());
     a.fe.reset_to(restart);
     for (key, _) in r.applied_pending.drain(..) {
@@ -789,6 +818,7 @@ impl SlipstreamProcessor {
                 last_r_retired: None,
                 cycles: 0,
                 ir_misps: 0,
+                skipped_by_reason: [0; 16],
                 penalty_sum: 0,
                 mem_restored_sum: 0,
                 last_r_progress: 0,
@@ -813,8 +843,11 @@ impl SlipstreamProcessor {
 
     /// Turns on the flight recorder (and, if configured, interval
     /// sampling): one bounded ring per component — A core, A front end,
-    /// machine, R core, R driver. Call before stepping; with tracing off
-    /// the step path pays only never-taken `Option` branches.
+    /// machine, R core, R driver — all kept on the R side. The A-core
+    /// records into an unbounded sink that each cycle's batch empties, so
+    /// a window checkpoint copies no recorder state. Call before
+    /// stepping; with tracing off the step path pays only never-taken
+    /// `Option` branches.
     pub fn enable_tracing(&mut self, cfg: TraceConfig) {
         let mk = |stream| {
             let mut t = TraceSink::new(stream, cfg.ring_capacity);
@@ -823,12 +856,14 @@ impl SlipstreamProcessor {
             }
             t
         };
-        self.a.core.set_trace(Some(mk(StreamId::AStream)));
+        let staging = TraceSink::new(StreamId::AStream, usize::MAX);
+        self.a.core.set_trace(Some(staging));
         self.r.core.set_trace(Some(mk(StreamId::RStream)));
-        self.a.fe.spec.trace = Some(mk(StreamId::AStream));
         self.r.drv.trace = Some(mk(StreamId::RStream));
         self.a.sample_interval = cfg.metrics_interval;
         self.r.machine_trace = Some(MachineTrace {
+            a_core: mk(StreamId::AStream),
+            a_fe: mk(StreamId::AStream),
             sink: mk(StreamId::Machine),
             sampler: IntervalSampler::new(cfg.metrics_interval),
         });
@@ -864,15 +899,11 @@ impl SlipstreamProcessor {
     fn sinks(&self) -> impl Iterator<Item = &TraceSink> {
         // Fixed merge order = deterministic tie-breaking within a cycle:
         // A core, A front end, machine, R core, R driver.
-        [
-            self.a.core.trace(),
-            self.a.fe.spec.trace.as_ref(),
-            self.r.machine_trace.as_ref().map(|mt| &mt.sink),
-            self.r.core.trace(),
-            self.r.drv.trace.as_ref(),
-        ]
-        .into_iter()
-        .flatten()
+        let mt = self.r.machine_trace.as_ref();
+        mt.into_iter()
+            .flat_map(|mt| [&mt.a_core, &mt.a_fe, &mt.sink])
+            .chain(self.r.core.trace())
+            .chain(self.r.drv.trace.as_ref())
     }
 
     /// The interval-metrics time-series (empty unless tracing with a
@@ -982,11 +1013,18 @@ impl SlipstreamProcessor {
         sched.one_cycle(a);
     }
 
-    /// A completed run ends on a boundary: flush the deferred learning so
+    /// A completed run ends on a boundary: sample the interval since the
+    /// last sample row, if one is open, and flush the deferred learning so
     /// post-run inspection (predictor state, statistics) sees every
     /// committed trace, identically in every mode.
     fn finish_run(&mut self) -> bool {
         if self.halted() {
+            let r = &mut self.r;
+            if let Some(mt) = &r.machine_trace {
+                if mt.sampler.tail_due(r.cycles) {
+                    r.sample(self.a.core.stats(), &self.a.fe.spec.stats);
+                }
+            }
             self.anchor = self.a.cycles;
             boundary_sync(&mut self.a, &mut self.r);
         }
@@ -1123,16 +1161,12 @@ impl SlipstreamProcessor {
     pub fn stats(&self) -> SlipstreamStats {
         let r = *self.r.core.stats();
         let a = *self.a.core.stats();
-        let skipped: u64 = self.a.fe.spec.skip_counts.values().sum();
-        let mut by_reason: Vec<(Reason, u64)> = self
-            .a
-            .fe
-            .spec
-            .skip_counts
-            .iter()
-            .map(|(&bits, &n)| (Reason::from_bits(bits), n))
+        let skipped = self.r.skipped();
+        let by_reason: Vec<(Reason, u64)> = (0u8..)
+            .zip(self.r.skipped_by_reason)
+            .filter(|&(_, n)| n > 0)
+            .map(|(bits, n)| (Reason::from_bits(bits), n))
             .collect();
-        by_reason.sort_by_key(|&(r, _)| r.bits());
         let cycles = self.r.cycles;
         let kilo = |n: u64| {
             if r.retired == 0 {

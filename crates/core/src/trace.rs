@@ -19,9 +19,10 @@ use crate::rstream::IrMispKind;
 /// [`SlipstreamProcessor::enable_tracing`](crate::SlipstreamProcessor::enable_tracing).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
-    /// Events kept per component sink (five sinks: A core, A front end,
-    /// machine, R core, R driver). The flight recorder keeps the *last*
-    /// `ring_capacity` events of each.
+    /// Events kept per ring (five rings, all on the R side: A core, A
+    /// front end, machine, R core, R driver). The flight recorder keeps
+    /// the *last* `ring_capacity` events of each; the A-core's own sink
+    /// only stages one cycle's events for its batch and is never bounded.
     pub ring_capacity: usize,
     /// Snapshot counter deltas every this many cycles into the interval
     /// time-series; `0` disables sampling.
@@ -174,6 +175,12 @@ impl IntervalSampler {
     #[inline]
     pub fn due(&self, cycle: u64) -> bool {
         self.interval != 0 && cycle.is_multiple_of(self.interval)
+    }
+
+    /// Whether a run halting at `cycle` still needs a final, partial
+    /// sample: sampling is on and no row ends at `cycle` yet.
+    pub fn tail_due(&self, cycle: u64) -> bool {
+        self.interval != 0 && self.samples.last().is_none_or(|s| s.cycle != cycle)
     }
 
     /// Records the sample for the interval ending at `cycle`.

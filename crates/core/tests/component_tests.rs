@@ -287,8 +287,13 @@ fn rstream_executes_skip_markers_without_checking() {
     for (i, rec) in trace.iter().enumerate() {
         // Mark the second (silent) store as skipped-by-A: no values.
         if i == 3 {
-            drv.delay
-                .push(DelayEntry::skipped(rec.pc, rec.instr, rec.next_pc, false));
+            drv.delay.push(DelayEntry::skipped(
+                rec.pc,
+                rec.instr,
+                rec.next_pc,
+                false,
+                Reason::NONE,
+            ));
         } else {
             drv.delay.push(DelayEntry::executed(rec, rec.is_halt()));
         }

@@ -4,7 +4,10 @@
 //! workload — including runs with IR-misprediction recoveries, injected
 //! faults, cycle-budget truncation, and chunked (stop/resume) driving.
 
-use slipstream_core::{CpiCat, ExecMode, SlipstreamConfig, SlipstreamProcessor, SlipstreamStats};
+use slipstream_core::{
+    CpiCat, EventKind, ExecMode, SlipstreamConfig, SlipstreamProcessor, SlipstreamStats, StreamId,
+    TraceConfig,
+};
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::{assemble, Program};
 use slipstream_workloads::{benchmark, suite};
@@ -525,4 +528,46 @@ fn step_interleaves_with_batch_runs() {
         &reference,
         &(p, got_stats),
     );
+}
+
+#[test]
+fn stepped_recording_leaves_nothing_on_the_a_side() {
+    // Every A-side event rides the cycle's batch to the R side, and a
+    // recovery hands the A-core's flush over at once: between steps the
+    // A-core's sink is empty, and stepping records what a windowed run
+    // records. Threshold 1 removes eagerly, so recoveries are frequent.
+    let mut cfg = SlipstreamConfig::cmp_2x64x4();
+    cfg.confidence_threshold = 1;
+    let w = benchmark("vortex", 0.1).unwrap();
+    let trace = TraceConfig::flight(1 << 20).with_metrics(500);
+    let mut stepped = SlipstreamProcessor::new(cfg.clone(), &w.program);
+    stepped.enable_tracing(trace);
+    while !stepped.halted() {
+        stepped.step();
+        let staged = stepped.a_core().trace().expect("tracing enabled");
+        assert!(
+            staged.is_empty(),
+            "cycle {}: {} A-core events left on the A side",
+            stepped.cycles(),
+            staged.len()
+        );
+    }
+    // The end-of-run boundary the batch schedulers finish with.
+    stepped.run_mode(ExecMode::Serial, u64::MAX);
+    assert!(stepped.stats().ir_mispredictions > 1, "needs recoveries");
+    let mut windowed = SlipstreamProcessor::new(cfg, &w.program);
+    windowed.enable_tracing(trace);
+    assert!(windowed.run_mode(ExecMode::Windowed, MAX_CYCLES));
+    let (got, want) = (
+        stepped.flight_recording().unwrap(),
+        windowed.flight_recording().unwrap(),
+    );
+    let a_flush = (EventKind::Flush, StreamId::AStream);
+    assert!(
+        got.events.iter().any(|e| (e.kind, e.stream) == a_flush),
+        "no A-core flush was recorded"
+    );
+    assert!(got.events == want.events, "stepped events diverged");
+    assert_eq!(got.samples, want.samples);
+    assert_eq!(got.dropped, want.dropped);
 }

@@ -10,7 +10,7 @@ use crate::config::CoreConfig;
 use crate::driver::{CoreDriver, DispatchHints, DriverStall, FetchItem};
 use crate::l2::L2View;
 use crate::stats::CoreStats;
-use crate::trace::{EventKind, TraceSink, NO_SEQ};
+use crate::trace::{EventKind, TraceEvent, TraceSink, NO_SEQ};
 
 /// A single transient fault to inject: when the dynamic instruction with
 /// dispatch sequence number `seq` executes, bit `bit` of its result is
@@ -299,6 +299,14 @@ impl Core {
     /// The installed flight recorder, if tracing is enabled.
     pub fn trace(&self) -> Option<&TraceSink> {
         self.trace.as_ref()
+    }
+
+    /// Moves the installed recorder's events onto the end of `out` (see
+    /// [`TraceSink::drain_into`]); a no-op with tracing off.
+    pub fn drain_trace(&mut self, out: &mut impl Extend<TraceEvent>) {
+        if let Some(t) = self.trace.as_mut() {
+            t.drain_into(out);
+        }
     }
 
     /// Records one event into the flight recorder, if one is installed.

@@ -1,7 +1,7 @@
 //! Flight-recorder tracing: typed pipeline events in a bounded ring.
 //!
 //! The sink lives in this lowest layer so every component of the machine —
-//! the core itself, the slipstream front ends, and the harness — can record
+//! the core itself, the slipstream drivers, and the harness — can record
 //! into the same event vocabulary; higher layers (`slipstream_core::trace`)
 //! add configuration, interval sampling, and multi-sink merging on top.
 //!
@@ -178,11 +178,6 @@ impl TraceSink {
         }
     }
 
-    /// The stream this sink records for.
-    pub fn stream(&self) -> StreamId {
-        self.stream
-    }
-
     /// Sets the cycle stamped on subsequently recorded events.
     pub fn set_cycle(&mut self, cycle: u64) {
         self.cycle = cycle;
@@ -197,17 +192,22 @@ impl TraceSink {
     /// Records one event at the current cycle.
     #[inline]
     pub fn record(&mut self, kind: EventKind, seq: u64, pc: u64, arg: u64) {
-        if self.freeze_after.is_some_and(|f| self.cycle > f) {
-            return;
-        }
-        let e = TraceEvent {
+        self.push(TraceEvent {
             cycle: self.cycle,
             seq,
             pc,
             arg,
             stream: self.stream,
             kind,
-        };
+        });
+    }
+
+    /// Records an event as stamped, keeping its cycle and stream.
+    #[inline]
+    fn push(&mut self, e: TraceEvent) {
+        if self.freeze_after.is_some_and(|f| e.cycle > f) {
+            return;
+        }
         if self.buf.len() < self.cap {
             self.buf.push(e);
         } else {
@@ -215,6 +215,14 @@ impl TraceSink {
             self.next = (self.next + 1) % self.cap;
             self.dropped += 1;
         }
+    }
+
+    /// Moves every held event, oldest first, onto the end of `out`, leaving
+    /// the sink empty (its dropped count stays).
+    pub fn drain_into(&mut self, out: &mut impl Extend<TraceEvent>) {
+        out.extend(self.events().copied());
+        self.buf.clear();
+        self.next = 0;
     }
 
     /// Events currently held, oldest first.
@@ -237,10 +245,14 @@ impl TraceSink {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+}
 
-    /// Total events ever recorded (held + dropped).
-    pub fn total_recorded(&self) -> u64 {
-        self.buf.len() as u64 + self.dropped
+/// Records events another sink stamped (see [`TraceSink::drain_into`]).
+impl Extend<TraceEvent> for TraceSink {
+    fn extend<I: IntoIterator<Item = TraceEvent>>(&mut self, events: I) {
+        for e in events {
+            self.push(e);
+        }
     }
 }
 
@@ -262,7 +274,6 @@ mod tests {
         push_n(&mut sink, 3 * k as u64);
         assert_eq!(sink.len(), k);
         assert_eq!(sink.dropped(), 2 * k as u64);
-        assert_eq!(sink.total_recorded(), 3 * k as u64);
         let seqs: Vec<u64> = sink.events().map(|e| e.seq).collect();
         let want: Vec<u64> = (2 * k as u64..3 * k as u64).collect();
         assert_eq!(seqs, want, "ring holds the most recent K, oldest first");
@@ -300,6 +311,20 @@ mod tests {
         push_n(&mut sink, 20);
         assert_eq!(sink.len(), 11, "cycles 0..=10 recorded, rest frozen out");
         assert!(sink.events().all(|e| e.cycle <= 10));
+    }
+
+    #[test]
+    fn drained_events_keep_their_stamps_and_freeze_by_their_cycle() {
+        let mut staging = TraceSink::new(StreamId::AStream, usize::MAX);
+        push_n(&mut staging, 6);
+        let mut ring = TraceSink::new(StreamId::Machine, 4);
+        ring.freeze_after(4);
+        staging.drain_into(&mut ring);
+        assert!(staging.is_empty());
+        let held: Vec<(u64, StreamId)> = ring.events().map(|e| (e.cycle, e.stream)).collect();
+        let want: Vec<(u64, StreamId)> = (1..=4).map(|c| (c, StreamId::AStream)).collect();
+        assert_eq!(held, want, "cycles 0..=4 kept as stamped, one evicted");
+        assert_eq!(ring.dropped(), 1);
     }
 
     #[test]
