@@ -143,17 +143,22 @@ impl SlipstreamConfig {
         }
     }
 
-    /// Minimum recovery latency in cycles: startup plus all 64 registers at
-    /// `restores_per_cycle` per cycle (the paper's "minimum latency (no
-    /// memory) = 21 cycles").
+    /// Minimum recovery latency in cycles, with no memory to restore (the
+    /// paper's "minimum latency (no memory) = 21 cycles").
     pub fn min_recovery_latency(&self) -> u64 {
-        self.recovery_startup + (slipstream_isa::NUM_REGS as u64).div_ceil(self.restores_per_cycle)
+        self.recovery_latency(0)
     }
 
-    /// Recovery latency when `mem_restores` memory locations must also be
-    /// copied.
+    /// Recovery latency in cycles when `mem_restores` memory locations must
+    /// be copied, per the paper's recovery pipeline: startup, then all 64
+    /// registers and the memory locations at `restores_per_cycle` per
+    /// cycle. The schedulers impose it via `Core::stall_fetch_recovery`, so
+    /// the CPI stack attributes every one of these cycles to its `recovery`
+    /// bucket (not the generic external-stall bucket).
     pub fn recovery_latency(&self, mem_restores: u64) -> u64 {
-        self.min_recovery_latency() + mem_restores.div_ceil(self.restores_per_cycle)
+        self.recovery_startup
+            + (slipstream_isa::NUM_REGS as u64).div_ceil(self.restores_per_cycle)
+            + mem_restores.div_ceil(self.restores_per_cycle)
     }
 }
 

@@ -323,6 +323,13 @@ impl DelayBuffer {
         self.ring.range(self.taken..)
     }
 
+    /// Iterates every entry the ring holds, in flight then queued, oldest
+    /// first: the A-stream's outcomes the R-stream has not yet retired
+    /// (recovery's undo list).
+    pub(crate) fn held(&self) -> impl Iterator<Item = &DelayEntry> + '_ {
+        self.ring.iter()
+    }
+
     /// Oldest unconsumed trace commit.
     pub fn pop_commit(&mut self) -> Option<TraceCommit> {
         self.commits.pop_front()

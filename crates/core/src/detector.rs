@@ -24,45 +24,49 @@ struct Producer {
     slot: u8,
 }
 
-/// Inline slot list: a trace holds at most [`MAX_TRACE_LEN`] (= 32)
-/// nodes, so dependence-edge lists fit in fixed arrays. The former
-/// `Vec<u8>` per node cost two heap allocations per retired A-stream
-/// instruction, straight out of the simulator's hot loop.
+/// Inline list of at most `N` per-slot items: a trace holds at most
+/// [`MAX_TRACE_LEN`] (= 32) nodes, so dependence-edge lists and a trace's
+/// store list fit in fixed arrays and the detector allocates nothing per
+/// retired instruction or per evicted trace. Reads as a slice.
 #[derive(Debug, Clone, Copy)]
-struct SlotList<const N: usize> {
+pub struct SlotList<T, const N: usize> {
     len: u8,
-    buf: [u8; N],
+    buf: [T; N],
 }
 
-impl<const N: usize> SlotList<N> {
-    const fn new() -> Self {
+impl<T: Copy, const N: usize> SlotList<T, N> {
+    /// An empty list; `fill` only initialises the unused capacity.
+    const fn new(fill: T) -> Self {
         SlotList {
             len: 0,
-            buf: [0; N],
+            buf: [fill; N],
         }
     }
 
-    fn push(&mut self, v: u8) {
+    fn push(&mut self, v: T) {
         self.buf[self.len as usize] = v;
         self.len += 1;
     }
+}
 
-    fn as_slice(&self) -> &[u8] {
+impl<T, const N: usize> std::ops::Deref for SlotList<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
         &self.buf[..self.len as usize]
     }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
+
+/// Every store of one trace: `(slot, address, width)`.
+pub type TraceStores = SlotList<(u8, u64, MemWidth), MAX_TRACE_LEN>;
 
 #[derive(Debug, Clone)]
 struct Node {
     instr: Instr,
     /// Same-trace producer slots (back-propagation edges).
-    producers: SlotList<3>,
+    producers: SlotList<u8, 3>,
     /// Same-trace consumer slots.
-    consumers: SlotList<{ MAX_TRACE_LEN }>,
+    consumers: SlotList<u8, MAX_TRACE_LEN>,
     /// A consumer outside this node's trace referenced the value: the node
     /// can never be back-prop selected (no connection exists to track it).
     external_consumer: bool,
@@ -83,8 +87,8 @@ impl Node {
     const fn placeholder() -> Node {
         Node {
             instr: Instr::Halt,
-            producers: SlotList::new(),
-            consumers: SlotList::new(),
+            producers: SlotList::new(0),
+            consumers: SlotList::new(0),
             external_consumer: false,
             killed: false,
             has_dest: false,
@@ -141,19 +145,14 @@ pub struct DetectorOutput {
     pub id: TraceId,
     /// Computed removal vector and per-slot reasons.
     pub info: RemovalInfo,
-    /// Every store in the trace: `(slot, address, width)` — used to verify
-    /// predicted-ineffectual (skipped) stores and stop tracking them.
-    pub stores: Vec<(u8, u64, MemWidth)>,
+    /// Every store in the trace — used to verify predicted-ineffectual
+    /// (skipped) stores and stop tracking them.
+    pub stores: TraceStores,
 }
-
-/// Spare `DetectorOutput::stores` allocations kept for reuse via
-/// [`IrDetector::recycle`].
-const STORES_SPARE_CAP: usize = 16;
 
 /// The IR-detector. Feed it the R-stream's retired instructions in order
 /// via [`IrDetector::push`]; collect per-evicted-trace removal information
-/// from [`IrDetector::pop_output`] (returning the output to
-/// [`IrDetector::recycle`] afterwards).
+/// from [`IrDetector::pop_output`].
 #[derive(Debug, Clone)]
 pub struct IrDetector {
     policy: RemovalPolicy,
@@ -182,8 +181,6 @@ pub struct IrDetector {
     /// Reusable scratch for `write_mem`'s overlap kill list (per-store on
     /// the hot path).
     overlap_scratch: Vec<u64>,
-    /// Recycled `DetectorOutput::stores` allocations.
-    stores_spare: Vec<Vec<(u8, u64, MemWidth)>>,
 }
 
 impl IrDetector {
@@ -207,7 +204,6 @@ impl IrDetector {
             pending_scratch: Vec::new(),
             pin_scratch: Vec::new(),
             overlap_scratch: Vec::new(),
-            stores_spare: Vec::new(),
         }
     }
 
@@ -251,7 +247,7 @@ impl IrDetector {
 
         // ---- source references (must precede destination processing so a
         // self-overwrite like `addi r1, r1, 1` counts as a reference).
-        let mut producers = SlotList::<3>::new();
+        let mut producers = SlotList::<u8, 3>::new(0);
         let mut reference = |p: Option<Producer>, nodes: &mut IrDetector| {
             if let Some(prod) = p {
                 if prod.trace_no == cur_no {
@@ -283,7 +279,7 @@ impl IrDetector {
         let node = Node {
             instr: rec.instr,
             producers,
-            consumers: SlotList::new(),
+            consumers: SlotList::new(0),
             external_consumer: false,
             killed: false,
             has_dest: rec.dest.is_some() || is_store,
@@ -297,7 +293,7 @@ impl IrDetector {
             let cur = self.current.as_mut().expect("current exists");
             debug_assert!(cur.len() < MAX_TRACE_LEN, "trace overflows its stripe");
             self.nodes[cur.base + cur.len()] = node;
-            for &p in producers.as_slice() {
+            for &p in producers.iter() {
                 self.nodes[cur.base + p as usize].consumers.push(slot);
             }
             cur.trace.push(rec.pc, &rec.instr, rec.taken).is_some()
@@ -365,20 +361,9 @@ impl IrDetector {
         }
     }
 
-    /// Takes the oldest evicted-trace output, if any. Pair with
-    /// [`IrDetector::recycle`] so the per-output `stores` allocation
-    /// circulates instead of being freed and re-made every trace.
+    /// Takes the oldest evicted-trace output, if any.
     pub fn pop_output(&mut self) -> Option<DetectorOutput> {
         self.outputs.pop_front()
-    }
-
-    /// Returns a consumed output's `stores` allocation to the spare pool
-    /// for reuse by later evictions.
-    pub fn recycle(&mut self, mut out: DetectorOutput) {
-        if self.stores_spare.len() < STORES_SPARE_CAP {
-            out.stores.clear();
-            self.stores_spare.push(out.stores);
-        }
     }
 
     /// Evicts and reports every completed trace still in scope (used when
@@ -537,7 +522,7 @@ impl IrDetector {
             node.reason = node.reason.union(reason);
             node.producers
         };
-        for &slot in producers.as_slice() {
+        for &slot in producers.iter() {
             self.try_select(Producer {
                 trace_no: p.trace_no,
                 slot,
@@ -569,7 +554,7 @@ impl IrDetector {
             }
             let mut inherited = Reason::PROP;
             let mut all_selected = true;
-            for &c in node.consumers.as_slice() {
+            for &c in node.consumers.iter() {
                 let cn = &self.nodes[base + c as usize];
                 if cn.selected {
                     inherited = inherited.union(cn.reason.triggers());
@@ -601,7 +586,7 @@ impl IrDetector {
             return;
         };
         let mut info = RemovalInfo::empty();
-        let mut stores = self.stores_spare.pop().unwrap_or_default();
+        let mut stores = TraceStores::new((0, 0, MemWidth::Byte));
         for i in 0..t.len() {
             let node = &self.nodes[t.base + i];
             if node.selected {
@@ -877,7 +862,7 @@ mod tests {
             "li r1, 4096\nli r2, 1\nst r2, 8(r1)\nstb r2, 100(r1)\nhalt",
             RemovalPolicy::all(),
         );
-        let stores: Vec<_> = out.iter().flat_map(|o| o.stores.clone()).collect();
+        let stores: Vec<_> = out.iter().flat_map(|o| o.stores.iter().copied()).collect();
         assert_eq!(stores.len(), 2);
         assert!(stores.contains(&(2, 4104, MemWidth::Word)));
         assert!(stores.contains(&(3, 4196, MemWidth::Byte)));

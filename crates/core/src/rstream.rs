@@ -8,11 +8,12 @@
 use slipstream_cpu::{
     CoreDriver, DispatchHints, DriverStall, EventKind, FetchItem, TraceSink, NO_SEQ,
 };
-use slipstream_isa::{MemWidth, Retired};
+use slipstream_isa::Retired;
 
 use crate::config::RemovalPolicy;
 use crate::delay::{DelayBuffer, DelayEntry};
 use crate::detector::IrDetector;
+use crate::recovery::RecoveryController;
 
 /// How an IR-misprediction (or a transient fault masquerading as one) was
 /// noticed.
@@ -39,12 +40,14 @@ pub enum IrMispKind {
     },
 }
 
-/// The R-stream driver: owns the delay buffer's consumer end and the
-/// IR-detector.
+/// The R-stream driver: owns the delay buffer's consumer end, the
+/// IR-detector, and the recovery controller they feed.
 ///
 /// An entry stays in the delay buffer from fetch to retire: dispatch checks
 /// it in place (`DelayBuffer::in_flight`) and retire releases it, so the
-/// driver keeps only the meta id of the oldest entry in flight.
+/// driver keeps only the meta id of the oldest entry in flight. The
+/// entries held are also recovery's undo list; retire hands the
+/// controller the do list's stores.
 #[derive(Clone)]
 pub struct RStreamDriver {
     /// The delay buffer (producer side filled by the harness from the
@@ -52,6 +55,9 @@ pub struct RStreamDriver {
     pub delay: DelayBuffer,
     /// The IR-detector, fed by R-stream retirement.
     pub detector: IrDetector,
+    /// The recovery controller: do-tracking begins when a skipped store
+    /// retires here.
+    pub recovery: RecoveryController,
     /// Meta id of the oldest entry in flight. Ids are handed out
     /// contiguously at fetch and items retire strictly in dispatch order,
     /// so entry `meta` is the delay buffer's in-flight entry
@@ -63,16 +69,8 @@ pub struct RStreamDriver {
     /// Set when a divergence is noticed; the harness performs recovery and
     /// calls [`RStreamDriver::reset_for_recovery`].
     pub ir_misp: Option<IrMispKind>,
-    /// Stores the R-stream retired whose companions executed in the
-    /// A-stream (recovery controller: end undo-tracking).
-    pub out_undo_remove: Vec<(u64, MemWidth)>,
-    /// Stores the R-stream retired that the A-stream skipped (recovery
-    /// controller: begin do-tracking).
-    pub out_do_add: Vec<(u64, MemWidth)>,
     /// Operand values that matched and were used as predictions.
     pub value_hints: u64,
-    /// Dynamic instructions checked against delay-buffer data.
-    pub checked: u64,
     /// Flight recorder for delay-buffer consumption; the driver has no
     /// clock of its own, so the owning harness stamps the cycle each step.
     pub trace: Option<TraceSink>,
@@ -90,15 +88,13 @@ impl RStreamDriver {
         RStreamDriver {
             delay: DelayBuffer::new(data_cap, control_cap),
             detector: IrDetector::new(policy, detector_scope),
+            recovery: RecoveryController::new(),
             inflight_base: 1,
             next_meta: 1,
             prev_pc: None,
             frozen: false,
             ir_misp: None,
-            out_undo_remove: Vec::new(),
-            out_do_add: Vec::new(),
             value_hints: 0,
-            checked: 0,
             trace: None,
         }
     }
@@ -113,7 +109,8 @@ impl RStreamDriver {
     }
 
     /// Clears all in-flight state after recovery; the delay buffer and
-    /// detector restart empty.
+    /// detector restart empty. The buffer is recovery's undo list, so
+    /// [`RecoveryController::latch_undo`] must run first.
     pub fn reset_for_recovery(&mut self) {
         self.delay.clear();
         self.detector.flush();
@@ -121,8 +118,6 @@ impl RStreamDriver {
         self.prev_pc = None;
         self.frozen = false;
         self.ir_misp = None;
-        self.out_undo_remove.clear();
-        self.out_do_add.clear();
     }
 }
 
@@ -191,7 +186,6 @@ impl CoreDriver for RStreamDriver {
             src1_predicted: e.src1().is_some(),
             src2_predicted: e.src2().is_some(),
         };
-        self.checked += 1;
         if !matches {
             self.flag(IrMispKind::ValueMismatch { pc: rec.pc });
             return DispatchHints::default();
@@ -234,14 +228,8 @@ impl CoreDriver for RStreamDriver {
         self.delay.release();
         self.inflight_base += 1;
         self.detector.push(rec);
-        if let Some(m) = rec.mem {
-            if m.is_store {
-                if skipped {
-                    self.out_do_add.push((m.addr, m.width));
-                } else {
-                    self.out_undo_remove.push((m.addr, m.width));
-                }
-            }
+        if let Some(m) = rec.mem.filter(|m| skipped && m.is_store) {
+            self.recovery.add_do(m.addr, m.width);
         }
     }
 }

@@ -57,7 +57,6 @@ use crate::config::SlipstreamConfig;
 use crate::delay::{Credits, DelayEntry, TraceCommit};
 use crate::front_end::{FeCheckpoint, FrontEndStats, TraceFrontEnd};
 use crate::ir_table::{IrTable, RemovalInfo};
-use crate::recovery::RecoveryController;
 use crate::removal::Reason;
 use crate::rstream::{IrMispKind, RStreamDriver};
 use crate::trace::{
@@ -292,15 +291,15 @@ impl AHalf {
     }
 }
 
-/// The trailing core, its driver, and everything downstream of it: the
-/// recovery controller, the online checker, the misprediction log, the
-/// removal counts, and every flight-recorder ring (all of which observe
-/// consumed batches and committed state only, so they never roll back).
+/// The trailing core, its driver (which owns the delay buffer, the
+/// IR-detector and the recovery controller), and everything downstream
+/// of it: the online checker, the misprediction log, the removal counts,
+/// and every flight-recorder ring (all of which observe consumed batches
+/// and committed state only, so they never roll back).
 #[derive(Clone)]
 struct RHalf {
     core: Core,
     drv: RStreamDriver,
-    recovery: RecoveryController,
     /// Path history mirrored on the verification side, so IR-detector
     /// outputs are filed under the same context keys the A-stream uses for
     /// lookups.
@@ -308,7 +307,6 @@ struct RHalf {
     applied_pending: Vec<(u64, TraceId)>,
     last_r_retired: Option<Retired>,
     cycles: u64,
-    ir_misps: u64,
     /// Skipped delay entries consumed, indexed by removal [`Reason`] bits.
     skipped_by_reason: [u64; 16],
     penalty_sum: u64,
@@ -320,8 +318,8 @@ struct RHalf {
     /// stepped in lockstep with R-stream retirement; any divergence is a
     /// simulator bug and panics immediately.
     online_check: Option<ArchState>,
-    /// Log of detected IR-mispredictions (kind, cycle) — used by the fault
-    /// experiments to classify outcomes.
+    /// Log of detected IR-mispredictions (kind, cycle), one row per
+    /// recovery — used by the fault experiments to classify outcomes.
     misp_log: Vec<(IrMispKind, u64)>,
     /// The A side's and the machine's flight-recorder rings + interval
     /// sampler (`None` = tracing disabled, which also leaves every
@@ -331,8 +329,6 @@ struct RHalf {
     /// IR-table lives on the A side; shipping observations at boundaries
     /// keeps every scheduler's table updates at identical points).
     obs_q: Vec<(u64, TraceId, RemovalInfo)>,
-    recovery_startup: u64,
-    restores_per_cycle: u64,
     /// Host-side telemetry for the R/consuming side (`None` = off).
     tel: Option<Box<Telemetry>>,
 }
@@ -404,10 +400,10 @@ impl RHalf {
             t.set_cycle(self.cycles);
         }
 
-        // Route the A-stream's retirement output into the delay buffer and
-        // the recovery controller: one read-only pass for the bookkeeping,
-        // then the batch's entries move into the buffer's ring (the batch
-        // keeps its emptied vector for refilling).
+        // Route the A-stream's retirement output into the delay buffer: one
+        // read-only pass for the bookkeeping, then the batch's entries move
+        // into the buffer's ring (the batch keeps its emptied vector for
+        // refilling).
         for e in &batch.entries {
             if e.is_skipped() {
                 let bits = e.reason().bits();
@@ -415,10 +411,6 @@ impl RHalf {
                 if let Some(mt) = self.machine_trace.as_mut() {
                     mt.a_fe
                         .record(EventKind::Removed, NO_SEQ, e.pc, u64::from(bits));
-                }
-            } else if e.instr.is_store() {
-                if let (Some(addr), Some(w)) = (e.addr(), e.instr.mem_width()) {
-                    self.recovery.add_undo(addr, w);
                 }
             }
             if let Some(mt) = self.machine_trace.as_mut() {
@@ -451,14 +443,6 @@ impl RHalf {
             self.retired_buf = retired;
         }
 
-        // Route R-stream store events to the recovery controller.
-        for (a, w) in self.drv.out_undo_remove.drain(..) {
-            self.recovery.remove_undo(a, w);
-        }
-        for (a, w) in self.drv.out_do_add.drain(..) {
-            self.recovery.add_do(a, w);
-        }
-
         // IR-detector outputs: verify the A-stream's applied removals now;
         // queue the IR-table training for the next sync boundary.
         while let Some(out) = self.drv.detector.pop_output() {
@@ -470,9 +454,9 @@ impl RHalf {
                         trace_start: out.id.start_pc,
                     });
                 } else {
-                    for &(slot, addr, w) in &out.stores {
+                    for &(slot, addr, w) in out.stores.iter() {
                         if (c.used_vec >> slot) & 1 == 1 {
-                            self.recovery.remove_do(addr, w);
+                            self.drv.recovery.remove_do(addr, w);
                         }
                     }
                     if c.used_vec != 0 {
@@ -487,7 +471,6 @@ impl RHalf {
             let key = self.observe_hist.context_hash();
             self.obs_q.push((key, out.id, out.info));
             self.observe_hist.push(out.id);
-            self.drv.detector.recycle(out);
         }
         if self.applied_pending.len() > 4096 {
             // Leaked entries from truncated reduced traces; the list is
@@ -537,7 +520,7 @@ impl RHalf {
                 self.core.stats(),
                 fe_stats,
                 skipped,
-                self.ir_misps,
+                self.misp_log.len() as u64,
                 self.drv.value_hints,
                 self.drv.delay.len() as u64,
             );
@@ -571,13 +554,14 @@ fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
 /// lockstep or because it was rolled back and replayed there.
 ///
 /// The R side goes first (timed as `r_recovery_build`): it logs the
-/// misprediction, charges the recovery latency, and flushes and restarts
-/// its core. It does not read A. Then the boundary hand-off runs, and the
-/// A-stream context is repaired from the R-core (timed as
-/// `a_recover_apply`): the tracked memory locations and the whole register
-/// file are copied over, the A-stream restarts behind the same latency,
-/// and the unverified removals it applied are penalized.
-fn recover(a: &mut AHalf, r: &mut RHalf, program: &Program) {
+/// misprediction, latches the undo list from the delay buffer, charges the
+/// recovery latency, and flushes and restarts its core. It does not read
+/// A. Then the boundary hand-off runs, and the A-stream context is
+/// repaired from the R-core (timed as `a_recover_apply`): the tracked
+/// memory locations and the whole register file are copied over, the
+/// A-stream restarts behind the same latency, and the unverified removals
+/// it applied are penalized.
+fn recover(a: &mut AHalf, r: &mut RHalf, program: &Program, cfg: &SlipstreamConfig) {
     debug_assert_eq!(a.cycles, r.cycles, "A must sit at the recovery cycle");
     let t0 = tel_now(&r.tel);
     let kind = r.drv.ir_misp.expect("called only when flagged");
@@ -586,9 +570,10 @@ fn recover(a: &mut AHalf, r: &mut RHalf, program: &Program) {
         .last_r_retired
         .map(|rec| rec.next_pc)
         .unwrap_or_else(|| program.entry());
-    // Latency depends on the tracked-location count, so compute it
-    // before the repair clears the tracking sets.
-    let latency = r.recovery.latency(r.recovery_startup, r.restores_per_cycle);
+    // The undo list is the delay buffer's executed stores: latch it
+    // before the reset below clears the buffer.
+    r.drv.recovery.latch_undo(&r.drv.delay);
+    let latency = cfg.recovery_latency(r.drv.recovery.tracked() as u64);
     if let Some(mt) = r.machine_trace.as_mut() {
         let (code, pc) = trace::misp_code(kind);
         mt.sink.record(EventKind::IrMispredict, NO_SEQ, pc, code);
@@ -599,14 +584,13 @@ fn recover(a: &mut AHalf, r: &mut RHalf, program: &Program) {
     r.drv.reset_for_recovery();
     let r_resume = r.core.now() + latency;
     r.core.stall_fetch_recovery(r_resume);
-    r.ir_misps += 1;
     r.penalty_sum += latency;
     tel_span(&mut r.tel, SpanKind::RRecoveryBuild, t0);
 
     let t0 = tel_now(&a.tel);
     // Observations reach the IR table before the penalties below.
     sync_halves(a, r);
-    r.mem_restored_sum += r.recovery.repair(r.core.mem(), a.core.mem_mut()) as u64;
+    r.mem_restored_sum += r.drv.recovery.repair(r.core.mem(), a.core.mem_mut()) as u64;
     a.core.flush();
     if let Some(mt) = r.machine_trace.as_mut() {
         a.core.drain_trace(&mut mt.a_core);
@@ -659,6 +643,7 @@ type Outcome = Option<(RPhase, u64)>;
 struct Sched<'m> {
     r: &'m mut RHalf,
     program: &'m Program,
+    cfg: &'m SlipstreamConfig,
     anchor: &'m mut u64,
     quantum: u64,
     scratch: &'m mut CycleBatch,
@@ -681,7 +666,7 @@ impl Sched<'_> {
     fn one_cycle(&mut self, a: &mut AHalf) {
         a.run_cycle(self.scratch);
         if self.r.consume_cycle(self.scratch, self.program) == RPhase::Misp {
-            recover(a, self.r, self.program);
+            recover(a, self.r, self.program, self.cfg);
             *self.anchor = a.cycles;
         }
     }
@@ -728,7 +713,7 @@ impl Sched<'_> {
                     let t0 = tel_now(&a.tel);
                     a.rollback_replay(ck, cycle, self.scratch);
                     tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
-                    recover(a, self.r, self.program);
+                    recover(a, self.r, self.program, self.cfg);
                     *self.anchor = cycle;
                 }
                 Some((_, cycle)) => {
@@ -812,12 +797,10 @@ impl SlipstreamProcessor {
             r: RHalf {
                 core: r_core,
                 drv: r_drv,
-                recovery: RecoveryController::new(),
                 observe_hist: PathHistory::new(cfg.trace_pred.path_len),
                 applied_pending: Vec::new(),
                 last_r_retired: None,
                 cycles: 0,
-                ir_misps: 0,
                 skipped_by_reason: [0; 16],
                 penalty_sum: 0,
                 mem_restored_sum: 0,
@@ -828,8 +811,6 @@ impl SlipstreamProcessor {
                 misp_log: Vec::new(),
                 machine_trace: None,
                 obs_q: Vec::new(),
-                recovery_startup: cfg.recovery_startup,
-                restores_per_cycle: cfg.restores_per_cycle,
                 tel: None,
             },
             program: program.clone(),
@@ -998,6 +979,7 @@ impl SlipstreamProcessor {
         let sched = Sched {
             r: &mut self.r,
             program: &self.program,
+            cfg: &self.cfg,
             anchor: &mut self.anchor,
             quantum: self.cfg.sync_quantum.max(1) as u64,
             scratch: &mut self.scratch,
@@ -1168,6 +1150,7 @@ impl SlipstreamProcessor {
             .map(|(bits, n)| (Reason::from_bits(bits), n))
             .collect();
         let cycles = self.r.cycles;
+        let ir_misps = self.r.misp_log.len() as u64;
         let kilo = |n: u64| {
             if r.retired == 0 {
                 0.0
@@ -1191,13 +1174,13 @@ impl SlipstreamProcessor {
             } else {
                 skipped as f64 / r.retired as f64
             },
-            ir_mispredictions: self.r.ir_misps,
+            ir_mispredictions: ir_misps,
             misp_cycles: self.r.misp_log.iter().map(|&(_, c)| c).collect(),
-            ir_misp_per_kilo: kilo(self.r.ir_misps),
-            avg_ir_penalty: if self.r.ir_misps == 0 {
+            ir_misp_per_kilo: kilo(ir_misps),
+            avg_ir_penalty: if ir_misps == 0 {
                 0.0
             } else {
-                self.r.penalty_sum as f64 / self.r.ir_misps as f64
+                self.r.penalty_sum as f64 / ir_misps as f64
             },
             branch_misp_per_kilo: kilo(a.branch_mispredicts),
             mem_restored: self.r.mem_restored_sum,

@@ -6,7 +6,7 @@ use slipstream_core::{
     DelayEntry, IrTable, RStreamDriver, Reason, RemovalInfo, RemovalPolicy, TraceFrontEnd,
 };
 use slipstream_cpu::{Core, CoreConfig};
-use slipstream_isa::{assemble, ArchState, Program};
+use slipstream_isa::{assemble, ArchState, MemWidth, Program};
 use slipstream_predict::{walk, TracePredictorConfig, WalkEnd, MAX_TRACE_LEN};
 
 fn loopy_program(iters: u64) -> Program {
@@ -309,15 +309,17 @@ fn rstream_executes_skip_markers_without_checking() {
         trace.len() as u64,
         "skips still execute in R"
     );
+    drv.recovery.latch_undo(&drv.delay);
     assert_eq!(
-        drv.out_do_add,
-        vec![(0x5000, slipstream_isa::MemWidth::Word)],
+        drv.recovery.tracked(),
+        1,
         "a skipped store begins do-tracking"
     );
+    drv.recovery.remove_do(0x5000, MemWidth::Word);
     assert_eq!(
-        drv.out_undo_remove,
-        vec![(0x5000, slipstream_isa::MemWidth::Word)],
-        "the executed companion store ends undo-tracking"
+        drv.recovery.tracked(),
+        0,
+        "the executed companion store has left the delay buffer: nothing to undo"
     );
 }
 

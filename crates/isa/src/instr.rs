@@ -3,7 +3,7 @@ use std::fmt;
 use crate::reg::Reg;
 
 /// Access width of a memory operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemWidth {
     /// One byte, zero-extended on load.
     Byte,
