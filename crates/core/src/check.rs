@@ -34,7 +34,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
 use slipstream_cpu::{Core, CoreConfig, OracleDriver};
-use slipstream_isa::{ArchState, Program, Retired};
+use slipstream_isa::{ArchState, Program};
 
 use crate::config::{RemovalPolicy, SlipstreamConfig};
 use crate::slipstream::SlipstreamProcessor;
@@ -252,13 +252,12 @@ impl Invariant for CoreOracle {
         catch_check(|| {
             let mut core = Core::new(CoreConfig::ss_64x4(), program.initial_memory());
             let mut driver = OracleDriver::new(program);
-            let mut retired: Vec<Retired> = Vec::new();
             let mut cycles = 0u64;
             while !core.halted() {
                 if cycles >= max_cycles {
                     return Err(format!("core did not halt within {max_cycles} cycles"));
                 }
-                core.cycle(&mut driver, &mut retired);
+                core.cycle_quiet(&mut driver);
                 cycles += 1;
             }
             compare_final_state(

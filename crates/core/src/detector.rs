@@ -25,7 +25,7 @@ struct Producer {
 }
 
 /// Inline list of at most `N` per-slot items: a trace holds at most
-/// [`MAX_TRACE_LEN`] (= 32) nodes, so dependence-edge lists and a trace's
+/// [`MAX_TRACE_LEN`] (= 32) nodes, so a node's producer list and a trace's
 /// store list fit in fixed arrays and the detector allocates nothing per
 /// retired instruction or per evicted trace. Reads as a slice.
 #[derive(Debug, Clone, Copy)]
@@ -60,13 +60,18 @@ impl<T, const N: usize> std::ops::Deref for SlotList<T, N> {
 /// Every store of one trace: `(slot, address, width)`.
 pub type TraceStores = SlotList<(u8, u64, MemWidth), MAX_TRACE_LEN>;
 
+// `Node::consumers` keeps one bit per slot of a trace.
+const _: () = assert!(MAX_TRACE_LEN <= u32::BITS as usize);
+
 #[derive(Debug, Clone)]
 struct Node {
     instr: Instr,
     /// Same-trace producer slots (back-propagation edges).
     producers: SlotList<u8, 3>,
-    /// Same-trace consumer slots.
-    consumers: SlotList<u8, MAX_TRACE_LEN>,
+    /// Same-trace consumer slots, one bit per slot: a consumer that reads
+    /// the node through both sources is one consumer, and walking the set
+    /// bits upward visits consumers in the order they retired.
+    consumers: u32,
     /// A consumer outside this node's trace referenced the value: the node
     /// can never be back-prop selected (no connection exists to track it).
     external_consumer: bool,
@@ -88,7 +93,7 @@ impl Node {
         Node {
             instr: Instr::Halt,
             producers: SlotList::new(0),
-            consumers: SlotList::new(0),
+            consumers: 0,
             external_consumer: false,
             killed: false,
             has_dest: false,
@@ -279,7 +284,7 @@ impl IrDetector {
         let node = Node {
             instr: rec.instr,
             producers,
-            consumers: SlotList::new(0),
+            consumers: 0,
             external_consumer: false,
             killed: false,
             has_dest: rec.dest.is_some() || is_store,
@@ -294,7 +299,7 @@ impl IrDetector {
             debug_assert!(cur.len() < MAX_TRACE_LEN, "trace overflows its stripe");
             self.nodes[cur.base + cur.len()] = node;
             for &p in producers.iter() {
-                self.nodes[cur.base + p as usize].consumers.push(slot);
+                self.nodes[cur.base + p as usize].consumers |= 1 << slot;
             }
             cur.trace.push(rec.pc, &rec.instr, rec.taken).is_some()
         };
@@ -544,7 +549,7 @@ impl IrDetector {
                 || !node.killed
                 || !node.has_dest
                 || node.external_consumer
-                || node.consumers.is_empty()
+                || node.consumers == 0
                 || matches!(node.instr, Instr::Halt | Instr::Jr { .. })
             {
                 // A killed node with *no* consumers is an unreferenced
@@ -554,8 +559,11 @@ impl IrDetector {
             }
             let mut inherited = Reason::PROP;
             let mut all_selected = true;
-            for &c in node.consumers.iter() {
-                let cn = &self.nodes[base + c as usize];
+            let mut rest = node.consumers;
+            while rest != 0 {
+                let c = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let cn = &self.nodes[base + c];
                 if cn.selected {
                     inherited = inherited.union(cn.reason.triggers());
                 } else {
@@ -982,6 +990,23 @@ mod tests {
         want.extend(vec![(0b01_0110, 6, 1); 12]);
         want.push((0b001_0100, 7, 1));
         assert_eq!(got, want);
+    }
+
+    /// A consumer that reads one in-trace producer through both sources is
+    /// one consumer: 17 `add r2, r1, r1` make 34 reads of the `li`, more
+    /// than a trace has slots.
+    #[test]
+    fn same_source_fanout_counts_each_consumer_once() {
+        let src = format!("li r1, 5\n{}halt", "add r2, r1, r1\n".repeat(17));
+        let out = analyse(&src, RemovalPolicy::all());
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].id.len, 19);
+        // Every add after the first rewrites the value r2 already holds
+        // (SV); the `li`, the first add and the halt stay.
+        let removed = all_reasons(&out);
+        let slots: Vec<usize> = removed.iter().map(|&(_, i, _)| i).collect();
+        assert_eq!(slots, (2..=17).collect::<Vec<_>>());
+        assert!(removed.iter().all(|&(_, _, r)| r.contains(Reason::SV)));
     }
 
     #[test]

@@ -91,6 +91,34 @@ fn slipstream_matches_oracle_on_simple_loop() {
     assert_eq!(s.r_retired, 3 + 500 * 5 + 1);
 }
 
+/// 17 consumers read one in-trace producer through both sources: 34 reads,
+/// more than a trace has slots, must leave every run clean.
+#[test]
+fn same_source_fanout_runs_under_every_fuzz_key() {
+    let p = assemble(&format!("li r1, 5\n{}halt", "add r2, r1, r1\n".repeat(17)))
+        .expect("program assembles");
+    let golden = golden_state(&p, 10_000);
+    let default_threshold = SlipstreamConfig::cmp_2x64x4().confidence_threshold;
+    for (removal, confidence_threshold) in [
+        (RemovalPolicy::all(), default_threshold),
+        (RemovalPolicy::branches_only(), default_threshold),
+        (RemovalPolicy::none(), default_threshold),
+        (RemovalPolicy::all(), 1),
+    ] {
+        let cfg = SlipstreamConfig {
+            removal,
+            confidence_threshold,
+            ..SlipstreamConfig::cmp_2x64x4()
+        };
+        let mut proc = SlipstreamProcessor::new(cfg, &p);
+        proc.set_strict(true);
+        proc.enable_online_check();
+        assert!(proc.run(MAX_CYCLES), "{removal:?}: run must halt");
+        assert_eq!(proc.r_core().arch_regs(), golden.regs(), "{removal:?}");
+        assert_eq!(proc.r_core().mem().first_difference(golden.mem()), None);
+    }
+}
+
 #[test]
 fn slipstream_matches_oracle_with_heavy_removal() {
     let p = removable_heavy_program(800);

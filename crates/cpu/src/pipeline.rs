@@ -2,8 +2,6 @@ use std::collections::VecDeque;
 
 use slipstream_isa::{InstrKind, MemEffect, MemRead, MemWidth, Memory, Reg, Retired, NUM_REGS};
 
-use slipstream_isa::ExecOut;
-
 use crate::accounting::{Accounting, CpiCat, StallCause};
 use crate::cache::Cache;
 use crate::config::CoreConfig;
@@ -902,84 +900,38 @@ impl Core {
     }
 
     fn execute_functionally(&mut self, item: &FetchItem) -> Retired {
-        let instr = item.instr;
-        let (s1, s2) = instr.src_regs();
-        let v1 = s1.map_or(0, |r| self.spec_regs[r.index()]);
-        let v2 = s2.map_or(0, |r| self.spec_regs[r.index()]);
-        let mut out = {
-            let spec = SpecMem {
-                mem: &self.mem,
-                stores: &self.store_queue,
-            };
-            instr.exec(item.pc, v1, v2, &spec)
+        let spec = SpecMem {
+            mem: &self.mem,
+            stores: &self.store_queue,
         };
+        let mut rec = item
+            .instr
+            .exec(self.next_seq, item.pc, &self.spec_regs, &spec);
         if self.fault.is_some_and(|f| f.seq == self.next_seq) {
             let f = self.fault.take().expect("just checked");
-            self.apply_fault(&instr, item.pc, f, &mut out);
+            self.apply_fault(f, &mut rec);
         }
-        let mem = if let Some((addr, width, value)) = out.store {
-            let spec = SpecMem {
-                mem: &self.mem,
-                stores: &self.store_queue,
-            };
-            let old = spec.load(addr, width);
-            Some(MemEffect {
-                addr,
-                width,
-                value,
-                old_value: Some(old),
-                is_store: true,
-            })
-        } else if let (Some(addr), Some(value)) = (out.addr, out.loaded) {
-            Some(MemEffect {
-                addr,
-                width: instr.mem_width().expect("load has a width"),
-                value,
-                old_value: None,
-                is_store: false,
-            })
-        } else {
-            None
-        };
-        let rec = Retired {
-            seq: self.next_seq,
-            pc: item.pc,
-            instr,
-            src1: s1.map(|r| (r, v1)),
-            src2: s2.map(|r| (r, v2)),
-            dest: out.dest,
-            mem,
-            taken: out.taken,
-            next_pc: out.next_pc,
-        };
         self.next_seq += 1;
         rec
     }
 
     /// Flips one bit of the instruction's produced value (dest register,
     /// store data, or branch outcome).
-    fn apply_fault(
-        &mut self,
-        instr: &slipstream_isa::Instr,
-        pc: u64,
-        f: FaultSpec,
-        out: &mut ExecOut,
-    ) {
+    fn apply_fault(&mut self, f: FaultSpec, rec: &mut Retired) {
         self.stats.faults_injected += 1;
         self.stats.fault_fired_cycle = Some(self.now);
         self.stats.fault_fired_seq = Some(f.seq);
-        self.trace_event(EventKind::FaultFired, f.seq, pc, f.bit as u64);
-        if let Some((d, v)) = out.dest {
-            out.dest = Some((d, v ^ (1u64 << (f.bit & 63))));
-        } else if let Some((a, w, v)) = out.store {
-            let flipped = v ^ (1u64 << (f.bit as u64 % (8 * w.bytes())));
-            out.store = Some((a, w, flipped));
-        } else if let Some(t) = out.taken {
-            out.taken = Some(!t);
-            out.next_pc = if t {
-                pc.wrapping_add(4)
+        self.trace_event(EventKind::FaultFired, f.seq, rec.pc, f.bit as u64);
+        if let Some((d, v)) = rec.dest {
+            rec.dest = Some((d, v ^ (1u64 << (f.bit & 63))));
+        } else if let Some(m) = rec.mem.as_mut().filter(|m| m.is_store) {
+            m.value ^= 1u64 << (f.bit as u64 % (8 * m.width.bytes()));
+        } else if let Some(t) = rec.taken {
+            rec.taken = Some(!t);
+            rec.next_pc = if t {
+                rec.pc.wrapping_add(4)
             } else {
-                instr.static_target().unwrap_or(out.next_pc)
+                rec.instr.static_target().unwrap_or(rec.next_pc)
             };
         }
         // Instructions with no visible result (nop, halt, j) absorb the

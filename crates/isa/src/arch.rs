@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::instr::{ExecOut, Instr, MemWidth};
+use crate::instr::{Effects, Instr, MemWidth};
 use crate::mem::Memory;
 use crate::program::Program;
 use crate::reg::{Reg, NUM_REGS};
@@ -187,56 +187,19 @@ impl ArchState {
     pub fn step(&mut self, program: &Program) -> Result<Retired, ExecError> {
         let pc = self.pc;
         let instr = *program.instr_at(pc).ok_or(ExecError::InvalidPc { pc })?;
-        let (s1, s2) = instr.src_regs();
-        let v1 = s1.map_or(0, |r| self.reg(r));
-        let v2 = s2.map_or(0, |r| self.reg(r));
-        let out: ExecOut = instr.exec(pc, v1, v2, &self.mem);
-
-        let mem_effect = self.apply_mem(&instr, &out);
-        if let Some((d, v)) = out.dest {
-            self.set_reg(d, v);
+        let rec = instr.exec(self.retired, pc, &self.regs, &self.mem);
+        if let Some(m) = rec.mem.filter(|m| m.is_store) {
+            self.mem.store(m.addr, m.width, m.value);
         }
-        self.pc = out.next_pc;
+        if let Some((d, v)) = rec.dest {
+            self.regs[d.index()] = v;
+        }
+        self.pc = rec.next_pc;
         if matches!(instr, Instr::Halt) {
             self.halted = true;
         }
-
-        let rec = Retired {
-            seq: self.retired,
-            pc,
-            instr,
-            src1: s1.map(|r| (r, v1)),
-            src2: s2.map(|r| (r, v2)),
-            dest: out.dest,
-            mem: mem_effect,
-            taken: out.taken,
-            next_pc: out.next_pc,
-        };
         self.retired += 1;
         Ok(rec)
-    }
-
-    fn apply_mem(&mut self, instr: &Instr, out: &ExecOut) -> Option<MemEffect> {
-        let width = instr.mem_width()?;
-        if let Some((addr, w, value)) = out.store {
-            let old = self.mem.load(addr, w);
-            self.mem.store(addr, w, value);
-            return Some(MemEffect {
-                addr,
-                width: w,
-                value,
-                old_value: Some(old),
-                is_store: true,
-            });
-        }
-        let addr = out.addr?;
-        Some(MemEffect {
-            addr,
-            width,
-            value: out.loaded?,
-            old_value: None,
-            is_store: false,
-        })
     }
 
     /// Runs `program` until `halt` or until `fuel` instructions retire,
@@ -260,7 +223,10 @@ impl ArchState {
     }
 
     /// Runs to completion without collecting a trace; returns the number of
-    /// instructions retired (including `halt`).
+    /// instructions retired (including `halt`). Each instruction's effects
+    /// land straight in the registers and memory: no [`Retired`] is built
+    /// and no store's old value is read. The final state, and any error,
+    /// are those of a loop of [`ArchState::step`].
     ///
     /// # Errors
     ///
@@ -268,11 +234,47 @@ impl ArchState {
     pub fn run_quiet(&mut self, program: &Program, fuel: u64) -> Result<u64, ExecError> {
         let start = self.retired;
         for _ in 0..fuel {
-            if self.step(program)?.is_halt() {
+            let pc = self.pc;
+            let instr = *program.instr_at(pc).ok_or(ExecError::InvalidPc { pc })?;
+            instr.apply(pc, &mut InPlace(self));
+            self.retired += 1;
+            if matches!(instr, Instr::Halt) {
+                self.halted = true;
                 return Ok(self.retired - start);
             }
         }
         Err(ExecError::OutOfFuel { executed: fuel })
+    }
+}
+
+/// The [`Effects`] sink behind [`ArchState::run_quiet`]: every effect lands
+/// in the state's own registers, memory and PC, and nothing is recorded.
+struct InPlace<'a>(&'a mut ArchState);
+
+impl Effects for InPlace<'_> {
+    #[inline(always)]
+    fn read(&mut self, r: Reg) -> u64 {
+        self.0.regs[r.index()]
+    }
+
+    #[inline(always)]
+    fn load(&mut self, addr: u64, width: MemWidth) -> u64 {
+        self.0.mem.load(addr, width)
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u64, width: MemWidth, value: u64) {
+        self.0.mem.store(addr, width, value);
+    }
+
+    #[inline(always)]
+    fn write(&mut self, d: Reg, value: u64) {
+        self.0.regs[d.index()] = value;
+    }
+
+    #[inline(always)]
+    fn next(&mut self, next_pc: u64, _taken: Option<bool>) {
+        self.0.pc = next_pc;
     }
 }
 

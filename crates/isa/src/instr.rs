@@ -1,6 +1,7 @@
 use std::fmt;
 
-use crate::reg::Reg;
+use crate::arch::{MemEffect, Retired};
+use crate::reg::{Reg, NUM_REGS};
 
 /// Access width of a memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -151,27 +152,29 @@ pub enum Instr {
     Nop,
 }
 
-/// The architectural effect of executing one instruction, as computed by
-/// [`Instr::exec`].
+/// Where [`Instr::apply`] sends one instruction's architectural effects.
 ///
-/// The *caller* is responsible for applying the effect: writing
-/// `dest`, performing `store`, and setting the PC to `next_pc`. This split
-/// lets the out-of-order core buffer stores in its store queue and lets the
-/// functional simulator apply them immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOut {
-    /// Register write: destination and value.
-    pub dest: Option<(Reg, u64)>,
-    /// Effective address of a load or store.
-    pub addr: Option<u64>,
-    /// Value to be stored (stores only).
-    pub store: Option<(u64, MemWidth, u64)>,
-    /// Value that was loaded (loads only).
-    pub loaded: Option<u64>,
-    /// Conditional-branch outcome (`Some(taken)`), `None` otherwise.
-    pub taken: Option<bool>,
-    /// Address of the next instruction.
-    pub next_pc: u64,
+/// The sink supplies the operands (register reads, loads) and receives
+/// the results (the register write, the store, the next PC). Two sinks
+/// exist: [`Instr::exec`] records every effect into a [`Retired`] without
+/// changing anything, and [`ArchState::run_quiet`](crate::ArchState::run_quiet)
+/// writes straight into its registers and memory.
+pub(crate) trait Effects {
+    /// Reads source register `r`. `apply` calls it once per source that
+    /// [`Instr::src_regs`] names, in that order; a read of `r0` must
+    /// return 0.
+    fn read(&mut self, r: Reg) -> u64;
+    /// Loads `width` bytes at `addr`, zero-extended into a `u64`.
+    fn load(&mut self, addr: u64, width: MemWidth) -> u64;
+    /// Stores `value`, already truncated to `width`, at `addr`.
+    fn store(&mut self, addr: u64, width: MemWidth, value: u64);
+    /// Writes `value` to `d`, which is never `r0` (the register
+    /// [`Instr::dest_reg`] names).
+    fn write(&mut self, d: Reg, value: u64);
+    /// The address of the next instruction, with the conditional-branch
+    /// outcome (`None` for everything but a conditional branch). `apply`
+    /// calls it last, exactly once.
+    fn next(&mut self, next_pc: u64, taken: Option<bool>);
 }
 
 impl Instr {
@@ -307,111 +310,230 @@ impl Instr {
         }
     }
 
-    /// Executes the instruction given its (already-read) source operand
-    /// values and a read-only view of memory, returning its effect.
-    ///
-    /// `v1`/`v2` correspond to [`Instr::src_regs`]'s first/second sources
-    /// and are ignored when the instruction has fewer sources.
-    ///
-    /// The caller applies the returned [`ExecOut`]: this function never
-    /// mutates anything, which is what lets the A-stream, the R-stream, the
-    /// functional oracle, and the fault injector share one implementation
-    /// of the ISA semantics.
-    pub fn exec<M: MemRead>(&self, pc: u64, v1: u64, v2: u64, mem: M) -> ExecOut {
+    /// Executes the instruction at `pc` through `fx`: reads its sources,
+    /// performs its load or store, writes its destination, and reports the
+    /// next PC. This is the one definition of every opcode's semantics;
+    /// each [`Effects`] sink decides what the effects touch.
+    #[inline]
+    pub(crate) fn apply<E: Effects>(&self, pc: u64, fx: &mut E) {
         use Instr::*;
+        use MemWidth::{Byte, Word};
         let fall = pc.wrapping_add(4);
-        let mut out = ExecOut {
-            dest: None,
-            addr: None,
-            store: None,
-            loaded: None,
-            taken: None,
-            next_pc: fall,
+        let (d, value) = match *self {
+            Add { d, a, b } => (d, rr(fx, a, b, u64::wrapping_add)),
+            Sub { d, a, b } => (d, rr(fx, a, b, u64::wrapping_sub)),
+            And { d, a, b } => (d, rr(fx, a, b, |x, y| x & y)),
+            Or { d, a, b } => (d, rr(fx, a, b, |x, y| x | y)),
+            Xor { d, a, b } => (d, rr(fx, a, b, |x, y| x ^ y)),
+            Slt { d, a, b } => (d, rr(fx, a, b, |x, y| ((x as i64) < (y as i64)) as u64)),
+            Sltu { d, a, b } => (d, rr(fx, a, b, |x, y| (x < y) as u64)),
+            Sll { d, a, b } => (d, rr(fx, a, b, shl)),
+            Srl { d, a, b } => (d, rr(fx, a, b, shr)),
+            Sra { d, a, b } => (d, rr(fx, a, b, sra)),
+            Mul { d, a, b } => (d, rr(fx, a, b, u64::wrapping_mul)),
+            Div { d, a, b } => (
+                d,
+                rr(fx, a, b, |x, y| {
+                    if y == 0 {
+                        u64::MAX
+                    } else {
+                        (x as i64).wrapping_div(y as i64) as u64
+                    }
+                }),
+            ),
+            Rem { d, a, b } => (
+                d,
+                rr(fx, a, b, |x, y| {
+                    if y == 0 {
+                        x
+                    } else {
+                        (x as i64).wrapping_rem(y as i64) as u64
+                    }
+                }),
+            ),
+            Addi { d, a, imm } => (d, fx.read(a).wrapping_add(imm as u64)),
+            Andi { d, a, imm } => (d, fx.read(a) & imm as u64),
+            Ori { d, a, imm } => (d, fx.read(a) | imm as u64),
+            Xori { d, a, imm } => (d, fx.read(a) ^ imm as u64),
+            Slti { d, a, imm } => (d, ((fx.read(a) as i64) < imm) as u64),
+            Slli { d, a, imm } => (d, shl(fx.read(a), imm as u64)),
+            Srli { d, a, imm } => (d, shr(fx.read(a), imm as u64)),
+            Srai { d, a, imm } => (d, sra(fx.read(a), imm as u64)),
+            Li { d, imm } => (d, imm as u64),
+            Ld { d, base, off } => (d, load(fx, base, off, Word)),
+            Ldb { d, base, off } => (d, load(fx, base, off, Byte)),
+            St { s, base, off } => return store(fx, base, off, s, Word, fall),
+            Stb { s, base, off } => return store(fx, base, off, s, Byte, fall),
+            Beq { a, b, target } => return branch(fx, a, b, |x, y| x == y, target, fall),
+            Bne { a, b, target } => return branch(fx, a, b, |x, y| x != y, target, fall),
+            Blt { a, b, target } => {
+                return branch(fx, a, b, |x, y| (x as i64) < (y as i64), target, fall)
+            }
+            Bge { a, b, target } => {
+                return branch(fx, a, b, |x, y| (x as i64) >= (y as i64), target, fall)
+            }
+            J { target } => return fx.next(target, None),
+            Jal { link, target } => {
+                write(fx, link, fall);
+                return fx.next(target, None);
+            }
+            Jr { a } => {
+                let target = fx.read(a);
+                return fx.next(target, None);
+            }
+            Halt => return fx.next(pc, None),
+            Nop => return fx.next(fall, None),
         };
-        let alu = |v: u64| Some(v);
-        let result: Option<u64> = match self {
-            Add { .. } => alu(v1.wrapping_add(v2)),
-            Sub { .. } => alu(v1.wrapping_sub(v2)),
-            And { .. } => alu(v1 & v2),
-            Or { .. } => alu(v1 | v2),
-            Xor { .. } => alu(v1 ^ v2),
-            Slt { .. } => alu(((v1 as i64) < (v2 as i64)) as u64),
-            Sltu { .. } => alu((v1 < v2) as u64),
-            Sll { .. } => alu(v1.wrapping_shl((v2 & 63) as u32)),
-            Srl { .. } => alu(v1.wrapping_shr((v2 & 63) as u32)),
-            Sra { .. } => alu(((v1 as i64).wrapping_shr((v2 & 63) as u32)) as u64),
-            Mul { .. } => alu(v1.wrapping_mul(v2)),
-            Div { .. } => alu(if v2 == 0 {
-                u64::MAX
-            } else {
-                ((v1 as i64).wrapping_div(v2 as i64)) as u64
-            }),
-            Rem { .. } => alu(if v2 == 0 {
-                v1
-            } else {
-                ((v1 as i64).wrapping_rem(v2 as i64)) as u64
-            }),
-            Addi { imm, .. } => alu(v1.wrapping_add(*imm as u64)),
-            Andi { imm, .. } => alu(v1 & (*imm as u64)),
-            Ori { imm, .. } => alu(v1 | (*imm as u64)),
-            Xori { imm, .. } => alu(v1 ^ (*imm as u64)),
-            Slti { imm, .. } => alu(((v1 as i64) < *imm) as u64),
-            Slli { imm, .. } => alu(v1.wrapping_shl((*imm & 63) as u32)),
-            Srli { imm, .. } => alu(v1.wrapping_shr((*imm & 63) as u32)),
-            Srai { imm, .. } => alu(((v1 as i64).wrapping_shr((*imm & 63) as u32)) as u64),
-            Li { imm, .. } => alu(*imm as u64),
-            Ld { off, .. } | Ldb { off, .. } => {
-                let width = self.mem_width().expect("load has a width");
-                let addr = v1.wrapping_add(*off as u64);
-                let val = mem.load(addr, width);
-                out.addr = Some(addr);
-                out.loaded = Some(val);
-                Some(val)
-            }
-            St { off, .. } | Stb { off, .. } => {
-                let width = self.mem_width().expect("store has a width");
-                let addr = v1.wrapping_add(*off as u64);
-                let val = match width {
-                    MemWidth::Byte => v2 & 0xff,
-                    MemWidth::Word => v2,
-                };
-                out.addr = Some(addr);
-                out.store = Some((addr, width, val));
-                None
-            }
-            Beq { target, .. } => return branch(out, v1 == v2, *target, fall),
-            Bne { target, .. } => return branch(out, v1 != v2, *target, fall),
-            Blt { target, .. } => return branch(out, (v1 as i64) < (v2 as i64), *target, fall),
-            Bge { target, .. } => return branch(out, (v1 as i64) >= (v2 as i64), *target, fall),
-            J { target } => {
-                out.next_pc = *target;
-                None
-            }
-            Jal { target, .. } => {
-                out.next_pc = *target;
-                Some(fall)
-            }
-            Jr { .. } => {
-                out.next_pc = v1;
-                None
-            }
-            Halt => {
-                out.next_pc = pc;
-                None
-            }
-            Nop => None,
+        write(fx, d, value);
+        fx.next(fall, None);
+    }
+
+    /// Executes the instruction at `pc` as dynamic instruction `seq`, with
+    /// source operands read from `regs` and loads from `mem`, returning its
+    /// retirement record (a store's old value is read from `mem` too).
+    /// Nothing is mutated: the caller applies the record's register write,
+    /// store and next PC, which is what lets the functional simulator, the
+    /// out-of-order core's speculative dispatch and the fault injector
+    /// share `Instr::apply`.
+    pub fn exec<M: MemRead>(&self, seq: u64, pc: u64, regs: &[u64; NUM_REGS], mem: M) -> Retired {
+        let mut rec = Record {
+            regs,
+            mem,
+            out: Retired {
+                seq,
+                pc,
+                instr: *self,
+                src1: None,
+                src2: None,
+                dest: None,
+                mem: None,
+                taken: None,
+                next_pc: pc,
+            },
         };
-        if let (Some(d), Some(v)) = (self.dest_reg(), result) {
-            out.dest = Some((d, v));
-        }
-        out
+        self.apply(pc, &mut rec);
+        rec.out
     }
 }
 
-fn branch(mut out: ExecOut, taken: bool, target: u64, fall: u64) -> ExecOut {
-    out.taken = Some(taken);
-    out.next_pc = if taken { target } else { fall };
-    out
+/// Reads `a` then `b` and combines them.
+#[inline(always)]
+fn rr<E: Effects>(fx: &mut E, a: Reg, b: Reg, f: impl FnOnce(u64, u64) -> u64) -> u64 {
+    let x = fx.read(a);
+    let y = fx.read(b);
+    f(x, y)
+}
+
+fn shl(x: u64, by: u64) -> u64 {
+    x.wrapping_shl((by & 63) as u32)
+}
+
+fn shr(x: u64, by: u64) -> u64 {
+    x.wrapping_shr((by & 63) as u32)
+}
+
+fn sra(x: u64, by: u64) -> u64 {
+    (x as i64).wrapping_shr((by & 63) as u32) as u64
+}
+
+/// A register write; writes to `r0` are architectural no-ops and never
+/// reach the sink.
+#[inline(always)]
+fn write<E: Effects>(fx: &mut E, d: Reg, value: u64) {
+    if !d.is_zero() {
+        fx.write(d, value);
+    }
+}
+
+#[inline(always)]
+fn load<E: Effects>(fx: &mut E, base: Reg, off: i64, width: MemWidth) -> u64 {
+    let addr = fx.read(base).wrapping_add(off as u64);
+    fx.load(addr, width)
+}
+
+/// Reads the base, then the value (the [`Instr::src_regs`] order).
+#[inline(always)]
+fn store<E: Effects>(fx: &mut E, base: Reg, off: i64, s: Reg, width: MemWidth, fall: u64) {
+    let addr = fx.read(base).wrapping_add(off as u64);
+    let value = match width {
+        MemWidth::Byte => fx.read(s) & 0xff,
+        MemWidth::Word => fx.read(s),
+    };
+    fx.store(addr, width, value);
+    fx.next(fall, None);
+}
+
+#[inline(always)]
+fn branch<E: Effects>(
+    fx: &mut E,
+    a: Reg,
+    b: Reg,
+    cond: impl FnOnce(u64, u64) -> bool,
+    target: u64,
+    fall: u64,
+) {
+    let x = fx.read(a);
+    let y = fx.read(b);
+    let taken = cond(x, y);
+    fx.next(if taken { target } else { fall }, Some(taken));
+}
+
+/// The [`Effects`] sink behind [`Instr::exec`]: operands come from a
+/// register file and a read-only memory view, and every effect is
+/// recorded rather than performed.
+struct Record<'a, M> {
+    regs: &'a [u64; NUM_REGS],
+    mem: M,
+    out: Retired,
+}
+
+impl<M: MemRead> Effects for Record<'_, M> {
+    #[inline(always)]
+    fn read(&mut self, r: Reg) -> u64 {
+        let v = self.regs[r.index()];
+        let slot = if self.out.src1.is_none() {
+            &mut self.out.src1
+        } else {
+            &mut self.out.src2
+        };
+        *slot = Some((r, v));
+        v
+    }
+
+    #[inline(always)]
+    fn load(&mut self, addr: u64, width: MemWidth) -> u64 {
+        let value = self.mem.load(addr, width);
+        self.out.mem = Some(MemEffect {
+            addr,
+            width,
+            value,
+            old_value: None,
+            is_store: false,
+        });
+        value
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u64, width: MemWidth, value: u64) {
+        self.out.mem = Some(MemEffect {
+            addr,
+            width,
+            value,
+            old_value: Some(self.mem.load(addr, width)),
+            is_store: true,
+        });
+    }
+
+    #[inline(always)]
+    fn write(&mut self, d: Reg, value: u64) {
+        self.out.dest = Some((d, value));
+    }
+
+    #[inline(always)]
+    fn next(&mut self, next_pc: u64, taken: Option<bool>) {
+        self.out.next_pc = next_pc;
+        self.out.taken = taken;
+    }
 }
 
 impl fmt::Display for Instr {
@@ -470,6 +592,20 @@ mod tests {
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
+    }
+
+    /// [`Instr::exec`] with `v1`/`v2` in the registers that
+    /// [`Instr::src_regs`] names, and every load reading `0xdead_beef`.
+    fn exec(instr: &Instr, pc: u64, v1: u64, v2: u64) -> Retired {
+        let mut regs = [0; NUM_REGS];
+        let (s1, s2) = instr.src_regs();
+        if let Some(s) = s1 {
+            regs[s.index()] = v1;
+        }
+        if let Some(s) = s2 {
+            regs[s.index()] = v2;
+        }
+        instr.exec(0, pc, &regs, NoMem)
     }
 
     #[test]
@@ -607,7 +743,7 @@ mod tests {
             ),
         ];
         for (instr, v1, v2, want) in cases {
-            let out = instr.exec(0x1000, v1, v2, NoMem);
+            let out = exec(&instr, 0x1000, v1, v2);
             assert_eq!(out.dest, Some((r(1), want)), "{instr}");
             assert_eq!(out.next_pc, 0x1004, "{instr}");
         }
@@ -620,13 +756,13 @@ mod tests {
             a: r(2),
             b: r(3),
         };
-        assert_eq!(div.exec(0, 10, 0, NoMem).dest, Some((r(1), u64::MAX)));
+        assert_eq!(exec(&div, 0, 10, 0).dest, Some((r(1), u64::MAX)));
         let rem = Instr::Rem {
             d: r(1),
             a: r(2),
             b: r(3),
         };
-        assert_eq!(rem.exec(0, 10, 0, NoMem).dest, Some((r(1), 10)));
+        assert_eq!(exec(&rem, 0, 10, 0).dest, Some((r(1), 10)));
     }
 
     #[test]
@@ -636,7 +772,7 @@ mod tests {
             a: r(2),
             b: r(3),
         };
-        let out = div.exec(0, i64::MIN as u64, (-1i64) as u64, NoMem);
+        let out = exec(&div, 0, i64::MIN as u64, (-1i64) as u64);
         assert_eq!(out.dest, Some((r(1), i64::MIN as u64)));
     }
 
@@ -648,7 +784,7 @@ mod tests {
             b: r(3),
         };
         assert_eq!(instr.dest_reg(), None);
-        assert_eq!(instr.exec(0, 1, 2, NoMem).dest, None);
+        assert_eq!(exec(&instr, 0, 1, 2).dest, None);
     }
 
     #[test]
@@ -658,9 +794,13 @@ mod tests {
             base: r(2),
             off: 16,
         };
-        let out = instr.exec(0, 100, 0, NoMem);
-        assert_eq!(out.addr, Some(116));
-        assert_eq!(out.loaded, Some(0xdead_beef));
+        let out = exec(&instr, 0, 100, 0);
+        let m = out.mem.expect("a load reports its access");
+        assert_eq!(
+            (m.addr, m.width, m.value),
+            (116, MemWidth::Word, 0xdead_beef)
+        );
+        assert!(!m.is_store && m.old_value.is_none());
         assert_eq!(out.dest, Some((r(5), 0xdead_beef)));
     }
 
@@ -671,9 +811,11 @@ mod tests {
             base: r(2),
             off: -8,
         };
-        let out = instr.exec(0, 100, 77, NoMem);
-        assert_eq!(out.addr, Some(92));
-        assert_eq!(out.store, Some((92, MemWidth::Word, 77)));
+        let out = exec(&instr, 0, 100, 77);
+        let m = out.mem.expect("a store reports its access");
+        assert_eq!((m.addr, m.width, m.value), (92, MemWidth::Word, 77));
+        // The old value is read from the view, which nothing wrote.
+        assert!(m.is_store && m.old_value == Some(0xdead_beef));
         assert_eq!(out.dest, None);
     }
 
@@ -684,8 +826,8 @@ mod tests {
             base: r(2),
             off: 0,
         };
-        let out = instr.exec(0, 0, 0x1ff, NoMem);
-        assert_eq!(out.store, Some((0, MemWidth::Byte, 0xff)));
+        let m = exec(&instr, 0, 0, 0x1ff).mem.expect("a store");
+        assert_eq!((m.addr, m.width, m.value), (0, MemWidth::Byte, 0xff));
     }
 
     #[test]
@@ -695,10 +837,10 @@ mod tests {
             b: r(2),
             target: 0x2000,
         };
-        let out = beq.exec(0x1000, 5, 5, NoMem);
+        let out = exec(&beq, 0x1000, 5, 5);
         assert_eq!(out.taken, Some(true));
         assert_eq!(out.next_pc, 0x2000);
-        let out = beq.exec(0x1000, 5, 6, NoMem);
+        let out = exec(&beq, 0x1000, 5, 6);
         assert_eq!(out.taken, Some(false));
         assert_eq!(out.next_pc, 0x1004);
     }
@@ -710,33 +852,33 @@ mod tests {
             b: r(2),
             target: 0x40,
         };
-        assert_eq!(blt.exec(0, (-1i64) as u64, 0, NoMem).taken, Some(true));
+        assert_eq!(exec(&blt, 0, (-1i64) as u64, 0).taken, Some(true));
         let bge = Instr::Bge {
             a: r(1),
             b: r(2),
             target: 0x40,
         };
-        assert_eq!(bge.exec(0, (-1i64) as u64, 0, NoMem).taken, Some(false));
+        assert_eq!(exec(&bge, 0, (-1i64) as u64, 0).taken, Some(false));
     }
 
     #[test]
     fn jumps_redirect_and_jal_links() {
         let j = Instr::J { target: 0x4000 };
-        assert_eq!(j.exec(0x1000, 0, 0, NoMem).next_pc, 0x4000);
+        assert_eq!(exec(&j, 0x1000, 0, 0).next_pc, 0x4000);
         let jal = Instr::Jal {
             link: r(9),
             target: 0x4000,
         };
-        let out = jal.exec(0x1000, 0, 0, NoMem);
+        let out = exec(&jal, 0x1000, 0, 0);
         assert_eq!(out.next_pc, 0x4000);
         assert_eq!(out.dest, Some((r(9), 0x1004)));
         let jr = Instr::Jr { a: r(9) };
-        assert_eq!(jr.exec(0x1000, 0x1004, 0, NoMem).next_pc, 0x1004);
+        assert_eq!(exec(&jr, 0x1000, 0x1004, 0).next_pc, 0x1004);
     }
 
     #[test]
     fn halt_loops_in_place() {
-        assert_eq!(Instr::Halt.exec(0x1000, 0, 0, NoMem).next_pc, 0x1000);
+        assert_eq!(exec(&Instr::Halt, 0x1000, 0, 0).next_pc, 0x1000);
     }
 
     #[test]
@@ -824,5 +966,166 @@ mod tests {
             .static_target(),
             Some(0x44)
         );
+    }
+
+    /// One instance of every variant, writing to `d` where it writes; the
+    /// operand registers are distinct and non-zero.
+    fn every_variant(d: Reg) -> Vec<Instr> {
+        use Instr::*;
+        let (a, b, s, base) = (r(2), r(3), r(4), r(5));
+        let (imm, off, target) = (-3, 8, 0x40);
+        vec![
+            Add { d, a, b },
+            Sub { d, a, b },
+            And { d, a, b },
+            Or { d, a, b },
+            Xor { d, a, b },
+            Slt { d, a, b },
+            Sltu { d, a, b },
+            Sll { d, a, b },
+            Srl { d, a, b },
+            Sra { d, a, b },
+            Mul { d, a, b },
+            Div { d, a, b },
+            Rem { d, a, b },
+            Addi { d, a, imm },
+            Andi { d, a, imm },
+            Ori { d, a, imm },
+            Xori { d, a, imm },
+            Slti { d, a, imm },
+            Slli { d, a, imm },
+            Srli { d, a, imm },
+            Srai { d, a, imm },
+            Li { d, imm },
+            Ld { d, base, off },
+            St { s, base, off },
+            Ldb { d, base, off },
+            Stb { s, base, off },
+            Beq { a, b, target },
+            Bne { a, b, target },
+            Blt { a, b, target },
+            Bge { a, b, target },
+            J { target },
+            Jal { link: d, target },
+            Jr { a },
+            Halt,
+            Nop,
+        ]
+    }
+
+    /// The variant's position in the enum. The match has no wildcard, so
+    /// adding a variant fails to compile until it is listed here and in
+    /// [`every_variant`].
+    fn variant_no(i: &Instr) -> usize {
+        use Instr::*;
+        match i {
+            Add { .. } => 0,
+            Sub { .. } => 1,
+            And { .. } => 2,
+            Or { .. } => 3,
+            Xor { .. } => 4,
+            Slt { .. } => 5,
+            Sltu { .. } => 6,
+            Sll { .. } => 7,
+            Srl { .. } => 8,
+            Sra { .. } => 9,
+            Mul { .. } => 10,
+            Div { .. } => 11,
+            Rem { .. } => 12,
+            Addi { .. } => 13,
+            Andi { .. } => 14,
+            Ori { .. } => 15,
+            Xori { .. } => 16,
+            Slti { .. } => 17,
+            Slli { .. } => 18,
+            Srli { .. } => 19,
+            Srai { .. } => 20,
+            Li { .. } => 21,
+            Ld { .. } => 22,
+            St { .. } => 23,
+            Ldb { .. } => 24,
+            Stb { .. } => 25,
+            Beq { .. } => 26,
+            Bne { .. } => 27,
+            Blt { .. } => 28,
+            Bge { .. } => 29,
+            J { .. } => 30,
+            Jal { .. } => 31,
+            Jr { .. } => 32,
+            Halt => 33,
+            Nop => 34,
+        }
+    }
+
+    /// Every effect `apply` sends, in order. Register `rN` reads
+    /// `0xabcd_0100 + N`, so a byte store's value differs from its
+    /// register's.
+    #[derive(Default)]
+    struct Log {
+        reads: Vec<Reg>,
+        writes: Vec<Reg>,
+        accesses: Vec<(MemWidth, Option<u64>)>,
+        nexts: usize,
+    }
+
+    impl Effects for Log {
+        fn read(&mut self, r: Reg) -> u64 {
+            assert_eq!(self.nexts, 0, "read after next");
+            self.reads.push(r);
+            0xabcd_0100 + r.index() as u64
+        }
+        fn load(&mut self, _addr: u64, width: MemWidth) -> u64 {
+            self.accesses.push((width, None));
+            7
+        }
+        fn store(&mut self, _addr: u64, width: MemWidth, value: u64) {
+            self.accesses.push((width, Some(value)));
+        }
+        fn write(&mut self, d: Reg, _value: u64) {
+            self.writes.push(d);
+        }
+        fn next(&mut self, _next_pc: u64, _taken: Option<bool>) {
+            self.nexts += 1;
+        }
+    }
+
+    /// The decode helpers the dependence tracking and the IR-detector read
+    /// (`src_regs`, `dest_reg`, `mem_width`) name exactly what `apply`
+    /// does, for every variant, with a real destination and with `r0`.
+    #[test]
+    fn decode_helpers_match_apply() {
+        let mut seen: Vec<usize> = every_variant(r(1)).iter().map(variant_no).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..35).collect::<Vec<_>>(), "every variant once");
+        for d in [r(1), Reg::ZERO] {
+            for instr in every_variant(d) {
+                let mut log = Log::default();
+                instr.apply(0x1000, &mut log);
+                let (s1, s2) = instr.src_regs();
+                let srcs: Vec<Reg> = s1.into_iter().chain(s2).collect();
+                assert_eq!(log.reads, srcs, "{instr}: reads");
+                let dest: Vec<Reg> = instr.dest_reg().into_iter().collect();
+                assert_eq!(log.writes, dest, "{instr}: writes");
+                assert!(!log.writes.contains(&Reg::ZERO), "{instr}: r0 write");
+                assert_eq!(log.nexts, 1, "{instr}: next PC reported once");
+                match instr.mem_width() {
+                    None => assert!(log.accesses.is_empty(), "{instr}: no access"),
+                    Some(w) => {
+                        assert_eq!(log.accesses.len(), 1, "{instr}: one access");
+                        let (width, stored) = log.accesses[0];
+                        assert_eq!(width, w, "{instr}: width");
+                        assert_eq!(stored.is_some(), instr.is_store(), "{instr}: kind");
+                        if let (Some(v), Some(s)) = (stored, s2) {
+                            let full = 0xabcd_0100 + s.index() as u64;
+                            let want = match w {
+                                MemWidth::Byte => full & 0xff,
+                                MemWidth::Word => full,
+                            };
+                            assert_eq!(v, want, "{instr}: stored value");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

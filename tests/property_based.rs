@@ -12,8 +12,8 @@
 
 use slipstream::core::{RemovalPolicy, SlipstreamConfig, SlipstreamProcessor};
 use slipstream::cpu::{Core, CoreConfig, OracleDriver};
-use slipstream::isa::{ArchState, Program, Retired};
-use slipstream::workloads::{random_program, RandProgConfig, XorShift64Star};
+use slipstream::isa::{assemble, ArchState, ExecError, Program, Retired};
+use slipstream::workloads::{random_program, suite, RandProgConfig, XorShift64Star};
 
 const FUEL: u64 = 3_000_000;
 const MAX_CYCLES: u64 = 10_000_000;
@@ -159,4 +159,97 @@ fn functional_simulator_is_deterministic() {
         assert_eq!(a.regs(), b.regs(), "seed {seed}");
         assert_eq!(a.retired(), b.retired(), "seed {seed}");
     }
+}
+
+/// `run_quiet`'s contract, spelled out as a loop of `step`.
+fn step_loop(st: &mut ArchState, p: &Program, fuel: u64) -> Result<u64, ExecError> {
+    let start = st.retired();
+    for _ in 0..fuel {
+        if st.step(p)?.is_halt() {
+            return Ok(st.retired() - start);
+        }
+    }
+    Err(ExecError::OutOfFuel { executed: fuel })
+}
+
+fn assert_same_state(quiet: &ArchState, stepped: &ArchState, what: &str) {
+    assert_eq!(quiet.regs(), stepped.regs(), "{what}: registers");
+    assert_eq!(
+        quiet.mem().first_difference(stepped.mem()),
+        None,
+        "{what}: memory"
+    );
+    assert_eq!(quiet.pc(), stepped.pc(), "{what}: pc");
+    assert_eq!(quiet.retired(), stepped.retired(), "{what}: retired");
+    assert_eq!(quiet.halted(), stepped.halted(), "{what}: halted");
+}
+
+/// Runs `p` both ways with `fuel`, then once more with `fuel` again (after
+/// a halt that re-executes the halt), checking the results and the states
+/// agree each time.
+fn assert_quiet_matches_step(p: &Program, fuel: u64, what: &str) {
+    let mut quiet = ArchState::new(p);
+    let mut stepped = ArchState::new(p);
+    for call in ["first run", "second run"] {
+        assert_eq!(
+            quiet.run_quiet(p, fuel),
+            step_loop(&mut stepped, p, fuel),
+            "{what}: {call}: result"
+        );
+        assert_same_state(&quiet, &stepped, &format!("{what}: {call}"));
+    }
+}
+
+/// The quiet functional run (effects applied in place, no records) ends
+/// in exactly the state a loop of `step` does: on the benchmarks, on the
+/// checked-in corpus, on generated programs, cut short by fuel, on byte
+/// stores, and on a wild jump.
+#[test]
+fn run_quiet_matches_a_step_loop() {
+    for w in suite(0.05) {
+        assert_quiet_matches_step(&w.program, 100_000_000, w.name);
+    }
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/bench/corpus");
+    let mut corpus: Vec<_> = std::fs::read_dir(dir)
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ssir"))
+        .collect();
+    corpus.sort();
+    assert!(
+        corpus.len() >= 5,
+        "expected the seed corpus, found {corpus:?}"
+    );
+    for path in &corpus {
+        let src = std::fs::read_to_string(path).expect("corpus file reads");
+        let p = assemble(&src).expect("corpus file assembles");
+        assert_quiet_matches_step(&p, FUEL, &path.display().to_string());
+    }
+    for seed in seeds("run_quiet_matches_a_step_loop", 256, 1 << 32) {
+        let p = random_program(seed, RandProgConfig::default());
+        assert_quiet_matches_step(&p, FUEL, &format!("seed {seed}"));
+        let half = golden(&p).retired() / 2;
+        assert_quiet_matches_step(&p, half, &format!("seed {seed}, fuel {half}"));
+    }
+    // Neither the benchmarks, the corpus nor the generator store bytes.
+    let bytes = assemble(
+        "li r1, 0x3000\nli r2, 0x0102030405060708\nst r2, 0(r1)\nst r2, 8(r1)\n\
+         li r3, 0x1ff\nstb r3, 3(r1)\nstb r3, 4095(r1)\nldb r4, 3(r1)\nld r5, 0(r1)\nhalt",
+    )
+    .unwrap();
+    assert_quiet_matches_step(&bytes, FUEL, "byte stores into live words");
+    let wild = assemble("li r1, 64\njr r1").unwrap();
+    let mut st = ArchState::new(&wild);
+    assert_eq!(
+        st.run_quiet(&wild, 10),
+        Err(ExecError::InvalidPc { pc: 64 })
+    );
+    assert_quiet_matches_step(&wild, 10, "wild jump");
+    let spin = assemble("li r1, 1\nloop:\nst r1, 0(r0)\naddi r1, r1, 1\nj loop").unwrap();
+    let mut st = ArchState::new(&spin);
+    assert_eq!(
+        st.run_quiet(&spin, 50),
+        Err(ExecError::OutOfFuel { executed: 50 })
+    );
+    assert_quiet_matches_step(&spin, 50, "out of fuel");
 }
