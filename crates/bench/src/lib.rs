@@ -6,6 +6,15 @@
 //! and splices the tables into EXPERIMENTS.md ([`splice_regions`]);
 //! `fault_campaign` runs the full §3 sweep. The simulator's own speed is
 //! measured by the `perfbench` package in `examples/perfbench`.
+//!
+//! Independent simulations are jobs on the crate's one worker pool of
+//! scoped threads, which returns results in input order: a figure row's
+//! four model runs ([`evaluate_workload`]; [`evaluate_suite`] puts every
+//! benchmark's runs in one list), the shared-L2 rows, the campaign's
+//! benchmarks and the fuzz sweep's seeds. The figure rows use one thread
+//! per available CPU; the campaign and the fuzz sweep take the count from
+//! their configs. No job reads another's result, so every output is the
+//! same on one CPU or many.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,56 +95,105 @@ impl BenchRow {
     }
 }
 
-/// Runs an arbitrary workload through all processor models.
-pub fn evaluate_workload(w: &Workload) -> BenchRow {
-    let cfg = SlipstreamConfig::cmp_2x64x4();
+/// What one job of the figure-row list measured: a baseline or a
+/// slipstream run. Each value moves once, into its row, so the variants'
+/// sizes do not matter.
+#[allow(clippy::large_enum_variant)]
+enum Run {
+    Baseline(BaselineStats),
+    Slipstream(SlipstreamStats),
+}
 
-    let ss64 = run_superscalar(
-        CoreConfig::ss_64x4(),
-        cfg.trace_pred,
-        &w.program,
-        MAX_CYCLES,
-    );
-    assert!(ss64.halted, "{}: SS(64x4) did not complete", w.name);
-    let ss128 = run_superscalar(
-        CoreConfig::ss_128x8(),
-        cfg.trace_pred,
-        &w.program,
-        MAX_CYCLES,
-    );
-    assert!(ss128.halted, "{}: SS(128x8) did not complete", w.name);
+impl Run {
+    fn baseline(self) -> BaselineStats {
+        match self {
+            Run::Baseline(stats) => stats,
+            Run::Slipstream(_) => unreachable!("a baseline job returned slipstream stats"),
+        }
+    }
 
-    let mut slip_proc = SlipstreamProcessor::new(cfg.clone(), &w.program);
-    assert!(
-        slip_proc.run(MAX_CYCLES),
-        "{}: slipstream did not complete",
-        w.name
-    );
-    let slip = slip_proc.stats();
-
-    let mut br_cfg = cfg;
-    br_cfg.removal = RemovalPolicy::branches_only();
-    let mut br_proc = SlipstreamProcessor::new(br_cfg, &w.program);
-    assert!(
-        br_proc.run(MAX_CYCLES),
-        "{}: branches-only run did not complete",
-        w.name
-    );
-    let slip_br = br_proc.stats();
-
-    BenchRow {
-        name: w.name,
-        dynamic: slip.r_retired,
-        ss64,
-        ss128,
-        slip,
-        slip_br,
+    fn slipstream(self) -> SlipstreamStats {
+        match self {
+            Run::Slipstream(stats) => stats,
+            Run::Baseline(_) => unreachable!("a slipstream job returned baseline stats"),
+        }
     }
 }
 
-/// Runs the full eight-benchmark suite.
+/// Runs `w` to completion on one superscalar core; `label` names the model
+/// in the panic when it does not finish.
+fn run_baseline(core: CoreConfig, w: &Workload, label: &str) -> BaselineStats {
+    let trace_pred = SlipstreamConfig::cmp_2x64x4().trace_pred;
+    let stats = run_superscalar(core, trace_pred, &w.program, MAX_CYCLES);
+    assert!(stats.halted, "{}: {label} did not complete", w.name);
+    stats
+}
+
+/// Runs `w` to completion on a slipstream processor built from `cfg`; the
+/// processor is dropped before the stats return, so a finished job holds
+/// no simulator state.
+fn run_slipstream(cfg: SlipstreamConfig, w: &Workload, label: &str) -> SlipstreamStats {
+    let mut proc = SlipstreamProcessor::new(cfg, &w.program);
+    assert!(proc.run(MAX_CYCLES), "{}: {label} did not complete", w.name);
+    proc.stats()
+}
+
+/// The four independent runs behind one [`BenchRow`], longest first, so
+/// the short baseline runs fill the tail of the job list.
+const ROW_JOBS: [fn(&Workload) -> Run; 4] = [
+    |w| {
+        let cfg = SlipstreamConfig::cmp_2x64x4();
+        Run::Slipstream(run_slipstream(cfg, w, "slipstream"))
+    },
+    |w| {
+        let mut cfg = SlipstreamConfig::cmp_2x64x4();
+        cfg.removal = RemovalPolicy::branches_only();
+        Run::Slipstream(run_slipstream(cfg, w, "branches-only run"))
+    },
+    |w| Run::Baseline(run_baseline(CoreConfig::ss_128x8(), w, "SS(128x8)")),
+    |w| Run::Baseline(run_baseline(CoreConfig::ss_64x4(), w, "SS(64x4)")),
+];
+
+/// One [`BenchRow`] per workload, in input order. Every (workload, model)
+/// run is one job: no run reads another's result, so the jobs share
+/// [`map_ordered`]'s one pool of [`available_workers`] threads.
+fn evaluate_rows(workloads: &[Workload]) -> Vec<BenchRow> {
+    let jobs = workloads
+        .iter()
+        .flat_map(|w| ROW_JOBS.iter().map(move |job| (w, job)));
+    let mut runs = map_ordered(jobs, available_workers(), |(w, job)| job(w)).into_iter();
+    let mut next = || runs.next().expect("one run per job");
+    workloads
+        .iter()
+        .map(|w| {
+            let slip = next().slipstream();
+            let slip_br = next().slipstream();
+            let ss128 = next().baseline();
+            let ss64 = next().baseline();
+            BenchRow {
+                name: w.name,
+                dynamic: slip.r_retired,
+                ss64,
+                ss128,
+                slip,
+                slip_br,
+            }
+        })
+        .collect()
+}
+
+/// Runs an arbitrary workload through all processor models, its four runs
+/// side by side.
+pub fn evaluate_workload(w: &Workload) -> BenchRow {
+    evaluate_rows(std::slice::from_ref(w))
+        .pop()
+        .expect("one row per workload")
+}
+
+/// Runs the full eight-benchmark suite: every benchmark's runs in one job
+/// list, rows in the suite's order.
 pub fn evaluate_suite(scale: f64) -> Vec<BenchRow> {
-    suite(scale).iter().map(evaluate_workload).collect()
+    evaluate_rows(&suite(scale))
 }
 
 /// Breakdown used by Figure 8: removal fraction per category, as a
@@ -337,26 +395,17 @@ impl SharedL2Row {
     }
 }
 
-/// Runs the full suite under the `cmp_shared_l2` preset.
+/// Runs the full suite under the `cmp_shared_l2` preset, one job per
+/// benchmark on [`map_ordered`]'s pool, rows in the suite's order.
 pub fn evaluate_shared_l2_suite(scale: f64) -> Vec<SharedL2Row> {
-    suite(scale)
-        .iter()
-        .map(|w| {
-            let cfg = SlipstreamConfig::cmp_shared_l2();
-            let mut proc = SlipstreamProcessor::new(cfg, &w.program);
-            assert!(
-                proc.run(MAX_CYCLES),
-                "{}: cmp_shared_l2 run did not complete",
-                w.name
-            );
-            let slip = proc.stats();
-            SharedL2Row {
-                name: w.name,
-                dynamic: slip.r_retired,
-                slip,
-            }
-        })
-        .collect()
+    map_ordered(&suite(scale), available_workers(), |w| {
+        let slip = run_slipstream(SlipstreamConfig::cmp_shared_l2(), w, "cmp_shared_l2 run");
+        SharedL2Row {
+            name: w.name,
+            dynamic: slip.r_retired,
+            slip,
+        }
+    })
 }
 
 /// One `cmp_shared_l2` row: A/R CPI stacks (sums asserted, `l2_port` now a
@@ -611,6 +660,9 @@ pub fn splice_regions(doc: &str, regions: &[(&str, String)]) -> Result<String, S
 /// Maps `f` over `items` on `workers` scoped threads (at least one) and
 /// returns the results in input order. Each worker takes the next
 /// unclaimed item, so which thread ran an item never shows in the output.
+/// A panic in `f` is re-raised with its own payload once every worker has
+/// stopped (the first worker's, if several panicked), so its message still
+/// names the failed item.
 pub(crate) fn map_ordered<I, R>(items: I, workers: usize, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
 where
     I: IntoIterator,
@@ -620,16 +672,28 @@ where
 {
     let jobs = Mutex::new(items.into_iter().enumerate());
     let results = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|| loop {
-                let next = jobs.lock().expect("worker panicked").next();
-                let Some((i, item)) = next else { break };
-                let r = f(item);
-                results.lock().expect("worker panicked").push((i, r));
-            });
+    let panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let next = jobs.lock().expect("worker panicked").next();
+                    let Some((i, item)) = next else { break };
+                    let r = f(item);
+                    results.lock().expect("worker panicked").push((i, r));
+                })
+            })
+            .collect();
+        let mut first = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                first.get_or_insert(payload);
+            }
         }
+        first
     });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
     let mut v = results.into_inner().expect("worker panicked");
     v.sort_unstable_by_key(|&(i, _)| i);
     v.into_iter().map(|(_, r)| r).collect()
@@ -681,6 +745,15 @@ mod tests {
              <!-- /paper_tables:b -->\ntail"
         );
         assert_eq!(splice_regions(&spliced, &regions).unwrap(), spliced);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn a_worker_panic_keeps_its_message() {
+        map_ordered(0..8, 2, |i| {
+            assert!(i != 5, "job {i} failed");
+            i
+        });
     }
 
     #[test]

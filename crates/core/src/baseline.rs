@@ -10,7 +10,7 @@ use slipstream_predict::TracePredictorConfig;
 use crate::front_end::{FrontEndStats, TraceFrontEnd};
 
 /// Result of a baseline superscalar run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineStats {
     /// Core counters (IPC = `core.ipc()`).
     pub core: CoreStats,
