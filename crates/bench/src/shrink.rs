@@ -45,45 +45,12 @@ pub fn live_count(p: &Program) -> usize {
         .count()
 }
 
-/// Returns `instr` with its immediate operand replaced by `imm`, or
-/// `None` for instructions without one. Branch/jump targets are *not*
-/// immediates — rewriting them would change control structure rather
-/// than simplify a value.
-fn with_imm(instr: Instr, imm: i64) -> Option<Instr> {
-    use Instr::*;
-    Some(match instr {
-        Addi { d, a, .. } => Addi { d, a, imm },
-        Andi { d, a, .. } => Andi { d, a, imm },
-        Ori { d, a, .. } => Ori { d, a, imm },
-        Xori { d, a, .. } => Xori { d, a, imm },
-        Slti { d, a, .. } => Slti { d, a, imm },
-        Slli { d, a, .. } => Slli { d, a, imm },
-        Srli { d, a, .. } => Srli { d, a, imm },
-        Srai { d, a, .. } => Srai { d, a, imm },
-        Li { d, .. } => Li { d, imm },
-        Ld { d, base, .. } => Ld { d, base, off: imm },
-        St { s, base, .. } => St { s, base, off: imm },
-        Ldb { d, base, .. } => Ldb { d, base, off: imm },
-        Stb { s, base, .. } => Stb { s, base, off: imm },
-        _ => return None,
-    })
-}
-
-fn imm_of(instr: Instr) -> Option<i64> {
-    use Instr::*;
-    match instr {
-        Addi { imm, .. }
-        | Andi { imm, .. }
-        | Ori { imm, .. }
-        | Xori { imm, .. }
-        | Slti { imm, .. }
-        | Slli { imm, .. }
-        | Srli { imm, .. }
-        | Srai { imm, .. }
-        | Li { imm, .. } => Some(imm),
-        Ld { off, .. } | St { off, .. } | Ldb { off, .. } | Stb { off, .. } => Some(off),
-        _ => None,
-    }
+/// `instr` with its immediate operand ([`Instr::imm`]) set to `imm`.
+/// Branch/jump targets are *not* immediates — rewriting them would change
+/// control structure rather than simplify a value.
+fn with_imm(mut instr: Instr, imm: i64) -> Instr {
+    *instr.imm_mut().expect("an instruction with an immediate") = imm;
+    instr
 }
 
 struct Budget<'a> {
@@ -178,16 +145,18 @@ pub fn shrink(
         let ChunkKind::Loop { trip_li, .. } = chunk.kind else {
             continue;
         };
-        while let Instr::Li { d, imm } = cur.instrs()[trip_li] {
+        // The `li` reads no immediate once an earlier pass made it a `nop`.
+        while let Some(imm) = cur.instrs()[trip_li].imm() {
             if imm <= 1 {
                 break;
             }
+            let li = cur.instrs()[trip_li];
             let next = [1, imm / 2, imm - 1]
                 .into_iter()
                 .filter(|&t| t < imm)
-                .find(|&t| b.fails(&cur.with_replaced(trip_li, Instr::Li { d, imm: t })));
+                .find(|&t| b.fails(&cur.with_replaced(trip_li, with_imm(li, t))));
             match next {
-                Some(t) => cur = cur.with_replaced(trip_li, Instr::Li { d, imm: t }),
+                Some(t) => cur = cur.with_replaced(trip_li, with_imm(li, t)),
                 None => break,
             }
         }
@@ -196,16 +165,17 @@ pub fn shrink(
     // Pass 4: shrink remaining immediates toward 0 (0 first, then
     // halving — the classic delta-debugging value schedule).
     for i in 0..cur.len() {
-        while let Some(imm) = imm_of(cur.instrs()[i]) {
+        while let Some(imm) = cur.instrs()[i].imm() {
             if imm == 0 {
                 break;
             }
-            let next = [0, imm / 2].into_iter().filter(|&v| v != imm).find(|&v| {
-                let cand = cur.with_replaced(i, with_imm(cur.instrs()[i], v).unwrap());
-                b.fails(&cand)
-            });
+            let instr = cur.instrs()[i];
+            let next = [0, imm / 2]
+                .into_iter()
+                .filter(|&v| v != imm)
+                .find(|&v| b.fails(&cur.with_replaced(i, with_imm(instr, v))));
             match next {
-                Some(v) => cur = cur.with_replaced(i, with_imm(cur.instrs()[i], v).unwrap()),
+                Some(v) => cur = cur.with_replaced(i, with_imm(instr, v)),
                 None => break,
             }
         }
@@ -236,11 +206,11 @@ mod tests {
     fn with_imm_covers_every_immediate_form() {
         let (p, _) = random_program_with_shape(7, RandProgConfig::default());
         for &i in p.instrs() {
-            if let Some(v) = imm_of(i) {
-                let rewritten = with_imm(i, v).expect("imm_of implies with_imm");
-                assert_eq!(rewritten, i, "identity rewrite must round-trip");
-            } else {
-                assert!(with_imm(i, 0).is_none());
+            if let Some(v) = i.imm() {
+                assert_eq!(with_imm(i, v), i, "identity rewrite must round-trip");
+                let rewritten = with_imm(i, v ^ 1);
+                assert_eq!(rewritten.imm(), Some(v ^ 1), "{i}");
+                assert_eq!(with_imm(rewritten, v), i, "only the immediate changed");
             }
         }
     }

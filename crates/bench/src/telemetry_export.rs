@@ -211,10 +211,14 @@ fn read_core(sample: &Value, core: &str) -> Result<CoreStats, String> {
         let cycles = need_u64(cpi, cat.label()).map_err(|e| format!("{core}.cpi: {e}"))?;
         c.cpi.set(cat, cycles);
     }
-    if c.cpi.total() != c.cycles {
+    // A checked sum: the counts are untrusted, so their sum may overflow.
+    let sum = CpiCat::ALL
+        .iter()
+        .try_fold(0u64, |sum, &cat| sum.checked_add(c.cpi.get(cat)));
+    if sum != Some(c.cycles) {
+        let sum = sum.map_or_else(|| "more than u64::MAX".to_string(), |s| s.to_string());
         return Err(format!(
-            "{core}: CPI stack sums to {} but cycles is {}",
-            c.cpi.total(),
+            "{core}: CPI stack sums to {sum} but cycles is {}",
             c.cycles
         ));
     }
@@ -668,6 +672,11 @@ mod tests {
         assert!(e.starts_with("line 1: a: CPI stack sums to 10"), "{e}");
         let e = err(&sample.replace("\"delay_empty\": 3", "\"delay_empty\": 4"));
         assert!(e.contains("CPI stack sums to 11 but cycles is 10"), "{e}");
+        let e = err(&sample.replace(
+            "\"delay_empty\": 3",
+            "\"delay_empty\": 18446744073709551615",
+        ));
+        assert!(e.contains("CPI stack sums to more than u64::MAX"), "{e}");
         assert!(err(&sample.replace(", \"ir_misps\": 1", "")).contains("ir_misps"));
         let e = err(&text.replacen(", \"dropped\": 17", "", 1));
         assert!(e.starts_with("line 1:") && e.contains("dropped"), "{e}");

@@ -21,6 +21,19 @@ const FIG6_DEVIATES: &str =
 const FIG7_HOLDS: &str =
     "doubling the window/width helps every benchmark far more than slipstreaming does";
 const FIG7_DEVIATES: &str = "vortex, the paper's largest gainer, gains least here";
+const FIG8_HOLDS: &str = "m88ksim is the removal champion by a wide margin, dominated by SV";
+const FIG8_DEVIATES: &str = "gcc removes under 1 % vs the paper's ~8 %";
+const FIG8_BRANCHES_ONLY: &str =
+    "li, jpeg and gcc increase and m88ksim collapses, but perl and vortex decrease";
+const TABLE3_PENALTY: &str = "the average IR-misprediction penalty sits close to the paper's \
+     22–26 cycles, just above the 21-cycle minimum";
+const TABLE3_CMP_BRANCHES: &str =
+    "The CMP branch misprediction column drops well below the SS column for perl and vortex";
+
+/// The shortest IR-misprediction recovery, in cycles: 5 startup cycles
+/// plus 64 registers restored 4 per cycle (EXPERIMENTS.md, "minimum 21
+/// cycles").
+const MIN_IR_PENALTY: f64 = 21.0;
 
 /// A file at the repo root.
 fn read_root(name: &str) -> String {
@@ -55,6 +68,25 @@ fn field(rows: &[(String, Value)], bench: &str, key: &str) -> f64 {
     value.unwrap_or_else(|| panic!("{bench}: no numeric `{key}`"))
 }
 
+/// The largest category of `bench`'s `key` breakdown (a list of
+/// `{category, pct}`), as (category, pct).
+fn largest_category(rows: &[(String, Value)], bench: &str, key: &str) -> (String, f64) {
+    let row = rows.iter().find(|(b, _)| b == bench).map(|(_, r)| r);
+    let list = row.and_then(|r| r.get(key)).and_then(Value::as_arr);
+    let list = list.unwrap_or_else(|| panic!("{bench}: no `{key}` list"));
+    list.iter()
+        .map(|c| {
+            let name = c.get("category").and_then(Value::as_str);
+            let pct = c.get("pct").and_then(Value::as_f64);
+            match (name, pct) {
+                (Some(name), Some(pct)) => (name.to_string(), pct),
+                _ => panic!("{bench}: a `{key}` entry lacks `category` or `pct`"),
+            }
+        })
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap_or_else(|| panic!("{bench}: empty `{key}`"))
+}
+
 /// Whitespace runs collapsed to one space, so a wrapped sentence matches.
 fn squash(text: &str) -> String {
     text.split_whitespace().collect::<Vec<_>>().join(" ")
@@ -69,6 +101,11 @@ fn every_checked_sentence_is_in_experiments_md() {
         FIG6_DEVIATES,
         FIG7_HOLDS,
         FIG7_DEVIATES,
+        FIG8_HOLDS,
+        FIG8_DEVIATES,
+        FIG8_BRANCHES_ONLY,
+        TABLE3_PENALTY,
+        TABLE3_CMP_BRANCHES,
     ] {
         assert!(
             doc.contains(&squash(sentence)),
@@ -149,6 +186,106 @@ fn fig7_the_wider_core_gains_more_and_vortex_least() {
         assert!(
             bench == "vortex" || wide > vortex,
             "Fig 7 Deviates: {FIG7_DEVIATES:?}, but {bench} gains {wide} % and vortex {vortex} %"
+        );
+    }
+}
+
+#[test]
+fn fig8_holds_m88ksim_removes_most_mostly_by_sv() {
+    let fig8 = rows("BENCH_fig8.json");
+    let removal = |bench| field(&fig8, bench, "all_triggers_pct");
+    let runner_up = fig8
+        .iter()
+        .filter(|(bench, _)| bench != "m88ksim")
+        .map(|(bench, _)| removal(bench))
+        .fold(0.0, f64::max);
+    // "A wide margin": at least half again the runner-up's share.
+    assert!(
+        removal("m88ksim") >= 1.5 * runner_up,
+        "Fig 8 Holds: {FIG8_HOLDS:?}, but m88ksim removes {} % and the runner-up {runner_up} %",
+        removal("m88ksim")
+    );
+    let (category, pct) = largest_category(&fig8, "m88ksim", "all_triggers");
+    assert_eq!(
+        category, "SV",
+        "Fig 8 Holds: {FIG8_HOLDS:?}, but m88ksim's largest category is {category} ({pct} %)"
+    );
+}
+
+#[test]
+fn fig8_deviates_gcc_removes_under_one_percent() {
+    let gcc = field(&rows("BENCH_fig8.json"), "gcc", "all_triggers_pct");
+    assert!(
+        gcc < 1.0,
+        "Fig 8 Deviates: {FIG8_DEVIATES:?}, but gcc removes {gcc} %"
+    );
+}
+
+#[test]
+fn fig8_branches_only_raises_three_collapses_m88ksim_and_lowers_two() {
+    let fig8 = rows("BENCH_fig8.json");
+    let both = |bench| {
+        (
+            field(&fig8, bench, "all_triggers_pct"),
+            field(&fig8, bench, "branches_only_pct"),
+        )
+    };
+    for bench in ["li", "jpeg", "gcc"] {
+        let (all, br) = both(bench);
+        assert!(
+            br > all,
+            "Fig 8: {FIG8_BRANCHES_ONLY:?}, but {bench} removes {br} % with branches only \
+             and {all} % with all triggers"
+        );
+    }
+    // "Collapses": to under half the all-triggers share (the paper's
+    // m88ksim halves, ~50 % to ~25 %).
+    let (all, br) = both("m88ksim");
+    assert!(
+        br < all / 2.0,
+        "Fig 8: {FIG8_BRANCHES_ONLY:?}, but m88ksim falls only from {all} % to {br} %"
+    );
+    for bench in ["perl", "vortex"] {
+        let (all, br) = both(bench);
+        assert!(
+            br < all,
+            "Fig 8: {FIG8_BRANCHES_ONLY:?}, but {bench} removes {br} % with branches only \
+             and {all} % with all triggers"
+        );
+    }
+}
+
+#[test]
+fn table3_penalties_sit_at_or_above_the_recovery_minimum() {
+    let table3 = rows("BENCH_paper_tables.json");
+    let mut seen = 0;
+    for (bench, _) in &table3 {
+        let penalty = field(&table3, bench, "avg_ir_penalty_cycles");
+        if penalty != 0.0 {
+            seen += 1;
+            assert!(
+                penalty >= MIN_IR_PENALTY,
+                "Table 3: {TABLE3_PENALTY:?}, but {bench}'s average penalty is {penalty} cycles"
+            );
+        }
+    }
+    assert!(
+        seen > 0,
+        "Table 3: {TABLE3_PENALTY:?}, but no benchmark has a penalty"
+    );
+}
+
+#[test]
+fn table3_the_cmp_mispredicts_fewer_branches_for_perl_and_vortex() {
+    let table3 = rows("BENCH_paper_tables.json");
+    for bench in ["perl", "vortex"] {
+        let ss = field(&table3, bench, "ss64_branch_misp_per_kilo");
+        let cmp = field(&table3, bench, "cmp_branch_misp_per_kilo");
+        // "Well below": under three quarters of the SS rate.
+        assert!(
+            cmp < 0.75 * ss,
+            "Table 3: {TABLE3_CMP_BRANCHES:?}, but {bench} mispredicts {cmp}/1k on the CMP \
+             and {ss}/1k on SS(64x4)"
         );
     }
 }

@@ -279,7 +279,7 @@ fn malformed_corpus_entry_is_an_error() {
     for (name, src) in [
         ("backwards_parens.ssir", "lw r1, )r2(\nhalt\n"),
         ("offset_backwards.ssir", "lw r1, 4)r2(\nhalt\n"),
-        ("neg_overflow.ssir", "li r1, -0x8000000000000000\nhalt\n"),
+        ("neg_overflow.ssir", "li r1, -9223372036854775809\nhalt\n"),
         ("unknown_op.ssir", "frobnicate r1\nhalt\n"),
     ] {
         let path = dir.join(name);

@@ -308,16 +308,7 @@ impl IrDetector {
         let mut pending_select = std::mem::take(&mut self.pending_scratch);
         pending_select.clear();
 
-        if self.policy.branches
-            && matches!(
-                rec.instr,
-                Instr::Beq { .. }
-                    | Instr::Bne { .. }
-                    | Instr::Blt { .. }
-                    | Instr::Bge { .. }
-                    | Instr::J { .. }
-            )
-        {
+        if self.policy.branches && (rec.instr.is_branch() || matches!(rec.instr, Instr::J { .. })) {
             pending_select.push((me, Reason::BR));
         }
 

@@ -11,10 +11,10 @@
 use std::collections::VecDeque;
 
 use slipstream_cpu::{CoreDriver, DriverStall, FetchItem};
-use slipstream_isa::{FastHashMap, Instr, Program, Retired};
+use slipstream_isa::{FastHashMap, Instr, InstrKind, Program, Retired};
 use slipstream_predict::{
     ends_trace, materialize_into, walk, PathHistory, TraceBuilder, TraceId, TracePredictor,
-    TracePredictorConfig, TracePredictorStats, WalkEnd, MAX_TRACE_LEN,
+    TracePredictorConfig, WalkEnd, MAX_TRACE_LEN,
 };
 
 use crate::delay::{DelayEntry, TraceCommit};
@@ -358,10 +358,10 @@ impl TraceFrontEnd {
         let mut new_block = true;
         for (i, &pc) in pcs.iter().enumerate() {
             let instr = *self.program.instr_at(pc).expect("walked pcs are valid");
-            let pred_npc = match instr {
-                Instr::J { target } | Instr::Jal { target, .. } => target,
-                Instr::Jr { .. } => 0, // unknown: resolves via redirect
-                Instr::Halt => pc,
+            let pred_npc = match instr.kind() {
+                // `jr`'s target is unknown: it resolves via redirect.
+                InstrKind::Jump => instr.static_target().unwrap_or(0),
+                InstrKind::Halt => pc,
                 _ => pc + 4,
             };
             let meta = self.spec.next_meta;
@@ -689,36 +689,22 @@ impl TraceFrontEnd {
     /// buffers, for the slack-window scheduler's checkpoint/replay. Must
     /// be taken at a sync boundary: the learning queue and retirement
     /// output buffers are empty there, so everything outside [`FeSpec`] is
-    /// *frozen* for the whole window and needs no copy. The predictor's
-    /// accuracy counters are the one exception: `predict` bumps them.
-    pub fn checkpoint_into(&self, out: &mut FeCheckpoint) {
+    /// *frozen* for the whole window and needs no copy.
+    pub fn checkpoint_into(&self, out: &mut FeSpec) {
         debug_assert!(self.train_q.is_empty(), "checkpoint off-boundary");
         debug_assert!(self.out_entries.is_empty() && self.out_commits.is_empty());
-        out.spec.clone_from(&self.spec);
-        out.pred_stats = self.predictor.stats();
+        out.clone_from(&self.spec);
     }
 
     /// Restores a boundary checkpoint, rewinding every side effect of the
     /// partially executed window (replay then re-derives the cycles up to
     /// the recovery point deterministically — the frozen tables guarantee
     /// identical fetch decisions).
-    pub fn restore(&mut self, ck: &FeCheckpoint) {
-        self.spec.clone_from(&ck.spec);
-        self.predictor.restore_stats(ck.pred_stats);
+    pub fn restore(&mut self, ck: &FeSpec) {
+        self.spec.clone_from(ck);
         self.train_q.clear();
         self.out_entries.clear();
         self.out_commits.clear();
         self.out_applied.clear();
     }
 }
-
-/// A boundary snapshot of a [`TraceFrontEnd`]: its [`FeSpec`] and the
-/// predictor's accuracy counters (see [`TraceFrontEnd::checkpoint_into`]).
-/// The default value is an empty snapshot to take the first one into.
-#[derive(Default)]
-pub struct FeCheckpoint {
-    spec: FeSpec,
-    pred_stats: TracePredictorStats,
-}
-
-slipstream_isa::clone_in_place!(FeCheckpoint { spec, pred_stats });

@@ -33,7 +33,7 @@ pub use fault::{
     golden_state, run_fault_experiment, run_fault_experiment_traced, run_injected, FaultOutcome,
     FaultReport, FaultRun, FaultTarget,
 };
-pub use front_end::{FeCheckpoint, FeSpec, FrontEndStats, TraceFrontEnd};
+pub use front_end::{FeSpec, FrontEndStats, TraceFrontEnd};
 pub use ir_table::{IrTable, RemovalInfo};
 pub use recovery::RecoveryController;
 pub use removal::{Category, Reason};

@@ -55,7 +55,7 @@ use std::time::Instant;
 
 use crate::config::SlipstreamConfig;
 use crate::delay::{Credits, DelayEntry, TraceCommit};
-use crate::front_end::{FeCheckpoint, FrontEndStats, TraceFrontEnd};
+use crate::front_end::{FeSpec, FrontEndStats, TraceFrontEnd};
 use crate::ir_table::{IrTable, RemovalInfo};
 use crate::removal::Reason;
 use crate::rstream::{IrMispKind, RStreamDriver};
@@ -203,7 +203,7 @@ struct AHalf {
 /// A boundary snapshot of the A side, for rollback-and-replay recovery.
 struct ACheckpoint {
     core: Core,
-    fe: FeCheckpoint,
+    fe: FeSpec,
     cycles: u64,
     credits: Credits,
 }
@@ -255,7 +255,7 @@ impl AHalf {
     /// Boundary checkpoint (must be taken at a sync boundary — the front
     /// end asserts its deferred queues are empty).
     fn checkpoint(&self) -> ACheckpoint {
-        let mut fe = FeCheckpoint::default();
+        let mut fe = FeSpec::default();
         self.fe.checkpoint_into(&mut fe);
         ACheckpoint {
             core: self.core.clone(),

@@ -8,7 +8,7 @@
 //!   jump targets, taking a redirect on every taken branch — the floor any
 //!   real predictor must beat.
 
-use slipstream_isa::{ArchState, Instr, InstrKind, Program, Retired};
+use slipstream_isa::{ArchState, InstrKind, Program, Retired};
 
 use crate::driver::{CoreDriver, FetchItem};
 
@@ -95,10 +95,8 @@ impl CoreDriver for StaticDriver {
         let instr = *self.program.instr_at(pc)?;
         let (pred_npc, pred_taken) = match instr.kind() {
             InstrKind::Branch => (pc + 4, Some(false)),
-            InstrKind::Jump => match instr {
-                Instr::J { target } | Instr::Jal { target, .. } => (target, None),
-                _ => (pc + 4, None), // jr: guaranteed redirect when wrong
-            },
+            // jr: guaranteed redirect when wrong
+            InstrKind::Jump => (instr.static_target().unwrap_or(pc + 4), None),
             InstrKind::Halt => {
                 self.done = true;
                 (pc, None)

@@ -145,7 +145,7 @@ impl Assembler {
                     for field in rest.split(',') {
                         let v = parse_imm(field.trim(), line)?;
                         seg.1.extend_from_slice(&(v as u64).to_le_bytes());
-                        *cursor += 8;
+                        *cursor = advance(*cursor, 8, line)?;
                     }
                 }
                 ".space" => {
@@ -157,8 +157,8 @@ impl Assembler {
                     if n < 0 {
                         return Err(err(line, ".space size must be non-negative".into()));
                     }
+                    *cursor = advance(*cursor, n as u64, line)?;
                     seg.1.extend(std::iter::repeat_n(0u8, n as usize));
-                    *cursor += n as u64;
                 }
                 m if m.starts_with('.') => {
                     return Err(err(line, format!("unknown directive `{m}`")));
@@ -174,6 +174,9 @@ impl Assembler {
                         operands,
                     });
                     next_pc_index += 1;
+                    // The text must end inside the address space, so every
+                    // PC and label address is a `u64`.
+                    advance(text_base, 4 * next_pc_index, line)?;
                 }
             }
         }
@@ -193,194 +196,96 @@ impl Assembler {
             .ok_or_else(|| err(line, format!("undefined label `{name}`")))
     }
 
-    fn imm_of(&self, op: &Operand, line: usize) -> Result<i64, AsmError> {
-        match op {
-            Operand::Imm(v) => Ok(*v),
-            Operand::Label(l) => Ok(self.resolve(l, line)? as i64),
-            _ => Err(err(line, "expected an immediate or label".into())),
-        }
-    }
-
-    fn target_of(&self, op: &Operand, line: usize) -> Result<u64, AsmError> {
-        match op {
-            Operand::Label(l) => self.resolve(l, line),
-            Operand::Imm(v) => Ok(*v as u64),
-            _ => Err(err(line, "expected a branch/jump target".into())),
-        }
-    }
-
     fn lower(&self, p: &PendingInstr) -> Result<Instr, AsmError> {
-        let line = p.line;
-        let ops = &p.operands;
-        let reg = |i: usize| -> Result<Reg, AsmError> {
-            match ops.get(i) {
-                Some(Operand::Reg(r)) => Ok(*r),
-                _ => Err(err(line, format!("operand {} must be a register", i + 1))),
-            }
-        };
-        let memop = |i: usize| -> Result<(i64, Reg), AsmError> {
-            match ops.get(i) {
-                Some(Operand::Mem { off, base }) => {
-                    let off = match off {
-                        OffExpr::Imm(v) => *v,
-                        OffExpr::Label(l) => self.resolve(l, line)? as i64,
-                    };
-                    Ok((off, *base))
-                }
-                _ => Err(err(line, format!("operand {} must be off(base)", i + 1))),
-            }
-        };
-        let want = |n: usize| -> Result<(), AsmError> {
-            if ops.len() == n {
-                Ok(())
-            } else {
-                Err(err(
-                    line,
-                    format!("`{}` takes {} operand(s), got {}", p.mnemonic, n, ops.len()),
-                ))
-            }
-        };
+        let o = Operands { asm: self, p };
+        if p.mnemonic == "mv" {
+            o.want(2)?;
+            return Ok(Instr::Addi {
+                d: o.reg(0)?,
+                a: o.reg(1)?,
+                imm: 0,
+            });
+        }
+        Instr::lower(&p.mnemonic, &o)?
+            .ok_or_else(|| err(p.line, format!("unknown mnemonic `{}`", p.mnemonic)))
+    }
+}
 
-        macro_rules! rrr {
-            ($variant:ident) => {{
-                want(3)?;
-                Instr::$variant {
-                    d: reg(0)?,
-                    a: reg(1)?,
-                    b: reg(2)?,
-                }
-            }};
-        }
-        macro_rules! rri {
-            ($variant:ident) => {{
-                want(3)?;
-                Instr::$variant {
-                    d: reg(0)?,
-                    a: reg(1)?,
-                    imm: self.imm_of(&ops[2], line)?,
-                }
-            }};
-        }
-        macro_rules! branch {
-            ($variant:ident) => {{
-                want(3)?;
-                Instr::$variant {
-                    a: reg(0)?,
-                    b: reg(1)?,
-                    target: self.target_of(&ops[2], line)?,
-                }
-            }};
-        }
+/// One instruction line's parsed operands, read in the shapes its opcode's
+/// format asks for ([`Instr::lower`], generated from the opcode table).
+pub(crate) struct Operands<'a> {
+    asm: &'a Assembler,
+    p: &'a PendingInstr,
+}
 
-        Ok(match p.mnemonic.as_str() {
-            "add" => rrr!(Add),
-            "sub" => rrr!(Sub),
-            "and" => rrr!(And),
-            "or" => rrr!(Or),
-            "xor" => rrr!(Xor),
-            "slt" => rrr!(Slt),
-            "sltu" => rrr!(Sltu),
-            "sll" => rrr!(Sll),
-            "srl" => rrr!(Srl),
-            "sra" => rrr!(Sra),
-            "mul" => rrr!(Mul),
-            "div" => rrr!(Div),
-            "rem" => rrr!(Rem),
-            "addi" => rri!(Addi),
-            "andi" => rri!(Andi),
-            "ori" => rri!(Ori),
-            "xori" => rri!(Xori),
-            "slti" => rri!(Slti),
-            "slli" => rri!(Slli),
-            "srli" => rri!(Srli),
-            "srai" => rri!(Srai),
-            "li" => {
-                want(2)?;
-                Instr::Li {
-                    d: reg(0)?,
-                    imm: self.imm_of(&ops[1], line)?,
-                }
+impl Operands<'_> {
+    /// Checks that the line has exactly `n` operands.
+    pub(crate) fn want(&self, n: usize) -> Result<(), AsmError> {
+        let got = self.p.operands.len();
+        if got == n {
+            Ok(())
+        } else {
+            Err(self.err(format!(
+                "`{}` takes {} operand(s), got {}",
+                self.p.mnemonic, n, got
+            )))
+        }
+    }
+
+    /// Operand `i` as a register.
+    pub(crate) fn reg(&self, i: usize) -> Result<Reg, AsmError> {
+        match self.p.operands.get(i) {
+            Some(Operand::Reg(r)) => Ok(*r),
+            _ => Err(self.err(format!("operand {} must be a register", i + 1))),
+        }
+    }
+
+    /// Operand `i` as an immediate or a label's address.
+    pub(crate) fn imm(&self, i: usize) -> Result<i64, AsmError> {
+        match &self.p.operands[i] {
+            Operand::Imm(v) => Ok(*v),
+            Operand::Label(l) => Ok(self.asm.resolve(l, self.p.line)? as i64),
+            _ => Err(self.err("expected an immediate or label".into())),
+        }
+    }
+
+    /// Operand `i` as `off(base)`, returned as `(off, base)`.
+    pub(crate) fn mem(&self, i: usize) -> Result<(i64, Reg), AsmError> {
+        match self.p.operands.get(i) {
+            Some(Operand::Mem { off, base }) => {
+                let off = match off {
+                    OffExpr::Imm(v) => *v,
+                    OffExpr::Label(l) => self.asm.resolve(l, self.p.line)? as i64,
+                };
+                Ok((off, *base))
             }
-            "mv" => {
-                want(2)?;
-                Instr::Addi {
-                    d: reg(0)?,
-                    a: reg(1)?,
-                    imm: 0,
-                }
-            }
-            "ld" => {
-                want(2)?;
-                let (off, base) = memop(1)?;
-                Instr::Ld {
-                    d: reg(0)?,
-                    base,
-                    off,
-                }
-            }
-            "st" => {
-                want(2)?;
-                let (off, base) = memop(1)?;
-                Instr::St {
-                    s: reg(0)?,
-                    base,
-                    off,
-                }
-            }
-            "ldb" => {
-                want(2)?;
-                let (off, base) = memop(1)?;
-                Instr::Ldb {
-                    d: reg(0)?,
-                    base,
-                    off,
-                }
-            }
-            "stb" => {
-                want(2)?;
-                let (off, base) = memop(1)?;
-                Instr::Stb {
-                    s: reg(0)?,
-                    base,
-                    off,
-                }
-            }
-            "beq" => branch!(Beq),
-            "bne" => branch!(Bne),
-            "blt" => branch!(Blt),
-            "bge" => branch!(Bge),
-            "j" => {
-                want(1)?;
-                Instr::J {
-                    target: self.target_of(&ops[0], line)?,
-                }
-            }
-            "jal" => {
-                want(2)?;
-                Instr::Jal {
-                    link: reg(0)?,
-                    target: self.target_of(&ops[1], line)?,
-                }
-            }
-            "jr" => {
-                want(1)?;
-                Instr::Jr { a: reg(0)? }
-            }
-            "halt" => {
-                want(0)?;
-                Instr::Halt
-            }
-            "nop" => {
-                want(0)?;
-                Instr::Nop
-            }
-            other => return Err(err(line, format!("unknown mnemonic `{other}`"))),
-        })
+            _ => Err(self.err(format!("operand {} must be off(base)", i + 1))),
+        }
+    }
+
+    /// Operand `i` as a branch or jump target: a label or an address.
+    pub(crate) fn target(&self, i: usize) -> Result<u64, AsmError> {
+        match &self.p.operands[i] {
+            Operand::Label(l) => self.asm.resolve(l, self.p.line),
+            Operand::Imm(v) => Ok(*v as u64),
+            _ => Err(self.err("expected a branch/jump target".into())),
+        }
+    }
+
+    fn err(&self, msg: String) -> AsmError {
+        err(self.p.line, msg)
     }
 }
 
 fn err(line: usize, msg: String) -> AsmError {
     AsmError { line, msg }
+}
+
+/// `addr + len`, or an error if that runs past the end of the address
+/// space.
+fn advance(addr: u64, len: u64, line: usize) -> Result<u64, AsmError> {
+    addr.checked_add(len)
+        .ok_or_else(|| err(line, "past the end of the address space".into()))
 }
 
 fn is_ident(s: &str) -> bool {
@@ -418,17 +323,21 @@ fn parse_imm(tok: &str, line: usize) -> Result<i64, AsmError> {
         Some(rest) => (true, rest),
         None => (false, tok),
     };
-    let parsed = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        u64::from_str_radix(&hex.replace('_', ""), 16).map(|v| v as i64)
-    } else {
-        body.replace('_', "").parse::<i64>()
+    // The magnitude as a 64-bit word. Hex may use all 64 bits; a decimal
+    // magnitude must fit an `i64`, or be 2^63 under a minus sign, so that
+    // `i64::MIN` reads back the way `Display` writes it.
+    let magnitude = match body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(&hex.replace('_', ""), 16).ok(),
+        None => body
+            .replace('_', "")
+            .parse::<u64>()
+            .ok()
+            .filter(|&v| v <= i64::MAX as u64 + u64::from(neg)),
     };
-    match parsed {
-        Ok(v) if neg => v
-            .checked_neg()
-            .ok_or_else(|| err(line, format!("immediate `{tok}` out of range"))),
-        Ok(v) => Ok(v),
-        Err(_) => Err(err(line, format!("invalid immediate `{tok}`"))),
+    match magnitude {
+        Some(v) if neg => Ok((v as i64).wrapping_neg()),
+        Some(v) => Ok(v as i64),
+        None => Err(err(line, format!("invalid immediate `{tok}`"))),
     }
 }
 
@@ -677,9 +586,39 @@ mod tests {
     }
 
     #[test]
+    fn error_past_the_end_of_the_address_space() {
+        for src in [
+            ".org 0xfffffffffffffffc\nhalt",
+            ".org 0xfffffffffffffff8\nstart: nop\nend: halt",
+            "halt\n.data 0xfffffffffffffff8\n.word 1, 2",
+            "halt\n.data 0xfffffffffffffff0\n.space 17",
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert!(e.msg.contains("past the end"), "{src}: {e}");
+        }
+        let p = assemble(".org 0xfffffffffffffff4\nnop\nend: halt").unwrap();
+        assert_eq!(p.text_end(), 0xffff_ffff_ffff_fffc);
+    }
+
+    #[test]
     fn error_negated_immediate_overflows() {
-        let e = assemble("li r1, -0x8000000000000000").unwrap_err();
-        assert!(e.msg.contains("out of range"), "{e}");
+        // A negated magnitude may be 2^63 (`i64::MIN`), in hex or decimal,
+        // but no more.
+        for src in ["li r1, -0x8000000000000000", "li r1, -9223372036854775808"] {
+            let p = assemble(src).unwrap();
+            assert_eq!(
+                p.instrs()[0],
+                Instr::Li {
+                    d: Reg::new(1),
+                    imm: i64::MIN
+                },
+                "{src}"
+            );
+        }
+        for src in ["li r1, -9223372036854775809", "li r1, 9223372036854775808"] {
+            let e = assemble(src).unwrap_err();
+            assert!(e.msg.contains("invalid immediate"), "{src}: {e}");
+        }
         let p = assemble("li r1, -0x7fffffffffffffff").unwrap();
         assert_eq!(
             p.instrs()[0],

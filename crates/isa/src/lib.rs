@@ -56,7 +56,7 @@ mod reg;
 pub use arch::{ArchState, ExecError, MemEffect, Retired};
 pub use asm::{assemble, AsmError};
 pub use fasthash::{BuildFastHasher, FastHashMap, FastHashSet};
-pub use instr::{Instr, InstrKind, MemRead, MemWidth};
+pub use instr::{Instr, InstrKind, MemRead, MemWidth, Opcode, OPCODES};
 pub use mem::Memory;
 pub use program::{Program, ProgramBuilder};
 pub use reg::{Reg, NUM_REGS};

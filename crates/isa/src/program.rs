@@ -164,35 +164,12 @@ impl Program {
             .instrs
             .iter()
             .filter(|i| !matches!(i, Instr::Nop))
-            .map(|i| match *i {
-                Instr::Beq { a, b, target } => Instr::Beq {
-                    a,
-                    b,
-                    target: remap(target),
-                },
-                Instr::Bne { a, b, target } => Instr::Bne {
-                    a,
-                    b,
-                    target: remap(target),
-                },
-                Instr::Blt { a, b, target } => Instr::Blt {
-                    a,
-                    b,
-                    target: remap(target),
-                },
-                Instr::Bge { a, b, target } => Instr::Bge {
-                    a,
-                    b,
-                    target: remap(target),
-                },
-                Instr::J { target } => Instr::J {
-                    target: remap(target),
-                },
-                Instr::Jal { link, target } => Instr::Jal {
-                    link,
-                    target: remap(target),
-                },
-                other => other,
+            .map(|&i| {
+                let mut i = i;
+                if let Some(target) = i.target_mut() {
+                    *target = remap(*target);
+                }
+                i
             })
             .collect();
         Program::new(self.text_base, instrs, self.data.clone())

@@ -32,4 +32,4 @@ pub use confidence::ResettingCounter;
 pub use trace::{
     ends_trace, materialize_into, walk, TraceBuilder, TraceId, WalkEnd, MAX_TRACE_LEN,
 };
-pub use trace_pred::{PathHistory, TracePredictor, TracePredictorConfig, TracePredictorStats};
+pub use trace_pred::{PathHistory, TracePredictor, TracePredictorConfig};

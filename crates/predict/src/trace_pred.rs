@@ -118,19 +118,6 @@ impl PathHistory {
     }
 }
 
-/// Running accuracy counters for a [`TracePredictor`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TracePredictorStats {
-    /// Completed traces recorded via [`TracePredictor::update`].
-    pub traces: u64,
-    /// Predictions served by the correlated (path) table.
-    pub from_correlated: u64,
-    /// Predictions served by the simple (last-trace) table.
-    pub from_simple: u64,
-    /// Lookups with no table hit.
-    pub no_prediction: u64,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: u16,
@@ -164,7 +151,6 @@ pub struct TracePredictor {
     cfg: TracePredictorConfig,
     correlated: FastHashMap<u32, Entry>,
     simple: FastHashMap<u32, Entry>,
-    stats: TracePredictorStats,
 }
 
 impl TracePredictor {
@@ -182,7 +168,6 @@ impl TracePredictor {
             cfg,
             correlated: FastHashMap::default(),
             simple: FastHashMap::default(),
-            stats: TracePredictorStats::default(),
         }
     }
 
@@ -196,44 +181,26 @@ impl TracePredictor {
         PathHistory::new(self.cfg.path_len)
     }
 
-    /// Accuracy counters.
-    pub fn stats(&self) -> TracePredictorStats {
-        self.stats
-    }
-
-    /// Restores a previously captured counter snapshot. `predict` bumps the
-    /// accuracy counters, so a checkpoint/replay scheduler that re-runs
-    /// predictions must rewind them to stay cycle-exact with a straight run.
-    pub fn restore_stats(&mut self, snapshot: TracePredictorStats) {
-        self.stats = snapshot;
-    }
-
     /// Predicts the trace following `hist`. Returns `None` when neither
     /// table hits (cold or aliased); the consumer then falls back to
     /// constructing a trace statically.
-    pub fn predict(&mut self, hist: &PathHistory) -> Option<TraceId> {
+    pub fn predict(&self, hist: &PathHistory) -> Option<TraceId> {
         let (ci, ctag) = self.correlated_index(hist);
         if let Some(e) = self.correlated.get(&ci) {
             if e.tag == ctag {
-                self.stats.from_correlated += 1;
                 return Some(e.pred);
             }
         }
         let (si, stag) = self.simple_index(hist);
-        if let Some(e) = self.simple.get(&si) {
-            if e.tag == stag {
-                self.stats.from_simple += 1;
-                return Some(e.pred);
-            }
-        }
-        self.stats.no_prediction += 1;
-        None
+        self.simple
+            .get(&si)
+            .filter(|e| e.tag == stag)
+            .map(|e| e.pred)
     }
 
     /// Trains both tables: after `hist`, the next trace was `actual`.
     /// (The caller then pushes `actual` onto `hist`.)
     pub fn update(&mut self, hist: &PathHistory, actual: TraceId) {
-        self.stats.traces += 1;
         let (ci, ctag) = self.correlated_index(hist);
         update_entry(&mut self.correlated, ci, ctag, actual);
         let (si, stag) = self.simple_index(hist);
@@ -365,14 +332,11 @@ mod tests {
 
     #[test]
     fn cold_predictor_returns_none() {
-        let mut pred = TracePredictor::default();
+        let pred = TracePredictor::default();
         let mut hist = pred.new_history();
         assert_eq!(pred.predict(&hist), None);
         hist.push(tid(0x40, 1, 1, 8));
         assert_eq!(pred.predict(&hist), None, "a cold table misses everywhere");
-        let s = pred.stats();
-        assert_eq!(s.no_prediction, 2);
-        assert_eq!(s.from_correlated + s.from_simple, 0);
         assert!(pred.correlated.is_empty() && pred.simple.is_empty());
     }
 
@@ -453,18 +417,27 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_sources() {
+    fn disagreeing_tables_predict_from_the_correlated_one() {
+        // C·A and D·A end in the same trace, so they share a simple-table
+        // entry but not a correlated one. D·A→Y trains the simple entry
+        // to Y; one C·A→X then puts X in C·A's correlated entry.
+        let (a, c, d) = (tid(0x10, 0, 0, 4), tid(0x20, 0, 0, 4), tid(0x30, 0, 0, 4));
+        let (x, y) = (tid(0x40, 0, 0, 4), tid(0x50, 0, 0, 4));
         let mut pred = TracePredictor::default();
-        let mut hist = pred.new_history();
-        let a = tid(0x10, 0, 0, 4);
-        for _ in 0..4 {
-            let _ = pred.predict(&hist);
-            pred.update(&hist, a);
-            hist.push(a);
+        let (mut ca, mut da) = (pred.new_history(), pred.new_history());
+        ca.push(c);
+        ca.push(a);
+        da.push(d);
+        da.push(a);
+        for _ in 0..3 {
+            pred.update(&da, y);
         }
-        let s = pred.stats();
-        assert_eq!(s.traces, 4);
-        assert!(s.from_correlated + s.from_simple + s.no_prediction >= 4);
+        pred.update(&ca, x);
+        assert_ne!(pred.correlated_index(&ca), pred.correlated_index(&da));
+        let simple = pred.simple[&pred.simple_index(&ca).0];
+        assert_eq!(simple.pred, y, "the simple table says Y after A");
+        assert_eq!(pred.predict(&ca), Some(x), "the correlated table wins");
+        assert_eq!(pred.predict(&da), Some(y));
     }
 
     #[test]

@@ -211,12 +211,6 @@ fn predictor_learns_a_generated_programs_trace_stream() {
         "steady-state accuracy {acc:.2} on {} traces is too low",
         ids.len()
     );
-    let s = pred.stats();
-    assert_eq!(s.traces, reps as u64 * ids.len() as u64);
-    assert!(
-        s.from_correlated > 0,
-        "the path table must serve predictions"
-    );
 }
 
 // ---- the static trace walk -------------------------------------------------
