@@ -1,16 +1,15 @@
 //! Simulator throughput harness: how fast does the *simulator itself* run?
 //!
-//! Runs every suite workload to completion on the SS(64x4) baseline and the
-//! CMP(2x64x4) slipstream model under each scheduler, timing each run with
-//! `std::time::Instant`, and reports simulated instructions/second and
-//! cycles/second (best of `reps` runs, to shed warm-up and scheduler
-//! noise). Results go to stdout as a table and to `BENCH_throughput.json`
-//! for machine consumption.
+//! Runs the workload suite at [`SCALE`] to completion on every model,
+//! [`PASSES`] times, round-robin over the models, with a host-probe pass
+//! (fixed integer work that runs no simulator code) before the first suite
+//! pass and after every one. A pass's speed is its simulated instructions
+//! per second over the mean ops/s of its two adjacent probe passes, so it
+//! is in instructions per probe operation and holds across hosts: a slower
+//! machine slows the probe and the simulator alike, while a slower
+//! simulator leaves the probe as it was. Each model keeps its best pass.
 //!
 //! Models:
-//! - `calibration` — a fixed, scale-independent arithmetic loop on the
-//!   SS(64x4) core; its committed speed anchors the `--smoke` gate's
-//!   host normalization
 //! - `ss64` — single-core SS(64x4) baseline
 //! - `slipstream` — CMP(2x64x4), serial lockstep scheduler
 //! - `slipstream-window` — CMP(2x64x4), slack-window scheduler (the
@@ -20,98 +19,55 @@
 //! - `slipstream-threaded` — CMP(2x64x4), the slack-window scheduler with
 //!   each window's A-stream cycles on a helper thread
 //!
-//! Usage: `throughput [scale] [reps] [--smoke]`
+//! Usage: `throughput [--smoke]`
 //!
-//! - `scale` stretches the workload suite (default 1.0), `reps` is runs
-//!   per measurement (default 3).
-//! - `--smoke` is the CI regression gate: a quick reduced-scale run
-//!   (scale 0.2) that does NOT overwrite `BENCH_throughput.json`. Each
-//!   model runs the suite `reps` times (default 5), with a host-probe
-//!   pass before the first and after every suite pass. Each suite pass is
-//!   compared with the committed model speed, normalized by the host
-//!   ratio of its two adjacent probe passes, and the gate fails loudly if
-//!   a model's median ratio is below 1 / tolerance. The probe runs no
-//!   simulator code, so a slowdown of the simulator itself cannot cancel
-//!   out of the ratio.
+//! - Without a flag it writes the measurement to `BENCH_throughput.json`
+//!   in the current directory and renders its table into the `throughput`
+//!   region of `README.md` (exit 1, naming the region, if the file or a
+//!   marker is missing).
+//! - `--smoke` is the CI speed gate: it measures the same way, writes
+//!   nothing, and fails when a model's best pass is below
+//!   1 / [`SMOKE_TOLERANCE`] of the committed one, or when the committed
+//!   file lacks a model, was recorded at another scale or pass count, or
+//!   cannot be read.
 //!
 //! A malformed command line prints the usage and exits with status 2.
 
 use std::time::Instant;
 
-use slipstream_bench::{command_line, json, parse_number, parse_scale, MAX_CYCLES};
+use slipstream_bench::{
+    command_line, splice_regions, write_figure_doc, ModelSpeed, Throughput, MAX_CYCLES,
+    THROUGHPUT_REGION,
+};
 use slipstream_core::{run_superscalar, ExecMode, SlipstreamConfig, SlipstreamProcessor};
 use slipstream_cpu::CoreConfig;
-use slipstream_isa::assemble;
 use slipstream_workloads::{suite, Workload};
 
-/// Allowed slowdown vs the committed baseline before `--smoke` fails.
-/// The probe passes cancel most host-speed variance (a slower CI runner
-/// slows the probe and the models alike), and the median over
-/// interleaved passes sheds a noisy pass, so the tolerance only has to
-/// absorb scheduling jitter — not machine identity. Measured on a shared
-/// 2-CPU host: over 10 clean smokes no model's median fell below 0.83,
-/// while a `Core::cycle` made ~1.5x slower put at least one model at or
-/// below 0.70 in each of 10 smokes.
+/// The workload-suite scale of every pass.
+const SCALE: f64 = 0.2;
+
+/// Suite passes per model.
+const PASSES: u32 = 5;
+
+/// Allowed slowdown vs the committed speed before `--smoke` fails.
+/// Measured on a shared 2-CPU host: over 10 clean smokes no model's best
+/// pass fell below 0.90 of the committed one, while a `Core::cycle` made
+/// ~1.5–2x slower read 0.58–0.65 on the single-thread models.
 const SMOKE_TOLERANCE: f64 = 1.33;
-
-/// Host-speed ratios outside this band are treated as suspicious (a
-/// broken calibration row, not a slower machine) and clamped so they
-/// cannot mask a real regression entirely.
-const HOST_RATIO_BAND: (f64, f64) = (0.25, 4.0);
-
-/// Simulated calibration-loop instructions per host-probe operation:
-/// the simulator's speed relative to the host, as of the commit that set
-/// it (the median of interleaved calibration/probe pairs on a shared
-/// 2-CPU host). `--smoke` multiplies a probe pass's speed by it to get
-/// the calibration speed an unregressed simulator would reach on the
-/// host, which normalizes the committed floors.
-const CALIBRATION_PER_PROBE: f64 = 0.0163;
 
 /// Operations in one host-probe pass (about 0.1 s on a 2.x-GHz core).
 const PROBE_OPS: u64 = 40_000_000;
 
-/// One timed simulation: what ran, how much it simulated, how long it took.
-struct Measurement {
-    bench: &'static str,
-    model: &'static str,
-    instructions: u64,
-    cycles: u64,
-    /// Best-of-reps wall time in seconds.
-    seconds: f64,
-    /// Shared-L2 traffic (A + R cores); zero for models without an L2.
-    l2_hits: u64,
-    /// Shared-L2 misses (A + R cores).
-    l2_misses: u64,
-    /// Cycles L2 misses spent queued on the busy memory port (A + R).
-    port_stall_cycles: u64,
-}
+/// The committed measurement, and the document its table is rendered into.
+const COMMITTED: &str = "BENCH_throughput.json";
+const README: &str = "README.md";
 
-impl Measurement {
-    fn instrs_per_sec(&self) -> f64 {
-        self.instructions as f64 / self.seconds
-    }
+/// One model: name, scheduler (None = the single-core baseline), and
+/// whether the shared-L2 memory system is on.
+type Model = (&'static str, Option<ExecMode>, bool);
 
-    fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.seconds
-    }
-}
-
-/// Times `f` `reps` times and keeps the fastest run's wall time, trusting
-/// `f` to return the same counters every repetition.
-fn best_of<F: FnMut() -> (u64, u64, [u64; 3])>(reps: u32, mut f: F) -> (u64, u64, [u64; 3], f64) {
-    let mut best = f64::INFINITY;
-    let mut counts = (0, 0, [0; 3]);
-    for _ in 0..reps {
-        let start = Instant::now();
-        counts = std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (counts.0, counts.1, counts.2, best)
-}
-
-/// The models to measure, in output order: name, scheduler (None = the
-/// single-core baseline), and whether the shared-L2 memory system is on.
-const MODELS: [(&str, Option<ExecMode>, bool); 5] = [
+/// The models to measure, in output order.
+const MODELS: [Model; 5] = [
     ("ss64", None, false),
     ("slipstream", Some(ExecMode::Serial), false),
     ("slipstream-window", Some(ExecMode::Windowed), false),
@@ -119,44 +75,9 @@ const MODELS: [(&str, Option<ExecMode>, bool); 5] = [
     ("slipstream-threaded", Some(ExecMode::Threaded), false),
 ];
 
-/// The host-speed probe: a fixed arithmetic loop whose simulated work is
-/// independent of `scale`, so its instrs/s measures only the machine (and
-/// build) running the simulator. `--smoke` divides measured by committed
-/// calibration speed to normalize every other model's floor.
-fn calibration(reps: u32) -> Measurement {
-    let src = "
-        li r1, 200000
-    loop:
-        xor r2, r2, r1
-        add r3, r3, r2
-        slli r4, r3, 1
-        srli r5, r4, 2
-        addi r1, r1, -1
-        bne r1, r0, loop
-        halt
-    ";
-    let p = assemble(src).expect("calibration loop assembles");
-    let cfg = SlipstreamConfig::cmp_2x64x4();
-    let (instructions, cycles, _, seconds) = best_of(reps, || {
-        let stats = run_superscalar(CoreConfig::ss_64x4(), cfg.trace_pred, &p, MAX_CYCLES);
-        assert!(stats.halted, "calibration loop did not complete");
-        (stats.core.retired, stats.core.cycles, [0; 3])
-    });
-    Measurement {
-        bench: "calibration",
-        model: "calibration",
-        instructions,
-        cycles,
-        seconds,
-        l2_hits: 0,
-        l2_misses: 0,
-        port_stall_cycles: 0,
-    }
-}
-
-/// The host-speed probe behind `--smoke`: fixed integer work (xorshift
-/// steps, data-dependent branches and updates of a 32 KiB table) that
-/// runs no simulator code. Returns operations per second.
+/// The host-speed probe: fixed integer work (xorshift steps,
+/// data-dependent branches and updates of a 32 KiB table) that runs no
+/// simulator code. Returns operations per second.
 fn host_probe() -> f64 {
     let mut table = [0u64; 4096];
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -176,355 +97,243 @@ fn host_probe() -> f64 {
     PROBE_OPS as f64 / start.elapsed().as_secs_f64()
 }
 
-fn measure(
-    w: &Workload,
-    cfg: &SlipstreamConfig,
-    model: &'static str,
-    mode: Option<ExecMode>,
-    shared_l2: bool,
-    reps: u32,
-) -> Measurement {
+/// One suite pass of `model`: simulated instructions and wall seconds.
+/// The slipstream models count both cores' work: the simulator executes
+/// A- and R-stream instructions even though IPC only counts R.
+fn suite_pass(workloads: &[Workload], (model, mode, shared_l2): Model) -> (u64, f64) {
     let cfg = if shared_l2 {
         SlipstreamConfig::cmp_shared_l2()
     } else {
-        cfg.clone()
+        SlipstreamConfig::cmp_2x64x4()
     };
-    let (instructions, cycles, l2, seconds) = match mode {
-        None => best_of(reps, || {
-            let stats = run_superscalar(
-                CoreConfig::ss_64x4(),
-                cfg.trace_pred,
-                &w.program,
-                MAX_CYCLES,
-            );
-            assert!(stats.halted, "{}: SS(64x4) did not complete", w.name);
-            (stats.core.retired, stats.core.cycles, [0; 3])
-        }),
-        Some(mode) => best_of(reps, || {
-            let mut proc = SlipstreamProcessor::new(cfg.clone(), &w.program);
-            assert!(
-                proc.run_mode(mode, MAX_CYCLES),
-                "{}: {model} did not complete",
-                w.name
-            );
-            let stats = proc.stats();
-            // Count work on both cores: the simulator executes A- and
-            // R-stream instructions even though IPC only counts R.
-            (
-                stats.a_retired + stats.r_retired,
-                stats.cycles,
-                [
-                    stats.a_core.l2_hits + stats.r_core.l2_hits,
-                    stats.a_core.l2_misses + stats.r_core.l2_misses,
-                    stats.a_core.port_stall_cycles + stats.r_core.port_stall_cycles,
-                ],
-            )
-        }),
-    };
-    Measurement {
-        bench: w.name,
-        model,
-        instructions,
-        cycles,
-        seconds,
-        l2_hits: l2[0],
-        l2_misses: l2[1],
-        port_stall_cycles: l2[2],
+    let start = Instant::now();
+    let mut instructions = 0;
+    for w in workloads {
+        instructions += match mode {
+            None => {
+                let core = CoreConfig::ss_64x4();
+                let stats = run_superscalar(core, cfg.trace_pred, &w.program, MAX_CYCLES);
+                assert!(stats.halted, "{}: {model} did not complete", w.name);
+                stats.core.retired
+            }
+            Some(mode) => {
+                let mut proc = SlipstreamProcessor::new(cfg.clone(), &w.program);
+                let halted = proc.run_mode(mode, MAX_CYCLES);
+                assert!(halted, "{}: {model} did not complete", w.name);
+                proc.stats().a_retired + proc.stats().r_retired
+            }
+        };
     }
+    (instructions, start.elapsed().as_secs_f64())
 }
 
-/// Per-model totals (instructions, seconds) over a row set.
-fn model_totals<'a>(rows: impl Iterator<Item = &'a Measurement>) -> Vec<(&'static str, u64, f64)> {
-    let mut totals: Vec<(&'static str, u64, f64)> = Vec::new();
-    for r in rows {
-        match totals.iter_mut().find(|(m, _, _)| *m == r.model) {
-            Some(t) => {
-                t.1 += r.instructions;
-                t.2 += r.seconds;
+/// The one measurement behind the committed file and the gate (see the
+/// module docs).
+fn measure() -> Throughput {
+    let workloads = suite(SCALE);
+    let mut models: Vec<ModelSpeed> = MODELS
+        .iter()
+        .map(|&(model, ..)| ModelSpeed {
+            model: model.to_string(),
+            instructions: 0,
+            instrs_per_sec: 0.0,
+            per_probe_op: 0.0,
+        })
+        .collect();
+    let mut probes = vec![host_probe()];
+    for _ in 0..PASSES {
+        for (&model, best) in MODELS.iter().zip(&mut models) {
+            let (instructions, seconds) = suite_pass(&workloads, model);
+            let before = probes[probes.len() - 1];
+            let after = host_probe();
+            probes.push(after);
+            let instrs_per_sec = instructions as f64 / seconds;
+            let per_probe_op = instrs_per_sec / ((before + after) / 2.0);
+            if per_probe_op > best.per_probe_op {
+                *best = ModelSpeed {
+                    instructions,
+                    instrs_per_sec,
+                    per_probe_op,
+                    ..best.clone()
+                };
             }
-            None => totals.push((r.model, r.instructions, r.seconds)),
         }
     }
-    totals
+    Throughput {
+        scale: SCALE,
+        passes: PASSES,
+        probe_ops_per_sec: probes.iter().sum::<f64>() / probes.len() as f64,
+        models,
+    }
 }
 
-/// Per-model (instructions, seconds) totals from the `model_totals` of a
-/// committed `BENCH_throughput.json`. Any missing or non-numeric field is
-/// an error: the smoke gate must not compare against a guess.
-fn committed_model_totals(doc: &str) -> Result<Vec<(String, u64, f64)>, String> {
-    let doc = json::parse(doc)?;
-    let totals = doc
-        .get("model_totals")
-        .and_then(json::Value::as_arr)
-        .ok_or("no model_totals array")?;
-    totals
-        .iter()
-        .map(|t| {
-            let field = |key: &str| t.get(key).ok_or(format!("model_totals row without {key}"));
-            let model = field("model")?.as_str().ok_or("model is not a string")?;
-            let instrs = field("instructions")?
-                .as_u64()
-                .ok_or(format!("{model}: instructions is not an integer"))?;
-            let secs = field("seconds")?
-                .as_f64()
-                .filter(|s| *s > 0.0)
-                .ok_or(format!("{model}: seconds is not a positive number"))?;
-            Ok((model.to_string(), instrs, secs))
-        })
-        .collect()
-}
-
-/// The `--smoke` speed gate (see the module docs). A probe pass runs
-/// before each model's first suite pass and after every suite pass, so
-/// every suite pass sits between two probe passes taken moments apart on
-/// the same host; the mean of their host ratios is its anchor. A model
-/// passes when the median of its normalized speeds clears
-/// `1 / SMOKE_TOLERANCE`.
-fn smoke_gate(workloads: &[Workload], cfg: &SlipstreamConfig, reps: u32) {
-    let doc = std::fs::read_to_string("BENCH_throughput.json")
-        .expect("--smoke needs the committed BENCH_throughput.json in the working directory");
-    let committed = committed_model_totals(&doc)
-        .unwrap_or_else(|e| panic!("committed BENCH_throughput.json: {e}"));
-    let speed = |model: &str| {
-        committed
-            .iter()
-            .find(|(m, _, _)| m == model)
-            .map(|&(_, i, s)| i as f64 / s)
-    };
-    let committed_cal = speed("calibration")
-        .expect("committed BENCH_throughput.json has no calibration model total");
-    // Each probe pass's host ratio: the calibration speed it implies over
-    // the committed calibration speed.
-    let mut host_ratios = Vec::new();
-    let mut host_ratio = || {
-        let raw = host_probe() * CALIBRATION_PER_PROBE / committed_cal;
-        host_ratios.push(raw);
-        raw.clamp(HOST_RATIO_BAND.0, HOST_RATIO_BAND.1)
-    };
+/// The `--smoke` verdict: every model of `measured` must be in
+/// `committed`, recorded the same way, and at least
+/// 1 / [`SMOKE_TOLERANCE`] as fast per probe operation.
+fn gate(committed: &Throughput, measured: &Throughput) -> Result<(), String> {
+    if (committed.scale, committed.passes) != (measured.scale, measured.passes) {
+        return Err(format!(
+            "{COMMITTED} was recorded at scale {} with {} passes, the gate measures at scale {} \
+             with {} passes; re-record it",
+            committed.scale, committed.passes, measured.scale, measured.passes
+        ));
+    }
     let mut failures = Vec::new();
-    let mut checked = 0;
-    let mut before = host_ratio();
-    for (model, mode, shared_l2) in MODELS {
-        let Some(committed_speed) = speed(model) else {
-            continue; // model not in the committed file
+    for m in &measured.models {
+        let Some(c) = committed.models.iter().find(|c| c.model == m.model) else {
+            return Err(format!("{COMMITTED} has no model {}", m.model));
         };
-        let mut ratios: Vec<f64> = (0..reps)
-            .map(|_| {
-                let (instrs, secs) = workloads
-                    .iter()
-                    .map(|w| measure(w, cfg, model, mode, shared_l2, 1))
-                    .fold((0, 0.0), |(i, s), m| (i + m.instructions, s + m.seconds));
-                let after = host_ratio();
-                let ratio = instrs as f64 / secs / committed_speed / ((before + after) / 2.0);
-                before = after;
-                ratio
-            })
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        let median = ratios[ratios.len() / 2];
-        checked += 1;
+        let ratio = m.per_probe_op / c.per_probe_op;
         println!(
-            "smoke       {model:<20} median ratio {median:.3} over {reps} passes \
-             ({:.3}..{:.3}; floor {:.3})",
-            ratios[0],
-            ratios[ratios.len() - 1],
+            "smoke  {:<20} best {:.4} instrs/probe op = {ratio:.3} x committed (floor {:.3})",
+            m.model,
+            m.per_probe_op,
             1.0 / SMOKE_TOLERANCE
         );
-        if median * SMOKE_TOLERANCE < 1.0 {
+        if ratio * SMOKE_TOLERANCE < 1.0 {
             failures.push(format!(
-                "{model}: median speed {median:.3} x committed (host-normalized) is below \
-                 1 / tolerance {SMOKE_TOLERANCE}"
+                "{}: best pass {ratio:.3} x committed speed per probe op is below \
+                 1 / tolerance {SMOKE_TOLERANCE}",
+                m.model
             ));
         }
     }
-    host_ratios.sort_by(f64::total_cmp);
-    println!(
-        "smoke       host ratio {:.3}..{:.3} (median {:.3}) over {} probe passes",
-        host_ratios[0],
-        host_ratios[host_ratios.len() - 1],
-        host_ratios[host_ratios.len() / 2],
-        host_ratios.len()
-    );
-    assert!(checked > 0, "no committed model matched a measured model");
-    assert!(
-        failures.is_empty(),
-        "simulator throughput regression:\n  {}",
-        failures.join("\n  ")
-    );
-    println!("smoke       OK — {checked} models within {SMOKE_TOLERANCE}x of committed speed");
-}
-
-const USAGE: &str = "usage: throughput [scale] [reps] [--smoke]";
-
-/// The command line.
-#[derive(Default)]
-struct Args {
-    scale: Option<f64>,
-    reps: Option<u32>,
-    smoke: bool,
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args::default();
-    for arg in argv {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown argument {flag}")),
-            s if args.scale.is_none() => args.scale = Some(parse_scale("scale", s)?),
-            s if args.reps.is_none() => args.reps = Some(parse_number("reps", s)?),
-            s => return Err(format!("unexpected argument {s}")),
-        }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "simulator throughput regression:\n  {}",
+            failures.join("\n  ")
+        ))
     }
-    Ok(args)
+}
+
+/// Writes `measured` to the committed file and renders the table it reads
+/// back as into README.md's region; a missing file or marker exits with
+/// status 1, naming the region.
+fn record(measured: &Throughput) {
+    let doc = measured.to_json();
+    write_figure_doc(COMMITTED, &doc);
+    let spliced = Throughput::parse(&doc)
+        .and_then(|t| {
+            let readme = std::fs::read_to_string(README).map_err(|e| e.to_string())?;
+            splice_regions(&readme, &[(THROUGHPUT_REGION, t.table())])
+        })
+        .unwrap_or_else(|e| fail(&format!("{README}: {e}")));
+    std::fs::write(README, spliced).unwrap_or_else(|e| panic!("write {README}: {e}"));
+    eprintln!("wrote {README}");
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("throughput: {msg}");
+    std::process::exit(1)
+}
+
+const USAGE: &str = "usage: throughput [--smoke]";
+
+/// The command line: whether it asks for `--smoke`.
+fn parse_args(argv: &[String]) -> Result<bool, String> {
+    let mut smoke = false;
+    for arg in argv {
+        if arg != "--smoke" || smoke {
+            return Err(format!("unexpected argument {arg}"));
+        }
+        smoke = true;
+    }
+    Ok(smoke)
 }
 
 fn main() {
-    let args = command_line(parse_args, USAGE);
-    let smoke = args.smoke;
-    let scale = args.scale.unwrap_or(if smoke { 0.2 } else { 1.0 });
-    let reps = args.reps.unwrap_or(if smoke { 5 } else { 3 }).max(1);
-
-    let workloads = suite(scale);
-    let cfg = SlipstreamConfig::cmp_2x64x4();
-    if smoke {
-        smoke_gate(&workloads, &cfg, reps);
-        return;
+    let smoke = command_line(parse_args, USAGE);
+    let committed = smoke.then(|| {
+        std::fs::read_to_string(COMMITTED)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| Throughput::parse(&doc))
+            .unwrap_or_else(|e| fail(&format!("committed {COMMITTED}: {e}")))
+    });
+    let measured = measure();
+    print!("{}", measured.table());
+    match committed {
+        Some(committed) => match gate(&committed, &measured) {
+            Ok(()) => println!(
+                "smoke  OK — {} models within {SMOKE_TOLERANCE}x of committed speed",
+                measured.models.len()
+            ),
+            Err(e) => fail(&e),
+        },
+        None => record(&measured),
     }
-    let mut rows: Vec<Measurement> = Vec::new();
-
-    println!(
-        "{:<11} {:<20} {:>12} {:>12} {:>9} {:>12} {:>12}",
-        "benchmark", "model", "instrs", "cycles", "wall s", "instrs/s", "cycles/s"
-    );
-    // The calibration row runs at every scale, smoke or not, so the
-    // committed file and the smoke pass always have a host-speed anchor.
-    rows.push(calibration(reps));
-    for w in &workloads {
-        for (model, mode, shared_l2) in MODELS {
-            rows.push(measure(w, &cfg, model, mode, shared_l2, reps));
-        }
-    }
-    for r in &rows {
-        println!(
-            "{:<11} {:<20} {:>12} {:>12} {:>9.3} {:>12.0} {:>12.0}",
-            r.bench,
-            r.model,
-            r.instructions,
-            r.cycles,
-            r.seconds,
-            r.instrs_per_sec(),
-            r.cycles_per_sec()
-        );
-    }
-    let l2_total: (u64, u64, u64) =
-        rows.iter()
-            .filter(|r| r.model == "slipstream-l2")
-            .fold((0, 0, 0), |acc, r| {
-                (
-                    acc.0 + r.l2_hits,
-                    acc.1 + r.l2_misses,
-                    acc.2 + r.port_stall_cycles,
-                )
-            });
-    println!(
-        "l2          {:<20} {} hits, {} misses, {} port-stall cycles",
-        "slipstream-l2", l2_total.0, l2_total.1, l2_total.2
-    );
-
-    let totals = model_totals(rows.iter());
-    for &(model, instrs, secs) in &totals {
-        println!(
-            "{:<11} {:<20} {:>12} {:>12} {:>9.3} {:>12.0}",
-            "TOTAL",
-            model,
-            instrs,
-            "",
-            secs,
-            instrs as f64 / secs
-        );
-    }
-    if let Some(&(_, base_i, base_s)) = totals.iter().find(|(m, _, _)| *m == "slipstream") {
-        let base = base_i as f64 / base_s;
-        for &(model, i, s) in &totals {
-            if model.starts_with("slipstream-") {
-                println!(
-                    "speedup     {:<20} {:>6.2}x vs serial slipstream",
-                    model,
-                    (i as f64 / s) / base
-                );
-            }
-        }
-    }
-
-    // Hand-rolled JSON via the shared helpers: the workspace has no serde
-    // (and no registry access).
-    let rows_json = json::array(
-        rows.iter().map(|r| {
-            json::Obj::new()
-                .str("bench", r.bench)
-                .str("model", r.model)
-                .raw("instructions", r.instructions)
-                .raw("cycles", r.cycles)
-                .raw("l2_hits", r.l2_hits)
-                .raw("l2_misses", r.l2_misses)
-                .raw("port_stall_cycles", r.port_stall_cycles)
-                .f64("seconds", r.seconds, 6)
-                .f64("instrs_per_sec", r.instrs_per_sec(), 0)
-                .f64("cycles_per_sec", r.cycles_per_sec(), 0)
-                .finish()
-        }),
-        2,
-    );
-    let totals_json = json::array(
-        totals.iter().map(|&(model, instrs, secs)| {
-            json::Obj::new()
-                .str("model", model)
-                .raw("instructions", instrs)
-                .f64("seconds", secs, 6)
-                .f64("instrs_per_sec", instrs as f64 / secs, 0)
-                .finish()
-        }),
-        2,
-    );
-    let doc = format!(
-        "{{\n  \"scale\": {scale},\n  \"reps\": {reps},\n  \"rows\": {rows_json},\n  \
-         \"model_totals\": {totals_json}\n}}\n"
-    );
-    std::fs::write("BENCH_throughput.json", doc).expect("write BENCH_throughput.json");
-    eprintln!("wrote BENCH_throughput.json");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<Args, String> {
+    fn parse(line: &str) -> Result<bool, String> {
         let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
         parse_args(&argv)
     }
 
-    /// Bad positionals and unknown or missing arguments are errors (main
-    /// prints the usage, exits 2) instead of panics.
+    /// Anything but an empty command line or `--smoke` is an error (main
+    /// prints the usage, exits 2) — the old `[scale] [reps]` positionals
+    /// included.
     #[test]
     fn command_lines_outside_the_usage_are_errors() {
-        let ok = parse("0.5 2").unwrap();
-        assert_eq!((ok.scale, ok.reps), (Some(0.5), Some(2)));
-        assert!(!ok.smoke);
-        assert_eq!(parse("--smoke").unwrap().scale, None);
+        assert_eq!(parse(""), Ok(false));
+        assert_eq!(parse("--smoke"), Ok(true));
         for (line, want) in [
-            ("x", "scale: not a number"),
-            ("0", "scale: not a positive number"),
-            ("1 many", "reps: not a number"),
-            ("1 3 7", "unexpected argument 7"),
-            ("--telemetry x", "unknown argument --telemetry"),
-            ("--parallel", "unknown argument --parallel"),
-            (
-                "0.5 2 --parallel-cores",
-                "unknown argument --parallel-cores",
-            ),
+            ("0.5 2", "unexpected argument 0.5"),
+            ("1", "unexpected argument 1"),
+            ("--smoke 0.2", "unexpected argument 0.2"),
+            ("--smoke --smoke", "unexpected argument --smoke"),
+            ("--telemetry x", "unexpected argument --telemetry"),
+            ("--parallel", "unexpected argument --parallel"),
         ] {
-            let e = parse(line).map(|_| ()).expect_err(line);
+            let e = parse(line).expect_err(line);
             assert!(e.contains(want), "{line:?}: {e}");
+        }
+    }
+
+    fn file(models: &[(&str, f64)]) -> Throughput {
+        Throughput {
+            scale: SCALE,
+            passes: PASSES,
+            probe_ops_per_sec: 4e8,
+            models: models
+                .iter()
+                .map(|&(model, per_probe_op)| ModelSpeed {
+                    model: model.to_string(),
+                    instructions: 1000,
+                    instrs_per_sec: per_probe_op * 4e8,
+                    per_probe_op,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn the_gate_fails_below_one_over_the_tolerance() {
+        let committed = file(&[("ss64", 0.02), ("slipstream", 0.01)]);
+        assert_eq!(gate(&committed, &committed), Ok(()));
+        let slower = file(&[("ss64", 0.02 * 0.74), ("slipstream", 0.01)]);
+        let e = gate(&committed, &slower).unwrap_err();
+        assert!(e.contains("ss64: best pass 0.740"), "{e}");
+        assert!(!e.contains("slipstream:"), "{e}");
+    }
+
+    #[test]
+    fn a_committed_file_without_a_model_or_recorded_otherwise_is_an_error() {
+        let measured = file(&[("ss64", 0.02), ("slipstream-l2", 0.01)]);
+        let e = gate(&file(&[("ss64", 0.02)]), &measured).unwrap_err();
+        assert!(e.contains("has no model slipstream-l2"), "{e}");
+        for (scale, passes) in [(1.0, PASSES), (SCALE, 3)] {
+            let committed = Throughput {
+                scale,
+                passes,
+                ..measured.clone()
+            };
+            let e = gate(&committed, &measured).unwrap_err();
+            assert!(e.contains("re-record"), "{e}");
         }
     }
 }

@@ -511,9 +511,11 @@ mod tests {
             }
             let doc = std::fs::read_to_string(&path).unwrap();
             let v = parse(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
-            // The fuzz documents nest their per-invariant rows.
+            // The fuzz documents nest their per-invariant rows; the
+            // throughput document has one row per model.
             let rows = v.get("rows");
             let rows = rows.and_then(|r| r.get("invariants")).or(rows);
+            let rows = rows.or(v.get("models"));
             assert!(
                 rows.and_then(Value::as_arr).is_some_and(|r| !r.is_empty()),
                 "{name}: rows is not a non-empty array"

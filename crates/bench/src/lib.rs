@@ -5,7 +5,9 @@
 //! markdown ([`paper_regions`]), re-anchors the committed figure documents
 //! and splices the tables into EXPERIMENTS.md ([`splice_regions`]);
 //! `fault_campaign` runs the full §3 sweep. The simulator's own speed is
-//! measured by the `perfbench` package in `examples/perfbench`.
+//! measured layer by layer by the `perfbench` package in
+//! `examples/perfbench`; `throughput` records each model's speed relative
+//! to a host probe ([`Throughput`]) and gates it.
 //!
 //! Independent simulations are jobs on the crate's one worker pool of
 //! scoped threads, which returns results in input order: a figure row's
@@ -30,6 +32,9 @@ pub mod shrink;
 /// The run file (one JSONL stream of host and simulated rows), its one
 /// reader, and the run report.
 pub mod telemetry_export;
+/// `BENCH_throughput.json`: each model's best probe-relative suite pass,
+/// and its README table.
+pub mod throughput;
 /// The pipeview rendering of flight recordings, the shared trace config,
 /// and divergence naming.
 pub mod trace_export;
@@ -57,6 +62,7 @@ pub use shrink::{live_count, shrink, ShrinkOutcome};
 pub use telemetry_export::{
     exclusive_spans, parse_jsonl, report_text, to_jsonl, write_run, RunFile,
 };
+pub use throughput::{ModelSpeed, Throughput, THROUGHPUT_REGION};
 pub use trace_export::{
     cpi_stack_obj, first_divergence, lifecycles, pipeview_text, violation_run, Divergence,
     Lifecycle, TRACE,

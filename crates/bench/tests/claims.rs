@@ -1,4 +1,5 @@
-//! The paper's claims, checked on the committed figure documents.
+//! The paper's claims, checked on the committed figure and fault-campaign
+//! documents.
 //!
 //! `figure_drift` pins every committed number; this file pins what
 //! EXPERIMENTS.md says the numbers mean. Each check quotes the sentence it
@@ -29,6 +30,11 @@ const TABLE3_PENALTY: &str = "the average IR-misprediction penalty sits close to
      22–26 cycles, just above the 21-cycle minimum";
 const TABLE3_CMP_BRANCHES: &str =
     "The CMP branch misprediction column drops well below the SS column for perl and vortex";
+
+const CAMPAIGN_A_STREAM: &str = "0 % silent corruption in the A-stream of every benchmark";
+const CAMPAIGN_SILENT: &str = "it is confined to the R-stream of the two high-removal, \
+     non-self-healing benchmarks — perl (3/128, 2.3 %) and vortex (10/128, 7.8 %)";
+const CAMPAIGN_NOT_ACTIVATED: &str = "are counted separately (`not_activated`, 115/2,048)";
 
 /// The shortest IR-misprediction recovery, in cycles: 5 startup cycles
 /// plus 64 registers restored 4 per cycle (EXPERIMENTS.md, "minimum 21
@@ -87,6 +93,25 @@ fn largest_category(rows: &[(String, Value)], bench: &str, key: &str) -> (String
         .unwrap_or_else(|| panic!("{bench}: empty `{key}`"))
 }
 
+/// The committed §3 campaign's rows as (bench, target, row object).
+fn campaign_rows() -> Vec<(String, String, Value)> {
+    rows("BENCH_fault_campaign.json")
+        .into_iter()
+        .map(|(bench, row)| {
+            let target = row.get("target").and_then(Value::as_str);
+            let target =
+                target.unwrap_or_else(|| panic!("{bench}: a campaign row has no `target`"));
+            (bench, target.to_string(), row)
+        })
+        .collect()
+}
+
+/// `key` of a campaign row, as a count.
+fn count(bench: &str, target: &str, row: &Value, key: &str) -> u64 {
+    let value = row.get(key).and_then(Value::as_u64);
+    value.unwrap_or_else(|| panic!("{bench} {target}: no count `{key}`"))
+}
+
 /// Whitespace runs collapsed to one space, so a wrapped sentence matches.
 fn squash(text: &str) -> String {
     text.split_whitespace().collect::<Vec<_>>().join(" ")
@@ -106,6 +131,9 @@ fn every_checked_sentence_is_in_experiments_md() {
         FIG8_BRANCHES_ONLY,
         TABLE3_PENALTY,
         TABLE3_CMP_BRANCHES,
+        CAMPAIGN_A_STREAM,
+        CAMPAIGN_SILENT,
+        CAMPAIGN_NOT_ACTIVATED,
     ] {
         assert!(
             doc.contains(&squash(sentence)),
@@ -288,4 +316,65 @@ fn table3_the_cmp_mispredicts_fewer_branches_for_perl_and_vortex() {
              and {ss}/1k on SS(64x4)"
         );
     }
+}
+
+#[test]
+fn campaign_a_stream_faults_never_corrupt_silently() {
+    let rows = campaign_rows();
+    let benches = |target: &str| {
+        let mut v: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.1 == target)
+            .map(|r| r.0.as_str())
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    assert!(
+        !benches("A-stream").is_empty() && benches("A-stream") == benches("R-stream"),
+        "§3: {CAMPAIGN_A_STREAM:?}, but the A-stream rows cover {:?} and the R-stream rows {:?}",
+        benches("A-stream"),
+        benches("R-stream")
+    );
+    for (bench, target, row) in rows.iter().filter(|r| r.1 == "A-stream") {
+        let silent = count(bench, target, row, "silent_corruption");
+        assert_eq!(
+            silent, 0,
+            "§3: {CAMPAIGN_A_STREAM:?}, but {bench}'s A-stream has {silent} silent corruptions"
+        );
+    }
+}
+
+#[test]
+fn campaign_silent_corruption_is_confined_to_the_r_stream_of_perl_and_vortex() {
+    for (bench, target, row) in campaign_rows() {
+        let want = match (bench.as_str(), target.as_str()) {
+            ("perl", "R-stream") => 3,
+            ("vortex", "R-stream") => 10,
+            _ => 0,
+        };
+        let (silent, sites) = (
+            count(&bench, &target, &row, "silent_corruption"),
+            count(&bench, &target, &row, "sites"),
+        );
+        assert!(
+            (silent, sites) == (want, 128),
+            "§3: {CAMPAIGN_SILENT:?}, but {bench}'s {target} has {silent}/{sites} silent \
+             corruptions"
+        );
+    }
+}
+
+#[test]
+fn campaign_115_of_2048_sites_are_not_activated() {
+    let (mut sites, mut not_activated) = (0, 0);
+    for (bench, target, row) in campaign_rows() {
+        sites += count(&bench, &target, &row, "sites");
+        not_activated += count(&bench, &target, &row, "not_activated");
+    }
+    assert_eq!(
+        (not_activated, sites),
+        (115, 2048),
+        "§3: {CAMPAIGN_NOT_ACTIVATED:?}, but {not_activated} of {sites} sites are not activated"
+    );
 }

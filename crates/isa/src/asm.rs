@@ -40,7 +40,7 @@ impl std::error::Error for AsmError {}
 ///
 /// .data 0x100000       ; switch to data emission at an address
 /// table: .word 1, 2, 3 ; 8-byte words
-/// buf:   .space 64     ; zero-filled bytes
+/// buf:   .space 64     ; reserved bytes, reading as zero
 /// ```
 ///
 /// Pseudo-instructions: `li rd, imm` and `mv rd, rs` (= `addi rd, rs, 0`).
@@ -149,16 +149,19 @@ impl Assembler {
                     }
                 }
                 ".space" => {
-                    let seg = data
-                        .last_mut()
+                    // Unmapped memory reads as zero, so a reservation only
+                    // moves the cursor and starts a new segment past it;
+                    // it writes nothing, not even over an earlier overlapping
+                    // region.
+                    let cursor = mode_data_cursor
+                        .as_mut()
                         .ok_or_else(|| err(line, ".space outside a .data section".into()))?;
-                    let cursor = mode_data_cursor.as_mut().expect("in data mode");
                     let n = parse_imm(rest.trim(), line)?;
                     if n < 0 {
                         return Err(err(line, ".space size must be non-negative".into()));
                     }
                     *cursor = advance(*cursor, n as u64, line)?;
-                    seg.1.extend(std::iter::repeat_n(0u8, n as usize));
+                    data.push((*cursor, Vec::new()));
                 }
                 m if m.starts_with('.') => {
                     return Err(err(line, format!("unknown directive `{m}`")));
@@ -475,6 +478,31 @@ mod tests {
     }
 
     #[test]
+    fn space_reserves_without_writing() {
+        // A reservation as large as an immediate allows is a cursor move,
+        // not 2^63 zero bytes: the label after it lands past it, and the
+        // reserved bytes read as zero.
+        let src = "li r1, after\nhalt\n.data 0x1000\nbuf: .space 9223372036854775807\n\
+                   after: .word 7";
+        let p = assemble(src).unwrap();
+        let after = 0x1000 + i64::MAX as u64;
+        assert_eq!(
+            p.instrs()[0],
+            Instr::Li {
+                d: Reg::new(1),
+                imm: after as i64
+            }
+        );
+        let mem = p.initial_memory();
+        assert_eq!(mem.load_word(after), 7);
+        assert_eq!(mem.load_word(0x1000), 0);
+        // A later reservation over an earlier region leaves its bytes as
+        // they were.
+        let p = assemble("halt\n.data 0x2000\n.word 5\n.data 0x2000\n.space 8").unwrap();
+        assert_eq!(p.initial_memory().load_word(0x2000), 5);
+    }
+
+    #[test]
     fn data_label_as_offset() {
         let src = "ld r1, table(r0)\nhalt\n.data 0x2000\ntable: .word 9";
         let p = assemble(src).unwrap();
@@ -592,6 +620,7 @@ mod tests {
             ".org 0xfffffffffffffff8\nstart: nop\nend: halt",
             "halt\n.data 0xfffffffffffffff8\n.word 1, 2",
             "halt\n.data 0xfffffffffffffff0\n.space 17",
+            "halt\n.data 0x1000\n.space 9223372036854775807\n.space 9223372036854775807",
         ] {
             let e = assemble(src).unwrap_err();
             assert!(e.msg.contains("past the end"), "{src}: {e}");

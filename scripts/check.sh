@@ -44,7 +44,7 @@ run_gate "fault-campaign smoke (reduced-scale §3 sweep)" \
 run_gate "differential-fuzz smoke (oracle sweep + corpus replay)" \
     cargo run --release -q -p slipstream-bench --bin differential_fuzz -- --smoke --out BENCH_fuzz_smoke.json
 
-run_gate "throughput smoke (speed gate vs committed BENCH_throughput.json)" \
+run_gate "throughput smoke (each model's best instrs per probe op vs committed BENCH_throughput.json)" \
     cargo run --release -q -p slipstream-bench --bin throughput -- --smoke
 
 run_gate "report smoke (run files only: round-trip + attribution + sampled CPI stack + pipeview + a_checkpoint <= 20% of run_total)" \
