@@ -4,10 +4,13 @@
 //! [`PASSES`] times, round-robin over the models, with a host-probe pass
 //! (fixed integer work that runs no simulator code) before the first suite
 //! pass and after every one. A pass's speed is its simulated instructions
-//! per second over the mean ops/s of its two adjacent probe passes, so it
-//! is in instructions per probe operation and holds across hosts: a slower
-//! machine slows the probe and the simulator alike, while a slower
-//! simulator leaves the probe as it was. Each model keeps its best pass.
+//! per second over the ops/s of the faster of its two adjacent probe
+//! passes, so it is in instructions per probe operation and holds across
+//! hosts: a slower machine slows the probe and the simulator alike, while
+//! a slower simulator leaves the probe as it was. The faster probe, because
+//! a probe pass slowed by another tenant would otherwise inflate both
+//! suite passes beside it, and the best-pass rule would keep the inflated
+//! one. Each model keeps its best pass.
 //!
 //! Models:
 //! - `ss64` — single-core SS(64x4) baseline
@@ -148,7 +151,7 @@ fn measure() -> Throughput {
             let after = host_probe();
             probes.push(after);
             let instrs_per_sec = instructions as f64 / seconds;
-            let per_probe_op = instrs_per_sec / ((before + after) / 2.0);
+            let per_probe_op = instrs_per_sec / before.max(after);
             if per_probe_op > best.per_probe_op {
                 *best = ModelSpeed {
                     instructions,

@@ -8,8 +8,11 @@
 //! - host rows, in wall-clock nanoseconds: `span` (one scheduler phase's
 //!   count and total; the [`Snapshot`]);
 //! - simulated rows, in simulated cycles: `event` (one flight-recorder
-//!   event) and `sample` (one interval sample, integer counters only —
-//!   ratios are computed when rendered) (the [`FlightRecording`]).
+//!   event), `sample` (one interval sample, integer counters only —
+//!   ratios are computed when rendered) and at most one `totals` (the
+//!   run's cumulative counters, in sample form, written when the samples
+//!   cover the whole run; the reader rejects a file whose samples do not
+//!   sum to it) (the [`FlightRecording`]).
 //!
 //! [`to_jsonl`] writes a [`RunFile`] and [`parse_jsonl`], the only reader,
 //! inverts it byte for byte. A run file is the only artifact a traced run
@@ -87,15 +90,15 @@ fn core_obj(c: &CoreStats) -> String {
     o.raw("cpi", cpi_stack_obj(&c.cpi)).finish()
 }
 
-/// One interval-sample row.
-fn sample_line(s: &IntervalSample) -> String {
+/// One interval-sample row, or with `ty` = `"totals"` the totals row.
+fn sample_line(s: &IntervalSample, ty: &str) -> String {
     let mut fe = s.front_end;
     let mut front_end = json::Obj::new();
     for (key, v) in fe.counters_mut() {
         front_end = front_end.raw(key, v);
     }
     json::Obj::new()
-        .str("type", "sample")
+        .str("type", ty)
         .raw("cycle", s.cycle)
         .raw("skipped", s.skipped)
         .raw("ir_misps", s.ir_misps)
@@ -107,7 +110,8 @@ fn sample_line(s: &IntervalSample) -> String {
         .finish()
 }
 
-/// The run as JSONL: manifest first, then spans, events, and samples.
+/// The run as JSONL: manifest first, then spans, events, samples and the
+/// totals.
 /// `parse_jsonl` inverts this byte-identically
 /// (`to_jsonl(&parse_jsonl(&to_jsonl(r))?) == to_jsonl(r)`).
 pub fn to_jsonl(run: &RunFile) -> String {
@@ -127,7 +131,8 @@ pub fn to_jsonl(run: &RunFile) -> String {
     std::iter::once(manifest)
         .chain(snap.spans.iter().map(span_line))
         .chain(rec.events.iter().map(event_line))
-        .chain(rec.samples.iter().map(sample_line))
+        .chain(rec.samples.iter().map(|s| sample_line(s, "sample")))
+        .chain(rec.totals.iter().map(|s| sample_line(s, "totals")))
         .map(|line| line + "\n")
         .collect()
 }
@@ -244,6 +249,62 @@ fn read_sample(val: &Value) -> Result<IntervalSample, String> {
     })
 }
 
+/// Every summable counter of a `sample` or `totals` row as `(prefix,
+/// name, value)`, in file order.
+fn row_counters(s: &IntervalSample) -> Vec<(&'static str, &'static str, u64)> {
+    let mut out = Vec::new();
+    for (core, cpi, mut c) in [("a", "a.cpi", s.a), ("r", "r.cpi", s.r)] {
+        out.extend(c.counters_mut().map(|(key, v)| (core, key, *v)));
+        out.extend(
+            CpiCat::ALL
+                .iter()
+                .map(|&cat| (cpi, cat.label(), c.cpi.get(cat))),
+        );
+    }
+    let mut fe = s.front_end;
+    out.extend(fe.counters_mut().map(|(key, v)| ("front_end", key, *v)));
+    out.extend([
+        ("", "skipped", s.skipped),
+        ("", "ir_misps", s.ir_misps),
+        ("", "value_hints", s.value_hints),
+    ]);
+    out
+}
+
+/// The `sample` rows must end at the `totals` row's cycle and sum to it,
+/// counter by counter; the error names the first counter that differs.
+fn check_totals(samples: &[IntervalSample], totals: &IntervalSample) -> Result<(), String> {
+    let end = samples.last().map_or(0, |s| s.cycle);
+    if end != totals.cycle {
+        return Err(format!(
+            "the sample rows end at cycle {end} but the totals row at cycle {}",
+            totals.cycle
+        ));
+    }
+    let want = row_counters(totals);
+    // Checked sums: the counts are untrusted, so they may overflow.
+    let mut sums = vec![Some(0u64); want.len()];
+    for s in samples {
+        for (sum, (.., v)) in sums.iter_mut().zip(row_counters(s)) {
+            *sum = sum.and_then(|n| n.checked_add(v));
+        }
+    }
+    for (sum, (prefix, key, total)) in sums.into_iter().zip(want) {
+        if sum != Some(total) {
+            let name = if prefix.is_empty() {
+                key.to_string()
+            } else {
+                format!("{prefix}.{key}")
+            };
+            let sum = sum.map_or_else(|| "more than u64::MAX".to_string(), |n| n.to_string());
+            return Err(format!(
+                "the sample rows sum to {name} = {sum} but the totals row says {total}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The `binary` and `scheduler` of a run file without a manifest line.
 const NO_MANIFEST: &str = "-";
 
@@ -253,7 +314,9 @@ const NO_MANIFEST: &str = "-";
 /// the report prints no header for it) but at most one is allowed: one
 /// file per run. Rows append in file order, so `to_jsonl` of the result
 /// reproduces any file it wrote byte-for-byte. Malformed rows are an `Err`
-/// naming the line.
+/// naming the line, and so is a second `totals` row; sample rows that do
+/// not sum to the `totals` row are an `Err` naming the first counter that
+/// differs.
 pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
     let mut snap = Snapshot {
         binary: NO_MANIFEST.to_string(),
@@ -299,8 +362,17 @@ pub fn parse_jsonl(text: &str) -> Result<RunFile, String> {
             }),
             "event" => rec.events.push(read_event(&val).map_err(&fail)?),
             "sample" => rec.samples.push(read_sample(&val).map_err(&fail)?),
+            "totals" => {
+                if rec.totals.is_some() {
+                    return Err(fail("second totals line (one run per file)".to_string()));
+                }
+                rec.totals = Some(read_sample(&val).map_err(&fail)?);
+            }
             other => return Err(fail(format!("unknown line type {other:?}"))),
         }
+    }
+    if let Some(totals) = &rec.totals {
+        check_totals(&rec.samples, totals)?;
     }
     Ok(RunFile {
         snapshot: snap,
@@ -586,6 +658,7 @@ mod tests {
                     value_hints: 3,
                     delay_occupancy: 5,
                 }],
+                totals: None,
                 dropped: 17,
             },
         }
@@ -689,6 +762,74 @@ mod tests {
         }
         let e = err(&manifest.replace("\"0.2\"", "0.2"));
         assert!(e.starts_with("line 1: non-string label"), "{e}");
+    }
+
+    #[test]
+    fn sample_rows_must_sum_to_the_totals_row() {
+        let mut run = sample_run();
+        let row = run.recording.samples[0];
+        let second = IntervalSample { cycle: 20, ..row };
+        let totals = IntervalSample {
+            cycle: 20,
+            a: row.a.merge(&row.a),
+            r: row.r.merge(&row.r),
+            front_end: row
+                .front_end
+                .zip_counters(&row.front_end, u64::wrapping_add),
+            skipped: 4,
+            ir_misps: 2,
+            value_hints: 6,
+            delay_occupancy: 5,
+        };
+        run.recording.samples.push(second);
+        run.recording.totals = Some(totals);
+        let text = to_jsonl(&run);
+        assert!(text
+            .lines()
+            .last()
+            .unwrap()
+            .starts_with("{\"type\": \"totals\""));
+        let parsed = parse_jsonl(&text).unwrap();
+        assert_eq!(parsed.recording.totals, Some(totals));
+        assert_eq!(to_jsonl(&parsed), text);
+
+        let err = |totals: IntervalSample, samples: &[IntervalSample]| {
+            let mut bad = run.clone();
+            bad.recording.samples = samples.to_vec();
+            bad.recording.totals = Some(totals);
+            parse_jsonl(&to_jsonl(&bad)).expect_err("sums differ")
+        };
+        let mut r = totals;
+        r.r.retired += 1;
+        assert_eq!(
+            err(r, &[row, second]),
+            "the sample rows sum to r.retired = 16 but the totals row says 17"
+        );
+        let mut cpi = totals;
+        cpi.a.cpi.set(CpiCat::Base, 13);
+        cpi.a.cpi.set(CpiCat::DelayEmpty, 7);
+        assert_eq!(
+            err(cpi, &[row, second]),
+            "the sample rows sum to a.cpi.base = 14 but the totals row says 13"
+        );
+        let hints = IntervalSample {
+            value_hints: 7,
+            ..totals
+        };
+        assert!(err(hints, &[row, second]).contains("value_hints = 6 but"));
+        // A dropped row: the rows end early.
+        let e = err(totals, &[second]);
+        assert!(
+            e.contains("sum to a.cycles = 10 but the totals row says 20"),
+            "{e}"
+        );
+        let e = err(totals, &[row]);
+        assert!(
+            e.contains("end at cycle 10 but the totals row at cycle 20"),
+            "{e}"
+        );
+        let e = parse_jsonl(&(text.clone() + text.lines().last().unwrap())).unwrap_err();
+        assert!(e.contains("second totals line"), "{e}");
     }
 
     #[test]

@@ -13,8 +13,9 @@ pub struct ModelSpeed {
     pub instructions: u64,
     /// The pass's simulated instructions per host second.
     pub instrs_per_sec: f64,
-    /// The pass's instrs/s over the mean ops/s of its two adjacent
-    /// host-probe passes: simulated instructions per probe operation.
+    /// The pass's instrs/s over the ops/s of the faster of its two
+    /// adjacent host-probe passes: simulated instructions per probe
+    /// operation.
     pub per_probe_op: f64,
 }
 

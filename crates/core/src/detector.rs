@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use slipstream_isa::FastHashMap;
 
-use slipstream_isa::{Instr, MemWidth, Retired, NUM_REGS};
+use slipstream_isa::{accesses_overlap, Instr, MemWidth, Retired, NUM_REGS};
 use slipstream_predict::{TraceBuilder, TraceId, MAX_TRACE_LEN};
 
 use crate::config::RemovalPolicy;
@@ -419,17 +419,13 @@ impl IrDetector {
     /// *different* address or width as referenced-and-pinned: their
     /// producers can never be claimed dead.
     fn mark_overlaps_referenced(&mut self, addr: u64, width: MemWidth) {
-        let n = width.bytes();
-        let lo = addr.saturating_sub(7);
-        let hi = addr + n;
         let mut pin = std::mem::take(&mut self.pin_scratch);
         pin.clear();
         for (&a, st) in self.mem.iter_mut() {
             if a == addr && st.width == width {
                 continue;
             }
-            let w = st.width.bytes();
-            if a < hi && addr < a + w && a >= lo {
+            if accesses_overlap(a, st.width, addr, width) {
                 st.referenced = true;
                 pin.push(st.producer);
             }
@@ -463,15 +459,12 @@ impl IrDetector {
             }
         }
         // Conservatively kill overlapping entries at other addresses.
-        let n = width.bytes();
-        let lo = addr.saturating_sub(7);
-        let hi = addr + n;
         let mut overlapping = std::mem::take(&mut self.overlap_scratch);
         overlapping.clear();
         overlapping.extend(
             self.mem
                 .iter()
-                .filter(|(&a, st)| a != addr && a < hi && addr < a + st.width.bytes() && a >= lo)
+                .filter(|(&a, st)| a != addr && accesses_overlap(a, st.width, addr, width))
                 .map(|(&a, _)| a),
         );
         for &a in &overlapping {

@@ -8,7 +8,9 @@
 use slipstream_cpu::{
     CoreDriver, DispatchHints, DriverStall, EventKind, FetchItem, TraceSink, NO_SEQ,
 };
-use slipstream_isa::Retired;
+use std::sync::Arc;
+
+use slipstream_isa::{ArchState, Program, Retired};
 
 use crate::config::RemovalPolicy;
 use crate::delay::{DelayBuffer, DelayEntry};
@@ -40,6 +42,55 @@ pub enum IrMispKind {
     },
 }
 
+/// The online functional checker (paper §4): a functional simulator
+/// stepped in lockstep with R-stream retirement. Any divergence is a
+/// simulator bug and panics at once.
+#[derive(Clone)]
+pub(crate) struct OnlineChecker {
+    state: ArchState,
+    program: Arc<Program>,
+}
+
+impl OnlineChecker {
+    /// A checker positioned at `program`'s entry.
+    pub(crate) fn new(program: Arc<Program>) -> OnlineChecker {
+        OnlineChecker {
+            state: ArchState::new(&program),
+            program,
+        }
+    }
+
+    /// Steps the functional simulator once and panics, naming the first
+    /// divergent field, unless it retires what the timing model retired.
+    fn check(&mut self, rec: &Retired) {
+        let want = self
+            .state
+            .step(&self.program)
+            .expect("online checker follows a valid program");
+        let divergent = if rec.pc != want.pc {
+            Some("pc")
+        } else if rec.dest != want.dest {
+            Some("dest")
+        } else if rec.mem != want.mem {
+            Some("mem")
+        } else if rec.taken != want.taken {
+            Some("taken")
+        } else if rec.next_pc != want.next_pc {
+            Some("next_pc")
+        } else {
+            None
+        };
+        if let Some(field) = divergent {
+            panic!(
+                "R-stream diverged from the online functional checker at seq {} \
+                 (simulator bug): `{field}` differs — timing model retired {rec:?}, \
+                 checker expected {want:?}",
+                want.seq,
+            );
+        }
+    }
+}
+
 /// The R-stream driver: owns the delay buffer's consumer end, the
 /// IR-detector, and the recovery controller they feed.
 ///
@@ -47,7 +98,9 @@ pub enum IrMispKind {
 /// it in place (`DelayBuffer::in_flight`) and retire releases it, so the
 /// driver keeps only the meta id of the oldest entry in flight. The
 /// entries held are also recovery's undo list; retire hands the
-/// controller the do list's stores.
+/// controller the do list's stores. Retire also keeps the restart PC and
+/// steps the online checker, so the R-core never copies out its retired
+/// records.
 #[derive(Clone)]
 pub struct RStreamDriver {
     /// The delay buffer (producer side filled by the harness from the
@@ -74,12 +127,18 @@ pub struct RStreamDriver {
     /// Flight recorder for delay-buffer consumption; the driver has no
     /// clock of its own, so the owning harness stamps the cycle each step.
     pub trace: Option<TraceSink>,
+    /// Where recovery restarts both streams: the next PC of the last
+    /// retired instruction, or the program's entry before any.
+    pub(crate) restart_pc: u64,
+    /// The online functional checker (`None` = off).
+    pub(crate) online_check: Option<OnlineChecker>,
 }
 
 impl RStreamDriver {
-    /// Creates an R-stream driver with the given buffer capacities and
-    /// detector policy/scope.
+    /// Creates an R-stream driver for a program entered at `entry`, with
+    /// the given buffer capacities and detector policy/scope.
     pub fn new(
+        entry: u64,
         data_cap: usize,
         control_cap: usize,
         policy: RemovalPolicy,
@@ -96,6 +155,8 @@ impl RStreamDriver {
             ir_misp: None,
             value_hints: 0,
             trace: None,
+            restart_pc: entry,
+            online_check: None,
         }
     }
 
@@ -227,6 +288,10 @@ impl CoreDriver for RStreamDriver {
         let skipped = e.is_skipped();
         self.delay.release();
         self.inflight_base += 1;
+        self.restart_pc = rec.next_pc;
+        if let Some(checker) = self.online_check.as_mut() {
+            checker.check(rec);
+        }
         self.detector.push(rec);
         if let Some(m) = rec.mem.filter(|m| skipped && m.is_store) {
             self.recovery.add_do(m.addr, m.width);

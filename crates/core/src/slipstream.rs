@@ -47,10 +47,11 @@
 //! always restarts the window grid at the recovery cycle.
 
 use slipstream_cpu::{Core, CoreStats, FaultSpec, L2View};
-use slipstream_isa::{ArchState, Program, Retired};
+use slipstream_isa::Program;
 use slipstream_predict::{PathHistory, TraceId};
 use slipstream_telemetry::{SpanKind, Telemetry};
 use std::sync::mpsc::{self, Receiver, RecvError, TryRecvError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::SlipstreamConfig;
@@ -58,7 +59,7 @@ use crate::delay::{Credits, DelayEntry, TraceCommit};
 use crate::front_end::{FeSpec, FrontEndStats, TraceFrontEnd};
 use crate::ir_table::{IrTable, RemovalInfo};
 use crate::removal::Reason;
-use crate::rstream::{IrMispKind, RStreamDriver};
+use crate::rstream::{IrMispKind, OnlineChecker, RStreamDriver};
 use crate::trace::{
     self, EventKind, FlightRecording, IntervalSample, IntervalSampler, StreamId, TraceConfig,
     TraceEvent, TraceSink, NO_SEQ,
@@ -305,7 +306,6 @@ struct RHalf {
     /// lookups.
     observe_hist: PathHistory,
     applied_pending: Vec<(u64, TraceId)>,
-    last_r_retired: Option<Retired>,
     cycles: u64,
     /// Skipped delay entries consumed, indexed by removal [`Reason`] bits.
     skipped_by_reason: [u64; 16],
@@ -313,11 +313,6 @@ struct RHalf {
     mem_restored_sum: u64,
     last_r_progress: u64,
     strict: bool,
-    retired_buf: Vec<Retired>,
-    /// Online functional checker (paper §4): a functional simulator
-    /// stepped in lockstep with R-stream retirement; any divergence is a
-    /// simulator bug and panics immediately.
-    online_check: Option<ArchState>,
     /// Log of detected IR-mispredictions (kind, cycle), one row per
     /// recovery — used by the fault experiments to classify outcomes.
     misp_log: Vec<(IrMispKind, u64)>,
@@ -360,36 +355,10 @@ struct MachineTrace {
     sampler: IntervalSampler,
 }
 
-/// Panics naming the first divergent field between a timing-model
-/// retirement and the online functional checker's expectation.
-fn assert_matches_checker(rec: &Retired, want: &Retired) {
-    let divergent = if rec.pc != want.pc {
-        Some("pc")
-    } else if rec.dest != want.dest {
-        Some("dest")
-    } else if rec.mem != want.mem {
-        Some("mem")
-    } else if rec.taken != want.taken {
-        Some("taken")
-    } else if rec.next_pc != want.next_pc {
-        Some("next_pc")
-    } else {
-        None
-    };
-    if let Some(field) = divergent {
-        panic!(
-            "R-stream diverged from the online functional checker at seq {} \
-             (simulator bug): `{field}` differs — timing model retired {rec:?}, \
-             checker expected {want:?}",
-            want.seq,
-        );
-    }
-}
-
 impl RHalf {
     /// Consumes one A-stream cycle batch: routes delay traffic, advances
     /// the R-core, checks, and trains the detector.
-    fn consume_cycle(&mut self, batch: &mut CycleBatch, program: &Program) -> RPhase {
+    fn consume_cycle(&mut self, batch: &mut CycleBatch) -> RPhase {
         self.cycles = batch.cycle;
         if let Some(mt) = self.machine_trace.as_mut() {
             mt.a_core.extend(batch.events.iter().copied());
@@ -424,23 +393,13 @@ impl RHalf {
             self.drv.delay.push_commit(c);
         }
 
-        // Advance the R-stream.
+        // Advance the R-stream. Its driver observes every retirement.
         if !self.core.halted() {
-            let mut retired = std::mem::take(&mut self.retired_buf);
-            self.core.cycle(&mut self.drv, &mut retired);
-            if let Some(checker) = &mut self.online_check {
-                for rec in &retired {
-                    let want = checker
-                        .step(program)
-                        .expect("online checker follows a valid program");
-                    assert_matches_checker(rec, &want);
-                }
-            }
-            if let Some(last) = retired.last() {
-                self.last_r_retired = Some(*last);
+            let retired_before = self.core.stats().retired;
+            self.core.cycle_quiet(&mut self.drv);
+            if self.core.stats().retired != retired_before {
                 self.last_r_progress = self.cycles;
             }
-            self.retired_buf = retired;
         }
 
         // IR-detector outputs: verify the A-stream's applied removals now;
@@ -488,11 +447,11 @@ impl RHalf {
         assert!(
             self.cycles - self.last_r_progress < HARNESS_WATCHDOG,
             "slipstream wedged: no R-stream retirement since cycle {} (now {}; \
-             delay buffer {} entries, last retired pc {:?})",
+             delay buffer {} entries, restart pc {:#x})",
             self.last_r_progress,
             self.cycles,
             self.drv.delay.len(),
-            self.last_r_retired.map(|r| r.pc),
+            self.drv.restart_pc,
         );
 
         if self.drv.ir_misp.is_some() {
@@ -561,15 +520,12 @@ fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
 /// memory locations and the whole register file are copied over, the
 /// A-stream restarts behind the same latency, and the unverified removals
 /// it applied are penalized.
-fn recover(a: &mut AHalf, r: &mut RHalf, program: &Program, cfg: &SlipstreamConfig) {
+fn recover(a: &mut AHalf, r: &mut RHalf, cfg: &SlipstreamConfig) {
     debug_assert_eq!(a.cycles, r.cycles, "A must sit at the recovery cycle");
     let t0 = tel_now(&r.tel);
     let kind = r.drv.ir_misp.expect("called only when flagged");
     r.misp_log.push((kind, r.cycles));
-    let restart = r
-        .last_r_retired
-        .map(|rec| rec.next_pc)
-        .unwrap_or_else(|| program.entry());
+    let restart = r.drv.restart_pc;
     // The undo list is the delay buffer's executed stores: latch it
     // before the reset below clears the buffer.
     r.drv.recovery.latch_undo(&r.drv.delay);
@@ -642,7 +598,6 @@ type Outcome = Option<(RPhase, u64)>;
 /// helper thread while the R side keeps consuming.
 struct Sched<'m> {
     r: &'m mut RHalf,
-    program: &'m Program,
     cfg: &'m SlipstreamConfig,
     anchor: &'m mut u64,
     quantum: u64,
@@ -665,8 +620,8 @@ impl Sched<'_> {
     /// cycle, so no rollback is needed).
     fn one_cycle(&mut self, a: &mut AHalf) {
         a.run_cycle(self.scratch);
-        if self.r.consume_cycle(self.scratch, self.program) == RPhase::Misp {
-            recover(a, self.r, self.program, self.cfg);
+        if self.r.consume_cycle(self.scratch) == RPhase::Misp {
+            recover(a, self.r, self.cfg);
             *self.anchor = a.cycles;
         }
     }
@@ -679,7 +634,7 @@ impl Sched<'_> {
     /// windows (boundary sync, recovery, halt rollback) happens here.
     fn run_windows<'a, E>(&mut self, mut a: &'a mut AHalf, max_cycles: u64, mut exec: E)
     where
-        E: FnMut(&'a mut AHalf, usize, &mut RHalf, &Program) -> (&'a mut AHalf, Outcome),
+        E: FnMut(&'a mut AHalf, usize, &mut RHalf) -> (&'a mut AHalf, Outcome),
     {
         let q = self.quantum;
         while !self.r.core.halted() && self.r.cycles < max_cycles {
@@ -699,7 +654,7 @@ impl Sched<'_> {
             }
             tel_span(&mut a.tel, SpanKind::ACheckpoint, t0);
             let outcome;
-            (a, outcome) = exec(a, (window_end - anchor) as usize, self.r, self.program);
+            (a, outcome) = exec(a, (window_end - anchor) as usize, self.r);
             let ck = self.window_ck.as_ref().expect("checkpointed above");
             match outcome {
                 None => {
@@ -713,7 +668,7 @@ impl Sched<'_> {
                     let t0 = tel_now(&a.tel);
                     a.rollback_replay(ck, cycle, self.scratch);
                     tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
-                    recover(a, self.r, self.program, self.cfg);
+                    recover(a, self.r, self.cfg);
                     *self.anchor = cycle;
                 }
                 Some((_, cycle)) => {
@@ -730,8 +685,8 @@ impl Sched<'_> {
 
 /// Has `r` consume `batch` and reports a phase other than `Ok` with its
 /// cycle.
-fn consume(r: &mut RHalf, batch: &mut CycleBatch, program: &Program) -> Outcome {
-    match r.consume_cycle(batch, program) {
+fn consume(r: &mut RHalf, batch: &mut CycleBatch) -> Outcome {
+    match r.consume_cycle(batch) {
         RPhase::Ok => None,
         phase => Some((phase, batch.cycle)),
     }
@@ -745,7 +700,8 @@ fn consume(r: &mut RHalf, batch: &mut CycleBatch, program: &Program) -> Outcome 
 #[derive(Clone)]
 pub struct SlipstreamProcessor {
     cfg: SlipstreamConfig,
-    program: Program,
+    /// Shared with the online checker, when one is enabled.
+    program: Arc<Program>,
     a: AHalf,
     r: RHalf,
     /// Cycle of the last sync boundary; the window grid is
@@ -767,6 +723,7 @@ impl SlipstreamProcessor {
         let ir_table = IrTable::new(cfg.ir_table_capacity, cfg.confidence_threshold);
         let a_fe = TraceFrontEnd::a_stream(program, cfg.trace_pred, ir_table, cfg.removal.any());
         let r_drv = RStreamDriver::new(
+            program.entry(),
             cfg.delay_data_entries,
             cfg.delay_control_entries,
             cfg.removal,
@@ -799,21 +756,18 @@ impl SlipstreamProcessor {
                 drv: r_drv,
                 observe_hist: PathHistory::new(cfg.trace_pred.path_len),
                 applied_pending: Vec::new(),
-                last_r_retired: None,
                 cycles: 0,
                 skipped_by_reason: [0; 16],
                 penalty_sum: 0,
                 mem_restored_sum: 0,
                 last_r_progress: 0,
                 strict: false,
-                retired_buf: Vec::new(),
-                online_check: None,
                 misp_log: Vec::new(),
                 machine_trace: None,
                 obs_q: Vec::new(),
                 tel: None,
             },
-            program: program.clone(),
+            program: Arc::new(program.clone()),
             anchor: 0,
             scratch: CycleBatch::default(),
             batches: Vec::new(),
@@ -901,9 +855,24 @@ impl SlipstreamProcessor {
     /// tracing was never enabled).
     pub fn flight_recording(&self) -> Option<FlightRecording> {
         self.r.machine_trace.as_ref()?;
+        let samples = self.interval_samples().to_vec();
+        // A run that halted inside `run_mode` ends with a tail sample, so
+        // its rows cover it.
+        let covered = samples.last().is_some_and(|s| s.cycle == self.r.cycles);
+        let totals = (self.halted() && covered).then(|| IntervalSample {
+            cycle: self.r.cycles,
+            a: *self.a.core.stats(),
+            r: *self.r.core.stats(),
+            front_end: self.a.fe.spec.stats,
+            skipped: self.r.skipped(),
+            ir_misps: self.r.misp_log.len() as u64,
+            value_hints: self.r.drv.value_hints,
+            delay_occupancy: self.r.drv.delay.len() as u64,
+        });
         Some(FlightRecording {
             events: trace::merge_events(self.sinks()),
-            samples: self.interval_samples().to_vec(),
+            samples,
+            totals,
             dropped: self.sinks().map(|s| s.dropped()).sum(),
         })
     }
@@ -921,7 +890,7 @@ impl SlipstreamProcessor {
     /// independently and in parallel with the detailed timing simulator").
     /// Roughly doubles simulation cost; intended for tests and debugging.
     pub fn enable_online_check(&mut self) {
-        self.r.online_check = Some(ArchState::new(&self.program));
+        self.r.drv.online_check = Some(OnlineChecker::new(Arc::clone(&self.program)));
     }
 
     /// Snapshot of the delay buffer between the streams: every queued
@@ -978,7 +947,6 @@ impl SlipstreamProcessor {
     fn split(&mut self) -> (&mut AHalf, Sched<'_>, &mut Vec<CycleBatch>) {
         let sched = Sched {
             r: &mut self.r,
-            program: &self.program,
             cfg: &self.cfg,
             anchor: &mut self.anchor,
             quantum: self.cfg.sync_quantum.max(1) as u64,
@@ -1053,7 +1021,7 @@ impl SlipstreamProcessor {
     /// ping-ponging (and its cache traffic) hoisted out of the hot loop.
     fn run_windowed(&mut self, max_cycles: u64) -> bool {
         let (a, mut sched, batches) = self.split();
-        sched.run_windows(a, max_cycles, |a, n, r, program| {
+        sched.run_windows(a, max_cycles, |a, n, r| {
             if batches.len() < n {
                 batches.resize_with(n, CycleBatch::default);
             }
@@ -1064,7 +1032,7 @@ impl SlipstreamProcessor {
             }
             tel_span(&mut a.tel, SpanKind::AWindowExec, t0);
             let t0 = tel_now(&r.tel);
-            let outcome = window.iter_mut().find_map(|b| consume(r, b, program));
+            let outcome = window.iter_mut().find_map(|b| consume(r, b));
             tel_span(&mut r.tel, SpanKind::RWindowConsume, t0);
             (a, outcome)
         });
@@ -1110,7 +1078,7 @@ impl SlipstreamProcessor {
                     Ok(()) => unreachable!("the helper runs until the job channel closes"),
                 }
             };
-            sched.run_windows(a, max_cycles, |a, n, r, program| {
+            sched.run_windows(a, max_cycles, |a, n, r| {
                 if job_tx.send((a, n)).is_err() {
                     helper_died();
                 }
@@ -1121,7 +1089,7 @@ impl SlipstreamProcessor {
                         helper_died();
                     };
                     if outcome.is_none() {
-                        outcome = consume(r, &mut batch, program);
+                        outcome = consume(r, &mut batch);
                     }
                     // Fails only once the helper has gone; the next
                     // receive reports that.

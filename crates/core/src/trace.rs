@@ -229,13 +229,19 @@ pub fn merge_events<'a>(sinks: impl IntoIterator<Item = &'a TraceSink>) -> Vec<T
 }
 
 /// The export-ready view of a traced run: the merged event stream, the
-/// interval time-series, and how much the rings dropped.
+/// interval time-series and the run's totals, and how much the rings
+/// dropped.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecording {
     /// All held events across every sink, cycle-ordered.
     pub events: Vec<TraceEvent>,
     /// Interval metrics time-series (empty unless sampling was enabled).
     pub samples: Vec<IntervalSample>,
+    /// The run's cumulative counters at its end, in sample form. Present
+    /// when the samples cover the whole run (it halted, and the last
+    /// sample ends at its last cycle): each sample counter then sums to
+    /// its total.
+    pub totals: Option<IntervalSample>,
     /// Events overwritten across all rings (the trace is a *suffix* of the
     /// run whenever this is nonzero).
     pub dropped: u64,

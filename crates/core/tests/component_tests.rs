@@ -205,7 +205,7 @@ fn rstream_replays_a_faithful_delay_stream() {
     let p = loopy_program(400);
     let mut st = ArchState::new(&p);
     let trace = st.run(&p, 1_000_000).unwrap();
-    let mut drv = RStreamDriver::new(100_000, 100_000, RemovalPolicy::all(), 8);
+    let mut drv = RStreamDriver::new(p.entry(), 100_000, 100_000, RemovalPolicy::all(), 8);
     for (i, rec) in trace.iter().enumerate() {
         drv.delay.push(DelayEntry::executed(
             rec,
@@ -238,7 +238,7 @@ fn rstream_flags_corrupted_delay_stream() {
     let p = loopy_program(100);
     let mut st = ArchState::new(&p);
     let trace = st.run(&p, 1_000_000).unwrap();
-    let mut drv = RStreamDriver::new(100_000, 100_000, RemovalPolicy::all(), 8);
+    let mut drv = RStreamDriver::new(p.entry(), 100_000, 100_000, RemovalPolicy::all(), 8);
     for (i, rec) in trace.iter().enumerate() {
         let mut rec = *rec;
         if i == 57 {
@@ -283,7 +283,7 @@ fn rstream_executes_skip_markers_without_checking() {
         .unwrap();
     let mut st = ArchState::new(&p);
     let trace = st.run(&p, 1_000).unwrap();
-    let mut drv = RStreamDriver::new(1_000, 1_000, RemovalPolicy::all(), 8);
+    let mut drv = RStreamDriver::new(p.entry(), 1_000, 1_000, RemovalPolicy::all(), 8);
     for (i, rec) in trace.iter().enumerate() {
         // Mark the second (silent) store as skipped-by-A: no values.
         if i == 3 {

@@ -6,8 +6,8 @@
 //! occur.
 
 use slipstream_core::{
-    golden_state, run_fault_experiment, run_superscalar, FaultOutcome, FaultTarget, RemovalPolicy,
-    SlipstreamConfig, SlipstreamProcessor,
+    golden_state, run_fault_experiment, run_superscalar, ExecMode, FaultOutcome, FaultTarget,
+    RemovalPolicy, SlipstreamConfig, SlipstreamProcessor,
 };
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::{assemble, Program};
@@ -116,6 +116,23 @@ fn same_source_fanout_runs_under_every_fuzz_key() {
         assert!(proc.run(MAX_CYCLES), "{removal:?}: run must halt");
         assert_eq!(proc.r_core().arch_regs(), golden.regs(), "{removal:?}");
         assert_eq!(proc.r_core().mem().first_difference(golden.mem()), None);
+    }
+}
+
+/// A word store at -4 covers the top four bytes of the address space and
+/// the bottom four; the load of the same address depends on it. Both
+/// streams' memory-dependence tests wrap with the address, under strict
+/// mode and the online checker, in the serial and windowed schedulers.
+#[test]
+fn a_store_straddling_the_top_of_memory_runs_in_every_scheduler() {
+    let p = assemble("li r1, -4\nli r2, 77\nst r2, 0(r1)\nld r3, 0(r1)\nhalt").unwrap();
+    for mode in [ExecMode::Serial, ExecMode::Windowed] {
+        let mut proc = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &p);
+        proc.set_strict(true);
+        proc.enable_online_check();
+        assert!(proc.run_mode(mode, MAX_CYCLES), "{mode:?}: run must halt");
+        assert_matches_oracle(&proc, &p);
+        assert_eq!(proc.r_core().arch_regs()[3], 77, "{mode:?}");
     }
 }
 

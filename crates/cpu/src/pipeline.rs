@@ -1,6 +1,8 @@
 use std::collections::VecDeque;
 
-use slipstream_isa::{InstrKind, MemEffect, MemRead, MemWidth, Memory, Reg, Retired, NUM_REGS};
+use slipstream_isa::{
+    accesses_overlap, InstrKind, MemRead, MemWidth, Memory, Reg, Retired, NUM_REGS,
+};
 
 use crate::accounting::{Accounting, CpiCat, StallCause};
 use crate::cache::Cache;
@@ -36,9 +38,6 @@ const NOT_ISSUED: u64 = u64::MAX;
 /// An [`IqEntry`] dependence slot with no producer.
 const NO_DEP: u64 = u64::MAX;
 
-/// [`IqEntry::ready_at`] while some producer has not issued.
-const NOT_YET: u64 = u64::MAX;
-
 #[derive(Debug, Clone, Copy)]
 struct StoreEntry {
     rob_id: u64,
@@ -66,14 +65,20 @@ struct RobEntry {
 #[derive(Debug, Clone, Copy)]
 struct IqEntry {
     rob_id: u64,
-    /// Producer ROB ids the sources (and, for a load, the memory
-    /// dependence) wait on; [`NO_DEP`] for an empty slot.
+    /// Producer ROB ids the sources and, in slot [`MEM_DEP`], a load's
+    /// memory dependence wait on; [`NO_DEP`] for an empty slot.
     deps: [u64; 3],
-    /// Cycle at which every dependence is complete, cached once all
-    /// producers have a scheduled completion (producers complete exactly
-    /// once, so the value never goes stale); [`NOT_YET`] until then.
+    /// Latest completion cycle of the producers folded so far. A producer
+    /// completes exactly once, so a folded one is never read again.
     ready_at: u64,
+    /// `deps[..folded]` are folded into `ready_at` (or had no producer,
+    /// or one that had already retired).
+    folded: u8,
 }
+
+/// The [`IqEntry::deps`] slot of a load's memory dependence: the youngest
+/// older store to an overlapping address at dispatch.
+const MEM_DEP: usize = 2;
 
 // Both are copied per dispatched instruction, and the issue queue is
 // scanned every cycle: a field that fattens either must raise its pin.
@@ -82,8 +87,8 @@ const _: () = assert!(
     "RobEntry grew past 184 bytes; shrink it or deliberately raise this pin"
 );
 const _: () = assert!(
-    std::mem::size_of::<IqEntry>() <= 40,
-    "IqEntry grew past 40 bytes; shrink it or deliberately raise this pin"
+    std::mem::size_of::<IqEntry>() <= 48,
+    "IqEntry grew past 48 bytes; shrink it or deliberately raise this pin"
 );
 
 /// Speculative (dispatch-time) view of data memory: architectural memory
@@ -100,9 +105,10 @@ impl MemRead for SpecMem<'_> {
         // view is architectural memory itself, which resolves word loads
         // with a single page lookup instead of 8 byte probes.
         let n = width.bytes();
-        let conflict = self.stores.iter().any(|st| {
-            st.addr.wrapping_sub(addr) < n || addr.wrapping_sub(st.addr) < st.width.bytes()
-        });
+        let conflict = self
+            .stores
+            .iter()
+            .any(|st| accesses_overlap(st.addr, st.width, addr, width));
         if !conflict {
             return self.mem.load(addr, width);
         }
@@ -447,10 +453,11 @@ impl Core {
 
     /// [`Core::cycle`] without materializing the retired records — the
     /// driver still observes every retirement via
-    /// [`CoreDriver::on_retire`]. The A-stream half and the superscalar
-    /// baselines use this: they consume retirements through their front
-    /// end only, and skipping the `Retired` copy-out (~130 bytes each) is a
-    /// measurable hot-path saving.
+    /// [`CoreDriver::on_retire`]. Both slipstream halves and the
+    /// superscalar baselines use this: the A-stream consumes retirements
+    /// through its front end, and the R-stream's driver keeps the restart
+    /// PC and steps the online checker from `on_retire`. Skipping the
+    /// `Retired` copy-out (160 bytes each) is a measurable hot-path saving.
     pub fn cycle_quiet<D: CoreDriver + ?Sized>(&mut self, driver: &mut D) {
         self.cycle_inner(driver, None);
     }
@@ -673,36 +680,36 @@ impl Core {
         to_issue.clear();
         // Select oldest-first among the ready entries, up to `width`. A
         // selection that then defers on a structural hazard still used its
-        // slot this cycle. The dependence walk runs until every producer
-        // has a completion cycle, then `ready_at` answers alone.
+        // slot this cycle. Each producer folds into `ready_at` once it has
+        // issued; a waiting entry stops at its first producer that has not,
+        // so it costs one `done_at` read per cycle.
         for (i, e) in self.iq.iter_mut().enumerate() {
             if to_issue.len() >= self.cfg.width {
                 break;
             }
-            if e.ready_at == NOT_YET {
-                let mut at = 0u64;
-                for d in e.deps {
-                    if d == NO_DEP || d < base {
-                        continue; // no producer, or already retired
+            while let Some(&d) = e.deps.get(e.folded as usize) {
+                // An empty slot or a retired producer (whose `done_at`
+                // slot a younger instruction may own by now) adds nothing.
+                if d != NO_DEP && d >= base {
+                    let at = self.done_at[d as usize & mask];
+                    if at == NOT_ISSUED {
+                        break;
                     }
-                    at = at.max(self.done_at[d as usize & mask]);
+                    e.ready_at = e.ready_at.max(at);
                 }
-                if at == NOT_ISSUED {
-                    // A producer has not issued yet; its completion cycle
-                    // is unknowable, retry.
-                    continue;
-                }
-                e.ready_at = at;
+                e.folded += 1;
             }
-            if e.ready_at <= now {
+            if e.folded as usize == e.deps.len() && e.ready_at <= now {
                 to_issue.push(i);
             }
         }
         let mut issued_any = false;
         for &i in &to_issue {
-            let id = self.iq[i].rob_id;
+            let IqEntry {
+                rob_id: id, deps, ..
+            } = self.iq[i];
             let idx = (id - base) as usize;
-            let Some(lat) = self.exec_latency(idx) else {
+            let Some(lat) = self.exec_latency(idx, deps[MEM_DEP]) else {
                 // Structural hazard (all MSHRs busy): retry next cycle.
                 continue;
             };
@@ -749,10 +756,11 @@ impl Core {
         out.ready_at - request
     }
 
-    /// Latency of executing the instruction at ROB index `idx`, or `None`
-    /// when a structural hazard (no free MSHR for a missing load or store)
-    /// defers issue to a later cycle.
-    fn exec_latency(&mut self, idx: usize) -> Option<u64> {
+    /// Latency of executing the instruction at ROB index `idx`, whose
+    /// memory dependence (a load's [`MEM_DEP`] slot) is `mem_dep`, or
+    /// `None` when a structural hazard (no free MSHR for a missing load or
+    /// store) defers issue to a later cycle.
+    fn exec_latency(&mut self, idx: usize, mem_dep: u64) -> Option<u64> {
         let rec = &self.rob[idx].rec;
         let (kind, mem, seq, pc) = (rec.instr.kind(), rec.mem, rec.seq, rec.pc);
         Some(match kind {
@@ -795,12 +803,10 @@ impl Core {
                 let m = mem.expect("loads carry a memory effect");
                 // Store-to-load forwarding: if an older in-flight store
                 // covers this address, data comes from the store queue at
-                // hit latency.
-                let id = self.rob[idx].id;
-                let forwarded = self
-                    .store_queue
-                    .iter()
-                    .any(|st| st.rob_id < id && overlaps(st, m));
+                // hit latency. Dispatch found the youngest such store;
+                // stores retire in order, so some older overlapping store
+                // is still in flight exactly when that one is.
+                let forwarded = mem_dep != NO_DEP && mem_dep >= self.rob_base;
                 if forwarded || self.dcache.probe(m.addr) {
                     // A forwarded load still touches a resident line's LRU
                     // state (the access happened, only the data came from
@@ -957,11 +963,11 @@ impl Core {
         // an overlapping address.
         if let Some(m) = rec.mem {
             if !m.is_store {
-                deps[2] = self
+                deps[MEM_DEP] = self
                     .store_queue
                     .iter()
                     .rev()
-                    .find(|st| overlaps(st, m))
+                    .find(|st| accesses_overlap(st.addr, st.width, m.addr, m.width))
                     .map_or(NO_DEP, |st| st.rob_id);
             } else {
                 self.store_queue.push_back(StoreEntry {
@@ -981,7 +987,8 @@ impl Core {
         self.iq.push(IqEntry {
             rob_id: id,
             deps,
-            ready_at: NOT_YET,
+            ready_at: 0,
+            folded: 0,
         });
         self.rob.push_back(RobEntry {
             id,
@@ -1072,12 +1079,4 @@ impl Core {
             self.stats.fetch_active_cycles += 1;
         }
     }
-}
-
-fn overlaps(st: &StoreEntry, m: MemEffect) -> bool {
-    let a0 = st.addr;
-    let a1 = st.addr + st.width.bytes();
-    let b0 = m.addr;
-    let b1 = m.addr + m.width.bytes();
-    a0 < b1 && b0 < a1
 }

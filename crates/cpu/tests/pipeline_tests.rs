@@ -5,7 +5,8 @@
 //! directions.
 
 use slipstream_cpu::{
-    Core, CoreConfig, CoreDriver, DispatchHints, FetchItem, OracleDriver, StaticDriver,
+    Core, CoreConfig, CoreDriver, DispatchHints, EventKind, FetchItem, OracleDriver, StaticDriver,
+    StreamId, TraceSink,
 };
 use slipstream_isa::{assemble, ArchState, Program, Retired};
 
@@ -483,4 +484,126 @@ fn core_pulls_a_fetch_group_only_when_its_buffer_is_empty() {
             "{leftover_cycles} cycles began with unfetched items"
         );
     }
+}
+
+/// Per-instruction cycles of a traced oracle run, indexed by dispatch
+/// sequence number.
+struct Cycles {
+    dispatch: Vec<u64>,
+    issue: Vec<u64>,
+    retire: Vec<u64>,
+}
+
+fn traced_run(cfg: CoreConfig, p: &Program) -> (Core, Vec<Retired>, Cycles) {
+    let mut core = Core::new(cfg, p.initial_memory());
+    core.set_trace(Some(TraceSink::new(StreamId::Single, 1 << 20)));
+    let mut d = OracleDriver::new(p);
+    let (mut recs, mut retired) = (Vec::new(), Vec::new());
+    while !core.halted() {
+        assert!(core.now() < 100_000, "did not halt");
+        core.cycle(&mut d, &mut retired);
+        recs.extend_from_slice(&retired);
+    }
+    let t = core.trace().expect("trace installed");
+    assert_eq!(t.dropped(), 0, "the ring must hold the whole run");
+    let n = recs.len();
+    let mut c = Cycles {
+        dispatch: vec![0; n],
+        issue: vec![0; n],
+        retire: vec![0; n],
+    };
+    for e in t.events() {
+        let slot = match e.kind {
+            EventKind::Dispatch => &mut c.dispatch,
+            EventKind::Issue => &mut c.issue,
+            EventKind::Retire => &mut c.retire,
+            _ => continue,
+        };
+        slot[e.seq as usize] = e.cycle;
+    }
+    (core, recs, c)
+}
+
+/// Consumers of a producer that retired before they were first scanned
+/// issue the cycle after dispatch. The producer's completion slot is
+/// reused by a younger instruction, dispatched with some of them, that
+/// waits on a divide: reading that slot would hold them back.
+#[test]
+fn consumers_of_a_retired_producer_issue_the_cycle_after_dispatch() {
+    let cfg = CoreConfig::ss_64x4();
+    let ring = cfg.rob_size.next_power_of_two();
+    // seq 5 produces r5; seqs ring+2 ..= ring+4 consume it; seq ring+5
+    // owns seq 5's slot and cannot issue until the divide completes. All
+    // four sit on one 16-instruction icache line, so they arrive together.
+    let (producer, reuser) = (5, ring + 5);
+    let li = |i: usize| format!("li r{}, {i}\n", 10 + i % 40);
+    let head = (0..producer).map(li).collect::<String>();
+    let filler = (producer + 1..reuser - 4).map(li).collect::<String>();
+    let src = format!(
+        "{head}li r5, 7\n{filler}div r8, r5, r5\nadd r6, r5, r5\nadd r7, r5, r5\n\
+         add r9, r5, r5\nadd r60, r8, r8\nhalt"
+    );
+    let p = assemble(&src).unwrap();
+    let (core, recs, c) = traced_run(cfg, &p);
+    assert_eq!(core.arch_reg(slipstream_isa::Reg::new(9)), 14);
+    assert_eq!(recs[reuser].pc, p.entry() + 4 * reuser as u64);
+    let consumers = reuser - 3..reuser;
+    // The edge this test pins: the producer retired before each consumer
+    // dispatched, and the slot's new owner dispatched with at least one
+    // of them and issued only later.
+    assert!(c.retire[producer] < c.dispatch[consumers.start]);
+    assert!(consumers
+        .clone()
+        .any(|s| c.dispatch[s] == c.dispatch[reuser]));
+    assert!(c.issue[reuser] > c.dispatch[reuser] + 1);
+    for s in consumers {
+        assert_eq!(
+            c.issue[s],
+            c.dispatch[s] + 1,
+            "consumer seq {s} dispatched at {} (slot owner at {})",
+            c.dispatch[s],
+            c.dispatch[reuser]
+        );
+    }
+}
+
+/// A load whose older overlapping store retires between the load's
+/// dispatch and its issue reads the cache, not the store queue: with the
+/// store's line evicted meanwhile, the load misses.
+#[test]
+fn a_load_issued_after_its_store_retired_takes_the_cache_path() {
+    let mut cfg = CoreConfig::ss_64x4();
+    // One 64-byte line: any other line evicts the store's.
+    (cfg.dcache.bytes, cfg.dcache.assoc) = (64, 1);
+    let src = r#"
+        li r1, 0x4000
+        li r2, 77
+        st r2, 0(r1)
+        ld r4, 0x1000(r1)
+        div r7, r2, r2
+        addi r7, r7, -1
+        add r8, r1, r7
+        ld r3, 0(r8)
+        halt
+    "#;
+    let p = assemble(src).unwrap();
+    let (core, recs, c) = traced_run(cfg, &p);
+    let (store, load) = (2, 7);
+    assert!(recs[store].instr.is_store() && recs[load].instr.is_load());
+    assert_eq!(recs[load].dest.unwrap().1, 77, "the value came at dispatch");
+    assert!(c.dispatch[load] < c.retire[store] && c.retire[store] < c.issue[load]);
+    // The store's write-allocate miss, the evicting load's, and the load's.
+    assert_eq!(core.stats().dcache_misses, 3);
+}
+
+/// An 8-byte store at -4 wraps past the top of the address space; the
+/// load of the same address still sees the memory dependence.
+#[test]
+fn a_store_straddling_the_top_of_memory_feeds_its_load() {
+    let src = "li r1, -4\nli r2, 77\nst r2, 0(r1)\nld r3, 0(r1)\nhalt";
+    let p = assemble(src).unwrap();
+    let (core, _, c) = traced_run(CoreConfig::ss_64x4(), &p);
+    assert_eq!(core.arch_reg(slipstream_isa::Reg::new(3)), 77);
+    assert!(c.issue[3] > c.issue[2], "the load waits for the store");
+    assert_oracle_equivalent(src);
 }

@@ -23,6 +23,13 @@ impl MemWidth {
     }
 }
 
+/// Whether an access of `a_width` at `a` and one of `b_width` at `b` share
+/// a byte. Addresses wrap at 2^64, as [`crate::Memory`] does, so a word at
+/// `-4` overlaps a byte at `0`.
+pub fn accesses_overlap(a: u64, a_width: MemWidth, b: u64, b_width: MemWidth) -> bool {
+    a.wrapping_sub(b) < b_width.bytes() || b.wrapping_sub(a) < a_width.bytes()
+}
+
 /// Coarse instruction class, used by the timing model to pick a function
 /// unit latency and by the fetch unit to find control-flow boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -703,6 +710,31 @@ mod tests {
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
+    }
+
+    #[test]
+    fn accesses_overlap_wraps_at_the_top_of_memory() {
+        use MemWidth::{Byte, Word};
+        let top = u64::MAX - 3; // -4: a word there covers -4..=3
+        for (a, aw, b, bw, want) in [
+            (0x100, Word, 0x107, Byte, true),
+            (0x100, Word, 0x108, Byte, false),
+            (0x0ff, Byte, 0x100, Word, false),
+            (0x0f9, Word, 0x100, Word, true),
+            (top, Word, top, Word, true),
+            (top, Word, 0, Byte, true),
+            (top, Word, 3, Byte, true),
+            (top, Word, 4, Word, false),
+            (u64::MAX, Byte, 0, Word, false),
+            (u64::MAX - 7, Word, 0, Word, false),
+        ] {
+            assert_eq!(
+                accesses_overlap(a, aw, b, bw),
+                want,
+                "{a:#x} {aw:?} / {b:#x} {bw:?}"
+            );
+            assert_eq!(accesses_overlap(b, bw, a, aw), want, "symmetric");
+        }
     }
 
     /// [`Instr::exec`] with `v1`/`v2` in the registers that
